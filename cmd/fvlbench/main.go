@@ -1,7 +1,8 @@
 // Command fvlbench regenerates the tables and figures of the paper's
 // evaluation (Section 6). Each experiment prints the rows or series the
 // corresponding figure plots; absolute numbers depend on the machine, but the
-// shapes are the reproduction target (see EXPERIMENTS.md).
+// shapes are the reproduction target (each table's "paper shape:" line states
+// the trend the paper reports).
 //
 // Usage:
 //

@@ -1,8 +1,6 @@
 package fvl
 
 import (
-	"fmt"
-
 	"repro/internal/durable"
 )
 
@@ -13,11 +11,6 @@ const SyncOnCheckpoint = durable.SyncOnCheckpoint
 
 // DurableOption configures a durable session directory.
 type DurableOption func(*durableOptions)
-
-func (opt DurableOption) applySession(o *sessionOptions) {
-	opt(&o.durable)
-	o.durableSet = true
-}
 
 type durableOptions struct {
 	segmentSteps int
@@ -50,9 +43,12 @@ func WithStrictRecovery() DurableOption {
 	return func(o *durableOptions) { o.strict = true }
 }
 
-func durableOpts(o sessionOptions) durable.Options {
-	d := o.durable
-	return durable.Options{SegmentSteps: d.segmentSteps, SyncEvery: d.syncEvery, Strict: d.strict}
+func durableOpts(opts []DurableOption) durable.Options {
+	var o durableOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return durable.Options{SegmentSteps: o.segmentSteps, SyncEvery: o.syncEvery, Strict: o.strict}
 }
 
 // RecoveryInfo reports what ResumeDurable did.
@@ -75,33 +71,15 @@ type RecoveryInfo struct {
 // later ResumeDurable must replay.
 type DurableSession struct {
 	*Session
-	// Exactly one of ds and dss is set, matching Session.ls/sc: the classic
-	// single-journal store or the N-shard directory layout.
-	ds  *durable.Session
-	dss *durable.ShardedSession
+	ds *durable.Session
 }
 
 // OpenDurable starts a new durable live session in dir, which is created if
 // missing and must not already hold a session (resume one with
 // ResumeDurable). The session serves queries exactly like OpenLive; its
 // steps additionally land in the directory's journal before publication.
-//
-// With WithShards(n), every shard owns its own journal segments and
-// checkpoint files under the same directory; the shard count is recorded in
-// the directory and fixed for its lifetime.
-func (s *Service) OpenDurable(dir string, opts ...SessionOption) (*DurableSession, error) {
-	o := resolveSession(opts)
-	if o.live.journal != nil {
-		return nil, fmt.Errorf("fvl: WithStepJournal passed to OpenDurable (the directory owns the journal)")
-	}
-	if o.shards != 0 {
-		dss, err := durable.CreateSharded(s.scheme, dir, o.shards, durableOpts(o))
-		if err != nil {
-			return nil, err
-		}
-		return &DurableSession{Session: &Session{svc: s, sc: dss.Coordinator()}, dss: dss}, nil
-	}
-	ds, err := durable.Create(s.scheme, dir, durableOpts(o))
+func (s *Service) OpenDurable(dir string, opts ...DurableOption) (*DurableSession, error) {
+	ds, err := durable.Create(s.scheme, dir, durableOpts(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -115,27 +93,8 @@ func (s *Service) OpenDurable(dir string, opts ...SessionOption) (*DurableSessio
 // structural damage is classified by ErrCorruptManifest,
 // ErrCorruptCheckpoint, ErrCorruptJournal, ErrTornJournal, ErrInvalidStep
 // and ErrForeignLabel.
-//
-// The directory's own record decides the layout: a directory created with
-// WithShards(n) reopens as an n-shard session (recovering every shard's
-// journal tail), any other as a classic one. WithShards is ignored here.
-func (s *Service) ResumeDurable(dir string, opts ...SessionOption) (*DurableSession, error) {
-	o := resolveSession(opts)
-	if o.live.journal != nil {
-		return nil, fmt.Errorf("fvl: WithStepJournal passed to ResumeDurable (the directory owns the journal)")
-	}
-	m, err := durable.ReadManifest(nil, dir)
-	if err != nil {
-		return nil, err
-	}
-	if m.Shards > 0 {
-		dss, err := durable.RecoverSharded(s.scheme, dir, durableOpts(o))
-		if err != nil {
-			return nil, err
-		}
-		return &DurableSession{Session: &Session{svc: s, sc: dss.Coordinator()}, dss: dss}, nil
-	}
-	ds, err := durable.Recover(s.scheme, dir, durableOpts(o))
+func (s *Service) ResumeDurable(dir string, opts ...DurableOption) (*DurableSession, error) {
+	ds, err := durable.Recover(s.scheme, dir, durableOpts(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -143,43 +102,22 @@ func (s *Service) ResumeDurable(dir string, opts ...SessionOption) (*DurableSess
 }
 
 // Dir returns the session directory.
-func (d *DurableSession) Dir() string {
-	if d.dss != nil {
-		return d.dss.Dir()
-	}
-	return d.ds.Dir()
-}
+func (d *DurableSession) Dir() string { return d.ds.Dir() }
 
 // Checkpoint persists the session's full state at the current epoch and
 // compacts the journal segments it covers. Producers are paused for the
 // duration; readers are not. After a checkpoint, ResumeDurable replays only
-// the steps applied since it. A sharded session checkpoints every shard at
-// one global epoch, committed atomically by a single manifest rewrite.
-func (d *DurableSession) Checkpoint() error {
-	if d.dss != nil {
-		return d.dss.Checkpoint()
-	}
-	return d.ds.Checkpoint()
-}
+// the steps applied since it.
+func (d *DurableSession) Checkpoint() error { return d.ds.Checkpoint() }
 
 // LastCheckpoint returns the epoch of the latest durable checkpoint (zero if
 // none).
-func (d *DurableSession) LastCheckpoint() int {
-	if d.dss != nil {
-		return d.dss.LastCheckpoint()
-	}
-	return d.ds.LastCheckpoint()
-}
+func (d *DurableSession) LastCheckpoint() int { return d.ds.LastCheckpoint() }
 
 // Recovery reports what ResumeDurable did, or nil for a session opened by
 // OpenDurable.
 func (d *DurableSession) Recovery() *RecoveryInfo {
-	var info *durable.RecoveryInfo
-	if d.dss != nil {
-		info = d.dss.Recovery()
-	} else {
-		info = d.ds.Recovery()
-	}
+	info := d.ds.Recovery()
 	if info == nil {
 		return nil
 	}
@@ -193,9 +131,4 @@ func (d *DurableSession) Recovery() *RecoveryInfo {
 // Close syncs and closes the session's journal. The directory stays fully
 // recoverable — Close never checkpoints; call Checkpoint first to make the
 // next ResumeDurable cheap.
-func (d *DurableSession) Close() error {
-	if d.dss != nil {
-		return d.dss.Close()
-	}
-	return d.ds.Close()
-}
+func (d *DurableSession) Close() error { return d.ds.Close() }

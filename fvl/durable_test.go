@@ -1,8 +1,11 @@
 package fvl_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,6 +24,9 @@ func TestDurableSessionRoundTrip(t *testing.T) {
 	}
 	if sess.Recovery() != nil {
 		t.Fatal("a fresh session reports recovery info")
+	}
+	if sess.Dir() != dir {
+		t.Fatalf("Dir() = %q, want %q", sess.Dir(), dir)
 	}
 	drive(t, sess.Session, 20, 1)
 	if err := sess.Checkpoint(); err != nil {
@@ -115,12 +121,32 @@ func TestResumeDurableClassifiesDamage(t *testing.T) {
 	}
 	resumed.Close()
 
-	// A corrupt manifest fails with the public sentinel.
+	// A retired layout appended a uvarint partition count to the classic
+	// MANIFEST payload; such a directory is refused as corrupt, never
+	// reopened as a classic session.
 	manifest := filepath.Join(dir, "MANIFEST")
 	data, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	classic := []byte{0x80, 0x08, 0, 0} // uvarint capacity 1024, no checkpoint, step 0
+	frame := func(payload []byte) []byte {
+		buf := []byte("FVLMANI\x01")
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+		return append(buf, payload...)
+	}
+	if !bytes.Equal(data, frame(classic)) {
+		t.Fatalf("hand-built classic manifest differs from the written one")
+	}
+	if err := os.WriteFile(manifest, frame(append(classic, 4)), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.ResumeDurable(dir); !errors.Is(err, fvl.ErrCorruptManifest) {
+		t.Fatalf("partitioned manifest: want ErrCorruptManifest, got %v", err)
+	}
+
+	// A corrupt manifest fails with the public sentinel.
 	data[len(data)-1] ^= 0xff
 	if err := os.WriteFile(manifest, data, 0o666); err != nil {
 		t.Fatal(err)

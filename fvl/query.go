@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/query"
-	"repro/internal/shard"
 )
 
 // QueryExpr is a set-oriented provenance query: instead of one point
@@ -187,23 +186,6 @@ func (s *Service) queryBatch(ctx context.Context, viewName string, idx *core.Ite
 		exprs[i], precompileErrs[i] = q.expr()
 	}
 	results, err := s.server.SetQueryBatchContext(background(ctx), viewName, idx, exprs)
-	return setAnswers(results, precompileErrs), err
-}
-
-// queryBatchOver is queryBatch against a partitioned universe — the sharded
-// session's pinned epoch vector, whose bitset rows merge shard-locally and
-// OR at gather.
-func (s *Service) queryBatchOver(ctx context.Context, viewName string, u query.Universe, qs []QueryExpr) ([]SetAnswer, error) {
-	exprs := make([]*query.Expr, len(qs))
-	precompileErrs := make([]error, len(qs))
-	for i, q := range qs {
-		exprs[i], precompileErrs[i] = q.expr()
-	}
-	results, err := s.server.SetQueryBatchOverContext(background(ctx), viewName, u, exprs)
-	return setAnswers(results, precompileErrs), err
-}
-
-func setAnswers(results []engine.SetResult, precompileErrs []error) []SetAnswer {
 	out := make([]SetAnswer, len(results))
 	for i, r := range results {
 		if precompileErrs[i] != nil {
@@ -212,7 +194,7 @@ func setAnswers(results []engine.SetResult, precompileErrs []error) []SetAnswer 
 		}
 		out[i] = setAnswerOf(r)
 	}
-	return out
+	return out, err
 }
 
 // ExplainQuery compiles (without executing) one expression against the named
@@ -252,25 +234,6 @@ func (c *sessionIndex) for_(epoch uint64, n int, label func(int) (*core.DataLabe
 	return c.idx
 }
 
-// sessionUniverse is sessionIndex's sharded counterpart: it caches the
-// materialized query universe of the most recent pinned epoch vector, so
-// consecutive set queries at the same epoch skip the rebuild.
-type sessionUniverse struct {
-	mu    sync.Mutex
-	epoch uint64
-	u     *shard.PinnedUniverse
-}
-
-func (c *sessionUniverse) for_(pin *shard.Vector) *shard.PinnedUniverse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.u == nil || c.epoch != pin.Epoch() {
-		c.u = pin.Universe()
-		c.epoch = pin.Epoch()
-	}
-	return c.u
-}
-
 // Query answers one set query against the named view while the run is still
 // executing. Like DependsOnBatch, the answer pins one published step prefix:
 // the returned epoch identifies it, and the whole answer set is consistent
@@ -293,12 +256,6 @@ func (s *Session) Query(ctx context.Context, viewName string, q QueryExpr) (*Set
 // corresponds to qs[i]. The item index over the prefix is cached per epoch,
 // so repeated batches between producer steps pay the indexing cost once.
 func (s *Session) QueryBatch(ctx context.Context, viewName string, qs []QueryExpr) ([]SetAnswer, uint64, error) {
-	if s.sc != nil {
-		pin := s.sc.Pin()
-		u := s.uni.for_(pin)
-		answers, err := s.svc.queryBatchOver(ctx, viewName, u, qs)
-		return answers, pin.Epoch(), err
-	}
 	prefix := s.ls.Current()
 	idx := s.idx.for_(prefix.Epoch(), prefix.Items(), prefix.Label)
 	answers, err := s.svc.queryBatch(ctx, viewName, idx, qs)

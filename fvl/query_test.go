@@ -418,3 +418,73 @@ func TestLiveSetQueriesMatchPointQueryOracle(t *testing.T) {
 		})
 	}
 }
+
+// TestQueryExprSurface covers the expression builders' error paths, the
+// text round trip and the batch-level argument checks.
+func TestQueryExprSurface(t *testing.T) {
+	ctx := context.Background()
+	spec := fvl.PaperExample()
+	v, err := fvl.SecurityView(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := fvl.Open(ctx, spec, []*fvl.View{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := v.Name()
+
+	q := fvl.DepsOf(3).Union(fvl.RevDepsOf(4))
+	parsed, err := fvl.ParseQueryExpr(q.String())
+	if err != nil || parsed.String() != q.String() || parsed.Err() != nil {
+		t.Fatalf("round trip of %s: %s, %v", q, parsed, err)
+	}
+	if q.Pairs() || !fvl.BetweenViews(view, view).Pairs() {
+		t.Fatal("Pairs misreports the result kind")
+	}
+	if _, err := fvl.ParseQueryExpr("deps("); !errors.Is(err, fvl.ErrInvalidQuery) {
+		t.Fatalf("malformed text: want ErrInvalidQuery, got %v", err)
+	}
+
+	// A kind mismatch poisons the expression, and the poison survives
+	// further composition on either side.
+	bad := fvl.DepsOf(1).Union(fvl.BetweenViews(view, view))
+	for _, e := range []fvl.QueryExpr{bad, bad.Union(q), q.Intersect(bad), bad.Project(1)} {
+		if e.Err() == nil || e.String() != "<invalid>" || e.Pairs() {
+			t.Fatalf("poisoned expression reports err=%v, %q", e.Err(), e.String())
+		}
+	}
+
+	plan, err := svc.ExplainQuery(view, q)
+	if err != nil || plan == "" {
+		t.Fatalf("explain: %q, %v", plan, err)
+	}
+	if _, err := svc.ExplainQuery("nope", q); !errors.Is(err, fvl.ErrUnknownView) {
+		t.Fatalf("explain on unknown view: want ErrUnknownView, got %v", err)
+	}
+	if _, err := svc.ExplainQuery(view, fvl.QueryExpr{}); !errors.Is(err, fvl.ErrInvalidQuery) {
+		t.Fatalf("explain of the empty expression: want ErrInvalidQuery, got %v", err)
+	}
+
+	if _, err := svc.QueryBatch(ctx, view, nil, []fvl.QueryExpr{q}); err == nil {
+		t.Fatal("nil run labels accepted")
+	}
+	run, err := fvl.RandomRun(spec, fvl.RunOptions{TargetSize: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := svc.NewLabeler().Label(ctx, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := svc.QueryBatch(ctx, view, labels, []fvl.QueryExpr{bad, {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answers[0].Err == nil || !errors.Is(answers[1].Err, fvl.ErrInvalidQuery) {
+		t.Fatalf("invalid batch members answered %v, %v", answers[0].Err, answers[1].Err)
+	}
+	if _, err := svc.Query(ctx, view, labels, bad); err == nil {
+		t.Fatal("Query answered a poisoned expression")
+	}
+}

@@ -6,10 +6,8 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/live"
-	"repro/internal/shard"
 )
 
 // StepRequest asks a live session to expand the composite module instance
@@ -26,33 +24,8 @@ type ItemQuery struct {
 	From, To int
 }
 
-// SessionOption configures a session constructor. Three kinds implement it:
-// LiveOption (journaling, live sessions only), DurableOption (directory
-// policies, durable sessions only), and the shared WithShards, which every
-// constructor accepts.
-type SessionOption interface {
-	applySession(*sessionOptions)
-}
-
-type sessionOptions struct {
-	live       liveOptions
-	durable    durableOptions
-	durableSet bool
-	shards     int
-}
-
-func resolveSession(opts []SessionOption) sessionOptions {
-	var o sessionOptions
-	for _, opt := range opts {
-		opt.applySession(&o)
-	}
-	return o
-}
-
 // LiveOption configures a live session.
 type LiveOption func(*liveOptions)
-
-func (opt LiveOption) applySession(o *sessionOptions) { opt(&o.live) }
 
 type liveOptions struct {
 	journal io.Writer
@@ -67,58 +40,18 @@ func WithStepJournal(w io.Writer) LiveOption {
 	return func(o *liveOptions) { o.journal = w }
 }
 
-// shardCount carries WithShards to any session constructor.
-type shardCount int
-
-func (n shardCount) applySession(o *sessionOptions) { o.shards = int(n) }
-
-// WithShards partitions the session's label space across n shards (1 to 64).
-// Derivation steps are dealt round-robin: shard k owns every n-th step and
-// the items those steps produce, labeling them in parallel with the other
-// shards while a coordinator owns the run's structure. Readers are untouched:
-// each query batch pins one epoch vector — a consistent cut across all
-// shards — and answers are byte-identical to an unsharded session at the
-// same epoch.
-//
-// For durable sessions the shard count is fixed at OpenDurable and recorded
-// in the session directory, so ResumeDurable ignores this option and reopens
-// the directory with the count it was created with.
-func WithShards(n int) SessionOption { return shardCount(n) }
-
-// liveOpts resolves the live half of the options into the internal package's
-// options — the single conversion point OpenLive and ResumeLive share.
-func liveOpts(o sessionOptions) []live.Option {
+// liveOpts resolves LiveOptions into the internal package's options — the
+// single conversion point OpenLive and ResumeLive share.
+func liveOpts(opts []LiveOption) []live.Option {
+	var o liveOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
 	var lopts []live.Option
-	if o.live.journal != nil {
-		lopts = append(lopts, live.WithJournal(o.live.journal))
+	if o.journal != nil {
+		lopts = append(lopts, live.WithJournal(o.journal))
 	}
 	return lopts
-}
-
-// newShardedCoordinator assembles n in-process shards under a coordinator,
-// optionally journaling every applied step to w (the coordinator journals
-// global steps; per-shard durability is the durable store's job).
-func newShardedCoordinator(s *Service, n int, w io.Writer) (*shard.Coordinator, error) {
-	if n < 1 || n > shard.MaxShards {
-		return nil, fmt.Errorf("fvl: %d shards out of range [1, %d]", n, shard.MaxShards)
-	}
-	var sink live.JournalSink
-	if w != nil {
-		jw, err := live.NewJournalWriter(w)
-		if err != nil {
-			return nil, err
-		}
-		sink = jw
-	}
-	shards := make([]shard.Shard, n)
-	for k := range shards {
-		m, err := shard.NewMem(s.scheme, nil)
-		if err != nil {
-			return nil, err
-		}
-		shards[k] = m
-	}
-	return shard.New(s.scheme, shards, sink)
 }
 
 // OpenLive starts a live run session over the service's specification: a
@@ -128,21 +61,8 @@ func newShardedCoordinator(s *Service, n int, w io.Writer) (*shard.Coordinator, 
 // run is still executing. No relabeling ever happens and readers never stop
 // the producers: each batch pins one published step prefix (epoch) and every
 // answer is consistent with exactly that prefix.
-// With WithShards(n), the label space is partitioned across n parallel
-// shards behind the same API; see WithShards.
-func (s *Service) OpenLive(opts ...SessionOption) (*Session, error) {
-	o := resolveSession(opts)
-	if o.durableSet {
-		return nil, fmt.Errorf("fvl: durable option passed to OpenLive (use OpenDurable)")
-	}
-	if o.shards != 0 {
-		sc, err := newShardedCoordinator(s, o.shards, o.live.journal)
-		if err != nil {
-			return nil, err
-		}
-		return &Session{svc: s, sc: sc}, nil
-	}
-	ls, err := live.NewSession(s.scheme, liveOpts(o)...)
+func (s *Service) OpenLive(opts ...LiveOption) (*Session, error) {
+	ls, err := live.NewSession(s.scheme, liveOpts(opts)...)
 	if err != nil {
 		return nil, err
 	}
@@ -155,28 +75,8 @@ func (s *Service) OpenLive(opts ...SessionOption) (*Session, error) {
 // journal is untrusted input — corruption fails with ErrCorruptJournal, and
 // steps that do not apply to this service's specification fail with the
 // underlying derivation error.
-func (s *Service) ResumeLive(journal io.Reader, opts ...SessionOption) (*Session, error) {
-	o := resolveSession(opts)
-	if o.durableSet {
-		return nil, fmt.Errorf("fvl: durable option passed to ResumeLive (use ResumeDurable)")
-	}
-	if o.shards != 0 {
-		steps, err := live.ReadJournal(journal)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := newShardedCoordinator(s, o.shards, o.live.journal)
-		if err != nil {
-			return nil, err
-		}
-		for i, req := range steps {
-			if _, err := sc.Apply(req.Instance, req.Prod); err != nil {
-				return nil, fmt.Errorf("fvl: replaying journal step %d of %d: %w", i+1, len(steps), err)
-			}
-		}
-		return &Session{svc: s, sc: sc}, nil
-	}
-	ls, err := live.Resume(s.scheme, journal, liveOpts(o)...)
+func (s *Service) ResumeLive(journal io.Reader, opts ...LiveOption) (*Session, error) {
+	ls, err := live.Resume(s.scheme, journal, liveOpts(opts)...)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +86,7 @@ func (s *Service) ResumeLive(journal io.Reader, opts ...SessionOption) (*Session
 // ResumeLiveFile rebuilds a live session from a journal file. A close error
 // is propagated, not swallowed: on some filesystems it is the first sign the
 // journal bytes never all made it to disk.
-func (s *Service) ResumeLiveFile(path string, opts ...SessionOption) (*Session, error) {
+func (s *Service) ResumeLiveFile(path string, opts ...LiveOption) (*Session, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -208,24 +108,11 @@ func (s *Service) ResumeLiveFile(path string, opts ...SessionOption) (*Session, 
 // pool.
 type Session struct {
 	svc *Service
-	// Exactly one of ls and sc is set: an unsharded session runs on a live
-	// session, a WithShards one on the shard coordinator.
-	ls *live.Session
-	sc *shard.Coordinator
+	ls  *live.Session
 
 	// idx caches the set-query item index of the most recently pinned step
-	// prefix (see Session.QueryBatch); uni is its sharded counterpart, the
-	// materialized universe of the most recently pinned epoch vector.
+	// prefix (see Session.QueryBatch).
 	idx sessionIndex
-	uni sessionUniverse
-}
-
-// Shards returns the session's shard count: 0 for an unsharded session.
-func (s *Session) Shards() int {
-	if s.sc != nil {
-		return s.sc.Shards()
-	}
-	return 0
 }
 
 // Service returns the service whose views the session queries.
@@ -237,9 +124,6 @@ func (s *Session) Service() *Service { return s.svc }
 // rejected step leaves the session unchanged; a labeling or journal failure
 // poisons the session (see Err).
 func (s *Session) Apply(instance, production int) (uint64, error) {
-	if s.sc != nil {
-		return s.sc.Apply(instance, production)
-	}
 	return s.ls.Apply(instance, production)
 }
 
@@ -276,76 +160,37 @@ func (s *Session) Feed(ctx context.Context, reqs <-chan StepRequest) error {
 			}
 		}
 	}()
-	if s.sc != nil {
-		return s.sc.Feed(ctx, conv)
-	}
 	return s.ls.Feed(ctx, conv)
 }
 
 // Epoch returns the number of derivation steps currently visible to readers.
-func (s *Session) Epoch() uint64 {
-	if s.sc != nil {
-		return s.sc.Epoch()
-	}
-	return s.ls.Epoch()
-}
+func (s *Session) Epoch() uint64 { return s.ls.Epoch() }
 
 // Items returns the number of labeled data items at the current epoch.
-func (s *Session) Items() int {
-	if s.sc != nil {
-		return s.sc.Items()
-	}
-	return s.ls.Items()
-}
+func (s *Session) Items() int { return s.ls.Items() }
 
 // Frontier returns the IDs of the unexpanded composite instances — the
 // steps a producer may apply next.
-func (s *Session) Frontier() []int {
-	if s.sc != nil {
-		return s.sc.Frontier()
-	}
-	return s.ls.Frontier()
-}
+func (s *Session) Frontier() []int { return s.ls.Frontier() }
 
 // IsComplete reports whether every composite instance has been expanded.
-func (s *Session) IsComplete() bool {
-	if s.sc != nil {
-		return s.sc.IsComplete()
-	}
-	return s.ls.IsComplete()
-}
+func (s *Session) IsComplete() bool { return s.ls.IsComplete() }
 
 // Expandable returns the 1-based indices of the productions that can expand
 // the given instance — the valid Production values of a StepRequest for it.
 // It returns nil for unknown, already expanded, or atomic instances, so a
 // producer can drive a run knowing only the frontier IDs.
-func (s *Session) Expandable(instanceID int) []int {
-	if s.sc != nil {
-		return s.sc.Expandable(instanceID)
-	}
-	return s.ls.Expandable(instanceID)
-}
+func (s *Session) Expandable(instanceID int) []int { return s.ls.Expandable(instanceID) }
 
 // Err returns the error that poisoned the session, or nil. A poisoned
 // session keeps answering reader queries at the last good epoch; only
 // producer calls fail.
-func (s *Session) Err() error {
-	if s.sc != nil {
-		return s.sc.Err()
-	}
-	return s.ls.Err()
-}
+func (s *Session) Err() error { return s.ls.Err() }
 
 // Label returns the label of the data item at the current epoch, or false
 // when the item has not been produced yet.
 func (s *Session) Label(itemID int) (*Label, bool) {
-	var d *core.DataLabel
-	var ok bool
-	if s.sc != nil {
-		d, ok = s.sc.Label(itemID)
-	} else {
-		d, ok = s.ls.Label(itemID)
-	}
+	d, ok := s.ls.Label(itemID)
 	if !ok {
 		return nil, false
 	}
@@ -373,25 +218,17 @@ func (s *Session) DependsOn(ctx context.Context, viewName string, from, to int) 
 // corresponding Result; the batch itself fails only for unknown views
 // (ErrUnknownView) or cancellation (ErrCanceled, with partial results).
 func (s *Session) DependsOnBatch(ctx context.Context, viewName string, queries []ItemQuery) ([]Result, uint64, error) {
-	var src engine.LabelSource
-	var epoch uint64
-	if s.sc != nil {
-		pin := s.sc.Pin()
-		src, epoch = pin, pin.Epoch()
-	} else {
-		prefix := s.ls.Current()
-		src, epoch = prefix, prefix.Epoch()
-	}
+	prefix := s.ls.Current()
 	eq := make([]engine.ItemQuery, len(queries))
 	for i, q := range queries {
 		eq[i] = engine.ItemQuery{From: q.From, To: q.To}
 	}
-	res, err := s.svc.server.DependsOnItemsBatchContext(background(ctx), viewName, src, eq)
+	res, err := s.svc.server.DependsOnItemsBatchContext(background(ctx), viewName, prefix, eq)
 	out := make([]Result, len(res))
 	for i, r := range res {
 		out[i] = Result{DependsOn: r.DependsOn, Err: r.Err}
 	}
-	return out, epoch, err
+	return out, prefix.Epoch(), err
 }
 
 // WriteJournal exports the session's current step prefix in the journal
@@ -400,9 +237,6 @@ func (s *Session) DependsOnBatch(ctx context.Context, viewName string, queries [
 // story — the journal restores the run, the snapshot restores the serving
 // labels — and neither export stops the producers.
 func (s *Session) WriteJournal(w io.Writer) error {
-	if s.sc != nil {
-		return s.sc.WriteJournal(w)
-	}
 	return s.ls.Current().WriteJournal(w)
 }
 

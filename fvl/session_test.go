@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -195,6 +197,34 @@ func TestFeedJournalAndResume(t *testing.T) {
 	if resumed.Epoch() != sess.Epoch() || resumed.Items() != sess.Items() {
 		t.Fatalf("resumed at epoch %d/%d items, want %d/%d",
 			resumed.Epoch(), resumed.Items(), sess.Epoch(), sess.Items())
+	}
+	// Every label matches, and the item one past the epoch resolves in
+	// neither session.
+	for id := 1; id <= sess.Items()+1; id++ {
+		l, ok := sess.Label(id)
+		rl, rok := resumed.Label(id)
+		if ok != rok || ok != (id <= sess.Items()) {
+			t.Fatalf("item %d: original resolves %v, resumed %v", id, ok, rok)
+		}
+		if ok && l.String() != rl.String() {
+			t.Fatalf("item %d: labels diverge:\n  original %s\n  resumed  %s", id, l, rl)
+		}
+	}
+
+	// The same journal resumes from a file.
+	path := filepath.Join(t.TempDir(), "run.fvlj")
+	if err := os.WriteFile(path, journal.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := svc.ResumeLiveFile(path)
+	if err != nil {
+		t.Fatalf("resume from file: %v", err)
+	}
+	if fromFile.Epoch() != sess.Epoch() {
+		t.Fatalf("file resume at epoch %d, want %d", fromFile.Epoch(), sess.Epoch())
+	}
+	if _, err := svc.ResumeLiveFile(filepath.Join(t.TempDir(), "missing.fvlj")); err == nil {
+		t.Fatal("resume from a missing journal file succeeded")
 	}
 	queries := []fvl.ItemQuery{{From: 1, To: sess.Items()}, {From: 2, To: 3}}
 	a, _, err := sess.DependsOnBatch(ctx, viewName, queries)

@@ -4,9 +4,8 @@
 // published is immutable and must not alias state the producer keeps
 // mutating.
 //
-// Three concrete rules, checked in packages under internal/live,
-// internal/durable and internal/shard (whose per-shard epochs publish through
-// the same atomic.Pointer discipline):
+// Three concrete rules, checked in packages under internal/live and
+// internal/durable:
 //
 //  1. Single publish path — all Store/Swap/CompareAndSwap calls on one
 //     atomic.Pointer field must live in a single function. A second store
@@ -45,9 +44,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	if !strings.Contains(pass.PkgPath, "internal/live") &&
-		!strings.Contains(pass.PkgPath, "internal/durable") &&
-		!strings.Contains(pass.PkgPath, "internal/shard") {
+	if !strings.Contains(pass.PkgPath, "internal/live") && !strings.Contains(pass.PkgPath, "internal/durable") {
 		return nil
 	}
 

@@ -3,8 +3,8 @@
 // printable table whose rows (or series) correspond to what the paper plots.
 // Absolute numbers differ from the paper's (different language, hardware and
 // constants), but the shapes — who wins, by roughly what factor, where
-// crossovers fall — are the reproduction target; EXPERIMENTS.md records the
-// comparison.
+// crossovers fall — are the reproduction target; a table's Notes, printed
+// as its closing "paper shape:" line, state the trend the paper reports.
 package bench
 
 import (
@@ -153,7 +153,6 @@ func All() []Experiment {
 		{"snapshot", "Loaded label snapshot vs freshly built labels, differential (needs -load)", SnapshotServing},
 		{"recovery", "Durable session resume latency vs checkpoint interval", Recovery},
 		{"service", "fvld network overhead: remote vs in-process ingestion and queries", ServiceOverhead},
-		{"shard", "Sharded sessions: apply latency and epoch-vector query throughput vs shard count", ShardScaling},
 	}
 }
 

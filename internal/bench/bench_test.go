@@ -161,7 +161,7 @@ func TestLookup(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Fatalf("unknown experiment must not resolve")
 	}
-	if len(All()) != 17 {
-		t.Fatalf("expected 17 experiments (9 figures + table 1 + engine + setquery + live + snapshot + recovery + service + shard), got %d", len(All()))
+	if len(All()) != 16 {
+		t.Fatalf("expected 16 experiments (9 figures + table 1 + engine + setquery + live + snapshot + recovery + service), got %d", len(All()))
 	}
 }

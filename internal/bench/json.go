@@ -17,10 +17,7 @@ import (
 	"repro/internal/drl"
 	"repro/internal/durable"
 	"repro/internal/engine"
-	"repro/internal/live"
-	"repro/internal/run"
 	"repro/internal/service"
-	"repro/internal/shard"
 	"repro/internal/workloads"
 )
 
@@ -274,17 +271,6 @@ func Records(cfg Config) ([]Record, error) {
 		}
 	}))
 
-	// Sharded-session records of the shard PR: the same run replayed through
-	// a 4-shard coordinator (the delta against an unsharded live session is
-	// the coordinator's per-step overhead), and the engine item-batch path
-	// resolving IDs through one pinned epoch vector vs through an unsharded
-	// published prefix (the delta is the ownership computation per resolve).
-	shardRecs, err := shardRecords(cfg, scheme, r, vlq)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, shardRecs...)
-
 	// Service boundary records of the fvld PR: the same workload through
 	// fvl/client against a loopback fvld server — one full-run ingestion
 	// through the chunked steps endpoint, and one batch-query POST per op on
@@ -296,94 +282,6 @@ func Records(cfg Config) ([]Record, error) {
 	}
 	out = append(out, serviceRecords...)
 
-	return out, nil
-}
-
-func shardRecords(cfg Config, scheme *core.Scheme, r *run.Run, vl *core.ViewLabel) ([]Record, error) {
-	const n = 4
-	newCoord := func() (*shard.Coordinator, error) {
-		shards := make([]shard.Shard, n)
-		for k := range shards {
-			m, err := shard.NewMem(scheme, nil)
-			if err != nil {
-				return nil, err
-			}
-			shards[k] = m
-		}
-		return shard.New(scheme, shards, nil)
-	}
-	replaySharded := func() (*shard.Coordinator, error) {
-		coord, err := newCoord()
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range r.Steps {
-			if _, err := coord.Apply(st.Instance, st.Prod); err != nil {
-				return nil, err
-			}
-		}
-		return coord, nil
-	}
-
-	var out []Record
-	out = append(out, record(fmt.Sprintf("shard/apply-run/%d/n-%d", len(r.Steps), n), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := replaySharded(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	out = append(out, record(fmt.Sprintf("shard/apply-run/%d/unsharded", len(r.Steps)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sess, err := live.NewSession(scheme)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, st := range r.Steps {
-				if _, err := sess.Apply(st.Instance, st.Prod); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}))
-
-	coord, err := replaySharded()
-	if err != nil {
-		return nil, err
-	}
-	pin := coord.Pin()
-	sess, err := live.NewSession(scheme)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range r.Steps {
-		if _, err := sess.Apply(st.Instance, st.Prod); err != nil {
-			return nil, err
-		}
-	}
-	prefix := sess.Current()
-	qn := cfg.Queries
-	if qn > 4096 {
-		qn = 4096
-	}
-	rng := newRand(cfg.Seed + 7500)
-	queries := make([]engine.ItemQuery, qn)
-	for i := range queries {
-		queries[i] = engine.ItemQuery{From: 1 + rng.Intn(pin.Items()), To: 1 + rng.Intn(pin.Items())}
-	}
-	eng := engine.New(cfg.Workers)
-	// Per-query errors (view-hidden items) are answers, not failures, as in
-	// the live experiment.
-	out = append(out, record(fmt.Sprintf("shard/item-batch-%d/n-%d", qn, n), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng.DependsOnItemsBatch(vl, pin, queries)
-		}
-	}))
-	out = append(out, record(fmt.Sprintf("shard/item-batch-%d/unsharded", qn), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			eng.DependsOnItemsBatch(vl, prefix, queries)
-		}
-	}))
 	return out, nil
 }
 

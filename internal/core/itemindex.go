@@ -165,19 +165,3 @@ func (idx *ItemIndex) ref(itemID int) (itemRef, bool) {
 }
 
 func (idx *ItemIndex) path(node int32) []EdgeLabel { return idx.nodes[node].path }
-
-// lookup returns the interned node of the path without extending the trie —
-// the read-only sibling of intern, safe on a shared index after build. A
-// miss (the path was never interned, e.g. a label owned by another shard's
-// index) reports -1, false.
-func (idx *ItemIndex) lookup(path []EdgeLabel) (int32, bool) {
-	cur := int32(0)
-	for _, e := range path {
-		child, ok := idx.nodes[cur].children[e]
-		if !ok {
-			return -1, false
-		}
-		cur = child
-	}
-	return cur, true
-}

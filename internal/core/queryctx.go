@@ -173,20 +173,6 @@ func (s *QuerySession) RevDepsRow(vl *ViewLabel, idx *ItemIndex, itemID int) (*b
 	return vl.revDepsRow(s.qc, idx, itemID)
 }
 
-// DepsRowForLabel is DepsRow for a target item whose label lives outside the
-// index — the sharded scatter-gather path, where each partition's index
-// scans its own items against one globally-resolved target label. itemID
-// names the item in errors; semantics are otherwise identical to DepsRow.
-func (s *QuerySession) DepsRowForLabel(vl *ViewLabel, idx *ItemIndex, itemID int, d *DataLabel) (*boolmat.Matrix, error) {
-	return vl.depsRowForLabel(s.qc, idx, itemID, d)
-}
-
-// RevDepsRowForLabel is RevDepsRow for an external target label; see
-// DepsRowForLabel.
-func (s *QuerySession) RevDepsRowForLabel(vl *ViewLabel, idx *ItemIndex, itemID int, d *DataLabel) (*boolmat.Matrix, error) {
-	return vl.revDepsRowForLabel(s.qc, idx, itemID, d)
-}
-
 // VisibleRow returns the bitset row of item IDs visible in vl's view, cached
 // in the session's plan. The returned matrix is shared and must be treated
 // as read-only.

@@ -22,12 +22,6 @@ type RunLabeler struct {
 	instPath map[int][]EdgeLabel
 	// labels[itemID] is the assigned data label.
 	labels map[int]*DataLabel
-
-	// pathsOnly marks a tracker built by NewPathTracker: it maintains the
-	// parse-tree paths but assigns no labels. A shard coordinator runs one to
-	// compute port-owner paths, while the label assignment itself happens
-	// shard-side through LabelRemote.
-	pathsOnly bool
 }
 
 // NewRunLabeler returns a labeler for runs of the scheme's specification.
@@ -72,9 +66,6 @@ func (l *RunLabeler) OnInit(r *run.Run) error {
 		path = []EdgeLabel{RecursiveEdge(s, t, 1)}
 	}
 	l.instPath[0] = path
-	if l.pathsOnly {
-		return nil
-	}
 
 	root, _ := r.Instance(0)
 	for _, item := range r.Items {
@@ -140,9 +131,6 @@ func (l *RunLabeler) OnStep(r *run.Run, step *run.Step) error {
 			path = appendEdge(appendEdge(parentPath, NonRecursiveEdge(k, i)), RecursiveEdge(s, t, 1))
 		}
 		l.instPath[childID] = path
-	}
-	if l.pathsOnly {
-		return nil
 	}
 
 	for _, itemID := range step.NewItems {

@@ -136,105 +136,19 @@ func (vl *ViewLabel) scatter(qc *queryCtx, idx *ItemIndex, row, m *boolmat.Matri
 	}
 }
 
-// scanTarget is the fixed endpoint of a set scan: the item's two port sides
-// as paths plus, when the item lives in the scanned index, their interned
-// nodes. External targets — labels owned by another shard's partition of the
-// universe — carry node -1 on a side whose path was never interned here;
-// visibility then falls back to pathVisible and the target-side chain
-// products skip the plan cache (suffixProduct gates per side on node >= 0),
-// so the answers stay byte-identical either way.
-type scanTarget struct {
-	itemID  int
-	hasOut  bool
-	hasIn   bool
-	outNode int32 // interned node, or -1 when external or absent
-	inNode  int32
-	outPath []EdgeLabel
-	inPath  []EdgeLabel
-	outPort int32
-	inPort  int32
-}
-
-// targetOfRef lifts an interned item reference into a scanTarget.
-func targetOfRef(idx *ItemIndex, itemID int, x itemRef) scanTarget {
-	t := scanTarget{itemID: itemID, outNode: x.out, inNode: x.in, outPort: x.outPort, inPort: x.inPort}
-	if x.out >= 0 {
-		t.hasOut = true
-		t.outPath = idx.path(x.out)
-	}
-	if x.in >= 0 {
-		t.hasIn = true
-		t.inPath = idx.path(x.in)
-	}
-	return t
-}
-
-// targetOfLabel builds a scanTarget from a raw data label. Sides whose paths
-// happen to be interned in idx get their nodes resolved (read-only lookup)
-// so the plan cache still serves them; unknown paths stay external.
-func targetOfLabel(idx *ItemIndex, itemID int, d *DataLabel) scanTarget {
-	t := scanTarget{itemID: itemID, outNode: -1, inNode: -1}
-	if d.Out != nil {
-		t.hasOut = true
-		t.outPath = d.Out.Path
-		t.outPort = int32(d.Out.Port)
-		if node, ok := idx.lookup(d.Out.Path); ok {
-			t.outNode = node
-		}
-	}
-	if d.In != nil {
-		t.hasIn = true
-		t.inPath = d.In.Path
-		t.inPort = int32(d.In.Port)
-		if node, ok := idx.lookup(d.In.Path); ok {
-			t.inNode = node
-		}
-	}
-	return t
-}
-
-// sideVisible is the visibility test for one target side: absent sides are
-// vacuously visible, interned sides go through the plan-cached node test,
-// external sides decode the path directly.
-func (vl *ViewLabel) sideVisible(qc *queryCtx, idx *ItemIndex, has bool, node int32, path []EdgeLabel) bool {
-	if !has {
-		return true
-	}
-	if node >= 0 {
-		return vl.nodeVisible(qc, idx, node)
-	}
-	return vl.pathVisible(path)
-}
-
 // depsRow answers Deps(itemID) = {y : DependsOn(y, itemID) = (true, nil)} as
 // a bitset row: the target is d2 of every point query, candidates are d1.
 func (vl *ViewLabel) depsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat.Matrix, error) {
+	qc.begin()
 	x, ok := idx.ref(itemID)
 	if !ok {
 		return nil, fmt.Errorf("core: item %d has no label in the index: %w", itemID, faults.ErrUnknownItem)
 	}
-	return vl.depsRowTarget(qc, idx, targetOfRef(idx, itemID, x))
-}
-
-// depsRowForLabel is depsRow for a target that lives outside the index: the
-// candidates scanned are idx's items, the fixed endpoint is the given label
-// (itemID only names it in errors). The sharded scatter-gather path uses
-// this to scan every partition's index against one globally-resolved label.
-func (vl *ViewLabel) depsRowForLabel(qc *queryCtx, idx *ItemIndex, itemID int, d *DataLabel) (*boolmat.Matrix, error) {
-	if d == nil || (d.Out == nil && d.In == nil) {
-		return nil, fmt.Errorf("core: item %d has no label in the index: %w", itemID, faults.ErrUnknownItem)
-	}
-	return vl.depsRowTarget(qc, idx, targetOfLabel(idx, itemID, d))
-}
-
-func (vl *ViewLabel) depsRowTarget(qc *queryCtx, idx *ItemIndex, x scanTarget) (*boolmat.Matrix, error) {
-	qc.begin()
-	if !vl.sideVisible(qc, idx, x.hasOut, x.outNode, x.outPath) ||
-		!vl.sideVisible(qc, idx, x.hasIn, x.inNode, x.inPath) {
-		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", x.itemID, vl.view.Name, faults.ErrHiddenItem)
+	if !vl.nodeVisible(qc, idx, x.out) || !vl.nodeVisible(qc, idx, x.in) {
+		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", itemID, vl.view.Name, faults.ErrHiddenItem)
 	}
 	row := boolmat.New(1, idx.n+1)
-	if !x.hasOut {
+	if x.out < 0 {
 		// Case I: nothing flows into an initial input.
 		return row, nil
 	}
@@ -246,10 +160,10 @@ func (vl *ViewLabel) depsRowTarget(qc *queryCtx, idx *ItemIndex, x scanTarget) (
 		var m *boolmat.Matrix
 		var err error
 		var target int
-		if !x.hasIn {
+		if x.in < 0 {
 			m, target = vl.start, int(x.outPort)
 		} else {
-			m, err = vl.suffixProduct(qc, idx, x.inNode, x.inPath, 0, false)
+			m, err = vl.suffixProduct(qc, idx, x.in, idx.path(x.in), 0, false)
 			target = int(x.inPort)
 		}
 		if err == nil {
@@ -270,12 +184,12 @@ func (vl *ViewLabel) depsRowTarget(qc *queryCtx, idx *ItemIndex, x scanTarget) (
 		var err error
 		var target int
 		memberRows := true
-		if !x.hasIn {
+		if x.in < 0 {
 			m, err = vl.suffixProduct(qc, idx, g.node, idx.path(g.node), 0, true)
 			target, memberRows = int(x.outPort), false
 		} else {
-			m, err = vl.decodeMainMatrix(qc, idx.path(g.node), x.inPath,
-				&pathPair{idx: idx, srcNode: g.node, dstNode: x.inNode})
+			m, err = vl.decodeMainMatrix(qc, idx.path(g.node), idx.path(x.in),
+				&pathPair{idx: idx, srcNode: g.node, dstNode: x.in})
 			target = int(x.inPort)
 		}
 		if err == nil && m != nil {
@@ -289,30 +203,16 @@ func (vl *ViewLabel) depsRowTarget(qc *queryCtx, idx *ItemIndex, x scanTarget) (
 // revDepsRow answers RevDeps(itemID) = {y : DependsOn(itemID, y) = (true,
 // nil)} as a bitset row: the target is d1 of every point query.
 func (vl *ViewLabel) revDepsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat.Matrix, error) {
+	qc.begin()
 	x, ok := idx.ref(itemID)
 	if !ok {
 		return nil, fmt.Errorf("core: item %d has no label in the index: %w", itemID, faults.ErrUnknownItem)
 	}
-	return vl.revDepsRowTarget(qc, idx, targetOfRef(idx, itemID, x))
-}
-
-// revDepsRowForLabel is revDepsRow for a target living outside the index;
-// see depsRowForLabel.
-func (vl *ViewLabel) revDepsRowForLabel(qc *queryCtx, idx *ItemIndex, itemID int, d *DataLabel) (*boolmat.Matrix, error) {
-	if d == nil || (d.Out == nil && d.In == nil) {
-		return nil, fmt.Errorf("core: item %d has no label in the index: %w", itemID, faults.ErrUnknownItem)
-	}
-	return vl.revDepsRowTarget(qc, idx, targetOfLabel(idx, itemID, d))
-}
-
-func (vl *ViewLabel) revDepsRowTarget(qc *queryCtx, idx *ItemIndex, x scanTarget) (*boolmat.Matrix, error) {
-	qc.begin()
-	if !vl.sideVisible(qc, idx, x.hasOut, x.outNode, x.outPath) ||
-		!vl.sideVisible(qc, idx, x.hasIn, x.inNode, x.inPath) {
-		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", x.itemID, vl.view.Name, faults.ErrHiddenItem)
+	if !vl.nodeVisible(qc, idx, x.out) || !vl.nodeVisible(qc, idx, x.in) {
+		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", itemID, vl.view.Name, faults.ErrHiddenItem)
 	}
 	row := boolmat.New(1, idx.n+1)
-	if !x.hasIn {
+	if x.in < 0 {
 		// Case I: a final output has no dependents.
 		return row, nil
 	}
@@ -324,10 +224,10 @@ func (vl *ViewLabel) revDepsRowTarget(qc *queryCtx, idx *ItemIndex, x scanTarget
 		var err error
 		var target int
 		memberRows := false
-		if !x.hasOut {
+		if x.out < 0 {
 			m, target = vl.start, int(x.inPort)
 		} else {
-			m, err = vl.suffixProduct(qc, idx, x.outNode, x.outPath, 0, true)
+			m, err = vl.suffixProduct(qc, idx, x.out, idx.path(x.out), 0, true)
 			target, memberRows = int(x.outPort), true
 		}
 		if err == nil {
@@ -347,12 +247,12 @@ func (vl *ViewLabel) revDepsRowTarget(qc *queryCtx, idx *ItemIndex, x scanTarget
 		var m *boolmat.Matrix
 		var err error
 		var target int
-		if !x.hasOut {
+		if x.out < 0 {
 			m, err = vl.suffixProduct(qc, idx, g.node, idx.path(g.node), 0, false)
 			target = int(x.inPort)
 		} else {
-			m, err = vl.decodeMainMatrix(qc, x.outPath, idx.path(g.node),
-				&pathPair{idx: idx, srcNode: x.outNode, dstNode: g.node})
+			m, err = vl.decodeMainMatrix(qc, idx.path(x.out), idx.path(g.node),
+				&pathPair{idx: idx, srcNode: x.out, dstNode: g.node})
 			target = int(x.outPort)
 		}
 		if err == nil && m != nil {

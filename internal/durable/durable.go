@@ -180,9 +180,6 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Shards != 0 {
-		return nil, fmt.Errorf("durable: %s holds a %d-shard session (use RecoverSharded)", dir, m.Shards)
-	}
 	segSteps := m.SegmentSteps
 	listing, err := listDir(fs, dir)
 	if err != nil {

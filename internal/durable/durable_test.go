@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -201,6 +202,12 @@ func TestCreateRefusesExistingSession(t *testing.T) {
 	s.Close()
 	if _, err := durable.Create(scheme, dir, durable.Options{}); err == nil {
 		t.Fatal("Create over an existing session succeeded")
+	}
+	if _, err := durable.Create(nil, filepath.Join(t.TempDir(), "nil"), durable.Options{}); err == nil {
+		t.Fatal("Create with a nil scheme succeeded")
+	}
+	if _, err := durable.Create(scheme, filepath.Join(t.TempDir(), "neg"), durable.Options{SegmentSteps: -1}); err == nil {
+		t.Fatal("Create with a negative segment capacity succeeded")
 	}
 }
 
@@ -544,4 +551,26 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, err := durable.EncodeManifest(durable.Manifest{SegmentSteps: 8, CheckpointStep: 3}); err == nil {
 		t.Fatal("checkpoint step without checkpoint flag encoded")
 	}
+
+	// A retired form appended a uvarint partition count to the classic
+	// payload; it must be refused, never misread as a classic manifest.
+	classic := binary.AppendUvarint(nil, 64)
+	classic = append(classic, 1)
+	classic = binary.AppendUvarint(classic, 40)
+	m, err := durable.DecodeManifest(manifestBytes(classic))
+	if want := (durable.Manifest{SegmentSteps: 64, HasCheckpoint: true, CheckpointStep: 40}); err != nil || m != want {
+		t.Fatalf("hand-built classic manifest decoded as %+v, %v; want %+v", m, err, want)
+	}
+	if _, err := durable.DecodeManifest(manifestBytes(binary.AppendUvarint(classic, 4))); !errors.Is(err, faults.ErrCorruptManifest) {
+		t.Fatalf("partitioned manifest: want ErrCorruptManifest, got %v", err)
+	}
+}
+
+// manifestBytes frames a manifest payload by hand — magic, CRC, length — so
+// tests can build forms the encoder no longer writes.
+func manifestBytes(payload []byte) []byte {
+	buf := []byte("FVLMANI\x01")
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+	return append(buf, payload...)
 }

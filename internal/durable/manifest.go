@@ -20,13 +20,7 @@ import (
 //	8       4     uint32 LE: CRC-32 (IEEE) of the payload
 //	12      8     uint64 LE: payload length in bytes
 //	20      —     payload: uvarint segment capacity (steps),
-//	              byte checkpoint flag, uvarint checkpoint step,
-//	              [uvarint shard count — present only when > 0]
-//
-// The shard-count field is appended only for sharded sessions (Shards > 0),
-// so classic session directories keep byte-identical manifests and an old
-// manifest decodes with Shards == 0. Canonicality holds for both forms: the
-// decoder reads the field exactly when payload bytes remain.
+//	              byte checkpoint flag, uvarint checkpoint step
 var manifestMagic = [8]byte{'F', 'V', 'L', 'M', 'A', 'N', 'I', 0x01}
 
 const manifestHeaderSize = 8 + 4 + 8
@@ -44,11 +38,6 @@ type Manifest struct {
 	// CheckpointStep is the epoch the latest durable checkpoint covers; zero
 	// when HasCheckpoint is false.
 	CheckpointStep int
-	// Shards is the shard count of a sharded session directory (see
-	// internal/shard); zero marks a classic single-labeler session. The
-	// count is fixed at creation — resume must rebuild exactly the same
-	// partitioning, so it lives in the commit record.
-	Shards int
 }
 
 // EncodeManifest renders a manifest. It rejects field values the decoder
@@ -64,9 +53,6 @@ func EncodeManifest(m Manifest) ([]byte, error) {
 	if !m.HasCheckpoint && m.CheckpointStep != 0 {
 		return nil, fmt.Errorf("durable: checkpoint step %d without a checkpoint", m.CheckpointStep)
 	}
-	if m.Shards < 0 || m.Shards > maxManifestValue {
-		return nil, fmt.Errorf("durable: shard count %d out of range", m.Shards)
-	}
 	payload := binary.AppendUvarint(nil, uint64(m.SegmentSteps))
 	if m.HasCheckpoint {
 		payload = append(payload, 1)
@@ -74,9 +60,6 @@ func EncodeManifest(m Manifest) ([]byte, error) {
 		payload = append(payload, 0)
 	}
 	payload = binary.AppendUvarint(payload, uint64(m.CheckpointStep))
-	if m.Shards > 0 {
-		payload = binary.AppendUvarint(payload, uint64(m.Shards))
-	}
 	buf := make([]byte, manifestHeaderSize, manifestHeaderSize+len(payload))
 	copy(buf, manifestMagic[:])
 	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(payload))
@@ -128,24 +111,13 @@ func decodeManifest(data []byte) (Manifest, error) {
 	if n <= 0 || ckptStep > maxManifestValue {
 		return m, fmt.Errorf("durable: bad checkpoint step field")
 	}
-	rest = rest[n:]
-	// The shard-count field exists exactly when bytes remain (sharded
-	// sessions append it; classic manifests end here).
-	var shards uint64
-	if len(rest) > 0 {
-		shards, n = binary.Uvarint(rest)
-		if n <= 0 || shards < 1 || shards > maxManifestValue {
-			return m, fmt.Errorf("durable: bad shard count field")
-		}
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return m, fmt.Errorf("durable: %d trailing manifest bytes", len(rest))
+	if len(rest[n:]) != 0 {
+		return m, fmt.Errorf("durable: %d trailing manifest bytes", len(rest[n:]))
 	}
 	if !hasCkpt && ckptStep != 0 {
 		return m, fmt.Errorf("durable: checkpoint step %d without a checkpoint", ckptStep)
 	}
-	m = Manifest{SegmentSteps: int(segSteps), HasCheckpoint: hasCkpt, CheckpointStep: int(ckptStep), Shards: int(shards)}
+	m = Manifest{SegmentSteps: int(segSteps), HasCheckpoint: hasCkpt, CheckpointStep: int(ckptStep)}
 	// Canonicality: an accepted manifest must re-encode bit-exactly, so
 	// non-minimal varints are rejected by construction.
 	enc, err := EncodeManifest(m)
