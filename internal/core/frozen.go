@@ -102,12 +102,7 @@ func (s *Scheme) RestoreView(v *view.View, f *FrozenLabel) (*ViewLabel, error) {
 		scheme:   s,
 		view:     v,
 		variant:  f.Variant,
-		included: map[int]bool{},
-	}
-	for k := 1; k <= len(g.Productions); k++ {
-		if v.IncludesProduction(k) {
-			vl.included[k] = true
-		}
+		included: includedProductions(v),
 	}
 
 	// λ*(S): the matrix the start-module cases of Algorithm 2 index directly.
@@ -231,7 +226,7 @@ func (s *Scheme) productionModules(vl *ViewLabel, v *view.View, k, i int) (lhs, 
 	if k < 1 || k > len(g.Productions) {
 		return lhs, node, fmt.Errorf("core: frozen label for view %q references production %d of %d", v.Name, k, len(g.Productions))
 	}
-	if !vl.included[k] {
+	if !vl.includes(k) {
 		return lhs, node, fmt.Errorf("core: frozen label for view %q materializes production %d, which the view excludes", v.Name, k)
 	}
 	p := g.Productions[k-1]

@@ -7,10 +7,11 @@ import (
 
 // PlanCache is the plan-scoped promotion of the per-query closure memo: one
 // cache shared by every query a plan (or a worker's whole batch) executes, so
-// a plan never recomputes a closure, a chain product, or a path-visibility
-// check it has already paid for. It is keyed to one ItemIndex — i.e. one
-// pinned step prefix (epoch) of one run — because the node IDs of the cached
-// products and visibility bits are only meaningful against that index.
+// a plan never recomputes a closure, a recursion chain, a chain product, or a
+// path-visibility check it has already paid for. It is keyed to one
+// ItemIndex — i.e. one pinned step prefix (epoch) of one run — because the
+// node IDs of the cached products and visibility bits are only meaningful
+// against that index.
 //
 // Attaching a PlanCache is strictly opt-in (QuerySession.EnsurePlan). A bare
 // queryCtx keeps the query-state-honesty invariant of the Figure 20
@@ -19,44 +20,70 @@ import (
 // set-query executor want: one worker's claim block charges the graph search
 // once, not per query.
 //
+// The state is dense: one planLabel per view label, whose slices are indexed
+// by production, cycle offset or interned node ID, so a cache access on the
+// decode path is a slice index, not a hash. The only map is the label table,
+// and a one-entry memo in front of it keeps even that off the path while a
+// query or scan stays on one label.
+//
 // A PlanCache is confined to one QuerySession and therefore one goroutine;
-// none of its maps are locked.
+// none of its state is locked.
 type PlanCache struct {
 	idx *ItemIndex // nil for point-query-only caches
 
-	// closures amortizes the graph-search path of VariantSpaceEfficient
-	// across the plan. Keyed by label too: one plan may scan several labels
-	// (Between touches up to three).
-	closures map[planClosureKey]*safety.Closure
+	// labels holds the per-label state. Keyed by label: one plan may scan
+	// several labels (Between touches up to three).
+	labels map[*ViewLabel]*planLabel
 
-	// prods caches chain products of edge matrices along an interned path
-	// suffix, cloned out of the query context's scratch arena so they survive
-	// arena rewinds. Keyed by (label, node, from, inputs-or-outputs).
-	prods map[prodKey]*boolmat.Matrix
-
-	// visible caches pathVisible per (label, interned path node).
-	visible map[visKey]bool
-
-	// visRows caches, per label, the 1×(items+1) bitset row of item IDs
-	// visible in that label's view.
-	visRows map[*ViewLabel]*boolmat.Matrix
+	// lastVL and last memoize the most recent labels lookup.
+	lastVL *ViewLabel
+	last   *planLabel
 }
 
-type planClosureKey struct {
-	vl *ViewLabel
-	k  int
+// planLabel is a plan's cached state for one view label.
+type planLabel struct {
+	// closures amortizes the graph-search path of VariantSpaceEfficient,
+	// indexed by 1-based production number.
+	closures []*safety.Closure
+
+	// chains holds the recursion chains of labels that carry no static ones
+	// (every variant but VariantQueryEfficient), built on first use and
+	// indexed [side][cycle-1][offset-1]; side 1 is the O (outputs) side.
+	chains [2][][]*recChain
+
+	// nodes is indexed by the interned node IDs of the plan's ItemIndex and
+	// stays nil for index-free plans.
+	nodes []planNode
+
+	// visRow is the 1×(items+1) bitset row of item IDs visible in the
+	// label's view.
+	visRow *boolmat.Matrix
 }
 
-type prodKey struct {
-	vl      *ViewLabel
-	node    int32
-	from    int32
-	outputs bool
+// planNode is a plan's cached state for one interned tree node.
+type planNode struct {
+	// visible caches pathVisible of the node's path: visUnknown until first
+	// computed.
+	visible int8
+
+	// prods caches chain products of edge matrices along the node's path
+	// suffixes, indexed [side][from], cloned out of the query context's
+	// scratch arena so they survive arena rewinds.
+	prods [2][]*boolmat.Matrix
 }
 
-type visKey struct {
-	vl   *ViewLabel
-	node int32
+const (
+	visUnknown int8 = iota
+	visYes
+	visNo
+)
+
+// sideOf maps the outputs flag of the decode path to a [2] array index.
+func sideOf(outputs bool) int {
+	if outputs {
+		return 1
+	}
+	return 0
 }
 
 func newPlanCache(idx *ItemIndex) *PlanCache {
@@ -67,15 +94,52 @@ func newPlanCache(idx *ItemIndex) *PlanCache {
 // caches).
 func (pc *PlanCache) Index() *ItemIndex { return pc.idx }
 
-// closureFor mirrors queryCtx's per-query closure memo at plan scope.
-func (pc *PlanCache) closureFor(vl *ViewLabel, k int) (*safety.Closure, bool) {
-	cl, ok := pc.closures[planClosureKey{vl, k}]
-	return cl, ok
+// label returns the plan's state for vl, creating it on first use.
+func (pc *PlanCache) label(vl *ViewLabel) *planLabel {
+	if pc.lastVL == vl {
+		return pc.last
+	}
+	pl, ok := pc.labels[vl]
+	if !ok {
+		pl = new(planLabel)
+		if pc.labels == nil {
+			pc.labels = map[*ViewLabel]*planLabel{}
+		}
+		pc.labels[vl] = pl
+	}
+	pc.lastVL, pc.last = vl, pl
+	return pl
 }
 
-func (pc *PlanCache) putClosure(vl *ViewLabel, k int, cl *safety.Closure) {
-	if pc.closures == nil {
-		pc.closures = map[planClosureKey]*safety.Closure{}
+// closureSlot returns the cache slot of production k's closure. k must be a
+// valid production of vl's specification.
+func (pl *planLabel) closureSlot(vl *ViewLabel, k int) **safety.Closure {
+	if pl.closures == nil {
+		pl.closures = make([]*safety.Closure, len(vl.included))
 	}
-	pc.closures[planClosureKey{vl, k}] = cl
+	return &pl.closures[k]
+}
+
+// chainSlot returns the cache slot of the recursion chain of cycle s (1-based)
+// at normalized offset t in [1, cycle length].
+func (pl *planLabel) chainSlot(vl *ViewLabel, s, t int, outputs bool) **recChain {
+	side := sideOf(outputs)
+	if pl.chains[side] == nil {
+		pl.chains[side] = make([][]*recChain, len(vl.scheme.Cycles))
+	}
+	row := pl.chains[side][s-1]
+	if row == nil {
+		row = make([]*recChain, vl.scheme.Cycles[s-1].Len())
+		pl.chains[side][s-1] = row
+	}
+	return &row[t-1]
+}
+
+// node returns the cached state of an interned node of idx, which must be
+// the plan's index.
+func (pl *planLabel) node(idx *ItemIndex, node int32) *planNode {
+	if pl.nodes == nil {
+		pl.nodes = make([]planNode, len(idx.nodes))
+	}
+	return &pl.nodes[node]
 }

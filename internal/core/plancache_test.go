@@ -14,6 +14,83 @@ import (
 	"repro/internal/workloads"
 )
 
+// planEntry locates one object a plan caches: a closure (production k), a
+// recursion chain (cycle s, offset t, side) or a chain product (node, side,
+// from) of one label.
+type planEntry struct {
+	vl      *ViewLabel
+	kind    string
+	a, b, c int
+}
+
+// planEntries snapshots every closure, recursion chain and chain product a
+// plan holds, each mapped to the cached object, so probes can check both
+// that nothing new was cached and that nothing cached was recomputed.
+func planEntries(pc *PlanCache) map[planEntry]any {
+	out := map[planEntry]any{}
+	for vl, pl := range pc.labels {
+		for k, cl := range pl.closures {
+			if cl != nil {
+				out[planEntry{vl, "closure", k, 0, 0}] = cl
+			}
+		}
+		for side, cycles := range pl.chains {
+			for s, row := range cycles {
+				for t, rc := range row {
+					if rc != nil {
+						out[planEntry{vl, "chain", s + 1, t + 1, side}] = rc
+					}
+				}
+			}
+		}
+		for node, pn := range pl.nodes {
+			for side, slots := range pn.prods {
+				for from, m := range slots {
+					if m != nil {
+						out[planEntry{vl, "prod", node, side, from}] = m
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// countEntries counts the entries of one kind.
+func countEntries(entries map[planEntry]any, kind string) int {
+	n := 0
+	for e := range entries {
+		if e.kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// visibilityBits counts the node visibility bits a plan has computed.
+func visibilityBits(pc *PlanCache) int {
+	n := 0
+	for _, pl := range pc.labels {
+		for _, pn := range pl.nodes {
+			if pn.visible != visUnknown {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// assertNothingRecomputed fails unless every entry of before is still
+// cached, as the same object, in after.
+func assertNothingRecomputed(t *testing.T, before, after map[planEntry]any) {
+	t.Helper()
+	for e, prev := range before {
+		if cur, ok := after[e]; !ok || cur != prev {
+			t.Fatalf("cached %s %v was recomputed or dropped", e.kind, e)
+		}
+	}
+}
+
 func TestPlanAttachedContextReusesClosuresAcrossQueries(t *testing.T) {
 	vl, l1, l2 := spaceEfficientQuery(t)
 	s := NewQuerySession()
@@ -22,21 +99,14 @@ func TestPlanAttachedContextReusesClosuresAcrossQueries(t *testing.T) {
 	if _, err := s.DependsOn(vl, l1, l2); err != nil {
 		t.Fatalf("first query: %v", err)
 	}
-	if len(pc.closures) == 0 {
+	captured := planEntries(pc)
+	if countEntries(captured, "closure") == 0 {
 		t.Fatal("plan cache did not capture the first query's closures")
-	}
-	captured := make(map[planClosureKey]any, len(pc.closures))
-	for k, cl := range pc.closures {
-		captured[k] = cl
 	}
 	if _, err := s.DependsOn(vl, l1, l2); err != nil {
 		t.Fatalf("second query: %v", err)
 	}
-	for k, cl := range pc.closures {
-		if prev, ok := captured[k]; ok && prev != any(cl) {
-			t.Fatalf("closure %v was recomputed despite the plan cache", k)
-		}
-	}
+	assertNothingRecomputed(t, captured, planEntries(pc))
 	if len(s.qc.closures) != 0 {
 		t.Fatal("per-query memo must stay empty while a plan serves closures")
 	}
@@ -121,7 +191,8 @@ func TestSetScansCacheChainProductsAcrossQueries(t *testing.T) {
 			t.Fatalf("depsRow(%d): %v", x, err)
 		}
 	}
-	prods := len(pc.prods)
+	first := planEntries(pc)
+	prods := countEntries(first, "prod")
 	if prods == 0 {
 		t.Fatal("scanning every item cached no chain products")
 	}
@@ -130,9 +201,11 @@ func TestSetScansCacheChainProductsAcrossQueries(t *testing.T) {
 			t.Fatalf("second depsRow(%d): %v", x, err)
 		}
 	}
-	if len(pc.prods) != prods {
-		t.Fatalf("second scan grew the product cache from %d to %d entries", prods, len(pc.prods))
+	second := planEntries(pc)
+	if got := countEntries(second, "prod"); got != prods {
+		t.Fatalf("second scan grew the product cache from %d to %d entries", prods, got)
 	}
+	assertNothingRecomputed(t, first, second)
 	// The visibility row is computed once per label and shared afterwards.
 	row := s.VisibleRow(vl, idx)
 	if s.VisibleRow(vl, idx) != row {

@@ -40,8 +40,8 @@ func sharedScanFixture(t *testing.T) (*ViewLabel, *RunLabeler, *ItemIndex) {
 // TestPlanShareHitsAcrossSessionsAtSameEpoch is the satellite lock of PR 9:
 // two query sessions at the same epoch (the same pinned ItemIndex) share one
 // plan cache through the PlanShare — the second session starts with every
-// chain product and visibility bit the first one computed, and recomputes
-// none of them.
+// recursion chain, chain product and visibility bit the first one computed,
+// and recomputes none of them.
 func TestPlanShareHitsAcrossSessionsAtSameEpoch(t *testing.T) {
 	vl, _, idx := sharedScanFixture(t)
 	var share PlanShare
@@ -54,18 +54,17 @@ func TestPlanShareHitsAcrossSessionsAtSameEpoch(t *testing.T) {
 			t.Fatalf("session 1 DepsRow(%d): %v", x, err)
 		}
 	}
-	if len(pc.prods) == 0 || len(pc.visible) == 0 {
-		t.Fatalf("session 1 left the cache cold: %d products, %d visibility bits", len(pc.prods), len(pc.visible))
-	}
-	warmProds := make(map[prodKey]any, len(pc.prods))
-	for k, m := range pc.prods {
-		warmProds[k] = m
+	warm := planEntries(pc)
+	prods, chains, bits := countEntries(warm, "prod"), countEntries(warm, "chain"), visibilityBits(pc)
+	if prods == 0 || chains == 0 || bits == 0 {
+		t.Fatalf("session 1 left the cache cold: %d products, %d recursion chains, %d visibility bits", prods, chains, bits)
 	}
 	share.Release(s1.DetachPlan())
 	s1.Close()
 
 	// The second session at the same epoch must be handed the same cache —
-	// a cache hit, observable as pointer identity — and reuse its products.
+	// a cache hit, observable as pointer identity — and reuse everything in
+	// it.
 	s2 := NewQuerySession()
 	defer s2.Close()
 	pc2 := share.Acquire(idx)
@@ -78,11 +77,12 @@ func TestPlanShareHitsAcrossSessionsAtSameEpoch(t *testing.T) {
 			t.Fatalf("session 2 DepsRow(%d): %v", x, err)
 		}
 	}
-	for k, m := range pc2.prods {
-		if prev, ok := warmProds[k]; ok && prev != any(m) {
-			t.Fatalf("chain product %v was recomputed despite the shared cache", k)
-		}
+	after := planEntries(pc2)
+	if len(after) != len(warm) || visibilityBits(pc2) != bits {
+		t.Fatalf("warm session grew the cache: %d -> %d entries, %d -> %d visibility bits",
+			len(warm), len(after), bits, visibilityBits(pc2))
 	}
+	assertNothingRecomputed(t, warm, after)
 	share.Release(s2.DetachPlan())
 
 	// A different index — another epoch, another run — must mint a fresh

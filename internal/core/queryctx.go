@@ -35,9 +35,10 @@ type queryCtx struct {
 	// materialized matrices are absent — in practice VariantSpaceEfficient.
 	closures map[int]*safety.Closure
 
-	// plan, when non-nil, is the plan-scoped cache closures (and the
-	// set-query scans' chain products and visibility bits) are served from
-	// instead of the per-query memo above. begin never touches it.
+	// plan, when non-nil, is the plan-scoped cache closures and recursion
+	// chains (and the set-query scans' chain products and visibility bits)
+	// are served from instead of being recomputed per query. begin never
+	// touches it.
 	plan *PlanCache
 
 	// scratch is a bump-allocated arena of matrices: every take returns a
@@ -119,11 +120,12 @@ func (s *QuerySession) DependsOn(vl *ViewLabel, d1, d2 *DataLabel) (bool, error)
 }
 
 // EnsurePlan attaches a plan-scoped cache to the session and returns it:
-// closures (and, with a non-nil index, the set-query scans' chain products
-// and visibility bits) are then amortized across every query the session
-// answers, instead of being recomputed per query. Passing nil keeps whatever
-// plan is already attached (or attaches an index-free one, which amortizes
-// closures only); passing an index replaces a plan keyed to a different
+// closures and recursion chains (and, with a non-nil index, the set-query
+// scans' chain products and visibility bits) are then amortized across every
+// query the session answers, instead of being recomputed per query. Passing
+// nil keeps whatever plan is already attached (or attaches an index-free
+// one, which amortizes closures and recursion chains only); passing an
+// index replaces a plan keyed to a different
 // index, because node IDs and item rows are only meaningful against the
 // index that minted them.
 //

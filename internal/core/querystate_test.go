@@ -135,3 +135,82 @@ func TestMaterializedVariantQueriesNeverTouchClosures(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanFreeRecursiveQueriesRebuildChainsEveryTime extends the invariant to
+// recursion chains: a plan caches the chain of a recursive edge, but a bare
+// session must rebuild it on every query. Asked twice, a recursive-edge
+// query allocates the same both times and leaves no chain anywhere, so
+// Figure 20's per-query charge cannot silently drop.
+func TestPlanFreeRecursiveQueriesRebuildChainsEveryTime(t *testing.T) {
+	spec := workloads.BioAID()
+	scheme, err := NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 400, Rand: rand.New(rand.NewSource(4))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vl, err := scheme.LabelView(view.Default(spec), VariantSpaceEfficient)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Case III of Algorithm 2: an initial input against the item consumed
+	// deepest inside a recursion, so the query multiplies a chain of cycle
+	// matrices several turns long.
+	var d1, d2 *DataLabel
+	depth := 0
+	for id := 1; id <= labeler.Count(); id++ {
+		d, _ := labeler.Label(id)
+		if d.Out == nil && d1 == nil {
+			d1 = d
+		}
+		if d.In == nil {
+			continue
+		}
+		for _, e := range d.In.Path {
+			if e.Recursive && e.I > depth {
+				d2, depth = d, e.I
+			}
+		}
+	}
+	if d1 == nil || depth < 3 {
+		t.Fatalf("fixture has no initial input or no recursion deeper than %d", depth)
+	}
+	query := func(s *QuerySession) func() {
+		return func() {
+			if _, err := s.DependsOn(vl, d1, d2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	bare := NewQuerySession()
+	defer bare.Close()
+	first := testing.AllocsPerRun(1, query(bare))
+	second := testing.AllocsPerRun(1, query(bare))
+	if first != second {
+		t.Fatalf("a bare recursive-edge query allocated %.0f, then %.0f: state survived between queries", first, second)
+	}
+	if bare.qc.plan != nil || vl.inRec != nil || vl.outRec != nil {
+		t.Fatal("a bare query left a recursion chain behind")
+	}
+
+	// The same query through a plan builds the chain once and then reuses
+	// it — proof that the query above really resolves a recursion chain.
+	planned := NewQuerySession()
+	defer planned.Close()
+	pc := planned.EnsurePlan(nil)
+	warm := testing.AllocsPerRun(1, query(planned))
+	if countEntries(planEntries(pc), "chain") == 0 {
+		t.Fatal("the recursive-edge query built no recursion chain into the plan")
+	}
+	if warm >= first {
+		t.Fatalf("plan-attached query allocates %.0f, bare %.0f: the plan saved nothing", warm, first)
+	}
+}

@@ -29,23 +29,22 @@ import (
 // misses compute into scratch and clone into the cache.
 func (vl *ViewLabel) suffixProduct(qc *queryCtx, idx *ItemIndex, node int32, path []EdgeLabel, from int, outputs bool) (*boolmat.Matrix, error) {
 	pc := qc.plan
-	if pc != nil && idx != nil && pc.idx == idx && node >= 0 {
-		key := prodKey{vl, node, int32(from), outputs}
-		if m, ok := pc.prods[key]; ok {
-			return m, nil
-		}
-		m, err := vl.plainProduct(qc, path, from, outputs)
-		if err != nil {
-			return nil, err
-		}
-		cl := m.Clone()
-		if pc.prods == nil {
-			pc.prods = map[prodKey]*boolmat.Matrix{}
-		}
-		pc.prods[key] = cl
-		return cl, nil
+	if pc == nil || idx == nil || pc.idx != idx || node < 0 {
+		return vl.plainProduct(qc, path, from, outputs)
 	}
-	return vl.plainProduct(qc, path, from, outputs)
+	pn, side := pc.label(vl).node(idx, node), sideOf(outputs)
+	if pn.prods[side] == nil {
+		pn.prods[side] = make([]*boolmat.Matrix, len(path)+1)
+	}
+	if m := pn.prods[side][from]; m != nil {
+		return m, nil
+	}
+	m, err := vl.plainProduct(qc, path, from, outputs)
+	if err != nil {
+		return nil, err
+	}
+	pn.prods[side][from] = m.Clone()
+	return pn.prods[side][from], nil
 }
 
 func (vl *ViewLabel) plainProduct(qc *queryCtx, path []EdgeLabel, from int, outputs bool) (*boolmat.Matrix, error) {
@@ -62,19 +61,17 @@ func (vl *ViewLabel) nodeVisible(qc *queryCtx, idx *ItemIndex, node int32) bool 
 		return true
 	}
 	pc := qc.plan
-	if pc != nil && pc.idx == idx {
-		key := visKey{vl, node}
-		if v, ok := pc.visible[key]; ok {
-			return v
-		}
-		v := vl.pathVisible(idx.path(node))
-		if pc.visible == nil {
-			pc.visible = map[visKey]bool{}
-		}
-		pc.visible[key] = v
-		return v
+	if pc == nil || pc.idx != idx {
+		return vl.pathVisible(idx.path(node))
 	}
-	return vl.pathVisible(idx.path(node))
+	pn := pc.label(vl).node(idx, node)
+	if pn.visible == visUnknown {
+		pn.visible = visNo
+		if vl.pathVisible(idx.path(node)) {
+			pn.visible = visYes
+		}
+	}
+	return pn.visible == visYes
 }
 
 // visibleRow returns the 1×(idx.Items()+1) bitset row of the item IDs visible
@@ -82,7 +79,7 @@ func (vl *ViewLabel) nodeVisible(qc *queryCtx, idx *ItemIndex, node int32) bool 
 func (vl *ViewLabel) visibleRow(qc *queryCtx, idx *ItemIndex) *boolmat.Matrix {
 	pc := qc.plan
 	if pc != nil && pc.idx == idx {
-		if m, ok := pc.visRows[vl]; ok {
+		if m := pc.label(vl).visRow; m != nil {
 			return m
 		}
 	}
@@ -96,10 +93,7 @@ func (vl *ViewLabel) visibleRow(qc *queryCtx, idx *ItemIndex) *boolmat.Matrix {
 		}
 	}
 	if pc != nil && pc.idx == idx {
-		if pc.visRows == nil {
-			pc.visRows = map[*ViewLabel]*boolmat.Matrix{}
-		}
-		pc.visRows[vl] = row
+		pc.label(vl).visRow = row
 	}
 	return row
 }

@@ -91,7 +91,7 @@ type ViewLabel struct {
 	variant Variant
 
 	start    *boolmat.Matrix // λ*(S)
-	included map[int]bool    // 1-based production indices of G_∆′
+	included []bool          // included[k]: production k (1-based) is in G_∆′
 
 	// Materialized functions (VariantDefault and VariantQueryEfficient).
 	iMat map[[2]int]*boolmat.Matrix
@@ -151,13 +151,8 @@ func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
 		view:     v,
 		variant:  variant,
 		start:    start.Clone(),
-		included: map[int]bool{},
+		included: includedProductions(v),
 		full:     full,
-	}
-	for k := 1; k <= len(s.Spec.Grammar.Productions); k++ {
-		if v.IncludesProduction(k) {
-			vl.included[k] = true
-		}
 	}
 	if variant == VariantSpaceEfficient {
 		return vl, nil
@@ -170,7 +165,10 @@ func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
 	vl.iMat = map[[2]int]*boolmat.Matrix{}
 	vl.oMat = map[[2]int]*boolmat.Matrix{}
 	vl.zMat = map[[3]int]*boolmat.Matrix{}
-	for k := range vl.included {
+	for k, inc := range vl.included {
+		if !inc {
+			continue
+		}
 		cl, ok := closures[k]
 		if !ok {
 			// The production is included but not derivable in the view; its
@@ -205,16 +203,19 @@ func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
 func (vl *ViewLabel) buildRecursionCaches() error {
 	vl.inRec = map[[2]int]*recChain{}
 	vl.outRec = map[[2]int]*recChain{}
+	// Construction runs with its own throwaway context; the query-efficient
+	// variant has its matrices materialized, so the context stays empty.
+	qc := new(queryCtx)
 	for _, c := range vl.scheme.Cycles {
 		if !vl.cycleIncluded(c) {
 			continue
 		}
 		for t := 1; t <= c.Len(); t++ {
-			in, err := vl.buildChain(c, t, false)
+			in, err := vl.buildChain(qc, c, t, false)
 			if err != nil {
 				return err
 			}
-			out, err := vl.buildChain(c, t, true)
+			out, err := vl.buildChain(qc, c, t, true)
 			if err != nil {
 				return err
 			}
@@ -225,16 +226,38 @@ func (vl *ViewLabel) buildRecursionCaches() error {
 	return nil
 }
 
+// includedProductions returns the membership of every production in the
+// view's restricted grammar G_∆′, indexed by 1-based production number
+// (entry 0 is unused).
+func includedProductions(v *view.View) []bool {
+	inc := make([]bool, len(v.Spec.Grammar.Productions)+1)
+	for k := 1; k < len(inc); k++ {
+		inc[k] = v.IncludesProduction(k)
+	}
+	return inc
+}
+
+// includes reports whether production k belongs to G_∆′. Data labels are
+// untrusted input, so an out-of-range k is simply not included.
+func (vl *ViewLabel) includes(k int) bool {
+	return k > 0 && k < len(vl.included) && vl.included[k]
+}
+
 func (vl *ViewLabel) cycleIncluded(c prodgraph.Cycle) bool {
 	for _, e := range c.Edges {
-		if !vl.included[e.K] {
+		if !vl.includes(e.K) {
 			return false
 		}
 	}
 	return true
 }
 
-func (vl *ViewLabel) buildChain(c prodgraph.Cycle, t int, outputs bool) (*recChain, error) {
+// buildChain computes the recursion cache of cycle c at starting offset t:
+// the prefix products of one full turn and the periodic powers of the
+// full-turn product. The edge matrices come through qc, so on the
+// graph-search path the closures are the caller's (plan-scoped, when a plan
+// is attached). The returned chain owns every matrix it holds.
+func (vl *ViewLabel) buildChain(qc *queryCtx, c prodgraph.Cycle, t int, outputs bool) (*recChain, error) {
 	l := c.Len()
 	mod, err := vl.scheme.moduleAtCycleOffset(c.Index, t)
 	if err != nil {
@@ -244,9 +267,6 @@ func (vl *ViewLabel) buildChain(c prodgraph.Cycle, t int, outputs bool) (*recCha
 	if outputs {
 		dim = mod.Out
 	}
-	// Construction runs with its own throwaway context; the query-efficient
-	// variant has its matrices materialized, so the context stays empty.
-	qc := new(queryCtx)
 	prefixes := make([]*boolmat.Matrix, l+1)
 	prefixes[0] = boolmat.Identity(dim)
 	for r := 1; r <= l; r++ {
@@ -287,7 +307,7 @@ func (vl *ViewLabel) checkNode(k, i int) error {
 // left-hand side of production k to the inputs of its i-th right-hand-side
 // node, under the view's full dependency assignment.
 func (vl *ViewLabel) edgeI(qc *queryCtx, k, i int) (*boolmat.Matrix, error) {
-	if !vl.included[k] {
+	if !vl.includes(k) {
 		return nil, fmt.Errorf("core: production %d is not part of view %q", k, vl.view.Name)
 	}
 	if err := vl.checkNode(k, i); err != nil {
@@ -309,7 +329,7 @@ func (vl *ViewLabel) edgeI(qc *queryCtx, k, i int) (*boolmat.Matrix, error) {
 // edgeO returns O(k, i): the reversed reachability matrix from the outputs of
 // the left-hand side of production k to the outputs of its i-th node.
 func (vl *ViewLabel) edgeO(qc *queryCtx, k, i int) (*boolmat.Matrix, error) {
-	if !vl.included[k] {
+	if !vl.includes(k) {
 		return nil, fmt.Errorf("core: production %d is not part of view %q", k, vl.view.Name)
 	}
 	if err := vl.checkNode(k, i); err != nil {
@@ -340,7 +360,7 @@ func (vl *ViewLabel) edgeIO(qc *queryCtx, k, i int, outputs bool) (*boolmat.Matr
 // i-th node of production k to the inputs of its j-th node. For i >= j the
 // matrix is empty.
 func (vl *ViewLabel) edgeZ(qc *queryCtx, k, i, j int) (*boolmat.Matrix, error) {
-	if !vl.included[k] {
+	if !vl.includes(k) {
 		return nil, fmt.Errorf("core: production %d is not part of view %q", k, vl.view.Name)
 	}
 	if err := vl.checkNode(k, i); err != nil {
@@ -374,9 +394,11 @@ func (vl *ViewLabel) edgeZ(qc *queryCtx, k, i, j int) (*boolmat.Matrix, error) {
 // VariantSpaceEfficient; the materialized variants never reach it, so their
 // queries write nothing at all.
 func (vl *ViewLabel) closureFor(qc *queryCtx, k int) (*safety.Closure, error) {
+	var slot **safety.Closure
 	if qc.plan != nil {
-		if cl, ok := qc.plan.closureFor(vl, k); ok {
-			return cl, nil
+		slot = qc.plan.label(vl).closureSlot(vl, k)
+		if *slot != nil {
+			return *slot, nil
 		}
 	} else if cl, ok := qc.closures[k]; ok {
 		return cl, nil
@@ -386,8 +408,8 @@ func (vl *ViewLabel) closureFor(qc *queryCtx, k int) (*safety.Closure, error) {
 	if err != nil {
 		return nil, err
 	}
-	if qc.plan != nil {
-		qc.plan.putClosure(vl, k, cl)
+	if slot != nil {
+		*slot = cl
 		return cl, nil
 	}
 	if qc.closures == nil {
@@ -422,8 +444,8 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]
 		return nil, err
 	}
 	n := e.I - 1 // number of matrices in the chain
-	if n < 0 {
-		return nil, fmt.Errorf("core: recursive edge %v has child position < 1", e)
+	if n < 0 || e.T < 1 {
+		return nil, fmt.Errorf("core: recursive edge %v has child position or offset < 1", e)
 	}
 
 	// Constant-time path: the cached prefix products and periodic powers.
@@ -432,9 +454,23 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]
 	// or the internally synthesized edges of decodeMain's recursive cases
 	// (offset el.T+i, possibly past one full turn) would silently fall to
 	// the slow product/power path below.
+	t := (e.T-1)%c.Len() + 1
 	if cache != nil {
-		t := (e.T-1)%c.Len() + 1
 		if rc, ok := cache[[2]int{e.S, t}]; ok {
+			return rc.product(qc, n), nil
+		}
+	} else if qc.plan != nil && vl.cycleIncluded(c) {
+		// A label without static chains builds the same chain into an
+		// attached plan, once per (cycle, offset, side). A chain that cannot
+		// be built (a cycle edge undefined in the view) leaves the slot
+		// empty and the query to the product/power path below.
+		slot := qc.plan.label(vl).chainSlot(vl, e.S, t, outputs)
+		if *slot == nil {
+			if rc, err := vl.buildChain(qc, c, t, outputs); err == nil {
+				*slot = rc
+			}
+		}
+		if rc := *slot; rc != nil {
 			return rc.product(qc, n), nil
 		}
 	}
@@ -498,7 +534,7 @@ func pathOf(p *PortLabel) []EdgeLabel {
 func (vl *ViewLabel) pathVisible(path []EdgeLabel) bool {
 	for _, e := range path {
 		if !e.Recursive {
-			if !vl.included[e.K] {
+			if !vl.includes(e.K) {
 				return false
 			}
 			continue
@@ -519,17 +555,15 @@ func (vl *ViewLabel) pathVisible(path []EdgeLabel) bool {
 		// Children 2..I of the recursive node were created by the cycle
 		// productions at offsets T .. T+I-2.
 		for a := 0; a < e.I-1 && a < c.Len(); a++ {
-			if !vl.included[c.EdgeAt(e.T+a).K] {
+			if !vl.includes(c.EdgeAt(e.T + a).K) {
 				return false
 			}
 		}
 		if e.I-1 > c.Len() {
 			// More than one full turn around the cycle: every cycle production
 			// is involved.
-			for _, ce := range c.Edges {
-				if !vl.included[ce.K] {
-					return false
-				}
+			if !vl.cycleIncluded(c) {
+				return false
 			}
 		}
 	}
