@@ -12,7 +12,6 @@
 //	fvlbench -experiments engine -parallel 8
 //	fvlbench -experiments snapshot -load labels.fvl
 //	fvlbench -o results.txt       # also write the report to a file
-//	fvlbench -quick -json bench.json
 //
 // The engine experiment measures the concurrent serving layer (batch query
 // throughput and parallel multi-view labeling); -parallel caps its worker
@@ -26,11 +25,6 @@
 // checkpoint intervals and measures resume latency against the replayed
 // journal tail; -sessiondir additionally measures an existing directory
 // (written by wflabel -session).
-//
-// -json measures the system's representative hot paths under testing.B and
-// writes machine-readable records — experiment, ns/op, allocs/op, bytes/op —
-// to the given file (the BENCH_*.json trajectory format). It runs instead of
-// the printable experiments when given alone, or after them when combined.
 package main
 
 import (
@@ -39,11 +33,9 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"repro/fvl"
 	"repro/fvl/bench"
 )
 
@@ -57,7 +49,6 @@ func main() {
 	load := flag.String("load", "", "label snapshot (from wflabel -snapshot) for the snapshot experiment")
 	sessionDir := flag.String("sessiondir", "", "durable session directory (from wflabel -session) whose resume latency the recovery experiment also measures")
 	output := flag.String("o", "", "also write the report to this file")
-	jsonOut := flag.String("json", "", "write machine-readable benchmark records (ns/op, allocs/op, bytes/op) to this file")
 	list := flag.Bool("list", false, "list the available experiments and exit")
 	flag.Parse()
 
@@ -85,86 +76,49 @@ func main() {
 	cfg.SnapshotPath = *load
 	cfg.SessionDir = *sessionDir
 
-	// -json alone runs only the machine-readable benchmarks; combined with
-	// an explicit -experiments or -o it runs both. flag.Visit distinguishes
-	// an explicit "-experiments all" from the default.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	runTables := *jsonOut == "" || explicit["experiments"] || explicit["o"]
-
-	if runTables {
-		var experiments []bench.Experiment
-		if *names == "all" {
-			experiments = bench.All()
-		} else {
-			for _, name := range strings.Split(*names, ",") {
-				name = strings.TrimSpace(name)
-				e, ok := bench.Lookup(name)
-				if !ok {
-					log.Fatalf("unknown experiment %q (use -list to see the available ones)", name)
-				}
-				experiments = append(experiments, e)
+	var experiments []bench.Experiment
+	if *names == "all" {
+		experiments = bench.All()
+	} else {
+		for _, name := range strings.Split(*names, ",") {
+			name = strings.TrimSpace(name)
+			e, ok := bench.Lookup(name)
+			if !ok {
+				log.Fatalf("unknown experiment %q (use -list to see the available ones)", name)
 			}
-		}
-
-		var out io.Writer = os.Stdout
-		var report *os.File
-		if *output != "" {
-			// The -o file tees the report as the experiments stream it to
-			// stdout over minutes; it is a console transcript, not a durable
-			// artifact, so plain create-and-append is the right tool.
-			//lint:ignore syncrename the -o report streams alongside stdout; -json is the durable artifact
-			f, err := os.Create(*output)
-			if err != nil {
-				log.Fatalf("creating %s: %v", *output, err)
-			}
-			report = f
-			out = io.MultiWriter(os.Stdout, f)
-		}
-
-		fmt.Fprintf(out, "FVL experiment harness — %d experiment(s), seed %d, %s scale\n\n",
-			len(experiments), cfg.Seed, scaleName(*quick))
-		for _, e := range experiments {
-			start := time.Now()
-			table, err := e.Run(cfg)
-			if err != nil {
-				log.Fatalf("%s: %v", e.Name, err)
-			}
-			fmt.Fprintf(out, "%s\n(completed in %v)\n\n", table, time.Since(start).Round(time.Millisecond))
-		}
-		if report != nil {
-			if err := report.Close(); err != nil {
-				log.Fatalf("writing %s: %v", *output, err)
-			}
+			experiments = append(experiments, e)
 		}
 	}
 
-	if *jsonOut != "" {
-		// Probe the output directory before measuring, so a bad path fails in
-		// milliseconds instead of after minutes of benchmarking.
-		probe, err := os.CreateTemp(filepath.Dir(*jsonOut), ".fvlbench-probe-*")
+	var out io.Writer = os.Stdout
+	var report *os.File
+	if *output != "" {
+		// The -o file tees the report as the experiments stream it to
+		// stdout over minutes; it is a console transcript, not a durable
+		// artifact, so plain create-and-append is the right tool.
+		//lint:ignore syncrename the -o report is a console transcript teed from stdout, not an artifact a crash must leave whole
+		f, err := os.Create(*output)
 		if err != nil {
-			log.Fatalf("creating %s: %v", *jsonOut, err)
+			log.Fatalf("creating %s: %v", *output, err)
 		}
-		if err := probe.Close(); err != nil {
-			log.Fatalf("creating %s: %v", *jsonOut, err)
-		}
-		os.Remove(probe.Name())
+		report = f
+		out = io.MultiWriter(os.Stdout, f)
+	}
 
+	fmt.Fprintf(out, "FVL experiment harness — %d experiment(s), seed %d, %s scale\n\n",
+		len(experiments), cfg.Seed, scaleName(*quick))
+	for _, e := range experiments {
 		start := time.Now()
-		records, err := bench.Records(cfg)
+		table, err := e.Run(cfg)
 		if err != nil {
-			log.Fatalf("benchmark records: %v", err)
+			log.Fatalf("%s: %v", e.Name, err)
 		}
-		// The records file is the durable artifact of the run (the BENCH_*
-		// trajectory): land it atomically so an interrupted write cannot
-		// truncate a previously good file.
-		if err := fvl.WriteFileAtomic(*jsonOut, func(w io.Writer) error {
-			return bench.WriteRecords(w, records)
-		}); err != nil {
-			log.Fatalf("writing %s: %v", *jsonOut, err)
+		fmt.Fprintf(out, "%s\n(completed in %v)\n\n", table, time.Since(start).Round(time.Millisecond))
+	}
+	if report != nil {
+		if err := report.Close(); err != nil {
+			log.Fatalf("writing %s: %v", *output, err)
 		}
-		fmt.Printf("wrote %d benchmark records to %s in %v\n", len(records), *jsonOut, time.Since(start).Round(time.Millisecond))
 	}
 }
 

@@ -1,16 +1,11 @@
 // Package bench is the public face of the experiment harness that
 // reproduces the paper's evaluation (Section 6): one runnable experiment per
-// figure and table, a machine-readable benchmark mode for perf trajectories,
-// and the configuration that scales both. It is a thin façade over the
-// internal harness so programs outside the module — including the bundled
-// fvlbench command — never import repro/internal.
+// figure and table, and the configuration that scales them. It is a thin
+// façade over the internal harness so programs outside the module —
+// including the bundled fvlbench command — never import repro/internal.
 package bench
 
-import (
-	"io"
-
-	"repro/internal/bench"
-)
+import "repro/internal/bench"
 
 // Config controls the scale of the experiments (run sizes, samples per
 // point, query counts, worker sweep, snapshot path).
@@ -21,10 +16,6 @@ type Table = bench.Table
 
 // Experiment is a named, runnable experiment.
 type Experiment = bench.Experiment
-
-// Record is one machine-readable benchmark result: experiment name plus
-// ns/op, allocs/op and bytes/op.
-type Record = bench.Record
 
 // DefaultConfig reproduces the paper's experimental scale.
 func DefaultConfig() Config { return bench.DefaultConfig() }
@@ -37,10 +28,3 @@ func All() []Experiment { return bench.All() }
 
 // Lookup finds an experiment by name.
 func Lookup(name string) (Experiment, bool) { return bench.Lookup(name) }
-
-// Records measures the system's representative hot paths under testing.B
-// and returns one Record per path.
-func Records(cfg Config) ([]Record, error) { return bench.Records(cfg) }
-
-// WriteRecords writes records as indented JSON, the BENCH_*.json format.
-func WriteRecords(w io.Writer, records []Record) error { return bench.WriteRecords(w, records) }

@@ -311,7 +311,7 @@ func (e *Engine) serveClaims(ctx context.Context, idx *core.ItemIndex, n int, cu
 	// share: closures (and, for set-query batches, chain products and
 	// visibility rows) amortize across the worker's whole share of the batch
 	// — and, via the share, across every batch served at the same pinned
-	// index since PR 9. DetachPlan returns whatever cache the worker ends
+	// index. DetachPlan returns whatever cache the worker ends
 	// with (EnsurePlan may have replaced the attached one mid-batch), so the
 	// warmed cache is what the next session inherits.
 	s.AttachPlan(e.share.Acquire(idx))

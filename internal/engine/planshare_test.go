@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/query"
+	"repro/internal/view"
+	"repro/internal/workloads"
 )
 
-// TestBatchesShareplanCachesAcrossCalls: the engine's plan-cache share hands
+// TestBatchesSharePlanCachesAcrossCalls: the engine's plan-cache share hands
 // a worker's warmed cache to the next batch, so consecutive batches — point
 // batches under the nil key, set-query batches under their pinned index —
 // start warm instead of recomputing closures per call. Observable without
@@ -36,5 +40,54 @@ func TestBatchesSharePlanCachesAcrossCalls(t *testing.T) {
 	}
 	if got := e.share.IdleCaches(nil); got > parked {
 		t.Fatalf("second batch minted fresh caches: %d idle, want <= %d", got, parked)
+	}
+
+	// Set-query batches park under their pinned index, not under nil, and a
+	// second batch at the same index reuses what the first one parked.
+	spec := workloads.PaperExample()
+	scheme, err := core.NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setVL, err := scheme.LabelView(view.Default(spec), core.VariantSpaceEfficient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := NewServer(scheme, []*core.ViewLabel{setVL}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 80, Rand: rand.New(rand.NewSource(13))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := core.BuildItemIndex(0, labeler.Count(), labeler.Label)
+	var exprs []*query.Expr
+	for x := 1; x <= idx.Items(); x++ {
+		exprs = append(exprs, query.Deps(x), query.RevDeps(x))
+	}
+	setBatch := func() {
+		t.Helper()
+		for _, res := range e.SetQueryBatch(cat, setVL.View().Name, idx, exprs) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+	}
+	setBatch()
+	parkedAtIdx := e.share.IdleCaches(idx)
+	if parkedAtIdx == 0 {
+		t.Fatal("set-query batch workers did not park their plan caches under the pinned index")
+	}
+	setBatch()
+	if got := e.share.IdleCaches(idx); got > parkedAtIdx {
+		t.Fatalf("second set-query batch minted fresh caches: %d idle, want <= %d", got, parkedAtIdx)
+	}
+	if got := e.share.IdleCaches(nil); got > parked {
+		t.Fatalf("set-query batches parked caches under the nil key: %d idle, want <= %d", got, parked)
 	}
 }
