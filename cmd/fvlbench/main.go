@@ -10,21 +10,12 @@
 //	fvlbench -quick               # reduced scale (seconds instead of minutes)
 //	fvlbench -experiments fig17,fig21
 //	fvlbench -experiments engine -parallel 8
-//	fvlbench -experiments snapshot -load labels.fvl
 //	fvlbench -o results.txt       # also write the report to a file
 //
-// The engine experiment measures the concurrent serving layer (batch query
-// throughput and parallel multi-view labeling); -parallel caps its worker
-// sweep, defaulting to GOMAXPROCS. The live experiment replays a recorded
-// derivation into a live session while readers query the growing prefix,
-// measuring per-step label latency and mid-run vs post-run query throughput
-// (-parallel caps its sweep too). The snapshot experiment loads a label
-// snapshot written by wflabel -snapshot and differentially verifies it
-// against freshly built labels; without -load it is skipped. The recovery
-// experiment ingests one run into durable session directories at several
-// checkpoint intervals and measures resume latency against the replayed
-// journal tail; -sessiondir additionally measures an existing directory
-// (written by wflabel -session).
+// Besides the paper's figures and Table 1, the engine experiment measures
+// the concurrent serving layer (batch query throughput and parallel
+// multi-view labeling); -parallel caps its worker sweep, defaulting to
+// GOMAXPROCS.
 package main
 
 import (
@@ -41,13 +32,11 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "run at reduced scale (for smoke tests)")
-	names := flag.String("experiments", "all", "comma-separated experiment names (fig17..fig25, table1) or 'all'")
+	names := flag.String("experiments", "all", "comma-separated experiment names (fig17..fig25, table1, engine) or 'all'")
 	seed := flag.Int64("seed", 1, "random seed shared by all experiments")
 	samples := flag.Int("samples", 0, "override the number of sample runs per data point")
 	queries := flag.Int("queries", 0, "override the number of sample queries per measurement")
 	parallel := flag.Int("parallel", 0, "largest worker count of the engine experiment's sweep (0 = GOMAXPROCS)")
-	load := flag.String("load", "", "label snapshot (from wflabel -snapshot) for the snapshot experiment")
-	sessionDir := flag.String("sessiondir", "", "durable session directory (from wflabel -session) whose resume latency the recovery experiment also measures")
 	output := flag.String("o", "", "also write the report to this file")
 	list := flag.Bool("list", false, "list the available experiments and exit")
 	flag.Parse()
@@ -73,8 +62,6 @@ func main() {
 	if *parallel > 0 {
 		cfg.Workers = *parallel
 	}
-	cfg.SnapshotPath = *load
-	cfg.SessionDir = *sessionDir
 
 	var experiments []bench.Experiment
 	if *names == "all" {

@@ -42,7 +42,7 @@ func main() {
 	query := flag.String("query", "", "a point query \"d1,d2\" (does d2 depend on d1?) or a set-query expression like deps(7) or between(\"security\",\"default\")")
 	showLabels := flag.Bool("labels", false, "print every data label")
 	stats := flag.Bool("stats", false, "print label length statistics")
-	snapshot := flag.String("snapshot", "", "persist the scheme and the computed view label to this file (load it with wfcheck -load, fvlbench -load or fvl.OpenSnapshot)")
+	snapshot := flag.String("snapshot", "", "persist the scheme and the computed view label to this file (load it with wfcheck -load or fvl.OpenSnapshot)")
 	session := flag.String("session", "", "drive the derivation through a crash-durable session in this directory (resumed if it already holds one); -query is answered by the live session")
 	checkpoint := flag.Int("checkpoint", 0, "with -session: checkpoint every N steps (0 checkpoints once, at the end)")
 	remote := flag.String("remote", "", "mirror the derivation into an fvld server at this base URL (e.g. http://127.0.0.1:8439) and answer -query remotely")

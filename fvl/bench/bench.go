@@ -8,7 +8,7 @@ package bench
 import "repro/internal/bench"
 
 // Config controls the scale of the experiments (run sizes, samples per
-// point, query counts, worker sweep, snapshot path).
+// point, query counts, the engine experiment's worker sweep).
 type Config = bench.Config
 
 // Table is one experiment's printable result.

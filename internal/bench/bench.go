@@ -41,13 +41,6 @@ type Config struct {
 	// Workers caps the worker sweep of the concurrent-serving experiment
 	// (the engine table); 0 means GOMAXPROCS.
 	Workers int
-	// SnapshotPath points the snapshot experiment at a label snapshot
-	// written by wflabel -snapshot; empty skips the experiment.
-	SnapshotPath string
-	// SessionDir points the recovery experiment at an existing durable
-	// session directory (written by wflabel -session); empty measures only
-	// the synthesized checkpoint-interval sweep.
-	SessionDir string
 }
 
 // DefaultConfig reproduces the paper's experimental scale.
@@ -148,11 +141,6 @@ func All() []Experiment {
 		{"fig25", "Query time vs module degree (synthetic)", Fig25},
 		{"table1", "Impact of synthetic parameters on labeling performance", Table1},
 		{"engine", "Batch query throughput and parallel multi-view labeling vs worker count", EngineThroughput},
-		{"setquery", "Set-query plans (bitset-row scans) vs point-query loops", SetQuery},
-		{"live", "Per-step label latency and query throughput during live ingestion", LiveServing},
-		{"snapshot", "Loaded label snapshot vs freshly built labels, differential (needs -load)", SnapshotServing},
-		{"recovery", "Durable session resume latency vs checkpoint interval", Recovery},
-		{"service", "fvld network overhead: remote vs in-process ingestion and queries", ServiceOverhead},
 	}
 }
 
@@ -293,11 +281,10 @@ func measureQueries(vl *core.ViewLabel, pairs [][2]*core.DataLabel) (time.Durati
 // newRand builds a deterministic randomness source for one experiment step.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func fmtBits(b float64) string           { return fmt.Sprintf("%.1f", b) }
-func fmtKB(bits int) string              { return fmt.Sprintf("%.3f", float64(bits)/8.0/1024.0) }
-func fmtMs(d time.Duration) string       { return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000.0) }
-func fmtUs(d time.Duration) string       { return fmt.Sprintf("%.3f", float64(d.Nanoseconds())/1000.0) }
-func fmtRatio(r float64) string          { return fmt.Sprintf("%.2f", r) }
-func fmtCount(n int) string              { return fmt.Sprintf("%d", n) }
-func fmtSize(n int) string               { return fmt.Sprintf("%d", n) }
-func fmtDuration(d time.Duration) string { return d.String() }
+func fmtBits(b float64) string     { return fmt.Sprintf("%.1f", b) }
+func fmtKB(bits int) string        { return fmt.Sprintf("%.3f", float64(bits)/8.0/1024.0) }
+func fmtMs(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d.Microseconds())/1000.0) }
+func fmtUs(d time.Duration) string { return fmt.Sprintf("%.3f", float64(d.Nanoseconds())/1000.0) }
+func fmtRatio(r float64) string    { return fmt.Sprintf("%.2f", r) }
+func fmtCount(n int) string        { return fmt.Sprintf("%d", n) }
+func fmtSize(n int) string         { return fmt.Sprintf("%d", n) }

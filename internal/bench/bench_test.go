@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/labelstore"
-	"repro/internal/view"
-	"repro/internal/workloads"
 )
 
 // TestAllExperimentsRunOnQuickConfig executes every experiment of Section 6
@@ -96,6 +92,62 @@ func TestFig21ShapeFVLFlatDRLGrowing(t *testing.T) {
 	}
 }
 
+// TestFig19ShapeVariantLabelSizes checks Figure 19's ordering of the three
+// view-label variants for every view: the space-efficient label is at most
+// half the default one, and the default label is no larger than the
+// query-efficient one. Label sizes are deterministic, so no margin is needed
+// beyond the paper's factor.
+func TestFig19ShapeVariantLabelSizes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment harness test skipped in -short mode")
+	}
+	table, err := Fig19(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := map[string]map[string]float64{}
+	for _, row := range table.Rows {
+		if kb[row[0]] == nil {
+			kb[row[0]] = map[string]float64{}
+		}
+		kb[row[0]][row[1]] = mustFloat(t, row[2])
+	}
+	space, def, query := core.VariantSpaceEfficient.String(), core.VariantDefault.String(), core.VariantQueryEfficient.String()
+	for _, name := range []string{"small", "medium", "large"} {
+		sizes := kb[name]
+		if len(sizes) != 3 {
+			t.Fatalf("view %q: want one row per variant, got %v", name, sizes)
+		}
+		if sizes[space] > sizes[def]/2 {
+			t.Errorf("view %q: space-efficient label %v KB exceeds half the default label %v KB", name, sizes[space], sizes[def])
+		}
+		if sizes[def] > sizes[query] {
+			t.Errorf("view %q: default label %v KB exceeds the query-efficient label %v KB", name, sizes[def], sizes[query])
+		}
+	}
+}
+
+// TestFig24ShapeLabelsGrowWithNesting checks Figure 24: the average data
+// label length rises strictly with the nesting depth of the workflow, one
+// path element per level of the compressed parse tree.
+func TestFig24ShapeLabelsGrowWithNesting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment harness test skipped in -short mode")
+	}
+	table, err := Fig24(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for _, row := range table.Rows {
+		bits := mustFloat(t, row[1])
+		if bits <= prev {
+			t.Fatalf("depth %s: average label %v bits does not exceed the shallower depth's %v bits", row[0], bits, prev)
+		}
+		prev = bits
+	}
+}
+
 func mustFloat(t *testing.T, s string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
@@ -105,55 +157,6 @@ func mustFloat(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestSnapshotServingOnRealSnapshot writes a snapshot the way wflabel
-// -snapshot does and runs the differential snapshot experiment against it.
-func TestSnapshotServingOnRealSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment harness test skipped in -short mode")
-	}
-	spec := workloads.PaperExample()
-	scheme, err := core.NewScheme(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sec, err := workloads.PaperSecurityView(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var labels []*core.ViewLabel
-	for _, v := range []*view.View{view.Default(spec), sec} {
-		vl, err := scheme.LabelView(v, core.VariantQueryEfficient)
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels = append(labels, vl)
-	}
-	path := filepath.Join(t.TempDir(), "labels.fvl")
-	if err := labelstore.SaveFile(path, scheme, labels); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := QuickConfig()
-	cfg.SnapshotPath = path
-	table, err := SnapshotServing(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != len(labels) {
-		t.Fatalf("expected one row per label, got %d", len(table.Rows))
-	}
-	for _, row := range table.Rows {
-		if row[len(row)-1] != "identical" {
-			t.Fatalf("row %v did not verify as identical", row)
-		}
-	}
-
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "missing.fvl")
-	if _, err := SnapshotServing(cfg); err == nil {
-		t.Fatal("a missing snapshot file must fail the experiment")
-	}
-}
-
 func TestLookup(t *testing.T) {
 	if _, ok := Lookup("fig17"); !ok {
 		t.Fatalf("fig17 must be registered")
@@ -161,7 +164,7 @@ func TestLookup(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Fatalf("unknown experiment must not resolve")
 	}
-	if len(All()) != 16 {
-		t.Fatalf("expected 16 experiments (9 figures + table 1 + engine + setquery + live + snapshot + recovery + service), got %d", len(All()))
+	if len(All()) != 11 {
+		t.Fatalf("expected 11 experiments (fig17..fig25 + table1 + engine), got %d", len(All()))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -16,16 +17,17 @@ import (
 
 var allVariants = []core.Variant{core.VariantSpaceEfficient, core.VariantDefault, core.VariantQueryEfficient}
 
-// saveLoad round-trips a snapshot through an in-memory buffer.
+// saveLoad round-trips a snapshot through a file, the way wflabel
+// -snapshot writes it and wfcheck -load reads it back.
 func saveLoad(t *testing.T, scheme *core.Scheme, labels []*core.ViewLabel) *labelstore.Snapshot {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := labelstore.Save(&buf, scheme, labels); err != nil {
-		t.Fatalf("Save: %v", err)
+	path := filepath.Join(t.TempDir(), "labels.fvl")
+	if err := labelstore.SaveFile(path, scheme, labels); err != nil {
+		t.Fatalf("SaveFile: %v", err)
 	}
-	snap, err := labelstore.Load(&buf)
+	snap, err := labelstore.LoadFile(path)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadFile: %v", err)
 	}
 	if len(snap.Labels) != len(labels) {
 		t.Fatalf("loaded %d labels, saved %d", len(snap.Labels), len(labels))
@@ -294,7 +296,7 @@ func TestSaveRejectsDuplicateViewNames(t *testing.T) {
 
 // TestLoadRejectsCorruptedSnapshots flips, truncates and extends a valid
 // snapshot and requires Load to fail cleanly on every mutation — the
-// deterministic cousin of FuzzLoad.
+// deterministic cousin of FuzzLoad — and LoadFile to fail on a missing file.
 func TestLoadRejectsCorruptedSnapshots(t *testing.T) {
 	spec := workloads.PaperExample()
 	scheme, err := core.NewScheme(spec)
@@ -337,5 +339,8 @@ func TestLoadRejectsCorruptedSnapshots(t *testing.T) {
 	}
 	if _, err := labelstore.LoadBytes([]byte("not a snapshot at all")); err == nil {
 		t.Fatal("garbage snapshot accepted")
+	}
+	if _, err := labelstore.LoadFile(filepath.Join(t.TempDir(), "missing.fvl")); err == nil {
+		t.Fatal("a missing snapshot file loaded without error")
 	}
 }
