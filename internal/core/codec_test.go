@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/view"
 	"repro/internal/workloads"
 )
 
@@ -365,6 +367,9 @@ func rawNonCanonicalSharedPrefix(t *testing.T) struct {
 // FuzzCodecDecode feeds arbitrary bytes to Decode: it must return an error
 // or a label, never panic — and since Decode accepts exactly Encode's
 // image, an accepted label must re-encode to the identical bit stream.
+// Queried against a fixed valid label in either direction, an accepted label
+// must also get the same answer, or an error on both sides, from a bare
+// space-efficient query and from one served by a long-lived plan.
 func FuzzCodecDecode(f *testing.F) {
 	spec := workloads.PaperExample()
 	scheme, err := core.NewScheme(spec)
@@ -379,6 +384,37 @@ func FuzzCodecDecode(f *testing.F) {
 	}
 	f.Add([]byte{0xFF, 0xFF}, 16)
 	f.Add([]byte{}, 0)
+
+	r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 120, Rand: rand.New(rand.NewSource(7))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var fixed *core.DataLabel
+	for id := 1; id <= labeler.Count(); id++ {
+		d, _ := labeler.Label(id)
+		if d.In != nil && d.Out != nil && fixed == nil {
+			fixed = d
+		}
+		if id%15 == 0 {
+			buf, nbits := codec.Encode(d)
+			f.Add(buf, nbits)
+		}
+	}
+	vl, err := scheme.LabelView(view.Default(spec), core.VariantSpaceEfficient)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// One plan serves every input, so a slot filled by one query is hit by
+	// the next; the mutex keeps the session goroutine-confined.
+	var mu sync.Mutex
+	planned := core.NewQuerySession()
+	planned.EnsurePlan(nil)
+	f.Cleanup(planned.Close)
+
 	f.Fuzz(func(t *testing.T, buf []byte, nbit int) {
 		d, err := codec.Decode(buf, nbit)
 		if err != nil {
@@ -394,6 +430,15 @@ func FuzzCodecDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(normalize(d), normalize(d2)) {
 			t.Fatalf("re-encode round trip changed the label: %v -> %v", d, d2)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, pair := range [][2]*core.DataLabel{{d, fixed}, {fixed, d}} {
+			want, wantErr := vl.DependsOn(pair[0], pair[1])
+			got, gotErr := planned.DependsOn(vl, pair[0], pair[1])
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("DependsOn(%v, %v): plan-attached (%v, %v), bare (%v, %v)", pair[0], pair[1], got, gotErr, want, wantErr)
+			}
 		}
 	})
 }

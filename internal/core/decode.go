@@ -51,13 +51,30 @@ func (vl *ViewLabel) mulInto(dst, a, b *boolmat.Matrix) *boolmat.Matrix {
 	return boolmat.MulInto(dst, a, b)
 }
 
-// mulScratch multiplies a x b into a fresh scratch slot of the query
-// context. Distinct calls use distinct slots, so earlier intermediate
-// results of the same query are never clobbered.
-func (vl *ViewLabel) mulScratch(qc *queryCtx, a, b *boolmat.Matrix) *boolmat.Matrix {
-	i := qc.take()
-	qc.scratch[i] = vl.mulInto(qc.scratch[i], a, b)
-	return qc.scratch[i]
+// mulChain multiplies the factors left to right, each product into a fresh
+// scratch slot of the query context, so earlier intermediate results of the
+// same query are never clobbered. Data labels are untrusted: factors whose
+// dimensions do not conform — a path whose edges do not follow one another
+// in the grammar — are an error, not a panic.
+func (vl *ViewLabel) mulChain(qc *queryCtx, factors ...*boolmat.Matrix) (*boolmat.Matrix, error) {
+	result := factors[0]
+	for _, m := range factors[1:] {
+		if err := conform(result, m); err != nil {
+			return nil, err
+		}
+		i := qc.take()
+		qc.scratch[i] = vl.mulInto(qc.scratch[i], result, m)
+		result = qc.scratch[i]
+	}
+	return result, nil
+}
+
+// conform checks that a x b is defined.
+func conform(a, b *boolmat.Matrix) error {
+	if a.Cols() != b.Rows() {
+		return fmt.Errorf("core: inconsistent data labels: cannot chain a %dx%d reachability matrix with a %dx%d one", a.Rows(), a.Cols(), b.Rows(), b.Cols())
+	}
+	return nil
 }
 
 // chainProduct folds a sequence of edge matrices left to right, ping-ponging
@@ -78,6 +95,9 @@ func (vl *ViewLabel) chainProduct(qc *queryCtx, path []EdgeLabel, from int, outp
 	for _, e := range path[from+1:] {
 		m, err := vl.edgeMatrix(qc, e, outputs)
 		if err != nil {
+			return nil, err
+		}
+		if err := conform(result, m); err != nil {
 			return nil, err
 		}
 		qc.scratch[bufs[cur]] = vl.mulInto(qc.scratch[bufs[cur]], result, m)
@@ -271,9 +291,7 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 		if err != nil {
 			return nil, err
 		}
-		ot := qc.transpose(o)
-		t1 := vl.mulScratch(qc, ot, z)
-		return vl.mulScratch(qc, t1, in), nil
+		return vl.mulChain(qc, qc.transpose(o), z, in)
 	}
 
 	// Case 2b: the least common ancestor is a recursive node.
@@ -322,10 +340,7 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 		if err != nil {
 			return nil, err
 		}
-		ot := qc.transpose(o)
-		t1 := vl.mulScratch(qc, ot, z)
-		t2 := vl.mulScratch(qc, t1, iChain)
-		return vl.mulScratch(qc, t2, in), nil
+		return vl.mulChain(qc, qc.transpose(o), z, iChain, in)
 
 	case i > j:
 		// The producing port lives in a later (more deeply nested) unfolding
@@ -364,10 +379,7 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 		if err != nil {
 			return nil, err
 		}
-		ot := qc.transpose(o)
-		t1 := vl.mulScratch(qc, ot, qc.transpose(oChain))
-		t2 := vl.mulScratch(qc, t1, z)
-		return vl.mulScratch(qc, t2, in), nil
+		return vl.mulChain(qc, qc.transpose(o), qc.transpose(oChain), z, in)
 
 	default:
 		return nil, fmt.Errorf("core: inconsistent data labels: identical recursive edges %v treated as divergent", el)

@@ -412,7 +412,8 @@ func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 	// Data labels are untrusted input: an edge whose production is included
 	// in the view but whose node index is out of range must yield an error,
 	// not an out-of-range panic — on the materialized paths and on the
-	// graph-search (space-efficient) path alike.
+	// graph-search (space-efficient) path alike, with and without a plan
+	// whose edge-matrix slots are indexed by the label's (k, i).
 	spec := workloads.PaperExample()
 	scheme, err := core.NewScheme(spec)
 	if err != nil {
@@ -435,14 +436,18 @@ func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 	if initial == nil || final == nil || mid == nil {
 		t.Fatal("run lacks an initial input, a final output or a suitable intermediate item")
 	}
-	corrupt := func(p *core.PortLabel) {
+	corrupt := func(p *core.PortLabel, node int) {
 		last := p.Path[len(p.Path)-1]
-		p.Path[len(p.Path)-1] = core.NonRecursiveEdge(last.K, 99)
+		p.Path[len(p.Path)-1] = core.NonRecursiveEdge(last.K, node)
 	}
-	badIn := mid.Clone()
-	corrupt(badIn.In)
-	badOut := mid.Clone()
-	corrupt(badOut.Out)
+	var badIns, badOuts []*core.DataLabel
+	for _, node := range []int{0, 99} {
+		badIn := mid.Clone()
+		corrupt(badIn.In, node)
+		badOut := mid.Clone()
+		corrupt(badOut.Out, node)
+		badIns, badOuts = append(badIns, badIn), append(badOuts, badOut)
+	}
 
 	// A recursive edge with a cycle offset of 0 (the run labeler emits only
 	// 1-based offsets) must be rejected by the visibility check rather than
@@ -468,22 +473,44 @@ func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 		t.Fatal("no item with a recursive edge in its consuming path")
 	}
 
+	planned := core.NewQuerySession()
+	defer planned.Close()
+	planned.EnsurePlan(nil)
+	askers := []struct {
+		name string
+		ask  func(vl *core.ViewLabel, d1, d2 *core.DataLabel) (bool, error)
+	}{
+		{"bare", (*core.ViewLabel).DependsOn},
+		{"plan", planned.DependsOn},
+	}
 	for _, variant := range allVariants {
 		vl, err := scheme.LabelView(view.Default(spec), variant)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, label := range []*core.ViewLabel{vl, vl.WithMatrixFree()} {
-			// Case III chains the I matrices along the whole corrupted path.
-			if _, err := label.DependsOn(initial, badIn); err == nil {
-				t.Fatalf("variant %v accepted a consuming path with node index 99", variant)
-			}
-			// Case IV chains the O matrices along the whole corrupted path.
-			if _, err := label.DependsOn(badOut, final); err == nil {
-				t.Fatalf("variant %v accepted a producing path with node index 99", variant)
-			}
-			if _, err := label.DependsOn(initial, badRec); err == nil {
-				t.Fatalf("variant %v accepted a recursive edge with offset 0", variant)
+			for _, a := range askers {
+				// Valid queries first, so the plan's slots for the corrupted
+				// edges' productions are already filled.
+				if _, err := a.ask(label, initial, mid); err != nil {
+					t.Fatalf("%s, variant %v: %v", a.name, variant, err)
+				}
+				if _, err := a.ask(label, mid, final); err != nil {
+					t.Fatalf("%s, variant %v: %v", a.name, variant, err)
+				}
+				for b := range badIns {
+					// Case III chains the I matrices along the whole corrupted path.
+					if _, err := a.ask(label, initial, badIns[b]); err == nil {
+						t.Fatalf("%s, variant %v accepted a consuming path ending in %v", a.name, variant, badIns[b].In)
+					}
+					// Case IV chains the O matrices along the whole corrupted path.
+					if _, err := a.ask(label, badOuts[b], final); err == nil {
+						t.Fatalf("%s, variant %v accepted a producing path ending in %v", a.name, variant, badOuts[b].Out)
+					}
+				}
+				if _, err := a.ask(label, initial, badRec); err == nil {
+					t.Fatalf("%s, variant %v accepted a recursive edge with offset 0", a.name, variant)
+				}
 			}
 		}
 	}

@@ -1,24 +1,21 @@
 package core
 
-import (
-	"repro/internal/boolmat"
-	"repro/internal/safety"
-)
+import "repro/internal/boolmat"
 
-// PlanCache is the plan-scoped promotion of the per-query closure memo: one
+// PlanCache is the plan-scoped counterpart of the per-query closure memo: one
 // cache shared by every query a plan (or a worker's whole batch) executes, so
-// a plan never recomputes a closure, a recursion chain, a chain product, or a
-// path-visibility check it has already paid for. It is keyed to one
-// ItemIndex — i.e. one pinned step prefix (epoch) of one run — because the
-// node IDs of the cached products and visibility bits are only meaningful
-// against that index.
+// a plan never recomputes an I, O or Z matrix, a recursion chain, a chain
+// product, or a path-visibility check it has already paid for. It is keyed to
+// one ItemIndex — i.e. one pinned step prefix (epoch) of one run — because
+// the node IDs of the cached products and visibility bits are only
+// meaningful against that index.
 //
 // Attaching a PlanCache is strictly opt-in (QuerySession.EnsurePlan). A bare
 // queryCtx keeps the query-state-honesty invariant of the Figure 20
-// experiment — closures born empty on every query — while an attached plan
-// deliberately amortizes them, which is exactly what the batch engine and the
-// set-query executor want: one worker's claim block charges the graph search
-// once, not per query.
+// experiment — closures born empty and edge matrices rebuilt on every query —
+// while an attached plan deliberately amortizes them, which is exactly what
+// the batch engine and the set-query executor want: one worker's claim block
+// charges the graph search once per production, not per query.
 //
 // The state is dense: one planLabel per view label, whose slices are indexed
 // by production, cycle offset or interned node ID, so a cache access on the
@@ -42,9 +39,10 @@ type PlanCache struct {
 
 // planLabel is a plan's cached state for one view label.
 type planLabel struct {
-	// closures amortizes the graph-search path of VariantSpaceEfficient,
+	// edges amortizes the graph-search path of VariantSpaceEfficient: every
+	// I, O and Z matrix of a production, materialized on its first use and
 	// indexed by 1-based production number.
-	closures []*safety.Closure
+	edges []*prodEdges
 
 	// chains holds the recursion chains of labels that carry no static ones
 	// (every variant but VariantQueryEfficient), built on first use and
@@ -111,13 +109,13 @@ func (pc *PlanCache) label(vl *ViewLabel) *planLabel {
 	return pl
 }
 
-// closureSlot returns the cache slot of production k's closure. k must be a
-// valid production of vl's specification.
-func (pl *planLabel) closureSlot(vl *ViewLabel, k int) **safety.Closure {
-	if pl.closures == nil {
-		pl.closures = make([]*safety.Closure, len(vl.included))
+// edgesSlot returns the cache slot of production k's edge matrices. k must
+// be a valid production of vl's specification.
+func (pl *planLabel) edgesSlot(vl *ViewLabel, k int) **prodEdges {
+	if pl.edges == nil {
+		pl.edges = make([]*prodEdges, len(vl.included))
 	}
-	return &pl.closures[k]
+	return &pl.edges[k]
 }
 
 // chainSlot returns the cache slot of the recursion chain of cycle s (1-based)

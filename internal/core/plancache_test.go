@@ -2,19 +2,22 @@ package core
 
 // Tests for the plan-scoped cache: the deliberate, opt-in inverse of the
 // query-state-honesty invariant checked by querystate_test.go. A bare context
-// drops closures every query; a context with a plan attached keeps them — and
-// the set-query scans additionally keep chain products and visibility bits —
-// for as long as the plan lives.
+// drops closures and rebuilds edge matrices every query; a context with a
+// plan attached keeps every I, O and Z matrix of the productions it touched —
+// and the set-query scans additionally keep chain products and visibility
+// bits — for as long as the plan lives.
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/boolmat"
 	"repro/internal/view"
 	"repro/internal/workloads"
 )
 
-// planEntry locates one object a plan caches: a closure (production k), a
+// planEntry locates one object a plan caches: an edge matrix (kind "I" or
+// "O" at production k, node i; kind "Z" at production k, nodes i < j), a
 // recursion chain (cycle s, offset t, side) or a chain product (node, side,
 // from) of one label.
 type planEntry struct {
@@ -23,15 +26,22 @@ type planEntry struct {
 	a, b, c int
 }
 
-// planEntries snapshots every closure, recursion chain and chain product a
-// plan holds, each mapped to the cached object, so probes can check both
+// planEntries snapshots every edge matrix, recursion chain and chain product
+// a plan holds, each mapped to the cached object, so probes can check both
 // that nothing new was cached and that nothing cached was recomputed.
 func planEntries(pc *PlanCache) map[planEntry]any {
 	out := map[planEntry]any{}
 	for vl, pl := range pc.labels {
-		for k, cl := range pl.closures {
-			if cl != nil {
-				out[planEntry{vl, "closure", k, 0, 0}] = cl
+		for k, pe := range pl.edges {
+			if pe == nil {
+				continue
+			}
+			for i := 1; i <= pe.n; i++ {
+				out[planEntry{vl, "I", k, i, 0}] = pe.in[i-1]
+				out[planEntry{vl, "O", k, i, 0}] = pe.out[i-1]
+				for j := i + 1; j <= pe.n; j++ {
+					out[planEntry{vl, "Z", k, i, j}] = pe.z(i, j)
+				}
 			}
 		}
 		for side, cycles := range pl.chains {
@@ -67,6 +77,16 @@ func countEntries(entries map[planEntry]any, kind string) int {
 	return n
 }
 
+// assertEdgeMatricesCached fails unless the plan holds I, O and Z matrices.
+func assertEdgeMatricesCached(t *testing.T, entries map[planEntry]any) {
+	t.Helper()
+	for _, kind := range []string{"I", "O", "Z"} {
+		if countEntries(entries, kind) == 0 {
+			t.Fatalf("plan cache holds no %s matrix", kind)
+		}
+	}
+}
+
 // visibilityBits counts the node visibility bits a plan has computed.
 func visibilityBits(pc *PlanCache) int {
 	n := 0
@@ -91,7 +111,7 @@ func assertNothingRecomputed(t *testing.T, before, after map[planEntry]any) {
 	}
 }
 
-func TestPlanAttachedContextReusesClosuresAcrossQueries(t *testing.T) {
+func TestPlanAttachedContextReusesEdgeMatricesAcrossQueries(t *testing.T) {
 	vl, l1, l2 := spaceEfficientQuery(t)
 	s := NewQuerySession()
 	defer s.Close()
@@ -100,15 +120,17 @@ func TestPlanAttachedContextReusesClosuresAcrossQueries(t *testing.T) {
 		t.Fatalf("first query: %v", err)
 	}
 	captured := planEntries(pc)
-	if countEntries(captured, "closure") == 0 {
-		t.Fatal("plan cache did not capture the first query's closures")
-	}
+	assertEdgeMatricesCached(t, captured)
 	if _, err := s.DependsOn(vl, l1, l2); err != nil {
 		t.Fatalf("second query: %v", err)
 	}
-	assertNothingRecomputed(t, captured, planEntries(pc))
+	again := planEntries(pc)
+	assertNothingRecomputed(t, captured, again)
+	if len(again) != len(captured) {
+		t.Fatalf("second query grew the plan from %d to %d entries", len(captured), len(again))
+	}
 	if len(s.qc.closures) != 0 {
-		t.Fatal("per-query memo must stay empty while a plan serves closures")
+		t.Fatal("per-query memo must stay empty while a plan serves edge matrices")
 	}
 }
 
@@ -136,11 +158,60 @@ func TestPlanAttachedPointQueriesAllocateLessThanHonestOnes(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if planAllocs >= honestAllocs {
-		t.Fatalf("plan-attached query allocates %.0f/op, honest query %.0f/op — the plan cache saved nothing",
-			planAllocs, honestAllocs)
-	}
 	t.Logf("space-efficient point query: %.0f allocs/op honest, %.0f allocs/op plan-attached", honestAllocs, planAllocs)
+	if planAllocs != 0 {
+		t.Fatalf("warmed plan-attached query allocates %.0f/op, want 0", planAllocs)
+	}
+	if honestAllocs == 0 {
+		t.Fatal("honest query allocates nothing: it no longer rebuilds its edge matrices")
+	}
+}
+
+// TestPlanAttachedDepsRowAllocatesOnlyTheAnswer checks the set scan's steady
+// state: once every target has been scanned, a DepsRow call allocates its
+// answer row and nothing else, however many source groups the index has.
+func TestPlanAttachedDepsRowAllocatesOnlyTheAnswer(t *testing.T) {
+	spec := workloads.BioAID()
+	scheme, err := NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vl, err := scheme.LabelView(view.Default(spec), VariantSpaceEfficient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{60, 600} {
+		r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: size, Rand: rand.New(rand.NewSource(9))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		labeler, err := scheme.LabelRun(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := BuildItemIndex(0, labeler.Count(), labeler.Label)
+		answer := testing.AllocsPerRun(20, func() { boolmat.New(1, idx.Items()+1) })
+		s := NewQuerySession()
+		s.EnsurePlan(idx)
+		for x := 1; x <= idx.Items(); x++ {
+			if _, err := s.DepsRow(vl, idx, x); err != nil {
+				t.Fatalf("depsRow(%d): %v", x, err)
+			}
+		}
+		for x := 1; x <= idx.Items(); x++ {
+			got := testing.AllocsPerRun(5, func() {
+				if _, err := s.DepsRow(vl, idx, x); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != answer {
+				t.Fatalf("%d items, %d source groups: warmed depsRow(%d) allocates %.0f/op, want %.0f (the answer row)",
+					idx.Items(), len(idx.srcGroups), x, got, answer)
+			}
+		}
+		t.Logf("%d items, %d source groups: warmed depsRow allocates %.0f/op", idx.Items(), len(idx.srcGroups), answer)
+		s.Close()
+	}
 }
 
 func TestEnsurePlanKeepsAndReplacesByIndex(t *testing.T) {

@@ -5,11 +5,11 @@ import "sync"
 // PlanShare is the epoch-keyed exchange of plan-scoped caches: idle
 // PlanCaches, keyed by the ItemIndex (one pinned step prefix — one epoch of
 // one run) they were built against, handed from one query session to the
-// next. PR 8 attached one PlanCache per engine worker, so a worker's share
-// of a batch amortized closures, chain products and visibility rows; the
+// next. Each engine worker holds one PlanCache, so a worker's share of a
+// batch amortizes edge matrices, chain products and visibility rows; the
 // share extends the amortization across batches and across sessions — the
-// second batch at the same epoch starts with every closure and chain product
-// the first one paid for.
+// second batch at the same epoch starts with every edge matrix and chain
+// product the first one paid for.
 //
 // A PlanCache itself stays confined to one QuerySession (its maps are
 // unlocked); the share never lets two sessions hold the same cache at once.
@@ -19,8 +19,8 @@ import "sync"
 // Caches are keyed by ItemIndex identity, not epoch number: node IDs and
 // item rows cached by a plan are only meaningful against the exact index
 // that minted them, and two runs at the same epoch number are different
-// universes. Index-free caches (closures only — closures never depend on the
-// item universe) share under the nil key. The zero value is ready to use.
+// universes. Index-free caches (edge matrices and recursion chains only —
+// neither depends on the item universe) share under the nil key. The zero value is ready to use.
 type PlanShare struct {
 	mu sync.Mutex
 
@@ -85,7 +85,7 @@ func (ps *PlanShare) Release(pc *PlanCache) {
 
 // admit records a (possibly new) index, evicting the oldest index — and its
 // idle caches — once more than maxShareIndexes are tracked. The nil key is
-// never evicted: index-free closures stay valid forever.
+// never evicted: index-free edge matrices stay valid forever.
 func (ps *PlanShare) admit(idx *ItemIndex) {
 	if idx == nil || ps.tracked(idx) {
 		return

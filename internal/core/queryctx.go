@@ -25,20 +25,22 @@ import (
 // experiment.
 //
 // The invariant can be relaxed deliberately: a context with a PlanCache
-// attached (QuerySession.EnsurePlan) routes closureFor through the plan's
-// epoch-keyed cache instead, which survives begin — that is the amortization
-// the batch engine and the set-query plans opt into.
+// attached (QuerySession.EnsurePlan) serves the I, O and Z matrices from the
+// plan's cache instead, which survives begin and never touches the closure
+// memo — that is the amortization the batch engine and the set-query plans
+// opt into.
 type queryCtx struct {
 	// closures caches on-the-fly port closures within one query so a single
 	// query does not recompute the same production twice. It is only ever
-	// populated on the graph-search path (closureFor), i.e. when the
-	// materialized matrices are absent — in practice VariantSpaceEfficient.
+	// populated on the plan-free graph-search path (closureFor), i.e. when
+	// the materialized matrices are absent — in practice
+	// VariantSpaceEfficient — and no plan is attached.
 	closures map[int]*safety.Closure
 
-	// plan, when non-nil, is the plan-scoped cache closures and recursion
-	// chains (and the set-query scans' chain products and visibility bits)
-	// are served from instead of being recomputed per query. begin never
-	// touches it.
+	// plan, when non-nil, is the plan-scoped cache the I, O and Z matrices
+	// and recursion chains (and the set-query scans' chain products and
+	// visibility bits) are served from instead of being recomputed per
+	// query. begin never touches it.
 	plan *PlanCache
 
 	// scratch is a bump-allocated arena of matrices: every take returns a
@@ -120,14 +122,13 @@ func (s *QuerySession) DependsOn(vl *ViewLabel, d1, d2 *DataLabel) (bool, error)
 }
 
 // EnsurePlan attaches a plan-scoped cache to the session and returns it:
-// closures and recursion chains (and, with a non-nil index, the set-query
-// scans' chain products and visibility bits) are then amortized across every
-// query the session answers, instead of being recomputed per query. Passing
-// nil keeps whatever plan is already attached (or attaches an index-free
-// one, which amortizes closures and recursion chains only); passing an
-// index replaces a plan keyed to a different
-// index, because node IDs and item rows are only meaningful against the
-// index that minted them.
+// edge matrices and recursion chains (and, with a non-nil index, the
+// set-query scans' chain products and visibility bits) are then amortized
+// across every query the session answers, instead of being recomputed per
+// query. Passing nil keeps whatever plan is already attached (or attaches an
+// index-free one, which amortizes edge matrices and recursion chains only);
+// passing an index replaces a plan keyed to a different index, because node
+// IDs and item rows are only meaningful against the index that minted them.
 //
 // The attached plan lives until Close or the next index switch; a session
 // drawn fresh from the pool always starts without one, so plain DependsOn

@@ -137,9 +137,10 @@ func TestMaterializedVariantQueriesNeverTouchClosures(t *testing.T) {
 }
 
 // TestPlanFreeRecursiveQueriesRebuildChainsEveryTime extends the invariant to
-// recursion chains: a plan caches the chain of a recursive edge, but a bare
-// session must rebuild it on every query. Asked twice, a recursive-edge
-// query allocates the same both times and leaves no chain anywhere, so
+// recursion chains and edge matrices: a plan caches the chain of a recursive
+// edge and every I, O and Z matrix it touches, but a bare session must
+// rebuild them on every query. Asked twice, a recursive-edge query allocates
+// the same both times and leaves no chain and no edge matrix anywhere, so
 // Figure 20's per-query charge cannot silently drop.
 func TestPlanFreeRecursiveQueriesRebuildChainsEveryTime(t *testing.T) {
 	spec := workloads.BioAID()
@@ -200,6 +201,9 @@ func TestPlanFreeRecursiveQueriesRebuildChainsEveryTime(t *testing.T) {
 	if bare.qc.plan != nil || vl.inRec != nil || vl.outRec != nil {
 		t.Fatal("a bare query left a recursion chain behind")
 	}
+	if vl.iMat != nil || vl.oMat != nil || vl.zMat != nil {
+		t.Fatal("a bare query left an edge matrix in the view label")
+	}
 
 	// The same query through a plan builds the chain once and then reuses
 	// it — proof that the query above really resolves a recursion chain.
@@ -207,9 +211,11 @@ func TestPlanFreeRecursiveQueriesRebuildChainsEveryTime(t *testing.T) {
 	defer planned.Close()
 	pc := planned.EnsurePlan(nil)
 	warm := testing.AllocsPerRun(1, query(planned))
-	if countEntries(planEntries(pc), "chain") == 0 {
+	cached := planEntries(pc)
+	if countEntries(cached, "chain") == 0 {
 		t.Fatal("the recursive-edge query built no recursion chain into the plan")
 	}
+	assertEdgeMatricesCached(t, cached)
 	if warm >= first {
 		t.Fatalf("plan-attached query allocates %.0f, bare %.0f: the plan saved nothing", warm, first)
 	}

@@ -175,15 +175,12 @@ func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
 			// matrices are never needed by visible data labels.
 			continue
 		}
-		p := s.Spec.Grammar.Productions[k-1]
-		n := len(p.RHS.Nodes)
-		for i := 1; i <= n; i++ {
-			vl.iMat[[2]int{k, i}] = cl.InputsTo(i - 1)
-			vl.oMat[[2]int{k, i}] = cl.OutputsTo(i - 1)
-		}
-		for i := 1; i <= n; i++ {
-			for j := i + 1; j <= n; j++ {
-				vl.zMat[[3]int{k, i, j}] = cl.Between(i-1, j-1)
+		pe := vl.newProdEdges(k, cl)
+		for i := 1; i <= pe.n; i++ {
+			vl.iMat[[2]int{k, i}] = pe.in[i-1]
+			vl.oMat[[2]int{k, i}] = pe.out[i-1]
+			for j := i + 1; j <= pe.n; j++ {
+				vl.zMat[[3]int{k, i, j}] = pe.z(i, j)
 			}
 		}
 	}
@@ -193,6 +190,38 @@ func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
 		}
 	}
 	return vl, nil
+}
+
+// prodEdges holds the I, O and Z matrices of one production's right-hand side
+// (Section 4.3): in[i-1] is I(k, i), out[i-1] is O(k, i) and z(i, j) is
+// Z(k, i, j) for i < j.
+type prodEdges struct {
+	n       int               // right-hand-side nodes
+	in, out []*boolmat.Matrix // by 0-based node
+	between []*boolmat.Matrix // Z(k, i, j) at (i-1)*n + j-1, nil for i >= j
+}
+
+// z returns Z(k, i, j) for 1 <= i < j <= n.
+func (pe *prodEdges) z(i, j int) *boolmat.Matrix { return pe.between[(i-1)*pe.n+j-1] }
+
+// newProdEdges reads every I, O and Z matrix of production k off cl, the
+// port closure of k's right-hand side under λ*′.
+func (vl *ViewLabel) newProdEdges(k int, cl *safety.Closure) *prodEdges {
+	n := len(vl.scheme.Spec.Grammar.Productions[k-1].RHS.Nodes)
+	pe := &prodEdges{
+		n:       n,
+		in:      make([]*boolmat.Matrix, n),
+		out:     make([]*boolmat.Matrix, n),
+		between: make([]*boolmat.Matrix, n*n),
+	}
+	for i := 0; i < n; i++ {
+		pe.in[i] = cl.InputsTo(i)
+		pe.out[i] = cl.OutputsTo(i)
+		for j := i + 1; j < n; j++ {
+			pe.between[i*n+j] = cl.Between(i, j)
+		}
+	}
+	return pe
 }
 
 // buildRecursionCaches materializes, for every cycle of the production graph
@@ -255,8 +284,8 @@ func (vl *ViewLabel) cycleIncluded(c prodgraph.Cycle) bool {
 // buildChain computes the recursion cache of cycle c at starting offset t:
 // the prefix products of one full turn and the periodic powers of the
 // full-turn product. The edge matrices come through qc, so on the
-// graph-search path the closures are the caller's (plan-scoped, when a plan
-// is attached). The returned chain owns every matrix it holds.
+// graph-search path they are the attached plan's cached ones. The returned
+// chain owns every matrix it holds.
 func (vl *ViewLabel) buildChain(qc *queryCtx, c prodgraph.Cycle, t int, outputs bool) (*recChain, error) {
 	l := c.Len()
 	mod, err := vl.scheme.moduleAtCycleOffset(c.Index, t)
@@ -292,9 +321,10 @@ func (vl *ViewLabel) StartDeps() *boolmat.Matrix { return vl.start.Clone() }
 
 // checkNode validates a 1-based node index of production k against the
 // production's right-hand side. Data labels are untrusted input to the
-// decoder, so indices must be checked before they reach a closure or the
-// grammar's node list (a map lookup in the materialized matrices catches
-// them for free, but the graph-search path would index out of range).
+// decoder, so indices must be checked before they reach a closure, a plan's
+// edge-matrix slots or the grammar's node list (a map lookup in the
+// materialized matrices catches them for free, but the graph-search path
+// would index out of range).
 // checkNode must only be called with an included (hence valid) k.
 func (vl *ViewLabel) checkNode(k, i int) error {
 	if n := len(vl.scheme.Spec.Grammar.Productions[k-1].RHS.Nodes); i < 1 || i > n {
@@ -319,6 +349,13 @@ func (vl *ViewLabel) edgeI(qc *queryCtx, k, i int) (*boolmat.Matrix, error) {
 		}
 		return nil, fmt.Errorf("core: I(%d,%d) is undefined in view %q", k, i, vl.view.Name)
 	}
+	if qc.plan != nil {
+		pe, err := vl.planEdges(qc, k)
+		if err != nil {
+			return nil, err
+		}
+		return pe.in[i-1], nil
+	}
 	cl, err := vl.closureFor(qc, k)
 	if err != nil {
 		return nil, err
@@ -340,6 +377,13 @@ func (vl *ViewLabel) edgeO(qc *queryCtx, k, i int) (*boolmat.Matrix, error) {
 			return m, nil
 		}
 		return nil, fmt.Errorf("core: O(%d,%d) is undefined in view %q", k, i, vl.view.Name)
+	}
+	if qc.plan != nil {
+		pe, err := vl.planEdges(qc, k)
+		if err != nil {
+			return nil, err
+		}
+		return pe.out[i-1], nil
 	}
 	cl, err := vl.closureFor(qc, k)
 	if err != nil {
@@ -381,6 +425,13 @@ func (vl *ViewLabel) edgeZ(qc *queryCtx, k, i, j int) (*boolmat.Matrix, error) {
 		}
 		return nil, fmt.Errorf("core: Z(%d,%d,%d) is undefined in view %q", k, i, j, vl.view.Name)
 	}
+	if qc.plan != nil {
+		pe, err := vl.planEdges(qc, k)
+		if err != nil {
+			return nil, err
+		}
+		return pe.z(i, j), nil
+	}
 	cl, err := vl.closureFor(qc, k)
 	if err != nil {
 		return nil, err
@@ -388,35 +439,48 @@ func (vl *ViewLabel) edgeZ(qc *queryCtx, k, i, j int) (*boolmat.Matrix, error) {
 	return cl.Between(i-1, j-1), nil
 }
 
-// closureFor computes (and caches for the duration of one query — or, with a
-// plan cache attached, for the lifetime of the plan) the port closure of a
-// production's right-hand side under λ*′. This is the graph-search path of
-// VariantSpaceEfficient; the materialized variants never reach it, so their
-// queries write nothing at all.
-func (vl *ViewLabel) closureFor(qc *queryCtx, k int) (*safety.Closure, error) {
-	var slot **safety.Closure
-	if qc.plan != nil {
-		slot = qc.plan.label(vl).closureSlot(vl, k)
-		if *slot != nil {
-			return *slot, nil
+// planEdges returns production k's I, O and Z matrices from the plan attached
+// to qc, materializing all of them on the production's first use. This is the
+// graph-search path of VariantSpaceEfficient with the search amortized over
+// the plan's lifetime; the closure it reads the matrices off is dropped once
+// they are built. k must be included in the view.
+func (vl *ViewLabel) planEdges(qc *queryCtx, k int) (*prodEdges, error) {
+	slot := qc.plan.label(vl).edgesSlot(vl, k)
+	if *slot == nil {
+		cl, err := vl.newClosure(k)
+		if err != nil {
+			return nil, err
 		}
-	} else if cl, ok := qc.closures[k]; ok {
+		*slot = vl.newProdEdges(k, cl)
+	}
+	return *slot, nil
+}
+
+// closureFor computes, and caches for the duration of one query, the port
+// closure of a production's right-hand side under λ*′. This is the
+// graph-search path of a plan-free VariantSpaceEfficient query, which
+// rebuilds every I, O and Z matrix it touches; the materialized variants
+// never reach it, so their queries write nothing at all.
+func (vl *ViewLabel) closureFor(qc *queryCtx, k int) (*safety.Closure, error) {
+	if cl, ok := qc.closures[k]; ok {
 		return cl, nil
 	}
-	p := vl.scheme.Spec.Grammar.Productions[k-1]
-	cl, err := safety.NewClosure(vl.scheme.Spec.Grammar, p.RHS, vl.full)
+	cl, err := vl.newClosure(k)
 	if err != nil {
 		return nil, err
-	}
-	if slot != nil {
-		*slot = cl
-		return cl, nil
 	}
 	if qc.closures == nil {
 		qc.closures = map[int]*safety.Closure{}
 	}
 	qc.closures[k] = cl
 	return cl, nil
+}
+
+// newClosure computes the port closure of production k's right-hand side
+// under λ*′.
+func (vl *ViewLabel) newClosure(k int) (*safety.Closure, error) {
+	p := vl.scheme.Spec.Grammar.Productions[k-1]
+	return safety.NewClosure(vl.scheme.Spec.Grammar, p.RHS, vl.full)
 }
 
 // edgeMatrix implements procedures Inputs and Outputs of Algorithm 1: given

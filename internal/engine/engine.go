@@ -147,7 +147,7 @@ type Engine struct {
 	workers int
 
 	// share hands each worker's plan-scoped cache to the next batch at the
-	// same pinned item index (epoch), so closures and chain products are
+	// same pinned item index (epoch), so edge matrices and chain products are
 	// computed once per epoch per label instead of once per batch. See
 	// core.PlanShare.
 	share core.PlanShare
@@ -182,7 +182,7 @@ func WorkerSweep(max int) []int {
 // worker holds one pooled query context with a plan-scoped cache attached
 // (core.QuerySession.EnsurePlan), so the matrix scratch storage is reused
 // across the worker's queries and the space-efficient variant's on-the-fly
-// closures are computed once per worker rather than once per query — the
+// edge matrices are computed once per worker rather than once per query — the
 // batch path deliberately opts out of the per-query honesty that bare
 // core.DependsOn calls keep for the Figure 20 experiment.
 func (e *Engine) DependsOnBatch(vl *core.ViewLabel, queries []Query) []Result {
@@ -308,7 +308,7 @@ func (e *Engine) serveClaims(ctx context.Context, idx *core.ItemIndex, n int, cu
 	s := core.NewQuerySession()
 	defer s.Close()
 	// One plan-scoped cache per worker, drawn from the engine's epoch-keyed
-	// share: closures (and, for set-query batches, chain products and
+	// share: edge matrices (and, for set-query batches, chain products and
 	// visibility rows) amortize across the worker's whole share of the batch
 	// — and, via the share, across every batch served at the same pinned
 	// index. DetachPlan returns whatever cache the worker ends

@@ -31,7 +31,7 @@ func (e *Engine) SetQueryBatch(cat query.Catalog, primaryView string, idx *core.
 // threaded — compilation is cheap and its errors are per-expression), then
 // executes the compiled plans over the worker pool via the same claim-block
 // loop the point-query batches use: one pooled query session per worker, each
-// with a plan-scoped cache keyed to idx, so closures, chain products and
+// with a plan-scoped cache keyed to idx, so edge matrices, chain products and
 // visibility rows amortize across the worker's whole share of the batch.
 // Cancellation matches DependsOnBatchContext: claim-block granularity,
 // partial results returned with an error wrapping faults.ErrCanceled.

@@ -53,8 +53,8 @@ func (v *Value) PairList() [][2]int {
 
 // Execute runs the plan against one pinned item universe using the given
 // query session. The session gets a plan-scoped cache attached (EnsurePlan),
-// so closures, chain products and visibility rows are amortized across every
-// leaf of the plan — and across subsequent plans executed on the same
+// so edge matrices, chain products and visibility rows are amortized across
+// every leaf of the plan — and across subsequent plans executed on the same
 // session. The session must be goroutine-confined as usual.
 //
 // Errors about the query's own targets (an unknown item ID, a target hidden
