@@ -216,20 +216,23 @@ func (s *Service) ExplainQuery(viewName string, q QueryExpr) (string, error) {
 }
 
 // sessionIndex caches the item index of the most recent pinned prefix so
-// consecutive set queries at the same epoch skip the rebuild. Guarded by a
-// mutex: queries come from arbitrary goroutines.
+// consecutive set queries at the same epoch skip the indexing. A new epoch
+// extends the cached index rather than rebuilding it: a live prefix's labels
+// are write-once over contiguous item IDs, so only the items produced since
+// the cached epoch are interned (core.ItemIndex.Extend). Every published
+// index stays immutable, so batches still running against an older epoch
+// are unaffected. The mutex makes this cache the lineage's single writer;
+// queries come from arbitrary goroutines.
 type sessionIndex struct {
-	mu    sync.Mutex
-	epoch uint64
-	idx   *core.ItemIndex
+	mu  sync.Mutex
+	idx *core.ItemIndex
 }
 
 func (c *sessionIndex) for_(epoch uint64, n int, label func(int) (*core.DataLabel, bool)) *core.ItemIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.idx == nil || c.epoch != epoch {
-		c.idx = core.BuildItemIndex(epoch, n, label)
-		c.epoch = epoch
+	if c.idx == nil || c.idx.Epoch() != epoch {
+		c.idx = c.idx.Extend(epoch, n, label)
 	}
 	return c.idx
 }
@@ -254,7 +257,8 @@ func (s *Session) Query(ctx context.Context, viewName string, q QueryExpr) (*Set
 // QueryBatch answers a batch of set queries against one pinned step prefix of
 // the live run, fanned out over the service's worker pool; answers[i]
 // corresponds to qs[i]. The item index over the prefix is cached per epoch,
-// so repeated batches between producer steps pay the indexing cost once.
+// so repeated batches between producer steps pay the indexing cost once, and
+// the first batch at a new epoch indexes only the items new since the last.
 func (s *Session) QueryBatch(ctx context.Context, viewName string, qs []QueryExpr) ([]SetAnswer, uint64, error) {
 	prefix := s.ls.Current()
 	idx := s.idx.for_(prefix.Epoch(), prefix.Items(), prefix.Label)

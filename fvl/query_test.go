@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -343,7 +344,10 @@ func setIntersect(a, b []int) []int {
 // TestLiveSetQueriesMatchPointQueryOracle runs the same differential oracle
 // against the live surface: a session is driven partway through a BioAID
 // run and every set answer at the pinned prefix must equal the brute-force
-// point-query loop over the same prefix, under every serving variant.
+// point-query loop over the same prefix, under every serving variant. Part
+// of the run is driven one step at a time with a sampled check after each
+// step, so the session's item index is extended by back-to-back one-step
+// epochs under the oracle.
 func TestLiveSetQueriesMatchPointQueryOracle(t *testing.T) {
 	ctx := context.Background()
 	spec := fvl.BioAID()
@@ -368,7 +372,31 @@ func TestLiveSetQueriesMatchPointQueryOracle(t *testing.T) {
 			}
 			pvl, _ := svc.ViewLabel(vA.Name())
 			bvl, _ := svc.ViewLabel(vB.Name())
+			rng := rand.New(rand.NewSource(5))
 			for round := 0; round < 4; round++ {
+				if round == 1 {
+					for step := 0; step < 12 && !sess.IsComplete(); step++ {
+						drive(t, sess, sess.Epoch()+1, int64(200+step))
+						n := sess.Items()
+						for _, x := range []int{n, n - 1, 1 + rng.Intn(n)} {
+							if lx, _ := sess.Label(x); !pvl.Visible(lx) {
+								continue
+							}
+							a, _, err := sess.Query(ctx, vA.Name(), fvl.DepsOf(x))
+							if err != nil {
+								t.Fatalf("step %d: live deps(%d): %v", sess.Epoch(), x, err)
+							}
+							sameItems(t, fmt.Sprintf("step %d: live deps(%d)", sess.Epoch(), x),
+								a.Items, oracleDeps(pvl, sess.Label, n, x, false))
+							r, _, err := sess.Query(ctx, vA.Name(), fvl.RevDepsOf(x))
+							if err != nil {
+								t.Fatalf("step %d: live revdeps(%d): %v", sess.Epoch(), x, err)
+							}
+							sameItems(t, fmt.Sprintf("step %d: live revdeps(%d)", sess.Epoch(), x),
+								r.Items, oracleDeps(pvl, sess.Label, n, x, true))
+						}
+					}
+				}
 				drive(t, sess, sess.Epoch()+12, int64(100+round))
 				n := sess.Items()
 				for x := 1; x <= n; x++ {
