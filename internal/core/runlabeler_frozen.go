@@ -11,7 +11,7 @@ import (
 // step can read. OnStep consults instPath only for the instance it expands
 // (always an unexpanded composite) and writes fresh paths for the children it
 // creates, so persisting the frontier paths alongside the assigned labels is
-// sufficient to continue labeling a restored run without replaying it.
+// sufficient to continue labeling a restored run without relabeling it.
 func (l *RunLabeler) FrontierPaths(r *run.Run) (map[int][]EdgeLabel, error) {
 	out := map[int][]EdgeLabel{}
 	for _, id := range r.Frontier() {

@@ -8,8 +8,8 @@
 //   - seg-<base>.fvlj — fixed-capacity step-journal segments in the live
 //     package's journal format; record j of a segment is derivation step
 //     base+j, so segment names are also the journal's step index;
-//   - ckpt-<step>.fvlc — labelstore checkpoints: the full run and labeler
-//     state at one epoch, written atomically.
+//   - ckpt-<step>.fvlc — labelstore checkpoints: the steps, labels and
+//     frontier paths of the run at one epoch, written atomically.
 //
 // Writes go segment-append → optional fsync, under a configurable policy
 // (every step, every N steps, or only at checkpoints/rotation). Checkpoint
@@ -18,9 +18,10 @@
 // commit point — and finally compact: segments and checkpoints the new
 // manifest makes unreachable are removed.
 //
-// Recovery (Recover) opens MANIFEST, loads the checkpoint it names, and
-// replays only the journal tail past the checkpoint's epoch, so recovery
-// cost is proportional to the tail, not the run. A torn trailing record —
+// Recovery (Recover) opens MANIFEST, loads the checkpoint it names (its
+// steps are replayed structurally, none relabeled), and relabels only the
+// journal tail past the checkpoint's epoch, so labeling cost is
+// proportional to the tail, not the run. A torn trailing record —
 // the signature of a crash mid-append — is truncated away (at most one,
 // and only in the last segment); Options.Strict refuses instead. The
 // crash-matrix test drives every one of these transitions through the
@@ -196,11 +197,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		reqs := make([]live.StepRequest, len(st.Steps))
-		for i, p := range st.Steps {
-			reqs[i] = live.StepRequest{Instance: p[0], Prod: p[1]}
-		}
-		sess, err = live.Restore(scheme, st.Run, st.Labeler, reqs, live.WithJournalSink(sink))
+		sess, err = live.Restore(scheme, st.Run, st.Labeler, live.WithJournalSink(sink))
 		if err != nil {
 			return nil, fmt.Errorf("durable: restoring checkpoint state: %w", err)
 		}
@@ -609,9 +606,9 @@ func loadCheckpointFile(fs FS, dir string, step int, scheme *core.Scheme) (*labe
 	if err != nil {
 		return nil, err
 	}
-	if len(st.Steps) != step {
+	if len(st.Run.Steps) != step {
 		return nil, fmt.Errorf("durable: checkpoint %d covers %d steps: %w",
-			step, len(st.Steps), faults.ErrCorruptCheckpoint)
+			step, len(st.Run.Steps), faults.ErrCorruptCheckpoint)
 	}
 	return st, nil
 }

@@ -12,22 +12,28 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/run"
-	"repro/internal/workflow"
 )
 
 // A checkpoint is the second artifact kind this package owns: where a
 // snapshot (labelstore.go) persists a scheme and its view labels, a
 // checkpoint persists the mid-run state of a live session — the run's
-// derivation prefix, the labels assigned to its data items, and the frontier
+// derivation steps, the labels assigned to its data items, and the frontier
 // paths of its labeler — so durable recovery can restore a session and
-// replay only the journal tail written after the checkpoint, instead of the
+// relabel only the journal tail written after the checkpoint, instead of the
 // whole run.
+//
+// A run is fully determined by its sequence of production applications, so
+// the checkpoint stores no instance, port or item: loading rebuilds the run
+// by replaying the recorded steps structurally (run.Replay: run.New plus
+// Run.Apply per step, with no labeler attached), and takes every label from
+// the checkpoint. No step
+// before the journal tail is relabeled.
 //
 // The framing is the snapshot's (magic + CRC-32 + length + payload), with
 // its own magic:
 //
 //	offset  size  field
-//	0       8     magic "FVLCKPT\x01" (the last byte is the format version)
+//	0       8     magic "FVLCKPT\x02" (the last byte is the format version)
 //	8       4     uint32 LE: CRC-32 (IEEE) of the payload
 //	12      8     uint64 LE: payload length in bytes
 //	20      —     payload
@@ -37,36 +43,34 @@ import (
 //	byte    scheme kind (0 = compact, 1 = basic)
 //	bytes   the specification as the workflow package's JSON document
 //	uvarint step count, then per step: uvarint instance, uvarint production
-//	uvarint instance count, then per instance: string module,
-//	  uvarint parent+1, uvarint production, uvarint creation step,
-//	  uvarint node index, uvarints input ports, uvarints output ports
-//	uvarint port count, then per port: uvarint owner, byte kind, uvarint index
-//	uvarint item count, then per item: uvarint src+1, uvarint dst+1,
-//	  uvarint creation step, uvarint createdBy+1, uvarint label bit count,
-//	  bytes label (Codec.Encode image)
+//	uvarint label count (= the replayed run's item count), then per item in
+//	  ID order: uvarint label bit count, bytes label (Codec.Encode image)
 //	uvarint frontier count, then per frontier instance: uvarint instance,
 //	  uvarint path bit count, bytes path (Codec.EncodePath image)
 //
 // A checkpoint read back is untrusted input: the checksum catches accidental
-// corruption, run.Restore re-validates the structural state against the
-// grammar, the codec's strict decoders re-validate every label and path, and
-// any failure is reported wrapping faults.ErrCorruptCheckpoint. The one
-// non-corruption failure is a specification mismatch — a checkpoint of a
-// different workflow than the scheme it is opened with — which wraps
-// faults.ErrForeignLabel instead, exactly like a foreign view label.
+// corruption, replay re-derives every binding from the grammar (a step that
+// does not apply is corruption, so no forged checkpoint can describe a run
+// that no derivation produces), the label count must match the replayed
+// run, the codec's strict decoders re-validate every label and path, the
+// paths must cover the replayed frontier exactly, and any failure is
+// reported wrapping faults.ErrCorruptCheckpoint. A checkpoint of any other
+// format version is refused the same way. The one non-corruption failure is a
+// specification mismatch — a checkpoint of a different workflow than the
+// scheme it is opened with — which wraps faults.ErrForeignLabel instead,
+// exactly like a foreign view label.
 
 // checkpointMagic identifies a session checkpoint; the final byte is the
 // format version.
-var checkpointMagic = [8]byte{'F', 'V', 'L', 'C', 'K', 'P', 'T', 0x01}
+var checkpointMagic = [8]byte{'F', 'V', 'L', 'C', 'K', 'P', 'T', 0x02}
 
-// CheckpointState is the restored form of a session checkpoint: a validated
-// run, the labeler holding a label for every item of the run, and the
-// (instance, production) pair of every derivation step, in order. Its epoch
-// is len(Steps).
+// CheckpointState is the restored form of a session checkpoint: the run
+// rebuilt by replaying the checkpoint's steps, and the labeler holding the
+// checkpoint's label for every item of that run. Its epoch is
+// len(Run.Steps).
 type CheckpointState struct {
 	Run     *run.Run
 	Labeler *core.RunLabeler
-	Steps   [][2]int
 }
 
 // SaveCheckpoint persists the state of a run and its labeler. The pair must
@@ -114,37 +118,9 @@ func encodeCheckpoint(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler)
 		buf = binary.AppendUvarint(buf, uint64(s.Prod))
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(r.Instances)))
-	for _, inst := range r.Instances {
-		buf = appendString(buf, inst.Module)
-		buf = binary.AppendUvarint(buf, uint64(inst.Parent+1))
-		buf = binary.AppendUvarint(buf, uint64(inst.Prod))
-		buf = binary.AppendUvarint(buf, uint64(inst.Step))
-		buf = binary.AppendUvarint(buf, uint64(inst.NodeIndex))
-		// Port arities are fixed by the module declaration, which the reader
-		// has from the specification — no per-instance length prefixes.
-		for _, pid := range inst.Inputs {
-			buf = binary.AppendUvarint(buf, uint64(pid))
-		}
-		for _, pid := range inst.Outputs {
-			buf = binary.AppendUvarint(buf, uint64(pid))
-		}
-	}
-
-	buf = binary.AppendUvarint(buf, uint64(len(r.Ports)))
-	for _, p := range r.Ports {
-		buf = binary.AppendUvarint(buf, uint64(p.Owner))
-		buf = append(buf, byte(p.Kind))
-		buf = binary.AppendUvarint(buf, uint64(p.Index))
-	}
-
 	buf = binary.AppendUvarint(buf, uint64(len(r.Items)))
 	codec := scheme.Codec()
 	for _, item := range r.Items {
-		buf = binary.AppendUvarint(buf, uint64(item.Src+1))
-		buf = binary.AppendUvarint(buf, uint64(item.Dst+1))
-		buf = binary.AppendUvarint(buf, uint64(item.Step))
-		buf = binary.AppendUvarint(buf, uint64(item.CreatedBy+1))
 		d, ok := labeler.Label(item.ID)
 		if !ok {
 			return nil, fmt.Errorf("labelstore: item %d has no label to checkpoint", item.ID)
@@ -238,6 +214,8 @@ func loadCheckpoint(data []byte, scheme *core.Scheme) (*CheckpointState, error) 
 		return nil, fmt.Errorf("labelstore: checkpoint: %w", faults.ErrForeignLabel)
 	}
 
+	// Replay the steps structurally. Apply re-derives every instance, port
+	// and item from the grammar and refuses a step that does not apply.
 	numSteps, err := d.count("step list", 2)
 	if err != nil {
 		return nil, err
@@ -251,83 +229,21 @@ func loadCheckpoint(data []byte, scheme *core.Scheme) (*CheckpointState, error) 
 			return nil, err
 		}
 	}
-
-	g := scheme.Spec.Grammar
-	numInst, err := d.count("instance list", 5)
+	restored, err := run.Replay(scheme.Spec, steps)
 	if err != nil {
 		return nil, err
 	}
-	instances := make([]run.Instance, numInst)
-	for i := range instances {
-		inst := &instances[i]
-		if inst.Module, err = d.string(); err != nil {
-			return nil, err
-		}
-		if inst.Parent, err = d.intPlusOne("instance parent"); err != nil {
-			return nil, err
-		}
-		if inst.Prod, err = d.int("instance production"); err != nil {
-			return nil, err
-		}
-		if inst.Step, err = d.int("instance step"); err != nil {
-			return nil, err
-		}
-		if inst.NodeIndex, err = d.int("instance node index"); err != nil {
-			return nil, err
-		}
-		decl, ok := g.Modules[inst.Module]
-		if !ok {
-			return nil, fmt.Errorf("labelstore: instance %d has unknown module %q", i, inst.Module)
-		}
-		if inst.Inputs, err = d.ints("input ports", decl.In); err != nil {
-			return nil, err
-		}
-		if inst.Outputs, err = d.ints("output ports", decl.Out); err != nil {
-			return nil, err
-		}
-	}
 
-	numPorts, err := d.count("port list", 3)
+	numLabels, err := d.count("label list", 2)
 	if err != nil {
 		return nil, err
 	}
-	ports := make([]run.PortInstance, numPorts)
-	for i := range ports {
-		p := &ports[i]
-		if p.Owner, err = d.int("port owner"); err != nil {
-			return nil, err
-		}
-		kind, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		p.Kind = workflow.PortKind(kind)
-		if p.Index, err = d.int("port index"); err != nil {
-			return nil, err
-		}
-	}
-
-	numItems, err := d.count("item list", 6)
-	if err != nil {
-		return nil, err
+	if numLabels != len(restored.Items) {
+		return nil, fmt.Errorf("labelstore: %d labels for a run of %d items", numLabels, len(restored.Items))
 	}
 	codec := scheme.Codec()
-	items := make([]run.DataItem, numItems)
-	labels := make([]*core.DataLabel, numItems)
-	for i := range items {
-		item := &items[i]
-		if item.Src, err = d.intPlusOne("item source"); err != nil {
-			return nil, err
-		}
-		if item.Dst, err = d.intPlusOne("item destination"); err != nil {
-			return nil, err
-		}
-		if item.Step, err = d.int("item step"); err != nil {
-			return nil, err
-		}
-		if item.CreatedBy, err = d.intPlusOne("item creator"); err != nil {
-			return nil, err
-		}
+	labels := make([]*core.DataLabel, numLabels)
+	for i := range labels {
 		nbit, err := d.int("label bit count")
 		if err != nil {
 			return nil, err
@@ -370,10 +286,6 @@ func loadCheckpoint(data []byte, scheme *core.Scheme) (*CheckpointState, error) 
 		return nil, fmt.Errorf("labelstore: %d trailing payload bytes after the checkpoint", len(d.data)-d.pos)
 	}
 
-	restored, err := run.Restore(scheme.Spec, instances, ports, items, steps)
-	if err != nil {
-		return nil, err
-	}
 	// The persisted paths must cover the restored frontier exactly: a missing
 	// path would poison the session at the next expansion, an extra one is a
 	// forgery the labeler would silently carry.
@@ -390,7 +302,7 @@ func loadCheckpoint(data []byte, scheme *core.Scheme) (*CheckpointState, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &CheckpointState{Run: restored, Labeler: labeler, Steps: steps}, nil
+	return &CheckpointState{Run: restored, Labeler: labeler}, nil
 }
 
 // int reads one bounded non-negative integer.
@@ -404,29 +316,4 @@ func (d *decoder) int(what string) (int, error) {
 		return 0, fmt.Errorf("labelstore: %s: %w", what, err)
 	}
 	return n, nil
-}
-
-// intPlusOne reads an integer stored with a +1 bias so -1 ("none") encodes
-// as zero.
-func (d *decoder) intPlusOne(what string) (int, error) {
-	n, err := d.int(what)
-	if err != nil {
-		return 0, err
-	}
-	return n - 1, nil
-}
-
-// ints reads exactly n bounded integers.
-func (d *decoder) ints(what string, n int) ([]int, error) {
-	if n > d.remaining() {
-		return nil, fmt.Errorf("labelstore: %s needs %d values but only %d bytes remain", what, n, d.remaining())
-	}
-	out := make([]int, n)
-	for i := range out {
-		var err error
-		if out[i], err = d.int(what); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

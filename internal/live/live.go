@@ -168,34 +168,26 @@ func Resume(scheme *core.Scheme, journal io.Reader, opts ...Option) (*Session, e
 	return s, nil
 }
 
-// Restore rebuilds a session directly from recovered state — a run, the
-// labeler that labeled it, and the step requests that produced it — without
-// replaying a single step. It is the fast-path counterpart of Resume for
-// checkpoint-based recovery: the caller restores run and labeler from a
-// checkpoint artifact (run.Restore, Scheme.RestoreRunLabeler), replays only
-// the journal tail through Apply, and the session continues from there.
+// Restore rebuilds a session directly from recovered state — a run and the
+// labeler that labeled it — without relabeling a single step. It is the
+// fast-path counterpart of Resume for checkpoint-based recovery: the caller
+// rebuilds the run by replaying its recorded steps structurally (run.Replay,
+// with no labeler attached), restores the labeler from the stored labels
+// and frontier paths (Scheme.RestoreRunLabeler), relabels only the journal
+// tail through Apply, and the session continues from there. The session's
+// step requests are the run's recorded steps.
 //
-// The pieces must agree: the run must belong to the scheme's specification,
-// steps must match the run's recorded derivation step for step, and every
-// data item of the run must already carry a label. Options apply as in
-// NewSession, except that a journal attached here starts at the restored
-// epoch — the restored steps are not re-appended (they are already durable
-// wherever the caller recovered them from).
-func Restore(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler, steps []StepRequest, opts ...Option) (*Session, error) {
+// The pieces must agree: the run must belong to the scheme's specification
+// and every data item of the run must already carry a label. Options apply
+// as in NewSession, except that a journal attached here starts at the
+// restored epoch — the restored steps are not re-appended (they are already
+// durable wherever the caller recovered them from).
+func Restore(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler, opts ...Option) (*Session, error) {
 	if scheme == nil || r == nil || labeler == nil {
 		return nil, fmt.Errorf("live: restore needs a scheme, a run and a labeler")
 	}
 	if r.Spec != scheme.Spec {
 		return nil, fmt.Errorf("live: restored run: %w", faults.ErrForeignLabel)
-	}
-	if len(steps) != len(r.Steps) {
-		return nil, fmt.Errorf("live: %d step requests for a run of %d steps", len(steps), len(r.Steps))
-	}
-	for i, req := range steps {
-		if rec := r.Steps[i]; req.Instance != rec.Instance || req.Prod != rec.Prod {
-			return nil, fmt.Errorf("live: step request %d (%d, %d) does not match the run's step (%d, %d)",
-				i+1, req.Instance, req.Prod, rec.Instance, rec.Prod)
-		}
 	}
 	s := &Session{scheme: scheme}
 	for _, opt := range opts {
@@ -217,7 +209,10 @@ func Restore(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler, steps []
 		}
 		s.labels = append(s.labels, d)
 	}
-	s.steps = append(s.steps, steps...)
+	s.steps = make([]StepRequest, len(r.Steps))
+	for i, st := range r.Steps {
+		s.steps[i] = StepRequest{Instance: st.Instance, Prod: st.Prod}
+	}
 	s.publishLocked()
 	return s, nil
 }

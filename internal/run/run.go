@@ -7,6 +7,7 @@ package run
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/workflow"
 )
@@ -100,6 +101,33 @@ func New(spec *workflow.Specification) *Run {
 	}
 	r.Instances = append(r.Instances, root)
 	return r
+}
+
+// Replay derives the run a step sequence produces: New, then Apply for each
+// (instance, production) pair in order. A run is fully determined by its
+// production applications, so this rebuilds a recorded run exactly. The
+// run's slices are sized for the whole sequence up front, so a long replay
+// does not regrow them step by step.
+func Replay(spec *workflow.Specification, steps [][2]int) (*Run, error) {
+	r := New(spec)
+	prods := spec.Grammar.Productions
+	nodes, edges := 0, 0
+	for _, st := range steps {
+		if p := st[1]; p >= 1 && p <= len(prods) {
+			nodes += len(prods[p-1].RHS.Nodes)
+			edges += len(prods[p-1].RHS.Edges)
+		}
+	}
+	r.Instances = slices.Grow(r.Instances, nodes)
+	r.Ports = slices.Grow(r.Ports, 2*edges)
+	r.Items = slices.Grow(r.Items, edges)
+	r.Steps = slices.Grow(r.Steps, len(steps))
+	for i, st := range steps {
+		if _, err := r.Apply(st[0], st[1]); err != nil {
+			return nil, fmt.Errorf("run: replaying step %d of %d: %w", i+1, len(steps), err)
+		}
+	}
+	return r, nil
 }
 
 func (r *Run) newPort(owner int, kind workflow.PortKind, index int) int {

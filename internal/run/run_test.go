@@ -1,6 +1,8 @@
 package run_test
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/run"
@@ -133,6 +135,32 @@ func TestApplyErrors(t *testing.T) {
 	}
 	if _, err := r.Apply(0, 1); err == nil {
 		t.Fatalf("double expansion accepted")
+	}
+}
+
+// TestReplayMatchesApply replays the step sequence of a recursive BioAID
+// run and requires the rebuilt run to equal the original, and a sequence
+// with a step that does not apply to fail.
+func TestReplayMatchesApply(t *testing.T) {
+	spec := workloads.BioAID()
+	want, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 500, Rand: rand.New(rand.NewSource(3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([][2]int, len(want.Steps))
+	for i, st := range want.Steps {
+		steps[i] = [2]int{st.Instance, st.Prod}
+	}
+	got, err := run.Replay(spec, steps)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !reflect.DeepEqual(got.Instances, want.Instances) || !reflect.DeepEqual(got.Ports, want.Ports) ||
+		!reflect.DeepEqual(got.Items, want.Items) || !reflect.DeepEqual(got.Steps, want.Steps) {
+		t.Fatal("replayed run differs from the derived one")
+	}
+	if _, err := run.Replay(spec, append(steps, steps[0])); err == nil {
+		t.Fatal("replay expanded an instance twice")
 	}
 }
 
