@@ -101,7 +101,7 @@ func main() {
 		if svc.IsBasic() {
 			kind = "basic (Theorem 1 fallback)"
 		}
-		fmt.Printf("snapshot:             %s (validated: checksum, dimensions and index ranges)\n", *load)
+		fmt.Printf("snapshot:             %s (validated: checksum, specification and views; views relabeled)\n", *load)
 		fmt.Printf("scheme kind:          %s\n", kind)
 		fmt.Printf("view labels:          %d\n", len(svc.Views()))
 		for _, name := range svc.Views() {

@@ -42,8 +42,8 @@
 // (WithWorkers), snapshot persistence (WithSnapshot) and the Theorem-1
 // fallback (WithBasicScheme). Open labels a set of views and returns a
 // Service whose DependsOn / DependsOnBatch answer queries concurrently;
-// OpenSnapshot restores a persisted artifact and serves it without
-// relabeling.
+// OpenSnapshot loads a persisted artifact, relabels the views it defines
+// and serves them.
 //
 // Every potentially long operation takes a context.Context and honors
 // cancellation at a documented granularity: batch queries stop between

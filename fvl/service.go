@@ -32,8 +32,9 @@ type Result struct {
 // persistence — behind two constructors:
 //
 //   - Open labels the given views of a specification and serves them;
-//   - OpenSnapshot restores a persisted snapshot and serves it without any
-//     relabeling ("compute the labels once, query them forever").
+//   - OpenSnapshot loads a persisted snapshot, which stores the view
+//     definitions, relabels each view under an allocation budget funded by
+//     the snapshot's size, and serves them.
 //
 // A Service is immutable and safe for concurrent use. Every query path takes
 // a context and observes cancellation at claim-block granularity.
@@ -89,11 +90,14 @@ func Open(ctx context.Context, spec *Spec, views []*View, opts ...Option) (*Serv
 	return s, nil
 }
 
-// OpenSnapshot restores a label snapshot (written by WithSnapshot,
-// Labeler.Snapshot or Service.Snapshot) and serves it directly — no
-// relabeling happens. The input is untrusted: any structural problem fails
-// with ErrCorruptSnapshot. Only WithWorkers among the options affects a
-// restored service.
+// OpenSnapshot loads a label snapshot (written by WithSnapshot,
+// Labeler.Snapshot or Service.Snapshot) and serves it. A snapshot stores the
+// specification and each view's definition and variant, and loading
+// relabels every view under an allocation budget funded by the snapshot's
+// size. The input is untrusted: any problem — structural damage, an unsafe
+// view, a view whose label would pass the budget — fails with
+// ErrCorruptSnapshot. Only WithWorkers among the options affects a loaded
+// service.
 func OpenSnapshot(r io.Reader, opts ...Option) (*Service, error) {
 	snap, err := labelstore.Load(r)
 	if err != nil {
@@ -102,7 +106,7 @@ func OpenSnapshot(r io.Reader, opts ...Option) (*Service, error) {
 	return openLoaded(snap, newOptions(opts))
 }
 
-// OpenSnapshotFile restores and serves a label snapshot from a file.
+// OpenSnapshotFile loads and serves a label snapshot from a file.
 func OpenSnapshotFile(path string, opts ...Option) (*Service, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -141,7 +145,7 @@ func (s *Service) Spec() *Spec { return s.spec }
 
 // NewLabeler returns a labeler over the service's own scheme, so data labels
 // computed by it are exactly the ones the service's view labels decode —
-// including for snapshot-restored services.
+// including for snapshot-loaded services.
 func (s *Service) NewLabeler(opts ...Option) *Labeler {
 	return &Labeler{spec: s.spec, scheme: s.scheme, opt: newOptions(opts)}
 }

@@ -234,7 +234,7 @@ func (s *Session) DependsOnBatch(ctx context.Context, viewName string, queries [
 // WriteJournal exports the session's current step prefix in the journal
 // format: replaying it with ResumeLive rebuilds the session at exactly the
 // exported epoch. Together with Snapshot this is the mid-run persistence
-// story — the journal restores the run, the snapshot restores the serving
+// story — the journal restores the run, the snapshot rebuilds the serving
 // labels — and neither export stops the producers.
 func (s *Session) WriteJournal(w io.Writer) error {
 	return s.ls.Current().WriteJournal(w)

@@ -1,6 +1,7 @@
 package boolmat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -145,4 +146,39 @@ func FuzzKernelsMatchNaive(f *testing.F) {
 		scratch := Full(50, 50)
 		checkAgainstNaive(t, r, rows, inner, cols, density, &scratch)
 	})
+}
+
+// TestFindPeriodMatchesQuadraticReference: the hashed search must find the
+// same first repeat as the all-pairs loop it replaced, over random square
+// matrices of every density (sparse ones have long preperiods, permutation-
+// like ones long periods).
+func TestFindPeriodMatchesQuadraticReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(20)
+		if trial%10 == 0 {
+			n = 60 + r.Intn(10) // rows past one word
+		}
+		x := randomDense(r, n, n, []float64{0.02, 0.05, 0.1, 0.3, 0.7}[trial%5])
+		if trial%7 == 0 {
+			x = New(n, n) // a random permutation
+			for i, j := range r.Perm(n) {
+				x.Set(i, j, true)
+			}
+		}
+		got, err := FindPeriod(x, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := findPeriodQuadratic(x)
+		if got.Preperiod != want.Preperiod || got.Period != want.Period || len(got.Powers) != len(want.Powers) {
+			t.Fatalf("trial %d (%dx%d): got (%d,%d) with %d powers, reference (%d,%d) with %d",
+				trial, n, n, got.Preperiod, got.Period, len(got.Powers), want.Preperiod, want.Period, len(want.Powers))
+		}
+		for a := range want.Powers {
+			if !got.Powers[a].Equal(want.Powers[a]) {
+				t.Fatalf("trial %d: power %d differs from the reference", trial, a+1)
+			}
+		}
+	}
 }

@@ -469,31 +469,60 @@ type PowerPeriod struct {
 // sequence of powers must repeat; in the workflow setting n is the (constant)
 // maximum module degree, so this is the "a < b <= 2^(c^2)+1 with X^a = X^b"
 // observation of Section 4.4.3 of the paper.
+//
+// The first repeat is found through a map keyed by a hash of each power's
+// words, with Equal confirming every hash match, so a period P costs O(P)
+// products and hashes. The period of an n x n matrix can still grow
+// exponentially in n (a permutation's period is the least common multiple of
+// its cycle lengths), so the power table is capped: FindPeriod fails once
+// the table's Bytes would exceed maxBytes.
 // It panics if x is not square.
-func FindPeriod(x *Matrix) *PowerPeriod {
+func FindPeriod(x *Matrix, maxBytes int) (*PowerPeriod, error) {
 	if x.Rows() != x.Cols() {
 		panic(fmt.Sprintf("boolmat: FindPeriod on non-square %dx%d matrix", x.Rows(), x.Cols()))
 	}
-	var powers []*Matrix
+	pp := &PowerPeriod{}
+	latest := map[uint64]int{} // hash -> 1 + index of the latest power with it
+	var earlier []int          // earlier[a]: index of the previous power with a's hash, or -1
 	cur := x.Clone()
 	var tmp *Matrix // scratch: ping-pong partner of cur
+	used := 0
 	for {
-		for a, p := range powers {
-			if p.Equal(cur) {
-				// powers[len(powers)] would equal powers[a]:
+		h := cur.hash()
+		for a := latest[h] - 1; a >= 0; a = earlier[a] {
+			if pp.Powers[a].Equal(cur) {
+				// Powers[len] would equal Powers[a]:
 				// X^(len+1) == X^(a+1)  =>  preperiod a+1, period len-a.
-				return &PowerPeriod{
-					Preperiod: a + 1,
-					Period:    len(powers) - a,
-					Powers:    powers,
-				}
+				pp.Preperiod, pp.Period = a+1, len(pp.Powers)-a
+				return pp, nil
 			}
 		}
-		powers = append(powers, cur.Clone())
+		if used += powerBytes(cur); used > maxBytes {
+			return nil, fmt.Errorf("boolmat: the powers of a %dx%d matrix have not repeated within %d powers; the table would pass %d bytes", x.Rows(), x.Cols(), len(pp.Powers), maxBytes)
+		}
+		earlier = append(earlier, latest[h]-1)
+		latest[h] = len(pp.Powers) + 1
+		pp.Powers = append(pp.Powers, cur.Clone())
 		tmp = MulInto(tmp, cur, x)
 		cur, tmp = tmp, cur
 	}
 }
+
+// hash mixes the matrix's words (FNV-1a over words); equal matrices of equal
+// shape hash alike.
+func (m *Matrix) hash() uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range m.bits {
+		h ^= w
+		h *= 1099511628211
+	}
+	return h
+}
+
+// powerBytes is what one entry of FindPeriod's table costs: the matrix's
+// words and header plus the table's own bookkeeping (the slice slots and the
+// hash-map entry), rounded up for allocator size classes and slice growth.
+func powerBytes(m *Matrix) int { return 10*len(m.bits) + 256 }
 
 // Power returns X^k for k >= 1 using the cached periodic structure; k < 1
 // panics.
@@ -507,6 +536,16 @@ func (pp *PowerPeriod) Power(k int) *Matrix {
 	// Reduce k into [Preperiod, Preperiod+Period-1].
 	k = pp.Preperiod + (k-pp.Preperiod)%pp.Period
 	return pp.Powers[k-1]
+}
+
+// Bytes returns the memory the power table holds, as FindPeriod counts it
+// against its cap.
+func (pp *PowerPeriod) Bytes() int {
+	total := 0
+	for _, p := range pp.Powers {
+		total += powerBytes(p)
+	}
+	return total
 }
 
 // SizeBits returns the number of bits needed to materialize the cached powers

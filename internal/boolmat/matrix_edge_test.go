@@ -131,7 +131,7 @@ func TestMulIntoRejectsAliasedDestination(t *testing.T) {
 func TestFindPeriodOneByOne(t *testing.T) {
 	// 1x1 zero matrix: the lone vertex has no self-loop ("empty cycle"), so
 	// every power is the zero matrix.
-	pp := FindPeriod(New(1, 1))
+	pp := mustFindPeriod(t, New(1, 1))
 	if pp.Preperiod != 1 || pp.Period != 1 {
 		t.Fatalf("1x1 zero matrix period = (%d,%d), want (1,1)", pp.Preperiod, pp.Period)
 	}
@@ -140,7 +140,7 @@ func TestFindPeriodOneByOne(t *testing.T) {
 	}
 
 	// 1x1 one matrix: a self-loop, every power is full.
-	pp = FindPeriod(Full(1, 1))
+	pp = mustFindPeriod(t, Full(1, 1))
 	if pp.Preperiod != 1 || pp.Period != 1 {
 		t.Fatalf("1x1 full matrix period = (%d,%d), want (1,1)", pp.Preperiod, pp.Period)
 	}
@@ -151,7 +151,7 @@ func TestFindPeriodOneByOne(t *testing.T) {
 
 func TestFindPeriodEmptyMatrix(t *testing.T) {
 	// The 0x0 matrix is its own square; the period machinery must terminate.
-	pp := FindPeriod(New(0, 0))
+	pp := mustFindPeriod(t, New(0, 0))
 	if pp.Preperiod != 1 || pp.Period != 1 {
 		t.Fatalf("0x0 matrix period = (%d,%d), want (1,1)", pp.Preperiod, pp.Period)
 	}
@@ -161,7 +161,7 @@ func TestFindPeriodEmptyMatrix(t *testing.T) {
 
 	// An empty (all-false) square matrix of non-trivial width: nilpotent in
 	// one step.
-	pp = FindPeriod(New(65, 65))
+	pp = mustFindPeriod(t, New(65, 65))
 	if !pp.Power(3).IsEmpty() {
 		t.Fatalf("powers of the empty 65x65 matrix should be empty")
 	}

@@ -1,6 +1,7 @@
 package boolmat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -225,7 +226,7 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 func TestFindPeriodIdentity(t *testing.T) {
-	pp := FindPeriod(Identity(3))
+	pp := mustFindPeriod(t, Identity(3))
 	if pp.Preperiod != 1 || pp.Period != 1 {
 		t.Fatalf("identity period = (%d,%d), want (1,1)", pp.Preperiod, pp.Period)
 	}
@@ -239,7 +240,7 @@ func TestFindPeriodNilpotent(t *testing.T) {
 	m := New(3, 3)
 	m.Set(0, 1, true)
 	m.Set(1, 2, true)
-	pp := FindPeriod(m)
+	pp := mustFindPeriod(t, m)
 	if pp.Period != 1 {
 		t.Fatalf("nilpotent matrix period = %d, want 1", pp.Period)
 	}
@@ -256,7 +257,7 @@ func TestFindPeriodCycle(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Set(i, (i+1)%4, true)
 	}
-	pp := FindPeriod(c)
+	pp := mustFindPeriod(t, c)
 	if pp.Period != 4 {
 		t.Fatalf("4-cycle period = %d, want 4", pp.Period)
 	}
@@ -276,7 +277,7 @@ func TestFindPeriodMatchesPowProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(4)
 		m := randomMatrix(r, n, n)
-		pp := FindPeriod(m)
+		pp := mustFindPeriod(t, m)
 		k := 1 + int(kRaw)%64
 		return pp.Power(k).Equal(m.Pow(k))
 	}
@@ -322,4 +323,39 @@ func randomMatrix(r *rand.Rand, rows, cols int) *Matrix {
 		}
 	}
 	return m
+}
+
+// mustFindPeriod is FindPeriod with no practical cap on the power table.
+func mustFindPeriod(t *testing.T, x *Matrix) *PowerPeriod {
+	t.Helper()
+	pp, err := FindPeriod(x, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp
+}
+
+// TestFindPeriodCapsPowerTable: the powers of a permutation repeat only
+// after the least common multiple of its cycle lengths, here 2*3*5*7*11 =
+// 2310; a cap below that table fails instead of building it, and a cap that
+// fits it returns the full period.
+func TestFindPeriodCapsPowerTable(t *testing.T) {
+	n := 0
+	p := New(28, 28)
+	for _, l := range []int{2, 3, 5, 7, 11} {
+		for i := 0; i < l; i++ {
+			p.Set(n+i, n+(i+1)%l, true)
+		}
+		n += l
+	}
+	if _, err := FindPeriod(p, 1000*powerBytes(p)); err == nil {
+		t.Fatal("FindPeriod built a 2310-power table under a 1000-power cap")
+	}
+	pp, err := FindPeriod(p, 2310*powerBytes(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.Preperiod != 1 || pp.Period != 2310 || pp.Bytes() != 2310*powerBytes(p) {
+		t.Fatalf("period (%d,%d) in %d bytes, want (1,2310) in %d", pp.Preperiod, pp.Period, pp.Bytes(), 2310*powerBytes(p))
+	}
 }

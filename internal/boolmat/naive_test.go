@@ -117,3 +117,20 @@ func (n *naiveMatrix) countTrue() int {
 	}
 	return c
 }
+
+// findPeriodQuadratic is the FindPeriod the hashed search replaced, kept as
+// its reference: every new power is compared with every earlier one, so a
+// period P costs O(P^2) comparisons.
+func findPeriodQuadratic(x *Matrix) *PowerPeriod {
+	var powers []*Matrix
+	cur := x.Clone()
+	for {
+		for a, p := range powers {
+			if p.Equal(cur) {
+				return &PowerPeriod{Preperiod: a + 1, Period: len(powers) - a, Powers: powers}
+			}
+		}
+		powers = append(powers, cur.Clone())
+		cur = cur.Mul(x)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/boolmat"
 	"repro/internal/faults"
@@ -128,13 +129,37 @@ func (vl *ViewLabel) WithMatrixFree() *ViewLabel {
 
 // LabelView computes φv(U) for a safe view over the scheme's specification
 // (Section 4.3). It fails when the view belongs to a different specification
-// or is unsafe.
+// or is unsafe. It is LabelViewWithin with no practical budget.
+func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
+	unbounded := math.MaxInt
+	return s.LabelViewWithin(v, variant, &unbounded)
+}
+
+// LabelViewWithin is LabelView for a view that arrives as untrusted input,
+// under an allocation budget of *budget bytes. Before the safety analysis
+// runs, the view's declared port counts bound what the labeling allocates
+// (labelBytesBound), and a view bounded above what is left of the budget
+// fails without doing the work. The bound is charged against *budget, and so
+// is each recursion cache's power table, which FindPeriod caps at what is
+// left then. A label that needs more fails, so the caller's total
+// allocation stays within the budget it started with.
 //
 //fvlvet:viewlabel-ctor
-func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
+func (s *Scheme) LabelViewWithin(v *view.View, variant Variant, budget *int) (*ViewLabel, error) {
 	if v.Spec != s.Spec {
 		return nil, fmt.Errorf("core: view %q is defined over a different specification: %w", v.Name, faults.ErrForeignLabel)
 	}
+	vl := &ViewLabel{
+		scheme:   s,
+		view:     v,
+		variant:  variant,
+		included: includedProductions(v),
+	}
+	need := vl.labelBytesBound()
+	if need > float64(*budget) {
+		return nil, fmt.Errorf("core: labeling view %q may allocate %.4g bytes by its declared port counts, over the %d bytes left of the budget", v.Name, need, *budget)
+	}
+	*budget -= int(need)
 	if !v.IsSafe() {
 		return nil, fmt.Errorf("core: view %q is unsafe: %w (%v)", v.Name, faults.ErrUnsafeView, v.SafetyError())
 	}
@@ -146,14 +171,8 @@ func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
 	if err != nil {
 		return nil, err
 	}
-	vl := &ViewLabel{
-		scheme:   s,
-		view:     v,
-		variant:  variant,
-		start:    start.Clone(),
-		included: includedProductions(v),
-		full:     full,
-	}
+	vl.start = start.Clone()
+	vl.full = full
 	if variant == VariantSpaceEfficient {
 		return vl, nil
 	}
@@ -185,7 +204,7 @@ func (s *Scheme) LabelView(v *view.View, variant Variant) (*ViewLabel, error) {
 		}
 	}
 	if variant == VariantQueryEfficient {
-		if err := vl.buildRecursionCaches(); err != nil {
+		if err := vl.buildRecursionCaches(budget); err != nil {
 			return nil, err
 		}
 	}
@@ -226,10 +245,11 @@ func (vl *ViewLabel) newProdEdges(k int, cl *safety.Closure) *prodEdges {
 
 // buildRecursionCaches materializes, for every cycle of the production graph
 // that survives in the view and every starting offset, the prefix products
-// and the periodic powers of the I and O matrices along the cycle.
+// and the periodic powers of the I and O matrices along the cycle. The power
+// tables are charged against *budget.
 //
 //fvlvet:viewlabel-ctor
-func (vl *ViewLabel) buildRecursionCaches() error {
+func (vl *ViewLabel) buildRecursionCaches(budget *int) error {
 	vl.inRec = map[[2]int]*recChain{}
 	vl.outRec = map[[2]int]*recChain{}
 	// Construction runs with its own throwaway context; the query-efficient
@@ -240,11 +260,11 @@ func (vl *ViewLabel) buildRecursionCaches() error {
 			continue
 		}
 		for t := 1; t <= c.Len(); t++ {
-			in, err := vl.buildChain(qc, c, t, false)
+			in, err := vl.buildChain(qc, c, t, false, budget)
 			if err != nil {
 				return err
 			}
-			out, err := vl.buildChain(qc, c, t, true)
+			out, err := vl.buildChain(qc, c, t, true, budget)
 			if err != nil {
 				return err
 			}
@@ -285,8 +305,9 @@ func (vl *ViewLabel) cycleIncluded(c prodgraph.Cycle) bool {
 // the prefix products of one full turn and the periodic powers of the
 // full-turn product. The edge matrices come through qc, so on the
 // graph-search path they are the attached plan's cached ones. The returned
-// chain owns every matrix it holds.
-func (vl *ViewLabel) buildChain(qc *queryCtx, c prodgraph.Cycle, t int, outputs bool) (*recChain, error) {
+// chain owns every matrix it holds. Its power table is charged against
+// *budget.
+func (vl *ViewLabel) buildChain(qc *queryCtx, c prodgraph.Cycle, t int, outputs bool, budget *int) (*recChain, error) {
 	l := c.Len()
 	mod, err := vl.scheme.moduleAtCycleOffset(c.Index, t)
 	if err != nil {
@@ -306,7 +327,12 @@ func (vl *ViewLabel) buildChain(qc *queryCtx, c prodgraph.Cycle, t int, outputs 
 		}
 		prefixes[r] = prefixes[r-1].Mul(m)
 	}
-	return &recChain{prefixes: prefixes, period: boolmat.FindPeriod(prefixes[l])}, nil
+	period, err := boolmat.FindPeriod(prefixes[l], *budget)
+	if err != nil {
+		return nil, fmt.Errorf("core: recursion cache of cycle %d at offset %d in view %q: %w", c.Index, t, vl.view.Name, err)
+	}
+	*budget -= period.Bytes()
+	return &recChain{prefixes: prefixes, period: period}, nil
 }
 
 // View returns the view the label was computed for.
@@ -530,7 +556,8 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]
 		// empty and the query to the product/power path below.
 		slot := qc.plan.label(vl).chainSlot(vl, e.S, t, outputs)
 		if *slot == nil {
-			if rc, err := vl.buildChain(qc, c, t, outputs); err == nil {
+			unbounded := math.MaxInt
+			if rc, err := vl.buildChain(qc, c, t, outputs, &unbounded); err == nil {
 				*slot = rc
 			}
 		}

@@ -12,9 +12,10 @@ import (
 
 // Server fronts a set of view labels with the batch query engine: one label
 // per view name, all sharing a worker pool. It is the serving half of the
-// snapshot workflow — wflabel computes and persists the labels once,
-// NewServerFromSnapshot restores them, and every query after that runs
-// against the warm artifact without any relabeling.
+// snapshot workflow — wflabel persists the specification and the view
+// definitions, labelstore.Load relabels the views under an allocation
+// budget funded by the snapshot's size, NewServerFromSnapshot serves the
+// loaded labels, and every query after that runs against them.
 type Server struct {
 	engine *Engine
 	scheme *core.Scheme

@@ -227,14 +227,14 @@ func TestCheckpointForeignScheme(t *testing.T) {
 	}
 }
 
-// checkpointHeader is the size of the checkpoint framing: magic, CRC-32 and
-// payload length.
+// checkpointHeader is the size of the framing checkpoints and snapshots
+// share: magic, CRC-32 and payload length.
 const checkpointHeader = 8 + 4 + 8
 
-// frameCheckpoint wraps a payload in the checkpoint framing under the given
-// magic, with a correct CRC and length, so an edited payload reaches the
-// payload decoder instead of failing the checksum.
-func frameCheckpoint(magic string, payload []byte) []byte {
+// framePayload wraps a payload in the checkpoint and snapshot framing under
+// the given magic, with a correct CRC and length, so an edited payload
+// reaches the payload decoder instead of failing the checksum.
+func framePayload(magic string, payload []byte) []byte {
 	out := make([]byte, checkpointHeader, checkpointHeader+len(payload))
 	copy(out, magic)
 	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(payload))
@@ -341,10 +341,10 @@ func TestCheckpointRejectsForgedPayloads(t *testing.T) {
 	}
 	// The sections must lay out exactly what SaveCheckpoint writes, or the
 	// edits below would test a format nobody produces.
-	if got := frameCheckpoint("FVLCKPT\x02", valid.encode()); !bytes.Equal(got, checkpointAt(t, scheme, steps, k)) {
+	if got := framePayload("FVLCKPT\x02", valid.encode()); !bytes.Equal(got, checkpointAt(t, scheme, steps, k)) {
 		t.Fatal("re-encoded sections differ from SaveCheckpoint's bytes")
 	}
-	if _, err := labelstore.LoadCheckpointBytes(frameCheckpoint("FVLCKPT\x02", valid.encode()), scheme); err != nil {
+	if _, err := labelstore.LoadCheckpointBytes(framePayload("FVLCKPT\x02", valid.encode()), scheme); err != nil {
 		t.Fatalf("re-framed valid payload rejected: %v", err)
 	}
 
@@ -398,7 +398,7 @@ func TestCheckpointRejectsForgedPayloads(t *testing.T) {
 			if magic == "" {
 				magic = "FVLCKPT\x02"
 			}
-			_, err := labelstore.LoadCheckpointBytes(frameCheckpoint(magic, p.encode()), scheme)
+			_, err := labelstore.LoadCheckpointBytes(framePayload(magic, p.encode()), scheme)
 			if !errors.Is(err, faults.ErrCorruptCheckpoint) {
 				t.Fatalf("want ErrCorruptCheckpoint, got %v", err)
 			}

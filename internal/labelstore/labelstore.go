@@ -1,12 +1,14 @@
-// Package labelstore persists labeling schemes and view labels so a serving
-// process can answer reachability queries from a warm artifact instead of
-// relabeling every view on start — the "compute the labels once, query them
-// forever" deployment the paper's experiments assume.
+// Package labelstore persists labeling schemes and view definitions so a
+// serving process can restart from one artifact: the specification, the
+// scheme kind and, per view, its name, variant, ∆′ and λ′. A view label
+// φv(U) is a pure function of those inputs (Sections 4.3 and 4.4.3), so
+// loading relabels every view with core.Scheme.LabelViewWithin instead of
+// reading derived matrices back.
 //
 // A snapshot is a single binary blob:
 //
 //	offset  size  field
-//	0       8     magic "FVLSNAP\x01" (the last byte is the format version)
+//	0       8     magic "FVLSNAP\x02" (the last byte is the format version)
 //	8       4     uint32 LE: CRC-32 (IEEE) of the payload
 //	12      8     uint64 LE: payload length in bytes
 //	20      —     payload
@@ -17,21 +19,24 @@
 //
 //	byte    scheme kind (0 = compact, 1 = basic / Theorem-1 fallback)
 //	bytes   the specification as the workflow package's JSON document
-//	uvarint number of view labels, then per label:
+//	uvarint number of views, then per view:
 //	  string  view name
 //	  byte    variant
 //	  strings ∆′ (the expandable composite modules)
 //	  assign  λ′ (the view's dependency assignment)
-//	  assign  λ*′ (the full dependency assignment)
-//	  matrix  λ*(S)
-//	  byte    1 if materialized matrices follow: I, O and Z maps
-//	  byte    1 if recursion caches follow: in- and out-chain maps
 //
-// Everything read back is untrusted: the checksum catches accidental
-// corruption, and byte-budget checks before every allocation plus the
-// strict validation of workflow.ReadSpecification, view.New and
-// core.Scheme.RestoreView catch the rest, so Load returns an error — never
-// a panic or an unbounded allocation — on arbitrary input (see FuzzLoad).
+// A snapshot of another version (FVLSNAP\x01 stored the labels' derived
+// matrices) is refused like any other bad magic.
+//
+// Everything read back is untrusted. The checksum catches accidental
+// corruption; byte-budget checks before every allocation, the strict
+// validation of the specification, the scheme and view.New, and the safety
+// analysis of LabelView catch the rest. Relabeling allocates what the
+// labels need, which a few forged bytes can make huge (a start module with
+// 2^40 ports is a short JSON number), so a load runs under an allocation
+// budget funded by its input: loadBudget(len(data)) bytes. Load returns an
+// error — never a panic or an allocation past that budget — on arbitrary
+// input (see FuzzLoad).
 package labelstore
 
 import (
@@ -52,7 +57,7 @@ import (
 )
 
 // magic identifies a snapshot; its final byte is the format version.
-var magic = [8]byte{'F', 'V', 'L', 'S', 'N', 'A', 'P', 0x01}
+var magic = [8]byte{'F', 'V', 'L', 'S', 'N', 'A', 'P', 0x02}
 
 const headerSize = 8 + 4 + 8
 
@@ -62,7 +67,7 @@ const headerSize = 8 + 4 + 8
 const maxStringLen = 1 << 16
 
 // Snapshot is the in-memory form of a persisted labeling state: one scheme
-// and any number of restored view labels, ready to serve queries.
+// and any number of view labels, ready to serve queries.
 type Snapshot struct {
 	Scheme *core.Scheme
 	Labels []*core.ViewLabel
@@ -82,8 +87,10 @@ func (s *Snapshot) Label(viewName string) (*core.ViewLabel, bool) {
 // Saving.
 // ---------------------------------------------------------------------------
 
-// Save writes a snapshot of the scheme and the given view labels. Every
-// label must have been computed over the scheme (LabelView or RestoreView).
+// Save writes a snapshot of the scheme and the views of the given labels.
+// Every label must have been computed over the scheme. The bytes depend only
+// on the specification and the view definitions, so saving a loaded
+// snapshot reproduces it exactly.
 func Save(w io.Writer, scheme *core.Scheme, labels []*core.ViewLabel) error {
 	if scheme == nil {
 		return fmt.Errorf("labelstore: nil scheme")
@@ -143,24 +150,6 @@ func encodePayload(scheme *core.Scheme, labels []*core.ViewLabel) ([]byte, error
 		buf = append(buf, byte(vl.Variant()))
 		buf = appendStrings(buf, v.ExpandableModules())
 		buf = appendAssignment(buf, v.Deps)
-		f := vl.Freeze()
-		buf = appendAssignment(buf, f.Full)
-		buf = f.Start.AppendBinary(buf)
-		if f.IMat != nil || f.OMat != nil || f.ZMat != nil {
-			buf = append(buf, 1)
-			buf = appendKIMap(buf, f.IMat)
-			buf = appendKIMap(buf, f.OMat)
-			buf = appendKIJMap(buf, f.ZMat)
-		} else {
-			buf = append(buf, 0)
-		}
-		if f.InRec != nil || f.OutRec != nil {
-			buf = append(buf, 1)
-			buf = appendChainMap(buf, f.InRec)
-			buf = appendChainMap(buf, f.OutRec)
-		} else {
-			buf = append(buf, 0)
-		}
 	}
 	return buf, nil
 }
@@ -199,88 +188,14 @@ func appendAssignment(buf []byte, a workflow.DependencyAssignment) []byte {
 	return buf
 }
 
-func appendKIMap(buf []byte, m map[[2]int]*boolmat.Matrix) []byte {
-	keys := make([][2]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(k[0]))
-		buf = binary.AppendUvarint(buf, uint64(k[1]))
-		buf = m[k].AppendBinary(buf)
-	}
-	return buf
-}
-
-func appendKIJMap(buf []byte, m map[[3]int]*boolmat.Matrix) []byte {
-	keys := make([][3]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		if keys[a][1] != keys[b][1] {
-			return keys[a][1] < keys[b][1]
-		}
-		return keys[a][2] < keys[b][2]
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(k[0]))
-		buf = binary.AppendUvarint(buf, uint64(k[1]))
-		buf = binary.AppendUvarint(buf, uint64(k[2]))
-		buf = m[k].AppendBinary(buf)
-	}
-	return buf
-}
-
-func appendChainMap(buf []byte, m map[[2]int]*core.FrozenChain) []byte {
-	keys := make([][2]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	for _, k := range keys {
-		fc := m[k]
-		buf = binary.AppendUvarint(buf, uint64(k[0]))
-		buf = binary.AppendUvarint(buf, uint64(k[1]))
-		buf = binary.AppendUvarint(buf, uint64(len(fc.Prefixes)))
-		for _, p := range fc.Prefixes {
-			buf = p.AppendBinary(buf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(fc.Preperiod))
-		buf = binary.AppendUvarint(buf, uint64(fc.Period))
-		buf = binary.AppendUvarint(buf, uint64(len(fc.Powers)))
-		for _, p := range fc.Powers {
-			buf = p.AppendBinary(buf)
-		}
-	}
-	return buf
-}
-
 // ---------------------------------------------------------------------------
 // Loading.
 // ---------------------------------------------------------------------------
 
-// Load reads a snapshot, validates it end to end and restores the scheme and
-// its view labels without relabeling. Any structural problem — bad magic,
-// checksum mismatch, truncation, out-of-range indices, dimension clashes
-// with the specification — yields an error.
+// Load reads a snapshot, validates it end to end, rebuilds the scheme and
+// relabels every view within the load budget. Any problem — bad magic,
+// checksum mismatch, truncation, an invalid specification or view, an
+// unsafe view, a label over the budget — yields an error.
 func Load(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -299,11 +214,11 @@ func LoadFile(path string) (*Snapshot, error) {
 	return Load(f)
 }
 
-// LoadBytes is Load over an in-memory snapshot. Every validation failure —
-// from the bad-magic check down to the per-label structural checks of
-// core.Scheme.RestoreView — is reported with an error wrapping
-// faults.ErrCorruptSnapshot, so callers can classify "this artifact is bad"
-// with errors.Is without inspecting messages.
+// LoadBytes is Load over an in-memory snapshot. Every failure — from the
+// bad-magic check down to a view's safety analysis and the load budget — is
+// reported with an error wrapping faults.ErrCorruptSnapshot, so callers can
+// classify "this artifact is bad" with errors.Is without inspecting
+// messages.
 func LoadBytes(data []byte) (*Snapshot, error) {
 	snap, err := loadBytes(data)
 	if err != nil {
@@ -328,23 +243,36 @@ func loadBytes(data []byte) (*Snapshot, error) {
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("labelstore: checksum mismatch: header %08x, payload %08x", sum, got)
 	}
-	d := &decoder{data: payload}
+	d := &decoder{data: payload, budget: loadBudget(len(data)) - decodeBytesPerInputByte*len(data)}
 	snap, err := d.snapshot()
 	if err != nil {
 		return nil, err
 	}
 	if d.pos != len(d.data) {
-		return nil, fmt.Errorf("labelstore: %d trailing payload bytes after the last label", len(d.data)-d.pos)
+		return nil, fmt.Errorf("labelstore: %d trailing payload bytes after the last view", len(d.data)-d.pos)
 	}
 	return snap, nil
 }
 
+// loadBudget is the allocation a load of n snapshot bytes may make: a fixed
+// base plus a linear share per input byte, the bound FuzzCheckpointDecode
+// asserts for checkpoints too. Legitimate snapshots stay far inside it (see
+// DESIGN.md, "Label snapshots").
+func loadBudget(n int) int { return 1<<20 + 4096*n }
+
+// decodeBytesPerInputByte is the share of the load budget set aside for
+// decoding and validating the payload (the specification's JSON, the scheme,
+// the views); what is left funds relabeling.
+const decodeBytesPerInputByte = 1024
+
 // decoder is a bounds-checked cursor over the payload. Every read verifies
 // the remaining byte budget before allocating, so a corrupted length field
-// fails fast instead of attempting a huge allocation.
+// fails fast instead of attempting a huge allocation. budget is what is left
+// of the load budget for relabeling.
 type decoder struct {
-	data []byte
-	pos  int
+	data   []byte
+	pos    int
+	budget int
 }
 
 func (d *decoder) remaining() int { return len(d.data) - d.pos }
@@ -454,134 +382,6 @@ func (d *decoder) assignment() (workflow.DependencyAssignment, error) {
 	return a, nil
 }
 
-func (d *decoder) kiMap() (map[[2]int]*boolmat.Matrix, error) {
-	n, err := d.count("matrix map", 4)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[[2]int]*boolmat.Matrix, n)
-	for e := 0; e < n; e++ {
-		k, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		i, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		key, err := intKey2(k, i)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := m[key]; dup {
-			return nil, fmt.Errorf("labelstore: duplicate matrix for key (%d,%d)", k, i)
-		}
-		mat, err := d.matrix()
-		if err != nil {
-			return nil, err
-		}
-		m[key] = mat
-	}
-	return m, nil
-}
-
-func (d *decoder) kijMap() (map[[3]int]*boolmat.Matrix, error) {
-	n, err := d.count("matrix map", 5)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[[3]int]*boolmat.Matrix, n)
-	for e := 0; e < n; e++ {
-		k, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		i, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		j, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		key, err := intKey3(k, i, j)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := m[key]; dup {
-			return nil, fmt.Errorf("labelstore: duplicate matrix for key (%d,%d,%d)", k, i, j)
-		}
-		mat, err := d.matrix()
-		if err != nil {
-			return nil, err
-		}
-		m[key] = mat
-	}
-	return m, nil
-}
-
-func (d *decoder) chainMap() (map[[2]int]*core.FrozenChain, error) {
-	n, err := d.count("recursion-cache map", 6)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[[2]int]*core.FrozenChain, n)
-	for e := 0; e < n; e++ {
-		s, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		t, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		key, err := intKey2(s, t)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := m[key]; dup {
-			return nil, fmt.Errorf("labelstore: duplicate recursion cache for key (%d,%d)", s, t)
-		}
-		fc := &core.FrozenChain{}
-		np, err := d.count("prefix products", 2)
-		if err != nil {
-			return nil, err
-		}
-		fc.Prefixes = make([]*boolmat.Matrix, np)
-		for i := range fc.Prefixes {
-			if fc.Prefixes[i], err = d.matrix(); err != nil {
-				return nil, err
-			}
-		}
-		pre, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		per, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if fc.Preperiod, err = toInt(pre); err != nil {
-			return nil, err
-		}
-		if fc.Period, err = toInt(per); err != nil {
-			return nil, err
-		}
-		npw, err := d.count("periodic powers", 2)
-		if err != nil {
-			return nil, err
-		}
-		fc.Powers = make([]*boolmat.Matrix, npw)
-		for i := range fc.Powers {
-			if fc.Powers[i], err = d.matrix(); err != nil {
-				return nil, err
-			}
-		}
-		m[key] = fc
-	}
-	return m, nil
-}
-
 func (d *decoder) snapshot() (*Snapshot, error) {
 	kind, err := d.byte()
 	if err != nil {
@@ -608,7 +408,7 @@ func (d *decoder) snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("labelstore: rebuilding scheme: %w", err)
 	}
 
-	numLabels, err := d.count("label list", 8)
+	numLabels, err := d.count("view list", 4)
 	if err != nil {
 		return nil, err
 	}
@@ -627,6 +427,9 @@ func (d *decoder) snapshot() (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
+		if variant > byte(core.VariantQueryEfficient) {
+			return nil, fmt.Errorf("labelstore: view %q has unknown variant %d", name, variant)
+		}
 		include, err := d.strings()
 		if err != nil {
 			return nil, err
@@ -639,79 +442,13 @@ func (d *decoder) snapshot() (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("labelstore: invalid view %q: %w", name, err)
 		}
-		f := &core.FrozenLabel{Variant: core.Variant(variant)}
-		if f.Full, err = d.assignment(); err != nil {
-			return nil, err
-		}
-		if f.Start, err = d.matrix(); err != nil {
-			return nil, err
-		}
-		hasMats, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if hasMats == 1 {
-			if f.IMat, err = d.kiMap(); err != nil {
-				return nil, err
-			}
-			if f.OMat, err = d.kiMap(); err != nil {
-				return nil, err
-			}
-			if f.ZMat, err = d.kijMap(); err != nil {
-				return nil, err
-			}
-		} else if hasMats != 0 {
-			return nil, fmt.Errorf("labelstore: view %q: bad materialized-matrices flag %d", name, hasMats)
-		}
-		hasRec, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if hasRec == 1 {
-			if f.InRec, err = d.chainMap(); err != nil {
-				return nil, err
-			}
-			if f.OutRec, err = d.chainMap(); err != nil {
-				return nil, err
-			}
-		} else if hasRec != 0 {
-			return nil, fmt.Errorf("labelstore: view %q: bad recursion-caches flag %d", name, hasRec)
-		}
-		vl, err := scheme.RestoreView(v, f)
+		vl, err := scheme.LabelViewWithin(v, core.Variant(variant), &d.budget)
 		if err != nil {
 			return nil, fmt.Errorf("labelstore: view %q: %w", name, err)
 		}
 		snap.Labels = append(snap.Labels, vl)
 	}
 	return snap, nil
-}
-
-func intKey2(a, b uint64) ([2]int, error) {
-	ai, err := toInt(a)
-	if err != nil {
-		return [2]int{}, err
-	}
-	bi, err := toInt(b)
-	if err != nil {
-		return [2]int{}, err
-	}
-	return [2]int{ai, bi}, nil
-}
-
-func intKey3(a, b, c uint64) ([3]int, error) {
-	ai, err := toInt(a)
-	if err != nil {
-		return [3]int{}, err
-	}
-	bi, err := toInt(b)
-	if err != nil {
-		return [3]int{}, err
-	}
-	ci, err := toInt(c)
-	if err != nil {
-		return [3]int{}, err
-	}
-	return [3]int{ai, bi, ci}, nil
 }
 
 // toInt rejects values past a comfortable index range so downstream int

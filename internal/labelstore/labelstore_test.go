@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -18,7 +19,9 @@ import (
 var allVariants = []core.Variant{core.VariantSpaceEfficient, core.VariantDefault, core.VariantQueryEfficient}
 
 // saveLoad round-trips a snapshot through a file, the way wflabel
-// -snapshot writes it and wfcheck -load reads it back.
+// -snapshot writes it and wfcheck -load reads it back. A snapshot is a pure
+// function of the specification and the view definitions, so saving the
+// loaded snapshot must reproduce the file byte for byte.
 func saveLoad(t *testing.T, scheme *core.Scheme, labels []*core.ViewLabel) *labelstore.Snapshot {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "labels.fvl")
@@ -31,6 +34,17 @@ func saveLoad(t *testing.T, scheme *core.Scheme, labels []*core.ViewLabel) *labe
 	}
 	if len(snap.Labels) != len(labels) {
 		t.Fatalf("loaded %d labels, saved %d", len(snap.Labels), len(labels))
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := labelstore.Save(&again, snap.Scheme, snap.Labels); err != nil {
+		t.Fatalf("Save of the loaded snapshot: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatalf("Save(Load(x)) is %d bytes and differs from the %d-byte x", again.Len(), len(saved))
 	}
 	return snap
 }

@@ -1,7 +1,7 @@
 // Package service implements fvld: a multi-tenant label service over HTTP.
 //
 // One process hosts many named tenants; each tenant owns registered schemes
-// (an fvl.Service restored from an uploaded labelstore snapshot) and named
+// (an fvl.Service loaded from an uploaded labelstore snapshot) and named
 // sessions over those schemes (live or durable fvl sessions fed by streamed
 // step journals). The HTTP surface is deliberately thin: every byte format
 // on the wire is one of the repo's existing fuzz-hardened codecs (FVLSNAP

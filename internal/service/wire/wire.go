@@ -7,8 +7,10 @@
 // The protocol deliberately reuses the repo's two fuzz-hardened codecs as
 // its binary wire formats instead of inventing new ones:
 //
-//   - scheme upload/download bodies are labelstore snapshots ("FVLSNAP\x01",
-//     checksummed, validated structurally on load);
+//   - scheme upload/download bodies are labelstore snapshots ("FVLSNAP\x02":
+//     the specification and the view definitions, checksummed, validated on
+//     load, and relabeled under an allocation budget funded by the body's
+//     size);
 //   - step-ingestion bodies are live step journals ("FVLJRNL\x01", canonical
 //     bounded uvarint records) — the same bytes a journal file holds, so the
 //     decoder that survives FuzzJournalReplay is exactly the decoder facing

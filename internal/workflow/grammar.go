@@ -134,21 +134,18 @@ func (g *Grammar) Validate() error {
 		if err := p.RHS.Validate(g); err != nil {
 			return fmt.Errorf("workflow: production %d (%s): %w", pi+1, p.LHS, err)
 		}
-		ins, err := p.RHS.InitialInputs(g)
-		if err != nil {
-			return err
-		}
-		outs, err := p.RHS.FinalOutputs(g)
-		if err != nil {
-			return err
-		}
-		if len(ins) != lhs.In {
+		// The port bijection is checked by counting the open ports, not by
+		// listing them: listing costs time and memory in the declared port
+		// counts, which a specification read from untrusted bytes can make
+		// astronomically large for a few bytes of input.
+		ins, outs := p.RHS.openPortCounts(g)
+		if ins != lhs.In {
 			return fmt.Errorf("workflow: production %d: %q has %d inputs but its right-hand side has %d initial inputs",
-				pi+1, p.LHS, lhs.In, len(ins))
+				pi+1, p.LHS, lhs.In, ins)
 		}
-		if len(outs) != lhs.Out {
+		if outs != lhs.Out {
 			return fmt.Errorf("workflow: production %d: %q has %d outputs but its right-hand side has %d final outputs",
-				pi+1, p.LHS, lhs.Out, len(outs))
+				pi+1, p.LHS, lhs.Out, outs)
 		}
 	}
 	return nil

@@ -166,11 +166,15 @@ func rowsToMatrix(rows []string, m Module) (*boolmat.Matrix, error) {
 	if len(rows) != m.In {
 		return nil, fmt.Errorf("want %d rows (one per input port), got %d", m.In, len(rows))
 	}
-	mat := boolmat.New(m.In, m.Out)
+	// Every row is checked before the matrix is allocated, so its size is
+	// backed by the document's own characters.
 	for i, row := range rows {
 		if len(row) != m.Out {
 			return nil, fmt.Errorf("row %d has %d columns, want %d (one per output port)", i, len(row), m.Out)
 		}
+	}
+	mat := boolmat.New(m.In, m.Out)
+	for i, row := range rows {
 		for j := 0; j < m.Out; j++ {
 			switch row[j] {
 			case '1':

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -180,6 +181,29 @@ func (w *SimpleWorkflow) Normalize() (*SimpleWorkflow, error) {
 		}
 	}
 	return out, nil
+}
+
+// openPortCounts returns the number of initial input and final output ports
+// of a workflow that passed Validate: each data edge closes one input and one
+// output port, and Validate has checked that no port carries two, so the
+// counts are the declared port counts less the edges. A sum past the int
+// range saturates at math.MaxInt.
+func (w *SimpleWorkflow) openPortCounts(mods ModuleLookup) (ins, outs int) {
+	ins, outs = -len(w.Edges), -len(w.Edges)
+	for _, name := range w.Nodes {
+		m, _ := mods.Module(name)
+		ins = addSaturating(ins, m.In)
+		outs = addSaturating(outs, m.Out)
+	}
+	return ins, outs
+}
+
+// addSaturating returns a+b for b >= 0, or math.MaxInt if that overflows.
+func addSaturating(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // InitialInputs enumerates the initial input ports of the workflow (input
