@@ -24,36 +24,6 @@ type ItemQuery struct {
 	From, To int
 }
 
-// LiveOption configures a live session.
-type LiveOption func(*liveOptions)
-
-type liveOptions struct {
-	journal io.Writer
-}
-
-// WithStepJournal attaches a step journal to the session: every applied
-// step is persisted to w before it becomes visible to readers, so the
-// session can be rebuilt — up to the exact same epoch — with ResumeLive. A
-// journal write failure poisons the session rather than letting it silently
-// outrun its durable record.
-func WithStepJournal(w io.Writer) LiveOption {
-	return func(o *liveOptions) { o.journal = w }
-}
-
-// liveOpts resolves LiveOptions into the internal package's options — the
-// single conversion point OpenLive and ResumeLive share.
-func liveOpts(opts []LiveOption) []live.Option {
-	var o liveOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	var lopts []live.Option
-	if o.journal != nil {
-		lopts = append(lopts, live.WithJournal(o.journal))
-	}
-	return lopts
-}
-
 // OpenLive starts a live run session over the service's specification: a
 // derivation in progress whose data items are labeled the moment they are
 // produced, and whose dependency queries are answered — against the
@@ -61,8 +31,8 @@ func liveOpts(opts []LiveOption) []live.Option {
 // run is still executing. No relabeling ever happens and readers never stop
 // the producers: each batch pins one published step prefix (epoch) and every
 // answer is consistent with exactly that prefix.
-func (s *Service) OpenLive(opts ...LiveOption) (*Session, error) {
-	ls, err := live.NewSession(s.scheme, liveOpts(opts)...)
+func (s *Service) OpenLive() (*Session, error) {
+	ls, err := live.NewSession(s.scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -70,13 +40,13 @@ func (s *Service) OpenLive(opts ...LiveOption) (*Session, error) {
 }
 
 // ResumeLive rebuilds a live session from a step journal (written by
-// WithStepJournal or Session.WriteJournal): the recorded steps are replayed
-// against a fresh run, restoring the session at the journaled epoch. The
-// journal is untrusted input — corruption fails with ErrCorruptJournal, and
-// steps that do not apply to this service's specification fail with the
-// underlying derivation error.
-func (s *Service) ResumeLive(journal io.Reader, opts ...LiveOption) (*Session, error) {
-	ls, err := live.Resume(s.scheme, journal, liveOpts(opts)...)
+// Session.WriteJournal): the recorded steps are replayed against a fresh
+// run, restoring the session at the journaled epoch. The journal is
+// untrusted input — corruption fails with ErrCorruptJournal, and steps that
+// do not apply to this service's specification fail with the underlying
+// derivation error.
+func (s *Service) ResumeLive(journal io.Reader) (*Session, error) {
+	ls, err := live.Resume(s.scheme, journal)
 	if err != nil {
 		return nil, err
 	}
@@ -86,12 +56,12 @@ func (s *Service) ResumeLive(journal io.Reader, opts ...LiveOption) (*Session, e
 // ResumeLiveFile rebuilds a live session from a journal file. A close error
 // is propagated, not swallowed: on some filesystems it is the first sign the
 // journal bytes never all made it to disk.
-func (s *Service) ResumeLiveFile(path string, opts ...LiveOption) (*Session, error) {
+func (s *Service) ResumeLiveFile(path string) (*Session, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := s.ResumeLive(f, opts...)
+	sess, err := s.ResumeLive(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

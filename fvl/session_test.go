@@ -149,8 +149,7 @@ func sessionAnswer(t *testing.T, sess *fvl.Session, ctx context.Context, viewNam
 
 func TestFeedJournalAndResume(t *testing.T) {
 	svc, viewName := liveService(t)
-	var journal bytes.Buffer
-	sess, err := svc.OpenLive(fvl.WithStepJournal(&journal))
+	sess, err := svc.OpenLive()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,11 @@ func TestFeedJournalAndResume(t *testing.T) {
 		t.Fatal("feed applied no steps")
 	}
 
-	// Resume from the streamed journal: same epoch, same items, same answers.
+	// Resume from the exported journal: same epoch, same items, same answers.
+	var journal bytes.Buffer
+	if err := sess.WriteJournal(&journal); err != nil {
+		t.Fatal(err)
+	}
 	resumed, err := svc.ResumeLive(bytes.NewReader(journal.Bytes()))
 	if err != nil {
 		t.Fatalf("resume: %v", err)

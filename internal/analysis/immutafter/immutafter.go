@@ -13,6 +13,14 @@
 // by-value copy is allowed (the copy is private), but writes through the
 // copy's maps and slices are still flagged: shallow copies share them with
 // the original, which is exactly how WithMatrixFree clones stay safe.
+//
+// Data and port labels are immutable too, with no construction exception:
+// the run labeler builds every one with a composite literal and never
+// modifies it after assignment (Section 4.2.3), which is what lets every
+// port label created at one instance share that instance's path and a live
+// session publish the labeler's own label slice. Any write to
+// core.DataLabel or core.PortLabel state, including an element of a port
+// label's Path, is flagged.
 package immutafter
 
 import (
@@ -28,7 +36,8 @@ const corePath = "repro/internal/core"
 var Analyzer = &analysis.Analyzer{
 	Name: "immutafter",
 	Doc: "flags writes to core.ViewLabel state outside //fvlvet:viewlabel-ctor construction functions " +
-		"(view labels are read-only after construction so they can serve concurrent queries)",
+		"(view labels are read-only after construction so they can serve concurrent queries) " +
+		"and every write to core.DataLabel or core.PortLabel state (labels are never modified after assignment)",
 	Run: run,
 }
 
@@ -38,16 +47,21 @@ func run(pass *analysis.Pass) error {
 		if obj.Pkg() == nil || obj.Pkg().Path() != corePath {
 			return false
 		}
-		return obj.Name() == "ViewLabel" || obj.Name() == "recChain"
+		switch obj.Name() {
+		case "ViewLabel", "recChain", "DataLabel", "PortLabel":
+			return true
+		}
+		return false
 	}
 	for _, file := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
 		analysis.EachFunc(file, func(fd *ast.FuncDecl) {
-			if analysis.HasDirective(fd.Doc, "fvlvet:viewlabel-ctor") || fd.Body == nil {
+			if fd.Body == nil {
 				return
 			}
+			ctor := analysis.HasDirective(fd.Doc, "fvlvet:viewlabel-ctor")
 			analysis.EachWrite(pass.TypesInfo, fd.Body, func(w analysis.Write) {
 				t, ok := analysis.MatchWrite(pass.TypesInfo, w.Lhs, match)
 				if !ok {
@@ -58,7 +72,16 @@ func run(pass *analysis.Pass) error {
 					// the WithMatrixFree clone idiom.
 					return
 				}
-				what := "core." + analysis.Named(pass.TypesInfo.TypeOf(t.Base)).Obj().Name()
+				name := analysis.Named(pass.TypesInfo.TypeOf(t.Base)).Obj().Name()
+				if name == "DataLabel" || name == "PortLabel" {
+					pass.Reportf(w.Pos, "write to core.%s state: data labels are never modified after assignment, "+
+						"and port labels share their instance's path; build a new label instead", name)
+					return
+				}
+				if ctor {
+					return
+				}
+				what := "core." + name
 				pass.Reportf(w.Pos, "write to %s state outside the construction path: view labels are read-only after construction; "+
 					"move the mutation into a //fvlvet:viewlabel-ctor function or into the per-query context", what)
 			})

@@ -1,6 +1,7 @@
 // Package core impersonates repro/internal/core for the immutafter fixture:
 // the analyzer keys on the import path, so the fixture supplies a miniature
-// ViewLabel with the same mutation surfaces as the real one.
+// ViewLabel and data/port labels with the same mutation surfaces as the
+// real ones.
 package core
 
 type recChain struct {
@@ -51,4 +52,54 @@ func (vl *ViewLabel) WithStart(s int) *ViewLabel {
 func (vl *ViewLabel) Sanctioned() {
 	//lint:ignore immutafter fixture exercises the reviewed-exception escape hatch
 	vl.start = 1
+}
+
+type EdgeLabel struct {
+	K, I int
+}
+
+// PortLabel and DataLabel mirror the real run labels: a port label's Path
+// is shared by every port label created at one instance.
+type PortLabel struct {
+	Path []EdgeLabel
+	Port int
+}
+
+type DataLabel struct {
+	Out *PortLabel
+	In  *PortLabel
+}
+
+// NewDataLabel builds labels by composite literal only: no diagnostic.
+func NewDataLabel(path []EdgeLabel, out, in int) *DataLabel {
+	return &DataLabel{
+		Out: &PortLabel{Path: path[:len(path):len(path)], Port: out},
+		In:  &PortLabel{Path: path[:len(path):len(path)], Port: in},
+	}
+}
+
+// Relabel writes through a shared path and into assigned labels.
+func Relabel(d *DataLabel, p *PortLabel) {
+	p.Path[0] = EdgeLabel{K: 1, I: 1} // want `write to core\.PortLabel state`
+	p.Path[0].I++                     // want `write to core\.PortLabel state`
+	d.In.Path[1].K = 2                // want `write to core\.PortLabel state`
+	p.Port = 3                        // want `write to core\.PortLabel state`
+	d.Out = p                         // want `write to core\.DataLabel state`
+}
+
+// NotACtorForLabels: the view-label directive sanctions view-label writes
+// only.
+//
+//fvlvet:viewlabel-ctor
+func NotACtorForLabels(p *PortLabel) {
+	p.Path = nil // want `write to core\.PortLabel state`
+}
+
+// LocalCopy writes a field of a private by-value copy, which is allowed,
+// but the copy still shares its Path array with the original.
+func LocalCopy(p *PortLabel) PortLabel {
+	c := *p
+	c.Port = 4
+	c.Path[0].K = 5 // want `write to core\.PortLabel state`
+	return c
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/run"
-	"repro/internal/workflow"
 )
 
 // RunLabeler is φr: it observes a run derivation and assigns every data item
@@ -14,39 +13,43 @@ import (
 // modified after assignment. The labeler maintains, for every module instance
 // of the run, the path of edge labels from the root of the compressed parse
 // tree to the node representing the instance; port and data labels are formed
-// from these paths.
+// from these paths, and every port label created at an instance shares that
+// instance's path.
+//
+// Item and instance IDs are dense and allocation-ordered (run.New, run.Apply),
+// so both stores are slices the labeler only ever appends to.
 type RunLabeler struct {
 	scheme *Scheme
 
 	// instPath[id] is the edge-label path of the tree node for instance id.
-	instPath map[int][]EdgeLabel
-	// labels[itemID] is the assigned data label.
-	labels map[int]*DataLabel
+	// It is nil for the root of a non-recursive start module and, in a
+	// restored labeler, for every instance that was not on the frontier.
+	instPath [][]EdgeLabel
+	// labels[itemID-1] is the label assigned to data item itemID.
+	labels []*DataLabel
 }
 
 // NewRunLabeler returns a labeler for runs of the scheme's specification.
 // Attach it to a run with run.Run.AddObserver.
 func (s *Scheme) NewRunLabeler() *RunLabeler {
-	return &RunLabeler{
-		scheme:   s,
-		instPath: map[int][]EdgeLabel{},
-		labels:   map[int]*DataLabel{},
-	}
+	return &RunLabeler{scheme: s}
 }
 
 // Label returns the label assigned to the data item with the given ID.
 func (l *RunLabeler) Label(itemID int) (*DataLabel, bool) {
-	d, ok := l.labels[itemID]
-	return d, ok
+	if itemID < 1 || itemID > len(l.labels) {
+		return nil, false
+	}
+	return l.labels[itemID-1], true
 }
 
-// Labels returns a snapshot of all assigned labels keyed by data item ID.
-func (l *RunLabeler) Labels() map[int]*DataLabel {
-	out := make(map[int]*DataLabel, len(l.labels))
-	for k, v := range l.labels {
-		out[k] = v.Clone()
-	}
-	return out
+// Prefix returns the labels assigned so far, indexed by item ID − 1. The
+// slice is length-capped and labels are never modified, so a caller may hold
+// it while the labeler keeps appending: no later label shows through it. The
+// caller must not write to it.
+func (l *RunLabeler) Prefix() []*DataLabel {
+	n := len(l.labels)
+	return l.labels[:n:n]
 }
 
 // Count returns the number of labeled data items.
@@ -65,27 +68,62 @@ func (l *RunLabeler) OnInit(r *run.Run) error {
 	if s, t, ok := l.scheme.cycleOf(start); ok {
 		path = []EdgeLabel{RecursiveEdge(s, t, 1)}
 	}
-	l.instPath[0] = path
+	if err := l.place(0, path); err != nil {
+		return err
+	}
 
-	root, _ := r.Instance(0)
 	for _, item := range r.Items {
 		if item.Step != 0 {
 			continue
 		}
+		var d *DataLabel
 		if item.Src == -1 {
 			port, _ := r.Port(item.Dst)
-			l.labels[item.ID] = &DataLabel{In: l.portLabel(root.ID, port)}
+			d = &DataLabel{In: portLabel(path, port)}
 		} else {
 			port, _ := r.Port(item.Src)
-			l.labels[item.ID] = &DataLabel{Out: l.portLabel(root.ID, port)}
+			d = &DataLabel{Out: portLabel(path, port)}
+		}
+		if err := l.assign(item.ID, d); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (l *RunLabeler) portLabel(ownerInstance int, port run.PortInstance) *PortLabel {
-	path := l.instPath[ownerInstance]
-	return &PortLabel{Path: append([]EdgeLabel(nil), path...), Port: port.Index}
+// portLabel labels a port created at the instance whose path is given. The
+// label aliases the path: paths are never modified once placed, and the
+// capped slice keeps an append through the label from reaching the shared
+// array.
+func portLabel(path []EdgeLabel, port run.PortInstance) *PortLabel {
+	return &PortLabel{Path: path[:len(path):len(path)], Port: port.Index}
+}
+
+// place records the path of the next instance.
+func (l *RunLabeler) place(instID int, path []EdgeLabel) error {
+	if instID != len(l.instPath) {
+		return fmt.Errorf("core: instance %d placed out of order: the labeler expects instance %d", instID, len(l.instPath))
+	}
+	l.instPath = append(l.instPath, path)
+	return nil
+}
+
+// assign records the label of the next data item.
+func (l *RunLabeler) assign(itemID int, d *DataLabel) error {
+	if itemID != len(l.labels)+1 {
+		return fmt.Errorf("core: item %d labeled out of order: the labeler expects item %d", itemID, len(l.labels)+1)
+	}
+	l.labels = append(l.labels, d)
+	return nil
+}
+
+// path returns the placed path of the instance. Every instance but the root
+// has a non-empty path, so a nil entry past the root was never placed.
+func (l *RunLabeler) path(id int) ([]EdgeLabel, error) {
+	if id >= len(l.instPath) || (l.instPath[id] == nil && id != 0) {
+		return nil, fmt.Errorf("core: instance %d was never placed in the parse tree", id)
+	}
+	return l.instPath[id], nil
 }
 
 // OnStep places the instances created by the step into the compressed parse
@@ -96,9 +134,9 @@ func (l *RunLabeler) OnStep(r *run.Run, step *run.Step) error {
 	if !ok {
 		return fmt.Errorf("core: step refers to unknown instance %d", step.Instance)
 	}
-	parentPath, ok := l.instPath[parent.ID]
-	if !ok {
-		return fmt.Errorf("core: instance %d was never placed in the parse tree", parent.ID)
+	parentPath, err := l.path(parent.ID)
+	if err != nil {
+		return err
 	}
 	k := step.Prod
 	parentRecursive := l.scheme.isRecursive(parent.Module)
@@ -128,27 +166,36 @@ func (l *RunLabeler) OnStep(r *run.Run, step *run.Step) error {
 			if !ok {
 				return fmt.Errorf("core: module %q is recursive but has no cycle", child.Module)
 			}
-			path = appendEdge(appendEdge(parentPath, NonRecursiveEdge(k, i)), RecursiveEdge(s, t, 1))
+			path = appendEdge(parentPath, NonRecursiveEdge(k, i), RecursiveEdge(s, t, 1))
 		}
-		l.instPath[childID] = path
+		if err := l.place(childID, path); err != nil {
+			return err
+		}
 	}
 
 	for _, itemID := range step.NewItems {
 		item, _ := r.Item(itemID)
 		src, _ := r.Port(item.Src)
 		dst, _ := r.Port(item.Dst)
-		l.labels[itemID] = &DataLabel{
-			Out: l.portLabel(src.Owner, src),
-			In:  l.portLabel(dst.Owner, dst),
+		// Both ports belong to children placed above.
+		d := &DataLabel{
+			Out: portLabel(l.instPath[src.Owner], src),
+			In:  portLabel(l.instPath[dst.Owner], dst),
+		}
+		if err := l.assign(itemID, d); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func appendEdge(path []EdgeLabel, e EdgeLabel) []EdgeLabel {
-	out := make([]EdgeLabel, 0, len(path)+1)
+// appendEdge returns a fresh path: the given one extended by edges. It is the
+// only constructor of instance paths, so no two instances share an array
+// that either could grow into.
+func appendEdge(path []EdgeLabel, edges ...EdgeLabel) []EdgeLabel {
+	out := make([]EdgeLabel, 0, len(path)+len(edges))
 	out = append(out, path...)
-	return append(out, e)
+	return append(out, edges...)
 }
 
 // LabelRun is a convenience helper that labels an already-derived run by
@@ -183,6 +230,3 @@ func (s *Scheme) LabelRunContext(ctx context.Context, r *run.Run) (*RunLabeler, 
 }
 
 var _ run.Observer = (*RunLabeler)(nil)
-
-// portKindOf is a small helper used in tests to sanity-check port labels.
-func portKindOf(p run.PortInstance) workflow.PortKind { return p.Kind }

@@ -11,44 +11,45 @@ import (
 // step can read. OnStep consults instPath only for the instance it expands
 // (always an unexpanded composite) and writes fresh paths for the children it
 // creates, so persisting the frontier paths alongside the assigned labels is
-// sufficient to continue labeling a restored run without relabeling it.
+// sufficient to continue labeling a restored run without relabeling it. The
+// returned paths alias the labeler's and must not be modified.
 func (l *RunLabeler) FrontierPaths(r *run.Run) (map[int][]EdgeLabel, error) {
-	out := map[int][]EdgeLabel{}
-	for _, id := range r.Frontier() {
-		path, ok := l.instPath[id]
-		if !ok {
-			return nil, fmt.Errorf("core: frontier instance %d was never placed in the parse tree", id)
+	frontier := r.Frontier()
+	out := make(map[int][]EdgeLabel, len(frontier))
+	for _, id := range frontier {
+		path, err := l.path(id)
+		if err != nil {
+			return nil, err
 		}
-		// Paths may be nil for the root of a non-recursive start module;
-		// normalize so callers can encode them uniformly.
-		if path == nil {
-			path = []EdgeLabel{}
-		}
-		out[id] = append([]EdgeLabel(nil), path...)
+		out[id] = path
 	}
 	return out, nil
 }
 
-// RestoreRunLabeler rebuilds a labeler from persisted state: the labels
-// assigned to the first len(labels) data items and the parse-tree paths of
-// the unexpanded frontier instances (see FrontierPaths). Labels must be
-// contiguous from item ID 1 — the invariant the live session publishes by.
-// The inputs are expected to have passed the codec's strict decoders already
-// (labelstore decodes both through Codec.Decode/DecodePath); this constructor
-// only re-checks the cheap structural facts.
-func (s *Scheme) RestoreRunLabeler(labels []*DataLabel, paths map[int][]EdgeLabel) (*RunLabeler, error) {
-	l := s.NewRunLabeler()
+// RestoreRunLabeler rebuilds a labeler for the run r from persisted state:
+// the labels of the run's data items, in item order, and the parse-tree
+// paths of its unexpanded frontier instances (see FrontierPaths). The
+// labeler takes ownership of both and continues labeling r from its last
+// step. The inputs are expected to have passed the codec's strict decoders
+// already (labelstore decodes both through Codec.Decode/DecodePath); this
+// constructor only re-checks the cheap structural facts.
+func (s *Scheme) RestoreRunLabeler(r *run.Run, labels []*DataLabel, paths map[int][]EdgeLabel) (*RunLabeler, error) {
 	for i, d := range labels {
 		if d == nil {
 			return nil, fmt.Errorf("core: restored label %d is nil", i+1)
 		}
-		l.labels[i+1] = d
 	}
+	l := &RunLabeler{scheme: s, labels: labels, instPath: make([][]EdgeLabel, len(r.Instances))}
 	for id, path := range paths {
-		if id < 0 {
-			return nil, fmt.Errorf("core: restored path for negative instance %d", id)
+		if id < 0 || id >= len(l.instPath) {
+			return nil, fmt.Errorf("core: restored path for instance %d of a run with %d instances", id, len(l.instPath))
 		}
-		l.instPath[id] = append([]EdgeLabel(nil), path...)
+		// A fresh labeler keeps the root's empty path as nil; so does this
+		// one, so port labels created at the root stay identical.
+		if len(path) == 0 {
+			path = nil
+		}
+		l.instPath[id] = path
 	}
 	return l, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/run"
@@ -39,8 +40,9 @@ func (o *recordingObserver) OnStep(r *run.Run, s *run.Step) error {
 }
 
 func (o *recordingObserver) snapshot() {
-	for id, l := range o.labeler.Labels() {
+	for id := 1; id <= o.labeler.Count(); id++ {
 		if _, ok := o.frozen[id]; !ok {
+			l, _ := o.labeler.Label(id)
 			o.frozen[id] = l.String()
 		}
 	}
@@ -198,6 +200,34 @@ func TestRunLabelerRejectsForeignRun(t *testing.T) {
 	}
 }
 
+// TestRunLabelerRefusesStepsOutOfOrder: the labeler appends instances and
+// items in ID order, so a step it has already seen, or a second OnInit,
+// fails instead of relabeling.
+func TestRunLabelerRefusesStepsOutOfOrder(t *testing.T) {
+	spec := workloads.PaperExample()
+	scheme, err := core.NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 60, Rand: rand.New(rand.NewSource(5))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labeler.OnStep(r, &r.Steps[len(r.Steps)-1]); err == nil {
+		t.Fatal("replaying the last step succeeded")
+	}
+	if err := labeler.OnInit(r); err == nil {
+		t.Fatal("a second OnInit succeeded")
+	}
+	if labeler.Count() != len(r.Items) {
+		t.Fatalf("refused calls changed the label count to %d, want %d", labeler.Count(), len(r.Items))
+	}
+}
+
 func TestViewLabelSizesAreOrderedAcrossVariants(t *testing.T) {
 	spec := workloads.PaperExample()
 	scheme, err := core.NewScheme(spec)
@@ -237,5 +267,67 @@ func TestViewLabelStartDeps(t *testing.T) {
 	}
 	if !vl.StartDeps().IsFull() {
 		t.Fatalf("λ*(S) of the default view over the paper example must be complete, got %v", vl.StartDeps())
+	}
+}
+
+// TestLabelRunSharesInstancePaths pins the memory shape of run labels: every
+// port label created at one instance aliases that instance's path, capped so
+// no append can reach the shared array, and labeling allocates little beyond
+// one path per instance and the labels themselves.
+func TestLabelRunSharesInstancePaths(t *testing.T) {
+	spec := workloads.BioAID()
+	scheme, err := core.NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 3000, Rand: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := scheme.LabelRun(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := float64(3*len(r.Items) + len(r.Instances) + 64); allocs > bound {
+		t.Errorf("LabelRun made %.0f allocations for %d items and %d instances, want at most %.0f",
+			allocs, len(r.Items), len(r.Instances), bound)
+	}
+
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathAt := map[int]*core.EdgeLabel{} // owner instance -> its path's array
+	shared := 0
+	check := func(portID int, p *core.PortLabel) {
+		if cap(p.Path) != len(p.Path) {
+			t.Fatalf("port %d: path has cap %d, len %d", portID, cap(p.Path), len(p.Path))
+		}
+		if len(p.Path) == 0 {
+			return
+		}
+		port, _ := r.Port(portID)
+		data := unsafe.SliceData(p.Path)
+		if prev, ok := pathAt[port.Owner]; !ok {
+			pathAt[port.Owner] = data
+		} else if prev != data {
+			t.Fatalf("port %d: its label does not share instance %d's path", portID, port.Owner)
+		} else {
+			shared++
+		}
+	}
+	for _, item := range r.Items {
+		d, _ := labeler.Label(item.ID)
+		if d.Out != nil {
+			check(item.Src, d.Out)
+		}
+		if d.In != nil {
+			check(item.Dst, d.In)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two port labels were created at one instance")
 	}
 }

@@ -298,7 +298,7 @@ func loadCheckpoint(data []byte, scheme *core.Scheme) (*CheckpointState, error) 
 			return nil, fmt.Errorf("labelstore: frontier instance %d has no path", id)
 		}
 	}
-	labeler, err := scheme.RestoreRunLabeler(labels, paths)
+	labeler, err := scheme.RestoreRunLabeler(restored, labels, paths)
 	if err != nil {
 		return nil, err
 	}

@@ -219,8 +219,9 @@ func TestPrefixDifferentialBasicScheme(t *testing.T) {
 }
 
 // TestResumeRebuildsExactPrefix closes the restartability loop: a session
-// journaled with WithJournal, resumed from those bytes, publishes the same
-// epoch, the same item count and byte-identical labels.
+// journaled step by step through a JournalWriter sink, resumed from those
+// bytes, publishes the same epoch, the same item count and byte-identical
+// labels.
 func TestResumeRebuildsExactPrefix(t *testing.T) {
 	spec := workloads.BioAID()
 	scheme, err := core.NewScheme(spec)
@@ -230,7 +231,11 @@ func TestResumeRebuildsExactPrefix(t *testing.T) {
 	steps := recordSteps(t, spec, 150, 3)
 
 	var journal bytes.Buffer
-	sess, err := live.NewSession(scheme, live.WithJournal(&journal))
+	jw, err := live.NewJournalWriter(&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := live.NewSession(scheme, live.WithJournalSink(jw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +280,31 @@ func TestResumeRebuildsExactPrefix(t *testing.T) {
 	bad[3] ^= 0xff
 	if _, err := live.Resume(scheme, bytes.NewReader(bad)); !errors.Is(err, faults.ErrCorruptJournal) {
 		t.Fatalf("corrupt journal: want ErrCorruptJournal, got %v", err)
+	}
+}
+
+// TestRestoreRefusesUnlabeledItems: a restored session publishes the
+// labeler's own slice, so the labeler must already cover every item of the
+// run; one that does not is refused, and one that does serves its labels.
+func TestRestoreRefusesUnlabeledItems(t *testing.T) {
+	spec := workloads.PaperExample()
+	scheme, err := core.NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := run.New(spec)
+	if _, err := live.Restore(scheme, r, scheme.NewRunLabeler()); err == nil {
+		t.Fatal("restoring with an empty labeler succeeded")
+	}
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := live.Restore(scheme, r, labeler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Items() != len(r.Items) {
+		t.Fatalf("restored session serves %d items, want %d", sess.Items(), len(r.Items))
 	}
 }

@@ -22,9 +22,10 @@
 //     assigning it (the view-adaptive property — that is what makes the
 //     scheme dynamic), so sharing the label pointers is sound;
 //   - item IDs are contiguous, so the labels live in one slice indexed by
-//     itemID-1; the producer appends to its private tail and publishes a
-//     length-capped alias, so a reader's slice header can never see an
-//     in-flight append;
+//     itemID-1 — the labeler's own store (core.RunLabeler.Prefix), which
+//     refuses an item out of order; the producer appends to its private
+//     tail and publishes a length-capped alias, so a reader's slice header
+//     can never see an in-flight append;
 //   - the atomic pointer store happens after every write the Prefix exposes,
 //     so the publish is also the memory barrier (release/acquire).
 //
@@ -32,9 +33,10 @@
 // the derivation, and every answer computed from one Prefix is consistent
 // with that prefix — the invariant the race and differential tests assert.
 //
-// A Session is restartable: attach a journal (WithJournal) to persist each
-// applied step, and Resume replays the journal into a fresh session. The
-// journal codec lives in journal.go.
+// A Session is restartable: Prefix.WriteJournal exports the steps of any
+// epoch, a JournalSink (WithJournalSink) persists each applied step as it is
+// applied, and Resume replays a journal into a fresh session. The journal
+// codec lives in journal.go.
 package live
 
 import (
@@ -60,33 +62,20 @@ type StepRequest struct {
 // Option configures a Session.
 type Option func(*Session)
 
-// WithJournal attaches a step journal: every successfully applied step is
-// appended to w (journal format, see journal.go) before it is published, so
-// a crashed or stopped session can be rebuilt with Resume. A write error
-// poisons the session — the failed step is never published, and further
-// producer calls fail — because a session that silently outruns its journal
-// would no longer be restartable.
-func WithJournal(w io.Writer) Option {
-	return func(s *Session) { s.journalDst = w }
-}
-
 // JournalSink receives every successfully applied step before it is
-// published. It generalizes WithJournal for sinks that own their framing —
-// the durable session store appends to segment files with its own rotation
-// and sync policy, so the plain header-plus-records stream of a JournalWriter
-// does not fit. An Append error poisons the session, exactly like a journal
-// write error.
+// published, so a crashed or stopped session can be rebuilt from what it
+// received. A JournalWriter is one; the durable session store is another,
+// appending to segment files with its own rotation and sync policy. An
+// Append error poisons the session — the failed step is never published, and
+// further producer calls fail — because a session that silently outruns its
+// journal would no longer be restartable.
 type JournalSink interface {
 	Append(StepRequest) error
 }
 
-// WithJournalSink attaches a step sink (see JournalSink). It is mutually
-// exclusive with WithJournal; the last option wins.
+// WithJournalSink attaches a step sink (see JournalSink).
 func WithJournalSink(sink JournalSink) Option {
-	return func(s *Session) {
-		s.sink = sink
-		s.journalDst = nil
-	}
+	return func(s *Session) { s.sink = sink }
 }
 
 // Session is a live run: a derivation in progress whose data items are
@@ -103,12 +92,9 @@ type Session struct {
 	mu     sync.Mutex
 	sink   JournalSink
 	failed error
-	labels []*core.DataLabel
 	steps  []StepRequest
 
 	cur atomic.Pointer[Prefix]
-
-	journalDst io.Writer // set by WithJournal, consumed by NewSession
 }
 
 // NewSession starts a live run of the scheme's specification: the unexpanded
@@ -118,45 +104,28 @@ func NewSession(scheme *core.Scheme, opts ...Option) (*Session, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("live: nil scheme")
 	}
-	s := &Session{scheme: scheme}
+	s := &Session{scheme: scheme, run: run.New(scheme.Spec), labeler: scheme.NewRunLabeler()}
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.journalDst != nil {
-		jw, err := NewJournalWriter(s.journalDst)
-		if err != nil {
-			return nil, fmt.Errorf("live: starting journal: %w", err)
-		}
-		s.sink = jw
-	}
-	s.run = run.New(scheme.Spec)
-	s.labeler = scheme.NewRunLabeler()
 	if err := s.labeler.OnInit(s.run); err != nil {
 		return nil, err
-	}
-	for _, item := range s.run.Items {
-		d, ok := s.labeler.Label(item.ID)
-		if !ok || item.ID != len(s.labels)+1 {
-			return nil, fmt.Errorf("live: initial item %d left unlabeled", item.ID)
-		}
-		s.labels = append(s.labels, d)
 	}
 	s.publishLocked()
 	return s, nil
 }
 
-// Resume rebuilds a session by replaying a step journal (written by a
-// session opened with WithJournal, or exported with Prefix.WriteJournal).
+// Resume rebuilds a session by replaying a step journal (exported with
+// Prefix.WriteJournal, or appended step by step through a JournalWriter).
 // The journal bytes are untrusted: corruption fails with ErrCorruptJournal,
 // and steps that do not apply to the specification fail with the underlying
-// apply error. Options apply to the new session, so Resume(..., WithJournal)
-// re-persists the replayed steps onto the fresh journal.
-func Resume(scheme *core.Scheme, journal io.Reader, opts ...Option) (*Session, error) {
+// apply error.
+func Resume(scheme *core.Scheme, journal io.Reader) (*Session, error) {
 	steps, err := ReadJournal(journal)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewSession(scheme, opts...)
+	s, err := NewSession(scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -179,9 +148,9 @@ func Resume(scheme *core.Scheme, journal io.Reader, opts ...Option) (*Session, e
 //
 // The pieces must agree: the run must belong to the scheme's specification
 // and every data item of the run must already carry a label. Options apply
-// as in NewSession, except that a journal attached here starts at the
-// restored epoch — the restored steps are not re-appended (they are already
-// durable wherever the caller recovered them from).
+// as in NewSession, except that a sink attached here starts at the restored
+// epoch — the restored steps are not re-appended (they are already durable
+// wherever the caller recovered them from).
 func Restore(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler, opts ...Option) (*Session, error) {
 	if scheme == nil || r == nil || labeler == nil {
 		return nil, fmt.Errorf("live: restore needs a scheme, a run and a labeler")
@@ -189,25 +158,12 @@ func Restore(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler, opts ...
 	if r.Spec != scheme.Spec {
 		return nil, fmt.Errorf("live: restored run: %w", faults.ErrForeignLabel)
 	}
-	s := &Session{scheme: scheme}
+	if n := labeler.Count(); n != len(r.Items) {
+		return nil, fmt.Errorf("live: restored labeler holds %d labels for a run of %d items", n, len(r.Items))
+	}
+	s := &Session{scheme: scheme, run: r, labeler: labeler}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.journalDst != nil {
-		jw, err := NewJournalWriter(s.journalDst)
-		if err != nil {
-			return nil, fmt.Errorf("live: starting journal: %w", err)
-		}
-		s.sink = jw
-	}
-	s.run = r
-	s.labeler = labeler
-	for _, item := range r.Items {
-		d, ok := labeler.Label(item.ID)
-		if !ok || item.ID != len(s.labels)+1 {
-			return nil, fmt.Errorf("live: restored item %d has no label", item.ID)
-		}
-		s.labels = append(s.labels, d)
 	}
 	s.steps = make([]StepRequest, len(r.Steps))
 	for i, st := range r.Steps {
@@ -239,10 +195,10 @@ func (s *Session) Exclusive(fn func(r *run.Run, labeler *core.RunLabeler) error)
 // slices are length-capped so a reader can never observe a later append
 // through an aliased tail.
 func (s *Session) publishLocked() {
-	n, k := len(s.labels), len(s.steps)
+	k := len(s.steps)
 	s.cur.Store(&Prefix{
 		epoch:  uint64(k),
-		labels: s.labels[:n:n],
+		labels: s.labeler.Prefix(),
 		steps:  s.steps[:k:k],
 	})
 }
@@ -268,14 +224,6 @@ func (s *Session) Apply(instance, prod int) (uint64, error) {
 	if err := s.labeler.OnStep(s.run, step); err != nil {
 		s.failed = err
 		return 0, fmt.Errorf("live: labeling step %d poisoned the session: %w", step.Index, err)
-	}
-	for _, itemID := range step.NewItems {
-		d, ok := s.labeler.Label(itemID)
-		if !ok || itemID != len(s.labels)+1 {
-			s.failed = fmt.Errorf("live: step %d produced item %d out of order", step.Index, itemID)
-			return 0, s.failed
-		}
-		s.labels = append(s.labels, d)
 	}
 	req := StepRequest{Instance: instance, Prod: prod}
 	if s.sink != nil {
