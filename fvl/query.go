@@ -216,7 +216,8 @@ func (s *Service) ExplainQuery(viewName string, q QueryExpr) (string, error) {
 }
 
 // sessionIndex caches the item index of the most recent pinned prefix so
-// consecutive set queries at the same epoch skip the indexing. A new epoch
+// consecutive set queries at the same epoch skip the indexing, and point
+// queries at that epoch resolve through it. A new epoch
 // extends the cached index rather than rebuilding it: a live prefix's labels
 // are write-once over contiguous item IDs, so only the items produced since
 // the cached epoch are interned (core.ItemIndex.Extend). Every published
@@ -235,6 +236,17 @@ func (c *sessionIndex) for_(epoch uint64, n int, label func(int) (*core.DataLabe
 		c.idx = c.idx.Extend(epoch, n, label)
 	}
 	return c.idx
+}
+
+// at returns the cached index when it is the one of the given epoch, and nil
+// otherwise; it never builds or extends the index.
+func (c *sessionIndex) at(epoch uint64) *core.ItemIndex {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.idx != nil && c.idx.Epoch() == epoch {
+		return c.idx
+	}
+	return nil
 }
 
 // Query answers one set query against the named view while the run is still

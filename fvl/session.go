@@ -80,8 +80,10 @@ type Session struct {
 	svc *Service
 	ls  *live.Session
 
-	// idx caches the set-query item index of the most recently pinned step
-	// prefix (see Session.QueryBatch).
+	// idx caches the item index of the most recently pinned step prefix.
+	// Set batches build or extend it (see Session.QueryBatch); point batches
+	// only read it, when it is already at their pinned epoch (see
+	// Session.DependsOnBatch).
 	idx sessionIndex
 }
 
@@ -187,13 +189,26 @@ func (s *Session) DependsOn(ctx context.Context, viewName string, from, to int) 
 // has not produced, ErrHiddenItem for items the view hides) surface in the
 // corresponding Result; the batch itself fails only for unknown views
 // (ErrUnknownView) or cancellation (ErrCanceled, with partial results).
+//
+// When a set batch (QueryBatch) has already indexed the pinned prefix, the
+// point batch resolves its items through that cached item index, and the
+// chain products the set batches cached per tree node answer it; otherwise
+// it resolves each item to its label. Both paths give identical answers. A
+// point batch never builds or extends the index itself: on a new epoch the
+// index's fresh plans would have to compute, and clone, every product.
 func (s *Session) DependsOnBatch(ctx context.Context, viewName string, queries []ItemQuery) ([]Result, uint64, error) {
 	prefix := s.ls.Current()
 	eq := make([]engine.ItemQuery, len(queries))
 	for i, q := range queries {
 		eq[i] = engine.ItemQuery{From: q.From, To: q.To}
 	}
-	res, err := s.svc.server.DependsOnItemsBatchContext(background(ctx), viewName, prefix, eq)
+	var res []engine.Result
+	var err error
+	if idx := s.idx.at(prefix.Epoch()); idx != nil {
+		res, err = s.svc.server.DependsOnIndexBatchContext(background(ctx), viewName, idx, eq)
+	} else {
+		res, err = s.svc.server.DependsOnItemsBatchContext(background(ctx), viewName, prefix, eq)
+	}
 	out := make([]Result, len(res))
 	for i, r := range res {
 		out[i] = Result{DependsOn: r.DependsOn, Err: r.Err}

@@ -20,7 +20,8 @@
 // port label created at one instance share that instance's path and a live
 // session publish the labeler's own label slice. Any write to
 // core.DataLabel or core.PortLabel state, including an element of a port
-// label's Path, is flagged.
+// label's Path, is flagged. A copy into label state and a whole-value store
+// through a pointer (*p = PortLabel{}) count as writes for every label type.
 package immutafter
 
 import (
@@ -63,7 +64,7 @@ func run(pass *analysis.Pass) error {
 			}
 			ctor := analysis.HasDirective(fd.Doc, "fvlvet:viewlabel-ctor")
 			analysis.EachWrite(pass.TypesInfo, fd.Body, func(w analysis.Write) {
-				t, ok := analysis.MatchWrite(pass.TypesInfo, w.Lhs, match)
+				t, ok := analysis.MatchWrite(pass.TypesInfo, w, match)
 				if !ok {
 					return
 				}

@@ -14,6 +14,7 @@ type ViewLabel struct {
 	start    int
 	included map[int]bool
 	inRec    map[int]*recChain
+	rows     []int
 }
 
 // NewViewLabel is the construction path; its writes are the point.
@@ -37,13 +38,21 @@ func (vl *ViewLabel) Shrink() {
 	vl.inRec[1].prefixes = nil // want `write to core\.recChain state outside the construction path`
 }
 
+// Overwrite replaces the whole label through its pointer and copies over its
+// rows; both are writes to label state.
+func (vl *ViewLabel) Overwrite(rows []int) {
+	*vl = ViewLabel{}   // want `write to core\.ViewLabel state outside the construction path`
+	copy(vl.rows, rows) // want `write to core\.ViewLabel state outside the construction path`
+}
+
 // WithStart clones by value: direct field writes land on the private copy
 // (the WithMatrixFree idiom), but writes through the copy's maps still reach
 // the shared containers.
 func (vl *ViewLabel) WithStart(s int) *ViewLabel {
 	c := *vl
 	c.start = s
-	c.included[3] = true // want `write to core\.ViewLabel state outside the construction path`
+	c.included[3] = true   // want `write to core\.ViewLabel state outside the construction path`
+	copy(c.rows, []int{s}) // want `write to core\.ViewLabel state outside the construction path`
 	return &c
 }
 
@@ -85,6 +94,15 @@ func Relabel(d *DataLabel, p *PortLabel) {
 	d.In.Path[1].K = 2                // want `write to core\.PortLabel state`
 	p.Port = 3                        // want `write to core\.PortLabel state`
 	d.Out = p                         // want `write to core\.DataLabel state`
+}
+
+// Overwrite stores whole labels through pointers and copies into a shared
+// path.
+func Overwrite(d *DataLabel, p *PortLabel, src []EdgeLabel) {
+	copy(p.Path, src) // want `write to core\.PortLabel state`
+	*p = PortLabel{}  // want `write to core\.PortLabel state`
+	*d = DataLabel{}  // want `write to core\.DataLabel state`
+	*d.In = *p        // want `write to core\.PortLabel state`
 }
 
 // NotACtorForLabels: the view-label directive sanctions view-label writes

@@ -89,7 +89,7 @@ func run(pass *analysis.Pass) error {
 				return
 			}
 			analysis.EachWrite(pass.TypesInfo, fd.Body, func(w analysis.Write) {
-				t, ok := analysis.MatchWrite(pass.TypesInfo, w.Lhs, func(n *types.Named) bool {
+				t, ok := analysis.MatchWrite(pass.TypesInfo, w, func(n *types.Named) bool {
 					return published[n.Obj()]
 				})
 				if !ok {

@@ -43,6 +43,11 @@ func (s *Session) patch(p *Prefix) {
 	p.epoch++ // want `write to Prefix, a type published through an atomic\.Pointer`
 }
 
+func (s *Session) overwrite(p *Prefix) {
+	*p = Prefix{}            // want `write to Prefix, a type published through an atomic\.Pointer`
+	copy(p.labels, s.labels) // want `write to Prefix, a type published through an atomic\.Pointer`
+}
+
 // newPrefix builds the value before it escapes to a Store, the reviewed
 // builder exception.
 //

@@ -7,12 +7,17 @@ import (
 )
 
 // Write is one syntactic mutation site: an assignment target, the operand of
-// ++/--, or the container argument of the delete and clear builtins.
+// ++/--, the container argument of the delete and clear builtins, or the
+// destination argument of the copy builtin.
 type Write struct {
 	// Lhs is the full expression being written through.
 	Lhs ast.Expr
 	// Pos anchors the diagnostic.
 	Pos token.Pos
+	// Elems is true when the write lands on the entries or elements Lhs
+	// refers to (delete, clear, copy) rather than on Lhs itself, so a
+	// shallow copy of Lhs's owner sees it too.
+	Elems bool
 }
 
 // EachWrite calls fn for every mutation site in the subtree rooted at n,
@@ -28,8 +33,9 @@ func EachWrite(info *types.Info, n ast.Node, fn func(Write)) {
 			fn(Write{Lhs: s.X, Pos: s.X.Pos()})
 		case *ast.CallExpr:
 			if b, ok := Callee(info, s).(*types.Builtin); ok && len(s.Args) > 0 {
-				if name := b.Name(); name == "delete" || name == "clear" {
-					fn(Write{Lhs: s.Args[0], Pos: s.Args[0].Pos()})
+				switch b.Name() {
+				case "delete", "clear", "copy":
+					fn(Write{Lhs: s.Args[0], Pos: s.Args[0].Pos(), Elems: true})
 				}
 			}
 		}
@@ -39,13 +45,14 @@ func EachWrite(info *types.Info, n ast.Node, fn func(Write)) {
 
 // WriteTarget describes how a write reaches a matched type.
 type WriteTarget struct {
-	// Sel is the field selector through which the write happens.
-	Sel *ast.SelectorExpr
-	// Base is the expression of the matched type (the selector's operand).
+	// Base is the expression of the matched type: the operand of the field
+	// selector written through, or the pointer a whole-value store
+	// dereferences.
 	Base ast.Expr
 	// ViaContainer is true when the write passes through an index expression
-	// or pointer dereference below the field selector — mutating state the
-	// matched value merely points to, which shallow copies share.
+	// or pointer dereference below the field selector, or lands on the
+	// elements of what it names (Write.Elems) — mutating state the matched
+	// value merely points to, which shallow copies share.
 	ViaContainer bool
 	// BasePointer is true when Base is a pointer to the matched type.
 	BasePointer bool
@@ -53,10 +60,11 @@ type WriteTarget struct {
 
 // MatchWrite walks down a write's left-hand side and reports the outermost
 // field selector whose operand type (possibly behind a pointer) satisfies
-// match. It returns false when the write never touches a matched type.
-func MatchWrite(info *types.Info, lhs ast.Expr, match func(*types.Named) bool) (WriteTarget, bool) {
-	via := false
-	cur := lhs
+// match, or the outermost dereference that stores a whole matched value
+// (*p = T{}). It returns false when the write never touches a matched type.
+func MatchWrite(info *types.Info, w Write, match func(*types.Named) bool) (WriteTarget, bool) {
+	via := w.Elems
+	cur := w.Lhs
 	for {
 		switch e := cur.(type) {
 		case *ast.ParenExpr:
@@ -65,13 +73,16 @@ func MatchWrite(info *types.Info, lhs ast.Expr, match func(*types.Named) bool) (
 			via = true
 			cur = e.X
 		case *ast.StarExpr:
+			if n, ok := types.Unalias(info.TypeOf(e)).(*types.Named); ok && match(n) {
+				return WriteTarget{Base: e.X, ViaContainer: via, BasePointer: true}, true
+			}
 			via = true
 			cur = e.X
 		case *ast.SelectorExpr:
 			bt := info.TypeOf(e.X)
 			if n := Named(bt); n != nil && match(n) {
 				_, isPtr := types.Unalias(bt).(*types.Pointer)
-				return WriteTarget{Sel: e, Base: e.X, ViaContainer: via, BasePointer: isPtr}, true
+				return WriteTarget{Base: e.X, ViaContainer: via, BasePointer: isPtr}, true
 			}
 			cur = e.X
 		default:

@@ -159,47 +159,111 @@ func (vl *ViewLabel) dependsOn(qc *queryCtx, d1, d2 *DataLabel) (bool, error) {
 	if d1 == nil || d2 == nil {
 		return false, fmt.Errorf("core: nil data label")
 	}
-	if !vl.Visible(d1) {
+	return vl.decide(qc, nil, itemEnds{labelEnd(d1.Out), labelEnd(d1.In)}, itemEnds{labelEnd(d2.Out), labelEnd(d2.In)})
+}
+
+// dependsOnIndexed answers the point query between items from and to of idx:
+// the same answer dependsOn gives on their labels, with visibility and the
+// path-suffix chain products served from the plan attached for idx, where
+// the index's set scans cache them per interned node.
+func (vl *ViewLabel) dependsOnIndexed(qc *queryCtx, idx *ItemIndex, from, to int) (bool, error) {
+	qc.begin()
+	r1, ok := idx.ref(from)
+	if !ok {
+		return false, fmt.Errorf("core: item %d has no label in the index: %w", from, faults.ErrUnknownItem)
+	}
+	r2, ok := idx.ref(to)
+	if !ok {
+		return false, fmt.Errorf("core: item %d has no label in the index: %w", to, faults.ErrUnknownItem)
+	}
+	return vl.decide(qc, idx, itemEnds{idx.end(r1.out, r1.outPort), idx.end(r1.in, r1.inPort)},
+		itemEnds{idx.end(r2.out, r2.outPort), idx.end(r2.in, r2.inPort)})
+}
+
+// portEnd is one port side of an item as the point decoder sees it. node is
+// the path's interned node when the item was resolved through an ItemIndex,
+// and -1 for a label, which makes suffixProduct fall back to plainProduct.
+type portEnd struct {
+	ok   bool // the item has a port on this side
+	path []EdgeLabel
+	port int
+	node int32
+}
+
+// noPort is the side an item has no port on.
+var noPort = portEnd{node: -1}
+
+// itemEnds is an item's producing (out) and consuming (in) port.
+type itemEnds struct{ out, in portEnd }
+
+func labelEnd(p *PortLabel) portEnd {
+	if p == nil {
+		return noPort
+	}
+	return portEnd{ok: true, path: p.Path, port: p.Port, node: -1}
+}
+
+// endVisible is pathVisible of one port side, read from the plan's per-node
+// cache when the side is interned. An absent side is vacuously visible.
+func (vl *ViewLabel) endVisible(qc *queryCtx, idx *ItemIndex, p portEnd) bool {
+	if p.node >= 0 {
+		return vl.nodeVisible(qc, idx, p.node)
+	}
+	return !p.ok || vl.pathVisible(p.path)
+}
+
+// decide is Algorithm 2's dispatch over two items, shared by the label and
+// the index-resolved point queries; idx is nil for labels.
+func (vl *ViewLabel) decide(qc *queryCtx, idx *ItemIndex, a, b itemEnds) (bool, error) {
+	if !vl.endVisible(qc, idx, a.out) || !vl.endVisible(qc, idx, a.in) {
 		return false, fmt.Errorf("core: the first data item is not visible in view %q: %w", vl.view.Name, faults.ErrHiddenItem)
 	}
-	if !vl.Visible(d2) {
+	if !vl.endVisible(qc, idx, b.out) || !vl.endVisible(qc, idx, b.in) {
 		return false, fmt.Errorf("core: the second data item is not visible in view %q: %w", vl.view.Name, faults.ErrHiddenItem)
 	}
 
 	// Case I: a final output has no dependents; nothing depends on less than
 	// an initial input.
-	if d1.In == nil || d2.Out == nil {
+	if !a.in.ok || !b.out.ok {
 		return false, nil
 	}
 
 	// Case II: initial input to final output — both are ports of the start
 	// module, so λ*(S) answers directly.
-	if d1.Out == nil && d2.In == nil {
-		return vl.safeGet(vl.start, d1.In.Port, d2.Out.Port)
+	if !a.out.ok && !b.in.ok {
+		return vl.safeGet(vl.start, a.in.port, b.out.port)
 	}
 
 	// Case III: initial input to intermediate item — chain the I matrices
 	// along the consuming port's path.
-	if d1.Out == nil {
-		prod, err := vl.inputsProduct(qc, d2.In.Path, 0)
+	if !a.out.ok {
+		prod, err := vl.suffixProduct(qc, idx, b.in.node, b.in.path, 0, false)
 		if err != nil {
 			return false, err
 		}
-		return vl.safeGet(prod, d1.In.Port, d2.In.Port)
+		return vl.safeGet(prod, a.in.port, b.in.port)
 	}
 
 	// Case IV: intermediate item to final output — chain the O matrices along
 	// the producing port's path.
-	if d2.In == nil {
-		prod, err := vl.outputsProduct(qc, d1.Out.Path, 0)
+	if !b.in.ok {
+		prod, err := vl.suffixProduct(qc, idx, a.out.node, a.out.path, 0, true)
 		if err != nil {
 			return false, err
 		}
-		return vl.safeGet(prod, d2.Out.Port, d1.Out.Port)
+		return vl.safeGet(prod, b.out.port, a.out.port)
 	}
 
-	// Main cases: both items are intermediate.
-	return vl.decodeMain(qc, d1.Out, d2.In)
+	// Main cases 1, 2a and 2b: both items are intermediate.
+	var pp *pathPair
+	if idx != nil {
+		pp = &pathPair{idx: idx, srcNode: a.out.node, dstNode: b.in.node}
+	}
+	res, err := vl.decodeMainMatrix(qc, a.out.path, b.in.path, pp)
+	if err != nil || res == nil {
+		return false, err
+	}
+	return vl.safeGet(res, a.out.port, b.in.port)
 }
 
 func (vl *ViewLabel) safeGet(m *boolmat.Matrix, x, y int) (bool, error) {
@@ -209,23 +273,11 @@ func (vl *ViewLabel) safeGet(m *boolmat.Matrix, x, y int) (bool, error) {
 	return m.Get(x, y), nil
 }
 
-// decodeMain handles cases 1, 2a and 2b of Algorithm 2: o1 is the producing
-// port of d1, i2 is the consuming port of d2, both intermediate.
-func (vl *ViewLabel) decodeMain(qc *queryCtx, o1, i2 *PortLabel) (bool, error) {
-	res, err := vl.decodeMainMatrix(qc, o1.Path, i2.Path, nil)
-	if err != nil {
-		return false, err
-	}
-	if res == nil {
-		return false, nil
-	}
-	return vl.safeGet(res, o1.Port, i2.Port)
-}
-
-// pathPair identifies the two interned tree nodes a set scan is decoding
-// between, letting decodeMainMatrix serve the path-suffix chain products from
-// the plan cache instead of recomputing them per group. A nil pathPair (the
-// point-query path) computes products directly in scratch.
+// pathPair identifies the two interned tree nodes a set scan or an
+// index-resolved point query is decoding between, letting decodeMainMatrix
+// serve the path-suffix chain products from the plan cache instead of
+// recomputing them. A nil pathPair (the label point query) computes products
+// directly in scratch.
 type pathPair struct {
 	idx     *ItemIndex
 	srcNode int32 // interned node of l1
@@ -239,7 +291,7 @@ type pathPair struct {
 // (nil, nil) return means the case is definitely false for every port pair
 // (coinciding/ancestor nodes, or flow against production order).
 //
-// The point decoder reads a single entry of the result; the set scans read a
+// The point decoders read a single entry of the result; the set scans read a
 // whole row or column, which is what makes one matrix chain answer a whole
 // group of items at once.
 func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *pathPair) (*boolmat.Matrix, error) {

@@ -218,3 +218,11 @@ func (idx *ItemIndex) ref(itemID int) (itemRef, bool) {
 }
 
 func (idx *ItemIndex) path(node int32) []EdgeLabel { return idx.nodes[node].path }
+
+// end expands one interned port side into the point decoder's view of it.
+func (idx *ItemIndex) end(node, port int32) portEnd {
+	if node < 0 {
+		return noPort
+	}
+	return portEnd{ok: true, path: idx.path(node), port: int(port), node: node}
+}

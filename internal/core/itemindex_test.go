@@ -7,6 +7,7 @@ package core
 // -race: the lineage test queries an index while its builder extends it.
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/boolmat"
+	"repro/internal/faults"
 	"repro/internal/workflow"
 	"repro/internal/workloads"
 )
@@ -287,7 +289,9 @@ func TestItemIndexLineage(t *testing.T) {
 // the previous cut (0 is an epoch that produced nothing), and a byte of 0xF0
 // or more restarts at a smaller prefix. At every cut the extended index must
 // match a from-scratch build, structurally and in the scans of the items at
-// the cut boundary.
+// the cut boundary, and its point answers among those items (plus IDs 0 and
+// cut+1, which it holds no label for) must equal the label decoder's for
+// every variant.
 func FuzzItemIndexExtend(f *testing.F) {
 	fx := newIndexFixture(f, "bioaid", workloads.BioAID(), 160, 21)
 	vl := fx.vls[len(fx.vls)-1]
@@ -330,10 +334,48 @@ func FuzzItemIndexExtend(f *testing.F) {
 					t.Fatalf("cut %d: revdeps(%d) differs", cut, x)
 				}
 			}
+			ids := []int{0, cut + 1}
+			for x := max(cut-3, 1); x <= cut; x++ {
+				ids = append(ids, x)
+			}
+			lq := NewQuerySession()
+			for _, pvl := range fx.vls {
+				for _, a := range ids {
+					for _, b := range ids {
+						got, gerr := s.DependsOnIndexed(pvl, ext, a, b)
+						var exp bool
+						werr := faults.ErrUnknownItem
+						if a >= 1 && a <= cut && b >= 1 && b <= cut {
+							la, _ := fx.lab.Label(a)
+							lb, _ := fx.lab.Label(b)
+							exp, werr = lq.DependsOn(pvl, la, lb)
+						}
+						if got != exp || pointErrClass(gerr) != pointErrClass(werr) {
+							t.Fatalf("cut %d: indexed point (%d, %d) = (%v, %v), labels (%v, %v)", cut, a, b, got, gerr, exp, werr)
+						}
+					}
+				}
+			}
+			lq.Close()
 			s.Close()
 			want.Close()
 		}
 	})
+}
+
+// pointErrClass reduces a point-query error to its errors.Is class: the
+// index and label decoders word unknown items differently.
+func pointErrClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, faults.ErrUnknownItem):
+		return "unknown"
+	case errors.Is(err, faults.ErrHiddenItem):
+		return "hidden"
+	default:
+		return "error"
+	}
 }
 
 // BenchmarkItemIndexExtend walks a BioAID run's prefixes in epochs of a few

@@ -40,17 +40,27 @@ func planBenchFixture(b *testing.B) (*ViewLabel, *RunLabeler, *ItemIndex) {
 	return vl, labeler, BuildItemIndex(0, labeler.Count(), labeler.Label)
 }
 
+// benchPointPairs draws the item-ID pairs both point benchmarks query.
+func benchPointPairs(n int) [][2]int {
+	rng := rand.New(rand.NewSource(4))
+	pairs := make([][2]int, 4096)
+	for i := range pairs {
+		pairs[i] = [2]int{1 + rng.Intn(n), 1 + rng.Intn(n)}
+	}
+	return pairs
+}
+
 // BenchmarkPlanPointSpaceEfficient measures one point query through a
-// session with an index-free plan attached, as an engine worker serves it.
+// session with an index-free plan attached, as an engine worker serves a
+// label batch.
 func BenchmarkPlanPointSpaceEfficient(b *testing.B) {
 	vl, labeler, _ := planBenchFixture(b)
-	rng := rand.New(rand.NewSource(4))
 	type pair struct{ d1, d2 *DataLabel }
-	pairs := make([]pair, 4096)
-	for i := range pairs {
-		d1, _ := labeler.Label(1 + rng.Intn(labeler.Count()))
-		d2, _ := labeler.Label(1 + rng.Intn(labeler.Count()))
-		pairs[i] = pair{d1, d2}
+	var pairs []pair
+	for _, p := range benchPointPairs(labeler.Count()) {
+		d1, _ := labeler.Label(p[0])
+		d2, _ := labeler.Label(p[1])
+		pairs = append(pairs, pair{d1, d2})
 	}
 	s := NewQuerySession()
 	defer s.Close()
@@ -60,6 +70,26 @@ func BenchmarkPlanPointSpaceEfficient(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		if _, err := s.DependsOn(vl, p.d1, p.d2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanPointIndexed measures the same point queries resolved through
+// the run's item index, with a plan attached for that index, as an engine
+// worker serves an index batch: chain products and visibility come from the
+// plan's per-node caches.
+func BenchmarkPlanPointIndexed(b *testing.B) {
+	vl, _, idx := planBenchFixture(b)
+	pairs := benchPointPairs(idx.Items())
+	s := NewQuerySession()
+	defer s.Close()
+	s.EnsurePlan(idx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, err := s.DependsOnIndexed(vl, idx, p[0], p[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

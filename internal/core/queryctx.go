@@ -121,6 +121,18 @@ func (s *QuerySession) DependsOn(vl *ViewLabel, d1, d2 *DataLabel) (bool, error)
 	return vl.dependsOn(s.qc, d1, d2)
 }
 
+// DependsOnIndexed answers the point query "does item to depend on item
+// from?" against vl with both items resolved through idx. The answer and its
+// errors.Is class equal DependsOn(vl, label(from), label(to)) for the labels
+// idx was built from; an ID idx holds no label for fails with
+// faults.ErrUnknownItem. With a plan for idx attached (EnsurePlan, or one
+// drawn from a PlanShare), visibility and the path-suffix chain products come
+// from the plan's per-node caches that the set scans over idx fill, so a
+// warm plan answers without recomputing any chain.
+func (s *QuerySession) DependsOnIndexed(vl *ViewLabel, idx *ItemIndex, from, to int) (bool, error) {
+	return vl.dependsOnIndexed(s.qc, idx, from, to)
+}
+
 // EnsurePlan attaches a plan-scoped cache to the session and returns it:
 // edge matrices and recursion chains (and, with a non-nil index, the
 // set-query scans' chain products and visibility bits) are then amortized

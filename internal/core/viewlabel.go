@@ -439,11 +439,10 @@ func (vl *ViewLabel) edgeZ(qc *queryCtx, k, i, j int) (*boolmat.Matrix, error) {
 	if err := vl.checkNode(k, j); err != nil {
 		return nil, err
 	}
-	p := vl.scheme.Spec.Grammar.Productions[k-1]
-	mi := vl.scheme.Spec.Grammar.Modules[p.RHS.Nodes[i-1]]
-	mj := vl.scheme.Spec.Grammar.Modules[p.RHS.Nodes[j-1]]
 	if i >= j {
-		return qc.zero(mi.Out, mj.In), nil
+		g := vl.scheme.Spec.Grammar
+		p := g.Productions[k-1]
+		return qc.zero(g.Modules[p.RHS.Nodes[i-1]].Out, g.Modules[p.RHS.Nodes[j-1]].In), nil
 	}
 	if vl.zMat != nil {
 		if m, ok := vl.zMat[[3]int{k, i, j}]; ok {

@@ -204,7 +204,7 @@ func (e *Engine) DependsOnBatchContext(ctx context.Context, vl *core.ViewLabel, 
 	}
 	results := make([]Result, len(queries))
 	if e.fanOut(ctx, nil, len(queries), func(s *core.QuerySession, i int) {
-		results[i] = serveOne(s, vl, queries[i])
+		results[i] = contained(func() (bool, error) { return s.DependsOn(vl, queries[i].D1, queries[i].D2) })
 	}) {
 		return results, fmt.Errorf("engine: batch canceled with claim blocks undrained: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
 	}
@@ -259,19 +259,49 @@ func (e *Engine) DependsOnItemsBatchContext(ctx context.Context, vl *core.ViewLa
 	}
 	results := make([]Result, len(queries))
 	if e.fanOut(ctx, nil, len(queries), func(s *core.QuerySession, i int) {
-		results[i] = serveItem(s, vl, src, queries[i])
+		results[i] = contained(func() (bool, error) { return serveItem(s, vl, src, queries[i]) })
 	}) {
 		return results, fmt.Errorf("engine: items batch canceled with claim blocks undrained: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
 	}
 	return results, nil
 }
 
-// fanOut is the shared claim loop of both batch paths: it runs answer(s, i)
+// DependsOnIndexBatchContext answers item-ID queries against one view label
+// over the worker pool, resolving each ID through the pinned item index idx
+// (core.QuerySession.DependsOnIndexed) instead of a LabelSource. Each worker
+// draws its plan from the engine's share under idx, so the point queries
+// read the visibility bits and chain products that set batches over the
+// same index cached, and leave theirs for the next batch. Answers equal
+// DependsOnItemsBatchContext's over the labels idx was built from; IDs idx
+// holds no label for fail only their own Result with faults.ErrUnknownItem.
+// Cancellation behaves like DependsOnBatchContext.
+func (e *Engine) DependsOnIndexBatchContext(ctx context.Context, vl *core.ViewLabel, idx *core.ItemIndex, queries []ItemQuery) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("engine: index batch not started: %w (%v)", faults.ErrCanceled, err)
+	}
+	results := make([]Result, len(queries))
+	if idx == nil {
+		err := fmt.Errorf("engine: nil item index")
+		for i := range results {
+			results[i].Err = err
+		}
+		return results, err
+	}
+	if e.fanOut(ctx, idx, len(queries), func(s *core.QuerySession, i int) {
+		results[i] = contained(func() (bool, error) { return s.DependsOnIndexed(vl, idx, queries[i].From, queries[i].To) })
+	}) {
+		return results, fmt.Errorf("engine: index batch canceled with claim blocks undrained: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
+	}
+	return results, nil
+}
+
+// fanOut is the shared claim loop of every batch path: it runs answer(s, i)
 // for every index in [0, n) over the worker pool, each worker holding one
 // pooled query context, claiming grain-sized blocks from a shared cursor.
-// idx is the pinned item index of a set-query batch (nil for point-query
-// batches); it keys the plan caches the workers draw from the engine's
-// share. fanOut reports whether cancellation left claim blocks undrained.
+// idx is the pinned item index of a set-query or index-resolved point batch
+// (nil for label batches); it keys the plan caches the workers draw from the
+// engine's share. fanOut reports whether cancellation left claim blocks
+// undrained.
 func (e *Engine) fanOut(ctx context.Context, idx *core.ItemIndex, n int, answer func(s *core.QuerySession, i int)) bool {
 	workers := EffectiveWorkers(e.workers)
 	if workers > n {
@@ -341,34 +371,28 @@ func (e *Engine) serveClaims(ctx context.Context, idx *core.ItemIndex, n int, cu
 }
 
 // serveItem resolves one item-ID query through the label source and answers
-// it, with the same panic containment as serveOne.
-func serveItem(s *core.QuerySession, vl *core.ViewLabel, src LabelSource, q ItemQuery) (res Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("engine: query panicked: %v", r)}
-		}
-	}()
+// it.
+func serveItem(s *core.QuerySession, vl *core.ViewLabel, src LabelSource, q ItemQuery) (bool, error) {
 	d1, ok := src.Label(q.From)
 	if !ok {
-		return Result{Err: fmt.Errorf("engine: item %d: %w", q.From, faults.ErrUnknownItem)}
+		return false, fmt.Errorf("engine: item %d: %w", q.From, faults.ErrUnknownItem)
 	}
 	d2, ok := src.Label(q.To)
 	if !ok {
-		return Result{Err: fmt.Errorf("engine: item %d: %w", q.To, faults.ErrUnknownItem)}
+		return false, fmt.Errorf("engine: item %d: %w", q.To, faults.ErrUnknownItem)
 	}
-	ok, err := s.DependsOn(vl, d1, d2)
-	return Result{DependsOn: ok, Err: err}
+	return s.DependsOn(vl, d1, d2)
 }
 
-// serveOne answers a single query, converting a panic — e.g. from a
+// contained answers a single query, converting a panic — e.g. from a
 // malformed label the decoder did not anticipate — into that query's error,
 // so one bad query cannot take down the whole batch.
-func serveOne(s *core.QuerySession, vl *core.ViewLabel, q Query) (res Result) {
+func contained(answer func() (bool, error)) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: fmt.Errorf("engine: query panicked: %v", r)}
 		}
 	}()
-	ok, err := s.DependsOn(vl, q.D1, q.D2)
+	ok, err := answer()
 	return Result{DependsOn: ok, Err: err}
 }

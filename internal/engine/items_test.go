@@ -8,15 +8,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/workflow"
 	"repro/internal/workloads"
 )
 
-// itemsFixture builds one labeled BioAID run and a grey-box view label; the
-// run labeler doubles as the LabelSource (a completed run is just a live
-// session whose prefix is the whole derivation).
-func itemsFixture(tb testing.TB, count int) (*core.ViewLabel, *core.RunLabeler, []ItemQuery) {
+// itemsFixture builds one labeled run of spec and a grey-box view label of
+// the given variant; the run labeler doubles as the LabelSource (a completed
+// run is just a live session whose prefix is the whole derivation).
+func itemsFixture(tb testing.TB, spec *workflow.Specification, count int, variant core.Variant) (*core.ViewLabel, *core.RunLabeler, []ItemQuery) {
 	tb.Helper()
-	spec := workloads.BioAID()
 	scheme, err := core.NewScheme(spec)
 	if err != nil {
 		tb.Fatal(err)
@@ -35,7 +35,7 @@ func itemsFixture(tb testing.TB, count int) (*core.ViewLabel, *core.RunLabeler, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	vl, err := scheme.LabelView(v, core.VariantQueryEfficient)
+	vl, err := scheme.LabelView(v, variant)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -47,14 +47,39 @@ func itemsFixture(tb testing.TB, count int) (*core.ViewLabel, *core.RunLabeler, 
 	return vl, labeler, queries
 }
 
-// TestItemsBatchMatchesLabelBatch: resolving IDs through a LabelSource must
-// give exactly the answers the label-pair path gives, for several pool
-// sizes. core.RunLabeler is the LabelSource — the static assertion below
+// TestItemsBatchMatchesLabelBatch: resolving IDs through a LabelSource or
+// through an item index must give exactly the answers and errors.Is classes
+// of the label-pair path, for every variant and several pool sizes, and the
+// index batch on cold and warm plans alike. The queries cover IDs that
+// resolve to no label (0, -1, n+1), hidden items, initial inputs and final
+// outputs. core.RunLabeler is the LabelSource — the static assertion below
 // keeps that interface satisfaction from regressing.
 var _ LabelSource = (*core.RunLabeler)(nil)
 
 func TestItemsBatchMatchesLabelBatch(t *testing.T) {
-	vl, labeler, queries := itemsFixture(t, 400)
+	// BioAID connects every intermediate item's out-port and in-port at the
+	// same index; the paper's running example does not, so a port mixed up
+	// between the two sides shows there.
+	specs := []*workflow.Specification{workloads.BioAID(), workloads.PaperExample()}
+	classes := map[string]int{}
+	for _, spec := range specs {
+		for _, variant := range []core.Variant{core.VariantSpaceEfficient, core.VariantDefault, core.VariantQueryEfficient} {
+			itemsBatchesMatch(t, spec, variant, classes)
+		}
+	}
+	for _, c := range []string{"true", "ok", "unknown", "hidden"} {
+		if classes[c] == 0 {
+			t.Fatalf("no query of class %q in %v", c, classes)
+		}
+	}
+}
+
+// itemsBatchesMatch compares the item and index batches with the label-pair
+// batch on one spec and variant, counting the reference answers by class.
+func itemsBatchesMatch(t *testing.T, spec *workflow.Specification, variant core.Variant, classes map[string]int) {
+	vl, labeler, queries := itemsFixture(t, spec, 300, variant)
+	n := labeler.Count()
+	queries = append(queries, boundaryQueries(vl, labeler)...)
 	paired := make([]Query, len(queries))
 	for i, q := range queries {
 		d1, _ := labeler.Label(q.From)
@@ -62,21 +87,98 @@ func TestItemsBatchMatchesLabelBatch(t *testing.T) {
 		paired[i] = Query{D1: d1, D2: d2}
 	}
 	want := New(1).DependsOnBatch(vl, paired)
-	for _, workers := range []int{1, 2, 4} {
-		got := New(workers).DependsOnItemsBatch(vl, labeler, queries)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
+	for i, q := range queries {
+		if q.From < 1 || q.From > n || q.To < 1 || q.To > n {
+			want[i] = Result{Err: faults.ErrUnknownItem}
 		}
-		for i := range got {
-			if got[i].DependsOn != want[i].DependsOn || (got[i].Err == nil) != (want[i].Err == nil) {
-				t.Fatalf("workers=%d query %d: got %+v, want %+v", workers, i, got[i], want[i])
+		classes[errClass(want[i].Err)]++
+		if want[i].DependsOn {
+			classes["true"]++
+		}
+	}
+	idx := core.BuildItemIndex(0, n, labeler.Label)
+	for _, workers := range []int{1, 2, 4} {
+		e := New(workers)
+		check := func(path string, got []Result, err error) {
+			t.Helper()
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("variant %v workers=%d %s: %d results for %d queries, err %v", variant, workers, path, len(got), len(want), err)
 			}
+			for i := range got {
+				if got[i].DependsOn != want[i].DependsOn || errClass(got[i].Err) != errClass(want[i].Err) {
+					t.Fatalf("variant %v workers=%d %s query %+v: got %+v, want %+v", variant, workers, path, queries[i], got[i], want[i])
+				}
+			}
+		}
+		got, err := e.DependsOnItemsBatchContext(context.Background(), vl, labeler, queries)
+		check("items batch", got, err)
+		// The first index batch runs on fresh plans, the second on the
+		// plans the first released to the engine's share.
+		got, err = e.DependsOnIndexBatchContext(context.Background(), vl, idx, queries)
+		check("cold index batch", got, err)
+		got, err = e.DependsOnIndexBatchContext(context.Background(), vl, idx, queries)
+		check("warm index batch", got, err)
+		if e.share.IdleCaches(idx) == 0 {
+			t.Fatalf("variant %v workers=%d: the index batch left no plan in the share", variant, workers)
 		}
 	}
 }
 
+// boundaryQueries pairs every ID of a small set with every other: IDs that
+// resolve to no label, the first and last hidden, initial-input and
+// final-output items, and about twenty visible items across the run.
+func boundaryQueries(vl *core.ViewLabel, labeler *core.RunLabeler) []ItemQuery {
+	n := labeler.Count()
+	ids := []int{0, -1, n + 1}
+	var visible []int
+	var ends [3][]int // hidden, initial inputs, final outputs
+	for id := 1; id <= n; id++ {
+		d, _ := labeler.Label(id)
+		switch {
+		case !vl.Visible(d):
+			ends[0] = append(ends[0], id)
+			continue
+		case d.Out == nil:
+			ends[1] = append(ends[1], id)
+		case d.In == nil:
+			ends[2] = append(ends[2], id)
+		}
+		visible = append(visible, id)
+	}
+	for _, e := range ends {
+		if len(e) > 0 {
+			ids = append(ids, e[0], e[len(e)-1])
+		}
+	}
+	for i := 0; i < len(visible); i += 1 + len(visible)/20 {
+		ids = append(ids, visible[i])
+	}
+	var queries []ItemQuery
+	for _, a := range ids {
+		for _, b := range ids {
+			queries = append(queries, ItemQuery{From: a, To: b})
+		}
+	}
+	return queries
+}
+
+// errClass reduces a query error to the class callers can test with
+// errors.Is; the three batch paths word some errors differently.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, faults.ErrUnknownItem):
+		return "unknown"
+	case errors.Is(err, faults.ErrHiddenItem):
+		return "hidden"
+	default:
+		return "error"
+	}
+}
+
 func TestItemsBatchUnknownItemFailsOnlyItsQuery(t *testing.T) {
-	vl, labeler, _ := itemsFixture(t, 0)
+	vl, labeler, _ := itemsFixture(t, workloads.BioAID(), 0, core.VariantQueryEfficient)
 	queries := []ItemQuery{
 		{From: 1, To: 2},
 		{From: 0, To: 1},                   // IDs are 1-based; 0 never resolves
@@ -95,7 +197,7 @@ func TestItemsBatchUnknownItemFailsOnlyItsQuery(t *testing.T) {
 }
 
 func TestItemsBatchCancellation(t *testing.T) {
-	vl, labeler, queries := itemsFixture(t, 300)
+	vl, labeler, queries := itemsFixture(t, workloads.BioAID(), 300, core.VariantQueryEfficient)
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := New(2).DependsOnItemsBatchContext(pre, vl, labeler, queries); !errors.Is(err, faults.ErrCanceled) {
@@ -109,5 +211,14 @@ func TestItemsBatchCancellation(t *testing.T) {
 	// carry it instead of handing back a bare nil slice.
 	if len(results) != len(queries) || results[0].Err == nil {
 		t.Fatalf("nil label source: want per-query errors, got %d results, first %+v", len(results), results[0])
+	}
+
+	// The index batch shares both checks.
+	if _, err := New(2).DependsOnIndexBatchContext(pre, vl, core.BuildItemIndex(0, labeler.Count(), labeler.Label), queries); !errors.Is(err, faults.ErrCanceled) {
+		t.Fatalf("index batch, pre-canceled context: got %v", err)
+	}
+	results, err = New(2).DependsOnIndexBatchContext(context.Background(), vl, nil, queries)
+	if err == nil || len(results) != len(queries) || results[0].Err == nil {
+		t.Fatalf("nil item index: want a batch error and per-query errors, got %v, %d results", err, len(results))
 	}
 }

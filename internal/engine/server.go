@@ -111,3 +111,15 @@ func (s *Server) DependsOnItemsBatchContext(ctx context.Context, viewName string
 	}
 	return s.engine.DependsOnItemsBatchContext(ctx, vl, src, queries)
 }
+
+// DependsOnIndexBatchContext is DependsOnItemsBatchContext with the IDs
+// resolved through a pinned item index instead of a label source (see
+// Engine.DependsOnIndexBatchContext). Unknown views fail with
+// faults.ErrUnknownView.
+func (s *Server) DependsOnIndexBatchContext(ctx context.Context, viewName string, idx *core.ItemIndex, queries []ItemQuery) ([]Result, error) {
+	vl, ok := s.labels[viewName]
+	if !ok {
+		return nil, fmt.Errorf("engine: no label for view %q (serving %v): %w", viewName, s.Views(), faults.ErrUnknownView)
+	}
+	return s.engine.DependsOnIndexBatchContext(ctx, vl, idx, queries)
+}

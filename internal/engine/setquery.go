@@ -71,7 +71,7 @@ func (e *Engine) SetQueryBatchContext(ctx context.Context, cat query.Catalog, pr
 	return results, nil
 }
 
-// executeOne runs one plan with the same panic containment as serveOne: a
+// executeOne runs one plan with the same panic containment as contained: a
 // malformed expression or label cannot take down the whole batch.
 func executeOne(p *query.Plan, s *core.QuerySession, idx *core.ItemIndex) (v *query.Value, err error) {
 	defer func() {
