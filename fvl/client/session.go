@@ -237,8 +237,8 @@ func (s *Session) QueryBatch(ctx context.Context, viewName string, qs []fvl.Quer
 	return out, resp.Epoch, nil
 }
 
-// Checkpoint persists a durable session's full state at the current epoch,
-// bounding what a later resume replays.
+// Checkpoint folds a durable session's journal up to the current epoch into
+// one checkpoint file, so the segments it covers are compacted.
 func (s *Session) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
 	var ci wire.CheckpointInfo
 	err := s.c.do(ctx, http.MethodPost, wire.CheckpointPath(s.tenant, s.scheme, s.name), nil, &ci)

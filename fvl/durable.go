@@ -13,17 +13,8 @@ const SyncOnCheckpoint = durable.SyncOnCheckpoint
 type DurableOption func(*durableOptions)
 
 type durableOptions struct {
-	segmentSteps int
-	syncEvery    int
-	strict       bool
-}
-
-// WithSegmentSteps sets the journal segment capacity in derivation steps
-// (default 1024). Smaller segments mean finer-grained compaction after a
-// checkpoint; the value is fixed at OpenDurable and recorded in the session
-// directory, so ResumeDurable ignores this option.
-func WithSegmentSteps(n int) DurableOption {
-	return func(o *durableOptions) { o.segmentSteps = n }
+	syncEvery int
+	strict    bool
 }
 
 // WithSyncEvery sets the fsync policy: the journal is synced after every n
@@ -48,7 +39,7 @@ func durableOpts(opts []DurableOption) durable.Options {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return durable.Options{SegmentSteps: o.segmentSteps, SyncEvery: o.syncEvery, Strict: o.strict}
+	return durable.Options{SyncEvery: o.syncEvery, Strict: o.strict}
 }
 
 // RecoveryInfo reports what ResumeDurable did.
@@ -56,8 +47,8 @@ type RecoveryInfo struct {
 	// CheckpointStep is the epoch of the checkpoint recovery started from
 	// (zero when the session had none).
 	CheckpointStep int
-	// ReplayedSteps is the number of journal steps replayed past the
-	// checkpoint — recovery cost is proportional to this tail, not the run.
+	// ReplayedSteps is the number of journal steps read past the
+	// checkpoint; the checkpoint's own steps come from its file.
 	ReplayedSteps int
 	// TornTruncated reports that a torn trailing record was discarded.
 	TornTruncated bool
@@ -67,8 +58,9 @@ type RecoveryInfo struct {
 // embeds a Session — producers and readers use the exact same API — and adds
 // a session directory holding a journal of every applied step plus optional
 // checkpoints. Every step is on disk before it becomes visible to readers
-// (under the WithSyncEvery policy); Checkpoint bounds how much journal a
-// later ResumeDurable must replay.
+// (under the WithSyncEvery policy). The steps are the whole durable state:
+// labels are a function of the derivation, so ResumeDurable rebuilds the
+// run and labels it once instead of reading labels back.
 type DurableSession struct {
 	*Session
 	ds *durable.Session
@@ -87,12 +79,14 @@ func (s *Service) OpenDurable(dir string, opts ...DurableOption) (*DurableSessio
 }
 
 // ResumeDurable reopens a session directory after a crash or a clean close:
-// it loads the latest checkpoint, replays the journal tail past it, truncates
-// at most one torn trailing record (unless WithStrictRecovery), and returns
-// the session ready to append more steps. The directory is untrusted input —
+// it replays the steps of the latest checkpoint and the journal tail past
+// it, truncating at most one torn trailing record (unless
+// WithStrictRecovery), labels the rebuilt run once in batch, and returns the
+// session ready to append more steps. The directory is untrusted input —
 // structural damage is classified by ErrCorruptManifest,
 // ErrCorruptCheckpoint, ErrCorruptJournal, ErrTornJournal, ErrInvalidStep
-// and ErrForeignLabel.
+// and ErrForeignLabel; a directory written for another specification or
+// scheme kind fails with ErrForeignLabel.
 func (s *Service) ResumeDurable(dir string, opts ...DurableOption) (*DurableSession, error) {
 	ds, err := durable.Recover(s.scheme, dir, durableOpts(opts))
 	if err != nil {
@@ -104,10 +98,11 @@ func (s *Service) ResumeDurable(dir string, opts ...DurableOption) (*DurableSess
 // Dir returns the session directory.
 func (d *DurableSession) Dir() string { return d.ds.Dir() }
 
-// Checkpoint persists the session's full state at the current epoch and
+// Checkpoint writes the steps applied so far into one checkpoint file and
 // compacts the journal segments it covers. Producers are paused for the
-// duration; readers are not. After a checkpoint, ResumeDurable replays only
-// the steps applied since it.
+// duration; readers are not. After a checkpoint, ResumeDurable reads the
+// checkpoint's steps from that file and only the steps applied since it
+// from the journal.
 func (d *DurableSession) Checkpoint() error { return d.ds.Checkpoint() }
 
 // LastCheckpoint returns the epoch of the latest durable checkpoint (zero if
@@ -129,6 +124,5 @@ func (d *DurableSession) Recovery() *RecoveryInfo {
 }
 
 // Close syncs and closes the session's journal. The directory stays fully
-// recoverable — Close never checkpoints; call Checkpoint first to make the
-// next ResumeDurable cheap.
+// recoverable; Close never checkpoints.
 func (d *DurableSession) Close() error { return d.ds.Close() }

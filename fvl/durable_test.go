@@ -1,7 +1,6 @@
 package fvl_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -18,7 +17,7 @@ func TestDurableSessionRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sess")
 	ctx := context.Background()
 
-	sess, err := svc.OpenDurable(dir, fvl.WithSegmentSteps(8))
+	sess, err := svc.OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,29 +120,22 @@ func TestResumeDurableClassifiesDamage(t *testing.T) {
 	}
 	resumed.Close()
 
-	// A retired layout appended a uvarint partition count to the classic
-	// MANIFEST payload; such a directory is refused as corrupt, never
-	// reopened as a classic session.
+	// A version-1 MANIFEST (no spec identity, no checkpoint checksum) is
+	// refused as corrupt, never read by a second decoder.
 	manifest := filepath.Join(dir, "MANIFEST")
 	data, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic := []byte{0x80, 0x08, 0, 0} // uvarint capacity 1024, no checkpoint, step 0
-	frame := func(payload []byte) []byte {
-		buf := []byte("FVLMANI\x01")
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-		return append(buf, payload...)
-	}
-	if !bytes.Equal(data, frame(classic)) {
-		t.Fatalf("hand-built classic manifest differs from the written one")
-	}
-	if err := os.WriteFile(manifest, frame(append(classic, 4)), 0o666); err != nil {
+	v1 := []byte{0x80, 0x08, 0, 0} // uvarint capacity 1024, no checkpoint, step 0
+	frame := []byte("FVLMANI\x01")
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(v1))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(v1)))
+	if err := os.WriteFile(manifest, append(frame, v1...), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.ResumeDurable(dir); !errors.Is(err, fvl.ErrCorruptManifest) {
-		t.Fatalf("partitioned manifest: want ErrCorruptManifest, got %v", err)
+		t.Fatalf("version-1 manifest: want ErrCorruptManifest, got %v", err)
 	}
 
 	// A corrupt manifest fails with the public sentinel.

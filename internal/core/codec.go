@@ -282,46 +282,6 @@ func (c *Codec) SizeBits(d *DataLabel) int {
 	return n
 }
 
-// EncodePath serializes a bare parse-tree path (a sequence of edge labels) in
-// the codec's bit-level wire format; it returns the byte buffer and the exact
-// number of significant bits. Checkpoints use it to persist the labeler's
-// frontier paths with the same encoding — and therefore the same strict
-// decoder — as data labels.
-func (c *Codec) EncodePath(path []EdgeLabel) ([]byte, int) {
-	w := &bitWriter{}
-	c.writePath(w, path)
-	return w.buf, w.len()
-}
-
-// DecodePath parses a path previously produced by EncodePath. The input is
-// untrusted: every decoded edge is checked against the specification-derived
-// maxima, the declared bit count must fit the buffer exactly, and the stream
-// must be consumed exactly, so for every (buf, nbit) pair there is at most
-// one path — the one EncodePath produces.
-func (c *Codec) DecodePath(buf []byte, nbit int) ([]EdgeLabel, error) {
-	if nbit < 0 || nbit > 8*len(buf) {
-		return nil, fmt.Errorf("core: declared bit count %d does not fit a %d-byte buffer", nbit, len(buf))
-	}
-	if want := (nbit + 7) / 8; len(buf) != want {
-		return nil, fmt.Errorf("core: %d-bit path must occupy exactly %d bytes, got %d", nbit, want, len(buf))
-	}
-	if pad := 8*len(buf) - nbit; pad > 0 && buf[len(buf)-1]&(1<<uint(pad)-1) != 0 {
-		return nil, fmt.Errorf("core: nonzero padding bits after the %d-bit path", nbit)
-	}
-	r := newBitReader(buf, nbit)
-	path, err := c.readPath(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.pos != r.nbit {
-		return nil, fmt.Errorf("core: %d unconsumed trailing bits after a complete path", r.nbit-r.pos)
-	}
-	if path == nil {
-		path = []EdgeLabel{}
-	}
-	return path, nil
-}
-
 // Decode parses a label previously produced by Encode. The input is
 // untrusted (labels may arrive from storage or the network): decoded fields
 // are checked against the specification-derived maxima, the declared bit

@@ -284,23 +284,35 @@ func TestItemIndexLineage(t *testing.T) {
 	sameAnswers(t, "epoch-1 index after forks", answersOf(vl, old), want)
 }
 
-// FuzzItemIndexExtend grows one index lineage over a fixed BioAID run, each
-// input byte choosing the next epoch's cut: the byte modulo 24 items past
-// the previous cut (0 is an epoch that produced nothing), and a byte of 0xF0
-// or more restarts at a smaller prefix. At every cut the extended index must
-// match a from-scratch build, structurally and in the scans of the items at
-// the cut boundary, and its point answers among those items (plus IDs 0 and
-// cut+1, which it holds no label for) must equal the label decoder's for
-// every variant.
+// FuzzItemIndexExtend grows one index lineage over a fixed run, each input
+// byte choosing the next epoch's cut. The first byte picks the run: odd is
+// the paper example, whose items connect out- and in-ports of different
+// indices, so a decoder that confuses the two sides fails here; even (or no
+// input) is BioAID, whose items use one index on both sides. Every later
+// byte is the cut: the byte modulo 24 items past the previous cut (0 is an
+// epoch that produced nothing), and a byte of 0xF0 or more restarts at a
+// smaller prefix. At every cut the extended index must match a from-scratch
+// build, structurally and in the scans of the items at the cut boundary,
+// and its point answers among those items (plus IDs 0 and cut+1, which it
+// holds no label for) must equal the label decoder's for every variant.
 func FuzzItemIndexExtend(f *testing.F) {
-	fx := newIndexFixture(f, "bioaid", workloads.BioAID(), 160, 21)
-	vl := fx.vls[len(fx.vls)-1]
-	n := fx.lab.Count()
-	f.Add([]byte{1, 1, 1, 23, 0, 5})
-	f.Add([]byte{200, 0xF3, 7, 1})
+	fixtures := []indexFixture{
+		newIndexFixture(f, "bioaid", workloads.BioAID(), 160, 21),
+		newIndexFixture(f, "paper", workloads.PaperExample(), 160, 22),
+	}
+	f.Add([]byte{0, 1, 1, 1, 23, 0, 5})
+	f.Add([]byte{0, 200, 0xF3, 7, 1})
 	f.Add([]byte{})
+	f.Add([]byte{1, 3, 1, 1, 23, 0xF8, 9, 2, 17})
 
 	f.Fuzz(func(t *testing.T, cuts []byte) {
+		fx := fixtures[0]
+		if len(cuts) > 0 {
+			fx = fixtures[cuts[0]%2]
+			cuts = cuts[1:]
+		}
+		vl := fx.vls[len(fx.vls)-1]
+		n := fx.lab.Count()
 		if len(cuts) > 64 {
 			cuts = cuts[:64]
 		}

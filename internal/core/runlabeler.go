@@ -22,8 +22,7 @@ type RunLabeler struct {
 	scheme *Scheme
 
 	// instPath[id] is the edge-label path of the tree node for instance id.
-	// It is nil for the root of a non-recursive start module and, in a
-	// restored labeler, for every instance that was not on the frontier.
+	// It is nil for the root of a non-recursive start module.
 	instPath [][]EdgeLabel
 	// labels[itemID-1] is the label assigned to data item itemID.
 	labels []*DataLabel
@@ -117,15 +116,6 @@ func (l *RunLabeler) assign(itemID int, d *DataLabel) error {
 	return nil
 }
 
-// path returns the placed path of the instance. Every instance but the root
-// has a non-empty path, so a nil entry past the root was never placed.
-func (l *RunLabeler) path(id int) ([]EdgeLabel, error) {
-	if id >= len(l.instPath) || (l.instPath[id] == nil && id != 0) {
-		return nil, fmt.Errorf("core: instance %d was never placed in the parse tree", id)
-	}
-	return l.instPath[id], nil
-}
-
 // OnStep places the instances created by the step into the compressed parse
 // tree (cases 1, 2a and 2b of the dynamic labeling algorithm) and labels the
 // data items the step introduced.
@@ -134,10 +124,10 @@ func (l *RunLabeler) OnStep(r *run.Run, step *run.Step) error {
 	if !ok {
 		return fmt.Errorf("core: step refers to unknown instance %d", step.Instance)
 	}
-	parentPath, err := l.path(parent.ID)
-	if err != nil {
-		return err
+	if parent.ID >= len(l.instPath) {
+		return fmt.Errorf("core: instance %d was never placed in the parse tree", parent.ID)
 	}
+	parentPath := l.instPath[parent.ID]
 	k := step.Prod
 	parentRecursive := l.scheme.isRecursive(parent.Module)
 

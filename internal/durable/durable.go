@@ -1,15 +1,19 @@
 // Package durable stores live sessions on disk so a process crash never
-// costs more than the un-checkpointed suffix of a run. A session owns a
-// directory of three artifact kinds:
+// costs more than the unsynced suffix of a run. A session owns a directory
+// of three artifact kinds:
 //
 //   - MANIFEST — a tiny checksummed commit record (manifest.go), rewritten
-//     atomically; it names the segment capacity and the latest durable
-//     checkpoint;
+//     atomically; it names the segment capacity, the identity of the
+//     session's specification and the latest durable checkpoint;
 //   - seg-<base>.fvlj — fixed-capacity step-journal segments in the live
 //     package's journal format; record j of a segment is derivation step
 //     base+j, so segment names are also the journal's step index;
-//   - ckpt-<step>.fvlc — labelstore checkpoints: the steps, labels and
-//     frontier paths of the run at one epoch, written atomically.
+//   - ckpt-<step>.fvlc — checkpoints: the journal of steps 1..step in one
+//     file (Prefix.WriteJournal), written atomically, so the segments it
+//     covers can go.
+//
+// A data label is a pure function of the derivation, so the steps are the
+// whole durable state: nothing derived from them is stored.
 //
 // Writes go segment-append → optional fsync, under a configurable policy
 // (every step, every N steps, or only at checkpoints/rotation). Checkpoint
@@ -18,12 +22,14 @@
 // commit point — and finally compact: segments and checkpoints the new
 // manifest makes unreachable are removed.
 //
-// Recovery (Recover) opens MANIFEST, loads the checkpoint it names (its
-// steps are replayed structurally, none relabeled), and relabels only the
-// journal tail past the checkpoint's epoch, so labeling cost is
-// proportional to the tail, not the run. A torn trailing record —
-// the signature of a crash mid-append — is truncated away (at most one,
-// and only in the last segment); Options.Strict refuses instead. The
+// Recovery (Recover) opens MANIFEST, checks the specification identity,
+// reads the checkpoint it names (its length and CRC-32 are in the
+// manifest), replays its steps and then the journal tail past its epoch
+// into a run, labels that run once in batch (core.Scheme.LabelRun) and
+// opens the live session on it (live.Restore). A session without a
+// checkpoint takes the same path with an empty prefix. A torn trailing
+// record — the signature of a crash mid-append — is truncated away (at most
+// one, and only in the last segment); Options.Strict refuses instead. The
 // crash-matrix test drives every one of these transitions through the
 // fault-injecting filesystem in internal/iofault and checks the recovered
 // labels are byte-identical to batch labeling of the recovered prefix.
@@ -33,13 +39,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/labelstore"
 	"repro/internal/live"
 	"repro/internal/run"
 )
@@ -92,9 +98,8 @@ type RecoveryInfo struct {
 	// CheckpointStep is the epoch of the checkpoint recovery started from
 	// (zero when the session had none).
 	CheckpointStep int
-	// ReplayedSteps is the number of journal-tail steps replayed past the
-	// checkpoint — the measure that recovery cost is proportional to the
-	// tail.
+	// ReplayedSteps is the number of journal-segment steps past the
+	// checkpoint; the checkpoint's own steps are read from its file.
 	ReplayedSteps int
 	// TornTruncated reports that a torn trailing record (or a torn header of
 	// the last segment) was discarded.
@@ -103,18 +108,16 @@ type RecoveryInfo struct {
 
 // Session is a live session whose steps are durable: every applied step is
 // appended to a journal segment before it is published, and Checkpoint
-// persists the full session state so recovery replays only the tail.
+// folds the journal so far into one file so its segments can be compacted.
 // Producer and reader methods live on Live(); a journal or filesystem
 // failure poisons the live session exactly like a journal write failure.
 type Session struct {
 	mu       sync.Mutex
 	fs       FS
 	dir      string
-	scheme   *core.Scheme
-	segSteps int
+	manifest Manifest // the committed MANIFEST
 	sink     *segmentSink
 	sess     *live.Session
-	ckptStep int
 	recovery *RecoveryInfo
 	closed   bool
 }
@@ -139,7 +142,12 @@ func Create(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 		f.Close()
 		return nil, fmt.Errorf("durable: %s already holds a session (use Recover)", dir)
 	}
-	data, err := EncodeManifest(Manifest{SegmentSteps: opts.SegmentSteps})
+	spec, err := specIdentity(scheme)
+	if err != nil {
+		return nil, err
+	}
+	m := Manifest{SegmentSteps: opts.SegmentSteps, Spec: spec}
+	data, err := EncodeManifest(m)
 	if err != nil {
 		return nil, err
 	}
@@ -151,18 +159,16 @@ func Create(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{
-		fs: fs, dir: dir, scheme: scheme, segSteps: opts.SegmentSteps,
-		sink: sink, sess: sess,
-	}, nil
+	return &Session{fs: fs, dir: dir, manifest: m, sink: sink, sess: sess}, nil
 }
 
 // Recover reopens a session directory after a crash or a clean close: it
-// loads the checkpoint MANIFEST names, replays the journal tail past it, and
-// returns a session ready to append more steps. See RecoveryInfo for what
-// happened; structural failures are classified by the faults sentinels
-// (ErrCorruptManifest, ErrCorruptCheckpoint, ErrCorruptJournal,
-// ErrTornJournal, ErrInvalidStep, ErrForeignLabel).
+// rebuilds the run from the checkpoint MANIFEST names and the journal tail
+// past it, labels the run once, and returns a session ready to append more
+// steps. See RecoveryInfo for what happened; structural failures are
+// classified by the faults sentinels (ErrCorruptManifest,
+// ErrCorruptCheckpoint, ErrCorruptJournal, ErrTornJournal, ErrInvalidStep,
+// ErrForeignLabel).
 func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("durable: nil scheme")
@@ -181,42 +187,30 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	if spec, err := specIdentity(scheme); err != nil {
+		return nil, err
+	} else if spec != m.Spec {
+		return nil, fmt.Errorf("durable: %s holds a session of another specification or scheme kind: %w", dir, faults.ErrForeignLabel)
+	}
+	r, err := loadCheckpoint(fs, dir, m, scheme)
+	if err != nil {
+		return nil, err
+	}
 	segSteps := m.SegmentSteps
 	listing, err := listDir(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 
-	info := &RecoveryInfo{CheckpointStep: m.CheckpointStep}
-	sink := &segmentSink{fs: fs, dir: dir, segSteps: segSteps, syncEvery: opts.SyncEvery, replaying: true}
-	var sess *live.Session
-	ckptStep := 0
-	if m.HasCheckpoint {
-		ckptStep = m.CheckpointStep
-		st, err := loadCheckpointFile(fs, dir, ckptStep, scheme)
-		if err != nil {
-			return nil, err
-		}
-		sess, err = live.Restore(scheme, st.Run, st.Labeler, live.WithJournalSink(sink))
-		if err != nil {
-			return nil, fmt.Errorf("durable: restoring checkpoint state: %w", err)
-		}
-	} else {
-		sess, err = live.NewSession(scheme, live.WithJournalSink(sink))
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Replay the journal tail. Segments fully covered by the checkpoint are
 	// skipped without decoding — a later segment's base proves every step of
-	// its predecessor is at most that base — which is what keeps recovery
-	// proportional to the tail.
-	expected := ckptStep
+	// its predecessor is at most that base.
+	info := &RecoveryInfo{CheckpointStep: m.CheckpointStep}
+	expected := m.CheckpointStep
 	lastIdx := len(listing.segments) - 1
 	lastBase, lastCount, lastRemoved := -1, 0, true
 	for i, base := range listing.segments {
-		if i < lastIdx && listing.segments[i+1] <= ckptStep {
+		if i < lastIdx && listing.segments[i+1] <= m.CheckpointStep {
 			continue
 		}
 		name := segmentName(base)
@@ -269,7 +263,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 			if stepNo <= expected {
 				continue // already covered by the checkpoint
 			}
-			if _, aerr := sess.Apply(req.Instance, req.Prod); aerr != nil {
+			if _, aerr := r.Apply(req.Instance, req.Prod); aerr != nil {
 				f.Close()
 				return nil, fmt.Errorf("durable: replaying journal step %d: %w (%w)",
 					stepNo, aerr, faults.ErrInvalidStep)
@@ -287,12 +281,21 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 		}
 		lastBase, lastCount, lastRemoved = base, jr.Steps(), false
 	}
-	info.ReplayedSteps = expected - ckptStep
+	info.ReplayedSteps = expected - m.CheckpointStep
+
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		return nil, err
+	}
+	sink := &segmentSink{fs: fs, dir: dir, segSteps: segSteps, syncEvery: opts.SyncEvery, step: expected}
+	sess, err := live.Restore(scheme, r, labeler, live.WithJournalSink(sink))
+	if err != nil {
+		return nil, err
+	}
 
 	// Reopen the tail segment for appending when it is exactly the session's
 	// frontier and has room; otherwise the next append opens a fresh segment
 	// at the current epoch.
-	sink.step = expected
 	if !lastRemoved && lastBase+lastCount == expected && lastCount < segSteps {
 		f, err := fs.Append(filepath.Join(dir, segmentName(lastBase)))
 		if err != nil {
@@ -306,12 +309,8 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 		sink.file, sink.jw = f, jw
 		sink.activeBase, sink.activeCount = lastBase, lastCount
 	}
-	sink.replaying = false
 
-	s := &Session{
-		fs: fs, dir: dir, scheme: scheme, segSteps: segSteps,
-		sink: sink, sess: sess, ckptStep: ckptStep, recovery: info,
-	}
+	s := &Session{fs: fs, dir: dir, manifest: m, sink: sink, sess: sess, recovery: info}
 	// Clean up what a crash may have left behind: orphaned temp files from
 	// interrupted atomic writes, and checkpoints the manifest never came to
 	// reference (a crash between checkpoint write and manifest update).
@@ -337,35 +336,37 @@ func (s *Session) Recovery() *RecoveryInfo { return s.recovery }
 func (s *Session) LastCheckpoint() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ckptStep
+	return s.manifest.CheckpointStep
 }
 
-// Checkpoint persists the session's full state at the current epoch: sync
-// the active segment, write ckpt-<epoch>.fvlc atomically, commit it by
-// rewriting MANIFEST, then compact segments and checkpoints the new manifest
-// makes unreachable. Producers are paused for the duration. After a crash at
-// any point inside Checkpoint, recovery lands on whichever checkpoint the
-// durable MANIFEST names.
+// Checkpoint folds the journal into one file at the current epoch: sync the
+// active segment, write the prefix's steps as ckpt-<epoch>.fvlc atomically,
+// commit it by rewriting MANIFEST with its length and CRC-32, then compact
+// segments and checkpoints the new manifest makes unreachable. Producers
+// are paused for the duration. After a crash at any point inside
+// Checkpoint, recovery lands on whichever checkpoint the durable MANIFEST
+// names.
 func (s *Session) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("durable: session is closed")
 	}
-	epoch := 0
-	err := s.sess.Exclusive(func(r *run.Run, labeler *core.RunLabeler) error {
+	m := s.manifest
+	err := s.sess.Exclusive(func(p *live.Prefix) error {
 		if err := s.sink.syncActive(); err != nil {
 			return err
 		}
-		epoch = len(r.Steps)
 		var buf bytes.Buffer
-		if err := labelstore.SaveCheckpoint(&buf, s.scheme, r, labeler); err != nil {
+		if err := p.WriteJournal(&buf); err != nil {
 			return err
 		}
-		if err := writeFileAtomic(s.fs, s.dir, checkpointName(epoch), buf.Bytes()); err != nil {
+		m.HasCheckpoint, m.CheckpointStep = true, int(p.Epoch())
+		m.CheckpointBytes, m.CheckpointCRC = buf.Len(), crc32.ChecksumIEEE(buf.Bytes())
+		if err := writeFileAtomic(s.fs, s.dir, checkpointName(m.CheckpointStep), buf.Bytes()); err != nil {
 			return err
 		}
-		data, err := EncodeManifest(Manifest{SegmentSteps: s.segSteps, HasCheckpoint: true, CheckpointStep: epoch})
+		data, err := EncodeManifest(m)
 		if err != nil {
 			return err
 		}
@@ -374,7 +375,7 @@ func (s *Session) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("durable: checkpoint: %w", err)
 	}
-	s.ckptStep = epoch
+	s.manifest = m
 	listing, err := listDir(s.fs, s.dir)
 	if err != nil {
 		return err
@@ -388,8 +389,9 @@ func (s *Session) Checkpoint() error {
 // committed one, and temp files of interrupted atomic writes.
 func (s *Session) removeOrphans(listing *dirListing) error {
 	removed := false
+	ckpt := s.manifest.CheckpointStep
 	for i, base := range listing.segments {
-		if i+1 < len(listing.segments) && listing.segments[i+1] <= s.ckptStep {
+		if i+1 < len(listing.segments) && listing.segments[i+1] <= ckpt {
 			if err := s.fs.Remove(filepath.Join(s.dir, segmentName(base))); err != nil {
 				return err
 			}
@@ -397,7 +399,7 @@ func (s *Session) removeOrphans(listing *dirListing) error {
 		}
 	}
 	for _, step := range listing.checkpoints {
-		if step != s.ckptStep || s.ckptStep == 0 {
+		if !s.manifest.HasCheckpoint || step != ckpt {
 			if err := s.fs.Remove(filepath.Join(s.dir, checkpointName(step))); err != nil {
 				return err
 			}
@@ -417,8 +419,7 @@ func (s *Session) removeOrphans(listing *dirListing) error {
 }
 
 // Close syncs and closes the active segment. The directory stays fully
-// recoverable; Close never checkpoints (call Checkpoint first to make
-// recovery cheap). Closing twice is a no-op.
+// recoverable; Close never checkpoints. Closing twice is a no-op.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -426,7 +427,7 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.sess.Exclusive(func(*run.Run, *core.RunLabeler) error {
+	err := s.sess.Exclusive(func(*live.Prefix) error {
 		return s.sink.close()
 	})
 	if err != nil && !s.sink.closed {
@@ -446,10 +447,7 @@ type segmentSink struct {
 	segSteps  int
 	syncEvery int
 
-	// replaying suppresses writes while Recover replays the journal tail
-	// through Session.Apply — those steps are already durable.
-	replaying bool
-	closed    bool
+	closed bool
 
 	step        int // derivation steps appended (the epoch, from the sink's view)
 	file        File
@@ -464,9 +462,6 @@ type segmentSink struct {
 // owning live session, so a step is never published without being in the
 // journal.
 func (k *segmentSink) Append(req live.StepRequest) error {
-	if k.replaying {
-		return nil
-	}
 	if k.closed {
 		return fmt.Errorf("durable: session is closed")
 	}
@@ -594,21 +589,41 @@ func readFile(fs FS, path string) ([]byte, error) {
 	return data, nil
 }
 
-// loadCheckpointFile loads and validates ckpt-<step>.fvlc and checks it
-// covers exactly the epoch the manifest committed.
-func loadCheckpointFile(fs FS, dir string, step int, scheme *core.Scheme) (*labelstore.CheckpointState, error) {
-	data, err := readFile(fs, filepath.Join(dir, checkpointName(step)))
+// loadCheckpoint replays the steps of the checkpoint the manifest names into
+// a fresh run — an empty run when there is none. The file must match the
+// manifest's length and CRC-32 and hold exactly the manifest's number of
+// steps, each of which must apply; anything else is ErrCorruptCheckpoint.
+func loadCheckpoint(fs FS, dir string, m Manifest, scheme *core.Scheme) (*run.Run, error) {
+	if !m.HasCheckpoint {
+		return run.New(scheme.Spec), nil
+	}
+	data, err := readFile(fs, filepath.Join(dir, checkpointName(m.CheckpointStep)))
 	if err != nil {
 		return nil, fmt.Errorf("durable: manifest names checkpoint %d but it cannot be read: %w (%w)",
-			step, err, faults.ErrCorruptCheckpoint)
+			m.CheckpointStep, err, faults.ErrCorruptCheckpoint)
 	}
-	st, err := labelstore.LoadCheckpointBytes(data, scheme)
+	r, err := replayCheckpoint(data, m, scheme)
+	if err != nil {
+		return nil, fmt.Errorf("durable: checkpoint %d: %v (%w)", m.CheckpointStep, err, faults.ErrCorruptCheckpoint)
+	}
+	return r, nil
+}
+
+func replayCheckpoint(data []byte, m Manifest, scheme *core.Scheme) (*run.Run, error) {
+	if len(data) != m.CheckpointBytes || crc32.ChecksumIEEE(data) != m.CheckpointCRC {
+		return nil, fmt.Errorf("%d bytes do not match the manifest's length %d and CRC-32 %08x",
+			len(data), m.CheckpointBytes, m.CheckpointCRC)
+	}
+	reqs, err := live.DecodeJournal(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(st.Run.Steps) != step {
-		return nil, fmt.Errorf("durable: checkpoint %d covers %d steps: %w",
-			step, len(st.Run.Steps), faults.ErrCorruptCheckpoint)
+	if len(reqs) != m.CheckpointStep {
+		return nil, fmt.Errorf("holds %d steps", len(reqs))
 	}
-	return st, nil
+	steps := make([][2]int, len(reqs))
+	for i, req := range reqs {
+		steps[i] = [2]int{req.Instance, req.Prod}
+	}
+	return run.Replay(scheme.Spec, steps)
 }

@@ -2,6 +2,7 @@ package durable_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -526,11 +527,12 @@ func TestRecoverCorruptManifest(t *testing.T) {
 }
 
 func TestManifestRoundTrip(t *testing.T) {
+	spec := sha256.Sum256([]byte("spec"))
 	cases := []durable.Manifest{
 		{SegmentSteps: 1},
-		{SegmentSteps: 1024},
-		{SegmentSteps: 7, HasCheckpoint: true, CheckpointStep: 0},
-		{SegmentSteps: 1 << 20, HasCheckpoint: true, CheckpointStep: 123456},
+		{SegmentSteps: 1024, Spec: spec},
+		{SegmentSteps: 7, Spec: spec, HasCheckpoint: true, CheckpointStep: 0, CheckpointBytes: 8, CheckpointCRC: 0xdeadbeef},
+		{SegmentSteps: 1 << 20, HasCheckpoint: true, CheckpointStep: 123456, CheckpointBytes: 250000, CheckpointCRC: 1},
 	}
 	for _, m := range cases {
 		data, err := durable.EncodeManifest(m)
@@ -548,28 +550,47 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, err := durable.EncodeManifest(durable.Manifest{SegmentSteps: 0}); err == nil {
 		t.Fatal("zero segment capacity encoded")
 	}
-	if _, err := durable.EncodeManifest(durable.Manifest{SegmentSteps: 8, CheckpointStep: 3}); err == nil {
-		t.Fatal("checkpoint step without checkpoint flag encoded")
+	for _, m := range []durable.Manifest{
+		{SegmentSteps: 8, CheckpointStep: 3},
+		{SegmentSteps: 8, CheckpointBytes: 3},
+		{SegmentSteps: 8, CheckpointCRC: 3},
+	} {
+		if _, err := durable.EncodeManifest(m); err == nil {
+			t.Fatalf("checkpoint field without checkpoint flag encoded: %+v", m)
+		}
 	}
 
-	// A retired form appended a uvarint partition count to the classic
-	// payload; it must be refused, never misread as a classic manifest.
-	classic := binary.AppendUvarint(nil, 64)
-	classic = append(classic, 1)
-	classic = binary.AppendUvarint(classic, 40)
-	m, err := durable.DecodeManifest(manifestBytes(classic))
-	if want := (durable.Manifest{SegmentSteps: 64, HasCheckpoint: true, CheckpointStep: 40}); err != nil || m != want {
-		t.Fatalf("hand-built classic manifest decoded as %+v, %v; want %+v", m, err, want)
+	// The payload layout, built by hand: capacity, spec identity, flag,
+	// step, length, CRC-32.
+	v2 := binary.AppendUvarint(nil, 64)
+	v2 = append(v2, spec[:]...)
+	v2 = append(v2, 1)
+	v2 = binary.AppendUvarint(v2, 40)
+	v2 = binary.AppendUvarint(v2, 100)
+	v2 = binary.LittleEndian.AppendUint32(v2, 0xcafe)
+	m, err := durable.DecodeManifest(manifestBytes("FVLMANI\x02", v2))
+	want := durable.Manifest{SegmentSteps: 64, Spec: spec, HasCheckpoint: true, CheckpointStep: 40, CheckpointBytes: 100, CheckpointCRC: 0xcafe}
+	if err != nil || m != want {
+		t.Fatalf("hand-built manifest decoded as %+v, %v; want %+v", m, err, want)
 	}
-	if _, err := durable.DecodeManifest(manifestBytes(binary.AppendUvarint(classic, 4))); !errors.Is(err, faults.ErrCorruptManifest) {
-		t.Fatalf("partitioned manifest: want ErrCorruptManifest, got %v", err)
+	if _, err := durable.DecodeManifest(manifestBytes("FVLMANI\x02", append(v2, 0))); !errors.Is(err, faults.ErrCorruptManifest) {
+		t.Fatalf("trailing manifest byte: want ErrCorruptManifest, got %v", err)
+	}
+
+	// A version-1 manifest (capacity, flag, step) is refused, never read by
+	// a second decoder.
+	v1 := binary.AppendUvarint(nil, 64)
+	v1 = append(v1, 1)
+	v1 = binary.AppendUvarint(v1, 40)
+	if _, err := durable.DecodeManifest(manifestBytes("FVLMANI\x01", v1)); !errors.Is(err, faults.ErrCorruptManifest) {
+		t.Fatalf("version-1 manifest: want ErrCorruptManifest, got %v", err)
 	}
 }
 
 // manifestBytes frames a manifest payload by hand — magic, CRC, length — so
-// tests can build forms the encoder no longer writes.
-func manifestBytes(payload []byte) []byte {
-	buf := []byte("FVLMANI\x01")
+// tests can build forms the encoder does not write.
+func manifestBytes(magic string, payload []byte) []byte {
+	buf := []byte(magic)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
 	return append(buf, payload...)

@@ -67,8 +67,9 @@ var (
 	ErrCorruptManifest = errors.New("corrupt session manifest")
 
 	// ErrCorruptCheckpoint reports that a session checkpoint artifact failed
-	// validation: bad magic, checksum mismatch, or any structural check on
-	// the persisted run and labeler state.
+	// validation: a length or CRC-32 that differs from the manifest's, a
+	// step journal that does not decode, a step count that differs from the
+	// manifest's, or a step that does not apply.
 	ErrCorruptCheckpoint = errors.New("corrupt session checkpoint")
 
 	// ErrInvalidStep reports a journaled step that decodes cleanly but does

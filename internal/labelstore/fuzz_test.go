@@ -2,7 +2,9 @@ package labelstore_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/labelstore"
-	"repro/internal/live"
 	"repro/internal/view"
 	"repro/internal/workloads"
 )
@@ -31,7 +32,7 @@ func FuzzLoad(f *testing.F) {
 		if err := labelstore.Save(&buf, scheme, labels); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes()[checkpointHeader:])
+		f.Add(buf.Bytes()[frameHeader:])
 	}
 	label := func(scheme *core.Scheme, v *view.View, variant core.Variant) *core.ViewLabel {
 		vl, err := scheme.LabelView(v, variant)
@@ -100,76 +101,24 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzCheckpointDecode is the corruption target for session checkpoints.
-// The fuzz input is the payload: the target frames it with the magic, a
-// correct CRC and the length, so mutations reach step replay and the label
-// and path decoders instead of bouncing off the checksum. Each input is
-// loaded against every seed scheme (at most one can match its embedded
-// specification). The contract: no panic; no allocation beyond what the
-// input's length funds; every rejection wraps ErrCorruptCheckpoint or
-// ErrForeignLabel; every accepted state restores a live session with a
-// label for every item of the replayed run.
-func FuzzCheckpointDecode(f *testing.F) {
-	var schemes []*core.Scheme
-	addSeeds := func(scheme *core.Scheme, target int, rs int64, prefixes ...int) {
-		schemes = append(schemes, scheme)
-		steps := randomSteps(f, scheme, target, rs)
-		for _, k := range prefixes {
-			if k > len(steps) {
-				k = len(steps)
-			}
-			f.Add(checkpointAt(f, scheme, steps, k)[checkpointHeader:])
-		}
-	}
-	paper, err := core.NewScheme(workloads.PaperExample())
-	if err != nil {
-		f.Fatal(err)
-	}
-	// A prefix past the end of the run seeds the completed run.
-	addSeeds(paper, 40, 7, 0, 1, 5, 11, 1<<20)
-	bio, err := core.NewScheme(workloads.BioAID())
-	if err != nil {
-		f.Fatal(err)
-	}
-	addSeeds(bio, 200, 13, 12)
-	basic, err := core.NewSchemeBasic(workloads.Figure10Example())
-	if err != nil {
-		f.Fatal(err)
-	}
-	addSeeds(basic, 30, 5, 4)
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		data := framePayload("FVLCKPT\x02", payload)
-		for _, scheme := range schemes {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			st, err := labelstore.LoadCheckpointBytes(data, scheme)
-			runtime.ReadMemStats(&after)
-			if grew, budget := after.TotalAlloc-before.TotalAlloc, allocBudget(len(data)); grew > budget {
-				t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), grew, budget)
-			}
-			if err != nil {
-				if !errors.Is(err, faults.ErrCorruptCheckpoint) && !errors.Is(err, faults.ErrForeignLabel) {
-					t.Fatalf("unclassified rejection: %v", err)
-				}
-				continue
-			}
-			sess, err := live.Restore(scheme, st.Run, st.Labeler)
-			if err != nil {
-				t.Fatalf("accepted checkpoint does not restore: %v", err)
-			}
-			if got, want := sess.Items(), len(st.Run.Items); got != want {
-				t.Fatalf("restored session labels %d items, run has %d", got, want)
-			}
-		}
-	})
-}
-
-// allocBudget is the allocation a snapshot load or a checkpoint decode of n
-// bytes may make: a fixed base plus a linear share per input byte (for a
-// checkpoint, the replayed run and the decoded labels; for a snapshot, the
-// relabeled views).
+// allocBudget is the allocation a snapshot load of n bytes may make: a fixed
+// base plus a linear share per input byte, which funds decoding and the
+// relabeled views.
 func allocBudget(n int) uint64 {
 	return 1<<20 + 4096*uint64(n)
+}
+
+// frameHeader is the size of the snapshot framing: magic, CRC-32 and
+// payload length.
+const frameHeader = 8 + 4 + 8
+
+// framePayload wraps a payload in the snapshot framing under the given
+// magic, with a correct CRC and length, so an edited payload reaches the
+// payload decoder instead of failing the checksum.
+func framePayload(magic string, payload []byte) []byte {
+	out := make([]byte, frameHeader, frameHeader+len(payload))
+	copy(out, magic)
+	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint64(out[12:], uint64(len(payload)))
+	return append(out, payload...)
 }

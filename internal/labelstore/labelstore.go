@@ -255,9 +255,9 @@ func loadBytes(data []byte) (*Snapshot, error) {
 }
 
 // loadBudget is the allocation a load of n snapshot bytes may make: a fixed
-// base plus a linear share per input byte, the bound FuzzCheckpointDecode
-// asserts for checkpoints too. Legitimate snapshots stay far inside it (see
-// DESIGN.md, "Label snapshots").
+// base plus a linear share per input byte, the bound FuzzLoad asserts.
+// Legitimate snapshots stay far inside it (see DESIGN.md, "Label
+// snapshots").
 func loadBudget(n int) int { return 1<<20 + 4096*n }
 
 // decodeBytesPerInputByte is the share of the load budget set aside for

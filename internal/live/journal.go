@@ -113,43 +113,29 @@ func EncodeJournal(steps []StepRequest) ([]byte, error) {
 // DecodeJournal parses a journal from untrusted bytes. Any structural
 // problem — bad magic, a non-canonical or truncated varint, an out-of-range
 // value — fails with an error wrapping ErrCorruptJournal; the decoder never
-// panics. Every accepted stream re-encodes to exactly the input bytes.
+// panics. Every accepted stream re-encodes to exactly the input bytes. It is
+// ReadJournal over the bytes, with the step slice sized up front: each
+// record is at least two bytes, so the allocation is O(len(data)).
 func DecodeJournal(data []byte) ([]StepRequest, error) {
-	if len(data) < len(journalMagic) || !bytes.Equal(data[:len(journalMagic)], journalMagic[:]) {
-		return nil, fmt.Errorf("live: bad journal magic: %w", faults.ErrCorruptJournal)
-	}
-	rest := data[len(journalMagic):]
-	// Each record is at least two bytes, so this bounds the allocation by
-	// the input length.
-	steps := make([]StepRequest, 0, len(rest)/2)
-	for off := 0; off < len(rest); {
-		instance, n, err := readValue(rest[off:])
-		if err != nil {
-			return nil, fmt.Errorf("live: journal record %d instance at offset %d: %w", len(steps)+1, off, err)
-		}
-		off += n
-		prod, n, err := readValue(rest[off:])
-		if err != nil {
-			return nil, fmt.Errorf("live: journal record %d production at offset %d: %w", len(steps)+1, off, err)
-		}
-		off += n
-		steps = append(steps, StepRequest{Instance: instance, Prod: prod})
-	}
-	return steps, nil
+	return readJournal(bytes.NewReader(data), max(len(data)-len(journalMagic), 0)/2)
 }
 
 // ReadJournal decodes a journal from a reader incrementally (see
 // DecodeJournal for the accepted format): the stream is consumed through a
 // buffered record decoder, so resuming a large journal never holds the whole
-// file in memory at once. Like DecodeJournal it is strict — a stream that
-// ends mid-record fails (with an error wrapping both ErrTornJournal and
-// ErrCorruptJournal); use JournalReader directly to handle torn tails.
+// file in memory at once. It is strict — a stream that ends mid-record fails
+// (with an error wrapping both ErrTornJournal and ErrCorruptJournal); use
+// JournalReader directly to handle torn tails.
 func ReadJournal(r io.Reader) ([]StepRequest, error) {
+	return readJournal(r, 0)
+}
+
+func readJournal(r io.Reader, capacity int) ([]StepRequest, error) {
 	jr, err := NewJournalReader(r)
 	if err != nil {
 		return nil, err
 	}
-	var steps []StepRequest
+	steps := make([]StepRequest, 0, capacity)
 	for {
 		req, err := jr.Next()
 		if err == io.EOF {
@@ -162,9 +148,9 @@ func ReadJournal(r io.Reader) ([]StepRequest, error) {
 	}
 }
 
-// JournalReader decodes a step journal one record at a time. It applies
-// exactly the DecodeJournal validation rules, but additionally classifies
-// where the stream ends:
+// JournalReader decodes a step journal one record at a time; it is the
+// journal's only decoder (DecodeJournal and ReadJournal loop over it). It
+// classifies where the stream ends:
 //
 //   - a stream ending at a record boundary is complete (Next returns io.EOF);
 //   - a stream ending mid-record — or mid-header — is torn, the signature of
@@ -276,18 +262,6 @@ func (jr *JournalReader) readValue(first bool) (int, int, error) {
 	return int(v), n, nil
 }
 
-// readValue decodes one bounded canonical uvarint.
-func readValue(b []byte) (int, int, error) {
-	v, n, err := readCanonicalUvarint(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	if v > maxJournalValue {
-		return 0, 0, fmt.Errorf("live: value %d exceeds the journal bound: %w", v, faults.ErrCorruptJournal)
-	}
-	return int(v), n, nil
-}
-
 // readCanonicalUvarint decodes a uvarint and rejects non-minimal encodings:
 // a multi-byte encoding whose last byte is zero carries redundant high bits,
 // and accepting it would break the bit-exact re-encode guarantee. On failure
@@ -296,6 +270,10 @@ func readValue(b []byte) (int, int, error) {
 func readCanonicalUvarint(b []byte) (uint64, int, error) {
 	v, n := binary.Uvarint(b)
 	switch {
+	case n == 0 && len(b) >= binary.MaxVarintLen64:
+		// Ten continuation bytes: the varint cannot end in range, however
+		// the stream continues.
+		return 0, binary.MaxVarintLen64, fmt.Errorf("live: varint overflows 64 bits: %w", faults.ErrCorruptJournal)
 	case n == 0:
 		return 0, 0, fmt.Errorf("live: truncated varint: %w", faults.ErrCorruptJournal)
 	case n < 0:

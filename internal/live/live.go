@@ -35,8 +35,8 @@
 //
 // A Session is restartable: Prefix.WriteJournal exports the steps of any
 // epoch, a JournalSink (WithJournalSink) persists each applied step as it is
-// applied, and Resume replays a journal into a fresh session. The journal
-// codec lives in journal.go.
+// applied, and Resume rebuilds a session from a journal by replaying the run
+// and labeling it once in batch. The journal codec lives in journal.go.
 package live
 
 import (
@@ -115,36 +115,41 @@ func NewSession(scheme *core.Scheme, opts ...Option) (*Session, error) {
 	return s, nil
 }
 
-// Resume rebuilds a session by replaying a step journal (exported with
-// Prefix.WriteJournal, or appended step by step through a JournalWriter).
-// The journal bytes are untrusted: corruption fails with ErrCorruptJournal,
-// and steps that do not apply to the specification fail with the underlying
-// apply error.
+// Resume rebuilds a session from a step journal (exported with
+// Prefix.WriteJournal, or appended step by step through a JournalWriter):
+// the run is rebuilt with run.Replay, labeled once in batch with
+// Scheme.LabelRun and opened with Restore. The journal bytes are untrusted:
+// corruption fails with ErrCorruptJournal, and steps that do not apply to
+// the specification fail with the underlying apply error.
 func Resume(scheme *core.Scheme, journal io.Reader) (*Session, error) {
-	steps, err := ReadJournal(journal)
+	if scheme == nil {
+		return nil, fmt.Errorf("live: nil scheme")
+	}
+	reqs, err := ReadJournal(journal)
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewSession(scheme)
+	steps := make([][2]int, len(reqs))
+	for i, req := range reqs {
+		steps[i] = [2]int{req.Instance, req.Prod}
+	}
+	r, err := run.Replay(scheme.Spec, steps)
 	if err != nil {
 		return nil, err
 	}
-	for i, req := range steps {
-		if _, err := s.Apply(req.Instance, req.Prod); err != nil {
-			return nil, fmt.Errorf("live: replaying journal step %d of %d: %w", i+1, len(steps), err)
-		}
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return Restore(scheme, r, labeler)
 }
 
-// Restore rebuilds a session directly from recovered state — a run and the
-// labeler that labeled it — without relabeling a single step. It is the
-// fast-path counterpart of Resume for checkpoint-based recovery: the caller
-// rebuilds the run by replaying its recorded steps structurally (run.Replay,
-// with no labeler attached), restores the labeler from the stored labels
-// and frontier paths (Scheme.RestoreRunLabeler), relabels only the journal
-// tail through Apply, and the session continues from there. The session's
-// step requests are the run's recorded steps.
+// Restore opens a session on a run that was built outside it — replayed
+// from a journal (Resume) or recovered from a durable directory — and the
+// labeler that labeled it, which is Scheme.LabelRun of the run: a data
+// label is a pure function of the derivation, so recovery labels the run
+// once in batch instead of reading stored labels back. The session's step
+// requests are the run's recorded steps, and it continues from there.
 //
 // The pieces must agree: the run must belong to the scheme's specification
 // and every data item of the run must already carry a label. Options apply
@@ -173,22 +178,22 @@ func Restore(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler, opts ...
 	return s, nil
 }
 
-// Exclusive runs fn with the session's producer lock held, passing the live
-// run and labeler. No step can be applied while fn runs, so fn observes (run,
-// labeler, published prefix) at one consistent epoch — the window a durable
-// checkpoint is captured in. fn must treat both arguments as read-only and
-// must not call back into the session.
+// Exclusive runs fn with the session's producer lock held, passing the
+// latest published prefix. No step can be applied while fn runs, so the
+// prefix is the session's whole state for the duration — the window a
+// durable checkpoint is captured in (its steps, Prefix.WriteJournal) and
+// a sink is closed in. fn must not call back into the session.
 //
 // A poisoned session refuses: after a labeling or journal failure the
 // in-memory state may be ahead of the last published epoch, so there is no
 // consistent state to expose.
-func (s *Session) Exclusive(fn func(r *run.Run, labeler *core.RunLabeler) error) error {
+func (s *Session) Exclusive(fn func(p *Prefix) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed != nil {
 		return fmt.Errorf("live: session is poisoned: %w", s.failed)
 	}
-	return fn(s.run, s.labeler)
+	return fn(s.cur.Load())
 }
 
 // publishLocked publishes the current producer state as a new Prefix. The
