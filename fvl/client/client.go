@@ -1,6 +1,6 @@
 // Package client is the remote counterpart of package fvl: a Service-shaped
 // API over an fvld server. A Client addresses one server; OpenSession hands
-// back a Session whose Query/DependsOnBatch/Feed methods mirror
+// back a Session whose Query/DependsOnBatch/Apply methods mirror
 // fvl.Session's signatures — same expression types, same answer types, same
 // epoch-pinning contract — so code written against the in-process surface
 // ports to the remote one by swapping the constructor.
@@ -148,10 +148,8 @@ func responseError(resp *http.Response) error {
 	return fmt.Errorf("fvld: %s", resp.Status)
 }
 
-// jsonDecode and readerOf keep session.go free of direct encoding/json and
-// bytes imports.
+// jsonDecode keeps session.go free of a direct encoding/json import.
 func jsonDecode(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
-func readerOf(b []byte) io.Reader         { return bytes.NewReader(b) }
 
 func retryAfterOf(resp *http.Response) time.Duration {
 	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))

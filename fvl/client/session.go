@@ -1,12 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 
 	"repro/fvl"
+	"repro/internal/live"
 	"repro/internal/service/wire"
 )
 
@@ -42,7 +44,7 @@ type StepsResult struct {
 }
 
 // Session is a remote live session, mirroring fvl.Session's surface:
-// producers stream steps (Feed, SendSteps, Apply), readers ask epoch-pinned
+// producers send steps (SendSteps, Apply), readers ask epoch-pinned
 // queries (Query, QueryBatch, DependsOn, DependsOnBatch). A Session is
 // stateless client-side and safe for concurrent use; the server serializes
 // step streams per session.
@@ -76,16 +78,20 @@ func (s *Session) Status(ctx context.Context) (SessionStatus, error) {
 	return statusOf(st), err
 }
 
-// stepsResultOf converts an ack, surfacing its embedded error (which still
-// accompanies a truthful Applied count).
-func stepsResultOf(w wire.StepsResult) (StepsResult, error) {
-	return StepsResult{Applied: w.Applied, Epoch: w.Epoch, Items: w.Items}, w.Error.Err()
-}
-
-// postSteps streams a journal-framed body to the steps endpoint.
-func (s *Session) postSteps(ctx context.Context, body io.Reader) (StepsResult, error) {
+// SendSteps applies a batch of steps in one request, framed as a step
+// journal (FVLJRNL). On failure the returned ack still counts the steps the
+// server applied, and those must not be replayed.
+func (s *Session) SendSteps(ctx context.Context, steps []fvl.StepRequest) (StepsResult, error) {
+	reqs := make([]live.StepRequest, len(steps))
+	for i, st := range steps {
+		reqs[i] = live.StepRequest{Instance: st.Instance, Prod: st.Production}
+	}
+	body, err := live.EncodeJournal(reqs)
+	if err != nil {
+		return StepsResult{}, err
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		s.c.base+wire.StepsPath(s.tenant, s.scheme, s.name), body)
+		s.c.base+wire.StepsPath(s.tenant, s.scheme, s.name), bytes.NewReader(body))
 	if err != nil {
 		return StepsResult{}, err
 	}
@@ -106,56 +112,7 @@ func (s *Session) postSteps(ctx context.Context, body io.Reader) (StepsResult, e
 	if derr := jsonDecode(resp.Body, &w); derr != nil {
 		return StepsResult{}, fmt.Errorf("fvld: steps ack: %w", derr)
 	}
-	return stepsResultOf(w)
-}
-
-// Feed streams step requests from the channel into the remote session until
-// the channel closes, the context is canceled, or a step fails — the remote
-// mirror of fvl.Session.Feed, as one chunked POST. The returned ack counts
-// the steps the server applied; on failure the acked prefix must not be
-// replayed.
-func (s *Session) Feed(ctx context.Context, reqs <-chan fvl.StepRequest) (StepsResult, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		enc, err := wire.NewStepEncoder(pw)
-		if err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		for {
-			select {
-			case <-ctx.Done():
-				pw.CloseWithError(ctx.Err())
-				return
-			case req, ok := <-reqs:
-				if !ok {
-					pw.Close()
-					return
-				}
-				if err := enc.Append(wire.Step{Instance: req.Instance, Production: req.Production}); err != nil {
-					pw.CloseWithError(err)
-					return
-				}
-			}
-		}
-	}()
-	res, err := s.postSteps(ctx, pr)
-	// Unblock the encoder goroutine if the request died before draining it.
-	pr.CloseWithError(err)
-	return res, err
-}
-
-// SendSteps applies a batch of steps in one request.
-func (s *Session) SendSteps(ctx context.Context, steps []fvl.StepRequest) (StepsResult, error) {
-	ws := make([]wire.Step, len(steps))
-	for i, st := range steps {
-		ws[i] = wire.Step{Instance: st.Instance, Production: st.Production}
-	}
-	body, err := wire.EncodeSteps(ws)
-	if err != nil {
-		return StepsResult{}, err
-	}
-	return s.postSteps(ctx, readerOf(body))
+	return StepsResult{Applied: w.Applied, Epoch: w.Epoch, Items: w.Items}, w.Error.Err()
 }
 
 // Apply expands one composite instance with the 1-based production index,

@@ -33,8 +33,14 @@ func errClass(err error) string {
 // through the index), and after the next producer step (a new epoch the
 // index does not cover, so the label path again). Labels are final on
 // assignment, so the answers about items of the first prefix must not move.
+// It runs on every live workload (see liveWorkloads).
 func TestPointBatchAnswersAcrossIndexStates(t *testing.T) {
-	svc, viewName := liveService(t)
+	for _, w := range liveWorkloads(t) {
+		t.Run(w.name, func(t *testing.T) { pointBatchAcrossIndexStates(t, w.svc, w.view) })
+	}
+}
+
+func pointBatchAcrossIndexStates(t *testing.T, svc *fvl.Service, viewName string) {
 	sess, err := svc.OpenLive()
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +111,15 @@ func TestPointBatchAnswersAcrossIndexStates(t *testing.T) {
 // batches land both on epochs a set batch has indexed and on epochs it has
 // not. Every answer is checked against a replay of the producer's steps at
 // the answer's pinned epoch. Run under -race this also covers the index
-// cache and the plan share being read by both batch kinds at once.
+// cache and the plan share being read by both batch kinds at once. It runs
+// on every live workload (see liveWorkloads).
 func TestLiveBatchesInterleaveUnderProducer(t *testing.T) {
-	svc, viewName := liveService(t)
+	for _, w := range liveWorkloads(t) {
+		t.Run(w.name, func(t *testing.T) { liveBatchesInterleave(t, w.svc, w.view) })
+	}
+}
+
+func liveBatchesInterleave(t *testing.T, svc *fvl.Service, viewName string) {
 	vl, _ := svc.ViewLabel(viewName)
 	sess, err := svc.OpenLive()
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/fvl"
@@ -145,11 +146,86 @@ func diffWorkloads(t *testing.T) []diffWorkload {
 	}
 }
 
+// setOracle holds the brute-force answers of one workload's run, computed
+// once from point queries against a separate query-efficient service (as
+// perfbench's oracle does) and shared by every serving variant under test:
+// data labels and visibility do not depend on the variant, and honest
+// space-efficient point queries would cost far more than the set queries
+// they check.
+type setOracle struct {
+	n                int
+	hidden           []bool   // by item ID
+	deps, revdeps    [][]int  // by item ID; nil for hidden items
+	between          [][2]int // between(primary, secondary) under primary
+	outs, explain    []int    // final outputs and explain(outs)
+	x1, x2           int      // two visible items (0 when missing)
+	union, intersect []int    // deps(x1) ∪/∩ revdeps(x2)
+}
+
+func newSetOracle(t *testing.T, ctx context.Context, spec *fvl.Spec, views []*fvl.View, run *fvl.Run) *setOracle {
+	t.Helper()
+	svc, err := fvl.Open(ctx, spec, views, fvl.WithVariant(fvl.QueryEfficient), fvl.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := svc.NewLabeler().Label(ctx, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := labels.Count()
+	pvl, _ := svc.ViewLabel(views[0].Name())
+	bvl, _ := svc.ViewLabel(views[1].Name())
+	o := &setOracle{
+		n:       n,
+		hidden:  make([]bool, n+1),
+		deps:    make([][]int, n+1),
+		revdeps: make([][]int, n+1),
+		between: oracleBetween(pvl, pvl, bvl, labels.Label, n),
+	}
+	if len(o.between) == 0 {
+		o.between = nil
+	}
+	var initials []int
+	for x := 1; x <= n; x++ {
+		lx, _ := labels.Label(x)
+		o.hidden[x] = !pvl.Visible(lx)
+		if !o.hidden[x] {
+			o.deps[x] = oracleDeps(pvl, labels.Label, n, x, false)
+			o.revdeps[x] = oracleDeps(pvl, labels.Label, n, x, true)
+		}
+		if lx.IsFinalOutput() {
+			o.outs = append(o.outs, x)
+		}
+		if lx.IsInitialInput() {
+			initials = append(initials, x)
+		}
+	}
+	// explain over the final outputs: the union of the visible outputs'
+	// deps, restricted to initial inputs.
+	seen := map[int]bool{}
+	for _, x := range o.outs {
+		for _, y := range o.deps[x] {
+			seen[y] = true
+		}
+	}
+	for _, y := range initials {
+		if seen[y] {
+			o.explain = append(o.explain, y)
+		}
+	}
+	o.x1, o.x2 = pickVisible(t, pvl, labels.Label, n, 0), pickVisible(t, pvl, labels.Label, n, 1)
+	if o.x1 > 0 && o.x2 > 0 {
+		o.union = setUnion(o.deps[o.x1], o.revdeps[o.x2])
+		o.intersect = setIntersect(o.deps[o.x1], o.revdeps[o.x2])
+	}
+	return o
+}
+
 // TestSetQueriesMatchPointQueryOracle is the differential oracle of the
 // set-query subsystem: on every workload and under every serving variant,
 // every set answer must be identical to the brute-force loop of point
-// queries over the same labels — including the error semantics for hidden
-// and unknown targets.
+// queries over the same run — including the error semantics for hidden and
+// unknown targets.
 func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range diffWorkloads(t) {
@@ -160,6 +236,7 @@ func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := newSetOracle(t, ctx, w.spec, views, run)
 			for _, variant := range []fvl.Variant{fvl.SpaceEfficient, fvl.Materialized, fvl.QueryEfficient} {
 				variant := variant
 				t.Run(variant.String(), func(t *testing.T) {
@@ -172,23 +249,20 @@ func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					n := labels.Count()
+					if n != want.n {
+						t.Fatalf("%d labeled items, oracle has %d", n, want.n)
+					}
 					primary, secondary := views[0].Name(), views[1].Name()
-					pvl, _ := svc.ViewLabel(primary)
-					avl, _ := svc.ViewLabel(primary)
-					bvl, _ := svc.ViewLabel(secondary)
 
 					// Every deps(x)/revdeps(x), including hidden targets.
 					for x := 1; x <= n; x++ {
-						lx, _ := labels.Label(x)
-						hidden := !pvl.Visible(lx)
 						for _, reverse := range []bool{false, true} {
-							q := fvl.DepsOf(x)
-							kind := "deps"
+							q, kind, items := fvl.DepsOf(x), "deps", want.deps[x]
 							if reverse {
-								q, kind = fvl.RevDepsOf(x), "revdeps"
+								q, kind, items = fvl.RevDepsOf(x), "revdeps", want.revdeps[x]
 							}
 							a, err := svc.Query(ctx, primary, labels, q)
-							if hidden {
+							if want.hidden[x] {
 								if !errors.Is(err, fvl.ErrHiddenItem) {
 									t.Fatalf("%s(%d) on hidden target: got err %v, want ErrHiddenItem", kind, x, err)
 								}
@@ -197,8 +271,7 @@ func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s(%d): %v", kind, x, err)
 							}
-							sameItems(t, fmt.Sprintf("%s(%d)", kind, x),
-								a.Items, oracleDeps(pvl, labels.Label, n, x, reverse))
+							sameItems(t, fmt.Sprintf("%s(%d)", kind, x), a.Items, items)
 						}
 					}
 
@@ -212,66 +285,30 @@ func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantPairs := oracleBetween(pvl, avl, bvl, labels.Label, n)
-					if len(wantPairs) == 0 {
-						wantPairs = nil
-					}
-					if !reflect.DeepEqual(ans.Pairs, wantPairs) {
-						t.Fatalf("between: got %v, want %v", ans.Pairs, wantPairs)
+					if !reflect.DeepEqual(ans.Pairs, want.between) {
+						t.Fatalf("between: got %v, want %v", ans.Pairs, want.between)
 					}
 
-					// explain over the final outputs: union of visible
-					// outputs' deps restricted to initial inputs.
-					var outs, initials []int
-					for x := 1; x <= n; x++ {
-						lx, _ := labels.Label(x)
-						if lx.IsFinalOutput() {
-							outs = append(outs, x)
-						}
-						if lx.IsInitialInput() {
-							initials = append(initials, x)
-						}
-					}
-					if len(outs) > 0 {
-						a, err := svc.Query(ctx, primary, labels, fvl.ExplainOutputs(outs...))
+					if len(want.outs) > 0 {
+						a, err := svc.Query(ctx, primary, labels, fvl.ExplainOutputs(want.outs...))
 						if err != nil {
 							t.Fatal(err)
 						}
-						seen := map[int]bool{}
-						for _, x := range outs {
-							lx, _ := labels.Label(x)
-							if !pvl.Visible(lx) {
-								continue
-							}
-							for _, y := range oracleDeps(pvl, labels.Label, n, x, false) {
-								seen[y] = true
-							}
-						}
-						var want []int
-						for _, y := range initials {
-							if seen[y] {
-								want = append(want, y)
-							}
-						}
-						sort.Ints(want)
-						sameItems(t, "explain(outputs)", a.Items, want)
+						sameItems(t, "explain(outputs)", a.Items, want.explain)
 					}
 
 					// Combinators against set algebra over the oracle.
-					x1, x2 := pickVisible(t, pvl, labels.Label, n, 0), pickVisible(t, pvl, labels.Label, n, 1)
-					if x1 > 0 && x2 > 0 {
-						d1 := oracleDeps(pvl, labels.Label, n, x1, false)
-						r2 := oracleDeps(pvl, labels.Label, n, x2, true)
-						u, err := svc.Query(ctx, primary, labels, fvl.DepsOf(x1).Union(fvl.RevDepsOf(x2)))
+					if want.x1 > 0 && want.x2 > 0 {
+						u, err := svc.Query(ctx, primary, labels, fvl.DepsOf(want.x1).Union(fvl.RevDepsOf(want.x2)))
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameItems(t, "union", u.Items, setUnion(d1, r2))
-						in, err := svc.Query(ctx, primary, labels, fvl.DepsOf(x1).Intersect(fvl.RevDepsOf(x2)))
+						sameItems(t, "union", u.Items, want.union)
+						in, err := svc.Query(ctx, primary, labels, fvl.DepsOf(want.x1).Intersect(fvl.RevDepsOf(want.x2)))
 						if err != nil {
 							t.Fatal(err)
 						}
-						sameItems(t, "intersect", in.Items, setIntersect(d1, r2))
+						sameItems(t, "intersect", in.Items, want.intersect)
 					}
 					for side := 1; side <= 2; side++ {
 						a, err := svc.Query(ctx, primary, labels, fvl.BetweenViews(primary, secondary).Project(side))
@@ -279,16 +316,16 @@ func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 							t.Fatal(err)
 						}
 						seen := map[int]bool{}
-						for _, pr := range wantPairs {
+						for _, pr := range want.between {
 							seen[pr[side-1]] = true
 						}
-						var want []int
+						var items []int
 						for y := 1; y <= n; y++ {
 							if seen[y] {
-								want = append(want, y)
+								items = append(items, y)
 							}
 						}
-						sameItems(t, fmt.Sprintf("project(between,%d)", side), a.Items, want)
+						sameItems(t, fmt.Sprintf("project(between,%d)", side), a.Items, items)
 					}
 				})
 			}
@@ -514,5 +551,101 @@ func TestQueryExprSurface(t *testing.T) {
 	}
 	if _, err := svc.Query(ctx, view, labels, bad); err == nil {
 		t.Fatal("Query answered a poisoned expression")
+	}
+}
+
+// TestRunLabelsReuseTheirItemIndex: set queries over unchanged run labels
+// share one item index, and a query after the attached run grows extends
+// the index to the new items and answers like labels of the whole run.
+// Concurrent queries over fresh labels share the cache too.
+func TestRunLabelsReuseTheirItemIndex(t *testing.T) {
+	ctx := context.Background()
+	spec := fvl.PaperExample()
+	v, err := fvl.SecurityView(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := fvl.Open(ctx, spec, []*fvl.View{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := fvl.RandomRun(spec, fvl.RunOptions{TargetSize: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := full.StepLog()
+	if len(steps) < 4 {
+		t.Fatalf("run has %d steps, the test needs 4", len(steps))
+	}
+	run := spec.NewRun()
+	labels, err := svc.NewLabeler().Attach(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(steps []fvl.StepRequest) {
+		t.Helper()
+		for _, st := range steps {
+			if err := run.Apply(st.Instance, st.Production); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	q := fvl.BetweenViews(v.Name(), v.Name())
+	query := func() *fvl.SetAnswer {
+		t.Helper()
+		a, err := svc.Query(ctx, v.Name(), labels, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	apply(steps[:len(steps)/2])
+	query()
+	first, n := fvl.RunLabelsIndex(labels)
+	if first == nil || n != labels.Count() {
+		t.Fatalf("first query cached an index of %d items, labels hold %d", n, labels.Count())
+	}
+	query()
+	if again, _ := fvl.RunLabelsIndex(labels); again != first {
+		t.Fatal("a second query over unchanged labels built a new item index")
+	}
+
+	apply(steps[len(steps)/2:])
+	grown := query()
+	next, n := fvl.RunLabelsIndex(labels)
+	if next == first || n != labels.Count() || n != full.Size() {
+		t.Fatalf("after the run grew to %d items the cached index covers %d (same index: %v)", full.Size(), n, next == first)
+	}
+	fresh, err := svc.NewLabeler().Label(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := svc.Query(ctx, v.Name(), fresh, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(grown.Pairs, want.Pairs) || len(want.Pairs) == 0 {
+		t.Fatalf("extended index answered %v, labels of the whole run %v", grown.Pairs, want.Pairs)
+	}
+
+	concurrent, err := svc.NewLabeler().Label(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, err := svc.Query(ctx, v.Name(), concurrent, q)
+			if err != nil || !reflect.DeepEqual(a.Pairs, want.Pairs) {
+				t.Errorf("concurrent query: %v, %v", a, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if idx, n := fvl.RunLabelsIndex(concurrent); idx == nil || n != full.Size() {
+		t.Fatalf("concurrent queries left an index of %d items, want %d", n, full.Size())
 	}
 }

@@ -21,10 +21,7 @@ type Query struct {
 // Result answers one query of a batch. Err is non-nil when that query's
 // labels are invalid for the view (for example an item the view hides, see
 // ErrHiddenItem); the other queries of the batch are unaffected.
-type Result struct {
-	DependsOn bool
-	Err       error
-}
+type Result = engine.Result
 
 // Service is the serving half of the system: a set of labeled views fronted
 // by a concurrent batch query engine. It unifies what used to take three
@@ -194,15 +191,7 @@ func (s *Service) DependsOnBatch(ctx context.Context, viewName string, queries [
 	for i, q := range queries {
 		eq[i] = engine.Query{D1: dataOf(q.From), D2: dataOf(q.To)}
 	}
-	res, err := s.server.DependsOnBatchContext(background(ctx), viewName, eq)
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{DependsOn: r.DependsOn, Err: r.Err}
-	}
-	if err != nil {
-		return out, err
-	}
-	return out, nil
+	return s.server.DependsOnBatchContext(background(ctx), viewName, eq)
 }
 
 // Snapshot persists the service's scheme and every served view label as a

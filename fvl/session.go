@@ -20,9 +20,7 @@ type StepRequest struct {
 // ItemQuery is one reachability question posed by data item ID: does the
 // item with ID To depend on the item with ID From? Item IDs are the ones
 // Run/Session report (1-based, in production order).
-type ItemQuery struct {
-	From, To int
-}
+type ItemQuery = engine.ItemQuery
 
 // OpenLive starts a live run session over the service's specification: a
 // derivation in progress whose data items are labeled the moment they are
@@ -73,9 +71,8 @@ func (s *Service) ResumeLiveFile(path string) (*Session, error) {
 
 // Session is a live run being served: producers append derivation steps
 // while concurrent readers query dependencies against the labels assigned so
-// far. Producer methods (Apply, Feed) serialize internally; query methods
-// are lock-free on the session side and fan out over the service's worker
-// pool.
+// far. Apply serializes producers internally; query methods are lock-free
+// on the session side and fan out over the service's worker pool.
 type Session struct {
 	svc *Service
 	ls  *live.Session
@@ -97,42 +94,6 @@ func (s *Session) Service() *Service { return s.svc }
 // poisons the session (see Err).
 func (s *Session) Apply(instance, production int) (uint64, error) {
 	return s.ls.Apply(instance, production)
-}
-
-// Feed drains step requests from the channel into the session until the
-// channel closes (nil), the context is canceled (ErrCanceled), or a step
-// fails. Multiple Feed calls and direct Apply calls may run concurrently;
-// steps are serialized internally.
-//
-// The drain loop lives in the internal live session; this wrapper only
-// converts the request type, so the cancellation and close semantics cannot
-// diverge between the two Feed entry points.
-func (s *Session) Feed(ctx context.Context, reqs <-chan StepRequest) error {
-	ctx = background(ctx)
-	done := make(chan struct{})
-	defer close(done)
-	conv := make(chan live.StepRequest)
-	go func() {
-		defer close(conv)
-		for {
-			var req StepRequest
-			var ok bool
-			select {
-			case <-done:
-				return
-			case req, ok = <-reqs:
-				if !ok {
-					return
-				}
-			}
-			select {
-			case <-done:
-				return
-			case conv <- live.StepRequest{Instance: req.Instance, Prod: req.Production}:
-			}
-		}
-	}()
-	return s.ls.Feed(ctx, conv)
 }
 
 // Epoch returns the number of derivation steps currently visible to readers.
@@ -198,22 +159,14 @@ func (s *Session) DependsOn(ctx context.Context, viewName string, from, to int) 
 // index's fresh plans would have to compute, and clone, every product.
 func (s *Session) DependsOnBatch(ctx context.Context, viewName string, queries []ItemQuery) ([]Result, uint64, error) {
 	prefix := s.ls.Current()
-	eq := make([]engine.ItemQuery, len(queries))
-	for i, q := range queries {
-		eq[i] = engine.ItemQuery{From: q.From, To: q.To}
-	}
-	var res []engine.Result
+	var res []Result
 	var err error
 	if idx := s.idx.at(prefix.Epoch()); idx != nil {
-		res, err = s.svc.server.DependsOnIndexBatchContext(background(ctx), viewName, idx, eq)
+		res, err = s.svc.server.DependsOnIndexBatchContext(background(ctx), viewName, idx, queries)
 	} else {
-		res, err = s.svc.server.DependsOnItemsBatchContext(background(ctx), viewName, prefix, eq)
+		res, err = s.svc.server.DependsOnItemsBatchContext(background(ctx), viewName, prefix, queries)
 	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{DependsOn: r.DependsOn, Err: r.Err}
-	}
-	return out, prefix.Epoch(), err
+	return res, prefix.Epoch(), err
 }
 
 // WriteJournal exports the session's current step prefix in the journal

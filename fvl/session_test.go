@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/fvl"
@@ -29,6 +28,32 @@ func liveService(t *testing.T) (*fvl.Service, string) {
 		t.Fatal(err)
 	}
 	return svc, v.Name()
+}
+
+// liveWorkload is one service a live-session test runs over.
+type liveWorkload struct {
+	name string
+	svc  *fvl.Service
+	view string
+}
+
+// liveWorkloads opens the services the live point-batch tests run over:
+// BioAID with one grey-box view, and the paper example with its security
+// view. BioAID wires every intermediate item's out-port and in-port at the
+// same index, so only the paper example tells the two port indices apart.
+func liveWorkloads(t *testing.T) []liveWorkload {
+	t.Helper()
+	svc, view := liveService(t)
+	spec := fvl.PaperExample()
+	sec, err := fvl.SecurityView(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := fvl.Open(context.Background(), spec, []*fvl.View{sec}, fvl.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []liveWorkload{{"bioaid", svc, view}, {"paper", paper, sec.Name()}}
 }
 
 // drive applies random frontier steps until the session reaches the epoch
@@ -147,45 +172,16 @@ func sessionAnswer(t *testing.T, sess *fvl.Session, ctx context.Context, viewNam
 	return results[0].DependsOn, results[0].Err
 }
 
-func TestFeedJournalAndResume(t *testing.T) {
+func TestJournalAndResume(t *testing.T) {
 	svc, viewName := liveService(t)
 	sess, err := svc.OpenLive()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-
-	// Feed a scripted derivation through the channel producer path.
-	reqs := make(chan fvl.StepRequest)
-	done := make(chan error, 1)
-	go func() { done <- sess.Feed(ctx, reqs) }()
-	rng := rand.New(rand.NewSource(15))
-	var sent uint64
-	for i := 0; i < 60; i++ {
-		// The send returns on delivery, not on application; wait for the
-		// previous step to land before reading the frontier, or a stale
-		// frontier could script the same expansion twice.
-		for sess.Epoch() < sent {
-			runtime.Gosched()
-		}
-		frontier := sess.Frontier()
-		if len(frontier) == 0 {
-			break
-		}
-		inst := frontier[rng.Intn(len(frontier))]
-		prods := sess.Expandable(inst)
-		if len(prods) == 0 {
-			continue
-		}
-		reqs <- fvl.StepRequest{Instance: inst, Production: prods[rng.Intn(len(prods))]}
-		sent++
-	}
-	close(reqs)
-	if err := <-done; err != nil {
-		t.Fatalf("feed: %v", err)
-	}
+	drive(t, sess, 60, 15)
 	if sess.Epoch() == 0 {
-		t.Fatal("feed applied no steps")
+		t.Fatal("drive applied no steps")
 	}
 
 	// Resume from the exported journal: same epoch, same items, same answers.
@@ -244,7 +240,7 @@ func TestFeedJournalAndResume(t *testing.T) {
 		}
 	}
 
-	// WriteJournal exports the same bytes the streaming journal produced.
+	// The resumed session exports the same journal bytes it was built from.
 	var exported bytes.Buffer
 	if err := resumed.WriteJournal(&exported); err != nil {
 		t.Fatal(err)
@@ -302,9 +298,6 @@ func TestSessionErrorTaxonomy(t *testing.T) {
 	cancel()
 	if _, _, err := sess.DependsOnBatch(canceled, viewName, []fvl.ItemQuery{{From: 1, To: 1}}); !errors.Is(err, fvl.ErrCanceled) {
 		t.Fatalf("canceled batch: got %v", err)
-	}
-	if err := sess.Feed(canceled, make(chan fvl.StepRequest)); !errors.Is(err, fvl.ErrCanceled) {
-		t.Fatalf("canceled feed: got %v", err)
 	}
 
 	if _, err := svc.ResumeLive(bytes.NewReader([]byte("not a journal"))); !errors.Is(err, fvl.ErrCorruptJournal) {

@@ -320,7 +320,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// Live returns the underlying live session: Apply/Feed to produce,
+// Live returns the underlying live session: Apply to produce,
 // Current/Label to read. Its semantics are unchanged from an in-memory
 // session; durability rides on the attached journal sink.
 func (s *Session) Live() *live.Session { return s.sess }

@@ -227,14 +227,6 @@ type LabelSource interface {
 	Label(itemID int) (*core.DataLabel, bool)
 }
 
-// DependsOnItemsBatch is the session-aware batch path: it answers item-ID
-// queries against one view label, resolving IDs through src. See
-// DependsOnItemsBatchContext.
-func (e *Engine) DependsOnItemsBatch(vl *core.ViewLabel, src LabelSource, queries []ItemQuery) []Result {
-	results, _ := e.DependsOnItemsBatchContext(context.Background(), vl, src, queries)
-	return results
-}
-
 // DependsOnItemsBatchContext answers item-ID queries against one view label
 // over the worker pool, resolving each ID through src. An ID src cannot
 // resolve — unknown, or not yet produced at the prefix src represents —
@@ -247,9 +239,6 @@ func (e *Engine) DependsOnItemsBatchContext(ctx context.Context, vl *core.ViewLa
 		return nil, fmt.Errorf("engine: items batch not started: %w (%v)", faults.ErrCanceled, err)
 	}
 	if src == nil {
-		// A full-length result slice with every Err set keeps the
-		// error-dropping convenience wrapper (DependsOnItemsBatch) from
-		// handing back a bare nil slice for a programming error.
 		results := make([]Result, len(queries))
 		err := fmt.Errorf("engine: nil label source")
 		for i := range results {

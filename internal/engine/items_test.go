@@ -184,7 +184,10 @@ func TestItemsBatchUnknownItemFailsOnlyItsQuery(t *testing.T) {
 		{From: 0, To: 1},                   // IDs are 1-based; 0 never resolves
 		{From: 1, To: labeler.Count() + 1}, // beyond the prefix
 	}
-	results := New(2).DependsOnItemsBatch(vl, labeler, queries)
+	results, err := New(2).DependsOnItemsBatchContext(context.Background(), vl, labeler, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if results[1].Err == nil || !errors.Is(results[1].Err, faults.ErrUnknownItem) {
 		t.Fatalf("query 1: want ErrUnknownItem, got %+v", results[1])
 	}

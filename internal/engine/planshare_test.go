@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -77,7 +78,11 @@ func TestBatchesSharePlanCachesAcrossCalls(t *testing.T) {
 	}
 	setBatch := func() {
 		t.Helper()
-		for _, res := range e.SetQueryBatch(cat, setVL.View().Name, idx, exprs) {
+		results, err := e.SetQueryBatchContext(context.Background(), cat, setVL.View().Name, idx, exprs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range results {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}

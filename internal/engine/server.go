@@ -78,17 +78,11 @@ func (s *Server) Label(viewName string) (*core.ViewLabel, bool) {
 	return vl, ok
 }
 
-// DependsOnBatch answers a batch of queries against the named view. It fails
-// only when the view is unknown; per-query problems surface in the
-// corresponding Result.
-func (s *Server) DependsOnBatch(viewName string, queries []Query) ([]Result, error) {
-	return s.DependsOnBatchContext(context.Background(), viewName, queries)
-}
-
-// DependsOnBatchContext is DependsOnBatch with cancellation: a canceled
-// context aborts the batch at claim-block granularity with an error wrapping
-// faults.ErrCanceled (see Engine.DependsOnBatchContext). An unknown view name
-// fails with an error wrapping faults.ErrUnknownView.
+// DependsOnBatchContext answers a batch of queries against the named view.
+// Per-query problems surface in the corresponding Result; a canceled context
+// aborts the batch at claim-block granularity with an error wrapping
+// faults.ErrCanceled (see Engine.DependsOnBatchContext), and an unknown view
+// name fails with an error wrapping faults.ErrUnknownView.
 func (s *Server) DependsOnBatchContext(ctx context.Context, viewName string, queries []Query) ([]Result, error) {
 	vl, ok := s.labels[viewName]
 	if !ok {

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestServerServesLoadedSnapshot(t *testing.T) {
 	}
 	for _, vl := range built {
 		name := vl.View().Name
-		results, err := srv.DependsOnBatch(name, queries)
+		results, err := srv.DependsOnBatchContext(context.Background(), name, queries)
 		if err != nil {
 			t.Fatalf("batch over %q: %v", name, err)
 		}
@@ -82,7 +83,7 @@ func TestServerServesLoadedSnapshot(t *testing.T) {
 		}
 	}
 
-	if _, err := srv.DependsOnBatch("no-such-view", queries); err == nil {
+	if _, err := srv.DependsOnBatchContext(context.Background(), "no-such-view", queries); err == nil {
 		t.Fatal("batch over an unknown view must fail")
 	}
 	if _, ok := srv.Label("security"); !ok {

@@ -19,14 +19,6 @@ type SetResult struct {
 	Err   error
 }
 
-// SetQueryBatch answers a batch of set-query expressions over one pinned item
-// universe, fanning the expressions out over the worker pool. See
-// SetQueryBatchContext.
-func (e *Engine) SetQueryBatch(cat query.Catalog, primaryView string, idx *core.ItemIndex, exprs []*query.Expr) []SetResult {
-	results, _ := e.SetQueryBatchContext(context.Background(), cat, primaryView, idx, exprs)
-	return results
-}
-
 // SetQueryBatchContext compiles every expression against the catalog (single
 // threaded — compilation is cheap and its errors are per-expression), then
 // executes the compiled plans over the worker pool via the same claim-block
@@ -80,23 +72,6 @@ func executeOne(p *query.Plan, s *core.QuerySession, idx *core.ItemIndex) (v *qu
 		}
 	}()
 	return p.Execute(s, idx)
-}
-
-// Variants implements query.Catalog over the server's labels: a served view
-// has exactly one variant — the one the snapshot or caller provided — so the
-// planner's preference order degenerates to "use what is there".
-func (s *Server) Variants(view string) []*core.ViewLabel {
-	vl, ok := s.labels[view]
-	if !ok {
-		return nil
-	}
-	return []*core.ViewLabel{vl}
-}
-
-// SetQueryBatch answers set-query expressions against the served labels, with
-// reachability under primaryView. See SetQueryBatchContext.
-func (s *Server) SetQueryBatch(primaryView string, idx *core.ItemIndex, exprs []*query.Expr) ([]SetResult, error) {
-	return s.SetQueryBatchContext(context.Background(), primaryView, idx, exprs)
 }
 
 // SetQueryBatchContext answers set-query expressions against the served

@@ -60,7 +60,7 @@ func TestServerSetQueryBatchMatchesPointQueries(t *testing.T) {
 	for x := 1; x <= idx.Items(); x++ {
 		exprs = append(exprs, query.Deps(x), query.RevDeps(x))
 	}
-	results, err := srv.SetQueryBatch("security", idx, exprs)
+	results, err := srv.SetQueryBatchContext(context.Background(), "security", idx, exprs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestServerSetQueryBatchErrorIsolation(t *testing.T) {
 		query.Deps(idx.Items() + 50),       // unknown item: execution error
 		query.Between("security", "default"),
 	}
-	results, err := srv.SetQueryBatch("security", idx, exprs)
+	results, err := srv.SetQueryBatchContext(context.Background(), "security", idx, exprs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestServerSetQueryBatchErrorIsolation(t *testing.T) {
 // unserved primary view fails the whole call, not per expression.
 func TestServerSetQueryBatchUnknownPrimaryView(t *testing.T) {
 	srv, idx, _ := setQueryFixture(t)
-	if _, err := srv.SetQueryBatch("ghost", idx, []*query.Expr{query.Deps(1)}); !errors.Is(err, faults.ErrUnknownView) {
+	if _, err := srv.SetQueryBatchContext(context.Background(), "ghost", idx, []*query.Expr{query.Deps(1)}); !errors.Is(err, faults.ErrUnknownView) {
 		t.Fatalf("got %v, want ErrUnknownView", err)
 	}
 }

@@ -8,9 +8,9 @@
 //
 // # The epoch protocol
 //
-// Producers (Apply, Feed) serialize on the session's mutex, advance the
-// derivation one step at a time and let the labeler assign labels to the new
-// data items. After each step the session publishes an immutable Prefix — the
+// Producers call Apply, which serializes on the session's mutex, advances
+// the derivation one step at a time and lets the labeler assign labels to
+// the new data items. After each step the session publishes an immutable Prefix — the
 // epoch number (= derivation steps applied), the labels assigned so far and
 // the step requests that produced them — through one atomic pointer store.
 //
@@ -40,7 +40,6 @@
 package live
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -82,7 +81,7 @@ func WithJournalSink(sink JournalSink) Option {
 // labeled the moment they are produced, and whose labels can be read by any
 // number of concurrent readers while producers keep appending steps.
 //
-// Producer methods (Apply, Feed) are safe for concurrent use and serialize
+// The producer method (Apply) is safe for concurrent use and serializes
 // internally; reader methods (Current, Label, Epoch, Items) are lock-free.
 type Session struct {
 	scheme  *core.Scheme
@@ -240,30 +239,6 @@ func (s *Session) Apply(instance, prod int) (uint64, error) {
 	s.steps = append(s.steps, req)
 	s.publishLocked()
 	return uint64(len(s.steps)), nil
-}
-
-// Feed drains step requests from the channel into the session until the
-// channel closes (returns nil), the context is canceled (ErrCanceled), or a
-// step fails (the apply error). It is the producer half of a streaming
-// ingestion pipeline; multiple Feed calls and direct Apply calls may run
-// concurrently.
-func (s *Session) Feed(ctx context.Context, reqs <-chan StepRequest) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("live: feed canceled at epoch %d: %w (%v)", s.Epoch(), faults.ErrCanceled, context.Cause(ctx))
-		case req, ok := <-reqs:
-			if !ok {
-				return nil
-			}
-			if _, err := s.Apply(req.Instance, req.Prod); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // Current returns the session's latest published prefix: one atomic load,

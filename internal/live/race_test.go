@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -32,7 +33,7 @@ type observation struct {
 // TestLiveSessionProducersAndReaders is the torn-state test of the epoch
 // protocol, meant to run under -race (the CI race job runs the full suite
 // with the detector on): N producer goroutines append frontier steps while
-// M readers issue DependsOnItemsBatch through the engine pool against
+// M readers issue DependsOnItemsBatchContext through the engine pool against
 // pinned prefixes. Afterwards every recorded answer is checked against the
 // step prefix its batch pinned — labels are byte-identical to the batch
 // labeling of that prefix (no torn labels), in-prefix answers match the
@@ -121,7 +122,11 @@ func TestLiveSessionProducersAndReaders(t *testing.T) {
 					// producer has already created them.
 					queries[i] = engine.ItemQuery{From: 1 + rng.Intn(n+3), To: 1 + rng.Intn(n+3)}
 				}
-				results := e.DependsOnItemsBatch(vl, prefix, queries)
+				results, err := e.DependsOnItemsBatchContext(context.Background(), vl, prefix, queries)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				sampled := 1 + rng.Intn(n)
 				d, ok := prefix.Label(sampled)
 				if !ok {

@@ -8,15 +8,13 @@ import (
 	"repro/internal/faults"
 )
 
-// Catalog is what the planner compiles against: for each view name, the
-// serving variants available for it. A server typically serves one variant
-// per view; a catalog may expose several, and the planner picks the cheapest
-// one to query per leaf (query-efficient over materialized-default over
-// space-efficient), falling back gracefully to whatever is present.
+// Catalog is what the planner compiles against: the label serving each view
+// name. A view has exactly one label, so the planner has no variant to
+// choose; the access paths record which one serves each leaf.
 type Catalog interface {
-	// Variants returns the labels available for the view, in any order; nil
-	// or empty means the view is not served.
-	Variants(view string) []*core.ViewLabel
+	// Label returns the label serving the view, or false when the view is
+	// not served.
+	Label(view string) (*core.ViewLabel, bool)
 }
 
 // AccessPath records one physical operator choice of a compiled plan: which
@@ -54,10 +52,9 @@ type planNode struct {
 }
 
 // Compile binds an expression to the catalog: the reachability of every leaf
-// is answered by the primary view's label, Between endpoints resolve their
-// own views for visibility, and each resolution picks the cheapest variant
-// the catalog serves. Invalid expressions wrap faults.ErrInvalidQuery;
-// unresolvable views wrap faults.ErrUnknownView.
+// is answered by the primary view's label, and Between endpoints resolve
+// their own views' labels for visibility. Invalid expressions wrap
+// faults.ErrInvalidQuery; unresolvable views wrap faults.ErrUnknownView.
 func Compile(cat Catalog, primaryView string, expr *Expr) (*Plan, error) {
 	kind, err := expr.Kind()
 	if err != nil {
@@ -76,7 +73,7 @@ func (p *Plan) compile(cat Catalog, primaryView string, e *Expr) (*planNode, err
 	n := &planNode{op: e.op, item: e.item, items: e.items, side: e.side}
 	switch e.op {
 	case OpDeps, OpRevDeps, OpExplain:
-		vl, err := pickLabel(cat, primaryView)
+		vl, err := labelOf(cat, primaryView)
 		if err != nil {
 			return nil, err
 		}
@@ -84,15 +81,15 @@ func (p *Plan) compile(cat Catalog, primaryView string, e *Expr) (*planNode, err
 		op := map[Op]string{OpDeps: "deps-row", OpRevDeps: "revdeps-row", OpExplain: "explain-union"}[e.op]
 		p.paths = append(p.paths, AccessPath{Op: op, View: primaryView, Variant: vl.Variant()})
 	case OpBetween:
-		vl, err := pickLabel(cat, primaryView)
+		vl, err := labelOf(cat, primaryView)
 		if err != nil {
 			return nil, err
 		}
-		va, err := pickLabel(cat, e.viewA)
+		va, err := labelOf(cat, e.viewA)
 		if err != nil {
 			return nil, err
 		}
-		vb, err := pickLabel(cat, e.viewB)
+		vb, err := labelOf(cat, e.viewB)
 		if err != nil {
 			return nil, err
 		}
@@ -120,33 +117,13 @@ func (p *Plan) compile(cat Catalog, primaryView string, e *Expr) (*planNode, err
 	return n, nil
 }
 
-// pickLabel chooses the cheapest-to-query variant the catalog serves for the
-// view: query-efficient beats the materialized default beats space-efficient.
-func pickLabel(cat Catalog, view string) (*core.ViewLabel, error) {
-	var best *core.ViewLabel
-	for _, vl := range cat.Variants(view) {
-		if vl == nil {
-			continue
-		}
-		if best == nil || variantRank(vl.Variant()) > variantRank(best.Variant()) {
-			best = vl
-		}
-	}
-	if best == nil {
+// labelOf resolves the label serving the view.
+func labelOf(cat Catalog, view string) (*core.ViewLabel, error) {
+	vl, ok := cat.Label(view)
+	if !ok || vl == nil {
 		return nil, fmt.Errorf("query: no label served for view %q: %w", view, faults.ErrUnknownView)
 	}
-	return best, nil
-}
-
-func variantRank(v core.Variant) int {
-	switch v {
-	case core.VariantQueryEfficient:
-		return 2
-	case core.VariantDefault:
-		return 1
-	default:
-		return 0
-	}
+	return vl, nil
 }
 
 // Expr returns the expression the plan was compiled from.

@@ -12,10 +12,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// mapCatalog serves an explicit set of variants per view.
-type mapCatalog map[string][]*core.ViewLabel
+// mapCatalog serves an explicit label per view.
+type mapCatalog map[string]*core.ViewLabel
 
-func (c mapCatalog) Variants(view string) []*core.ViewLabel { return c[view] }
+func (c mapCatalog) Label(view string) (*core.ViewLabel, bool) {
+	vl, ok := c[view]
+	return vl, ok
+}
 
 // planFixture labels the paper example's two views under all three variants
 // and a random run to query over.
@@ -73,15 +76,13 @@ func newPlanFixture(t *testing.T) *planFixture {
 	return f
 }
 
-// catalogWith serves exactly the given variants for both views.
-func (f *planFixture) catalogWith(variants ...core.Variant) mapCatalog {
-	c := mapCatalog{}
-	for view, byVariant := range f.labels {
-		for _, v := range variants {
-			c[view] = append(c[view], byVariant[v])
-		}
+// catalogWith serves the security view under one variant and the
+// abstraction view under another.
+func (f *planFixture) catalogWith(security, abstraction core.Variant) mapCatalog {
+	return mapCatalog{
+		"security":    f.labels["security"][security],
+		"abstraction": f.labels["abstraction"][abstraction],
 	}
-	return c
 }
 
 // pickVisibleTarget returns an item visible in the security view.
@@ -96,37 +97,11 @@ func (f *planFixture) pickVisibleTarget(t *testing.T, labeler func(int) bool) in
 	return 0
 }
 
-// bestOf mirrors the planner's documented preference order.
-func bestOf(variants []core.Variant) core.Variant {
-	best := variants[0]
-	rank := map[core.Variant]int{core.VariantSpaceEfficient: 0, core.VariantDefault: 1, core.VariantQueryEfficient: 2}
-	for _, v := range variants[1:] {
-		if rank[v] > rank[best] {
-			best = v
-		}
-	}
-	return best
-}
-
-// variantSubsets enumerates every non-empty subset of the three variants.
-func variantSubsets() [][]core.Variant {
-	var subsets [][]core.Variant
-	for mask := 1; mask < 8; mask++ {
-		var sub []core.Variant
-		for bit, v := range allVariants {
-			if mask&(1<<bit) != 0 {
-				sub = append(sub, v)
-			}
-		}
-		subsets = append(subsets, sub)
-	}
-	return subsets
-}
-
-// TestPlannerFallbackMatrix is the access-path fallback matrix: for every IR
-// shape and every combination of serving variants, the planner must pick the
-// best available variant for every leaf, and the executed answer must be
-// byte-identical no matter which variant ends up serving.
+// TestPlannerFallbackMatrix is the access-path matrix: for every IR shape,
+// under each of the three variants and under catalogs that serve the two
+// views with different variants, every access path must name the variant
+// the catalog serves for its view, and the executed answer must be
+// byte-identical no matter which variants serve it.
 func TestPlannerFallbackMatrix(t *testing.T) {
 	f := newPlanFixture(t)
 	x := f.pickVisibleTarget(t, func(x int) bool {
@@ -145,43 +120,48 @@ func TestPlannerFallbackMatrix(t *testing.T) {
 		{"intersect", query.Intersect(query.Deps(x), query.RevDeps(x))},
 		{"project", query.Project(query.Between("security", "abstraction"), 2)},
 	}
+	// Each variant serves both views, then each serves security while the
+	// next one serves abstraction, so between's endpoints differ.
+	var catalogs [][2]core.Variant
+	for i, v := range allVariants {
+		catalogs = append(catalogs, [2]core.Variant{v, v})
+		catalogs = append(catalogs, [2]core.Variant{v, allVariants[(i+1)%len(allVariants)]})
+	}
 
 	for _, shape := range shapes {
 		shape := shape
 		t.Run(shape.name, func(t *testing.T) {
 			var refItems []int
 			var refPairs [][2]int
-			first := true
-			for _, sub := range variantSubsets() {
-				cat := f.catalogWith(sub...)
+			for i, vs := range catalogs {
+				cat := f.catalogWith(vs[0], vs[1])
 				plan, err := query.Compile(cat, "security", shape.expr)
 				if err != nil {
-					t.Fatalf("variants %v: %v", sub, err)
+					t.Fatalf("variants %v: %v", vs, err)
 				}
 				paths := plan.AccessPaths()
 				if len(paths) == 0 {
-					t.Fatalf("variants %v: plan has no access paths", sub)
+					t.Fatalf("variants %v: plan has no access paths", vs)
 				}
-				want := bestOf(sub)
 				for _, ap := range paths {
-					if ap.Variant != want {
-						t.Fatalf("variants %v: access path %v, want variant %v", sub, ap, want)
+					if want := cat[ap.View].Variant(); ap.Variant != want {
+						t.Fatalf("variants %v: access path %v, want variant %v", vs, ap, want)
 					}
 				}
 				s := core.NewQuerySession()
 				v, err := plan.Execute(s, f.idx)
 				s.Close()
 				if err != nil {
-					t.Fatalf("variants %v: execute: %v", sub, err)
+					t.Fatalf("variants %v: execute: %v", vs, err)
 				}
 				items, pairs := v.ItemIDs(), v.PairList()
-				if first {
-					refItems, refPairs, first = items, pairs, false
+				if i == 0 {
+					refItems, refPairs = items, pairs
 					continue
 				}
 				if !reflect.DeepEqual(items, refItems) || !reflect.DeepEqual(pairs, refPairs) {
 					t.Fatalf("variants %v: answer diverges from reference:\n got %v %v\nwant %v %v",
-						sub, items, pairs, refItems, refPairs)
+						vs, items, pairs, refItems, refPairs)
 				}
 			}
 		})
@@ -201,7 +181,7 @@ func itemVisible(f *planFixture, x int) bool {
 // faults.ErrUnknownView, malformed expressions wrap faults.ErrInvalidQuery.
 func TestCompileErrors(t *testing.T) {
 	f := newPlanFixture(t)
-	cat := f.catalogWith(core.VariantDefault)
+	cat := f.catalogWith(core.VariantDefault, core.VariantDefault)
 	if _, err := query.Compile(cat, "ghost", query.Deps(1)); !errors.Is(err, faults.ErrUnknownView) {
 		t.Fatalf("unknown primary view: got %v", err)
 	}

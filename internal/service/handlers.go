@@ -2,8 +2,8 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/fvl"
+	"repro/internal/live"
 	"repro/internal/service/wire"
 )
 
@@ -450,10 +451,11 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 
 // handleSteps is the streaming ingestion path: the request body is a step
 // journal (FVLJRNL), decoded incrementally by the fuzz-hardened journal
-// reader and fed — record by record, as the bytes arrive — into the
-// session's Feed channel. The response acknowledges exactly the steps the
-// session applied: with a durable session under the default sync policy,
-// every acked step is on disk before the ack.
+// reader, and each record is applied with Session.Apply on the handler
+// goroutine as soon as it is decoded. The request context is checked
+// between steps. The response acknowledges exactly the steps the session
+// applied: with a durable session under the default sync policy, every
+// acked step is on disk before the ack.
 //
 // Streams are serialized per session (stepMu), which is what makes the ack
 // exact: with a single writer, the epoch delta across the stream equals the
@@ -481,53 +483,7 @@ func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
 	defer sess.stepMu.Unlock()
 
 	startEpoch := sess.sess.Epoch()
-	dec, err := wire.NewStepDecoder(r.Body)
-	if err != nil {
-		writeJSON(w, statusOf(err), wire.StepsResult{
-			Epoch: startEpoch, Items: sess.sess.Items(), Error: wire.ErrorOf(err),
-		})
-		return
-	}
-
-	steps := make(chan fvl.StepRequest)
-	feedDone := make(chan error, 1)
-	go func() { feedDone <- sess.sess.Feed(r.Context(), steps) }()
-
-	var streamErr error
-	feedReturned := false
-decode:
-	for {
-		step, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			streamErr = err
-			break
-		}
-		sendStart := time.Now()
-		select {
-		case steps <- fvl.StepRequest{Instance: step.Instance, Production: step.Production}:
-			s.metrics.observeStep(time.Since(sendStart))
-		case streamErr = <-feedDone:
-			feedReturned = true
-			break decode
-		}
-	}
-	close(steps)
-	if !feedReturned {
-		if err := <-feedDone; streamErr == nil {
-			streamErr = err
-		}
-	}
-	// A Feed failure that neither classified itself nor poisoned the
-	// session is a rejected step (the documented Apply contract): brand it
-	// ErrInvalidStep so remote callers classify it like journal replay does.
-	if streamErr != nil && wire.Classify(streamErr) == "internal" &&
-		!errors.Is(streamErr, fvl.ErrCanceled) && sess.sess.Err() == nil {
-		streamErr = &rejectedStep{err: streamErr}
-	}
-
+	streamErr := s.applySteps(r, sess.sess)
 	applied := int(sess.sess.Epoch() - startEpoch)
 	s.metrics.addSteps(tenantName, applied)
 	result := wire.StepsResult{
@@ -541,6 +497,43 @@ decode:
 		code = statusOf(streamErr)
 	}
 	writeJSON(w, code, result)
+}
+
+// applySteps decodes the request body's step journal and applies its
+// records in order, stopping at the first failure: a malformed or torn body
+// (ErrCorruptJournal), a canceled request (ErrCanceled) or a step the
+// session rejects. A rejected step that neither classified itself nor
+// poisoned the session is branded ErrInvalidStep (the documented Apply
+// contract), so remote callers classify it like journal replay does.
+func (s *Server) applySteps(r *http.Request, sess *fvl.Session) error {
+	jr, err := live.NewJournalReader(r.Body)
+	if err != nil {
+		return err
+	}
+	ctx := r.Context()
+	for {
+		step, err := jr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		// Checked before the decode error too: a client that gave up
+		// also fails the body read, and that is a cancellation.
+		if ctx.Err() != nil {
+			return fmt.Errorf("service: step stream canceled at epoch %d: %w (%v)", sess.Epoch(), fvl.ErrCanceled, context.Cause(ctx))
+		}
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		_, err = sess.Apply(step.Instance, step.Prod)
+		s.metrics.observeStep(time.Since(start))
+		if err != nil {
+			if wire.Classify(err) == "internal" && sess.Err() == nil {
+				return &rejectedStep{err: err}
+			}
+			return err
+		}
+	}
 }
 
 func (s *Server) handleDepends(w http.ResponseWriter, r *http.Request) {

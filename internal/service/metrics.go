@@ -147,7 +147,7 @@ func (m *metrics) write(w io.Writer, sessions []sessionSample, inflight []inflig
 	counter("fvld_steps_total", "Derivation steps applied via step streams, by tenant.", snap.steps)
 	counter("fvld_throttled_total", "Requests refused by admission control (429), by tenant.", snap.throttled)
 
-	fmt.Fprintf(w, "# HELP fvld_step_latency_seconds Per-step ingestion latency (decode to feed accept).\n")
+	fmt.Fprintf(w, "# HELP fvld_step_latency_seconds Per-step ingestion latency (the session's Apply call).\n")
 	fmt.Fprintf(w, "# TYPE fvld_step_latency_seconds histogram\n")
 	var cum uint64
 	for i, bound := range latencyBounds {

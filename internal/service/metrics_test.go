@@ -47,7 +47,7 @@ func TestMetricsGoldenScrape(t *testing.T) {
 		`fvld_steps_total{tenant="b"} 5`,
 		"# HELP fvld_throttled_total Requests refused by admission control (429), by tenant.",
 		"# TYPE fvld_throttled_total counter",
-		"# HELP fvld_step_latency_seconds Per-step ingestion latency (decode to feed accept).",
+		"# HELP fvld_step_latency_seconds Per-step ingestion latency (the session's Apply call).",
 		"# TYPE fvld_step_latency_seconds histogram",
 		`fvld_step_latency_seconds_bucket{le="1e-06"} 1`,
 		`fvld_step_latency_seconds_bucket{le="1e-05"} 1`,

@@ -2,11 +2,12 @@
 //
 // One process hosts many named tenants; each tenant owns registered schemes
 // (an fvl.Service loaded from an uploaded labelstore snapshot) and named
-// sessions over those schemes (live or durable fvl sessions fed by streamed
-// step journals). The HTTP surface is deliberately thin: every byte format
-// on the wire is one of the repo's existing fuzz-hardened codecs (FVLSNAP
-// snapshots for schemes, FVLJRNL journals for step streams) plus small JSON
-// documents defined in internal/service/wire, and every query executes
+// sessions over those schemes (live or durable fvl sessions). The HTTP
+// surface is deliberately thin: every byte format on the wire is one of the
+// repo's existing fuzz-hardened codecs (FVLSNAP snapshots for schemes,
+// FVLJRNL journals for step streams) plus small JSON documents defined in
+// internal/service/wire. A step stream is read with live.JournalReader and
+// each record goes straight to Session.Apply, and every query executes
 // through the same epoch-pinning fvl surfaces an in-process caller would
 // use — so a remote answer is byte-for-byte the in-process answer at the
 // same epoch.
@@ -116,7 +117,7 @@ type scheme struct {
 
 // session is one live run being served remotely. durable is nil for
 // journal-less live sessions. stepMu serializes step streams per session:
-// fvl.Session.Feed itself tolerates concurrent producers, but serializing
+// fvl.Session.Apply itself tolerates concurrent producers, but serializing
 // streams is what makes the acked-step accounting exact — with a single
 // writer, the epoch delta across a stream is precisely the steps this
 // stream applied, so StepsResult.Applied is a truthful ack even when the

@@ -19,6 +19,7 @@ import (
 
 	"repro/fvl"
 	"repro/fvl/client"
+	"repro/internal/live"
 	"repro/internal/service/wire"
 )
 
@@ -232,37 +233,64 @@ func TestErrorTaxonomyCrossesTheWire(t *testing.T) {
 	}
 }
 
-// TestStepStreamUntrustedInput: the step-ingestion surface is the journal
-// decoder — malformed bodies are refused with the journal taxonomy, and a
-// stream that fails mid-way still acks its applied prefix truthfully.
-func TestStepStreamUntrustedInput(t *testing.T) {
-	ctx := context.Background()
-	_, ts, c := startServer(t, Config{})
-	f := figure10Fixture(t, 3, 30)
-	remote, _ := register(t, c, f, "t", "wf", "s", false)
-
-	// Garbage body: rejected by the header check, nothing applied.
-	resp, err := http.Post(ts.URL+wire.StepsPath("t", "wf", "s"), "application/octet-stream",
-		strings.NewReader("not a journal at all"))
+// journalOf frames steps as a step-stream body.
+func journalOf(t *testing.T, steps []fvl.StepRequest) []byte {
+	t.Helper()
+	reqs := make([]live.StepRequest, len(steps))
+	for i, st := range steps {
+		reqs[i] = live.StepRequest{Instance: st.Instance, Prod: st.Production}
+	}
+	body, err := live.EncodeJournal(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return body
+}
+
+// serveSteps posts a raw step-stream body through the server's handler
+// under ctx and returns the status and the decoded ack.
+func serveSteps(t *testing.T, ctx context.Context, srv *Server, body []byte) (int, wire.StepsResult) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, wire.StepsPath("t", "wf", "s"), bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
 	var ack wire.StepsResult
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+	if err := json.NewDecoder(rec.Body).Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage stream: status %d, want 400", resp.StatusCode)
+	return rec.Code, ack
+}
+
+// TestStepStreamUntrustedInput: the step-ingestion surface is the journal
+// decoder — malformed bodies are refused with the journal taxonomy, and a
+// stream that fails mid-way, on a rejected step or on a torn body, still
+// acks its applied prefix truthfully. A canceled request is reported as
+// canceled, not as a rejected step.
+func TestStepStreamUntrustedInput(t *testing.T) {
+	ctx := context.Background()
+	srv, _, c := startServer(t, Config{})
+	f := figure10Fixture(t, 3, 30)
+	remote, _ := register(t, c, f, "t", "wf", "s", false)
+	steps := f.run.StepLog()
+	if len(steps) < 8 {
+		t.Fatalf("fixture run has %d steps, the test needs 8", len(steps))
+	}
+
+	// Garbage body: rejected by the header check, nothing applied.
+	code, ack := serveSteps(t, ctx, srv, []byte("not a journal at all"))
+	if code != http.StatusBadRequest {
+		t.Fatalf("garbage stream: status %d, want 400", code)
 	}
 	if ack.Error == nil || !errors.Is(ack.Error.Err(), fvl.ErrCorruptJournal) {
 		t.Fatalf("garbage stream error %+v does not classify as ErrCorruptJournal", ack.Error)
+	}
+	if ack.Applied != 0 || ack.Epoch != 0 {
+		t.Fatalf("ack after garbage stream = %+v, want applied=0 epoch=0", ack)
 	}
 
 	// A well-formed journal whose steps stop applying: the valid prefix is
 	// acked, the failing step reports ErrInvalidStep, and the session
 	// remains usable at the acked epoch.
-	steps := f.run.StepLog()
 	bad := append(append([]fvl.StepRequest{}, steps[:2]...), fvl.StepRequest{Instance: 9999, Production: 1})
 	res, err := remote.SendSteps(ctx, bad)
 	if !errors.Is(err, fvl.ErrInvalidStep) {
@@ -274,6 +302,36 @@ func TestStepStreamUntrustedInput(t *testing.T) {
 	st, err := remote.Status(ctx)
 	if err != nil || st.Epoch != 2 {
 		t.Fatalf("session after failing stream: %+v, %v", st, err)
+	}
+
+	// A body torn inside its fourth record: the three whole records are
+	// applied and acked, and the tear reports ErrCorruptJournal.
+	torn := journalOf(t, steps[2:6])
+	code, ack = serveSteps(t, ctx, srv, torn[:len(torn)-1])
+	if code != http.StatusBadRequest {
+		t.Fatalf("torn stream: status %d, want 400", code)
+	}
+	if ack.Error == nil || !errors.Is(ack.Error.Err(), fvl.ErrCorruptJournal) {
+		t.Fatalf("torn stream error %+v does not classify as ErrCorruptJournal", ack.Error)
+	}
+	if ack.Applied != 3 || ack.Epoch != 5 {
+		t.Fatalf("ack after torn stream = %+v, want applied=3 epoch=5", ack)
+	}
+
+	// A canceled request applies nothing and is not branded a rejected step.
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	_, ack = serveSteps(t, canceled, srv, journalOf(t, steps[5:7]))
+	if ack.Error == nil || !errors.Is(ack.Error.Err(), fvl.ErrCanceled) || errors.Is(ack.Error.Err(), fvl.ErrInvalidStep) {
+		t.Fatalf("canceled stream error %+v, want ErrCanceled and not ErrInvalidStep", ack.Error)
+	}
+	if ack.Applied != 0 || ack.Epoch != 5 {
+		t.Fatalf("ack after canceled stream = %+v, want applied=0 epoch=5", ack)
+	}
+
+	// The session is usable at the acked epoch: the rest of the run applies.
+	if res, err := remote.SendSteps(ctx, steps[5:]); err != nil || res.Epoch != uint64(len(steps)) {
+		t.Fatalf("finishing the run: %+v, %v", res, err)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package wire defines the fvld wire protocol: the URL space, the JSON
-// request/response shapes, the error-kind taxonomy that lets errors.Is work
-// across the network, and the step-stream framing. It is the single source
-// of truth shared by the server (internal/service) and the client
-// (repro/fvl/client), so the two cannot drift.
+// request/response shapes and the error-kind taxonomy that lets errors.Is
+// work across the network. It is the single source of truth shared by the
+// server (internal/service) and the client (repro/fvl/client), so the two
+// cannot drift.
 //
 // The protocol deliberately reuses the repo's two fuzz-hardened codecs as
 // its binary wire formats instead of inventing new ones:
@@ -12,20 +12,18 @@
 //     load, and relabeled under an allocation budget funded by the body's
 //     size);
 //   - step-ingestion bodies are live step journals ("FVLJRNL\x01", canonical
-//     bounded uvarint records) — the same bytes a journal file holds, so the
-//     decoder that survives FuzzJournalReplay is exactly the decoder facing
-//     the network.
+//     bounded uvarint records) — the same bytes a journal file holds, written
+//     by live.EncodeJournal and read by live.JournalReader, so the decoder
+//     that survives FuzzJournalReplay is exactly the decoder facing the
+//     network.
 //
 // Everything else is small JSON documents.
 package wire
 
 import (
 	"errors"
-	"fmt"
-	"io"
 
 	"repro/internal/faults"
-	"repro/internal/live"
 )
 
 // ---------------------------------------------------------------------------
@@ -323,77 +321,6 @@ type DrainResponse struct {
 	Checkpointed []CheckpointInfo `json:"checkpointed"`
 }
 
-// ---------------------------------------------------------------------------
-// Step stream framing.
-// ---------------------------------------------------------------------------
-
-// Step is one derivation step on the wire: expand composite instance
-// Instance with 1-based production Production.
-type Step struct {
-	Instance   int
-	Production int
-}
-
-// StepEncoder frames steps for a POST .../steps body: the live journal
-// format, header included. It writes through to w — pair it with a pipe for
-// chunked streaming.
-type StepEncoder struct {
-	jw *live.JournalWriter
-}
-
-// NewStepEncoder writes the journal header and returns an encoder.
-func NewStepEncoder(w io.Writer) (*StepEncoder, error) {
-	jw, err := live.NewJournalWriter(w)
-	if err != nil {
-		return nil, err
-	}
-	return &StepEncoder{jw: jw}, nil
-}
-
-// Append frames one step.
-func (e *StepEncoder) Append(s Step) error {
-	return e.jw.Append(live.StepRequest{Instance: s.Instance, Prod: s.Production})
-}
-
-// EncodeSteps renders a step sequence as one journal-framed body.
-func EncodeSteps(steps []Step) ([]byte, error) {
-	reqs := make([]live.StepRequest, len(steps))
-	for i, s := range steps {
-		reqs[i] = live.StepRequest{Instance: s.Instance, Prod: s.Production}
-	}
-	return live.EncodeJournal(reqs)
-}
-
-// StepDecoder decodes a step-stream body incrementally. It is the
-// fuzz-hardened journal decoder (live.JournalReader) verbatim: a malformed
-// or torn stream fails with an error wrapping faults.ErrCorruptJournal —
-// never a panic — and the error classifies torn vs corrupt for the caller's
-// status mapping.
-type StepDecoder struct {
-	jr *live.JournalReader
-}
-
-// NewStepDecoder validates the stream header and returns a decoder.
-func NewStepDecoder(r io.Reader) (*StepDecoder, error) {
-	jr, err := live.NewJournalReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return &StepDecoder{jr: jr}, nil
-}
-
-// Next decodes one step; io.EOF marks a clean end of stream.
-func (d *StepDecoder) Next() (Step, error) {
-	req, err := d.jr.Next()
-	if err != nil {
-		return Step{}, err
-	}
-	return Step{Instance: req.Instance, Production: req.Prod}, nil
-}
-
-// Steps reports how many complete records were decoded so far.
-func (d *StepDecoder) Steps() int { return d.jr.Steps() }
-
 // Classify maps a service-layer error to its HTTP-ish nature for status
 // selection; it lives here so server and client agree on what each status
 // implies. The returned string is one of "bad-request" (malformed input:
@@ -414,8 +341,3 @@ func Classify(err error) string {
 		return "internal"
 	}
 }
-
-// Errorf is fmt.Errorf re-exported so handler code wrapping wire errors
-// keeps the %w discipline without importing fmt twice. (Deliberately tiny;
-// exists to keep faultwrap-style call sites uniform.)
-func Errorf(format string, args ...any) error { return fmt.Errorf(format, args...) }

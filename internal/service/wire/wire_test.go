@@ -1,10 +1,9 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,7 +37,7 @@ func TestErrorKindsRoundTrip(t *testing.T) {
 		faults.ErrInvalidStep, faults.ErrInvalidQuery,
 	}
 	for _, sentinel := range sentinels {
-		wrapped := Errorf("context: %w", sentinel)
+		wrapped := fmt.Errorf("context: %w", sentinel)
 		we := ErrorOf(wrapped)
 		if we == nil {
 			t.Fatalf("ErrorOf(%v) = nil", sentinel)
@@ -67,7 +66,7 @@ func TestErrorKindsRoundTrip(t *testing.T) {
 // A torn journal also wraps ErrCorruptJournal; the wire must keep the more
 // specific kind so remote callers can distinguish truncation from garbage.
 func TestTornJournalKeepsSpecificKind(t *testing.T) {
-	we := ErrorOf(Errorf("tail: %w", faults.ErrTornJournal))
+	we := ErrorOf(fmt.Errorf("tail: %w", faults.ErrTornJournal))
 	if we.Kind != "torn-journal" {
 		t.Fatalf("kind = %q, want torn-journal", we.Kind)
 	}
@@ -77,7 +76,7 @@ func TestTornJournalKeepsSpecificKind(t *testing.T) {
 }
 
 func TestErrorOfPlainError(t *testing.T) {
-	we := ErrorOf(Errorf("plain failure"))
+	we := ErrorOf(errors.New("plain failure"))
 	if we.Kind != "" {
 		t.Fatalf("plain error got kind %q", we.Kind)
 	}
@@ -93,46 +92,6 @@ func TestErrorOfPlainError(t *testing.T) {
 	}
 }
 
-func TestStepCodecRoundTrip(t *testing.T) {
-	steps := []Step{{1, 1}, {2, 3}, {3, 2}, {1, 4}}
-	data, err := EncodeSteps(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := NewStepDecoder(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Step
-	for {
-		s, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, s)
-	}
-	if len(got) != len(steps) {
-		t.Fatalf("decoded %d steps, want %d", len(got), len(steps))
-	}
-	for i := range steps {
-		if got[i] != steps[i] {
-			t.Fatalf("step %d = %+v, want %+v", i, got[i], steps[i])
-		}
-	}
-	if dec.Steps() != len(steps) {
-		t.Fatalf("Steps() = %d, want %d", dec.Steps(), len(steps))
-	}
-}
-
-func TestStepDecoderRejectsGarbage(t *testing.T) {
-	if _, err := NewStepDecoder(strings.NewReader("not a journal")); !errors.Is(err, faults.ErrCorruptJournal) {
-		t.Fatalf("garbage header: %v, want ErrCorruptJournal", err)
-	}
-}
-
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -143,10 +102,10 @@ func TestClassify(t *testing.T) {
 		{faults.ErrInvalidStep, "unprocessable"},
 		{faults.ErrUnknownItem, "unprocessable"},
 		{faults.ErrUnknownView, "unprocessable"},
-		{Errorf("anything else"), "internal"},
+		{errors.New("anything else"), "internal"},
 	}
 	for _, tc := range cases {
-		if got := Classify(Errorf("wrap: %w", tc.err)); got != tc.want {
+		if got := Classify(fmt.Errorf("wrap: %w", tc.err)); got != tc.want {
 			t.Errorf("Classify(%v) = %q, want %q", tc.err, got, tc.want)
 		}
 	}
