@@ -4,14 +4,3 @@ package fvl
 // one of the given epoch, i.e. whether a point batch pinned at that epoch
 // resolves its items through the index.
 func SessionIndexedAt(s *Session, epoch uint64) bool { return s.idx.at(epoch) != nil }
-
-// RunLabelsIndex returns the item index the labels' set queries cached (nil
-// before the first) and the number of items it covers.
-func RunLabelsIndex(r *RunLabels) (idx any, items int) {
-	r.idx.mu.Lock()
-	defer r.idx.mu.Unlock()
-	if r.idx.idx == nil {
-		return nil, 0
-	}
-	return r.idx.idx, r.idx.idx.Items()
-}

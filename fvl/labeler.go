@@ -324,11 +324,6 @@ func background(ctx context.Context) context.Context {
 type RunLabels struct {
 	scheme *core.Scheme
 	rl     *core.RunLabeler
-
-	// idx caches the item index set queries run over, keyed by the label
-	// count: labels attached to a growing run only gain items, so a later
-	// query extends the index instead of rebuilding it (see sessionIndex).
-	idx sessionIndex
 }
 
 // Label returns the label of the data item, or false when the item carries

@@ -142,11 +142,9 @@ func setAnswerOf(r engine.SetResult) SetAnswer {
 	return a
 }
 
-// index returns the item index over the run's labels at their current
-// count, reusing or extending the cached one.
-func (r *RunLabels) index() *core.ItemIndex {
-	n := r.Count()
-	return r.idx.for_(uint64(n), n, r.rl.Label)
+// indexOf builds the core item index over a completed run's labels.
+func (r *RunLabels) indexOf() *core.ItemIndex {
+	return core.BuildItemIndex(0, r.Count(), r.rl.Label)
 }
 
 // Query answers one set query against the named view over a completed run's
@@ -178,7 +176,7 @@ func (s *Service) QueryBatch(ctx context.Context, viewName string, labels *RunLa
 	if labels.scheme != s.scheme && labels.scheme.Spec != s.scheme.Spec {
 		return nil, fmt.Errorf("fvl: run labels belong to a different specification: %w", faults.ErrForeignLabel)
 	}
-	return s.queryBatch(ctx, viewName, labels.index(), qs)
+	return s.queryBatch(ctx, viewName, labels.indexOf(), qs)
 }
 
 func (s *Service) queryBatch(ctx context.Context, viewName string, idx *core.ItemIndex, qs []QueryExpr) ([]SetAnswer, error) {
@@ -219,11 +217,10 @@ func (s *Service) ExplainQuery(viewName string, q QueryExpr) (string, error) {
 
 // sessionIndex caches the item index of the most recent pinned prefix so
 // consecutive set queries at the same epoch skip the indexing, and point
-// queries at that epoch resolve through it. A live session keys it by
-// epoch, RunLabels by label count. A new epoch extends the cached index
-// rather than rebuilding it: a live prefix's labels are write-once over
-// contiguous item IDs, so only the items produced since the cached epoch
-// are interned (core.ItemIndex.Extend). Every published
+// queries at that epoch resolve through it. A new epoch
+// extends the cached index rather than rebuilding it: a live prefix's labels
+// are write-once over contiguous item IDs, so only the items produced since
+// the cached epoch are interned (core.ItemIndex.Extend). Every published
 // index stays immutable, so batches still running against an older epoch
 // are unaffected. The mutex makes this cache the lineage's single writer;
 // queries come from arbitrary goroutines.

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/fvl"
@@ -551,101 +550,5 @@ func TestQueryExprSurface(t *testing.T) {
 	}
 	if _, err := svc.Query(ctx, view, labels, bad); err == nil {
 		t.Fatal("Query answered a poisoned expression")
-	}
-}
-
-// TestRunLabelsReuseTheirItemIndex: set queries over unchanged run labels
-// share one item index, and a query after the attached run grows extends
-// the index to the new items and answers like labels of the whole run.
-// Concurrent queries over fresh labels share the cache too.
-func TestRunLabelsReuseTheirItemIndex(t *testing.T) {
-	ctx := context.Background()
-	spec := fvl.PaperExample()
-	v, err := fvl.SecurityView(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := fvl.Open(ctx, spec, []*fvl.View{v})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := fvl.RandomRun(spec, fvl.RunOptions{TargetSize: 40, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := full.StepLog()
-	if len(steps) < 4 {
-		t.Fatalf("run has %d steps, the test needs 4", len(steps))
-	}
-	run := spec.NewRun()
-	labels, err := svc.NewLabeler().Attach(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply := func(steps []fvl.StepRequest) {
-		t.Helper()
-		for _, st := range steps {
-			if err := run.Apply(st.Instance, st.Production); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	q := fvl.BetweenViews(v.Name(), v.Name())
-	query := func() *fvl.SetAnswer {
-		t.Helper()
-		a, err := svc.Query(ctx, v.Name(), labels, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-
-	apply(steps[:len(steps)/2])
-	query()
-	first, n := fvl.RunLabelsIndex(labels)
-	if first == nil || n != labels.Count() {
-		t.Fatalf("first query cached an index of %d items, labels hold %d", n, labels.Count())
-	}
-	query()
-	if again, _ := fvl.RunLabelsIndex(labels); again != first {
-		t.Fatal("a second query over unchanged labels built a new item index")
-	}
-
-	apply(steps[len(steps)/2:])
-	grown := query()
-	next, n := fvl.RunLabelsIndex(labels)
-	if next == first || n != labels.Count() || n != full.Size() {
-		t.Fatalf("after the run grew to %d items the cached index covers %d (same index: %v)", full.Size(), n, next == first)
-	}
-	fresh, err := svc.NewLabeler().Label(ctx, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := svc.Query(ctx, v.Name(), fresh, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(grown.Pairs, want.Pairs) || len(want.Pairs) == 0 {
-		t.Fatalf("extended index answered %v, labels of the whole run %v", grown.Pairs, want.Pairs)
-	}
-
-	concurrent, err := svc.NewLabeler().Label(ctx, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a, err := svc.Query(ctx, v.Name(), concurrent, q)
-			if err != nil || !reflect.DeepEqual(a.Pairs, want.Pairs) {
-				t.Errorf("concurrent query: %v, %v", a, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if idx, n := fvl.RunLabelsIndex(concurrent); idx == nil || n != full.Size() {
-		t.Fatalf("concurrent queries left an index of %d items, want %d", n, full.Size())
 	}
 }

@@ -506,22 +506,26 @@ func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
 // poisoned the session is branded ErrInvalidStep (the documented Apply
 // contract), so remote callers classify it like journal replay does.
 func (s *Server) applySteps(r *http.Request, sess *fvl.Session) error {
-	jr, err := live.NewJournalReader(r.Body)
-	if err != nil {
+	ctx := r.Context()
+	// decoded returns the outcome of a decode, header or record alike. The
+	// request context comes first: a client that gave up also fails the
+	// body read, and that is a cancellation.
+	decoded := func(err error) error {
+		if ctx.Err() != nil {
+			return fmt.Errorf("service: step stream canceled at epoch %d: %w (%v)", sess.Epoch(), fvl.ErrCanceled, context.Cause(ctx))
+		}
 		return err
 	}
-	ctx := r.Context()
+	jr, err := live.NewJournalReader(r.Body)
+	if err != nil {
+		return decoded(err)
+	}
 	for {
 		step, err := jr.Next()
 		if err == io.EOF {
 			return nil
 		}
-		// Checked before the decode error too: a client that gave up
-		// also fails the body read, and that is a cancellation.
-		if ctx.Err() != nil {
-			return fmt.Errorf("service: step stream canceled at epoch %d: %w (%v)", sess.Epoch(), fvl.ErrCanceled, context.Cause(ctx))
-		}
-		if err != nil {
+		if err := decoded(err); err != nil {
 			return err
 		}
 		start := time.Now()

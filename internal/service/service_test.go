@@ -328,6 +328,15 @@ func TestStepStreamUntrustedInput(t *testing.T) {
 	if ack.Applied != 0 || ack.Epoch != 5 {
 		t.Fatalf("ack after canceled stream = %+v, want applied=0 epoch=5", ack)
 	}
+	// Canceled with the body cut inside the journal header: the failed
+	// header read is the client leaving, not a corrupt journal.
+	_, ack = serveSteps(t, canceled, srv, journalOf(t, steps[5:7])[:3])
+	if ack.Error == nil || !errors.Is(ack.Error.Err(), fvl.ErrCanceled) || errors.Is(ack.Error.Err(), fvl.ErrCorruptJournal) {
+		t.Fatalf("canceled stream torn in its header: error %+v, want ErrCanceled and not ErrCorruptJournal", ack.Error)
+	}
+	if ack.Applied != 0 || ack.Epoch != 5 {
+		t.Fatalf("ack after canceled header = %+v, want applied=0 epoch=5", ack)
+	}
 
 	// The session is usable at the acked epoch: the rest of the run applies.
 	if res, err := remote.SendSteps(ctx, steps[5:]); err != nil || res.Epoch != uint64(len(steps)) {
