@@ -38,8 +38,8 @@ func (s *Service) OpenLive() (*Session, error) {
 }
 
 // ResumeLive rebuilds a live session from a step journal (written by
-// Session.WriteJournal): the recorded steps are replayed against a fresh
-// run, restoring the session at the journaled epoch. The journal is
+// Session.WriteJournal): the recorded steps are derived and labeled in one
+// pass, restoring the session at the journaled epoch. The journal is
 // untrusted input — corruption fails with ErrCorruptJournal, and steps that
 // do not apply to this service's specification fail with the underlying
 // derivation error.

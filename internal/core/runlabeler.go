@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/run"
+	"repro/internal/workflow"
 )
 
 // RunLabeler is φr: it observes a run derivation and assigns every data item
@@ -16,7 +17,7 @@ import (
 // from these paths, and every port label created at an instance shares that
 // instance's path.
 //
-// Item and instance IDs are dense and allocation-ordered (run.New, run.Apply),
+// Item and instance IDs are dense and allocation-ordered (run.Deriver),
 // so both stores are slices the labeler only ever appends to.
 type RunLabeler struct {
 	scheme *Scheme
@@ -29,7 +30,8 @@ type RunLabeler struct {
 }
 
 // NewRunLabeler returns a labeler for runs of the scheme's specification.
-// Attach it to a run with run.Run.AddObserver.
+// Attach it to a run with run.Run.AddObserver, or feed it OnInit and then
+// every step a run.Deriver returns.
 func (s *Scheme) NewRunLabeler() *RunLabeler {
 	return &RunLabeler{scheme: s}
 }
@@ -54,15 +56,15 @@ func (l *RunLabeler) Prefix() []*DataLabel {
 // Count returns the number of labeled data items.
 func (l *RunLabeler) Count() int { return len(l.labels) }
 
-// OnInit labels the initial inputs and final outputs of the run (the ports of
-// the start module). If the start module is recursive, the root of the
-// compressed parse tree is a recursive node and the start instance is its
-// first child.
-func (l *RunLabeler) OnInit(r *run.Run) error {
-	if r.Spec != l.scheme.Spec {
+// OnInit labels the initial inputs and final outputs of a run of the
+// specification (the ports of the start module, numbered as run.Deriver
+// documents). If the start module is recursive, the root of the compressed
+// parse tree is a recursive node and the start instance is its first child.
+func (l *RunLabeler) OnInit(spec *workflow.Specification) error {
+	if spec != l.scheme.Spec {
 		return fmt.Errorf("core: run was derived from a different specification: %w", faults.ErrForeignLabel)
 	}
-	start := l.scheme.Spec.Grammar.Start
+	start := spec.Grammar.Start
 	var path []EdgeLabel
 	if s, t, ok := l.scheme.cycleOf(start); ok {
 		path = []EdgeLabel{RecursiveEdge(s, t, 1)}
@@ -70,20 +72,14 @@ func (l *RunLabeler) OnInit(r *run.Run) error {
 	if err := l.place(0, path); err != nil {
 		return err
 	}
-
-	for _, item := range r.Items {
-		if item.Step != 0 {
-			continue
+	m := spec.Grammar.Modules[start]
+	for x := 0; x < m.In; x++ {
+		if err := l.assign(x+1, &DataLabel{In: portLabel(path, x)}); err != nil {
+			return err
 		}
-		var d *DataLabel
-		if item.Src == -1 {
-			port, _ := r.Port(item.Dst)
-			d = &DataLabel{In: portLabel(path, port)}
-		} else {
-			port, _ := r.Port(item.Src)
-			d = &DataLabel{Out: portLabel(path, port)}
-		}
-		if err := l.assign(item.ID, d); err != nil {
+	}
+	for x := 0; x < m.Out; x++ {
+		if err := l.assign(m.In+x+1, &DataLabel{Out: portLabel(path, x)}); err != nil {
 			return err
 		}
 	}
@@ -94,8 +90,8 @@ func (l *RunLabeler) OnInit(r *run.Run) error {
 // label aliases the path: paths are never modified once placed, and the
 // capped slice keeps an append through the label from reaching the shared
 // array.
-func portLabel(path []EdgeLabel, port run.PortInstance) *PortLabel {
-	return &PortLabel{Path: path[:len(path):len(path)], Port: port.Index}
+func portLabel(path []EdgeLabel, port int) *PortLabel {
+	return &PortLabel{Path: path[:len(path):len(path)], Port: port}
 }
 
 // place records the path of the next instance.
@@ -118,61 +114,53 @@ func (l *RunLabeler) assign(itemID int, d *DataLabel) error {
 
 // OnStep places the instances created by the step into the compressed parse
 // tree (cases 1, 2a and 2b of the dynamic labeling algorithm) and labels the
-// data items the step introduced.
-func (l *RunLabeler) OnStep(r *run.Run, step *run.Step) error {
-	parent, ok := r.Instance(step.Instance)
-	if !ok {
-		return fmt.Errorf("core: step refers to unknown instance %d", step.Instance)
+// data items the step introduced. The step alone carries all it needs: the
+// expanded instance's path was placed when the instance was created.
+func (l *RunLabeler) OnStep(step *run.Step) error {
+	if step.Instance < 0 || step.Instance >= len(l.instPath) {
+		return fmt.Errorf("core: instance %d was never placed in the parse tree", step.Instance)
 	}
-	if parent.ID >= len(l.instPath) {
-		return fmt.Errorf("core: instance %d was never placed in the parse tree", parent.ID)
-	}
-	parentPath := l.instPath[parent.ID]
+	parentPath := l.instPath[step.Instance]
 	k := step.Prod
-	parentRecursive := l.scheme.isRecursive(parent.Module)
+	parentRecursive := l.scheme.isRecursive(step.LHS)
 
-	for _, childID := range step.NewInstances {
-		child, _ := r.Instance(childID)
-		i := child.NodeIndex + 1 // 1-based position within the production RHS
-		childRecursive := l.scheme.isRecursive(child.Module)
+	for ni, module := range step.Nodes {
+		i := ni + 1 // 1-based position within the production RHS
 		var path []EdgeLabel
 		switch {
-		case !childRecursive:
+		case !l.scheme.isRecursive(module):
 			// Case 1: ordinary child of the parent's node.
 			path = appendEdge(parentPath, NonRecursiveEdge(k, i))
-		case parentRecursive && l.scheme.sameCycle(parent.Module, child.Module):
+		case parentRecursive && l.scheme.sameCycle(step.LHS, module):
 			// Case 2a: the child continues the parent's linear recursion; it
 			// becomes the next sibling of the parent under the enclosing
 			// recursive node.
 			if len(parentPath) == 0 || !parentPath[len(parentPath)-1].Recursive {
-				return fmt.Errorf("core: recursive instance %d has no enclosing recursive node", parent.ID)
+				return fmt.Errorf("core: recursive instance %d has no enclosing recursive node", step.Instance)
 			}
 			last := parentPath[len(parentPath)-1]
 			path = appendEdge(parentPath[:len(parentPath)-1], RecursiveEdge(last.S, last.T, last.I+1))
 		default:
 			// Case 2b: a new recursion starts below the parent: a fresh
 			// recursive node is inserted with the child as its first element.
-			s, t, ok := l.scheme.cycleOf(child.Module)
+			s, t, ok := l.scheme.cycleOf(module)
 			if !ok {
-				return fmt.Errorf("core: module %q is recursive but has no cycle", child.Module)
+				return fmt.Errorf("core: module %q is recursive but has no cycle", module)
 			}
 			path = appendEdge(parentPath, NonRecursiveEdge(k, i), RecursiveEdge(s, t, 1))
 		}
-		if err := l.place(childID, path); err != nil {
+		if err := l.place(step.FirstInstance+ni, path); err != nil {
 			return err
 		}
 	}
 
-	for _, itemID := range step.NewItems {
-		item, _ := r.Item(itemID)
-		src, _ := r.Port(item.Src)
-		dst, _ := r.Port(item.Dst)
-		// Both ports belong to children placed above.
+	for j, e := range step.Edges {
+		// Both ports are fresh ports of children placed above.
 		d := &DataLabel{
-			Out: portLabel(l.instPath[src.Owner], src),
-			In:  portLabel(l.instPath[dst.Owner], dst),
+			Out: portLabel(l.instPath[step.FirstInstance+e.FromNode], e.FromPort),
+			In:  portLabel(l.instPath[step.FirstInstance+e.ToNode], e.ToPort),
 		}
-		if err := l.assign(itemID, d); err != nil {
+		if err := l.assign(step.FirstItem+j, d); err != nil {
 			return err
 		}
 	}
@@ -203,7 +191,7 @@ func (s *Scheme) LabelRun(r *run.Run) (*RunLabeler, error) {
 // keeping the "OnInit, then every step in order" discipline in one place.
 func (s *Scheme) LabelRunContext(ctx context.Context, r *run.Run) (*RunLabeler, error) {
 	l := s.NewRunLabeler()
-	if err := l.OnInit(r); err != nil {
+	if err := l.OnInit(r.Spec); err != nil {
 		return nil, err
 	}
 	for i := range r.Steps {
@@ -212,7 +200,7 @@ func (s *Scheme) LabelRunContext(ctx context.Context, r *run.Run) (*RunLabeler, 
 				return nil, fmt.Errorf("core: run labeling canceled at step %d of %d: %w (%v)", i, len(r.Steps), faults.ErrCanceled, err)
 			}
 		}
-		if err := l.OnStep(r, &r.Steps[i]); err != nil {
+		if err := l.OnStep(&r.Steps[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/run"
 	"repro/internal/view"
+	"repro/internal/workflow"
 	"repro/internal/workloads"
 )
 
@@ -22,16 +23,16 @@ type recordingObserver struct {
 	frozen  map[int]string
 }
 
-func (o *recordingObserver) OnInit(r *run.Run) error {
-	if err := o.labeler.OnInit(r); err != nil {
+func (o *recordingObserver) OnInit(spec *workflow.Specification) error {
+	if err := o.labeler.OnInit(spec); err != nil {
 		return err
 	}
 	o.snapshot()
 	return nil
 }
 
-func (o *recordingObserver) OnStep(r *run.Run, s *run.Step) error {
-	if err := o.labeler.OnStep(r, s); err != nil {
+func (o *recordingObserver) OnStep(s *run.Step) error {
+	if err := o.labeler.OnStep(s); err != nil {
 		return err
 	}
 	o.verify()
@@ -217,10 +218,10 @@ func TestRunLabelerRefusesStepsOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := labeler.OnStep(r, &r.Steps[len(r.Steps)-1]); err == nil {
+	if err := labeler.OnStep(&r.Steps[len(r.Steps)-1]); err == nil {
 		t.Fatal("replaying the last step succeeded")
 	}
-	if err := labeler.OnInit(r); err == nil {
+	if err := labeler.OnInit(r.Spec); err == nil {
 		t.Fatal("a second OnInit succeeded")
 	}
 	if labeler.Count() != len(r.Items) {

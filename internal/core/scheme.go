@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/prodgraph"
+	"repro/internal/run"
 	"repro/internal/workflow"
 )
 
@@ -24,6 +25,9 @@ type Scheme struct {
 	basic bool
 
 	codec *Codec
+	// templates compiles the specification's productions once for every
+	// derivation the scheme labels (NewDeriver).
+	templates *run.Templates
 }
 
 // NewScheme validates the specification, builds the production graph and
@@ -43,7 +47,7 @@ func NewScheme(spec *workflow.Specification) (*Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scheme{Spec: spec, Graph: pg, Cycles: cycles}
+	s := &Scheme{Spec: spec, Graph: pg, Cycles: cycles, templates: run.NewTemplates(spec)}
 	s.codec = NewCodec(s)
 	return s, nil
 }
@@ -58,7 +62,7 @@ func NewSchemeBasic(spec *workflow.Specification) (*Scheme, error) {
 		return nil, err
 	}
 	pg := prodgraph.New(spec.Grammar)
-	s := &Scheme{Spec: spec, Graph: pg, basic: true}
+	s := &Scheme{Spec: spec, Graph: pg, basic: true, templates: run.NewTemplates(spec)}
 	s.codec = NewCodec(s)
 	return s, nil
 }
@@ -66,6 +70,11 @@ func NewSchemeBasic(spec *workflow.Specification) (*Scheme, error) {
 // IsBasic reports whether the scheme labels runs with basic (uncompressed)
 // parse trees.
 func (s *Scheme) IsBasic() bool { return s.basic }
+
+// NewDeriver starts a derivation of the scheme's specification at the
+// unexpanded start module. Derivers of one scheme share its compiled
+// productions.
+func (s *Scheme) NewDeriver() *run.Deriver { return s.templates.NewDeriver() }
 
 // Codec returns the bit-level codec for this scheme's data labels.
 func (s *Scheme) Codec() *Codec { return s.codec }

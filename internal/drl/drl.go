@@ -48,7 +48,7 @@ type Labeler struct {
 	scheme    *core.Scheme
 	viewLabel *core.ViewLabel
 
-	projected *run.Run
+	projected *run.Deriver
 	labeler   *core.RunLabeler
 
 	instMap map[int]int // original instance ID -> projected instance ID
@@ -121,50 +121,45 @@ func restrictedSpecification(v *view.View) (*workflow.Specification, map[int]int
 	return spec, prodMap, nil
 }
 
-// OnInit creates the projected run (the view of the original run) and labels
-// its initial inputs and final outputs.
-func (l *Labeler) OnInit(r *run.Run) error {
-	if r.Spec != l.View.Spec {
+// OnInit starts the projected derivation (the view of the original run) and
+// labels its initial inputs and final outputs.
+func (l *Labeler) OnInit(spec *workflow.Specification) error {
+	return l.init(spec, 1, 0)
+}
+
+// init is OnInit with the id maps sized for a run of the given numbers of
+// instances and items.
+func (l *Labeler) init(spec *workflow.Specification, instances, items int) error {
+	if spec != l.View.Spec {
 		return fmt.Errorf("drl: run was derived from a different specification than view %q: %w", l.View.Name, faults.ErrForeignLabel)
 	}
-	l.projected = run.New(l.Restricted)
+	l.projected = l.scheme.NewDeriver()
 	l.labeler = l.scheme.NewRunLabeler()
-	if err := l.projected.AddObserver(l.labeler); err != nil {
+	if err := l.labeler.OnInit(l.Restricted); err != nil {
 		return err
 	}
-	// Relabeling a whole run per view is DRL's multi-view hot path (Figures
-	// 21-22): size the id maps for the run up front so the 10k-item runs of
-	// the experiments do not pay for incremental map growth.
-	l.instMap = make(map[int]int, len(r.Instances))
-	l.itemMap = make(map[int]int, len(r.Items))
+	l.instMap = make(map[int]int, instances)
+	l.itemMap = make(map[int]int, items)
 	l.instMap[0] = 0
 	// The initial items of the original run and of the projected run are
-	// created in the same order (inputs of the start module, then outputs).
-	var originalInitial []int
-	for _, item := range r.Items {
-		if item.Step == 0 {
-			originalInitial = append(originalInitial, item.ID)
-		}
-	}
-	if len(originalInitial) != len(l.projected.Items) {
+	// numbered alike (inputs of the start module, then outputs).
+	start := spec.Grammar.Modules[spec.Grammar.Start]
+	if l.labeler.Count() != start.In+start.Out {
 		return fmt.Errorf("drl: start module arity mismatch between run and view %q", l.View.Name)
 	}
-	for i, id := range originalInitial {
-		l.itemMap[id] = l.projected.Items[i].ID
+	for id := 1; id <= l.labeler.Count(); id++ {
+		l.itemMap[id] = id
 	}
 	return nil
 }
 
-// OnStep mirrors visible derivation steps onto the projected run. Steps that
-// expand a module the view hides (or descendants of such a module) are
-// ignored: their data items stay unlabeled, exactly as the view hides them.
-func (l *Labeler) OnStep(r *run.Run, s *run.Step) error {
+// OnStep mirrors visible derivation steps onto the projected derivation and
+// labels what they create. Steps that expand a module the view hides (or
+// descendants of such a module) are ignored: their data items stay
+// unlabeled, exactly as the view hides them.
+func (l *Labeler) OnStep(s *run.Step) error {
 	projInst, visible := l.instMap[s.Instance]
-	if !visible {
-		return nil
-	}
-	inst, _ := r.Instance(s.Instance)
-	if !l.View.IsExpandable(inst.Module) {
+	if !visible || !l.View.IsExpandable(s.LHS) {
 		return nil
 	}
 	k, ok := l.prodMap[s.Prod]
@@ -175,14 +170,17 @@ func (l *Labeler) OnStep(r *run.Run, s *run.Step) error {
 	if err != nil {
 		return fmt.Errorf("drl: mirroring step %d onto view %q: %w", s.Index, l.View.Name, err)
 	}
-	if len(step.NewInstances) != len(s.NewInstances) || len(step.NewItems) != len(s.NewItems) {
+	if len(step.Nodes) != len(s.Nodes) || len(step.Edges) != len(s.Edges) {
 		return fmt.Errorf("drl: projected step %d diverged from the original derivation", s.Index)
 	}
-	for i, id := range s.NewInstances {
-		l.instMap[id] = step.NewInstances[i]
+	if err := l.labeler.OnStep(&step); err != nil {
+		return err
 	}
-	for i, id := range s.NewItems {
-		l.itemMap[id] = step.NewItems[i]
+	for i := range s.Nodes {
+		l.instMap[s.FirstInstance+i] = step.FirstInstance + i
+	}
+	for j := range s.Edges {
+		l.itemMap[s.FirstItem+j] = step.FirstItem + j
 	}
 	return nil
 }
@@ -196,11 +194,14 @@ func LabelRun(v *view.View, r *run.Run) (*Labeler, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := l.OnInit(r); err != nil {
+	// Relabeling a whole run per view is DRL's multi-view hot path (Figures
+	// 21-22): size the id maps for the run up front so the 10k-item runs of
+	// the experiments do not pay for incremental map growth.
+	if err := l.init(r.Spec, len(r.Instances), len(r.Items)); err != nil {
 		return nil, err
 	}
 	for i := range r.Steps {
-		if err := l.OnStep(r, &r.Steps[i]); err != nil {
+		if err := l.OnStep(&r.Steps[i]); err != nil {
 			return nil, err
 		}
 	}

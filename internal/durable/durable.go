@@ -24,15 +24,15 @@
 //
 // Recovery (Recover) opens MANIFEST, checks the specification identity,
 // reads the checkpoint it names (its length and CRC-32 are in the
-// manifest), replays its steps and then the journal tail past its epoch
-// into a run, labels that run once in batch (core.Scheme.LabelRun) and
-// opens the live session on it (live.Restore). A session without a
-// checkpoint takes the same path with an empty prefix. A torn trailing
-// record — the signature of a crash mid-append — is truncated away (at most
-// one, and only in the last segment); Options.Strict refuses instead. The
-// crash-matrix test drives every one of these transitions through the
-// fault-injecting filesystem in internal/iofault and checks the recovered
-// labels are byte-identical to batch labeling of the recovered prefix.
+// manifest) and the journal tail past its epoch, and opens the live session
+// on those steps with live.Restore, which derives and labels them in one
+// pass; no run is built. A session without a checkpoint takes the same path
+// with an empty prefix. A torn trailing record — the signature of a crash
+// mid-append — is truncated away (at most one, and only in the last
+// segment); Options.Strict refuses instead. The crash-matrix test drives
+// every one of these transitions through the fault-injecting filesystem in
+// internal/iofault and checks the recovered labels are byte-identical to
+// batch labeling of the recovered prefix.
 package durable
 
 import (
@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/live"
-	"repro/internal/run"
 )
 
 // DefaultSegmentSteps is the default journal segment capacity, in steps.
@@ -163,10 +162,10 @@ func Create(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 }
 
 // Recover reopens a session directory after a crash or a clean close: it
-// rebuilds the run from the checkpoint MANIFEST names and the journal tail
-// past it, labels the run once, and returns a session ready to append more
-// steps. See RecoveryInfo for what happened; structural failures are
-// classified by the faults sentinels (ErrCorruptManifest,
+// derives and labels, in one pass, the steps of the checkpoint MANIFEST
+// names and of the journal tail past it, and returns a session ready to
+// append more steps. See RecoveryInfo for what happened; structural
+// failures are classified by the faults sentinels (ErrCorruptManifest,
 // ErrCorruptCheckpoint, ErrCorruptJournal, ErrTornJournal, ErrInvalidStep,
 // ErrForeignLabel).
 func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
@@ -192,7 +191,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 	} else if spec != m.Spec {
 		return nil, fmt.Errorf("durable: %s holds a session of another specification or scheme kind: %w", dir, faults.ErrForeignLabel)
 	}
-	r, err := loadCheckpoint(fs, dir, m, scheme)
+	steps, err := loadCheckpoint(fs, dir, m)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +201,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 		return nil, err
 	}
 
-	// Replay the journal tail. Segments fully covered by the checkpoint are
+	// Read the journal tail. Segments fully covered by the checkpoint are
 	// skipped without decoding — a later segment's base proves every step of
 	// its predecessor is at most that base.
 	info := &RecoveryInfo{CheckpointStep: m.CheckpointStep}
@@ -263,11 +262,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 			if stepNo <= expected {
 				continue // already covered by the checkpoint
 			}
-			if _, aerr := r.Apply(req.Instance, req.Prod); aerr != nil {
-				f.Close()
-				return nil, fmt.Errorf("durable: replaying journal step %d: %w (%w)",
-					stepNo, aerr, faults.ErrInvalidStep)
-			}
+			steps = append(steps, req)
 			expected = stepNo
 		}
 		if f != nil {
@@ -283,13 +278,15 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 	}
 	info.ReplayedSteps = expected - m.CheckpointStep
 
-	labeler, err := scheme.LabelRun(r)
-	if err != nil {
-		return nil, err
-	}
 	sink := &segmentSink{fs: fs, dir: dir, segSteps: segSteps, syncEvery: opts.SyncEvery, step: expected}
-	sess, err := live.Restore(scheme, r, labeler, live.WithJournalSink(sink))
-	if err != nil {
+	sess, err := live.Restore(scheme, steps, live.WithJournalSink(sink))
+	var serr *live.StepError
+	switch {
+	case errors.As(err, &serr) && serr.Step <= m.CheckpointStep:
+		return nil, fmt.Errorf("durable: checkpoint %d: %v (%w)", m.CheckpointStep, err, faults.ErrCorruptCheckpoint)
+	case errors.As(err, &serr):
+		return nil, fmt.Errorf("durable: replaying journal step %d: %w (%w)", serr.Step, serr.Err, faults.ErrInvalidStep)
+	case err != nil:
 		return nil, err
 	}
 
@@ -589,41 +586,37 @@ func readFile(fs FS, path string) ([]byte, error) {
 	return data, nil
 }
 
-// loadCheckpoint replays the steps of the checkpoint the manifest names into
-// a fresh run — an empty run when there is none. The file must match the
-// manifest's length and CRC-32 and hold exactly the manifest's number of
-// steps, each of which must apply; anything else is ErrCorruptCheckpoint.
-func loadCheckpoint(fs FS, dir string, m Manifest, scheme *core.Scheme) (*run.Run, error) {
+// loadCheckpoint reads the steps of the checkpoint the manifest names — none
+// when there is none. The file must match the manifest's length and CRC-32
+// and hold exactly the manifest's number of steps; anything else is
+// ErrCorruptCheckpoint, as is a step that does not apply (Recover).
+func loadCheckpoint(fs FS, dir string, m Manifest) ([]live.StepRequest, error) {
 	if !m.HasCheckpoint {
-		return run.New(scheme.Spec), nil
+		return nil, nil
 	}
 	data, err := readFile(fs, filepath.Join(dir, checkpointName(m.CheckpointStep)))
 	if err != nil {
 		return nil, fmt.Errorf("durable: manifest names checkpoint %d but it cannot be read: %w (%w)",
 			m.CheckpointStep, err, faults.ErrCorruptCheckpoint)
 	}
-	r, err := replayCheckpoint(data, m, scheme)
+	steps, err := decodeCheckpoint(data, m)
 	if err != nil {
 		return nil, fmt.Errorf("durable: checkpoint %d: %v (%w)", m.CheckpointStep, err, faults.ErrCorruptCheckpoint)
 	}
-	return r, nil
+	return steps, nil
 }
 
-func replayCheckpoint(data []byte, m Manifest, scheme *core.Scheme) (*run.Run, error) {
+func decodeCheckpoint(data []byte, m Manifest) ([]live.StepRequest, error) {
 	if len(data) != m.CheckpointBytes || crc32.ChecksumIEEE(data) != m.CheckpointCRC {
 		return nil, fmt.Errorf("%d bytes do not match the manifest's length %d and CRC-32 %08x",
 			len(data), m.CheckpointBytes, m.CheckpointCRC)
 	}
-	reqs, err := live.DecodeJournal(data)
+	steps, err := live.DecodeJournal(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(reqs) != m.CheckpointStep {
-		return nil, fmt.Errorf("holds %d steps", len(reqs))
+	if len(steps) != m.CheckpointStep {
+		return nil, fmt.Errorf("holds %d steps", len(steps))
 	}
-	steps := make([][2]int, len(reqs))
-	for i, req := range reqs {
-		steps[i] = [2]int{req.Instance, req.Prod}
-	}
-	return run.Replay(scheme.Spec, steps)
+	return steps, nil
 }

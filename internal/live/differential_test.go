@@ -283,28 +283,31 @@ func TestResumeRebuildsExactPrefix(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesUnlabeledItems: a restored session publishes the
-// labeler's own slice, so the labeler must already cover every item of the
-// run; one that does not is refused, and one that does serves its labels.
-func TestRestoreRefusesUnlabeledItems(t *testing.T) {
+// TestRestoreRefusesInapplicableSteps: Restore derives the steps it is
+// given, so a sequence with a step that does not apply is refused with a
+// *StepError naming that step and wrapping the derivation's error, and a
+// sequence that applies serves exactly the items of the run those steps
+// derive.
+func TestRestoreRefusesInapplicableSteps(t *testing.T) {
 	spec := workloads.PaperExample()
 	scheme, err := core.NewScheme(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := run.New(spec)
-	if _, err := live.Restore(scheme, r, scheme.NewRunLabeler()); err == nil {
-		t.Fatal("restoring with an empty labeler succeeded")
+	steps := recordSteps(t, spec, 60, 5)
+	bad := append(append([]live.StepRequest(nil), steps[:3]...), steps[1])
+	_, err = live.Restore(scheme, bad)
+	var serr *live.StepError
+	if !errors.As(err, &serr) || serr.Step != 4 || serr.Err == nil {
+		t.Fatalf("restoring a repeated step: want a *StepError for step 4, got %v", err)
 	}
-	labeler, err := scheme.LabelRun(r)
+	r := truncatedRun(t, spec, steps, len(steps))
+	sess, err := live.Restore(scheme, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := live.Restore(scheme, r, labeler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Items() != len(r.Items) {
-		t.Fatalf("restored session serves %d items, want %d", sess.Items(), len(r.Items))
+	if sess.Epoch() != uint64(len(steps)) || sess.Items() != len(r.Items) {
+		t.Fatalf("restored session at epoch %d with %d items, want %d and %d",
+			sess.Epoch(), sess.Items(), len(steps), len(r.Items))
 	}
 }

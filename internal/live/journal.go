@@ -226,40 +226,52 @@ func (jr *JournalReader) Offset() int64 { return jr.off }
 
 // readValue decodes one bounded canonical uvarint from the buffered stream.
 // first marks the start of a record: running out of bytes there is a clean
-// io.EOF, anywhere else it is a torn record.
+// io.EOF, anywhere else it is a torn record. It decodes from the bytes
+// already buffered and waits for more only while the varint continues, so a
+// record is returned as soon as its last byte arrives, even on a stream that
+// stays open.
 func (jr *JournalReader) readValue(first bool) (int, int, error) {
-	// A varint is at most MaxVarintLen64 bytes; Peek returns fewer only when
-	// the stream ends (or errors) first.
-	buf, peekErr := jr.br.Peek(binary.MaxVarintLen64)
-	if len(buf) == 0 {
-		if peekErr == nil || peekErr == io.EOF {
-			if first {
-				return 0, 0, io.EOF
+	want := min(max(jr.br.Buffered(), 1), binary.MaxVarintLen64)
+	for {
+		// Peek returns fewer than want bytes only when the stream ends (or
+		// errors) first.
+		buf, peekErr := jr.br.Peek(want)
+		if len(buf) == 0 {
+			if peekErr == nil || peekErr == io.EOF {
+				if first {
+					return 0, 0, io.EOF
+				}
+				return 0, 0, fmt.Errorf("live: record cut short: %w (%w)", faults.ErrTornJournal, faults.ErrCorruptJournal)
 			}
-			return 0, 0, fmt.Errorf("live: record cut short: %w (%w)", faults.ErrTornJournal, faults.ErrCorruptJournal)
+			return 0, 0, peekErr
 		}
-		return 0, 0, peekErr
-	}
-	v, n, err := readCanonicalUvarint(buf)
-	if err != nil {
-		if n == 0 {
-			// The varint continues past the bytes we have; since Peek only
-			// comes up short at stream end, the record is torn — unless the
-			// shortfall was a read error, which is reported as itself.
-			if peekErr != nil && peekErr != io.EOF {
-				return 0, 0, peekErr
+		v, n, err := readCanonicalUvarint(buf)
+		if err != nil && n == 0 && peekErr == nil {
+			// The varint continues past the bytes at hand: wait for the next
+			// one, or take all that has arrived since.
+			want = min(max(want+1, jr.br.Buffered()), binary.MaxVarintLen64)
+			continue
+		}
+		if err != nil {
+			if n == 0 {
+				// The varint continues past the end of the stream, so the
+				// record is torn — unless the shortfall was a read error,
+				// which is reported as itself.
+				if peekErr != io.EOF {
+					return 0, 0, peekErr
+				}
+				return 0, 0, fmt.Errorf("live: record cut short: %w (%w)", faults.ErrTornJournal, faults.ErrCorruptJournal)
 			}
-			return 0, 0, fmt.Errorf("live: record cut short: %w (%w)", faults.ErrTornJournal, faults.ErrCorruptJournal)
+			return 0, 0, err
 		}
-		return 0, 0, err
+		if v > maxJournalValue {
+			return 0, 0, fmt.Errorf("live: value %d exceeds the journal bound: %w", v, faults.ErrCorruptJournal)
+		}
+		if _, err := jr.br.Discard(n); err != nil {
+			return 0, 0, err
+		}
+		return int(v), n, nil
 	}
-	if v > maxJournalValue {
-		return 0, 0, fmt.Errorf("live: value %d exceeds the journal bound: %w", v, faults.ErrCorruptJournal)
-	}
-	if _, err := jr.br.Discard(n); err != nil {
-		return 0, 0, err
-	}
-	return int(v), n, nil
 }
 
 // readCanonicalUvarint decodes a uvarint and rejects non-minimal encodings:

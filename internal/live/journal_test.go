@@ -3,7 +3,9 @@ package live
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 )
@@ -90,6 +92,70 @@ func TestJournalDecodeRejectsCorruption(t *testing.T) {
 		if _, err := DecodeJournal(data); !errors.Is(err, faults.ErrCorruptJournal) {
 			t.Errorf("%s: want ErrCorruptJournal, got %v", name, err)
 		}
+	}
+}
+
+// TestJournalReaderReturnsRecordsAsTheyArrive: over a stream that stays
+// open, Next returns a record as soon as its last byte arrives, also when
+// the record's varints arrive split across writes.
+func TestJournalReaderReturnsRecordsAsTheyArrive(t *testing.T) {
+	steps := []StepRequest{{Instance: 0, Prod: 1}, {Instance: 300, Prod: 2}}
+	data, err := EncodeJournal(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := len(journalMagic) + 2 // the header and the first record
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	// send writes chunks in order; each Write returns once the reader has
+	// consumed it, and a write the reader never takes fails when the
+	// deferred Close runs, which ends the goroutine.
+	send := func(chunks ...[]byte) {
+		go func() {
+			for _, c := range chunks {
+				if _, err := pw.Write(c); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	type result struct {
+		req StepRequest
+		err error
+	}
+	next := func(jr *JournalReader) (StepRequest, error) {
+		t.Helper()
+		done := make(chan result, 1)
+		go func() {
+			req, err := jr.Next()
+			done <- result{req, err}
+		}()
+		select {
+		case r := <-done:
+			return r.req, r.err
+		case <-time.After(10 * time.Second):
+			t.Fatal("Next is still blocked after its record arrived")
+			return StepRequest{}, nil
+		}
+	}
+
+	send(data[:first])
+	jr, err := NewJournalReader(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req, err := next(jr); err != nil || req != steps[0] {
+		t.Fatalf("first record: %v, %v; want %v", req, err, steps[0])
+	}
+	// The second record's instance is a two-byte varint; deliver it a byte
+	// at a time.
+	send(data[first:first+1], data[first+1:])
+	if req, err := next(jr); err != nil || req != steps[1] {
+		t.Fatalf("second record: %v, %v; want %v", req, err, steps[1])
+	}
+	pw.Close()
+	if _, err := next(jr); err != io.EOF {
+		t.Fatalf("after the stream closed: want io.EOF, got %v", err)
 	}
 }
 

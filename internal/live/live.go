@@ -3,8 +3,10 @@
 // 4.2.3): a data item's label is final the moment the item is produced, so
 // reachability questions can be answered during the run, not only after it.
 // This package closes the gap between that claim and the batch consumers of
-// the rest of the system: a Session wraps a run.Run together with its
+// the rest of the system: a Session drives a run.Deriver and a
 // core.RunLabeler behind an epoch-based single-writer/multi-reader protocol.
+// A label is a pure function of the step and its parent instance's label, so
+// a session holds the labels and the derivation's frontier, never the run.
 //
 // # The epoch protocol
 //
@@ -35,8 +37,8 @@
 //
 // A Session is restartable: Prefix.WriteJournal exports the steps of any
 // epoch, a JournalSink (WithJournalSink) persists each applied step as it is
-// applied, and Resume rebuilds a session from a journal by replaying the run
-// and labeling it once in batch. The journal codec lives in journal.go.
+// applied, and Resume and Restore rebuild a session from its steps, deriving
+// and labeling them in one pass. The journal codec lives in journal.go.
 package live
 
 import (
@@ -46,7 +48,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/run"
 )
 
@@ -85,7 +86,7 @@ func WithJournalSink(sink JournalSink) Option {
 // internally; reader methods (Current, Label, Epoch, Items) are lock-free.
 type Session struct {
 	scheme  *core.Scheme
-	run     *run.Run
+	deriver *run.Deriver
 	labeler *core.RunLabeler
 
 	mu     sync.Mutex
@@ -100,78 +101,62 @@ type Session struct {
 // start module with its initial inputs and final outputs, all labeled, at
 // epoch 0.
 func NewSession(scheme *core.Scheme, opts ...Option) (*Session, error) {
-	if scheme == nil {
-		return nil, fmt.Errorf("live: nil scheme")
-	}
-	s := &Session{scheme: scheme, run: run.New(scheme.Spec), labeler: scheme.NewRunLabeler()}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if err := s.labeler.OnInit(s.run); err != nil {
-		return nil, err
-	}
-	s.publishLocked()
-	return s, nil
+	return Restore(scheme, nil, opts...)
 }
 
 // Resume rebuilds a session from a step journal (exported with
-// Prefix.WriteJournal, or appended step by step through a JournalWriter):
-// the run is rebuilt with run.Replay, labeled once in batch with
-// Scheme.LabelRun and opened with Restore. The journal bytes are untrusted:
-// corruption fails with ErrCorruptJournal, and steps that do not apply to
-// the specification fail with the underlying apply error.
+// Prefix.WriteJournal, or appended step by step through a JournalWriter)
+// with Restore. The journal bytes are untrusted: corruption fails with
+// ErrCorruptJournal, and a step that does not apply to the specification
+// fails with a *StepError.
 func Resume(scheme *core.Scheme, journal io.Reader) (*Session, error) {
+	steps, err := ReadJournal(journal)
+	if err != nil {
+		return nil, err
+	}
+	return Restore(scheme, steps)
+}
+
+// StepError reports a restored step that does not apply to the
+// specification.
+type StepError struct {
+	Step int // 1-based position of the step in the restored sequence
+	Err  error
+}
+
+func (e *StepError) Error() string { return fmt.Sprintf("live: restoring step %d: %v", e.Step, e.Err) }
+
+func (e *StepError) Unwrap() error { return e.Err }
+
+// Restore opens a session at the epoch the steps reach — steps replayed
+// from a journal (Resume) or recovered from a durable directory. A data
+// label is a pure function of the derivation, so the steps are the whole
+// state: they are derived and labeled in one pass and published once. The
+// session takes ownership of the steps slice and continues from there.
+//
+// A step that does not apply fails with a *StepError naming it. Options
+// apply as in NewSession, except that a sink attached here starts at the
+// restored epoch — the restored steps are not re-appended (they are already
+// durable wherever the caller recovered them from).
+func Restore(scheme *core.Scheme, steps []StepRequest, opts ...Option) (*Session, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("live: nil scheme")
 	}
-	reqs, err := ReadJournal(journal)
-	if err != nil {
-		return nil, err
-	}
-	steps := make([][2]int, len(reqs))
-	for i, req := range reqs {
-		steps[i] = [2]int{req.Instance, req.Prod}
-	}
-	r, err := run.Replay(scheme.Spec, steps)
-	if err != nil {
-		return nil, err
-	}
-	labeler, err := scheme.LabelRun(r)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(scheme, r, labeler)
-}
-
-// Restore opens a session on a run that was built outside it — replayed
-// from a journal (Resume) or recovered from a durable directory — and the
-// labeler that labeled it, which is Scheme.LabelRun of the run: a data
-// label is a pure function of the derivation, so recovery labels the run
-// once in batch instead of reading stored labels back. The session's step
-// requests are the run's recorded steps, and it continues from there.
-//
-// The pieces must agree: the run must belong to the scheme's specification
-// and every data item of the run must already carry a label. Options apply
-// as in NewSession, except that a sink attached here starts at the restored
-// epoch — the restored steps are not re-appended (they are already durable
-// wherever the caller recovered them from).
-func Restore(scheme *core.Scheme, r *run.Run, labeler *core.RunLabeler, opts ...Option) (*Session, error) {
-	if scheme == nil || r == nil || labeler == nil {
-		return nil, fmt.Errorf("live: restore needs a scheme, a run and a labeler")
-	}
-	if r.Spec != scheme.Spec {
-		return nil, fmt.Errorf("live: restored run: %w", faults.ErrForeignLabel)
-	}
-	if n := labeler.Count(); n != len(r.Items) {
-		return nil, fmt.Errorf("live: restored labeler holds %d labels for a run of %d items", n, len(r.Items))
-	}
-	s := &Session{scheme: scheme, run: r, labeler: labeler}
+	s := &Session{scheme: scheme, deriver: scheme.NewDeriver(), labeler: scheme.NewRunLabeler(), steps: steps}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.steps = make([]StepRequest, len(r.Steps))
-	for i, st := range r.Steps {
-		s.steps[i] = StepRequest{Instance: st.Instance, Prod: st.Prod}
+	if err := s.labeler.OnInit(scheme.Spec); err != nil {
+		return nil, err
+	}
+	for i, req := range steps {
+		step, err := s.deriver.Apply(req.Instance, req.Prod)
+		if err != nil {
+			return nil, &StepError{Step: i + 1, Err: err}
+		}
+		if err := s.labeler.OnStep(&step); err != nil {
+			return nil, fmt.Errorf("live: labeling restored step %d: %w", i+1, err)
+		}
 	}
 	s.publishLocked()
 	return s, nil
@@ -221,11 +206,11 @@ func (s *Session) Apply(instance, prod int) (uint64, error) {
 	if s.failed != nil {
 		return 0, fmt.Errorf("live: session is poisoned: %w", s.failed)
 	}
-	step, err := s.run.Apply(instance, prod)
+	step, err := s.deriver.Apply(instance, prod)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.labeler.OnStep(s.run, step); err != nil {
+	if err := s.labeler.OnStep(&step); err != nil {
 		s.failed = err
 		return 0, fmt.Errorf("live: labeling step %d poisoned the session: %w", step.Index, err)
 	}
@@ -267,14 +252,14 @@ func (s *Session) Scheme() *core.Scheme { return s.scheme }
 func (s *Session) Frontier() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run.Frontier()
+	return s.deriver.Frontier()
 }
 
 // IsComplete reports whether every composite instance has been expanded.
 func (s *Session) IsComplete() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.run.IsComplete()
+	return s.deriver.IsComplete()
 }
 
 // Expandable returns the 1-based indices of the productions that can expand
@@ -284,11 +269,7 @@ func (s *Session) IsComplete() bool {
 func (s *Session) Expandable(instanceID int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inst, ok := s.run.Instance(instanceID)
-	if !ok || inst.Prod != 0 {
-		return nil
-	}
-	return s.scheme.Spec.Grammar.ProductionsFor(inst.Module)
+	return s.deriver.Expandable(instanceID)
 }
 
 // Err returns the error that poisoned the session, or nil.

@@ -1,14 +1,13 @@
 // Package run implements workflow runs as derivation objects: starting from
 // the start module, productions are applied online (Definition 10's
 // derivation-based model), creating module instances, port instances and data
-// items. It also implements the projection of a run onto a view and a
-// ground-truth reachability oracle used for testing and as a naive baseline.
+// items. A Deriver keeps only the frontier of a derivation and returns each
+// step's new instances and items; a Run adds the recorded history. It also
+// implements the projection of a run onto a view and a ground-truth
+// reachability oracle used for testing and as a naive baseline.
 package run
 
 import (
-	"fmt"
-	"slices"
-
 	"repro/internal/workflow"
 )
 
@@ -51,27 +50,19 @@ type Instance struct {
 	NodeIndex int
 }
 
-// Step records one derivation step: the expansion of Instance by production
-// Prod, the instances it created and the data items it introduced.
-type Step struct {
-	Index        int // 1-based step number
-	Instance     int
-	Prod         int
-	NewInstances []int
-	NewItems     []int
-}
-
 // Observer is notified as the run is derived. OnInit is called once with the
-// freshly created run (containing only the start instance and its
-// inputs/outputs); OnStep is called after every production application.
-// Observers must only inspect state created at or before the notified step:
-// this is what makes a labeling scheme dynamic.
+// run's specification, before any step (the start instance and the initial
+// items are a function of it, see Deriver); OnStep is called after every
+// production application. An observer sees nothing but the step, so it can
+// only use state created at or before the step: this is what makes a
+// labeling scheme dynamic.
 type Observer interface {
-	OnInit(r *Run) error
-	OnStep(r *Run, s *Step) error
+	OnInit(spec *workflow.Specification) error
+	OnStep(s *Step) error
 }
 
-// Run is a (possibly partial) workflow run derived from a specification.
+// Run is a (possibly partial) workflow run derived from a specification: a
+// Deriver plus the recorded history of every instance, port, item and step.
 type Run struct {
 	Spec      *workflow.Specification
 	Instances []Instance
@@ -79,16 +70,17 @@ type Run struct {
 	Items     []DataItem
 	Steps     []Step
 
+	d         *Deriver
 	observers []Observer
 }
 
 // New creates a run consisting of the unexpanded start module with one data
 // item per input port (the run's initial inputs) and one per output port (the
-// run's final outputs).
+// run's final outputs), numbered as Deriver documents.
 func New(spec *workflow.Specification) *Run {
-	r := &Run{Spec: spec}
+	r := &Run{Spec: spec, d: NewTemplates(spec).NewDeriver()}
 	start := spec.Grammar.Modules[spec.Grammar.Start]
-	root := Instance{ID: 0, Module: start.Name, Parent: -1, Step: 0}
+	root := Instance{ID: 0, Module: spec.Grammar.Start, Parent: -1, Step: 0}
 	for p := 0; p < start.In; p++ {
 		pi := r.newPort(0, workflow.InPort, p)
 		root.Inputs = append(root.Inputs, pi)
@@ -103,33 +95,6 @@ func New(spec *workflow.Specification) *Run {
 	return r
 }
 
-// Replay derives the run a step sequence produces: New, then Apply for each
-// (instance, production) pair in order. A run is fully determined by its
-// production applications, so this rebuilds a recorded run exactly. The
-// run's slices are sized for the whole sequence up front, so a long replay
-// does not regrow them step by step.
-func Replay(spec *workflow.Specification, steps [][2]int) (*Run, error) {
-	r := New(spec)
-	prods := spec.Grammar.Productions
-	nodes, edges := 0, 0
-	for _, st := range steps {
-		if p := st[1]; p >= 1 && p <= len(prods) {
-			nodes += len(prods[p-1].RHS.Nodes)
-			edges += len(prods[p-1].RHS.Edges)
-		}
-	}
-	r.Instances = slices.Grow(r.Instances, nodes)
-	r.Ports = slices.Grow(r.Ports, 2*edges)
-	r.Items = slices.Grow(r.Items, edges)
-	r.Steps = slices.Grow(r.Steps, len(steps))
-	for i, st := range steps {
-		if _, err := r.Apply(st[0], st[1]); err != nil {
-			return nil, fmt.Errorf("run: replaying step %d of %d: %w", i+1, len(steps), err)
-		}
-	}
-	return r, nil
-}
-
 func (r *Run) newPort(owner int, kind workflow.PortKind, index int) int {
 	id := len(r.Ports)
 	r.Ports = append(r.Ports, PortInstance{ID: id, Owner: owner, Kind: kind, Index: index})
@@ -140,11 +105,11 @@ func (r *Run) newPort(owner int, kind workflow.PortKind, index int) int {
 // so far (OnInit followed by OnStep for every recorded step), so labeling
 // schemes can be attached either before or after derivation begins.
 func (r *Run) AddObserver(obs Observer) error {
-	if err := obs.OnInit(r); err != nil {
+	if err := obs.OnInit(r.Spec); err != nil {
 		return err
 	}
 	for i := range r.Steps {
-		if err := obs.OnStep(r, &r.Steps[i]); err != nil {
+		if err := obs.OnStep(&r.Steps[i]); err != nil {
 			return err
 		}
 	}
@@ -157,19 +122,11 @@ func (r *Run) AddObserver(obs Observer) error {
 func (r *Run) Size() int { return len(r.Items) }
 
 // Frontier returns the IDs of unexpanded composite module instances.
-func (r *Run) Frontier() []int {
-	var out []int
-	for _, inst := range r.Instances {
-		if inst.Prod == 0 && r.Spec.Grammar.IsComposite(inst.Module) {
-			out = append(out, inst.ID)
-		}
-	}
-	return out
-}
+func (r *Run) Frontier() []int { return r.d.Frontier() }
 
 // IsComplete reports whether every composite instance has been expanded, i.e.
 // the run is a member of L(G).
-func (r *Run) IsComplete() bool { return len(r.Frontier()) == 0 }
+func (r *Run) IsComplete() bool { return r.d.IsComplete() }
 
 // Item returns a data item by ID (IDs are 1-based).
 func (r *Run) Item(id int) (DataItem, bool) {
@@ -196,112 +153,53 @@ func (r *Run) Instance(id int) (Instance, bool) {
 }
 
 // Apply expands the given composite module instance with the production of
-// the given 1-based index. It creates one child instance per right-hand-side
-// node, binds the initial inputs and final outputs of the right-hand side to
-// the parent's port instances, creates fresh port instances and data items
-// for the internal data edges, records the step and notifies observers.
+// the given 1-based index (Deriver.Apply), records the instances, ports and
+// data items the step created and notifies observers. The initial inputs
+// and final outputs of the right-hand side are bound to the expanded
+// instance's port instances; each internal data edge gets fresh ones.
 func (r *Run) Apply(instanceID, prodIndex int) (*Step, error) {
-	if instanceID < 0 || instanceID >= len(r.Instances) {
-		return nil, fmt.Errorf("run: no instance %d", instanceID)
+	s, err := r.d.Apply(instanceID, prodIndex)
+	if err != nil {
+		return nil, err
 	}
-	inst := &r.Instances[instanceID]
-	if inst.Prod != 0 {
-		return nil, fmt.Errorf("run: instance %d (%s) is already expanded", instanceID, inst.Module)
-	}
-	if prodIndex < 1 || prodIndex > len(r.Spec.Grammar.Productions) {
-		return nil, fmt.Errorf("run: no production %d", prodIndex)
-	}
-	prod := r.Spec.Grammar.Productions[prodIndex-1]
-	if prod.LHS != inst.Module {
-		return nil, fmt.Errorf("run: production %d expands %q, not %q", prodIndex, prod.LHS, inst.Module)
-	}
-	w := prod.RHS
-	stepIdx := len(r.Steps) + 1
-	step := Step{Index: stepIdx, Instance: instanceID, Prod: prodIndex}
-
-	// Create child instances with unbound ports. All appends happen before
-	// any pointers into r.Instances are taken, because append may reallocate
-	// the backing array.
-	childIDs := make([]int, len(w.Nodes))
-	for ni, name := range w.Nodes {
+	for i, name := range s.Nodes {
 		decl := r.Spec.Grammar.Modules[name]
-		child := Instance{
-			ID:        len(r.Instances),
+		r.Instances = append(r.Instances, Instance{
+			ID:        s.FirstInstance + i,
 			Module:    name,
 			Parent:    instanceID,
-			Step:      stepIdx,
-			NodeIndex: ni,
+			Step:      s.Index,
+			NodeIndex: i,
 			Inputs:    make([]int, decl.In),
 			Outputs:   make([]int, decl.Out),
-		}
-		for i := range child.Inputs {
-			child.Inputs[i] = -1
-		}
-		for i := range child.Outputs {
-			child.Outputs[i] = -1
-		}
-		r.Instances = append(r.Instances, child)
-		childIDs[ni] = child.ID
-		step.NewInstances = append(step.NewInstances, child.ID)
+		})
 	}
-	inst = &r.Instances[instanceID]
-	inst.Children = append(inst.Children, childIDs...)
-	children := make([]*Instance, len(w.Nodes))
-	for ni, id := range childIDs {
-		children[ni] = &r.Instances[id]
+	// Pointers into r.Instances are taken only after the appends, which may
+	// reallocate the backing array.
+	parent := &r.Instances[instanceID]
+	parent.Prod = prodIndex
+	children := r.Instances[s.FirstInstance:]
+	for _, child := range children {
+		parent.Children = append(parent.Children, child.ID)
 	}
-
-	// Bind initial inputs / final outputs of W to the parent's ports.
-	initIns, err := w.InitialInputs(r.Spec.Grammar)
-	if err != nil {
-		return nil, err
+	for x, ref := range s.ins {
+		children[ref.Node].Inputs[ref.Port] = parent.Inputs[x]
 	}
-	finalOuts, err := w.FinalOutputs(r.Spec.Grammar)
-	if err != nil {
-		return nil, err
+	for x, ref := range s.outs {
+		children[ref.Node].Outputs[ref.Port] = parent.Outputs[x]
 	}
-	if len(initIns) != len(inst.Inputs) || len(finalOuts) != len(inst.Outputs) {
-		return nil, fmt.Errorf("run: production %d arity mismatch for %q", prodIndex, inst.Module)
-	}
-	for x, ref := range initIns {
-		children[ref.Node].Inputs[ref.Port] = inst.Inputs[x]
-	}
-	for x, ref := range finalOuts {
-		children[ref.Node].Outputs[ref.Port] = inst.Outputs[x]
-	}
-
-	// Create fresh port instances and data items for internal data edges.
-	for _, e := range w.Edges {
-		src := r.newPort(children[e.FromNode].ID, workflow.OutPort, e.FromPort)
-		dst := r.newPort(children[e.ToNode].ID, workflow.InPort, e.ToPort)
+	for j, e := range s.Edges {
+		src := r.newPort(s.FirstInstance+e.FromNode, workflow.OutPort, e.FromPort)
+		dst := r.newPort(s.FirstInstance+e.ToNode, workflow.InPort, e.ToPort)
 		children[e.FromNode].Outputs[e.FromPort] = src
 		children[e.ToNode].Inputs[e.ToPort] = dst
-		item := DataItem{ID: len(r.Items) + 1, Src: src, Dst: dst, Step: stepIdx, CreatedBy: instanceID}
-		r.Items = append(r.Items, item)
-		step.NewItems = append(step.NewItems, item.ID)
+		r.Items = append(r.Items, DataItem{ID: s.FirstItem + j, Src: src, Dst: dst, Step: s.Index, CreatedBy: instanceID})
 	}
 
-	// Every port of every child must now be bound (this is guaranteed by the
-	// pairwise non-adjacency and arity checks of the grammar, but verify to
-	// fail loudly on malformed specifications).
-	for _, child := range children {
-		for p, id := range child.Inputs {
-			if id < 0 {
-				return nil, fmt.Errorf("run: input port %d of %q left unbound by production %d", p, child.Module, prodIndex)
-			}
-		}
-		for p, id := range child.Outputs {
-			if id < 0 {
-				return nil, fmt.Errorf("run: output port %d of %q left unbound by production %d", p, child.Module, prodIndex)
-			}
-		}
-	}
-
-	inst.Prod = prodIndex
-	r.Steps = append(r.Steps, step)
+	r.Steps = append(r.Steps, s)
 	recorded := &r.Steps[len(r.Steps)-1]
 	for _, obs := range r.observers {
-		if err := obs.OnStep(r, recorded); err != nil {
+		if err := obs.OnStep(recorded); err != nil {
 			return nil, err
 		}
 	}

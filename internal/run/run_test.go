@@ -3,6 +3,7 @@ package run_test
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/run"
@@ -138,30 +139,73 @@ func TestApplyErrors(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesApply replays the step sequence of a recursive BioAID
-// run and requires the rebuilt run to equal the original, and a sequence
-// with a step that does not apply to fail.
+// TestReplayMatchesApply replays the step sequence of a partial recursive
+// BioAID run into a bare Deriver and requires every step record and the
+// frontier to equal the run's, and a step that does not apply to fail
+// without changing the derivation.
 func TestReplayMatchesApply(t *testing.T) {
 	spec := workloads.BioAID()
-	want, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 500, Rand: rand.New(rand.NewSource(3))})
+	want, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 500, Rand: rand.New(rand.NewSource(3)), Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := make([][2]int, len(want.Steps))
+	d := run.NewTemplates(spec).NewDeriver()
 	for i, st := range want.Steps {
-		steps[i] = [2]int{st.Instance, st.Prod}
+		got, err := d.Apply(st.Instance, st.Prod)
+		if err != nil {
+			t.Fatalf("replaying step %d: %v", i+1, err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Fatalf("step %d: replayed %+v, recorded %+v", i+1, got, st)
+		}
 	}
-	got, err := run.Replay(spec, steps)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
+	if !reflect.DeepEqual(d.Frontier(), want.Frontier()) || d.IsComplete() || want.IsComplete() {
+		t.Fatalf("replayed frontier %v, run frontier %v", d.Frontier(), want.Frontier())
 	}
-	if !reflect.DeepEqual(got.Instances, want.Instances) || !reflect.DeepEqual(got.Ports, want.Ports) ||
-		!reflect.DeepEqual(got.Items, want.Items) || !reflect.DeepEqual(got.Steps, want.Steps) {
-		t.Fatal("replayed run differs from the derived one")
-	}
-	if _, err := run.Replay(spec, append(steps, steps[0])); err == nil {
+	if _, err := d.Apply(want.Steps[0].Instance, want.Steps[0].Prod); err == nil {
 		t.Fatal("replay expanded an instance twice")
 	}
+	// The refused step changed nothing: the next step is numbered on from
+	// the run's last one.
+	id := want.Frontier()[0]
+	prod := spec.Grammar.ProductionsFor(want.Instances[id].Module)[0]
+	next, err := d.Apply(id, prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Index != len(want.Steps)+1 || next.FirstInstance != len(want.Instances) ||
+		next.FirstItem != want.Size()+1 || next.FirstPort != len(want.Ports) {
+		t.Fatalf("step after the replay is %+v; the run has %d steps, %d instances, %d items and %d ports",
+			next, len(want.Steps), len(want.Instances), want.Size(), len(want.Ports))
+	}
+}
+
+// TestTemplatesSharedAcrossDerivers: derivers of one Templates compile its
+// productions on first use, so several goroutines deriving at once must
+// each get the run's step records.
+func TestTemplatesSharedAcrossDerivers(t *testing.T) {
+	spec := workloads.BioAID()
+	want, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 300, Rand: rand.New(rand.NewSource(5))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	templates := run.NewTemplates(spec)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := templates.NewDeriver()
+			for i, st := range want.Steps {
+				got, err := d.Apply(st.Instance, st.Prod)
+				if err != nil || !reflect.DeepEqual(got, st) {
+					t.Errorf("step %d: derived %+v (%v), recorded %+v", i+1, got, err, st)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDerivationPortSharing(t *testing.T) {
@@ -171,21 +215,21 @@ func TestDerivationPortSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(step.NewInstances) != 6 {
-		t.Fatalf("W1 should create 6 instances, got %d", len(step.NewInstances))
+	if len(step.Nodes) != 6 {
+		t.Fatalf("W1 should create 6 instances, got %d", len(step.Nodes))
 	}
-	if len(step.NewItems) != 8 {
-		t.Fatalf("W1 should create 8 data items, got %d", len(step.NewItems))
+	if len(step.Edges) != 8 {
+		t.Fatalf("W1 should create 8 data items, got %d", len(step.Edges))
 	}
 	// The initial inputs of W1 are bound to S's input port instances: the
 	// first child (module a) inherits S's first input port.
 	root, _ := r.Instance(0)
-	child0, _ := r.Instance(step.NewInstances[0])
+	child0, _ := r.Instance(step.FirstInstance)
 	if child0.Module != "a" || child0.Inputs[0] != root.Inputs[0] {
 		t.Fatalf("a did not inherit S's first input port: %+v vs %+v", child0.Inputs, root.Inputs)
 	}
 	// The last child (module d) provides S's final outputs.
-	child5, _ := r.Instance(step.NewInstances[5])
+	child5, _ := r.Instance(step.FirstInstance + 5)
 	if child5.Module != "d" || child5.Outputs[0] != root.Outputs[0] || child5.Outputs[1] != root.Outputs[1] {
 		t.Fatalf("d did not inherit S's output ports")
 	}
@@ -235,8 +279,8 @@ type countingObserver struct {
 	inits, steps int
 }
 
-func (c *countingObserver) OnInit(*run.Run) error            { c.inits++; return nil }
-func (c *countingObserver) OnStep(*run.Run, *run.Step) error { c.steps++; return nil }
+func (c *countingObserver) OnInit(*workflow.Specification) error { c.inits++; return nil }
+func (c *countingObserver) OnStep(*run.Step) error               { c.steps++; return nil }
 func mustModule(t *testing.T, r *run.Run, id int) (mod string) {
 	t.Helper()
 	inst, ok := r.Instance(id)

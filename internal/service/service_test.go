@@ -12,10 +12,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/fvl"
 	"repro/fvl/client"
@@ -341,6 +343,86 @@ func TestStepStreamUntrustedInput(t *testing.T) {
 	// The session is usable at the acked epoch: the rest of the run applies.
 	if res, err := remote.SendSteps(ctx, steps[5:]); err != nil || res.Epoch != uint64(len(steps)) {
 		t.Fatalf("finishing the run: %+v, %v", res, err)
+	}
+}
+
+// waitEpoch polls the session's status on its own connection until it
+// reports at least the epoch, or fails the test after a deadline.
+func waitEpoch(t *testing.T, remote *client.Session, epoch uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := remote.Status(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Epoch >= epoch {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session still at epoch %d while the stream holds epoch %d", st.Epoch, epoch)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestStepStreamAppliesWhatHasArrived: a client streams steps over a
+// request body it keeps open. Each step is applied and published as soon as
+// its record arrives, so a second connection sees its epoch while the
+// stream is still open, and the stream's ack, once the client ends it,
+// counts every step.
+func TestStepStreamAppliesWhatHasArrived(t *testing.T) {
+	ctx := context.Background()
+	_, ts, c := startServer(t, Config{})
+	f := paperFixture(t, 5, 60)
+	remote, _ := register(t, c, f, "t", "wf", "s", false)
+	steps := f.run.StepLog()[:2]
+	first := len(journalOf(t, steps[:1])) // the header and the first record
+	body := journalOf(t, steps)
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	// send writes one chunk of the body; the write returns once the server
+	// has read it, or fails when the deferred Close runs.
+	send := func(chunk []byte) {
+		go func() { _, _ = pw.Write(chunk) }()
+	}
+	type ack struct {
+		code int
+		res  wire.StepsResult
+		err  error
+	}
+	acked := make(chan ack, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+wire.StepsPath("t", "wf", "s"), pr)
+		if err != nil {
+			acked <- ack{err: err}
+			return
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			acked <- ack{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var a ack
+		a.code = resp.StatusCode
+		a.err = json.NewDecoder(resp.Body).Decode(&a.res)
+		acked <- a
+	}()
+
+	send(body[:first])
+	waitEpoch(t, remote, 1)
+	send(body[first:])
+	waitEpoch(t, remote, 2)
+	pw.Close()
+	select {
+	case a := <-acked:
+		if a.err != nil || a.code != http.StatusOK || a.res.Applied != 2 || a.res.Epoch != 2 {
+			t.Fatalf("ack of the closed stream: status %d, %+v, %v; want 200 with applied=2 epoch=2", a.code, a.res, a.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no ack after the client closed the stream")
 	}
 }
 

@@ -62,9 +62,8 @@ func DeepRun(spec *workflow.Specification, opts RunOptions) (*run.Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, id := range step.NewInstances {
-			inst, _ := r.Instance(id)
-			seen[inst.Module] = true
+		for _, module := range step.Nodes {
+			seen[module] = true
 		}
 		steps++
 	}
