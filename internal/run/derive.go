@@ -2,7 +2,6 @@ package run
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/workflow"
@@ -55,31 +54,32 @@ type Template struct {
 // NewTemplates compiles the specification for derivation.
 func NewTemplates(spec *workflow.Specification) *Templates {
 	g := spec.Grammar
-	t := &Templates{spec: spec, index: map[string]int32{}}
-	composite := map[string]bool{}
-	for _, p := range g.Productions {
-		composite[p.LHS] = true
+	t := &Templates{
+		spec:    spec,
+		index:   make(map[string]int32, len(g.Modules)+1),
+		modules: make([]module, 0, len(g.Modules)+1),
+		lhs:     make([]int32, len(g.Productions)),
+		prods:   make([]lazyTemplate, len(g.Productions)),
 	}
-	names := []string{g.Start}
-	for name := range g.Modules {
-		names = append(names, name)
+	add := func(name string) int32 {
+		m, ok := t.index[name]
+		if !ok {
+			m = int32(len(t.modules))
+			t.index[name] = m
+			t.modules = append(t.modules, module{name: name})
+		}
+		return m
 	}
-	for name := range composite {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, ok := t.index[name]; !ok {
-			t.index[name] = int32(len(t.modules))
-			t.modules = append(t.modules, module{name: name, composite: composite[name]})
+	// Only the start module and production nodes can be instantiated; index
+	// them in declaration order, so one specification always compiles alike.
+	t.start = add(g.Start)
+	for k, p := range g.Productions {
+		t.lhs[k] = add(p.LHS)
+		t.modules[t.lhs[k]].composite = true
+		for _, name := range p.RHS.Nodes {
+			add(name)
 		}
 	}
-	t.start = t.index[g.Start]
-	t.lhs = make([]int32, len(g.Productions))
-	for k, p := range g.Productions {
-		t.lhs[k] = t.index[p.LHS]
-	}
-	t.prods = make([]lazyTemplate, len(g.Productions))
 	return t
 }
 
