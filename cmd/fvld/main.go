@@ -9,8 +9,9 @@
 //	fvld -addr :8439 -data /var/lib/fvld
 //
 // On SIGINT/SIGTERM the server drains first — new writes are refused while
-// in-flight work completes and every durable session is checkpointed — and
-// only then stops listening, so a restart replays nothing.
+// in-flight work completes — and only then stops listening. Every acked step
+// of a durable session is already on disk, so a restart resumes each session
+// at its acked epoch.
 package main
 
 import (
@@ -72,13 +73,7 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if resp, err := srv.Drain(); err != nil {
-		log.Printf("drain: %v", err)
-	} else {
-		for _, ci := range resp.Checkpointed {
-			log.Printf("checkpointed %s/%s/%s at epoch %d", ci.Tenant, ci.Scheme, ci.Session, ci.Epoch)
-		}
-	}
+	srv.Drain()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("shutdown: %v", err)
 	}

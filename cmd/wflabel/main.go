@@ -44,7 +44,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print label length statistics")
 	snapshot := flag.String("snapshot", "", "persist the scheme and the computed view label to this file (load it with wfcheck -load or fvl.OpenSnapshot)")
 	session := flag.String("session", "", "drive the derivation through a crash-durable session in this directory (resumed if it already holds one); -query is answered by the live session")
-	checkpoint := flag.Int("checkpoint", 0, "with -session: checkpoint every N steps (0 checkpoints once, at the end)")
 	remote := flag.String("remote", "", "mirror the derivation into an fvld server at this base URL (e.g. http://127.0.0.1:8439) and answer -query remotely")
 	tenant := flag.String("tenant", "default", "with -remote: the fvld tenant to use")
 	flag.Parse()
@@ -126,8 +125,8 @@ func main() {
 			if info.TornTruncated {
 				torn = ", torn tail truncated"
 			}
-			fmt.Printf("resumed session %s at epoch %d (checkpoint %d, replayed %d steps%s)\n",
-				*session, sess.Epoch(), info.CheckpointStep, info.ReplayedSteps, torn)
+			fmt.Printf("resumed session %s at epoch %d (replayed %d steps%s)\n",
+				*session, sess.Epoch(), info.ReplayedSteps, torn)
 		}
 		steps := r.StepLog()
 		start := int(sess.Epoch())
@@ -139,17 +138,8 @@ func main() {
 			if _, err := sess.Apply(req.Instance, req.Production); err != nil {
 				log.Fatalf("session step %d: %v (was the session created with different flags?)", start+i+1, err)
 			}
-			if *checkpoint > 0 && (start+i+1)%*checkpoint == 0 {
-				if err := sess.Checkpoint(); err != nil {
-					log.Fatalf("checkpoint at step %d: %v", start+i+1, err)
-				}
-			}
 		}
-		if err := sess.Checkpoint(); err != nil {
-			log.Fatalf("final checkpoint: %v", err)
-		}
-		fmt.Printf("session %s: epoch %d, %d items, checkpointed at %d\n",
-			*session, sess.Epoch(), sess.Items(), sess.LastCheckpoint())
+		fmt.Printf("session %s: epoch %d, %d items\n", *session, sess.Epoch(), sess.Items())
 		defer func() {
 			if err := sess.Close(); err != nil {
 				log.Fatalf("closing session: %v", err)
@@ -302,9 +292,6 @@ func runRemote(ctx context.Context, baseURL, tenant, workload string, spec *fvl.
 	res, err := sess.SendSteps(ctx, steps[start:])
 	if err != nil {
 		log.Fatalf("streaming steps (%d acked before failure): %v", res.Applied, err)
-	}
-	if _, err := sess.Checkpoint(ctx); err != nil {
-		log.Fatalf("remote checkpoint: %v", err)
 	}
 	fmt.Printf("remote session %s/%s/%s: epoch %d, %d items\n",
 		tenant, schemeName, sessionName, res.Epoch, res.Items)

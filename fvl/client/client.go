@@ -10,7 +10,9 @@
 // errors.Is(err, fvl.ErrUnknownItem) works on a remote answer exactly as it
 // does locally. Admission refusals surface as *ThrottledError (wrapping
 // ErrThrottled) carrying the server's Retry-After; drain refusals as
-// *DrainingError (wrapping ErrDraining).
+// *DrainingError (wrapping ErrDraining). A drain writes nothing: the server
+// syncs each step of a durable session before acking it, so after a restart
+// OpenSession resumes the session at its acked epoch.
 package client
 
 import (
@@ -199,28 +201,11 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(data), err
 }
 
-// CheckpointInfo reports a durable session's checkpoint position.
-type CheckpointInfo struct {
-	Tenant, Scheme, Session string
-	Epoch                   uint64
-	Checkpoint              int
-}
-
-// Drain puts the server into draining mode and returns the durable
-// sessions it checkpointed once in-flight work completed.
-func (c *Client) Drain(ctx context.Context) ([]CheckpointInfo, error) {
-	var resp wire.DrainResponse
-	if err := c.do(ctx, http.MethodPost, wire.PathDrain, nil, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]CheckpointInfo, len(resp.Checkpointed))
-	for i, ci := range resp.Checkpointed {
-		out[i] = CheckpointInfo{
-			Tenant: ci.Tenant, Scheme: ci.Scheme, Session: ci.Session,
-			Epoch: ci.Epoch, Checkpoint: ci.Checkpoint,
-		}
-	}
-	return out, nil
+// Drain puts the server into draining mode and returns once in-flight
+// writes and queries completed. Every acked step of a durable session is
+// already on disk, so a drain writes nothing.
+func (c *Client) Drain(ctx context.Context) error {
+	return c.do(ctx, http.MethodPost, wire.PathDrain, nil, nil)
 }
 
 // Resume takes the server out of draining mode.

@@ -19,7 +19,6 @@ type SessionStatus struct {
 	Items                   int
 	Complete                bool
 	Durable                 bool
-	Checkpoint              int
 	// Resumed reports that opening re-attached existing state (an already
 	// registered session, or a durable directory recovered after restart)
 	// instead of starting from scratch.
@@ -30,7 +29,7 @@ func statusOf(w wire.SessionStatus) SessionStatus {
 	return SessionStatus{
 		Tenant: w.Tenant, Scheme: w.Scheme, Session: w.Session,
 		Epoch: w.Epoch, Items: w.Items, Complete: w.Complete,
-		Durable: w.Durable, Checkpoint: w.Checkpoint, Resumed: w.Resumed,
+		Durable: w.Durable, Resumed: w.Resumed,
 	}
 }
 
@@ -192,17 +191,6 @@ func (s *Session) QueryBatch(ctx context.Context, viewName string, qs []fvl.Quer
 		out[i] = fvl.SetAnswer{Items: a.Items, Pairs: a.Pairs, Plan: a.Plan, Err: a.Error.Err()}
 	}
 	return out, resp.Epoch, nil
-}
-
-// Checkpoint folds a durable session's journal up to the current epoch into
-// one checkpoint file, so the segments it covers are compacted.
-func (s *Session) Checkpoint(ctx context.Context) (CheckpointInfo, error) {
-	var ci wire.CheckpointInfo
-	err := s.c.do(ctx, http.MethodPost, wire.CheckpointPath(s.tenant, s.scheme, s.name), nil, &ci)
-	return CheckpointInfo{
-		Tenant: ci.Tenant, Scheme: ci.Scheme, Session: ci.Session,
-		Epoch: ci.Epoch, Checkpoint: ci.Checkpoint,
-	}, err
 }
 
 // WriteJournal downloads the session's step prefix in the journal format;

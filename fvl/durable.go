@@ -10,12 +10,7 @@ import (
 const SyncOnCheckpoint = durable.SyncOnCheckpoint
 
 // DurableOption configures a durable session directory.
-type DurableOption func(*durableOptions)
-
-type durableOptions struct {
-	syncEvery int
-	strict    bool
-}
+type DurableOption func(*durable.Options)
 
 // WithSyncEvery sets the fsync policy: the journal is synced after every n
 // applied steps. The default 1 syncs every step — an acknowledged step is
@@ -23,23 +18,15 @@ type durableOptions struct {
 // throughput, and SyncOnCheckpoint syncs only at rotation, checkpoints and
 // Close.
 func WithSyncEvery(n int) DurableOption {
-	return func(o *durableOptions) { o.syncEvery = n }
-}
-
-// WithStrictRecovery makes ResumeDurable refuse a torn trailing journal
-// record (ErrTornJournal) instead of truncating it. A torn tail is the
-// normal signature of a crash mid-append; strict mode is for callers that
-// would rather inspect the directory than silently drop the partial step.
-func WithStrictRecovery() DurableOption {
-	return func(o *durableOptions) { o.strict = true }
+	return func(o *durable.Options) { o.SyncEvery = n }
 }
 
 func durableOpts(opts []DurableOption) durable.Options {
-	var o durableOptions
+	var o durable.Options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return durable.Options{SyncEvery: o.syncEvery, Strict: o.strict}
+	return o
 }
 
 // RecoveryInfo reports what ResumeDurable did.
@@ -80,7 +67,7 @@ func (s *Service) OpenDurable(dir string, opts ...DurableOption) (*DurableSessio
 
 // ResumeDurable reopens a session directory after a crash or a clean close:
 // it reads the steps of the latest checkpoint and the journal tail past it,
-// truncating at most one torn trailing record (unless WithStrictRecovery),
+// truncating at most one torn trailing record of the last segment,
 // derives and labels them in one pass, and returns the session ready to
 // append more steps. The directory is untrusted input —
 // structural damage is classified by ErrCorruptManifest,

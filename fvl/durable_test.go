@@ -97,8 +97,7 @@ func TestResumeDurableClassifiesDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A torn tail: strict recovery refuses with the public sentinel, default
-	// recovery truncates and says so.
+	// A torn tail: recovery truncates it and says so.
 	seg := filepath.Join(dir, "seg-0000000000.fvlj")
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -108,9 +107,6 @@ func TestResumeDurableClassifiesDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := svc.ResumeDurable(dir, fvl.WithStrictRecovery()); !errors.Is(err, fvl.ErrTornJournal) {
-		t.Fatalf("strict resume of torn tail: want ErrTornJournal, got %v", err)
-	}
 	resumed, err := svc.ResumeDurable(dir)
 	if err != nil {
 		t.Fatal(err)

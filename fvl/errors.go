@@ -57,7 +57,8 @@ var (
 
 	// ErrTornJournal: a step journal ends mid-record — the signature of a
 	// crash during an append. Torn journals also match ErrCorruptJournal;
-	// ResumeDurable truncates the torn tail unless WithStrictRecovery.
+	// ResumeDurable truncates a torn tail of the last segment and refuses
+	// one anywhere else.
 	ErrTornJournal = faults.ErrTornJournal
 
 	// ErrCorruptManifest: a durable session directory's MANIFEST failed

@@ -29,7 +29,7 @@
 // pass; no run is built. A session without a checkpoint takes the same path
 // with an empty prefix. A torn trailing record — the signature of a crash
 // mid-append — is truncated away (at most one, and only in the last
-// segment); Options.Strict refuses instead. The crash-matrix test drives
+// segment; elsewhere it is ErrTornJournal). The crash-matrix test drives
 // every one of these transitions through the fault-injecting filesystem in
 // internal/iofault and checks the recovered labels are byte-identical to
 // batch labeling of the recovered prefix.
@@ -66,9 +66,6 @@ type Options struct {
 	// 1 (the default) after every step, SyncOnCheckpoint only at
 	// rotation/checkpoint/close.
 	SyncEvery int
-	// Strict makes Recover refuse a torn trailing record instead of
-	// truncating it.
-	Strict bool
 	// FS is the filesystem (default DirFS).
 	FS FS
 }
@@ -222,7 +219,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 		jr, err := live.NewJournalReader(f)
 		if err != nil {
 			f.Close()
-			if errors.Is(err, faults.ErrTornJournal) && isLast && !opts.Strict {
+			if errors.Is(err, faults.ErrTornJournal) && isLast {
 				// A crash before the header reached the disk left a segment
 				// with no decodable record at all; drop it.
 				if err := fs.Remove(path); err != nil {
@@ -248,7 +245,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 			}
 			if err != nil {
 				f.Close()
-				if errors.Is(err, faults.ErrTornJournal) && isLast && !opts.Strict {
+				if errors.Is(err, faults.ErrTornJournal) && isLast {
 					if terr := fs.Truncate(path, jr.Offset()); terr != nil {
 						return nil, terr
 					}

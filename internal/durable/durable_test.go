@@ -353,10 +353,6 @@ func TestRecoverTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	if _, err := durable.Recover(scheme, dir, durable.Options{Strict: true}); !errors.Is(err, faults.ErrTornJournal) {
-		t.Fatalf("strict recovery of torn tail: want ErrTornJournal, got %v", err)
-	}
-
 	r, err := durable.Recover(scheme, dir, opts)
 	if err != nil {
 		t.Fatalf("default recovery of torn tail: %v", err)

@@ -192,6 +192,7 @@ func TestLoadRejectsForgedSnapshots(t *testing.T) {
 		{"the same view twice", "", forgePayload(paperJSON, def, def), "stores view \"default\" twice"},
 		{"an unsafe view", "", forgePayload(specJSON(t, unsafeSpec), defaultForgedView(unsafeSpec, 1)), "is unsafe"},
 		{"nested doubling 40 levels deep", "", forgePayload(doubling, defaultForgedView(mustParse(t, doubling), 0)), "over the"},
+		{"nested doubling 40 levels deep, no views", "", forgePayload(doubling), "declares 1099511627776+1099511627776 ports"},
 		{"long-period recursion", "", forgePayload(specJSON(t, perm), defaultForgedView(perm, 2)), "have not repeated"},
 		{"retired FVLSNAP\\x01 magic", "FVLSNAP\x01", forgePayload(paperJSON, def), "bad magic"},
 	}

@@ -34,9 +34,10 @@
 // analysis of LabelView catch the rest. Relabeling allocates what the
 // labels need, which a few forged bytes can make huge (a start module with
 // 2^40 ports is a short JSON number), so a load runs under an allocation
-// budget funded by its input: loadBudget(len(data)) bytes. Load returns an
-// error — never a panic or an allocation past that budget — on arbitrary
-// input (see FuzzLoad).
+// budget funded by its input: loadBudget(len(data)) bytes. The budget also
+// covers the start-module labels that every session of the scheme
+// allocates before its first step. Load returns an error — never a panic
+// or an allocation past that budget — on arbitrary input (see FuzzLoad).
 package labelstore
 
 import (
@@ -265,6 +266,11 @@ func loadBudget(n int) int { return 1<<20 + 4096*n }
 // the views); what is left funds relabeling.
 const decodeBytesPerInputByte = 1024
 
+// startPortBytes is what core.RunLabeler.OnInit allocates per start-module
+// port: the label pointer (8 B), the DataLabel (16 B) and its PortLabel
+// (32 B).
+const startPortBytes = 8 + 16 + 32
+
 // decoder is a bounds-checked cursor over the payload. Every read verifies
 // the remaining byte budget before allocating, so a corrupted length field
 // fails fast instead of attempting a huge allocation. budget is what is left
@@ -407,6 +413,16 @@ func (d *decoder) snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("labelstore: rebuilding scheme: %w", err)
 	}
+	// Every session of the scheme labels one item per start-module port
+	// before its first step, so a start module the budget cannot label is
+	// refused here, views or not.
+	start := spec.Grammar.Modules[spec.Grammar.Start]
+	need := (float64(start.In) + float64(start.Out)) * startPortBytes
+	if need > float64(d.budget) {
+		return nil, fmt.Errorf("labelstore: start module %q declares %d+%d ports, whose labels need %.4g bytes, over the %d bytes left of the budget",
+			spec.Grammar.Start, start.In, start.Out, need, d.budget)
+	}
+	d.budget -= int(need)
 
 	numLabels, err := d.count("view list", 4)
 	if err != nil {

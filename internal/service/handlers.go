@@ -39,7 +39,6 @@ func (s *Server) routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+wire.PathTenants+"/{tenant}/schemes/{scheme}/sessions/{session}/steps", s.handleSteps)
 	mux.HandleFunc("POST "+wire.PathTenants+"/{tenant}/schemes/{scheme}/sessions/{session}/depends", s.handleDepends)
 	mux.HandleFunc("POST "+wire.PathTenants+"/{tenant}/schemes/{scheme}/sessions/{session}/query", s.handleQuery)
-	mux.HandleFunc("POST "+wire.PathTenants+"/{tenant}/schemes/{scheme}/sessions/{session}/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET "+wire.PathTenants+"/{tenant}/schemes/{scheme}/sessions/{session}/journal", s.handleJournal)
 }
 
@@ -115,12 +114,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
-	resp, err := s.Drain()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.Drain()
+	writeJSON(w, http.StatusOK, wire.DrainResponse{Draining: true})
 }
 
 func (s *Server) handleResume(w http.ResponseWriter, _ *http.Request) {
@@ -322,39 +317,36 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 
 func (s *Server) statusOfSession(sess *session, resumed bool) wire.SessionStatus {
-	st := wire.SessionStatus{
+	return wire.SessionStatus{
 		Tenant:   sess.tenant,
 		Scheme:   sess.scheme.name,
 		Session:  sess.name,
 		Epoch:    sess.sess.Epoch(),
 		Items:    sess.sess.Items(),
 		Complete: sess.sess.IsComplete(),
+		Durable:  sess.durable != nil,
 		Resumed:  resumed,
 	}
-	if sess.durable != nil {
-		st.Durable = true
-		st.Checkpoint = sess.durable.LastCheckpoint()
-	}
-	return st
 }
 
 // handlePutSession creates (or idempotently re-attaches) a session. Mode
 // "live" keeps all state in memory; mode "durable" opens a session
 // directory under DataDir — and if the directory already holds a session
 // (a previous process, or a closed one), it is recovered via ResumeDurable,
-// which is what makes server restart transparent to producers.
+// which is what makes server restart transparent to producers. The scheme's
+// openMu is held from the lookup to the registration, so concurrent PUTs of
+// one name open its directory once and the rest re-attach.
 func (s *Server) handlePutSession(w http.ResponseWriter, r *http.Request) {
 	tenantName, schemeName, sessionName := r.PathValue("tenant"), r.PathValue("scheme"), r.PathValue("session")
 	if !wire.ValidName(sessionName) {
 		badName(w, "session", sessionName)
 		return
 	}
-	t, sc, ok := s.lookupScheme(tenantName, schemeName)
+	_, sc, ok := s.lookupScheme(tenantName, schemeName)
 	if !ok {
 		notFound(w, "scheme", schemeName)
 		return
 	}
-	_ = t
 	endWrite, err := s.beginWrite()
 	if err != nil {
 		drainingResponse(w)
@@ -371,14 +363,15 @@ func (s *Server) handlePutSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	if existing, ok := sc.sessions[sessionName]; ok {
-		status := s.statusOfSession(existing, true)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, status)
+	sc.openMu.Lock()
+	defer sc.openMu.Unlock()
+	s.mu.RLock()
+	existing, ok := sc.sessions[sessionName]
+	s.mu.RUnlock()
+	if ok {
+		writeJSON(w, http.StatusOK, s.statusOfSession(existing, true))
 		return
 	}
-	s.mu.Unlock()
 
 	sess := &session{name: sessionName, tenant: tenantName, scheme: sc}
 	resumed := false
@@ -415,29 +408,13 @@ func (s *Server) handlePutSession(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if racing, ok := sc.sessions[sessionName]; ok {
-		// Two concurrent PUTs; keep the first registration and discard ours.
-		status := s.statusOfSession(racing, true)
-		s.mu.Unlock()
-		if sess.durable != nil {
-			// Our duplicate holds the directory's journal open — but so does
-			// the winner; closing ours would tear the winner's files down
-			// with it. This cannot happen for durable sessions in practice:
-			// OpenDurable/ResumeDurable fail on a directory that is already
-			// locked by the winner, so only live duplicates reach here.
-			_ = sess.durable.Close()
-		}
-		writeJSON(w, http.StatusOK, status)
-		return
-	}
 	sc.sessions[sessionName] = sess
-	status := s.statusOfSession(sess, resumed)
 	s.mu.Unlock()
 	code := http.StatusCreated
 	if resumed {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, status)
+	writeJSON(w, code, s.statusOfSession(sess, resumed))
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
@@ -624,36 +601,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	_, sess, ok := s.lookupSession(r.PathValue("tenant"), r.PathValue("scheme"), r.PathValue("session"))
-	if !ok {
-		notFound(w, "session", r.PathValue("session"))
-		return
-	}
-	if sess.durable == nil {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("service: session %q is not durable", sess.name))
-		return
-	}
-	endWrite, err := s.beginWrite()
-	if err != nil {
-		drainingResponse(w)
-		return
-	}
-	defer endWrite()
-	if err := sess.durable.Checkpoint(); err != nil {
-		writeError(w, statusOf(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.CheckpointInfo{
-		Tenant:     sess.tenant,
-		Scheme:     sess.scheme.name,
-		Session:    sess.name,
-		Epoch:      sess.sess.Epoch(),
-		Checkpoint: sess.durable.LastCheckpoint(),
-	})
 }
 
 // handleJournal exports the session's current step prefix in the journal

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -11,7 +10,7 @@ import (
 
 // metrics is the hand-rolled Prometheus registry of the server: counters
 // and one histogram under a mutex, rendered in text exposition format at
-// scrape time. Session gauges (epoch, checkpoint lag) are not stored here —
+// scrape time. Session gauges (the epoch) are not stored here —
 // the scrape walks the live registry instead, so a gauge can never go stale
 // relative to the sessions it describes.
 type metrics struct {
@@ -21,9 +20,8 @@ type metrics struct {
 	throttled map[string]uint64 // per tenant: requests refused with 429
 	draining  float64
 
-	// stepLatency observes the wall time one streamed step spends between
-	// being decoded and being accepted by the session's feed channel — the
-	// ingestion backpressure a producer actually feels per step.
+	// stepLatency observes the wall time of one streamed step's
+	// Session.Apply call — the ingestion latency a producer feels per step.
 	stepBuckets [len(latencyBounds) + 1]uint64
 	stepSum     float64
 	stepCount   uint64
@@ -86,7 +84,6 @@ func (m *metrics) setDraining(on bool) {
 type sessionSample struct {
 	tenant, scheme, session string
 	epoch                   uint64
-	lag                     float64 // epoch - last checkpoint; NaN for non-durable
 }
 
 // inflightSample is one tenant's admission occupancy at scrape time.
@@ -164,15 +161,6 @@ func (m *metrics) write(w io.Writer, sessions []sessionSample, inflight []inflig
 		fmt.Fprintf(w, "fvld_session_epoch{tenant=%q,scheme=%q,session=%q} %d\n",
 			s.tenant, s.scheme, s.session, s.epoch)
 	}
-	fmt.Fprintf(w, "# HELP fvld_session_checkpoint_lag_steps Steps applied since the last durable checkpoint.\n")
-	fmt.Fprintf(w, "# TYPE fvld_session_checkpoint_lag_steps gauge\n")
-	for _, s := range sessions {
-		if math.IsNaN(s.lag) {
-			continue
-		}
-		fmt.Fprintf(w, "fvld_session_checkpoint_lag_steps{tenant=%q,scheme=%q,session=%q} %g\n",
-			s.tenant, s.scheme, s.session, s.lag)
-	}
 
 	fmt.Fprintf(w, "# HELP fvld_inflight_queries Query requests currently executing, by tenant.\n")
 	fmt.Fprintf(w, "# TYPE fvld_inflight_queries gauge\n")
@@ -211,21 +199,12 @@ func sortedKeys(m map[string]uint64) []string {
 func (s *Server) collectSessions() []sessionSample {
 	var out []sessionSample
 	for _, sess := range s.allSessions() {
-		// Read the epoch exactly once per sample: a producer racing the
-		// scrape must not make fvld_session_checkpoint_lag_steps disagree
-		// with fvld_session_epoch within one exposition.
-		epoch := sess.sess.Epoch()
-		sample := sessionSample{
+		out = append(out, sessionSample{
 			tenant:  sess.tenant,
 			scheme:  sess.scheme.name,
 			session: sess.name,
-			epoch:   epoch,
-			lag:     math.NaN(),
-		}
-		if sess.durable != nil {
-			sample.lag = float64(epoch) - float64(sess.durable.LastCheckpoint())
-		}
-		out = append(out, sample)
+			epoch:   sess.sess.Epoch(),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

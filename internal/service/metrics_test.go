@@ -9,7 +9,6 @@ package service
 import (
 	"bytes"
 	"io"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +28,8 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	m.setDraining(true)
 
 	sessions := []sessionSample{
-		{tenant: "a", scheme: "s", session: "r", epoch: 42, lag: 2},
-		{tenant: "b", scheme: "s", session: "r2", epoch: 7, lag: math.NaN()},
+		{tenant: "a", scheme: "s", session: "r", epoch: 42},
+		{tenant: "b", scheme: "s", session: "r2", epoch: 7},
 	}
 	inflight := []inflightSample{{tenant: "a", queries: 1, streams: 2}}
 
@@ -63,9 +62,6 @@ func TestMetricsGoldenScrape(t *testing.T) {
 		"# TYPE fvld_session_epoch gauge",
 		`fvld_session_epoch{tenant="a",scheme="s",session="r"} 42`,
 		`fvld_session_epoch{tenant="b",scheme="s",session="r2"} 7`,
-		"# HELP fvld_session_checkpoint_lag_steps Steps applied since the last durable checkpoint.",
-		"# TYPE fvld_session_checkpoint_lag_steps gauge",
-		`fvld_session_checkpoint_lag_steps{tenant="a",scheme="s",session="r"} 2`,
 		"# HELP fvld_inflight_queries Query requests currently executing, by tenant.",
 		"# TYPE fvld_inflight_queries gauge",
 		`fvld_inflight_queries{tenant="a"} 1`,

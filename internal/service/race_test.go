@@ -107,20 +107,16 @@ func TestConcurrentMultiTenantDrainMidflight(t *testing.T) {
 		}
 	}
 
-	// The admin drains mid-flight — checkpointing both durable sessions
-	// once in-flight work completes — and resumes, after which the refused
-	// producers pick their streams back up.
+	// The admin drains mid-flight — the drain returns once in-flight work
+	// completes — and resumes, after which the refused producers pick their
+	// streams back up.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		time.Sleep(10 * time.Millisecond)
-		checkpointed, err := c.Drain(ctx)
-		if err != nil {
+		if err := c.Drain(ctx); err != nil {
 			t.Errorf("drain: %v", err)
 			return
-		}
-		if len(checkpointed) != 2 {
-			t.Errorf("drain checkpointed %d sessions, want 2", len(checkpointed))
 		}
 		time.Sleep(10 * time.Millisecond)
 		if err := c.Resume(ctx); err != nil {
@@ -187,5 +183,67 @@ func TestConcurrentMultiTenantDrainMidflight(t *testing.T) {
 			}
 		}
 		t.Logf("%s: verified %d samples across %d distinct epochs", tenant, len(samples[tenant]), len(byEpoch))
+	}
+}
+
+// TestConcurrentDurableCreate: concurrent PUTs of one new durable session
+// name all succeed and address one session. Exactly one of them creates the
+// directory; the others re-attach to it, and a restart resumes it.
+func TestConcurrentDurableCreate(t *testing.T) {
+	ctx := context.Background()
+	dataDir := t.TempDir()
+	srv, ts, c := startServer(t, Config{DataDir: dataDir})
+	f := paperFixture(t, 5, 40)
+	register(t, c, f, "t", "wf", "first", false)
+
+	const puts = 8
+	var wg sync.WaitGroup
+	sessions := make([]*client.Session, puts)
+	statuses := make([]client.SessionStatus, puts)
+	errs := make([]error, puts)
+	for i := range puts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sessions[i], statuses[i], errs[i] = c.OpenSession(ctx, "t", "wf", "s", true)
+		}(i)
+	}
+	wg.Wait()
+	created := 0
+	for i, st := range statuses {
+		if errs[i] != nil {
+			t.Fatalf("PUT %d: %v", i, errs[i])
+		}
+		if st.Tenant != "t" || st.Scheme != "wf" || st.Session != "s" || !st.Durable || st.Epoch != 0 {
+			t.Fatalf("PUT %d reported %+v", i, st)
+		}
+		if !st.Resumed {
+			created++
+		}
+	}
+	if created != 1 {
+		t.Fatalf("%d of %d PUTs created the session, want 1", created, puts)
+	}
+
+	// Every handle writes to and reads from the one registered session.
+	steps := f.run.StepLog()
+	for i, sess := range sessions {
+		if _, err := sess.SendSteps(ctx, steps[i:i+1]); err != nil {
+			t.Fatalf("step %d through PUT %d's handle: %v", i+1, i, err)
+		}
+	}
+	for i, sess := range sessions {
+		if st, err := sess.Status(ctx); err != nil || st.Epoch != puts {
+			t.Fatalf("status through PUT %d's handle: %+v, %v; want epoch %d", i, st, err, puts)
+		}
+	}
+
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, c2 := startServer(t, Config{DataDir: dataDir})
+	if _, st, err := c2.OpenSession(ctx, "t", "wf", "s", true); err != nil || !st.Resumed || st.Epoch != puts {
+		t.Fatalf("restarted session: %+v, %v; want resumed at epoch %d", st, err, puts)
 	}
 }

@@ -15,8 +15,8 @@
 // The server adds exactly three things a library caller does not get:
 // per-tenant admission control (bounded in-flight queries and step streams,
 // refused with 429 + Retry-After), a graceful drain protocol (new writes
-// refused with 503 while in-flight work completes, then every durable
-// session is checkpointed), and a Prometheus /metrics endpoint.
+// refused with 503 while in-flight work completes), and a Prometheus
+// /metrics endpoint.
 package service
 
 import (
@@ -108,11 +108,13 @@ type tenant struct {
 }
 
 // scheme is one registered fvl.Service and the sessions running over it.
+// openMu serializes session PUTs, so a session is opened at most once.
 type scheme struct {
 	name     string
 	svc      *fvl.Service
 	basic    bool
 	sessions map[string]*session
+	openMu   sync.Mutex
 }
 
 // session is one live run being served remotely. durable is nil for
@@ -182,7 +184,7 @@ func (s *Server) sessionDir(tenantName, schemeName, sessionName string) string {
 
 // reload restores tenants and schemes from DataDir after a restart. Session
 // directories are left on disk untouched; a durable session resumes on its
-// next PUT, paying the journal-tail replay then.
+// next PUT, paying the journal replay then.
 func (s *Server) reload() error {
 	if s.cfg.DataDir == "" {
 		return nil
@@ -280,7 +282,7 @@ func (s *Server) lookupSession(tenantName, schemeName, sessionName string) (*ten
 // ---------------------------------------------------------------------------
 
 // beginWrite admits a mutating request (scheme upload, session create, step
-// stream, checkpoint). It fails with errDraining once Drain has begun; an
+// stream). It fails with errDraining once Drain has begun; an
 // admitted write holds the writers WaitGroup until its release func runs.
 func (s *Server) beginWrite() (func(), error) {
 	s.drainMu.Lock()
@@ -306,10 +308,12 @@ func (s *Server) beginQuery() func() {
 }
 
 // Drain puts the server into draining mode: new writes are refused with
-// 503, in-flight writes and queries are waited out, then every durable
-// session is checkpointed so a subsequent restart replays nothing. Reads
-// keep being served throughout. Drain is idempotent; Resume undoes it.
-func (s *Server) Drain() (wire.DrainResponse, error) {
+// 503, and Drain returns once in-flight writes and queries are done. It
+// writes nothing: every durable session is opened with the default
+// every-step fsync, so each acked step is already on disk, and a restart
+// resumes each session at its acked epoch. Reads keep being served
+// throughout. Drain is idempotent; Resume undoes it.
+func (s *Server) Drain() {
 	s.drainMu.Lock()
 	s.draining = true
 	s.drainMu.Unlock()
@@ -317,35 +321,6 @@ func (s *Server) Drain() (wire.DrainResponse, error) {
 
 	s.writers.Wait()
 	s.queries.Wait()
-
-	resp := wire.DrainResponse{Draining: true, Checkpointed: []wire.CheckpointInfo{}}
-	for _, sess := range s.allSessions() {
-		if sess.durable == nil {
-			continue
-		}
-		if err := sess.durable.Checkpoint(); err != nil {
-			return resp, fmt.Errorf("service: drain checkpoint %s/%s/%s: %w",
-				sess.tenant, sess.scheme.name, sess.name, err)
-		}
-		resp.Checkpointed = append(resp.Checkpointed, wire.CheckpointInfo{
-			Tenant:     sess.tenant,
-			Scheme:     sess.scheme.name,
-			Session:    sess.name,
-			Epoch:      sess.sess.Epoch(),
-			Checkpoint: sess.durable.LastCheckpoint(),
-		})
-	}
-	sort.Slice(resp.Checkpointed, func(i, j int) bool {
-		a, b := resp.Checkpointed[i], resp.Checkpointed[j]
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		if a.Scheme != b.Scheme {
-			return a.Scheme < b.Scheme
-		}
-		return a.Session < b.Session
-	})
-	return resp, nil
 }
 
 // Resume takes the server out of draining mode; refused writers may retry.
@@ -378,9 +353,8 @@ func (s *Server) allSessions() []*session {
 	return out
 }
 
-// Close releases every durable session's journal (without checkpointing —
-// pair with Drain first for a clean shutdown). The server must not serve
-// requests afterwards.
+// Close releases every durable session's journal (pair with Drain first so
+// no write is in flight). The server must not serve requests afterwards.
 func (s *Server) Close() error {
 	var firstErr error
 	for _, sess := range s.allSessions() {

@@ -12,17 +12,24 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/fvl"
 	"repro/fvl/client"
+	"repro/internal/core"
+	"repro/internal/labelstore"
 	"repro/internal/live"
 	"repro/internal/service/wire"
+	"repro/internal/workflow"
 )
 
 // fixture is one workload wired for a test: the spec, the views the scheme
@@ -232,6 +239,60 @@ func TestErrorTaxonomyCrossesTheWire(t *testing.T) {
 	}
 	if _, _, err := remote.Query(ctx, f.view, fvl.DepsOf(10_000)); !errors.Is(err, fvl.ErrUnknownItem) {
 		t.Fatalf("unknown item error %v does not classify as ErrUnknownItem", err)
+	}
+}
+
+// doublingSnapshot is a snapshot with no views of the grammar
+// C_{i+1} -> [C_i, C_i] nested 40 levels deep over a one-port atomic C_0:
+// its start module declares 2^40 input and output ports.
+func doublingSnapshot(t *testing.T) []byte {
+	t.Helper()
+	const depth = 40
+	var modules, prods []string
+	for i := 0; i <= depth; i++ {
+		modules = append(modules, fmt.Sprintf(`{"name":"C%d","in":%d,"out":%d}`, i, 1<<i, 1<<i))
+		if i > 0 {
+			prods = append(prods, fmt.Sprintf(`{"lhs":"C%d","nodes":["C%d","C%d"]}`, i, i-1, i-1))
+		}
+	}
+	doc := fmt.Sprintf(`{"start":"C%d","modules":[%s],"productions":[%s],"dependencies":{"C0":["1"]}}`,
+		depth, strings.Join(modules, ","), strings.Join(prods, ","))
+	spec := &workflow.Specification{}
+	if err := spec.UnmarshalJSON([]byte(doc)); err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := core.NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := labelstore.Save(&buf, scheme, nil); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSchemeUploadRefusesUnboundedStartModule: a scheme whose start module
+// declares more ports than the upload's load budget can label is refused as
+// a corrupt snapshot (400), quickly, before any session could label it.
+func TestSchemeUploadRefusesUnboundedStartModule(t *testing.T) {
+	srv, _, c := startServer(t, Config{})
+	if err := c.CreateTenant(context.Background(), "t"); err != nil {
+		t.Fatal(err)
+	}
+	began := time.Now()
+	req := httptest.NewRequest(http.MethodPut, wire.SchemePath("t", "doubling"), bytes.NewReader(doublingSnapshot(t)))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("refusal took %v", took)
+	}
+	var werr wire.Error
+	if err := json.NewDecoder(rec.Body).Decode(&werr); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || werr.Kind != "corrupt-snapshot" {
+		t.Fatalf("upload answered %d %+v, want 400 corrupt-snapshot", rec.Code, werr)
 	}
 }
 
@@ -511,14 +572,19 @@ func TestDrainRestartResume(t *testing.T) {
 		t.Fatalf("first half: %+v, %v", res, err)
 	}
 
-	// Drain: the response reports the checkpoint taken after in-flight work
-	// completed, writes are refused with a typed error, reads still served.
-	checkpointed, err := c.Drain(ctx)
-	if err != nil {
+	// Drain: once in-flight work completed the session stands at the acked
+	// epoch, and the drain wrote nothing to its directory. Writes are then
+	// refused with a typed error; reads are still served.
+	dir := filepath.Join(dataDir, "t", "wf", "sessions", "s")
+	before := dirListing(t, dir)
+	if err := c.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(checkpointed) != 1 || checkpointed[0].Checkpoint != half {
-		t.Fatalf("drain checkpointed %+v, want the session at epoch %d", checkpointed, half)
+	if st, err := remote.Status(ctx); err != nil || st.Epoch != uint64(half) {
+		t.Fatalf("status after drain: %+v, %v; want epoch %d", st, err, half)
+	}
+	if after := dirListing(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("drain changed the session directory:\nbefore %v\nafter  %v", before, after)
 	}
 	if _, err := remote.SendSteps(ctx, steps[half:]); !errors.Is(err, client.ErrDraining) {
 		t.Fatalf("write during drain: %v, want ErrDraining", err)
@@ -546,7 +612,7 @@ func TestDrainRestartResume(t *testing.T) {
 	// Full restart: drain, shut the server down, bring a fresh process up
 	// over the same data dir. The scheme reloads from its persisted
 	// snapshot; the session resumes from its journal at the acked epoch.
-	if _, err := c.Drain(ctx); err != nil {
+	if err := c.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()
@@ -572,6 +638,24 @@ func TestDrainRestartResume(t *testing.T) {
 	if got, want := answerBytes(t, *gotAns), answerBytes(t, *wantAns); !bytes.Equal(got, want) {
 		t.Fatalf("answer after restart:\ngot  %s\nwant %s", got, want)
 	}
+}
+
+// dirListing maps each file name in dir to its size.
+func dirListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = info.Size()
+	}
+	return out
 }
 
 // TestJournalExportRoundTrip: the journal endpoint exports bytes a local

@@ -78,11 +78,6 @@ func QueryPath(tenant, scheme, session string) string {
 	return SessionPath(tenant, scheme, session) + "/query"
 }
 
-// CheckpointPath returns the checkpoint endpoint of a durable session.
-func CheckpointPath(tenant, scheme, session string) string {
-	return SessionPath(tenant, scheme, session) + "/checkpoint"
-}
-
 // JournalPath returns the journal export of a session (FVLJRNL bytes).
 func JournalPath(tenant, scheme, session string) string {
 	return SessionPath(tenant, scheme, session) + "/journal"
@@ -234,9 +229,6 @@ type SessionStatus struct {
 	Items    int    `json:"items"`
 	Complete bool   `json:"complete"`
 	Durable  bool   `json:"durable,omitempty"`
-	// Checkpoint is the epoch of the latest durable checkpoint (0 if none
-	// or not durable).
-	Checkpoint int `json:"checkpoint,omitempty"`
 	// Resumed reports that the PUT re-attached an existing session instead
 	// of creating one (idempotent create, or durable recovery).
 	Resumed bool `json:"resumed,omitempty"`
@@ -305,33 +297,24 @@ type ExplainResponse struct {
 	Plan string `json:"plan"`
 }
 
-// CheckpointInfo reports one durable session's checkpoint state.
-type CheckpointInfo struct {
-	Tenant     string `json:"tenant"`
-	Scheme     string `json:"scheme"`
-	Session    string `json:"session"`
-	Epoch      uint64 `json:"epoch"`
-	Checkpoint int    `json:"checkpoint"`
-}
-
-// DrainResponse answers POST /v1/admin/drain: every durable session the
-// drain checkpointed, after in-flight writes and queries completed.
+// DrainResponse answers POST /v1/admin/drain, once in-flight writes and
+// queries completed, and POST /v1/admin/resume.
 type DrainResponse struct {
-	Draining     bool             `json:"draining"`
-	Checkpointed []CheckpointInfo `json:"checkpointed"`
+	Draining bool `json:"draining"`
 }
 
 // Classify maps a service-layer error to its HTTP-ish nature for status
 // selection; it lives here so server and client agree on what each status
 // implies. The returned string is one of "bad-request" (malformed input:
-// corrupt journal, invalid query text), "unprocessable" (well-formed input
-// the specification rejects: invalid step, unknown item/view on a body
-// field) or "internal".
+// corrupt snapshot or journal, invalid query text), "unprocessable"
+// (well-formed input the specification rejects: invalid step, unknown
+// item/view on a body field) or "internal".
 func Classify(err error) string {
 	switch {
 	case err == nil:
 		return ""
-	case errors.Is(err, faults.ErrCorruptJournal), errors.Is(err, faults.ErrInvalidQuery):
+	case errors.Is(err, faults.ErrCorruptSnapshot), errors.Is(err, faults.ErrCorruptJournal),
+		errors.Is(err, faults.ErrInvalidQuery):
 		return "bad-request"
 	case errors.Is(err, faults.ErrInvalidStep), errors.Is(err, faults.ErrUnknownItem),
 		errors.Is(err, faults.ErrHiddenItem), errors.Is(err, faults.ErrUnknownView),

@@ -97,6 +97,7 @@ func TestClassify(t *testing.T) {
 		err  error
 		want string
 	}{
+		{faults.ErrCorruptSnapshot, "bad-request"},
 		{faults.ErrCorruptJournal, "bad-request"},
 		{faults.ErrInvalidQuery, "bad-request"},
 		{faults.ErrInvalidStep, "unprocessable"},
