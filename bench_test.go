@@ -159,7 +159,7 @@ func benchmarkQuery(b *testing.B, variant core.Variant, matrixFree bool, mode wo
 	}
 	visible := proj.VisibleItems()
 	rng := rand.New(rand.NewSource(4))
-	type pair struct{ a, b *core.DataLabel }
+	type pair struct{ a, b core.DataLabel }
 	pairs := make([]pair, 4096)
 	for i := range pairs {
 		a, _ := labeler.Label(visible[rng.Intn(len(visible))])
@@ -252,7 +252,7 @@ func BenchmarkFig23QueryDRL(b *testing.B) {
 	}
 	visible := proj.VisibleItems()
 	rng := rand.New(rand.NewSource(4))
-	type pair struct{ a, b *core.DataLabel }
+	type pair struct{ a, b core.DataLabel }
 	pairs := make([]pair, 4096)
 	for i := range pairs {
 		x, _ := labeler.Label(visible[rng.Intn(len(visible))])
@@ -346,7 +346,7 @@ func BenchmarkFig25QueryByModuleDegree(b *testing.B) {
 			}
 			visible := proj.VisibleItems()
 			rng := rand.New(rand.NewSource(12))
-			type pair struct{ a, b *core.DataLabel }
+			type pair struct{ a, b core.DataLabel }
 			pairs := make([]pair, 2048)
 			for i := range pairs {
 				x, _ := labeler.Label(visible[rng.Intn(len(visible))])

@@ -73,7 +73,9 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	srv.Drain()
+	if err := srv.Drain(ctx); err != nil {
+		log.Printf("drain: %v", err)
+	}
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("shutdown: %v", err)
 	}

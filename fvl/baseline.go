@@ -51,12 +51,9 @@ func LabelBaselines(ctx context.Context, views []*View, r *Run, opts ...Option) 
 
 // Label returns the per-view label of an original data item, or false when
 // the view hides the item.
-func (b *Baseline) Label(itemID int) (*Label, bool) {
+func (b *Baseline) Label(itemID int) (Label, bool) {
 	d, ok := b.l.Label(itemID)
-	if !ok {
-		return nil, false
-	}
-	return &Label{d: d}, true
+	return Label{d: d}, ok
 }
 
 // Visible reports whether the original data item is visible in the view.
@@ -66,8 +63,8 @@ func (b *Baseline) Visible(itemID int) bool { return b.l.Visible(itemID) }
 func (b *Baseline) Count() int { return b.l.Count() }
 
 // DependsOn answers a reachability query from two per-view labels.
-func (b *Baseline) DependsOn(d1, d2 *Label) (bool, error) {
-	return b.l.DependsOn(dataOf(d1), dataOf(d2))
+func (b *Baseline) DependsOn(d1, d2 Label) (bool, error) {
+	return b.l.DependsOn(d1.d, d2.d)
 }
 
 // DependsOnItems answers a reachability query for two original data items;
@@ -77,7 +74,7 @@ func (b *Baseline) DependsOnItems(d1, d2 int) (bool, error) {
 }
 
 // SizeBits returns the encoded length of a per-view label in bits.
-func (b *Baseline) SizeBits(l *Label) int { return b.l.SizeBits(dataOf(l)) }
+func (b *Baseline) SizeBits(l Label) int { return b.l.SizeBits(l.d) }
 
 // IndexSizeBits returns the size of the per-view static index in bits; it
 // plays the role of the view label in the paper's space accounting.

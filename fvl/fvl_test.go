@@ -148,7 +148,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 
 	// ErrUnknownView: single and batch paths.
-	if _, err := svc.DependsOn(ctx, "nope", nil, nil); !errors.Is(err, fvl.ErrUnknownView) {
+	if _, err := svc.DependsOn(ctx, "nope", fvl.Label{}, fvl.Label{}); !errors.Is(err, fvl.ErrUnknownView) {
 		t.Fatalf("DependsOn on unknown view: got %v, want ErrUnknownView", err)
 	}
 	if _, err := svc.DependsOnBatch(ctx, "nope", nil); !errors.Is(err, fvl.ErrUnknownView) {
@@ -161,7 +161,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	if _, err := svc.DependsOnBatch(canceled, "default", make([]fvl.Query, 256)); !errors.Is(err, fvl.ErrCanceled) {
 		t.Fatalf("canceled batch: got %v, want ErrCanceled", err)
 	}
-	if _, err := svc.DependsOn(canceled, "default", nil, nil); !errors.Is(err, fvl.ErrCanceled) {
+	if _, err := svc.DependsOn(canceled, "default", fvl.Label{}, fvl.Label{}); !errors.Is(err, fvl.ErrCanceled) {
 		t.Fatalf("canceled single query: got %v, want ErrCanceled", err)
 	}
 	labeler, err := fvl.NewLabeler(spec)
@@ -225,15 +225,16 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hidden *fvl.Label
+	var hidden fvl.Label
+	found := false
 	for _, item := range r.Items() {
 		l, _ := labels.Label(item.ID)
 		if !vl.Visible(l) {
-			hidden = l
+			hidden, found = l, true
 			break
 		}
 	}
-	if hidden == nil {
+	if !found {
 		t.Skip("tiny view hides nothing in this run")
 	}
 	if _, err := vl.DependsOn(hidden, hidden); !errors.Is(err, fvl.ErrHiddenItem) {

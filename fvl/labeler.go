@@ -328,12 +328,9 @@ type RunLabels struct {
 
 // Label returns the label of the data item, or false when the item carries
 // no label (unknown ID).
-func (r *RunLabels) Label(itemID int) (*Label, bool) {
+func (r *RunLabels) Label(itemID int) (Label, bool) {
 	d, ok := r.rl.Label(itemID)
-	if !ok {
-		return nil, false
-	}
-	return &Label{d: d}, true
+	return Label{d: d}, ok
 }
 
 // Count returns the number of labeled data items.
@@ -362,43 +359,29 @@ func (r *RunLabels) Encode(itemID int) (buf []byte, bits int, ok bool) {
 // Decode parses a label from the scheme's wire encoding (the inverse of
 // Encode). The input is treated as untrusted: corrupt encodings yield
 // errors, never panics.
-func (r *RunLabels) Decode(buf []byte, bits int) (*Label, error) {
+func (r *RunLabels) Decode(buf []byte, bits int) (Label, error) {
 	d, err := r.scheme.Codec().Decode(buf, bits)
-	if err != nil {
-		return nil, err
-	}
-	return &Label{d: d}, nil
+	return Label{d: d}, err
 }
 
 // Label is the label φr(d) of one data item: the pair of the producing and
 // consuming port labels. A label is meaningful for every view over the
-// specification it was computed for.
+// specification it was computed for. Labels are values; the zero Label has
+// no ports.
 type Label struct {
-	d *core.DataLabel
+	d core.DataLabel
 }
 
 // String renders the label in the paper's notation.
-func (l *Label) String() string {
-	if l == nil || l.d == nil {
-		return "-"
-	}
-	return l.d.String()
-}
+func (l Label) String() string { return l.d.String() }
 
 // IsInitialInput reports whether the label belongs to an initial input of
 // the run.
-func (l *Label) IsInitialInput() bool { return l != nil && l.d != nil && l.d.IsInitialInput() }
+func (l Label) IsInitialInput() bool { return l.d.IsInitialInput() }
 
 // IsFinalOutput reports whether the label belongs to a final output of the
 // run.
-func (l *Label) IsFinalOutput() bool { return l != nil && l.d != nil && l.d.IsFinalOutput() }
-
-func dataOf(l *Label) *core.DataLabel {
-	if l == nil {
-		return nil
-	}
-	return l.d
-}
+func (l Label) IsFinalOutput() bool { return l.d.IsFinalOutput() }
 
 // ViewLabel is the static label φv(U) of one safe view. Combined with two
 // data labels it answers "does d2 depend on d1 with respect to this view?"
@@ -422,17 +405,12 @@ func (v *ViewLabel) SizeBits() int { return v.vl.SizeBits() }
 // DependsOn reports whether the data item labeled d2 depends on the data
 // item labeled d1 with respect to the view. Items the view hides fail with
 // ErrHiddenItem.
-func (v *ViewLabel) DependsOn(d1, d2 *Label) (bool, error) {
-	return v.vl.DependsOn(dataOf(d1), dataOf(d2))
+func (v *ViewLabel) DependsOn(d1, d2 Label) (bool, error) {
+	return v.vl.DependsOn(d1.d, d2.d)
 }
 
 // Visible reports whether the labeled data item is visible in the view.
-func (v *ViewLabel) Visible(d *Label) bool {
-	if d == nil || d.d == nil {
-		return false
-	}
-	return v.vl.Visible(d.d)
-}
+func (v *ViewLabel) Visible(d Label) bool { return v.vl.Visible(d.d) }
 
 // MatrixFree returns a copy of the view label whose decoding short-circuits
 // products of complete or empty matrices (the Matrix-Free FVL of Section

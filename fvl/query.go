@@ -220,7 +220,7 @@ func (s *Service) ExplainQuery(viewName string, q QueryExpr) (string, error) {
 // queries at that epoch resolve through it. A new epoch
 // extends the cached index rather than rebuilding it: a live prefix's labels
 // are write-once over contiguous item IDs, so only the items produced since
-// the cached epoch are interned (core.ItemIndex.Extend). Every published
+// the cached epoch are indexed (core.ItemIndex.Extend). Every published
 // index stays immutable, so batches still running against an older epoch
 // are unaffected. The mutex makes this cache the lineage's single writer;
 // queries come from arbitrary goroutines.
@@ -229,7 +229,7 @@ type sessionIndex struct {
 	idx *core.ItemIndex
 }
 
-func (c *sessionIndex) for_(epoch uint64, n int, label func(int) (*core.DataLabel, bool)) *core.ItemIndex {
+func (c *sessionIndex) for_(epoch uint64, n int, label func(int) (core.DataLabel, bool)) *core.ItemIndex {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.idx == nil || c.idx.Epoch() != epoch {

@@ -14,7 +14,7 @@ import (
 
 // labelFunc abstracts the two label resolvers the set-query surfaces pin:
 // a completed run's RunLabels and a live Session's current prefix.
-type labelFunc func(itemID int) (*fvl.Label, bool)
+type labelFunc func(itemID int) (fvl.Label, bool)
 
 // oracleDeps answers Deps(x) by brute force: one point query per candidate,
 // including exactly the candidates whose point query answers (true, nil).

@@ -15,7 +15,7 @@ import (
 // Query is one reachability question for a batch: does the item labeled To
 // depend on the item labeled From?
 type Query struct {
-	From, To *Label
+	From, To Label
 }
 
 // Result answers one query of a batch. Err is non-nil when that query's
@@ -166,7 +166,7 @@ func (s *Service) Workers() int { return s.server.Engine().Workers() }
 // DependsOn answers one reachability query against the named view: does the
 // item labeled d2 depend on the item labeled d1? Unknown view names fail
 // with ErrUnknownView; a pre-canceled context fails with ErrCanceled.
-func (s *Service) DependsOn(ctx context.Context, viewName string, d1, d2 *Label) (bool, error) {
+func (s *Service) DependsOn(ctx context.Context, viewName string, d1, d2 Label) (bool, error) {
 	if err := background(ctx).Err(); err != nil {
 		return false, fmt.Errorf("fvl: query not started: %w (%v)", faults.ErrCanceled, err)
 	}
@@ -189,7 +189,7 @@ func (s *Service) DependsOn(ctx context.Context, viewName string, d1, d2 *Label)
 func (s *Service) DependsOnBatch(ctx context.Context, viewName string, queries []Query) ([]Result, error) {
 	eq := make([]engine.Query, len(queries))
 	for i, q := range queries {
-		eq[i] = engine.Query{D1: dataOf(q.From), D2: dataOf(q.To)}
+		eq[i] = engine.Query{D1: q.From.d, D2: q.To.d}
 	}
 	return s.server.DependsOnBatchContext(background(ctx), viewName, eq)
 }

@@ -122,12 +122,9 @@ func (s *Session) Err() error { return s.ls.Err() }
 
 // Label returns the label of the data item at the current epoch, or false
 // when the item has not been produced yet.
-func (s *Session) Label(itemID int) (*Label, bool) {
+func (s *Session) Label(itemID int) (Label, bool) {
 	d, ok := s.ls.Label(itemID)
-	if !ok {
-		return nil, false
-	}
-	return &Label{d: d}, true
+	return Label{d: d}, ok
 }
 
 // DependsOn answers one reachability question against the named view while

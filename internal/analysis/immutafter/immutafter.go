@@ -14,14 +14,19 @@
 // copy's maps and slices are still flagged: shallow copies share them with
 // the original, which is exactly how WithMatrixFree clones stay safe.
 //
-// Data and port labels are immutable too, with no construction exception:
-// the run labeler builds every one with a composite literal and never
-// modifies it after assignment (Section 4.2.3), which is what lets every
-// port label created at one instance share that instance's path and a live
-// session publish the labeler's own label slice. Any write to
-// core.DataLabel or core.PortLabel state, including an element of a port
-// label's Path, is flagged. A copy into label state and a whole-value store
-// through a pointer (*p = PortLabel{}) count as writes for every label type.
+// Data labels are immutable too. A data label is two (instance, port)
+// references into the run labeler's table, built into a value on read, and
+// its port labels' paths alias the labeler's path arena (Section 4.2.3: a
+// label is never modified after assignment). So the labeler's item records
+// and path arena are written only by its append path — the functions whose
+// doc comment carries the //fvlvet:label-append directive — which appends
+// past the end of every prefix the labeler published. Any other write to
+// core.RunLabeler state, including through a published prefix copy, or to
+// a core.itemRecord is flagged, and so is any write to core.DataLabel or
+// core.PortLabel state reached through a pointer or a container, including
+// an element of a port label's Path. A copy into label state and a
+// whole-value store through a pointer (*p = PortLabel{}) count as writes
+// for every label type.
 package immutafter
 
 import (
@@ -37,8 +42,9 @@ const corePath = "repro/internal/core"
 var Analyzer = &analysis.Analyzer{
 	Name: "immutafter",
 	Doc: "flags writes to core.ViewLabel state outside //fvlvet:viewlabel-ctor construction functions " +
-		"(view labels are read-only after construction so they can serve concurrent queries) " +
-		"and every write to core.DataLabel or core.PortLabel state (labels are never modified after assignment)",
+		"(view labels are read-only after construction so they can serve concurrent queries), " +
+		"writes to the run labeler's table outside //fvlvet:label-append functions " +
+		"and writes to shared core.DataLabel or core.PortLabel state (labels are never modified after assignment)",
 	Run: run,
 }
 
@@ -49,7 +55,7 @@ func run(pass *analysis.Pass) error {
 			return false
 		}
 		switch obj.Name() {
-		case "ViewLabel", "recChain", "DataLabel", "PortLabel":
+		case "ViewLabel", "recChain", "DataLabel", "PortLabel", "RunLabeler", "itemRecord":
 			return true
 		}
 		return false
@@ -63,6 +69,7 @@ func run(pass *analysis.Pass) error {
 				return
 			}
 			ctor := analysis.HasDirective(fd.Doc, "fvlvet:viewlabel-ctor")
+			appendPath := analysis.HasDirective(fd.Doc, "fvlvet:label-append")
 			analysis.EachWrite(pass.TypesInfo, fd.Body, func(w analysis.Write) {
 				t, ok := analysis.MatchWrite(pass.TypesInfo, w, match)
 				if !ok {
@@ -74,9 +81,16 @@ func run(pass *analysis.Pass) error {
 					return
 				}
 				name := analysis.Named(pass.TypesInfo.TypeOf(t.Base)).Obj().Name()
-				if name == "DataLabel" || name == "PortLabel" {
+				switch name {
+				case "DataLabel", "PortLabel":
 					pass.Reportf(w.Pos, "write to core.%s state: data labels are never modified after assignment, "+
 						"and port labels share their instance's path; build a new label instead", name)
+					return
+				case "RunLabeler", "itemRecord":
+					if !appendPath {
+						pass.Reportf(w.Pos, "write to core.%s state outside the labeler's append path: labels are never modified "+
+							"after assignment and published prefixes share the table; move the write into a //fvlvet:label-append function", name)
+					}
 					return
 				}
 				if ctor {

@@ -1,7 +1,7 @@
 // Package core impersonates repro/internal/core for the immutafter fixture:
 // the analyzer keys on the import path, so the fixture supplies a miniature
-// ViewLabel and data/port labels with the same mutation surfaces as the
-// real ones.
+// ViewLabel, run labeler table and data/port labels with the same mutation
+// surfaces as the real ones.
 package core
 
 type recChain struct {
@@ -67,56 +67,99 @@ type EdgeLabel struct {
 	K, I int
 }
 
-// PortLabel and DataLabel mirror the real run labels: a port label's Path
-// is shared by every port label created at one instance.
+// PortLabel and DataLabel mirror the real labels: values built on read
+// from the labeler's table, whose paths alias its path arena.
 type PortLabel struct {
 	Path []EdgeLabel
-	Port int
+	Port int32
 }
 
 type DataLabel struct {
-	Out *PortLabel
-	In  *PortLabel
+	Out PortLabel
+	In  PortLabel
 }
 
-// NewDataLabel builds labels by composite literal only: no diagnostic.
-func NewDataLabel(path []EdgeLabel, out, in int) *DataLabel {
-	return &DataLabel{
-		Out: &PortLabel{Path: path[:len(path):len(path)], Port: out},
-		In:  &PortLabel{Path: path[:len(path):len(path)], Port: in},
+type itemRecord struct {
+	outInst, outPort, inInst, inPort int32
+}
+
+// RunLabeler mirrors the real labeler's table: item records and a path
+// arena, appended to only by its append path.
+type RunLabeler struct {
+	items []itemRecord
+	edges []EdgeLabel
+	ends  []int32
+}
+
+// assign is the append path; its writes are the point.
+//
+//fvlvet:label-append
+func (l *RunLabeler) assign(r itemRecord, path []EdgeLabel) {
+	l.items = append(l.items, r)
+	l.edges = append(l.edges, path...)
+	l.ends = append(l.ends, int32(len(l.edges)))
+}
+
+// Prefix publishes a length-capped copy by composite literal: no diagnostic.
+func (l *RunLabeler) Prefix() RunLabeler {
+	return RunLabeler{items: l.items[:len(l.items):len(l.items)], edges: l.edges, ends: l.ends}
+}
+
+// Label builds a value on read: no diagnostic.
+func (l *RunLabeler) Label(id int) DataLabel {
+	r := l.items[id-1]
+	return DataLabel{
+		Out: PortLabel{Path: l.edges[l.ends[r.outInst]:l.ends[r.outInst+1]], Port: r.outPort},
+		In:  PortLabel{Path: l.edges[l.ends[r.inInst]:l.ends[r.inInst+1]], Port: r.inPort},
 	}
 }
 
-// Relabel writes through a shared path and into assigned labels.
-func Relabel(d *DataLabel, p *PortLabel) {
-	p.Path[0] = EdgeLabel{K: 1, I: 1} // want `write to core\.PortLabel state`
-	p.Path[0].I++                     // want `write to core\.PortLabel state`
-	d.In.Path[1].K = 2                // want `write to core\.PortLabel state`
-	p.Port = 3                        // want `write to core\.PortLabel state`
-	d.Out = p                         // want `write to core\.DataLabel state`
+// Reset writes the labeler's table outside the append path.
+func (l *RunLabeler) Reset() {
+	l.items = nil                // want `write to core\.RunLabeler state outside the labeler's append path`
+	l.ends[0] = 1                // want `write to core\.RunLabeler state outside the labeler's append path`
+	l.items[0].inPort = 2        // want `write to core\.itemRecord state outside the labeler's append path`
+	copy(l.edges, []EdgeLabel{}) // want `write to core\.RunLabeler state outside the labeler's append path`
 }
 
-// Overwrite stores whole labels through pointers and copies into a shared
-// path.
-func Overwrite(d *DataLabel, p *PortLabel, src []EdgeLabel) {
-	copy(p.Path, src) // want `write to core\.PortLabel state`
-	*p = PortLabel{}  // want `write to core\.PortLabel state`
-	*d = DataLabel{}  // want `write to core\.DataLabel state`
-	*d.In = *p        // want `write to core\.PortLabel state`
+// TamperPrefix writes through a published prefix, which shares the table.
+func TamperPrefix(l *RunLabeler) {
+	p := l.Prefix()
+	p.items = nil                // a private copy of the header: allowed
+	p.items[0] = itemRecord{}    // want `write to core\.RunLabeler state outside the labeler's append path`
+	p.items[1].outPort = 3       // want `write to core\.itemRecord state outside the labeler's append path`
+	p.edges[0] = EdgeLabel{K: 1} // want `write to core\.RunLabeler state outside the labeler's append path`
+}
+
+// TamperPath writes through a label's path, a slice of the path arena.
+func TamperPath(l *RunLabeler) {
+	d := l.Label(1)
+	d.In.Path[0] = EdgeLabel{K: 1, I: 1} // want `write to core\.PortLabel state`
+	d.Out.Path[0].I++                    // want `write to core\.PortLabel state`
+	copy(d.In.Path, []EdgeLabel{})       // want `write to core\.PortLabel state`
+	d.In.Port = 4                        // a field of a private value: allowed
+}
+
+// Overwrite stores whole labels through pointers.
+func Overwrite(d *DataLabel, p *PortLabel) {
+	*p = PortLabel{} // want `write to core\.PortLabel state`
+	*d = DataLabel{} // want `write to core\.DataLabel state`
+	d.Out = *p       // want `write to core\.DataLabel state`
 }
 
 // NotACtorForLabels: the view-label directive sanctions view-label writes
 // only.
 //
 //fvlvet:viewlabel-ctor
-func NotACtorForLabels(p *PortLabel) {
-	p.Path = nil // want `write to core\.PortLabel state`
+func NotACtorForLabels(l *RunLabeler, p *PortLabel) {
+	p.Path = nil  // want `write to core\.PortLabel state`
+	l.edges = nil // want `write to core\.RunLabeler state outside the labeler's append path`
 }
 
 // LocalCopy writes a field of a private by-value copy, which is allowed,
 // but the copy still shares its Path array with the original.
-func LocalCopy(p *PortLabel) PortLabel {
-	c := *p
+func LocalCopy(p PortLabel) PortLabel {
+	c := p
 	c.Port = 4
 	c.Path[0].K = 5 // want `write to core\.PortLabel state`
 	return c

@@ -92,10 +92,22 @@ func MatchWrite(info *types.Info, w Write, match func(*types.Named) bool) (Write
 }
 
 // IsLocalValueVar reports whether e names a function-local, non-field
-// variable — the one kind of base a direct field write cannot leak through,
-// because the write lands on the local copy.
+// variable, or a field of one reached without a pointer — the one kind of
+// base a direct field write cannot leak through, because the write lands on
+// the local copy.
 func IsLocalValueVar(info *types.Info, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
+	e = ast.Unparen(e)
+	for {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			break
+		}
+		if s, ok := info.Selections[sel]; !ok || s.Kind() != types.FieldVal || s.Indirect() {
+			return false
+		}
+		e = ast.Unparen(sel.X)
+	}
+	id, ok := e.(*ast.Ident)
 	if !ok {
 		return false
 	}

@@ -244,7 +244,7 @@ func bioAIDViews(spec *core.Scheme, mode workloads.DependencyMode, seed int64) (
 
 // visibleLabelPairs samples query inputs: pairs of labels of items visible in
 // the view.
-func visibleLabelPairs(labeler *core.RunLabeler, r *run.Run, v *view.View, count int, seed int64) ([][2]*core.DataLabel, error) {
+func visibleLabelPairs(labeler *core.RunLabeler, r *run.Run, v *view.View, count int, seed int64) ([][2]core.DataLabel, error) {
 	proj, err := run.Project(r, v)
 	if err != nil {
 		return nil, err
@@ -254,18 +254,18 @@ func visibleLabelPairs(labeler *core.RunLabeler, r *run.Run, v *view.View, count
 		return nil, fmt.Errorf("bench: view %q hides every data item", v.Name)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pairs := make([][2]*core.DataLabel, count)
+	pairs := make([][2]core.DataLabel, count)
 	for i := range pairs {
 		a, _ := labeler.Label(visible[rng.Intn(len(visible))])
 		b, _ := labeler.Label(visible[rng.Intn(len(visible))])
-		pairs[i] = [2]*core.DataLabel{a, b}
+		pairs[i] = [2]core.DataLabel{a, b}
 	}
 	return pairs, nil
 }
 
 // measureQueries runs the decoding predicate over the sample pairs and
 // returns the average time per query.
-func measureQueries(vl *core.ViewLabel, pairs [][2]*core.DataLabel) (time.Duration, error) {
+func measureQueries(vl *core.ViewLabel, pairs [][2]core.DataLabel) (time.Duration, error) {
 	start := time.Now()
 	for _, p := range pairs {
 		if _, err := vl.DependsOn(p[0], p[1]); err != nil {

@@ -161,7 +161,7 @@ func Fig23(cfg Config) (*Table, error) {
 		}
 		visible := proj.VisibleItems()
 		rng := newRand(cfg.Seed + 1500)
-		type drlPair struct{ a, b *core.DataLabel }
+		type drlPair struct{ a, b core.DataLabel }
 		drlPairs := make([]drlPair, queries)
 		for i := range drlPairs {
 			a, _ := dLabeler.Label(visible[rng.Intn(len(visible))])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -131,7 +132,7 @@ type Codec struct {
 	maxK    int // production count
 	maxS    int // cycle count
 	maxT    int // longest cycle length
-	maxPort int // largest port count of any module
+	maxPort int // largest port count of any module, capped at what a PortLabel holds
 }
 
 // NewCodec derives the fixed field widths from the scheme's specification.
@@ -159,21 +160,20 @@ func NewCodec(s *Scheme) *Codec {
 		maxK:     len(s.Spec.Grammar.Productions),
 		maxS:     len(s.Cycles),
 		maxT:     maxCycleLen,
-		maxPort:  maxPort,
+		maxPort:  min(maxPort, math.MaxInt32+1),
 	}
 }
 
 func (c *Codec) writeEdge(w *bitWriter, e EdgeLabel) {
-	if e.Recursive {
+	if e.Recursive() {
 		w.writeBit(1)
-		w.writeBits(uint64(e.S), c.sBits)
-		w.writeBits(uint64(e.T), c.tBits)
-		w.writeGamma(uint64(e.I))
+		w.writeBits(uint64(e.S()), c.sBits)
+		w.writeBits(uint64(e.T()), c.tBits)
 	} else {
 		w.writeBit(0)
-		w.writeBits(uint64(e.K), c.kBits)
-		w.writeGamma(uint64(e.I))
+		w.writeBits(uint64(e.K()), c.kBits)
 	}
+	w.writeGamma(uint64(e.I()))
 }
 
 func (c *Codec) readEdge(r *bitReader) (EdgeLabel, error) {
@@ -181,39 +181,41 @@ func (c *Codec) readEdge(r *bitReader) (EdgeLabel, error) {
 	if err != nil {
 		return EdgeLabel{}, err
 	}
+	var ks, t uint64
 	if rec == 1 {
-		s, err := r.readBits(c.sBits)
-		if err != nil {
+		if ks, err = r.readBits(c.sBits); err != nil {
 			return EdgeLabel{}, err
 		}
-		if s < 1 || s > uint64(c.maxS) {
-			return EdgeLabel{}, fmt.Errorf("core: decoded cycle index %d out of range [1, %d]", s, c.maxS)
+		if ks < 1 || ks > uint64(c.maxS) {
+			return EdgeLabel{}, fmt.Errorf("core: decoded cycle index %d out of range [1, %d]", ks, c.maxS)
 		}
-		t, err := r.readBits(c.tBits)
-		if err != nil {
+		if t, err = r.readBits(c.tBits); err != nil {
 			return EdgeLabel{}, err
 		}
 		if t < 1 || t > uint64(c.maxT) {
 			return EdgeLabel{}, fmt.Errorf("core: decoded cycle offset %d out of range [1, %d]", t, c.maxT)
 		}
-		i, err := r.readGamma()
-		if err != nil {
+	} else {
+		if ks, err = r.readBits(c.kBits); err != nil {
 			return EdgeLabel{}, err
 		}
-		return RecursiveEdge(int(s), int(t), int(i)), nil
-	}
-	k, err := r.readBits(c.kBits)
-	if err != nil {
-		return EdgeLabel{}, err
-	}
-	if k < 1 || k > uint64(c.maxK) {
-		return EdgeLabel{}, fmt.Errorf("core: decoded production index %d out of range [1, %d]", k, c.maxK)
+		if ks < 1 || ks > uint64(c.maxK) {
+			return EdgeLabel{}, fmt.Errorf("core: decoded production index %d out of range [1, %d]", ks, c.maxK)
+		}
 	}
 	i, err := r.readGamma()
 	if err != nil {
 		return EdgeLabel{}, err
 	}
-	return NonRecursiveEdge(int(k), int(i)), nil
+	// NewScheme keeps the maxima of K, S and T within their fields; the
+	// child position is bounded here.
+	if i > MaxEdgeChild {
+		return EdgeLabel{}, fmt.Errorf("core: decoded child position %d does not fit an edge label (%d)", i, MaxEdgeChild)
+	}
+	if rec == 1 {
+		return RecursiveEdge(int(ks), int(t), int(i)), nil
+	}
+	return NonRecursiveEdge(int(ks), int(i)), nil
 }
 
 func (c *Codec) writePath(w *bitWriter, path []EdgeLabel) {
@@ -251,16 +253,16 @@ func (c *Codec) readPath(r *bitReader) ([]EdgeLabel, error) {
 
 // Encode serializes a data label; it returns the byte buffer and the exact
 // number of significant bits (the label length reported by the experiments).
-func (c *Codec) Encode(d *DataLabel) ([]byte, int) {
+func (c *Codec) Encode(d DataLabel) ([]byte, int) {
 	w := &bitWriter{}
 	switch {
-	case d.Out == nil && d.In == nil:
+	case !d.Out.Present() && !d.In.Present():
 		w.writeBits(0, 2)
-	case d.Out == nil:
+	case !d.Out.Present():
 		w.writeBits(1, 2) // initial input
 		c.writePath(w, d.In.Path)
 		w.writeBits(uint64(d.In.Port), c.portBits)
-	case d.In == nil:
+	case !d.In.Present():
 		w.writeBits(2, 2) // final output
 		c.writePath(w, d.Out.Path)
 		w.writeBits(uint64(d.Out.Port), c.portBits)
@@ -277,7 +279,7 @@ func (c *Codec) Encode(d *DataLabel) ([]byte, int) {
 }
 
 // SizeBits returns the encoded length of the label in bits.
-func (c *Codec) SizeBits(d *DataLabel) int {
+func (c *Codec) SizeBits(d DataLabel) int {
 	_, n := c.Encode(d)
 	return n
 }
@@ -288,94 +290,89 @@ func (c *Codec) SizeBits(d *DataLabel) int {
 // count must fit the buffer, and the stream must be consumed exactly —
 // trailing bits are rejected, so for every (buf, nbit) pair there is at most
 // one label, the one Encode produces.
-func (c *Codec) Decode(buf []byte, nbit int) (*DataLabel, error) {
+func (c *Codec) Decode(buf []byte, nbit int) (DataLabel, error) {
 	if nbit < 0 || nbit > 8*len(buf) {
-		return nil, fmt.Errorf("core: declared bit count %d does not fit a %d-byte buffer", nbit, len(buf))
+		return DataLabel{}, fmt.Errorf("core: declared bit count %d does not fit a %d-byte buffer", nbit, len(buf))
 	}
 	if want := (nbit + 7) / 8; len(buf) != want {
-		return nil, fmt.Errorf("core: %d-bit label must occupy exactly %d bytes, got %d", nbit, want, len(buf))
+		return DataLabel{}, fmt.Errorf("core: %d-bit label must occupy exactly %d bytes, got %d", nbit, want, len(buf))
 	}
 	if pad := 8*len(buf) - nbit; pad > 0 && buf[len(buf)-1]&(1<<uint(pad)-1) != 0 {
-		return nil, fmt.Errorf("core: nonzero padding bits after the %d-bit label", nbit)
+		return DataLabel{}, fmt.Errorf("core: nonzero padding bits after the %d-bit label", nbit)
 	}
 	r := newBitReader(buf, nbit)
 	d, err := c.decodeBody(r)
 	if err != nil {
-		return nil, err
+		return DataLabel{}, err
 	}
 	if r.pos != r.nbit {
-		return nil, fmt.Errorf("core: %d unconsumed trailing bits after a complete label", r.nbit-r.pos)
+		return DataLabel{}, fmt.Errorf("core: %d unconsumed trailing bits after a complete label", r.nbit-r.pos)
 	}
 	return d, nil
 }
 
-func (c *Codec) decodeBody(r *bitReader) (*DataLabel, error) {
+func (c *Codec) decodeBody(r *bitReader) (DataLabel, error) {
 	kind, err := r.readBits(2)
 	if err != nil {
-		return nil, err
+		return DataLabel{}, err
 	}
-	readPort := func() (*PortLabel, error) {
+	readPort := func() (PortLabel, error) {
 		path, err := c.readPath(r)
 		if err != nil {
-			return nil, err
+			return PortLabel{}, err
 		}
 		p, err := r.readBits(c.portBits)
 		if err != nil {
-			return nil, err
+			return PortLabel{}, err
 		}
 		if p >= uint64(c.maxPort) {
-			return nil, fmt.Errorf("core: decoded port index %d out of range [0, %d)", p, c.maxPort)
+			return PortLabel{}, fmt.Errorf("core: decoded port index %d out of range [0, %d)", p, c.maxPort)
 		}
-		return &PortLabel{Path: path, Port: int(p)}, nil
+		return NewPortLabel(path, int32(p)), nil
 	}
 	switch kind {
 	case 0:
-		return &DataLabel{}, nil
+		return DataLabel{}, nil
 	case 1:
 		in, err := readPort()
-		if err != nil {
-			return nil, err
-		}
-		return &DataLabel{In: in}, nil
+		return DataLabel{In: in}, err
 	case 2:
 		out, err := readPort()
-		if err != nil {
-			return nil, err
-		}
-		return &DataLabel{Out: out}, nil
+		return DataLabel{Out: out}, err
 	default:
 		shared, err := c.readPath(r)
 		if err != nil {
-			return nil, err
+			return DataLabel{}, err
 		}
 		outSuffix, err := c.readPath(r)
 		if err != nil {
-			return nil, err
+			return DataLabel{}, err
 		}
 		outPort, err := r.readBits(c.portBits)
 		if err != nil {
-			return nil, err
+			return DataLabel{}, err
 		}
 		inSuffix, err := c.readPath(r)
 		if err != nil {
-			return nil, err
+			return DataLabel{}, err
 		}
 		inPort, err := r.readBits(c.portBits)
 		if err != nil {
-			return nil, err
+			return DataLabel{}, err
 		}
 		if outPort >= uint64(c.maxPort) || inPort >= uint64(c.maxPort) {
-			return nil, fmt.Errorf("core: decoded port index (%d, %d) out of range [0, %d)", outPort, inPort, c.maxPort)
+			return DataLabel{}, fmt.Errorf("core: decoded port index (%d, %d) out of range [0, %d)", outPort, inPort, c.maxPort)
 		}
 		// Encode factors out the *maximal* common prefix, so suffixes that
 		// both start with the same edge can only come from a non-canonical
 		// writer; accepting them would let two distinct streams decode to
 		// the same label.
 		if len(outSuffix) > 0 && len(inSuffix) > 0 && outSuffix[0] == inSuffix[0] {
-			return nil, fmt.Errorf("core: non-canonical shared prefix: both path suffixes start with %v", outSuffix[0])
+			return DataLabel{}, fmt.Errorf("core: non-canonical shared prefix: both path suffixes start with %v", outSuffix[0])
 		}
-		out := &PortLabel{Path: append(append([]EdgeLabel(nil), shared...), outSuffix...), Port: int(outPort)}
-		in := &PortLabel{Path: append(append([]EdgeLabel(nil), shared...), inSuffix...), Port: int(inPort)}
-		return &DataLabel{Out: out, In: in}, nil
+		return DataLabel{
+			Out: NewPortLabel(append(append([]EdgeLabel(nil), shared...), outSuffix...), int32(outPort)),
+			In:  NewPortLabel(append(append([]EdgeLabel(nil), shared...), inSuffix...), int32(inPort)),
+		}, nil
 	}
 }

@@ -17,7 +17,7 @@ import (
 // randomLabel generates a structurally plausible data label for the paper
 // example's scheme: edge fields stay within the ranges the codec's fixed
 // widths were derived from, child positions and path lengths vary freely.
-func randomLabel(rng *rand.Rand, scheme *core.Scheme) *core.DataLabel {
+func randomLabel(rng *rand.Rand, scheme *core.Scheme) core.DataLabel {
 	prods := len(scheme.Spec.Grammar.Productions)
 	cycles := len(scheme.Cycles)
 	randPath := func(n int) []core.EdgeLabel {
@@ -33,19 +33,19 @@ func randomLabel(rng *rand.Rand, scheme *core.Scheme) *core.DataLabel {
 		}
 		return path
 	}
-	randPort := func(path []core.EdgeLabel) *core.PortLabel {
-		return &core.PortLabel{Path: path, Port: rng.Intn(2)}
+	randPort := func(path []core.EdgeLabel) core.PortLabel {
+		return core.NewPortLabel(path, rng.Int31n(2))
 	}
 	switch rng.Intn(4) {
 	case 0: // initial input
-		return &core.DataLabel{In: randPort(randPath(rng.Intn(3)))}
+		return core.DataLabel{In: randPort(randPath(rng.Intn(3)))}
 	case 1: // final output
-		return &core.DataLabel{Out: randPort(randPath(rng.Intn(3)))}
+		return core.DataLabel{Out: randPort(randPath(rng.Intn(3)))}
 	default: // intermediate item with a shared prefix
 		shared := randPath(rng.Intn(5))
 		out := append(append([]core.EdgeLabel(nil), shared...), randPath(rng.Intn(3))...)
 		in := append(append([]core.EdgeLabel(nil), shared...), randPath(rng.Intn(3))...)
-		return &core.DataLabel{Out: randPort(out), In: randPort(in)}
+		return core.DataLabel{Out: randPort(out), In: randPort(in)}
 	}
 }
 
@@ -77,10 +77,10 @@ func TestCodecRoundTripQuick(t *testing.T) {
 
 // normalize maps nil and empty paths to a canonical form so DeepEqual
 // compares label structure, not slice identity.
-func normalize(d *core.DataLabel) [2][]string {
+func normalize(d core.DataLabel) [2][]string {
 	var out [2][]string
-	render := func(p *core.PortLabel) []string {
-		if p == nil {
+	render := func(p core.PortLabel) []string {
+		if !p.Present() {
 			return nil
 		}
 		parts := make([]string, 0, len(p.Path)+1)
@@ -132,9 +132,9 @@ func TestCodecDecodeRejectsTruncatedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := scheme.Codec()
-	label := &core.DataLabel{
-		Out: &core.PortLabel{Path: []core.EdgeLabel{core.NonRecursiveEdge(1, 3), core.RecursiveEdge(1, 1, 5)}, Port: 1},
-		In:  &core.PortLabel{Path: []core.EdgeLabel{core.NonRecursiveEdge(1, 3), core.NonRecursiveEdge(5, 2)}, Port: 0},
+	label := core.DataLabel{
+		Out: core.NewPortLabel([]core.EdgeLabel{core.NonRecursiveEdge(1, 3), core.RecursiveEdge(1, 1, 5)}, 1),
+		In:  core.NewPortLabel([]core.EdgeLabel{core.NonRecursiveEdge(1, 3), core.NonRecursiveEdge(5, 2)}, 0),
 	}
 	buf, nbits := codec.Encode(label)
 	for cut := 1; cut < nbits; cut += 7 {
@@ -158,7 +158,7 @@ func TestCodecDecodeRejectsOutOfRangeFields(t *testing.T) {
 	}
 	codec := scheme.Codec()
 
-	encode := func(d *core.DataLabel) ([]byte, int) {
+	encode := func(d core.DataLabel) ([]byte, int) {
 		buf, nbits := codec.Encode(d)
 		return buf, nbits
 	}
@@ -171,25 +171,25 @@ func TestCodecDecodeRejectsOutOfRangeFields(t *testing.T) {
 
 	// Port 3 is representable in 2 bits but the largest module has 2 ports.
 	// Encode writes it happily (it only measures lengths); Decode must not.
-	buf, nbits := encode(&core.DataLabel{In: &core.PortLabel{Port: 3}})
+	buf, nbits := encode(core.DataLabel{In: core.NewPortLabel(nil, 3)})
 	mustReject("port past the module maximum", buf, nbits)
 
 	// Production index 0 and 9..15 are representable in 4 bits; only 1..8 exist.
 	for _, k := range []int{0, 9, 15} {
-		buf, nbits := encode(&core.DataLabel{In: &core.PortLabel{Path: []core.EdgeLabel{core.NonRecursiveEdge(k, 1)}, Port: 0}})
+		buf, nbits := encode(core.DataLabel{In: core.NewPortLabel([]core.EdgeLabel{core.NonRecursiveEdge(k, 1)}, 0)})
 		mustReject(fmt.Sprintf("production index %d", k), buf, nbits)
 	}
 
 	// Cycle index 0 and 3 are representable in 2 bits; only cycles 1 and 2 exist.
 	for _, s := range []int{0, 3} {
-		buf, nbits := encode(&core.DataLabel{In: &core.PortLabel{Path: []core.EdgeLabel{core.RecursiveEdge(s, 1, 1)}, Port: 0}})
+		buf, nbits := encode(core.DataLabel{In: core.NewPortLabel([]core.EdgeLabel{core.RecursiveEdge(s, 1, 1)}, 0)})
 		mustReject(fmt.Sprintf("cycle index %d", s), buf, nbits)
 	}
 
 	// Cycle offset 0 and 3 are representable in 2 bits; offsets are 1-based
 	// and the longest cycle has 2 edges.
 	for _, offset := range []int{0, 3} {
-		buf, nbits := encode(&core.DataLabel{In: &core.PortLabel{Path: []core.EdgeLabel{core.RecursiveEdge(1, offset, 1)}, Port: 0}})
+		buf, nbits := encode(core.DataLabel{In: core.NewPortLabel([]core.EdgeLabel{core.RecursiveEdge(1, offset, 1)}, 0)})
 		mustReject(fmt.Sprintf("cycle offset %d", offset), buf, nbits)
 	}
 }
@@ -201,7 +201,7 @@ func TestCodecDecodeRejectsTrailingBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := scheme.Codec()
-	label := &core.DataLabel{In: &core.PortLabel{Path: []core.EdgeLabel{core.NonRecursiveEdge(1, 3)}, Port: 1}}
+	label := core.DataLabel{In: core.NewPortLabel([]core.EdgeLabel{core.NonRecursiveEdge(1, 3)}, 1)}
 	buf, nbits := codec.Encode(label)
 	if _, err := codec.Decode(buf, nbits); err != nil {
 		t.Fatalf("the canonical encoding must decode: %v", err)
@@ -285,7 +285,7 @@ func TestCodecDecodeRejectsNonCanonicalForms(t *testing.T) {
 	}
 	codec := scheme.Codec()
 
-	label := &core.DataLabel{In: &core.PortLabel{Path: []core.EdgeLabel{core.NonRecursiveEdge(1, 3)}, Port: 1}}
+	label := core.DataLabel{In: core.NewPortLabel([]core.EdgeLabel{core.NonRecursiveEdge(1, 3)}, 1)}
 	buf, nbits := codec.Encode(label)
 	if _, err := codec.Decode(append(append([]byte(nil), buf...), 0), nbits); err == nil {
 		t.Error("Decode accepted a buffer with a spare byte beyond the label")
@@ -302,9 +302,9 @@ func TestCodecDecodeRejectsNonCanonicalForms(t *testing.T) {
 	// only be written with a non-maximal shared prefix. Build the stream by
 	// hand: Encode would factor the common edge out.
 	e := core.NonRecursiveEdge(1, 1)
-	shared := &core.DataLabel{
-		Out: &core.PortLabel{Path: []core.EdgeLabel{e}, Port: 0},
-		In:  &core.PortLabel{Path: []core.EdgeLabel{e}, Port: 0},
+	shared := core.DataLabel{
+		Out: core.NewPortLabel([]core.EdgeLabel{e}, 0),
+		In:  core.NewPortLabel([]core.EdgeLabel{e}, 0),
 	}
 	cBuf, cBits := codec.Encode(shared)
 	if _, err := codec.Decode(cBuf, cBits); err != nil {
@@ -393,10 +393,10 @@ func FuzzCodecDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var fixed *core.DataLabel
+	var fixed core.DataLabel
 	for id := 1; id <= labeler.Count(); id++ {
 		d, _ := labeler.Label(id)
-		if d.In != nil && d.Out != nil && fixed == nil {
+		if d.In.Present() && d.Out.Present() && !fixed.In.Present() {
 			fixed = d
 		}
 		if id%15 == 0 {
@@ -433,7 +433,7 @@ func FuzzCodecDecode(f *testing.F) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		for _, pair := range [][2]*core.DataLabel{{d, fixed}, {fixed, d}} {
+		for _, pair := range [][2]core.DataLabel{{d, fixed}, {fixed, d}} {
 			want, wantErr := vl.DependsOn(pair[0], pair[1])
 			got, gotErr := planned.DependsOn(vl, pair[0], pair[1])
 			if got != want || (gotErr == nil) != (wantErr == nil) {
@@ -452,11 +452,11 @@ func TestEdgeAndPortLabelStrings(t *testing.T) {
 	if e2.String() != "(1,1,5)" {
 		t.Fatalf("recursive edge string = %q", e2.String())
 	}
-	p := &core.PortLabel{Path: []core.EdgeLabel{e1, e2}, Port: 1}
+	p := core.NewPortLabel([]core.EdgeLabel{e1, e2}, 1)
 	if p.String() != "{(1,5),(1,1,5),1}" {
 		t.Fatalf("port label string = %q", p.String())
 	}
-	d := &core.DataLabel{Out: p}
+	d := core.DataLabel{Out: p}
 	if !d.IsFinalOutput() || d.IsInitialInput() {
 		t.Fatalf("label with only an output port must be a final output")
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 type queryPair struct {
-	d1, d2 *DataLabel
+	d1, d2 DataLabel
 	want   bool
 }
 

@@ -14,22 +14,22 @@ func (s *Scheme) moduleAt(path []EdgeLabel) (workflow.Module, error) {
 	g := s.Spec.Grammar
 	cur := g.Modules[g.Start]
 	for _, e := range path {
-		if e.Recursive {
-			m, err := s.moduleAtCycleOffset(e.S, e.T+e.I-1)
+		if e.Recursive() {
+			m, err := s.moduleAtCycleOffset(e.S(), e.T()+e.I()-1)
 			if err != nil {
 				return workflow.Module{}, err
 			}
 			cur = m
 			continue
 		}
-		if e.K < 1 || e.K > len(g.Productions) {
+		if e.K() < 1 || e.K() > len(g.Productions) {
 			return workflow.Module{}, fmt.Errorf("core: edge label %v references unknown production", e)
 		}
-		p := g.Productions[e.K-1]
-		if e.I < 1 || e.I > len(p.RHS.Nodes) {
-			return workflow.Module{}, fmt.Errorf("core: edge label %v references unknown node of production %d", e, e.K)
+		p := g.Productions[e.K()-1]
+		if e.I() < 1 || e.I() > len(p.RHS.Nodes) {
+			return workflow.Module{}, fmt.Errorf("core: edge label %v references unknown node of production %d", e, e.K())
 		}
-		cur = g.Modules[p.RHS.Nodes[e.I-1]]
+		cur = g.Modules[p.RHS.Nodes[e.I()-1]]
 	}
 	return cur, nil
 }
@@ -107,33 +107,22 @@ func (vl *ViewLabel) chainProduct(qc *queryCtx, path []EdgeLabel, from int, outp
 	return result, nil
 }
 
-// inputsProduct returns the product of the I matrices over path[from:]: the
-// reachability matrix from the inputs of the module at path[:from] to the
-// inputs of the module at the end of the path. An empty segment yields the
-// identity.
-func (vl *ViewLabel) inputsProduct(qc *queryCtx, path []EdgeLabel, from int) (*boolmat.Matrix, error) {
-	if from >= len(path) {
-		mod, err := vl.scheme.moduleAt(path)
-		if err != nil {
-			return nil, err
-		}
-		return qc.identity(mod.In), nil
+// plainProduct returns the product of the I matrices over path[from:] (the
+// O matrices with outputs): the reachability matrix from the inputs of the
+// module at path[:from] to the inputs of the module at the end of the path
+// (reversed, from outputs to outputs). An empty segment yields the identity.
+func (vl *ViewLabel) plainProduct(qc *queryCtx, path []EdgeLabel, from int, outputs bool) (*boolmat.Matrix, error) {
+	if from < len(path) {
+		return vl.chainProduct(qc, path, from, outputs)
 	}
-	return vl.chainProduct(qc, path, from, false)
-}
-
-// outputsProduct returns the product of the O matrices over path[from:]: the
-// reversed reachability matrix from the outputs of the module at path[:from]
-// to the outputs of the module at the end of the path.
-func (vl *ViewLabel) outputsProduct(qc *queryCtx, path []EdgeLabel, from int) (*boolmat.Matrix, error) {
-	if from >= len(path) {
-		mod, err := vl.scheme.moduleAt(path)
-		if err != nil {
-			return nil, err
-		}
+	mod, err := vl.scheme.moduleAt(path)
+	if err != nil {
+		return nil, err
+	}
+	if outputs {
 		return qc.identity(mod.Out), nil
 	}
-	return vl.chainProduct(qc, path, from, true)
+	return qc.identity(mod.In), nil
 }
 
 // DependsOn is the decoding predicate π of the view-adaptive labeling scheme
@@ -147,123 +136,95 @@ func (vl *ViewLabel) outputsProduct(qc *queryCtx, path []EdgeLabel, from int) (*
 // from any number of goroutines concurrently; each call borrows a query
 // context from a shared pool. Workers issuing many queries back to back can
 // pin a context with NewQuerySession instead.
-func (vl *ViewLabel) DependsOn(d1, d2 *DataLabel) (bool, error) {
+func (vl *ViewLabel) DependsOn(d1, d2 DataLabel) (bool, error) {
 	qc := queryCtxPool.Get().(*queryCtx)
 	defer queryCtxPool.Put(qc)
 	return vl.dependsOn(qc, d1, d2)
 }
 
 // dependsOn answers one query using the given context.
-func (vl *ViewLabel) dependsOn(qc *queryCtx, d1, d2 *DataLabel) (bool, error) {
+func (vl *ViewLabel) dependsOn(qc *queryCtx, d1, d2 DataLabel) (bool, error) {
 	qc.begin()
-	if d1 == nil || d2 == nil {
-		return false, fmt.Errorf("core: nil data label")
+	if !d1.Out.Present() && !d1.In.Present() || !d2.Out.Present() && !d2.In.Present() {
+		return false, fmt.Errorf("core: a data label without ports labels no item")
 	}
-	return vl.decide(qc, nil, itemEnds{labelEnd(d1.Out), labelEnd(d1.In)}, itemEnds{labelEnd(d2.Out), labelEnd(d2.In)})
+	return vl.decide(qc, nil, d1, d2)
 }
 
 // dependsOnIndexed answers the point query between items from and to of idx:
 // the same answer dependsOn gives on their labels, with visibility and the
 // path-suffix chain products served from the plan attached for idx, where
-// the index's set scans cache them per interned node.
+// the index's set scans cache them per owner instance.
 func (vl *ViewLabel) dependsOnIndexed(qc *queryCtx, idx *ItemIndex, from, to int) (bool, error) {
 	qc.begin()
-	r1, ok := idx.ref(from)
+	a, ok := idx.resolve(from)
 	if !ok {
 		return false, fmt.Errorf("core: item %d has no label in the index: %w", from, faults.ErrUnknownItem)
 	}
-	r2, ok := idx.ref(to)
+	b, ok := idx.resolve(to)
 	if !ok {
 		return false, fmt.Errorf("core: item %d has no label in the index: %w", to, faults.ErrUnknownItem)
 	}
-	return vl.decide(qc, idx, itemEnds{idx.end(r1.out, r1.outPort), idx.end(r1.in, r1.inPort)},
-		itemEnds{idx.end(r2.out, r2.outPort), idx.end(r2.in, r2.inPort)})
+	return vl.decide(qc, idx, a, b)
 }
 
-// portEnd is one port side of an item as the point decoder sees it. node is
-// the path's interned node when the item was resolved through an ItemIndex,
-// and -1 for a label, which makes suffixProduct fall back to plainProduct.
-type portEnd struct {
-	ok   bool // the item has a port on this side
-	path []EdgeLabel
-	port int
-	node int32
-}
-
-// noPort is the side an item has no port on.
-var noPort = portEnd{node: -1}
-
-// itemEnds is an item's producing (out) and consuming (in) port.
-type itemEnds struct{ out, in portEnd }
-
-func labelEnd(p *PortLabel) portEnd {
-	if p == nil {
-		return noPort
+// endVisible is pathVisible of one port side, cached per owner instance when
+// the item was resolved through idx. An absent side is vacuously visible.
+func (vl *ViewLabel) endVisible(qc *queryCtx, idx *ItemIndex, p PortLabel) bool {
+	if idx != nil && p.Present() {
+		return vl.nodeVisible(qc, idx, p.Owner())
 	}
-	return portEnd{ok: true, path: p.Path, port: p.Port, node: -1}
-}
-
-// endVisible is pathVisible of one port side, read from the plan's per-node
-// cache when the side is interned. An absent side is vacuously visible.
-func (vl *ViewLabel) endVisible(qc *queryCtx, idx *ItemIndex, p portEnd) bool {
-	if p.node >= 0 {
-		return vl.nodeVisible(qc, idx, p.node)
-	}
-	return !p.ok || vl.pathVisible(p.path)
+	return vl.pathVisible(p.Path)
 }
 
 // decide is Algorithm 2's dispatch over two items, shared by the label and
 // the index-resolved point queries; idx is nil for labels.
-func (vl *ViewLabel) decide(qc *queryCtx, idx *ItemIndex, a, b itemEnds) (bool, error) {
-	if !vl.endVisible(qc, idx, a.out) || !vl.endVisible(qc, idx, a.in) {
+func (vl *ViewLabel) decide(qc *queryCtx, idx *ItemIndex, a, b DataLabel) (bool, error) {
+	if !vl.endVisible(qc, idx, a.Out) || !vl.endVisible(qc, idx, a.In) {
 		return false, fmt.Errorf("core: the first data item is not visible in view %q: %w", vl.view.Name, faults.ErrHiddenItem)
 	}
-	if !vl.endVisible(qc, idx, b.out) || !vl.endVisible(qc, idx, b.in) {
+	if !vl.endVisible(qc, idx, b.Out) || !vl.endVisible(qc, idx, b.In) {
 		return false, fmt.Errorf("core: the second data item is not visible in view %q: %w", vl.view.Name, faults.ErrHiddenItem)
 	}
 
 	// Case I: a final output has no dependents; nothing depends on less than
 	// an initial input.
-	if !a.in.ok || !b.out.ok {
+	if !a.In.Present() || !b.Out.Present() {
 		return false, nil
 	}
 
 	// Case II: initial input to final output — both are ports of the start
 	// module, so λ*(S) answers directly.
-	if !a.out.ok && !b.in.ok {
-		return vl.safeGet(vl.start, a.in.port, b.out.port)
+	if !a.Out.Present() && !b.In.Present() {
+		return vl.safeGet(vl.start, int(a.In.Port), int(b.Out.Port))
 	}
 
 	// Case III: initial input to intermediate item — chain the I matrices
 	// along the consuming port's path.
-	if !a.out.ok {
-		prod, err := vl.suffixProduct(qc, idx, b.in.node, b.in.path, 0, false)
+	if !a.Out.Present() {
+		prod, err := vl.suffixProduct(qc, idx, b.In.Owner(), b.In.Path, 0, false)
 		if err != nil {
 			return false, err
 		}
-		return vl.safeGet(prod, a.in.port, b.in.port)
+		return vl.safeGet(prod, int(a.In.Port), int(b.In.Port))
 	}
 
 	// Case IV: intermediate item to final output — chain the O matrices along
 	// the producing port's path.
-	if !b.in.ok {
-		prod, err := vl.suffixProduct(qc, idx, a.out.node, a.out.path, 0, true)
+	if !b.In.Present() {
+		prod, err := vl.suffixProduct(qc, idx, a.Out.Owner(), a.Out.Path, 0, true)
 		if err != nil {
 			return false, err
 		}
-		return vl.safeGet(prod, b.out.port, a.out.port)
+		return vl.safeGet(prod, int(b.Out.Port), int(a.Out.Port))
 	}
 
 	// Main cases 1, 2a and 2b: both items are intermediate.
-	var pp *pathPair
-	if idx != nil {
-		pp = &pathPair{idx: idx, srcNode: a.out.node, dstNode: b.in.node}
-	}
-	res, err := vl.decodeMainMatrix(qc, a.out.path, b.in.path, pp)
+	res, err := vl.decodeMainMatrix(qc, idx, a.Out.Owner(), a.Out.Path, b.In.Owner(), b.In.Path)
 	if err != nil || res == nil {
 		return false, err
 	}
-	return vl.safeGet(res, a.out.port, b.in.port)
+	return vl.safeGet(res, int(a.Out.Port), int(b.In.Port))
 }
 
 func (vl *ViewLabel) safeGet(m *boolmat.Matrix, x, y int) (bool, error) {
@@ -271,17 +232,6 @@ func (vl *ViewLabel) safeGet(m *boolmat.Matrix, x, y int) (bool, error) {
 		return false, fmt.Errorf("core: port index (%d,%d) out of range for %dx%d reachability matrix", x, y, m.Rows(), m.Cols())
 	}
 	return m.Get(x, y), nil
-}
-
-// pathPair identifies the two interned tree nodes a set scan or an
-// index-resolved point query is decoding between, letting decodeMainMatrix
-// serve the path-suffix chain products from the plan cache instead of
-// recomputing them. A nil pathPair (the label point query) computes products
-// directly in scratch.
-type pathPair struct {
-	idx     *ItemIndex
-	srcNode int32 // interned node of l1
-	dstNode int32 // interned node of l2
 }
 
 // decodeMainMatrix is the matrix-valued core of cases 1, 2a and 2b: given the
@@ -293,20 +243,11 @@ type pathPair struct {
 //
 // The point decoders read a single entry of the result; the set scans read a
 // whole row or column, which is what makes one matrix chain answer a whole
-// group of items at once.
-func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *pathPair) (*boolmat.Matrix, error) {
-	outProd := func(from int) (*boolmat.Matrix, error) {
-		if pp != nil {
-			return vl.suffixProduct(qc, pp.idx, pp.srcNode, l1, from, true)
-		}
-		return vl.outputsProduct(qc, l1, from)
-	}
-	inProd := func(from int) (*boolmat.Matrix, error) {
-		if pp != nil {
-			return vl.suffixProduct(qc, pp.idx, pp.dstNode, l2, from, false)
-		}
-		return vl.inputsProduct(qc, l2, from)
-	}
+// group of items at once. With idx, the paths' suffix products are cached
+// per owner instance, srcNode and dstNode (suffixProduct).
+func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, idx *ItemIndex, srcNode int32, l1 []EdgeLabel, dstNode int32, l2 []EdgeLabel) (*boolmat.Matrix, error) {
+	outProd := func(from int) (*boolmat.Matrix, error) { return vl.suffixProduct(qc, idx, srcNode, l1, from, true) }
+	inProd := func(from int) (*boolmat.Matrix, error) { return vl.suffixProduct(qc, idx, dstNode, l2, from, false) }
 
 	shared := commonPrefixLen(l1, l2)
 
@@ -317,21 +258,21 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 	}
 
 	el, er := l1[shared], l2[shared]
-	if el.Recursive != er.Recursive {
+	if el.Recursive() != er.Recursive() {
 		return nil, fmt.Errorf("core: inconsistent data labels: paths diverge at %v vs %v", el, er)
 	}
 
-	if !el.Recursive {
+	if !el.Recursive() {
 		// Case 2a: the least common ancestor is an ordinary node; both edges
 		// come from the same production.
-		if el.K != er.K {
+		if el.K() != er.K() {
 			return nil, fmt.Errorf("core: inconsistent data labels: sibling edges %v and %v use different productions", el, er)
 		}
-		i, j := el.I, er.I
+		i, j := el.I(), er.I()
 		if i > j {
 			return nil, nil
 		}
-		z, err := vl.edgeZ(qc, el.K, i, j)
+		z, err := vl.edgeZ(qc, el.K(), i, j)
 		if err != nil {
 			return nil, err
 		}
@@ -347,14 +288,14 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 	}
 
 	// Case 2b: the least common ancestor is a recursive node.
-	if el.S != er.S || el.T != er.T {
+	if el.S() != er.S() || el.T() != er.T() {
 		return nil, fmt.Errorf("core: inconsistent data labels: sibling recursive edges %v and %v disagree on the cycle", el, er)
 	}
-	c, err := vl.scheme.Cycle(el.S)
+	c, err := vl.scheme.Cycle(el.S())
 	if err != nil {
 		return nil, err
 	}
-	i, j := el.I, er.I
+	i, j := el.I(), er.I()
 	switch {
 	case i < j:
 		// The producing port lives in an earlier unfolding of the recursion
@@ -365,14 +306,14 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 			return nil, nil
 		}
 		next := l1[shared+1]
-		if next.Recursive {
+		if next.Recursive() {
 			return nil, fmt.Errorf("core: inconsistent data labels: expected a production edge after %v, got %v", el, next)
 		}
-		ce := c.EdgeAt(el.T + i - 1) // the cycle edge leaving the i-th module
-		if next.K != ce.K {
+		ce := c.EdgeAt(el.T() + i - 1) // the cycle edge leaving the i-th module
+		if next.K() != ce.K {
 			return nil, fmt.Errorf("core: inconsistent data labels: edge %v does not use the cycle production %d", next, ce.K)
 		}
-		iPrime, jPrime := next.I, ce.I
+		iPrime, jPrime := next.I(), ce.I
 		if iPrime > jPrime {
 			return nil, nil
 		}
@@ -384,7 +325,7 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 		if err != nil {
 			return nil, err
 		}
-		iChain, err := vl.edgeMatrix(qc, RecursiveEdge(el.S, el.T+i, j-i), false)
+		iChain, err := vl.recursionChain(qc, el.S(), el.T()+i, j-i, false)
 		if err != nil {
 			return nil, err
 		}
@@ -404,14 +345,14 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 			return nil, nil
 		}
 		next := l2[shared+1]
-		if next.Recursive {
+		if next.Recursive() {
 			return nil, fmt.Errorf("core: inconsistent data labels: expected a production edge after %v, got %v", er, next)
 		}
-		ce := c.EdgeAt(el.T + j - 1) // the cycle edge leaving the j-th module
-		if next.K != ce.K {
+		ce := c.EdgeAt(el.T() + j - 1) // the cycle edge leaving the j-th module
+		if next.K() != ce.K {
 			return nil, fmt.Errorf("core: inconsistent data labels: edge %v does not use the cycle production %d", next, ce.K)
 		}
-		rPrime, jPrime := ce.I, next.I
+		rPrime, jPrime := ce.I, next.I()
 		if rPrime > jPrime {
 			return nil, nil
 		}
@@ -419,7 +360,7 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, l1, l2 []EdgeLabel, pp *path
 		if err != nil {
 			return nil, err
 		}
-		oChain, err := vl.edgeMatrix(qc, RecursiveEdge(el.S, el.T+j, i-j), true)
+		oChain, err := vl.recursionChain(qc, el.S(), el.T()+j, i-j, true)
 		if err != nil {
 			return nil, err
 		}

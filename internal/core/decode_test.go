@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -408,6 +409,14 @@ func TestDependsOnRejectsInvisibleItems(t *testing.T) {
 	}
 }
 
+// cloneLabel copies a label's paths, which alias the labeler's path arena,
+// so the copy can be corrupted without touching the labeler.
+func cloneLabel(d core.DataLabel) core.DataLabel {
+	d.Out.Path = slices.Clone(d.Out.Path)
+	d.In.Path = slices.Clone(d.In.Path)
+	return d
+}
+
 func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 	// Data labels are untrusted input: an edge whose production is included
 	// in the view but whose node index is out of range must yield an error,
@@ -420,31 +429,31 @@ func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, labeler := labeledRun(t, scheme, 61, 120)
-	var initial, final, mid *core.DataLabel
+	var initial, final, mid core.DataLabel
 	for _, item := range r.Items {
 		d, _ := labeler.Label(item.ID)
 		switch {
-		case d.Out == nil:
+		case !d.Out.Present():
 			initial = d
-		case d.In == nil:
+		case !d.In.Present():
 			final = d
-		case len(d.In.Path) > 0 && !d.In.Path[len(d.In.Path)-1].Recursive &&
-			len(d.Out.Path) > 0 && !d.Out.Path[len(d.Out.Path)-1].Recursive:
+		case len(d.In.Path) > 0 && !d.In.Path[len(d.In.Path)-1].Recursive() &&
+			len(d.Out.Path) > 0 && !d.Out.Path[len(d.Out.Path)-1].Recursive():
 			mid = d
 		}
 	}
-	if initial == nil || final == nil || mid == nil {
+	if !initial.In.Present() || !final.Out.Present() || !mid.In.Present() {
 		t.Fatal("run lacks an initial input, a final output or a suitable intermediate item")
 	}
-	corrupt := func(p *core.PortLabel, node int) {
+	corrupt := func(p core.PortLabel, node int) {
 		last := p.Path[len(p.Path)-1]
-		p.Path[len(p.Path)-1] = core.NonRecursiveEdge(last.K, node)
+		p.Path[len(p.Path)-1] = core.NonRecursiveEdge(last.K(), node)
 	}
-	var badIns, badOuts []*core.DataLabel
+	var badIns, badOuts []core.DataLabel
 	for _, node := range []int{0, 99} {
-		badIn := mid.Clone()
+		badIn := cloneLabel(mid)
 		corrupt(badIn.In, node)
-		badOut := mid.Clone()
+		badOut := cloneLabel(mid)
 		corrupt(badOut.Out, node)
 		badIns, badOuts = append(badIns, badIn), append(badOuts, badOut)
 	}
@@ -452,24 +461,26 @@ func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 	// A recursive edge with a cycle offset of 0 (the run labeler emits only
 	// 1-based offsets) must be rejected by the visibility check rather than
 	// panic the wraparound helpers.
-	var badRec *core.DataLabel
+	var badRec core.DataLabel
+	found := false
 	for _, item := range r.Items {
 		d, _ := labeler.Label(item.ID)
-		if d.In == nil {
+		if !d.In.Present() {
 			continue
 		}
 		for ei, e := range d.In.Path {
-			if e.Recursive {
-				badRec = d.Clone()
-				badRec.In.Path[ei] = core.RecursiveEdge(e.S, 0, e.I)
+			if e.Recursive() {
+				badRec = cloneLabel(d)
+				badRec.In.Path[ei] = core.RecursiveEdge(e.S(), 0, e.I())
+				found = true
 				break
 			}
 		}
-		if badRec != nil {
+		if found {
 			break
 		}
 	}
-	if badRec == nil {
+	if !found {
 		t.Fatal("no item with a recursive edge in its consuming path")
 	}
 
@@ -478,7 +489,7 @@ func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 	planned.EnsurePlan(nil)
 	askers := []struct {
 		name string
-		ask  func(vl *core.ViewLabel, d1, d2 *core.DataLabel) (bool, error)
+		ask  func(vl *core.ViewLabel, d1, d2 core.DataLabel) (bool, error)
 	}{
 		{"bare", (*core.ViewLabel).DependsOn},
 		{"plan", planned.DependsOn},

@@ -1,85 +1,69 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/boolmat"
 )
 
 // ItemIndex is the row-oriented view of one pinned item universe: every data
-// label of items 1..n, grouped by the compressed-parse-tree node its port
-// labels point at. It is what turns the point decoder into a set scanner —
-// the decoding matrix of Algorithm 2 depends only on the two labels' paths,
-// so all items sharing a node are answered by one matrix and one bitset
-// row/column extraction instead of one decode each.
+// label of items 1..n, grouped by the instance that owns its ports. It is
+// what turns the point decoder into a set scanner — the decoding matrix of
+// Algorithm 2 depends only on the two labels' paths, and a port's path is
+// its owner instance's, so all items sharing an owner are answered by one
+// matrix and one bitset row/column extraction instead of one decode each.
+// Each instance has its own tree node, so keying on instances loses no
+// sharing that keying on paths would find.
 //
 // An ItemIndex is immutable once published and safe for concurrent use; it
 // holds no per-view state (visibility is cached per plan, see PlanCache).
 // Item IDs are 1-based, matching runs and live prefixes, so the bitset rows
-// the scans produce are 1×(n+1) with bit 0 permanently clear.
+// the scans produce are 1×(n+1) with bit 0 permanently clear. The index
+// copies no label: it resolves items through its label function.
 //
 // Indexes form lineages: Extend publishes the index of a longer prefix of
-// the same run by interning only the new items, so the index of epoch e+1
-// shares its trie, items and member slices with the one of epoch e. Sharing
-// is safe because the lineage's builder is the only writer and only ever
-// writes past the lengths every published index was cut at: items and nodes
-// are published length-capped, each index owns its group headers, and new
-// members land past the end of every older header's slice. Groups are
-// ordered by the first appearance of their node in item order, which is
-// deterministic and independent of where the epochs were cut.
+// the same run by grouping only the new items, so the index of epoch e+1
+// shares its tables with the one of epoch e. Sharing is safe because the
+// lineage's builder is the only writer: an index reads its tables within
+// the lengths they had when it was published, the builder only appends past
+// them, and an instance's path entry is written once, before any item naming
+// it is published. An owner whose items span two extensions gets two groups;
+// scans answer the same either way.
 type ItemIndex struct {
 	epoch uint64
 	n     int
-	items []itemRef   // items[id-1]
-	nodes []indexNode // interned paths; node 0 is the root (empty path)
-
-	// srcGroups groups the intermediate items (Out and In both present) by
-	// the node of their producing port — the d1 candidates of a Deps scan.
-	// dstGroups groups the same items by the node of their consuming port —
-	// the d2 candidates of a RevDeps scan. initials and finals hold the
-	// boundary items (no producing / no consuming port), which the decoder
-	// treats by dedicated cases rather than by path.
-	srcGroups []portGroup
-	dstGroups []portGroup
-	initials  []member
-	finals    []member
-
+	label func(itemID int) (DataLabel, bool) // resolves items 1..n
+	indexTables
 	initialsRow *boolmat.Matrix // 1×(n+1) row of the initial-input item IDs
-
-	b *indexBuilder // the lineage's builder; b.tip == idx while idx is extendable
+	b           *indexBuilder   // the lineage's builder; b.tip == idx while idx is extendable
 }
 
-// indexBuilder is the single writer of one index lineage. It owns the
-// uncapped backing arrays the lineage's indexes are cut from and the path
-// trie's children maps, which no reader touches. Extend is its only entry
-// point, and callers serialize Extend per lineage (fvl's sessionIndex does
-// so under its mutex).
+// indexTables are what an index reads besides its labels.
+type indexTables struct {
+	// paths[inst] is the instance's path, nil when no item names it.
+	paths [][]EdgeLabel
+
+	// src groups the intermediate items (Out and In both present) by the
+	// owner of their producing port — the d1 candidates of a Deps scan. dst
+	// groups the same items by the owner of their consuming port — the d2
+	// candidates of a RevDeps scan. initials and finals hold the boundary
+	// items (no producing / no consuming port), which the decoder treats by
+	// dedicated cases rather than by path.
+	src, dst         groupTable
+	initials, finals []member
+}
+
+// indexBuilder is the single writer of one index lineage and holds its
+// uncapped tables. Callers serialize Extend per lineage (fvl's sessionIndex
+// does so under its mutex).
 type indexBuilder struct {
-	tip   *ItemIndex // the last published index, the only one Extend grows
-	items []itemRef
-	nodes []indexNode
-
-	// groupOf maps a node ID to 1 + its group's position in the tip's
-	// srcGroups (side 0) or dstGroups (side 1); 0 means no group yet.
-	groupOf [2][]int32
-}
-
-// itemRef is the interned form of one data label: node IDs instead of paths,
-// ports flattened. A node of -1 encodes a nil port label.
-type itemRef struct {
-	ok      bool
-	out, in int32
-	outPort int32
-	inPort  int32
-}
-
-type indexNode struct {
-	path     []EdgeLabel
-	children map[EdgeLabel]int32
+	tip *ItemIndex // the last published index, the only one Extend grows
+	indexTables
 }
 
 // member is one item's slot in a scan group: the port index that selects its
-// bit in the group's decode matrix, and the node of its other port, whose
+// bit in the group's decode matrix, and the owner of its other port, whose
 // visibility must also hold for the item to be answerable.
 type member struct {
 	item    int32
@@ -87,20 +71,57 @@ type member struct {
 	visNode int32 // -1 when the other port is absent
 }
 
-type portGroup struct {
-	node    int32
+// groupTable holds one side's scan groups: group i is owner groups[i].node
+// and the members from groups[i].start to the next group's start.
+type groupTable struct {
 	members []member
+	groups  []groupStart
 }
 
-// BuildItemIndex interns the labels of items 1..n (resolved through label,
-// which may report holes — unresolved IDs simply never appear in any answer)
-// into a new ItemIndex lineage. The epoch tags the universe the index was
-// built from: a live prefix's epoch, or 0 for a completed run.
-func BuildItemIndex(epoch uint64, n int, label func(itemID int) (*DataLabel, bool)) *ItemIndex {
+type groupStart struct {
+	node, start int32
+}
+
+// group returns group i's owner and members.
+func (t *groupTable) group(i int) (int32, []member) {
+	end := int32(len(t.members))
+	if i+1 < len(t.groups) {
+		end = t.groups[i+1].start
+	}
+	return t.groups[i].node, t.members[t.groups[i].start:end]
+}
+
+// grouped is a new member and the owner it is grouped by.
+type grouped struct {
+	node int32
+	mb   member
+}
+
+// add appends one extension's members as groups, one per owner.
+func (t *groupTable) add(batch []grouped) {
+	slices.SortFunc(batch, func(a, b grouped) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.mb.item, b.mb.item))
+	})
+	for i, g := range batch {
+		if i == 0 || g.node != batch[i-1].node {
+			t.groups = append(t.groups, groupStart{node: g.node, start: int32(len(t.members))})
+		}
+		t.members = append(t.members, g.mb)
+	}
+}
+
+// BuildItemIndex indexes the labels of items 1..n, resolved through label,
+// into a new ItemIndex lineage. label may report holes — unresolved IDs
+// simply never appear in any answer — and must keep resolving items 1..n
+// while the index is used, as a run labeler and a live prefix do. A label
+// with a port of unknown owner (a decoded one) is a hole too. The epoch
+// tags the universe the index was built from: a live prefix's epoch, or 0
+// for a completed run.
+func BuildItemIndex(epoch uint64, n int, label func(itemID int) (DataLabel, bool)) *ItemIndex {
 	return (*ItemIndex)(nil).Extend(epoch, n, label)
 }
 
-// Extend returns the index of items 1..n at the given epoch, interning only
+// Extend returns the index of items 1..n at the given epoch, grouping only
 // the items past idx.Items() when idx is the tip of its lineage (the last
 // index Extend published from it) and n >= idx.Items(). The caller promises
 // that label resolves items 1..idx.Items() exactly as it did when idx was
@@ -110,46 +131,32 @@ func BuildItemIndex(epoch uint64, n int, label func(itemID int) (*DataLabel, boo
 //
 // idx itself stays valid and unchanged, so readers may keep querying it
 // while Extend runs; calls that extend the same lineage must not overlap.
-func (idx *ItemIndex) Extend(epoch uint64, n int, label func(itemID int) (*DataLabel, bool)) *ItemIndex {
+func (idx *ItemIndex) Extend(epoch uint64, n int, label func(itemID int) (DataLabel, bool)) *ItemIndex {
 	n = max(n, 0)
-	next := &ItemIndex{epoch: epoch, n: n}
+	b, from := &indexBuilder{}, 1
 	if idx != nil && idx.b.tip == idx && n >= idx.n {
-		next.b = idx.b
-		next.srcGroups = slices.Clone(idx.srcGroups)
-		next.dstGroups = slices.Clone(idx.dstGroups)
-		next.initials, next.finals = idx.initials, idx.finals
-	} else {
-		next.b = &indexBuilder{items: make([]itemRef, 0, n), nodes: []indexNode{{}}, groupOf: [2][]int32{{0}, {0}}}
+		b, from = idx.b, idx.n+1
 	}
-	b := next.b
-	for id := len(b.items) + 1; id <= n; id++ {
+	var src, dst []grouped
+	for id := from; id <= n; id++ {
 		d, ok := label(id)
-		if !ok || d == nil || (d.Out == nil && d.In == nil) {
-			b.items = append(b.items, itemRef{})
+		if !ok || !indexable(d) {
 			continue
 		}
-		ref := itemRef{ok: true, out: -1, in: -1}
-		if d.Out != nil {
-			ref.out = b.intern(d.Out.Path)
-			ref.outPort = int32(d.Out.Port)
-		}
-		if d.In != nil {
-			ref.in = b.intern(d.In.Path)
-			ref.inPort = int32(d.In.Port)
-		}
-		b.items = append(b.items, ref)
+		out, in := b.see(d.Out), b.see(d.In)
 		switch {
-		case ref.out < 0:
-			next.initials = append(next.initials, member{item: int32(id), port: ref.inPort, visNode: ref.in})
-		case ref.in < 0:
-			next.finals = append(next.finals, member{item: int32(id), port: ref.outPort, visNode: ref.out})
+		case out < 0:
+			b.initials = append(b.initials, member{item: int32(id), port: d.In.Port, visNode: in})
+		case in < 0:
+			b.finals = append(b.finals, member{item: int32(id), port: d.Out.Port, visNode: out})
 		default:
-			next.srcGroups = b.addMember(0, next.srcGroups, ref.out, member{item: int32(id), port: ref.outPort, visNode: ref.in})
-			next.dstGroups = b.addMember(1, next.dstGroups, ref.in, member{item: int32(id), port: ref.inPort, visNode: ref.out})
+			src = append(src, grouped{out, member{item: int32(id), port: d.Out.Port, visNode: in}})
+			dst = append(dst, grouped{in, member{item: int32(id), port: d.In.Port, visNode: out}})
 		}
 	}
-	next.items = b.items[:n:n]
-	next.nodes = b.nodes[:len(b.nodes):len(b.nodes)]
+	b.src.add(src)
+	b.dst.add(dst)
+	next := &ItemIndex{epoch: epoch, n: n, label: label, indexTables: b.indexTables, b: b}
 	next.initialsRow = boolmat.New(1, n+1)
 	for _, mb := range next.initials {
 		next.initialsRow.Set(0, int(mb.item), true)
@@ -158,39 +165,30 @@ func (idx *ItemIndex) Extend(epoch uint64, n int, label func(itemID int) (*DataL
 	return next
 }
 
-// addMember appends mb to node's group on one side, opening the group at
-// the end of groups on the node's first member.
-func (b *indexBuilder) addMember(side int, groups []portGroup, node int32, mb member) []portGroup {
-	pos := b.groupOf[side][node]
-	if pos == 0 {
-		groups = append(groups, portGroup{node: node})
-		pos = int32(len(groups))
-		b.groupOf[side][node] = pos
-	}
-	groups[pos-1].members = append(groups[pos-1].members, mb)
-	return groups
+// indexable reports whether a label has a port and names its ports' owners.
+func indexable(d DataLabel) bool {
+	return (d.Out.Present() || d.In.Present()) && d.Out.owner >= 0 && d.In.owner >= 0
 }
 
-// intern walks (extending as needed) the path trie and returns the node ID
-// of the path. Items of one run massively share path prefixes, so the trie
-// stays small and every distinct tree node is stored once.
-func (b *indexBuilder) intern(path []EdgeLabel) int32 {
-	cur := int32(0)
-	for i, e := range path {
-		child, ok := b.nodes[cur].children[e]
-		if !ok {
-			child = int32(len(b.nodes))
-			b.nodes = append(b.nodes, indexNode{path: path[:i+1]})
-			b.groupOf[0] = append(b.groupOf[0], 0)
-			b.groupOf[1] = append(b.groupOf[1], 0)
-			if b.nodes[cur].children == nil {
-				b.nodes[cur].children = map[EdgeLabel]int32{}
-			}
-			b.nodes[cur].children[e] = child
-		}
-		cur = child
+// see records the path of a port's owner on first sight and returns the
+// owner, or -1 for an absent port.
+func (b *indexBuilder) see(p PortLabel) int32 {
+	o := p.Owner()
+	if o < 0 {
+		return -1
 	}
-	return cur
+	if int(o) >= len(b.paths) {
+		b.paths = append(b.paths, make([][]EdgeLabel, int(o)+1-len(b.paths))...)
+	}
+	if b.paths[o] == nil {
+		path := p.Path[:len(p.Path):len(p.Path)]
+		if path == nil {
+			// nil marks an instance not seen yet.
+			path = []EdgeLabel{}
+		}
+		b.paths[o] = path
+	}
+	return o
 }
 
 // Epoch returns the epoch of the pinned universe the index was built from.
@@ -201,7 +199,8 @@ func (idx *ItemIndex) Items() int { return idx.n }
 
 // Has reports whether the index holds a label for the item ID.
 func (idx *ItemIndex) Has(itemID int) bool {
-	return itemID >= 1 && itemID <= idx.n && idx.items[itemID-1].ok
+	_, ok := idx.resolve(itemID)
+	return ok
 }
 
 // InitialsRow returns the bitset row of the initial-input item IDs (the
@@ -209,20 +208,14 @@ func (idx *ItemIndex) Has(itemID int) bool {
 // and must be treated as read-only.
 func (idx *ItemIndex) InitialsRow() *boolmat.Matrix { return idx.initialsRow }
 
-func (idx *ItemIndex) ref(itemID int) (itemRef, bool) {
+// resolve returns the label of an item the index holds.
+func (idx *ItemIndex) resolve(itemID int) (DataLabel, bool) {
 	if itemID < 1 || itemID > idx.n {
-		return itemRef{}, false
+		return DataLabel{}, false
 	}
-	r := idx.items[itemID-1]
-	return r, r.ok
+	d, ok := idx.label(itemID)
+	return d, ok && indexable(d)
 }
 
-func (idx *ItemIndex) path(node int32) []EdgeLabel { return idx.nodes[node].path }
-
-// end expands one interned port side into the point decoder's view of it.
-func (idx *ItemIndex) end(node, port int32) portEnd {
-	if node < 0 {
-		return noPort
-	}
-	return portEnd{ok: true, path: idx.path(node), port: int(port), node: node}
-}
+// path returns the path of an instance the index's items name.
+func (idx *ItemIndex) path(node int32) []EdgeLabel { return idx.paths[node] }

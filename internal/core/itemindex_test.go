@@ -92,34 +92,37 @@ func randomCuts(rng *rand.Rand, n int) []int {
 	return cuts
 }
 
-// groupsByNode maps each group's node to its members.
-func groupsByNode(gs []portGroup) map[int32][]member {
-	m := make(map[int32][]member, len(gs))
-	for _, g := range gs {
-		m[g.node] = g.members
+// groupsByNode maps each owner to its members, over all of its groups.
+func groupsByNode(t groupTable) map[int32][]member {
+	m := map[int32][]member{}
+	for i := range t.groups {
+		node, members := t.group(i)
+		m[node] = append(m[node], members...)
 	}
 	return m
 }
 
-// sameStructure fails unless got and want index the same items into the
-// same trie, with the same member set per group node.
+// sameStructure fails unless got and want hold the same items and instance
+// paths, with the same members per group owner.
 func sameStructure(tb testing.TB, got, want *ItemIndex) {
 	tb.Helper()
 	if got.Epoch() != want.Epoch() || got.Items() != want.Items() {
 		tb.Fatalf("index at epoch %d of %d items, want epoch %d of %d", got.Epoch(), got.Items(), want.Epoch(), want.Items())
 	}
-	if !slices.Equal(got.items, want.items) {
-		tb.Fatalf("n=%d: interned items differ", want.n)
-	}
-	if len(got.nodes) != len(want.nodes) {
-		tb.Fatalf("n=%d: %d trie nodes, want %d", want.n, len(got.nodes), len(want.nodes))
-	}
-	for i := range want.nodes {
-		if !slices.Equal(got.nodes[i].path, want.nodes[i].path) {
-			tb.Fatalf("n=%d: node %d has path %v, want %v", want.n, i, got.nodes[i].path, want.nodes[i].path)
+	for id := 0; id <= want.n+1; id++ {
+		if got.Has(id) != want.Has(id) {
+			tb.Fatalf("n=%d: item %d held %v, want %v", want.n, id, got.Has(id), want.Has(id))
 		}
 	}
-	for side, pair := range [2][2][]portGroup{{got.srcGroups, want.srcGroups}, {got.dstGroups, want.dstGroups}} {
+	if len(got.paths) != len(want.paths) {
+		tb.Fatalf("n=%d: %d instance paths, want %d", want.n, len(got.paths), len(want.paths))
+	}
+	for i := range want.paths {
+		if (got.paths[i] == nil) != (want.paths[i] == nil) || !slices.Equal(got.paths[i], want.paths[i]) {
+			tb.Fatalf("n=%d: instance %d has path %v, want %v", want.n, i, got.paths[i], want.paths[i])
+		}
+	}
+	for side, pair := range [2][2]groupTable{{got.src, want.src}, {got.dst, want.dst}} {
 		if !maps.EqualFunc(groupsByNode(pair[0]), groupsByNode(pair[1]), slices.Equal) {
 			tb.Fatalf("n=%d: side %d groups differ per node", want.n, side)
 		}

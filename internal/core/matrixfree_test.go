@@ -45,11 +45,11 @@ func TestMatrixFreeAgreesWithPlainDecoding(t *testing.T) {
 			}
 			visible := proj.VisibleItems()
 			rng := rand.New(rand.NewSource(seed + 200))
-			pairs := make([][2]*DataLabel, 200)
+			pairs := make([][2]DataLabel, 200)
 			for i := range pairs {
 				d1, _ := labeler.Label(visible[rng.Intn(len(visible))])
 				d2, _ := labeler.Label(visible[rng.Intn(len(visible))])
-				pairs[i] = [2]*DataLabel{d1, d2}
+				pairs[i] = [2]DataLabel{d1, d2}
 			}
 			for _, variant := range variants {
 				vl, err := scheme.LabelView(v, variant)

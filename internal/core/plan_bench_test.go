@@ -55,7 +55,7 @@ func benchPointPairs(n int) [][2]int {
 // label batch.
 func BenchmarkPlanPointSpaceEfficient(b *testing.B) {
 	vl, labeler, _ := planBenchFixture(b)
-	type pair struct{ d1, d2 *DataLabel }
+	type pair struct{ d1, d2 DataLabel }
 	var pairs []pair
 	for _, p := range benchPointPairs(labeler.Count()) {
 		d1, _ := labeler.Label(p[0])

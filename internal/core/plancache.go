@@ -7,8 +7,8 @@ import "repro/internal/boolmat"
 // a plan never recomputes an I, O or Z matrix, a recursion chain, a chain
 // product, or a path-visibility check it has already paid for. It is keyed to
 // one ItemIndex — i.e. one pinned step prefix (epoch) of one run — because
-// the node IDs of the cached products and visibility bits are only
-// meaningful against that index.
+// its cached products and visibility bits are keyed by the instances and
+// item rows of that index.
 //
 // Attaching a PlanCache is strictly opt-in (QuerySession.EnsurePlan). A bare
 // queryCtx keeps the query-state-honesty invariant of the Figure 20
@@ -18,7 +18,7 @@ import "repro/internal/boolmat"
 // charges the graph search once per production, not per query.
 //
 // The state is dense: one planLabel per view label, whose slices are indexed
-// by production, cycle offset or interned node ID, so a cache access on the
+// by production, cycle offset or owner instance, so a cache access on the
 // decode path is a slice index, not a hash. The only map is the label table,
 // and a one-entry memo in front of it keeps even that off the path while a
 // query or scan stays on one label.
@@ -49,7 +49,7 @@ type planLabel struct {
 	// indexed [side][cycle-1][offset-1]; side 1 is the O (outputs) side.
 	chains [2][][]*recChain
 
-	// nodes is indexed by the interned node IDs of the plan's ItemIndex and
+	// nodes is indexed by the owner instances of the plan's ItemIndex and
 	// stays nil for index-free plans.
 	nodes []planNode
 
@@ -58,7 +58,7 @@ type planLabel struct {
 	visRow *boolmat.Matrix
 }
 
-// planNode is a plan's cached state for one interned tree node.
+// planNode is a plan's cached state for one owner instance's tree node.
 type planNode struct {
 	// visible caches pathVisible of the node's path: visUnknown until first
 	// computed.
@@ -133,11 +133,11 @@ func (pl *planLabel) chainSlot(vl *ViewLabel, s, t int, outputs bool) **recChain
 	return &row[t-1]
 }
 
-// node returns the cached state of an interned node of idx, which must be
+// node returns the cached state of an owner instance of idx, which must be
 // the plan's index.
 func (pl *planLabel) node(idx *ItemIndex, node int32) *planNode {
 	if pl.nodes == nil {
-		pl.nodes = make([]planNode, len(idx.nodes))
+		pl.nodes = make([]planNode, len(idx.paths))
 	}
 	return &pl.nodes[node]
 }

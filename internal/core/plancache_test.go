@@ -206,10 +206,10 @@ func TestPlanAttachedDepsRowAllocatesOnlyTheAnswer(t *testing.T) {
 			})
 			if got != answer {
 				t.Fatalf("%d items, %d source groups: warmed depsRow(%d) allocates %.0f/op, want %.0f (the answer row)",
-					idx.Items(), len(idx.srcGroups), x, got, answer)
+					idx.Items(), len(idx.src.groups), x, got, answer)
 			}
 		}
-		t.Logf("%d items, %d source groups: warmed depsRow allocates %.0f/op", idx.Items(), len(idx.srcGroups), answer)
+		t.Logf("%d items, %d source groups: warmed depsRow allocates %.0f/op", idx.Items(), len(idx.src.groups), answer)
 		s.Close()
 	}
 }
@@ -221,7 +221,7 @@ func TestEnsurePlanKeepsAndReplacesByIndex(t *testing.T) {
 	if s.EnsurePlan(nil) != pc {
 		t.Fatal("EnsurePlan(nil) must keep the attached plan")
 	}
-	idx := BuildItemIndex(3, 0, func(int) (*DataLabel, bool) { return nil, false })
+	idx := BuildItemIndex(3, 0, func(int) (DataLabel, bool) { return DataLabel{}, false })
 	pc2 := s.EnsurePlan(idx)
 	if pc2 == pc {
 		t.Fatal("EnsurePlan(idx) must replace an index-free plan")
@@ -229,7 +229,7 @@ func TestEnsurePlanKeepsAndReplacesByIndex(t *testing.T) {
 	if s.EnsurePlan(idx) != pc2 {
 		t.Fatal("EnsurePlan with the same index must keep the plan")
 	}
-	other := BuildItemIndex(3, 0, func(int) (*DataLabel, bool) { return nil, false })
+	other := BuildItemIndex(3, 0, func(int) (DataLabel, bool) { return DataLabel{}, false })
 	if s.EnsurePlan(other) == pc2 {
 		t.Fatal("EnsurePlan with a different index must mint a fresh plan")
 	}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/view"
@@ -75,9 +76,9 @@ func partialCycleView(spec *workflow.Specification) (*view.View, error) {
 func (c planDiffCase) recursionTurns(path []EdgeLabel) int {
 	turns := 0
 	for _, e := range path {
-		if e.Recursive {
-			cy, _ := c.scheme.Cycle(e.S)
-			turns = max(turns, (e.I-1)/cy.Len())
+		if e.Recursive() {
+			cy, _ := c.scheme.Cycle(e.S())
+			turns = max(turns, (e.I()-1)/cy.Len())
 		}
 	}
 	return turns
@@ -87,17 +88,17 @@ func (c planDiffCase) recursionTurns(path []EdgeLabel) int {
 // recursive node (case 2b of Algorithm 2), how many full cycle turns the
 // chain decodeMainMatrix synthesizes between the two unfoldings spans; -1
 // for every other pair.
-func (c planDiffCase) recursiveSplitTurns(d1, d2 *DataLabel) int {
-	if d1.Out == nil || d2.In == nil {
+func (c planDiffCase) recursiveSplitTurns(d1, d2 DataLabel) int {
+	if !d1.Out.Present() || !d2.In.Present() {
 		return -1
 	}
 	l1, l2 := d1.Out.Path, d2.In.Path
 	shared := commonPrefixLen(l1, l2)
-	if shared == len(l1) || shared == len(l2) || !l1[shared].Recursive || !l2[shared].Recursive {
+	if shared == len(l1) || shared == len(l2) || !l1[shared].Recursive() || !l2[shared].Recursive() {
 		return -1
 	}
-	cy, _ := c.scheme.Cycle(l1[shared].S)
-	return abs(l1[shared].I-l2[shared].I) / cy.Len()
+	cy, _ := c.scheme.Cycle(l1[shared].S())
+	return abs(l1[shared].I()-l2[shared].I()) / cy.Len()
 }
 
 func abs(x int) int {
@@ -117,7 +118,7 @@ func TestPlanAttachedDecodingMatchesBare(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			n := c.lab.Count()
-			labels := make([]*DataLabel, n+1)
+			labels := make([]DataLabel, n+1)
 			var visible []int
 			for id := 1; id <= n; id++ {
 				labels[id], _ = c.lab.Label(id)
@@ -139,7 +140,7 @@ func TestPlanAttachedDecodingMatchesBare(t *testing.T) {
 			deepest, turns := 0, -1
 			for _, id := range visible {
 				d := labels[id]
-				if tr := max(c.recursionTurns(pathOf(d.Out)), c.recursionTurns(pathOf(d.In))); tr > turns {
+				if tr := max(c.recursionTurns(d.Out.Path), c.recursionTurns(d.In.Path)); tr > turns {
 					deepest, turns = id, tr
 				}
 			}
@@ -190,8 +191,8 @@ func TestPlanAttachedDecodingMatchesBare(t *testing.T) {
 			}
 			fallback := 0
 			for _, id := range visible {
-				for _, e := range append(pathOf(labels[id].Out), pathOf(labels[id].In)...) {
-					if cy, _ := c.scheme.Cycle(e.S); e.Recursive && e.I > 1 && !c.vl.cycleIncluded(cy) {
+				for _, e := range append(slices.Clip(labels[id].Out.Path), labels[id].In.Path...) {
+					if cy, _ := c.scheme.Cycle(e.S()); e.Recursive() && e.I() > 1 && !c.vl.cycleIncluded(cy) {
 						fallback++
 					}
 				}

@@ -87,7 +87,7 @@ func TestPlanShareHitsAcrossSessionsAtSameEpoch(t *testing.T) {
 
 	// A different index — another epoch, another run — must mint a fresh
 	// cache: its node IDs would be meaningless against the shared one.
-	other := BuildItemIndex(7, 0, func(int) (*DataLabel, bool) { return nil, false })
+	other := BuildItemIndex(7, 0, func(int) (DataLabel, bool) { return DataLabel{}, false })
 	if share.Acquire(other) == pc {
 		t.Fatal("a session at a different index was handed the other epoch's cache")
 	}
@@ -97,7 +97,7 @@ func TestPlanShareHitsAcrossSessionsAtSameEpoch(t *testing.T) {
 // acquire at the same index gets its own cache — the share never aliases a
 // live cache into two sessions.
 func TestPlanShareOwnershipIsExclusive(t *testing.T) {
-	idx := BuildItemIndex(1, 0, func(int) (*DataLabel, bool) { return nil, false })
+	idx := BuildItemIndex(1, 0, func(int) (DataLabel, bool) { return DataLabel{}, false })
 	var share PlanShare
 	a := share.Acquire(idx)
 	b := share.Acquire(idx)
@@ -121,7 +121,7 @@ func TestPlanShareOwnershipIsExclusive(t *testing.T) {
 func TestPlanShareEvictsStaleEpochs(t *testing.T) {
 	var share PlanShare
 	mk := func(epoch uint64) *ItemIndex {
-		return BuildItemIndex(epoch, 0, func(int) (*DataLabel, bool) { return nil, false })
+		return BuildItemIndex(epoch, 0, func(int) (DataLabel, bool) { return DataLabel{}, false })
 	}
 	first := mk(1)
 	firstPC := share.Acquire(first)

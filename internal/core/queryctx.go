@@ -117,7 +117,7 @@ func NewQuerySession() *QuerySession {
 
 // DependsOn answers one reachability query against vl using the session's
 // context. It is equivalent to vl.DependsOn(d1, d2).
-func (s *QuerySession) DependsOn(vl *ViewLabel, d1, d2 *DataLabel) (bool, error) {
+func (s *QuerySession) DependsOn(vl *ViewLabel, d1, d2 DataLabel) (bool, error) {
 	return vl.dependsOn(s.qc, d1, d2)
 }
 
@@ -139,8 +139,8 @@ func (s *QuerySession) DependsOnIndexed(vl *ViewLabel, idx *ItemIndex, from, to 
 // across every query the session answers, instead of being recomputed per
 // query. Passing nil keeps whatever plan is already attached (or attaches an
 // index-free one, which amortizes edge matrices and recursion chains only);
-// passing an index replaces a plan keyed to a different index, because node
-// IDs and item rows are only meaningful against the index that minted them.
+// passing an index replaces a plan keyed to a different index, because
+// instance and item rows are only meaningful against the index that minted them.
 //
 // The attached plan lives until Close or the next index switch; a session
 // drawn fresh from the pool always starts without one, so plain DependsOn

@@ -19,7 +19,7 @@ import (
 // spaceEfficientQuery returns a space-efficient view label together with a
 // label pair whose query is answered via closureFor (i.e. it populates the
 // context's closure cache).
-func spaceEfficientQuery(t *testing.T) (*ViewLabel, *DataLabel, *DataLabel) {
+func spaceEfficientQuery(t *testing.T) (*ViewLabel, DataLabel, DataLabel) {
 	t.Helper()
 	spec := workloads.PaperExample()
 	scheme, err := NewScheme(spec)
@@ -52,7 +52,7 @@ func spaceEfficientQuery(t *testing.T) (*ViewLabel, *DataLabel, *DataLabel) {
 		}
 	}
 	t.Fatalf("no query populated the closure cache")
-	return nil, nil, nil
+	return nil, DataLabel{}, DataLabel{}
 }
 
 func TestSpaceEfficientQueriesDoNotReuseClosures(t *testing.T) {
@@ -164,23 +164,23 @@ func TestPlanFreeRecursiveQueriesRebuildChainsEveryTime(t *testing.T) {
 	// Case III of Algorithm 2: an initial input against the item consumed
 	// deepest inside a recursion, so the query multiplies a chain of cycle
 	// matrices several turns long.
-	var d1, d2 *DataLabel
+	var d1, d2 DataLabel
 	depth := 0
 	for id := 1; id <= labeler.Count(); id++ {
 		d, _ := labeler.Label(id)
-		if d.Out == nil && d1 == nil {
+		if !d.Out.Present() && !d1.In.Present() {
 			d1 = d
 		}
-		if d.In == nil {
+		if !d.In.Present() {
 			continue
 		}
 		for _, e := range d.In.Path {
-			if e.Recursive && e.I > depth {
-				d2, depth = d, e.I
+			if e.Recursive() && e.I() > depth {
+				d2, depth = d, e.I()
 			}
 		}
 	}
-	if d1 == nil || depth < 3 {
+	if !d1.In.Present() || depth < 3 {
 		t.Fatalf("fixture has no initial input or no recursion deeper than %d", depth)
 	}
 	query := func(s *QuerySession) func() {

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/run"
@@ -13,48 +16,71 @@ import (
 // its label as soon as the item is produced (Section 4.2.3). Labels are never
 // modified after assignment. The labeler maintains, for every module instance
 // of the run, the path of edge labels from the root of the compressed parse
-// tree to the node representing the instance; port and data labels are formed
-// from these paths, and every port label created at an instance shares that
-// instance's path.
+// tree to the node representing the instance, in one arena; a data label is
+// two (owner instance, port index) references, built into a value on read.
 //
 // Item and instance IDs are dense and allocation-ordered (run.Deriver),
-// so both stores are slices the labeler only ever appends to.
+// so the labeler only ever appends, and only its append path writes.
 type RunLabeler struct {
 	scheme *Scheme
+	items  []itemRecord // items[itemID-1]
+	edges  []EdgeLabel  // the path arena
+	ends   []int32      // instance id's path is edges[ends[id]:ends[id+1]]
+}
 
-	// instPath[id] is the edge-label path of the tree node for instance id.
-	// It is nil for the root of a non-recursive start module.
-	instPath [][]EdgeLabel
-	// labels[itemID-1] is the label assigned to data item itemID.
-	labels []*DataLabel
+// itemRecord is a data item's label: an instance of -1 is an absent port.
+type itemRecord struct {
+	outInst, outPort int32
+	inInst, inPort   int32
+}
+
+// ItemRecordBytes is what a run labeler keeps per data item.
+const ItemRecordBytes = int(unsafe.Sizeof(itemRecord{}))
+
+// Count returns the number of labeled data items.
+func (l *RunLabeler) Count() int { return len(l.items) }
+
+// Label returns the label assigned to the data item with the given ID.
+func (l *RunLabeler) Label(itemID int) (DataLabel, bool) {
+	if itemID < 1 || itemID > len(l.items) {
+		return DataLabel{}, false
+	}
+	r := l.items[itemID-1]
+	return DataLabel{Out: l.port(r.outInst, r.outPort), In: l.port(r.inInst, r.inPort)}, true
+}
+
+func (l *RunLabeler) port(inst, port int32) PortLabel {
+	if inst < 0 {
+		return PortLabel{}
+	}
+	return PortLabel{Path: l.path(inst), Port: port, owner: inst + 1}
+}
+
+// path returns instance inst's path, capped so no append reaches the arena.
+func (l *RunLabeler) path(inst int32) []EdgeLabel {
+	end := l.ends[inst+1]
+	return l.edges[l.ends[inst]:end:end]
 }
 
 // NewRunLabeler returns a labeler for runs of the scheme's specification.
 // Attach it to a run with run.Run.AddObserver, or feed it OnInit and then
 // every step a run.Deriver returns.
 func (s *Scheme) NewRunLabeler() *RunLabeler {
-	return &RunLabeler{scheme: s}
+	return &RunLabeler{scheme: s, ends: []int32{0}}
 }
 
-// Label returns the label assigned to the data item with the given ID.
-func (l *RunLabeler) Label(itemID int) (*DataLabel, bool) {
-	if itemID < 1 || itemID > len(l.labels) {
-		return nil, false
-	}
-	return l.labels[itemID-1], true
+// Prefix returns a length-capped copy of the labeler: a caller may query it
+// while the labeler keeps appending, as no later label shows through it.
+func (l *RunLabeler) Prefix() RunLabeler {
+	return RunLabeler{scheme: l.scheme, items: slices.Clip(l.items), edges: slices.Clip(l.edges), ends: slices.Clip(l.ends)}
 }
 
-// Prefix returns the labels assigned so far, indexed by item ID − 1. The
-// slice is length-capped and labels are never modified, so a caller may hold
-// it while the labeler keeps appending: no later label shows through it. The
-// caller must not write to it.
-func (l *RunLabeler) Prefix() []*DataLabel {
-	n := len(l.labels)
-	return l.labels[:n:n]
+// Compact drops spare capacity, for a labeler that mostly serves reads.
+//
+//fvlvet:label-append
+func (l *RunLabeler) Compact() {
+	l.items, l.edges, l.ends = slices.Clone(l.items), slices.Clone(l.edges), slices.Clone(l.ends)
 }
-
-// Count returns the number of labeled data items.
-func (l *RunLabeler) Count() int { return len(l.labels) }
 
 // OnInit labels the initial inputs and final outputs of a run of the
 // specification (the ports of the start module, numbered as run.Deriver
@@ -69,46 +95,52 @@ func (l *RunLabeler) OnInit(spec *workflow.Specification) error {
 	if s, t, ok := l.scheme.cycleOf(start); ok {
 		path = []EdgeLabel{RecursiveEdge(s, t, 1)}
 	}
-	if err := l.place(0, path); err != nil {
+	if err := l.place(0, nil, path...); err != nil {
 		return err
 	}
+	// A start port's index is below its item's ID, which assign bounds.
 	m := spec.Grammar.Modules[start]
 	for x := 0; x < m.In; x++ {
-		if err := l.assign(x+1, &DataLabel{In: portLabel(path, x)}); err != nil {
+		if err := l.assign(x+1, itemRecord{outInst: -1, inInst: 0, inPort: int32(x)}); err != nil {
 			return err
 		}
 	}
 	for x := 0; x < m.Out; x++ {
-		if err := l.assign(m.In+x+1, &DataLabel{Out: portLabel(path, x)}); err != nil {
+		if err := l.assign(m.In+x+1, itemRecord{outInst: 0, outPort: int32(x), inInst: -1}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// portLabel labels a port created at the instance whose path is given. The
-// label aliases the path: paths are never modified once placed, and the
-// capped slice keeps an append through the label from reaching the shared
-// array.
-func portLabel(path []EdgeLabel, port int) *PortLabel {
-	return &PortLabel{Path: path[:len(path):len(path)], Port: port}
-}
-
-// place records the path of the next instance.
-func (l *RunLabeler) place(instID int, path []EdgeLabel) error {
-	if instID != len(l.instPath) {
-		return fmt.Errorf("core: instance %d placed out of order: the labeler expects instance %d", instID, len(l.instPath))
+// place records the path of the next instance: prefix (which may alias the
+// arena), then edges.
+//
+//fvlvet:label-append
+func (l *RunLabeler) place(instID int, prefix []EdgeLabel, edges ...EdgeLabel) error {
+	if instID != len(l.ends)-1 {
+		return fmt.Errorf("core: instance %d placed out of order: the labeler expects instance %d", instID, len(l.ends)-1)
 	}
-	l.instPath = append(l.instPath, path)
+	end := len(l.edges) + len(prefix) + len(edges)
+	if instID >= math.MaxInt32 || end > math.MaxInt32 {
+		return fmt.Errorf("core: instance %d does not fit the label table", instID)
+	}
+	l.edges = append(append(l.edges, prefix...), edges...)
+	l.ends = append(l.ends, int32(end))
 	return nil
 }
 
 // assign records the label of the next data item.
-func (l *RunLabeler) assign(itemID int, d *DataLabel) error {
-	if itemID != len(l.labels)+1 {
-		return fmt.Errorf("core: item %d labeled out of order: the labeler expects item %d", itemID, len(l.labels)+1)
+//
+//fvlvet:label-append
+func (l *RunLabeler) assign(itemID int, r itemRecord) error {
+	if itemID != len(l.items)+1 {
+		return fmt.Errorf("core: item %d labeled out of order: the labeler expects item %d", itemID, len(l.items)+1)
 	}
-	l.labels = append(l.labels, d)
+	if itemID > math.MaxInt32 {
+		return fmt.Errorf("core: item %d does not fit the label table", itemID)
+	}
+	l.items = append(l.items, r)
 	return nil
 }
 
@@ -117,29 +149,33 @@ func (l *RunLabeler) assign(itemID int, d *DataLabel) error {
 // data items the step introduced. The step alone carries all it needs: the
 // expanded instance's path was placed when the instance was created.
 func (l *RunLabeler) OnStep(step *run.Step) error {
-	if step.Instance < 0 || step.Instance >= len(l.instPath) {
+	if step.Instance < 0 || step.Instance >= len(l.ends)-1 {
 		return fmt.Errorf("core: instance %d was never placed in the parse tree", step.Instance)
 	}
-	parentPath := l.instPath[step.Instance]
+	parentPath := l.path(int32(step.Instance))
 	k := step.Prod
 	parentRecursive := l.scheme.isRecursive(step.LHS)
 
 	for ni, module := range step.Nodes {
 		i := ni + 1 // 1-based position within the production RHS
-		var path []EdgeLabel
+		id := step.FirstInstance + ni
+		var err error
 		switch {
 		case !l.scheme.isRecursive(module):
 			// Case 1: ordinary child of the parent's node.
-			path = appendEdge(parentPath, NonRecursiveEdge(k, i))
+			err = l.place(id, parentPath, NonRecursiveEdge(k, i))
 		case parentRecursive && l.scheme.sameCycle(step.LHS, module):
 			// Case 2a: the child continues the parent's linear recursion; it
 			// becomes the next sibling of the parent under the enclosing
 			// recursive node.
-			if len(parentPath) == 0 || !parentPath[len(parentPath)-1].Recursive {
+			if len(parentPath) == 0 || !parentPath[len(parentPath)-1].Recursive() {
 				return fmt.Errorf("core: recursive instance %d has no enclosing recursive node", step.Instance)
 			}
 			last := parentPath[len(parentPath)-1]
-			path = appendEdge(parentPath[:len(parentPath)-1], RecursiveEdge(last.S, last.T, last.I+1))
+			if last.I() >= MaxEdgeChild {
+				return fmt.Errorf("core: recursion index of instance %d outgrows an edge label (%d)", id, MaxEdgeChild)
+			}
+			err = l.place(id, parentPath[:len(parentPath)-1], RecursiveEdge(last.S(), last.T(), last.I()+1))
 		default:
 			// Case 2b: a new recursion starts below the parent: a fresh
 			// recursive node is inserted with the child as its first element.
@@ -147,33 +183,27 @@ func (l *RunLabeler) OnStep(step *run.Step) error {
 			if !ok {
 				return fmt.Errorf("core: module %q is recursive but has no cycle", module)
 			}
-			path = appendEdge(parentPath, NonRecursiveEdge(k, i), RecursiveEdge(s, t, 1))
+			err = l.place(id, parentPath, NonRecursiveEdge(k, i), RecursiveEdge(s, t, 1))
 		}
-		if err := l.place(step.FirstInstance+ni, path); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 
 	for j, e := range step.Edges {
-		// Both ports are fresh ports of children placed above.
-		d := &DataLabel{
-			Out: portLabel(l.instPath[step.FirstInstance+e.FromNode], e.FromPort),
-			In:  portLabel(l.instPath[step.FirstInstance+e.ToNode], e.ToPort),
+		if e.FromPort > math.MaxInt32 || e.ToPort > math.MaxInt32 {
+			return fmt.Errorf("core: item %d has a port index past what a label holds (%d)", step.FirstItem+j, math.MaxInt32)
 		}
-		if err := l.assign(step.FirstItem+j, d); err != nil {
+		// Both ports are fresh ports of children placed above.
+		r := itemRecord{
+			outInst: int32(step.FirstInstance + e.FromNode), outPort: int32(e.FromPort),
+			inInst: int32(step.FirstInstance + e.ToNode), inPort: int32(e.ToPort),
+		}
+		if err := l.assign(step.FirstItem+j, r); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// appendEdge returns a fresh path: the given one extended by edges. It is the
-// only constructor of instance paths, so no two instances share an array
-// that either could grow into.
-func appendEdge(path []EdgeLabel, edges ...EdgeLabel) []EdgeLabel {
-	out := make([]EdgeLabel, 0, len(path)+len(edges))
-	out = append(out, path...)
-	return append(out, edges...)
 }
 
 // LabelRun is a convenience helper that labels an already-derived run by

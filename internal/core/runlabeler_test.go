@@ -302,7 +302,7 @@ func TestLabelRunSharesInstancePaths(t *testing.T) {
 	}
 	pathAt := map[int]*core.EdgeLabel{} // owner instance -> its path's array
 	shared := 0
-	check := func(portID int, p *core.PortLabel) {
+	check := func(portID int, p core.PortLabel) {
 		if cap(p.Path) != len(p.Path) {
 			t.Fatalf("port %d: path has cap %d, len %d", portID, cap(p.Path), len(p.Path))
 		}
@@ -321,10 +321,10 @@ func TestLabelRunSharesInstancePaths(t *testing.T) {
 	}
 	for _, item := range r.Items {
 		d, _ := labeler.Label(item.ID)
-		if d.Out != nil {
+		if d.Out.Present() {
 			check(item.Src, d.Out)
 		}
-		if d.In != nil {
+		if d.In.Present() {
 			check(item.Dst, d.In)
 		}
 	}

@@ -35,36 +35,53 @@ type Scheme struct {
 // linear-recursive, because compact dynamic labeling is then impossible in
 // general (Theorems 5 and 6); see NewSchemeBasic for the fallback that trades
 // compactness for generality.
-func NewScheme(spec *workflow.Specification) (*Scheme, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	pg := prodgraph.New(spec.Grammar)
-	if !pg.IsStrictlyLinearRecursive() {
-		return nil, fmt.Errorf("core: compact dynamic labeling is not possible (Theorem 6): %w", faults.ErrNotLinearRecursive)
-	}
-	cycles, err := pg.Cycles()
-	if err != nil {
-		return nil, err
-	}
-	s := &Scheme{Spec: spec, Graph: pg, Cycles: cycles, templates: run.NewTemplates(spec)}
-	s.codec = NewCodec(s)
-	return s, nil
-}
+func NewScheme(spec *workflow.Specification) (*Scheme, error) { return newScheme(spec, false) }
 
 // NewSchemeBasic builds the fallback scheme of Theorem 1: runs are labeled
 // with basic parse trees, so the scheme applies to every safe specification
 // (including grammars that are not strictly linear-recursive) at the price of
 // data labels whose length is proportional to the nesting depth of the run.
 // Views are still labeled and decoded exactly as in the compact scheme.
-func NewSchemeBasic(spec *workflow.Specification) (*Scheme, error) {
+func NewSchemeBasic(spec *workflow.Specification) (*Scheme, error) { return newScheme(spec, true) }
+
+func newScheme(spec *workflow.Specification, basic bool) (*Scheme, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	pg := prodgraph.New(spec.Grammar)
-	s := &Scheme{Spec: spec, Graph: pg, basic: true, templates: run.NewTemplates(spec)}
+	s := &Scheme{Spec: spec, Graph: prodgraph.New(spec.Grammar), basic: basic, templates: run.NewTemplates(spec)}
+	if !basic {
+		if !s.Graph.IsStrictlyLinearRecursive() {
+			return nil, fmt.Errorf("core: compact dynamic labeling is not possible (Theorem 6): %w", faults.ErrNotLinearRecursive)
+		}
+		var err error
+		if s.Cycles, err = s.Graph.Cycles(); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkWidths(spec, s.Cycles); err != nil {
+		return nil, err
+	}
 	s.codec = NewCodec(s)
 	return s, nil
+}
+
+// checkWidths refuses a specification whose edge labels would not fit an
+// EdgeLabel. The cycles are vertex-disjoint, so each takes its edges from
+// productions of its own and the production bound also bounds the cycles.
+func checkWidths(spec *workflow.Specification, cycles []prodgraph.Cycle) error {
+	g := spec.Grammar
+	longest, widest := 0, 0
+	for _, c := range cycles {
+		longest = max(longest, c.Len())
+	}
+	for _, p := range g.Productions {
+		widest = max(widest, len(p.RHS.Nodes))
+	}
+	if len(g.Productions) > MaxEdgeIndex || longest > MaxEdgeOffset || widest > MaxEdgeChild {
+		return fmt.Errorf("core: %d productions, a cycle of %d edges or a production of %d nodes do not fit an edge label (at most %d, %d and %d)",
+			len(g.Productions), longest, widest, MaxEdgeIndex, MaxEdgeOffset, MaxEdgeChild)
+	}
+	return nil
 }
 
 // IsBasic reports whether the scheme labels runs with basic (uncompressed)

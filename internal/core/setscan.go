@@ -12,9 +12,9 @@ import (
 // query as one bitset row over an ItemIndex, instead of one point decode per
 // candidate item. The key observation is the one Algorithm 2 is built on: the
 // decoding matrix depends only on the two labels' tree-node paths, never on
-// the ports. Grouping candidates by interned path node (ItemIndex) therefore
-// reduces a set query to one matrix chain per group plus a row or column
-// extraction per member.
+// the ports. Grouping candidates by the instance owning their ports
+// (ItemIndex) therefore reduces a set query to one matrix chain per group
+// plus a row or column extraction per member.
 //
 // Set semantics versus point semantics: a point query against an invisible or
 // unknown *target* errors, and so do the scans (ErrHiddenItem /
@@ -47,15 +47,8 @@ func (vl *ViewLabel) suffixProduct(qc *queryCtx, idx *ItemIndex, node int32, pat
 	return pn.prods[side][from], nil
 }
 
-func (vl *ViewLabel) plainProduct(qc *queryCtx, path []EdgeLabel, from int, outputs bool) (*boolmat.Matrix, error) {
-	if outputs {
-		return vl.outputsProduct(qc, path, from)
-	}
-	return vl.inputsProduct(qc, path, from)
-}
-
-// nodeVisible is pathVisible over an interned node, cached per plan. A node
-// of -1 (absent port side) is vacuously visible, matching pathVisible(nil).
+// nodeVisible is pathVisible over an owner instance's path, cached per plan.
+// A node of -1 (absent port side) is vacuously visible.
 func (vl *ViewLabel) nodeVisible(qc *queryCtx, idx *ItemIndex, node int32) bool {
 	if node < 0 {
 		return true
@@ -84,12 +77,10 @@ func (vl *ViewLabel) visibleRow(qc *queryCtx, idx *ItemIndex) *boolmat.Matrix {
 		}
 	}
 	row := boolmat.New(1, idx.n+1)
-	for i, r := range idx.items {
-		if !r.ok {
-			continue
-		}
-		if vl.nodeVisible(qc, idx, r.out) && vl.nodeVisible(qc, idx, r.in) {
-			row.Set(0, i+1, true)
+	for id := 1; id <= idx.n; id++ {
+		x, ok := idx.resolve(id)
+		if ok && vl.nodeVisible(qc, idx, x.Out.Owner()) && vl.nodeVisible(qc, idx, x.In.Owner()) {
+			row.Set(0, id, true)
 		}
 	}
 	if pc != nil && pc.idx == idx {
@@ -134,15 +125,15 @@ func (vl *ViewLabel) scatter(qc *queryCtx, idx *ItemIndex, row, m *boolmat.Matri
 // a bitset row: the target is d2 of every point query, candidates are d1.
 func (vl *ViewLabel) depsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat.Matrix, error) {
 	qc.begin()
-	x, ok := idx.ref(itemID)
+	x, ok := idx.resolve(itemID)
 	if !ok {
 		return nil, fmt.Errorf("core: item %d has no label in the index: %w", itemID, faults.ErrUnknownItem)
 	}
-	if !vl.nodeVisible(qc, idx, x.out) || !vl.nodeVisible(qc, idx, x.in) {
+	if !vl.nodeVisible(qc, idx, x.Out.Owner()) || !vl.nodeVisible(qc, idx, x.In.Owner()) {
 		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", itemID, vl.view.Name, faults.ErrHiddenItem)
 	}
 	row := boolmat.New(1, idx.n+1)
-	if x.out < 0 {
+	if !x.Out.Present() {
 		// Case I: nothing flows into an initial input.
 		return row, nil
 	}
@@ -154,11 +145,11 @@ func (vl *ViewLabel) depsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat
 		var m *boolmat.Matrix
 		var err error
 		var target int
-		if x.in < 0 {
-			m, target = vl.start, int(x.outPort)
+		if !x.In.Present() {
+			m, target = vl.start, int(x.Out.Port)
 		} else {
-			m, err = vl.suffixProduct(qc, idx, x.in, idx.path(x.in), 0, false)
-			target = int(x.inPort)
+			m, err = vl.suffixProduct(qc, idx, x.In.Owner(), x.In.Path, 0, false)
+			target = int(x.In.Port)
 		}
 		if err == nil {
 			vl.scatter(qc, idx, row, m, idx.initials, target, true)
@@ -166,28 +157,28 @@ func (vl *ViewLabel) depsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat
 		qc.rewind()
 	}
 
-	// Final-output candidates never appear: Case I (d1.In == nil).
+	// Final-output candidates never appear: Case I (d1 has no In port).
 
 	// Intermediate candidates, one decode per producing-port group: Case IV
 	// when the target is a final output, the main cases otherwise.
-	for _, g := range idx.srcGroups {
-		if !vl.nodeVisible(qc, idx, g.node) {
+	for i := range idx.src.groups {
+		node, members := idx.src.group(i)
+		if !vl.nodeVisible(qc, idx, node) {
 			continue
 		}
 		var m *boolmat.Matrix
 		var err error
 		var target int
 		memberRows := true
-		if x.in < 0 {
-			m, err = vl.suffixProduct(qc, idx, g.node, idx.path(g.node), 0, true)
-			target, memberRows = int(x.outPort), false
+		if !x.In.Present() {
+			m, err = vl.suffixProduct(qc, idx, node, idx.path(node), 0, true)
+			target, memberRows = int(x.Out.Port), false
 		} else {
-			m, err = vl.decodeMainMatrix(qc, idx.path(g.node), idx.path(x.in),
-				&pathPair{idx: idx, srcNode: g.node, dstNode: x.in})
-			target = int(x.inPort)
+			m, err = vl.decodeMainMatrix(qc, idx, node, idx.path(node), x.In.Owner(), x.In.Path)
+			target = int(x.In.Port)
 		}
 		if err == nil && m != nil {
-			vl.scatter(qc, idx, row, m, g.members, target, memberRows)
+			vl.scatter(qc, idx, row, m, members, target, memberRows)
 		}
 		qc.rewind()
 	}
@@ -198,15 +189,15 @@ func (vl *ViewLabel) depsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat
 // nil)} as a bitset row: the target is d1 of every point query.
 func (vl *ViewLabel) revDepsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat.Matrix, error) {
 	qc.begin()
-	x, ok := idx.ref(itemID)
+	x, ok := idx.resolve(itemID)
 	if !ok {
 		return nil, fmt.Errorf("core: item %d has no label in the index: %w", itemID, faults.ErrUnknownItem)
 	}
-	if !vl.nodeVisible(qc, idx, x.out) || !vl.nodeVisible(qc, idx, x.in) {
+	if !vl.nodeVisible(qc, idx, x.Out.Owner()) || !vl.nodeVisible(qc, idx, x.In.Owner()) {
 		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", itemID, vl.view.Name, faults.ErrHiddenItem)
 	}
 	row := boolmat.New(1, idx.n+1)
-	if x.in < 0 {
+	if !x.In.Present() {
 		// Case I: a final output has no dependents.
 		return row, nil
 	}
@@ -218,11 +209,11 @@ func (vl *ViewLabel) revDepsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*bool
 		var err error
 		var target int
 		memberRows := false
-		if x.out < 0 {
-			m, target = vl.start, int(x.inPort)
+		if !x.Out.Present() {
+			m, target = vl.start, int(x.In.Port)
 		} else {
-			m, err = vl.suffixProduct(qc, idx, x.out, idx.path(x.out), 0, true)
-			target, memberRows = int(x.outPort), true
+			m, err = vl.suffixProduct(qc, idx, x.Out.Owner(), x.Out.Path, 0, true)
+			target, memberRows = int(x.Out.Port), true
 		}
 		if err == nil {
 			vl.scatter(qc, idx, row, m, idx.finals, target, memberRows)
@@ -230,27 +221,27 @@ func (vl *ViewLabel) revDepsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*bool
 		qc.rewind()
 	}
 
-	// Initial-input candidates never appear: Case I (d2.Out == nil).
+	// Initial-input candidates never appear: Case I (d2 has no Out port).
 
 	// Intermediate candidates, one decode per consuming-port group: Case III
 	// when the source is an initial input, the main cases otherwise.
-	for _, g := range idx.dstGroups {
-		if !vl.nodeVisible(qc, idx, g.node) {
+	for i := range idx.dst.groups {
+		node, members := idx.dst.group(i)
+		if !vl.nodeVisible(qc, idx, node) {
 			continue
 		}
 		var m *boolmat.Matrix
 		var err error
 		var target int
-		if x.out < 0 {
-			m, err = vl.suffixProduct(qc, idx, g.node, idx.path(g.node), 0, false)
-			target = int(x.inPort)
+		if !x.Out.Present() {
+			m, err = vl.suffixProduct(qc, idx, node, idx.path(node), 0, false)
+			target = int(x.In.Port)
 		} else {
-			m, err = vl.decodeMainMatrix(qc, idx.path(x.out), idx.path(g.node),
-				&pathPair{idx: idx, srcNode: x.out, dstNode: g.node})
-			target = int(x.outPort)
+			m, err = vl.decodeMainMatrix(qc, idx, x.Out.Owner(), x.Out.Path, node, idx.path(node))
+			target = int(x.Out.Port)
 		}
 		if err == nil && m != nil {
-			vl.scatter(qc, idx, row, m, g.members, target, false)
+			vl.scatter(qc, idx, row, m, members, target, false)
 		}
 		qc.rewind()
 	}

@@ -515,37 +515,37 @@ func (vl *ViewLabel) newClosure(k int) (*safety.Closure, error) {
 // edges, the first unfolded module of the recursion) to the same-kind ports
 // of the edge's child module.
 func (vl *ViewLabel) edgeMatrix(qc *queryCtx, e EdgeLabel, outputs bool) (*boolmat.Matrix, error) {
-	if !e.Recursive {
-		return vl.edgeIO(qc, e.K, e.I, outputs)
+	if !e.Recursive() {
+		return vl.edgeIO(qc, e.K(), e.I(), outputs)
+	}
+	return vl.recursionChain(qc, e.S(), e.T(), e.I(), outputs)
+}
+
+// recursionChain resolves a recursive edge (s, offset, i): the product of
+// the i-1 cycle matrices starting at the given offset of cycle s.
+func (vl *ViewLabel) recursionChain(qc *queryCtx, s, offset, i int, outputs bool) (*boolmat.Matrix, error) {
+	c, err := vl.scheme.Cycle(s)
+	if err != nil {
+		return nil, err
+	}
+	n := i - 1 // number of matrices in the chain
+	if n < 0 || offset < 1 {
+		return nil, fmt.Errorf("core: recursive edge (%d,%d,%d) has child position or offset < 1", s, offset, i)
 	}
 	cache := vl.inRec
 	if outputs {
 		cache = vl.outRec
 	}
-	return vl.recursionChain(qc, e, cache, outputs)
-}
-
-// recursionChain resolves a recursive edge label (s, t, i): the product of
-// the i-1 cycle matrices starting at offset t of cycle s.
-func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]*recChain, outputs bool) (*boolmat.Matrix, error) {
-	c, err := vl.scheme.Cycle(e.S)
-	if err != nil {
-		return nil, err
-	}
-	n := e.I - 1 // number of matrices in the chain
-	if n < 0 || e.T < 1 {
-		return nil, fmt.Errorf("core: recursive edge %v has child position or offset < 1", e)
-	}
 
 	// Constant-time path: the cached prefix products and periodic powers.
 	// Offsets wrap around the cycle (EdgeAt's convention), but the caches
 	// are keyed by offsets in [1, Len] only — normalize before looking up,
-	// or the internally synthesized edges of decodeMain's recursive cases
-	// (offset el.T+i, possibly past one full turn) would silently fall to
-	// the slow product/power path below.
-	t := (e.T-1)%c.Len() + 1
+	// or the chains decodeMainMatrix's recursive cases ask for (offset
+	// el.T+i, possibly past one full turn) would silently fall to the slow
+	// product/power path below.
+	t := (offset-1)%c.Len() + 1
 	if cache != nil {
-		if rc, ok := cache[[2]int{e.S, t}]; ok {
+		if rc, ok := cache[[2]int{s, t}]; ok {
 			return rc.product(qc, n), nil
 		}
 	} else if qc.plan != nil && vl.cycleIncluded(c) {
@@ -553,7 +553,7 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]
 		// attached plan, once per (cycle, offset, side). A chain that cannot
 		// be built (a cycle edge undefined in the view) leaves the slot
 		// empty and the query to the product/power path below.
-		slot := qc.plan.label(vl).chainSlot(vl, e.S, t, outputs)
+		slot := qc.plan.label(vl).chainSlot(vl, s, t, outputs)
 		if *slot == nil {
 			unbounded := math.MaxInt
 			if rc, err := vl.buildChain(qc, c, t, outputs, &unbounded); err == nil {
@@ -565,7 +565,7 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]
 		}
 	}
 
-	mod, err := vl.scheme.moduleAtCycleOffset(e.S, e.T)
+	mod, err := vl.scheme.moduleAtCycleOffset(s, offset)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +581,7 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]
 	// Base matrices of one full turn around the cycle, starting at offset t.
 	block := make([]*boolmat.Matrix, 0, l)
 	for a := 0; a < l && a < n; a++ {
-		edge := c.EdgeAt(e.T + a)
+		edge := c.EdgeAt(offset + a)
 		m, err := vl.edgeIO(qc, edge.K, edge.I, outputs)
 		if err != nil {
 			return nil, err
@@ -610,26 +610,19 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, e EdgeLabel, cache map[[2]int]
 // view of a run: every production referenced by the label's paths (directly
 // by a (k, i) edge or through the unfolding of a recursion) must belong to
 // the restricted grammar G_∆′ (Section 5, data-visibility check).
-func (vl *ViewLabel) Visible(d *DataLabel) bool {
-	return vl.pathVisible(pathOf(d.Out)) && vl.pathVisible(pathOf(d.In))
-}
-
-func pathOf(p *PortLabel) []EdgeLabel {
-	if p == nil {
-		return nil
-	}
-	return p.Path
+func (vl *ViewLabel) Visible(d DataLabel) bool {
+	return vl.pathVisible(d.Out.Path) && vl.pathVisible(d.In.Path)
 }
 
 func (vl *ViewLabel) pathVisible(path []EdgeLabel) bool {
 	for _, e := range path {
-		if !e.Recursive {
-			if !vl.includes(e.K) {
+		if !e.Recursive() {
+			if !vl.includes(e.K()) {
 				return false
 			}
 			continue
 		}
-		c, err := vl.scheme.Cycle(e.S)
+		c, err := vl.scheme.Cycle(e.S())
 		if err != nil {
 			return false
 		}
@@ -639,17 +632,17 @@ func (vl *ViewLabel) pathVisible(path []EdgeLabel) bool {
 		// downstream. Visible is the choke point every query passes through
 		// for both labels, so rejecting here keeps the whole decode path
 		// panic-free.
-		if e.T < 1 || e.T > c.Len() || e.I < 1 {
+		if e.T() < 1 || e.T() > c.Len() || e.I() < 1 {
 			return false
 		}
 		// Children 2..I of the recursive node were created by the cycle
 		// productions at offsets T .. T+I-2.
-		for a := 0; a < e.I-1 && a < c.Len(); a++ {
-			if !vl.includes(c.EdgeAt(e.T + a).K) {
+		for a := 0; a < e.I()-1 && a < c.Len(); a++ {
+			if !vl.includes(c.EdgeAt(e.T() + a).K) {
 				return false
 			}
 		}
-		if e.I-1 > c.Len() {
+		if e.I()-1 > c.Len() {
 			// More than one full turn around the cycle: every cycle production
 			// is involved.
 			if !vl.cycleIncluded(c) {

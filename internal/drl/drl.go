@@ -247,10 +247,10 @@ func (l *Labeler) Visible(originalItemID int) bool {
 
 // Label returns the per-view label of an original data item, or false when
 // the item is hidden by the view.
-func (l *Labeler) Label(originalItemID int) (*core.DataLabel, bool) {
+func (l *Labeler) Label(originalItemID int) (core.DataLabel, bool) {
 	projID, ok := l.itemMap[originalItemID]
 	if !ok {
-		return nil, false
+		return core.DataLabel{}, false
 	}
 	return l.labeler.Label(projID)
 }
@@ -259,7 +259,7 @@ func (l *Labeler) Label(originalItemID int) (*core.DataLabel, bool) {
 func (l *Labeler) Count() int { return len(l.itemMap) }
 
 // DependsOn answers a reachability query from two per-view labels.
-func (l *Labeler) DependsOn(d1, d2 *core.DataLabel) (bool, error) {
+func (l *Labeler) DependsOn(d1, d2 core.DataLabel) (bool, error) {
 	return l.viewLabel.DependsOn(d1, d2)
 }
 
@@ -277,7 +277,7 @@ func (l *Labeler) DependsOnItems(d1, d2 int) (bool, error) {
 }
 
 // SizeBits returns the encoded length of a per-view label in bits.
-func (l *Labeler) SizeBits(d *core.DataLabel) int {
+func (l *Labeler) SizeBits(d core.DataLabel) int {
 	return l.scheme.Codec().SizeBits(d)
 }
 

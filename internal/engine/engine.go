@@ -21,7 +21,7 @@ import (
 // Query is one reachability question: does the item labeled D2 depend on the
 // item labeled D1?
 type Query struct {
-	D1, D2 *core.DataLabel
+	D1, D2 core.DataLabel
 }
 
 // Result is the answer to one query. Err is non-nil when the query's labels
@@ -224,7 +224,7 @@ type ItemQuery struct {
 // immutable for the duration of a batch — a live session's published prefix
 // and a completed run's core.RunLabeler both qualify.
 type LabelSource interface {
-	Label(itemID int) (*core.DataLabel, bool)
+	Label(itemID int) (core.DataLabel, bool)
 }
 
 // DependsOnItemsBatchContext answers item-ID queries against one view label

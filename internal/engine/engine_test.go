@@ -86,7 +86,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 
 func TestBatchPropagatesPerQueryErrors(t *testing.T) {
 	vl, queries := fixture(t, core.VariantQueryEfficient, 100)
-	queries[17] = Query{D1: nil, D2: nil} // invalid: nil labels
+	queries[17] = Query{} // invalid: labels without ports
 	results := New(4).DependsOnBatch(vl, queries)
 	if results[17].Err == nil {
 		t.Fatalf("expected an error for the invalid query")

@@ -138,9 +138,9 @@ func boundaryQueries(vl *core.ViewLabel, labeler *core.RunLabeler) []ItemQuery {
 		case !vl.Visible(d):
 			ends[0] = append(ends[0], id)
 			continue
-		case d.Out == nil:
+		case !d.Out.Present():
 			ends[1] = append(ends[1], id)
-		case d.In == nil:
+		case !d.In.Present():
 			ends[2] = append(ends[2], id)
 		}
 		visible = append(visible, id)

@@ -17,7 +17,7 @@ import (
 // setQueryFixture builds a server serving the paper example's default and
 // security views, plus the item index and data labels of one labeled random
 // run.
-func setQueryFixture(t *testing.T) (*engine.Server, *core.ItemIndex, func(int) (*core.DataLabel, bool)) {
+func setQueryFixture(t *testing.T) (*engine.Server, *core.ItemIndex, func(int) (core.DataLabel, bool)) {
 	t.Helper()
 	spec := workloads.PaperExample()
 	scheme, err := core.NewScheme(spec)
@@ -64,7 +64,7 @@ func TestServerSetQueryBatchMatchesPointQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	label := func(x int) *core.DataLabel {
+	label := func(x int) core.DataLabel {
 		d, ok := labelOf(x)
 		if !ok {
 			t.Fatalf("labeler lost item %d", x)

@@ -94,7 +94,7 @@ func FuzzLoad(f *testing.F) {
 		}
 		// An accepted snapshot must be servable: every label answers a
 		// trivially malformed query (the empty data label) without a panic.
-		bad := &core.DataLabel{}
+		bad := core.DataLabel{}
 		for _, vl := range snap.Labels {
 			_, _ = vl.DependsOn(bad, bad)
 		}

@@ -267,9 +267,8 @@ func loadBudget(n int) int { return 1<<20 + 4096*n }
 const decodeBytesPerInputByte = 1024
 
 // startPortBytes is what core.RunLabeler.OnInit allocates per start-module
-// port: the label pointer (8 B), the DataLabel (16 B) and its PortLabel
-// (32 B).
-const startPortBytes = 8 + 16 + 32
+// port: one item record.
+const startPortBytes = core.ItemRecordBytes
 
 // decoder is a bounds-checked cursor over the payload. Every read verifies
 // the remaining byte budget before allocating, so a corrupted length field
@@ -417,7 +416,7 @@ func (d *decoder) snapshot() (*Snapshot, error) {
 	// before its first step, so a start module the budget cannot label is
 	// refused here, views or not.
 	start := spec.Grammar.Modules[spec.Grammar.Start]
-	need := (float64(start.In) + float64(start.Out)) * startPortBytes
+	need := (float64(start.In) + float64(start.Out)) * float64(startPortBytes)
 	if need > float64(d.budget) {
 		return nil, fmt.Errorf("labelstore: start module %q declares %d+%d ports, whose labels need %.4g bytes, over the %d bytes left of the budget",
 			spec.Grammar.Start, start.In, start.Out, need, d.budget)

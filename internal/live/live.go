@@ -22,12 +22,12 @@
 //
 //   - data labels are write-once: the labeler never modifies a label after
 //     assigning it (the view-adaptive property — that is what makes the
-//     scheme dynamic), so sharing the label pointers is sound;
-//   - item IDs are contiguous, so the labels live in one slice indexed by
-//     itemID-1 — the labeler's own store (core.RunLabeler.Prefix), which
-//     refuses an item out of order; the producer appends to its private
-//     tail and publishes a length-capped alias, so a reader's slice header
-//     can never see an in-flight append;
+//     scheme dynamic), so sharing the labeler's table is sound;
+//   - item and instance IDs are contiguous, so the labels live in the
+//     labeler's own table (core.RunLabeler.Prefix): one record per item
+//     and one path per instance, which refuses an item out of order; the
+//     producer appends to its private tail and publishes a length-capped
+//     alias, so a reader's slice headers can never see an in-flight append;
 //   - the atomic pointer store happens after every write the Prefix exposes,
 //     so the publish is also the memory barrier (release/acquire).
 //
@@ -158,6 +158,7 @@ func Restore(scheme *core.Scheme, steps []StepRequest, opts ...Option) (*Session
 			return nil, fmt.Errorf("live: labeling restored step %d: %w", i+1, err)
 		}
 	}
+	s.labeler.Compact()
 	s.publishLocked()
 	return s, nil
 }
@@ -239,7 +240,7 @@ func (s *Session) Epoch() uint64 { return s.Current().Epoch() }
 func (s *Session) Items() int { return s.Current().Items() }
 
 // Label returns the label of the data item at the latest epoch.
-func (s *Session) Label(itemID int) (*core.DataLabel, bool) {
+func (s *Session) Label(itemID int) (core.DataLabel, bool) {
 	return s.Current().Label(itemID)
 }
 
@@ -285,7 +286,7 @@ func (s *Session) Err() error {
 // the engine's session-aware batch path (engine.LabelSource).
 type Prefix struct {
 	epoch  uint64
-	labels []*core.DataLabel
+	labels core.RunLabeler
 	steps  []StepRequest
 }
 
@@ -293,16 +294,11 @@ type Prefix struct {
 func (p *Prefix) Epoch() uint64 { return p.epoch }
 
 // Items returns the number of data items labeled at this prefix.
-func (p *Prefix) Items() int { return len(p.labels) }
+func (p *Prefix) Items() int { return p.labels.Count() }
 
 // Label returns the label of the data item, or false when the item had not
 // been produced by this prefix (or the ID is unknown).
-func (p *Prefix) Label(itemID int) (*core.DataLabel, bool) {
-	if itemID < 1 || itemID > len(p.labels) {
-		return nil, false
-	}
-	return p.labels[itemID-1], true
-}
+func (p *Prefix) Label(itemID int) (core.DataLabel, bool) { return p.labels.Label(itemID) }
 
 // Steps returns a copy of the step requests the prefix covers, in
 // application order — the journal of the prefix as values.

@@ -73,8 +73,8 @@ func TestResumedSessionRetainsLabels(t *testing.T) {
 	}
 	labeler := retained(t, func() (any, error) { return scheme.LabelRun(r) })
 	session := retained(t, resume)
-	t.Logf("probe run of %d items: labeler retains %d bytes, resumed session %d (%.2fx)",
-		r.Size(), labeler, session, float64(session)/float64(labeler))
+	t.Logf("probe run of %d items: labeler retains %d bytes (%.1f B/item), resumed session %d (%.1f B/item, %.2fx)",
+		r.Size(), labeler, float64(labeler)/float64(r.Size()), session, float64(session)/float64(r.Size()), float64(session)/float64(labeler))
 	if float64(session) > 1.1*float64(labeler) {
 		t.Fatalf("resumed session retains %d bytes, over 1.1x the labeler's %d", session, labeler)
 	}

@@ -113,8 +113,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.write(w, s.collectSessions(), s.collectInflight())
 }
 
-func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
-	s.Drain()
+func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
+	if err := s.Drain(r.Context()); err != nil {
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, wire.DrainResponse{Draining: true})
 }
 

@@ -20,6 +20,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -89,11 +90,12 @@ type Server struct {
 	// drainMu orders the drain flag against the in-flight registrations:
 	// beginWrite/beginQuery register under the same mutex Drain uses to
 	// flip the flag, so once Drain holds the mutex no new work can slip
-	// into a WaitGroup it is about to Wait on.
+	// into the count it waits on. inflight counts admitted writes and
+	// queries; idle, when a drain waits, is closed as inflight reaches 0.
 	drainMu  sync.Mutex
 	draining bool
-	writers  sync.WaitGroup
-	queries  sync.WaitGroup
+	inflight int
+	idle     chan struct{}
 }
 
 // tenant is one namespace with its own admission budget.
@@ -283,15 +285,15 @@ func (s *Server) lookupSession(tenantName, schemeName, sessionName string) (*ten
 
 // beginWrite admits a mutating request (scheme upload, session create, step
 // stream). It fails with errDraining once Drain has begun; an
-// admitted write holds the writers WaitGroup until its release func runs.
+// admitted write counts as in flight until its release func runs.
 func (s *Server) beginWrite() (func(), error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	if s.draining {
 		return nil, errDraining
 	}
-	s.writers.Add(1)
-	return s.writers.Done, nil
+	s.inflight++
+	return s.endInflight, nil
 }
 
 // beginQuery admits a read. Reads stay allowed during a drain — the drain
@@ -303,8 +305,20 @@ func (s *Server) beginQuery() func() {
 	if s.draining {
 		return func() {}
 	}
-	s.queries.Add(1)
-	return s.queries.Done
+	s.inflight++
+	return s.endInflight
+}
+
+// endInflight releases one admitted write or query, waking a waiting Drain
+// when it was the last.
+func (s *Server) endInflight() {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	s.inflight--
+	if s.inflight == 0 && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
 }
 
 // Drain puts the server into draining mode: new writes are refused with
@@ -313,14 +327,30 @@ func (s *Server) beginQuery() func() {
 // every-step fsync, so each acked step is already on disk, and a restart
 // resumes each session at its acked epoch. Reads keep being served
 // throughout. Drain is idempotent; Resume undoes it.
-func (s *Server) Drain() {
+//
+// If ctx ends first — a client holding a step stream open — Drain returns
+// ctx.Err() and the server stays draining; the work it stopped waiting for
+// is left to finish or to be cut off by the caller's shutdown.
+func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	s.draining = true
+	idle := s.idle
+	if idle == nil && s.inflight > 0 {
+		idle = make(chan struct{})
+		s.idle = idle
+	}
 	s.drainMu.Unlock()
 	s.metrics.setDraining(true)
 
-	s.writers.Wait()
-	s.queries.Wait()
+	if idle == nil {
+		return nil
+	}
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Resume takes the server out of draining mode; refused writers may retry.

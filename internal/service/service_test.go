@@ -487,6 +487,62 @@ func TestStepStreamAppliesWhatHasArrived(t *testing.T) {
 	}
 }
 
+// TestDrainReturnsAtItsDeadline: a client holding a step stream open keeps
+// the stream's write in flight, so a drain cannot finish; Drain still
+// returns at its context's deadline with the context's error, the server
+// stays draining, and closing the stream afterwards acks what it carried.
+func TestDrainReturnsAtItsDeadline(t *testing.T) {
+	srv, ts, c := startServer(t, Config{})
+	f := paperFixture(t, 5, 60)
+	remote, _ := register(t, c, f, "t", "wf", "s", false)
+	steps := f.run.StepLog()[:1]
+	body := journalOf(t, steps)
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	go func() { _, _ = pw.Write(body) }()
+	acked := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+wire.StepsPath("t", "wf", "s"), pr)
+		if err != nil {
+			acked <- 0
+			return
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			acked <- 0
+			return
+		}
+		resp.Body.Close()
+		acked <- resp.StatusCode
+	}()
+	waitEpoch(t, remote, 1)
+
+	const deadline = 200 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	err := srv.Drain(ctx)
+	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > deadline+2*time.Second {
+		t.Fatalf("Drain with a step stream held open: %v after %v, want %v at its %v deadline", err, took, context.DeadlineExceeded, deadline)
+	}
+	if !srv.Draining() {
+		t.Fatal("server left draining mode after a timed-out drain")
+	}
+	pw.Close()
+	select {
+	case code := <-acked:
+		if code != http.StatusOK {
+			t.Fatalf("ack of the held stream: status %d, want 200", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no ack after the client closed the stream")
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatalf("drain once the stream closed: %v", err)
+	}
+}
+
 // TestAdmissionControl429: when a tenant's in-flight bound is exceeded the
 // server answers 429 with Retry-After, and the refusal classifies as
 // client.ErrThrottled; the other tenant is unaffected.
