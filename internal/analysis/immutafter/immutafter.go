@@ -21,8 +21,10 @@
 // and path arena are written only by its append path — the functions whose
 // doc comment carries the //fvlvet:label-append directive — which appends
 // past the end of every prefix the labeler published. Any other write to
-// core.RunLabeler state, including through a published prefix copy, or to
-// a core.itemRecord is flagged, and so is any write to core.DataLabel or
+// core.RunLabeler state, including through a published prefix copy, to a
+// core.itemRecord, or into the elements of a []core.EdgeLabel (a path,
+// which may alias the arena however it was reached) is flagged, and so is
+// any write to core.DataLabel or
 // core.PortLabel state reached through a pointer or a container, including
 // an element of a port label's Path. A copy into label state and a
 // whole-value store through a pointer (*p = PortLabel{}) count as writes
@@ -73,6 +75,10 @@ func run(pass *analysis.Pass) error {
 			analysis.EachWrite(pass.TypesInfo, fd.Body, func(w analysis.Write) {
 				t, ok := analysis.MatchWrite(pass.TypesInfo, w, match)
 				if !ok {
+					if !appendPath && writesEdgeLabels(pass.TypesInfo, w) {
+						pass.Reportf(w.Pos, "write into a []core.EdgeLabel outside the labeler's append path: "+
+							"instance paths alias the labeler's path arena; build a new path instead")
+					}
 					return
 				}
 				if !t.ViaContainer && !t.BasePointer && analysis.IsLocalValueVar(pass.TypesInfo, t.Base) {
@@ -103,4 +109,31 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// writesEdgeLabels reports whether w stores into the elements of a
+// []core.EdgeLabel: a path, which may alias the labeler's arena however it
+// was reached.
+func writesEdgeLabels(info *types.Info, w analysis.Write) bool {
+	isPath := func(e ast.Expr) bool {
+		s, ok := types.Unalias(info.TypeOf(e)).Underlying().(*types.Slice)
+		return ok && analysis.IsNamed(s.Elem(), corePath, "EdgeLabel")
+	}
+	cur := ast.Unparen(w.Lhs)
+	if w.Elems {
+		return isPath(cur)
+	}
+	for {
+		switch e := cur.(type) {
+		case *ast.SelectorExpr:
+			cur = ast.Unparen(e.X)
+		case *ast.IndexExpr:
+			if isPath(e.X) {
+				return true
+			}
+			cur = ast.Unparen(e.X)
+		default:
+			return false
+		}
+	}
 }

@@ -140,6 +140,18 @@ func TamperPath(l *RunLabeler) {
 	d.In.Port = 4                        // a field of a private value: allowed
 }
 
+// TamperArena writes through slices that alias the path arena, however
+// they were reached.
+func TamperArena(l *RunLabeler) {
+	path := l.edges[l.ends[0]:l.ends[1]]
+	path[0] = EdgeLabel{K: 1} // want `write into a \[\]core\.EdgeLabel outside the labeler's append path`
+	path[0].I = 2             // want `write into a \[\]core\.EdgeLabel outside the labeler's append path`
+	copy(path, []EdgeLabel{}) // want `write into a \[\]core\.EdgeLabel outside the labeler's append path`
+	fresh := []EdgeLabel{{K: 1}}
+	fresh = append(fresh, path...) // a new path: allowed
+	_ = fresh
+}
+
 // Overwrite stores whole labels through pointers.
 func Overwrite(d *DataLabel, p *PortLabel) {
 	*p = PortLabel{} // want `write to core\.PortLabel state`
