@@ -188,7 +188,15 @@ func (s *Session) QueryBatch(ctx context.Context, viewName string, qs []fvl.Quer
 	}
 	out := make([]fvl.SetAnswer, len(resp.Answers))
 	for i, a := range resp.Answers {
-		out[i] = fvl.SetAnswer{Items: a.Items, Pairs: a.Pairs, Plan: a.Plan, Err: a.Error.Err()}
+		items, err := wire.DecodeItems(a.Items)
+		if err != nil {
+			return nil, 0, fmt.Errorf("fvld: answer %d: %w", i, err)
+		}
+		pairs, err := wire.DecodePairs(a.Pairs)
+		if err != nil {
+			return nil, 0, fmt.Errorf("fvld: answer %d: %w", i, err)
+		}
+		out[i] = fvl.SetAnswer{Items: items, Pairs: pairs, Plan: a.Plan, Err: a.Error.Err()}
 	}
 	return out, resp.Epoch, nil
 }

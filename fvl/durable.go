@@ -68,9 +68,9 @@ func (s *Service) OpenDurable(dir string, opts ...DurableOption) (*DurableSessio
 // ResumeDurable reopens a session directory after a crash or a clean close:
 // it reads the steps of the latest checkpoint and the journal tail past it,
 // truncating at most one torn trailing record of the last segment,
-// derives and labels them in one pass, and returns the session ready to
-// append more steps. The directory is untrusted input —
-// structural damage is classified by ErrCorruptManifest,
+// derives them, sizes the label table once and labels them, and returns
+// the session ready to append more steps. The directory is untrusted
+// input — structural damage is classified by ErrCorruptManifest,
 // ErrCorruptCheckpoint, ErrCorruptJournal, ErrTornJournal, ErrInvalidStep
 // and ErrForeignLabel; a directory written for another specification or
 // scheme kind fails with ErrForeignLabel.

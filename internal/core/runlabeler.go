@@ -75,11 +75,75 @@ func (l *RunLabeler) Prefix() RunLabeler {
 	return RunLabeler{scheme: l.scheme, items: slices.Clip(l.items), edges: slices.Clip(l.edges), ends: slices.Clip(l.ends)}
 }
 
-// Compact drops spare capacity, for a labeler that mostly serves reads.
+// Compact drops spare capacity, for a labeler that mostly serves reads. A
+// table that Reserve sized for its steps has none, and is left as it is.
 //
 //fvlvet:label-append
 func (l *RunLabeler) Compact() {
-	l.items, l.edges, l.ends = slices.Clone(l.items), slices.Clone(l.edges), slices.Clone(l.ends)
+	l.items, l.edges, l.ends = withCap(l.items, len(l.items)), withCap(l.edges, len(l.edges)), withCap(l.ends, len(l.ends))
+}
+
+// Reserve sizes the table for the steps, which a run.Deriver returned in
+// order after every step labeled so far, so that labeling them grows no
+// slice. The items and instances of a step come from its template, and each
+// new instance's path is its parent's plus the edges pathGrowth counts.
+// Capacity past what the table can hold is not reserved; labeling such steps
+// fails anyway.
+//
+//fvlvet:label-append
+func (l *RunLabeler) Reserve(steps []run.Step) {
+	items, insts := len(l.items), len(l.ends)-1
+	for i := range steps {
+		items += len(steps[i].Edges)
+		insts += len(steps[i].Nodes)
+	}
+	if items > math.MaxInt32 || insts >= math.MaxInt32 {
+		return
+	}
+	// lens[id] is the length of instance id's path.
+	lens := make([]int32, insts)
+	for id := range len(l.ends) - 1 {
+		lens[id] = l.ends[id+1] - l.ends[id]
+	}
+	edges := int(l.ends[len(l.ends)-1])
+	for i := range steps {
+		st := &steps[i]
+		for ni, module := range st.Nodes {
+			n := lens[st.Instance] + int32(l.scheme.pathGrowth(st.LHS, module))
+			lens[st.FirstInstance+ni] = n
+			edges += int(n)
+		}
+		if edges > math.MaxInt32 {
+			return
+		}
+	}
+	l.items, l.ends, l.edges = withCap(l.items, items), withCap(l.ends, insts+1), withCap(l.edges, edges)
+}
+
+// withCap returns s with a capacity of exactly n, at least len(s), copying
+// it unless it has that capacity already. (slices.Grow would round the
+// capacity up to the allocator's size class.)
+func withCap[E any](s []E, n int) []E {
+	if cap(s) == n {
+		return s
+	}
+	return append(make([]E, 0, n), s...)
+}
+
+// pathGrowth returns how many edges the path of an RHS node of the module
+// adds to its parent's, in a step expanding lhs: one for an ordinary child
+// (case 1 of the dynamic labeling algorithm), none for a child that
+// continues the parent's linear recursion and replaces its last edge (case
+// 2a), and two for a child that starts a new recursion (case 2b).
+func (s *Scheme) pathGrowth(lhs, module string) int {
+	switch {
+	case !s.isRecursive(module):
+		return 1
+	case s.isRecursive(lhs) && s.sameCycle(lhs, module):
+		return 0
+	default:
+		return 2
+	}
 }
 
 // OnInit labels the initial inputs and final outputs of a run of the
@@ -154,17 +218,16 @@ func (l *RunLabeler) OnStep(step *run.Step) error {
 	}
 	parentPath := l.path(int32(step.Instance))
 	k := step.Prod
-	parentRecursive := l.scheme.isRecursive(step.LHS)
 
 	for ni, module := range step.Nodes {
 		i := ni + 1 // 1-based position within the production RHS
 		id := step.FirstInstance + ni
 		var err error
-		switch {
-		case !l.scheme.isRecursive(module):
+		switch l.scheme.pathGrowth(step.LHS, module) {
+		case 1:
 			// Case 1: ordinary child of the parent's node.
 			err = l.place(id, parentPath, NonRecursiveEdge(k, i))
-		case parentRecursive && l.scheme.sameCycle(step.LHS, module):
+		case 0:
 			// Case 2a: the child continues the parent's linear recursion; it
 			// becomes the next sibling of the parent under the enclosing
 			// recursive node.

@@ -159,10 +159,10 @@ func Create(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 }
 
 // Recover reopens a session directory after a crash or a clean close: it
-// derives and labels, in one pass, the steps of the checkpoint MANIFEST
-// names and of the journal tail past it, and returns a session ready to
-// append more steps. See RecoveryInfo for what happened; structural
-// failures are classified by the faults sentinels (ErrCorruptManifest,
+// derives and labels, into a label table sized once, the steps of the
+// checkpoint MANIFEST names and of the journal tail past it, and returns a
+// session ready to append more steps. See RecoveryInfo for what happened;
+// structural failures are classified by the faults sentinels (ErrCorruptManifest,
 // ErrCorruptCheckpoint, ErrCorruptJournal, ErrTornJournal, ErrInvalidStep,
 // ErrForeignLabel).
 func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {

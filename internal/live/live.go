@@ -37,8 +37,9 @@
 //
 // A Session is restartable: Prefix.WriteJournal exports the steps of any
 // epoch, a JournalSink (WithJournalSink) persists each applied step as it is
-// applied, and Resume and Restore rebuild a session from its steps, deriving
-// and labeling them in one pass. The journal codec lives in journal.go.
+// applied, and Resume and Restore rebuild a session from its steps: they
+// derive every step, size the label table once and label them. The journal
+// codec lives in journal.go.
 package live
 
 import (
@@ -131,7 +132,8 @@ func (e *StepError) Unwrap() error { return e.Err }
 // Restore opens a session at the epoch the steps reach — steps replayed
 // from a journal (Resume) or recovered from a durable directory. A data
 // label is a pure function of the derivation, so the steps are the whole
-// state: they are derived and labeled in one pass and published once. The
+// state: they are derived, the label table is sized for them once
+// (core.RunLabeler.Reserve), and they are labeled and published once. The
 // session takes ownership of the steps slice and continues from there.
 //
 // A step that does not apply fails with a *StepError naming it. Options
@@ -149,12 +151,17 @@ func Restore(scheme *core.Scheme, steps []StepRequest, opts ...Option) (*Session
 	if err := s.labeler.OnInit(scheme.Spec); err != nil {
 		return nil, err
 	}
+	derived := make([]run.Step, len(steps))
 	for i, req := range steps {
 		step, err := s.deriver.Apply(req.Instance, req.Prod)
 		if err != nil {
 			return nil, &StepError{Step: i + 1, Err: err}
 		}
-		if err := s.labeler.OnStep(&step); err != nil {
+		derived[i] = step
+	}
+	s.labeler.Reserve(derived)
+	for i := range derived {
+		if err := s.labeler.OnStep(&derived[i]); err != nil {
 			return nil, fmt.Errorf("live: labeling restored step %d: %w", i+1, err)
 		}
 	}

@@ -27,24 +27,37 @@ type PairRow struct {
 	Row  *boolmat.Matrix
 }
 
-// ItemIDs materializes an item-set answer into ascending item IDs. It
-// returns nil for pair sets.
+// ItemIDs materializes an item-set answer into ascending item IDs, in one
+// allocation of the answer's size. It returns nil for pair sets and for an
+// empty set.
 func (v *Value) ItemIDs() []int {
 	if v == nil || v.Kind != KindItems || v.Items == nil {
 		return nil
 	}
-	var ids []int
+	n := v.Items.CountTrue()
+	if n == 0 {
+		return nil
+	}
+	ids := make([]int, 0, n)
 	v.Items.EachTrueInRow(0, func(j int) { ids = append(ids, j) })
 	return ids
 }
 
 // PairList materializes a pair-set answer into (from, to) pairs, sorted by
-// from then to. It returns nil for item sets.
+// from then to, in one allocation of the answer's size. It returns nil for
+// item sets and for an empty set.
 func (v *Value) PairList() [][2]int {
 	if v == nil || v.Kind != KindPairs {
 		return nil
 	}
-	var out [][2]int
+	n := 0
+	for _, pr := range v.Pairs {
+		n += pr.Row.CountTrue()
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([][2]int, 0, n)
 	for _, pr := range v.Pairs {
 		pr.Row.EachTrueInRow(0, func(j int) { out = append(out, [2]int{pr.From, j}) })
 	}

@@ -596,14 +596,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.addQuery(tenantName)
 	resp := wire.QueryResponse{Epoch: epoch, Answers: make([]wire.SetAnswer, len(answers))}
 	for i, a := range answers {
-		resp.Answers[i] = wire.SetAnswer{
-			Items: a.Items,
-			Pairs: a.Pairs,
-			Plan:  a.Plan,
-			Error: wire.ErrorOf(a.Err),
-		}
+		resp.Answers[i] = setAnswerWire(a)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// setAnswerWire encodes a set answer's IDs as rows.
+func setAnswerWire(a fvl.SetAnswer) wire.SetAnswer {
+	return wire.SetAnswer{
+		Items: wire.EncodeItems(a.Items),
+		Pairs: wire.EncodePairs(a.Pairs),
+		Plan:  a.Plan,
+		Error: wire.ErrorOf(a.Err),
+	}
 }
 
 // handleJournal exports the session's current step prefix in the journal

@@ -118,7 +118,7 @@ func register(t *testing.T, c *client.Client, f *fixture, tenant, scheme, sessio
 // bytes the server would send.
 func answerBytes(t *testing.T, a fvl.SetAnswer) []byte {
 	t.Helper()
-	data, err := json.Marshal(wire.SetAnswer{Items: a.Items, Pairs: a.Pairs, Plan: a.Plan, Error: wire.ErrorOf(a.Err)})
+	data, err := json.Marshal(setAnswerWire(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +184,46 @@ func TestTwoTenantsEndToEnd(t *testing.T) {
 			got, want := answerBytes(t, *remoteAns), answerBytes(t, *localAns)
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s: %s at epoch %d:\nremote %s\nlocal  %s", tenant, text, remoteEpoch, got, want)
+			}
+		}
+
+		// A batch with every answer shape: pair sets, an empty item set and
+		// a slot that holds an error. Each remote answer is the in-process
+		// one, as a value and byte for byte.
+		batch := []fvl.QueryExpr{
+			fvl.BetweenViews(f.view, f.views[0].Name()),
+			fvl.BetweenViews(f.view, f.views[0].Name()).Project(1),
+			fvl.BetweenViews(f.view, f.views[0].Name()).Project(2),
+			fvl.DepsOf(1),
+			fvl.DepsOf(10_000),
+		}
+		remoteAnswers, re, err := remote.QueryBatch(ctx, f.view, batch)
+		if err != nil {
+			t.Fatalf("%s: remote batch: %v", tenant, err)
+		}
+		localAnswers, le, err := local.QueryBatch(ctx, f.view, batch)
+		if err != nil {
+			t.Fatalf("%s: local batch: %v", tenant, err)
+		}
+		if re != le {
+			t.Fatalf("%s: batch pinned epoch %d remotely, %d locally", tenant, re, le)
+		}
+		if len(localAnswers[0].Pairs) == 0 || localAnswers[3].Items != nil || localAnswers[3].Err != nil ||
+			!errors.Is(localAnswers[4].Err, fvl.ErrUnknownItem) {
+			t.Fatalf("%s: the batch lacks a shape: between %d pairs, deps(1) %v (%v), deps(10000) err %v",
+				tenant, len(localAnswers[0].Pairs), localAnswers[3].Items, localAnswers[3].Err, localAnswers[4].Err)
+		}
+		for i := range batch {
+			got, want := remoteAnswers[i], localAnswers[i]
+			if got.Err != nil && want.Err != nil && got.Err.Error() == want.Err.Error() &&
+				errors.Is(got.Err, fvl.ErrUnknownItem) == errors.Is(want.Err, fvl.ErrUnknownItem) {
+				got.Err, want.Err = nil, nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s: remote answer %+v, local %+v", tenant, batch[i], got, want)
+			}
+			if gb, wb := answerBytes(t, remoteAnswers[i]), answerBytes(t, localAnswers[i]); !bytes.Equal(gb, wb) {
+				t.Errorf("%s: %s on the wire:\nremote %s\nlocal  %s", tenant, batch[i], gb, wb)
 			}
 		}
 

@@ -17,7 +17,8 @@
 //     that survives FuzzJournalReplay is exactly the decoder facing the
 //     network.
 //
-// Everything else is small JSON documents.
+// Everything else is small JSON documents. Set answers inside them are
+// delta-uvarint rows (rows.go), which JSON carries as base64 strings.
 package wire
 
 import (
@@ -271,12 +272,13 @@ type QueryRequest struct {
 	Exprs []string `json:"exprs"`
 }
 
-// SetAnswer is one set-query answer as JSON rows.
+// SetAnswer is one set-query answer: an item set as one row (EncodeItems),
+// a pair set as one row per source (EncodePairs).
 type SetAnswer struct {
-	Items []int    `json:"items,omitempty"`
-	Pairs [][2]int `json:"pairs,omitempty"`
-	Plan  string   `json:"plan,omitempty"`
-	Error *Error   `json:"error,omitempty"`
+	Items []byte    `json:"items,omitempty"`
+	Pairs []PairRow `json:"pairs,omitempty"`
+	Plan  string    `json:"plan,omitempty"`
+	Error *Error    `json:"error,omitempty"`
 }
 
 // QueryResponse answers POST .../query. Epoch is the step prefix every
