@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vettool bench
+.PHONY: build test race vet bench
 
 build:
 	$(GO) build ./...
@@ -11,19 +11,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# vet runs standard go vet plus fvlvet, the repo's own invariant suite
-# (see DESIGN.md, "Enforced invariants"). fvlvet's standalone mode needs no
-# build cache or network: it loads sources directly.
+# vet runs standard go vet, then fvlvet, the repo's own invariant suite (see
+# DESIGN.md, "Enforced invariants"), as a go vet tool over the module and the
+# nested perfbench module.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/fvlvet ./...
-
-# vettool drives fvlvet through go vet's unitchecker protocol instead —
-# incremental via the build cache and covering test variants — which is the
-# invocation CI gates on.
-vettool:
 	$(GO) build -o bin/fvlvet ./cmd/fvlvet
 	$(GO) vet -vettool=$(abspath bin/fvlvet) ./...
+	cd perfbench && $(GO) vet -vettool=$(abspath bin/fvlvet) ./...
 
 bench:
 	$(GO) run ./cmd/fvlbench -quick

@@ -7,25 +7,23 @@
 // %v formatting (faultwrap), contexts thread end to end (ctxflow), and
 // Close/Sync errors on written files are never discarded (closecheck).
 //
-// Standalone usage (self-contained source loader, no toolchain services):
-//
-//	fvlvet ./...
-//	fvlvet -list
-//	fvlvet -checks immutafter,pubatomic ./internal/core ./internal/live
-//
-// Or as a go vet tool, which analyzes the packages go vet selects (test
-// variants included) over the build cache's export data:
+// It runs as a go vet tool, which analyzes the packages go vet selects
+// (test variants included) over the build cache's export data:
 //
 //	go vet -vettool=$(which fvlvet) ./...
+//
+// Passing go vet one or more analyzer flags (for example -immutafter)
+// restricts the run to those analyzers. Called without a vet config file,
+// fvlvet prints the go vet command line above as its usage and exits 1.
 //
 // Findings are suppressed line by line with staticcheck-style directives
 // carrying a mandatory justification:
 //
 //	//lint:ignore <analyzer> <reason>
 //
-// Exit status is 0 when the tree is clean, 1 on findings or usage errors.
-// A finding means a design rule of DESIGN.md ("Enforced invariants") is
-// violated — fix the code, or annotate the reviewed exception.
+// go vet exits nonzero when the tree has findings. A finding means a design
+// rule of DESIGN.md ("Enforced invariants") is violated — fix the code, or
+// annotate the reviewed exception.
 package main
 
 import (
@@ -73,7 +71,7 @@ func run(args []string) int {
 			Bool  bool
 			Usage string
 		}
-		flags := []jsonFlag{{Name: "checks", Usage: "comma-separated analyzer names to run (default: all)"}}
+		var flags []jsonFlag
 		for _, a := range suite.All() {
 			flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
 		}
@@ -86,11 +84,8 @@ func run(args []string) int {
 	}
 
 	fs := flag.NewFlagSet("fvlvet", flag.ContinueOnError)
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	checks := fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
-	dir := fs.String("C", "", "run as if fvlvet were started in this directory")
 	// go vet forwards per-analyzer enable flags when the user selects
-	// checks; accept them so both invocation styles work.
+	// checks; with none set, the whole suite runs.
 	enabled := map[string]*bool{}
 	for _, a := range suite.All() {
 		enabled[a.Name] = fs.Bool(a.Name, false, "enable only the "+a.Name+" analyzer")
@@ -98,12 +93,10 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-
-	if *list {
-		for _, a := range suite.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
+	rest := fs.Args()
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which fvlvet) ./...")
+		return 1
 	}
 
 	analyzers := suite.All()
@@ -113,90 +106,8 @@ func run(args []string) int {
 			selected = append(selected, a)
 		}
 	}
-	if *checks != "" {
-		for _, name := range strings.Split(*checks, ",") {
-			a := suite.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "fvlvet: unknown analyzer %q (use -list)\n", name)
-				return 1
-			}
-			selected = append(selected, a)
-		}
-	}
 	if len(selected) > 0 {
 		analyzers = selected
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], analyzers)
-	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	return standalone(rest, analyzers, *dir)
-}
-
-// standalone loads packages with the repo's own source loader and runs the
-// suite — no network, no module cache, no compiled export data needed.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, dir string) int {
-	if dir == "" {
-		dir = "."
-	}
-	root, module, err := findModule(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fvlvet: %v\n", err)
-		return 1
-	}
-	loader := analysis.NewLoader(module, root)
-	targets, err := loader.Targets(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fvlvet: %v\n", err)
-		return 1
-	}
-	exit := 0
-	for _, path := range targets {
-		pkg, err := loader.Load(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fvlvet: %v\n", err)
-			return 1
-		}
-		findings, err := analysis.RunPackage(loader.Fset, pkg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fvlvet: %v\n", err)
-			return 1
-		}
-		for _, f := range findings {
-			rel := f
-			if r, err := filepath.Rel(root, f.Position.Filename); err == nil && !strings.HasPrefix(r, "..") {
-				rel.Position.Filename = r
-			}
-			fmt.Println(rel)
-			exit = 1
-		}
-	}
-	return exit
-}
-
-// findModule walks up from dir to the enclosing go.mod and returns the
-// module root and path.
-func findModule(dir string) (root, module string, err error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for d := abs; ; d = filepath.Dir(d) {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("no module line in %s/go.mod", d)
-		}
-		if filepath.Dir(d) == d {
-			return "", "", fmt.Errorf("no go.mod found above %s", abs)
-		}
-	}
+	return unitcheck(rest[0], analyzers)
 }

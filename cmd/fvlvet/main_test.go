@@ -1,47 +1,56 @@
 package main
 
 import (
+	"encoding/json"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestStandaloneCleanOnRepo drives the standalone loader path end to end:
-// fvlvet's own run function over the whole module must report nothing.
-func TestStandaloneCleanOnRepo(t *testing.T) {
-	if code := run([]string{"-C", "../..", "./..."}); code != 0 {
-		t.Fatalf("fvlvet ./... = exit %d, want 0 (run it locally for the findings)", code)
-	}
-}
-
-// TestGoVetVettool exercises the unitchecker protocol for real: build the
-// tool, then let go vet drive it over the module with -V probing, .cfg
-// units, export data and facts files.
+// TestGoVetVettool is the repo lock: build the tool, then let go vet drive
+// it with -V probing, .cfg units, export data and facts files over the
+// module and over the nested perfbench module, which the root's ./...
+// does not reach. Every package, test variants included, must be free of
+// suite findings. A finding here is a regression against DESIGN.md's
+// "Enforced invariants": fix the code or annotate the reviewed exception;
+// do not weaken the analyzer.
 func TestGoVetVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and vets the whole module")
-	}
 	tool := filepath.Join(t.TempDir(), "fvlvet")
 	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building fvlvet: %v\n%s", err, out)
 	}
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	vet.Dir = "../.."
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool: %v\n%s", err, out)
+	for _, dir := range []string{"../..", "../../perfbench"} {
+		vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
+		vet.Dir = dir
+		if out, err := vet.CombinedOutput(); err != nil {
+			t.Errorf("go vet -vettool in %s: %v\n%s", dir, err, out)
+		}
 	}
-}
 
-// TestListNamesEveryAnalyzer keeps the -list surface wired to the suite.
-func TestListNamesEveryAnalyzer(t *testing.T) {
-	out, err := exec.Command("go", "run", ".", "-list").Output()
+	// Without a vet config file the tool only points at go vet.
+	out, err := exec.Command(tool, "./...").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "go vet -vettool=") {
+		t.Errorf("fvlvet ./... = %v, %q; want exit 1 and the go vet usage line", err, out)
+	}
+
+	// go vet learns the analyzer flags it may forward from -flags, so the
+	// reply must name every analyzer of the suite.
+	out, err = exec.Command(tool, "-flags").Output()
 	if err != nil {
-		t.Fatalf("fvlvet -list: %v", err)
+		t.Fatalf("fvlvet -flags: %v", err)
+	}
+	var flags []struct{ Name string }
+	if err := json.Unmarshal(out, &flags); err != nil {
+		t.Fatalf("fvlvet -flags: %v\n%s", err, out)
+	}
+	named := map[string]bool{}
+	for _, f := range flags {
+		named[f.Name] = true
 	}
 	for _, name := range []string{"closecheck", "ctxflow", "faultwrap", "immutafter", "pubatomic", "syncrename"} {
-		if !strings.Contains(string(out), name) {
-			t.Errorf("-list output lacks %s:\n%s", name, out)
+		if !named[name] {
+			t.Errorf("-flags reply lacks %s:\n%s", name, out)
 		}
 	}
 }

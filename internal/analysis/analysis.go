@@ -46,8 +46,9 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:ignore
 	// directives. It must be a valid identifier.
 	Name string
-	// Doc is the one-paragraph description printed by fvlvet -list: the
-	// invariant the analyzer enforces and how to suppress a finding.
+	// Doc is the one-paragraph description fvlvet gives go vet as the
+	// usage of the analyzer's flag: the invariant the analyzer enforces and
+	// how to suppress a finding.
 	Doc string
 	// Run executes the check over one package and reports findings through
 	// pass.Report. The returned error aborts the whole run (reserved for

@@ -27,7 +27,7 @@ import (
 // findings against the fixtures' want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	loader := analysis.NewLoader("", testdata+"/src")
+	loader := analysis.NewLoader(testdata + "/src")
 	for _, path := range pkgPaths {
 		pkg, err := loader.Load(path)
 		if err != nil {

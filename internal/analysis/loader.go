@@ -9,7 +9,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -22,23 +21,20 @@ type Package struct {
 	Info    *types.Info
 }
 
-// Loader loads and type-checks packages entirely from source, with no
-// network, no module cache and no external processes — the conditions the
-// repo's development container actually provides. Import paths resolve
-// in three steps:
+// Loader loads and type-checks analyzer test fixtures entirely from source,
+// with no network, no module cache and no external processes. Import paths
+// resolve in two steps:
 //
-//   - paths equal to or below Module map into Dir (module layout);
-//   - with Module == "", any path maps to Dir/<path> if that directory
-//     exists (GOPATH-style layout, used for analyzer test fixtures);
+//   - a path maps to Dir/<path> if that directory exists (GOPATH-style
+//     layout, so a fixture can impersonate any import path);
 //   - everything else resolves into GOROOT/src (the standard library,
 //     including its vendored golang.org/x dependencies).
 //
-// Dependency packages are type-checked without AST retention or types.Info;
-// only packages loaded through Load keep their syntax for analysis.
+// Standard-library packages are type-checked without AST retention or
+// types.Info; fixture packages keep their syntax for analysis.
 type Loader struct {
-	Fset   *token.FileSet
-	Module string // module path of Dir; "" selects GOPATH-style resolution
-	Dir    string // root directory the Module (or fixture tree) lives in
+	Fset *token.FileSet
+	Dir  string // fixture root: the testdata/src directory
 
 	ctx  build.Context
 	pkgs map[string]*loadEntry
@@ -50,19 +46,17 @@ type loadEntry struct {
 	building bool
 }
 
-// NewLoader returns a loader rooted at dir. module is the import path the
-// directory answers to ("" for a GOPATH-style fixture root).
-func NewLoader(module, dir string) *Loader {
+// NewLoader returns a loader rooted at the fixture tree dir.
+func NewLoader(dir string) *Loader {
 	ctx := build.Default
 	// Without cgo the standard library selects its pure-Go fallbacks, which
 	// is exactly what source-level type-checking can digest.
 	ctx.CgoEnabled = false
 	return &Loader{
-		Fset:   token.NewFileSet(),
-		Module: module,
-		Dir:    dir,
-		ctx:    ctx,
-		pkgs:   map[string]*loadEntry{},
+		Fset: token.NewFileSet(),
+		Dir:  dir,
+		ctx:  ctx,
+		pkgs: map[string]*loadEntry{},
 	}
 }
 
@@ -103,21 +97,9 @@ func (l *Loader) load(path string, target bool) (*Package, error) {
 }
 
 func (l *Loader) dirFor(path string) (string, error) {
-	if l.Module != "" {
-		if path == l.Module {
-			return l.Dir, nil
-		}
-		if rest, ok := strings.CutPrefix(path, l.Module+"/"); ok {
-			return filepath.Join(l.Dir, filepath.FromSlash(rest)), nil
-		}
-	} else {
-		dir := filepath.Join(l.Dir, filepath.FromSlash(path))
-		if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
-			return dir, nil
-		}
-	}
 	goroot := l.ctx.GOROOT
 	for _, dir := range []string{
+		filepath.Join(l.Dir, filepath.FromSlash(path)),
 		filepath.Join(goroot, "src", filepath.FromSlash(path)),
 		filepath.Join(goroot, "src", "vendor", filepath.FromSlash(path)),
 	} {
@@ -139,7 +121,7 @@ func (l *Loader) check(path string) (*Package, error) {
 	// type-checked exactly once, or two targets could see two incompatible
 	// instances of a shared dependency. Standard-library packages only
 	// contribute types.
-	target := strings.HasPrefix(dir, l.Dir+string(filepath.Separator)) || dir == l.Dir
+	target := strings.HasPrefix(dir, l.Dir+string(filepath.Separator))
 	bp, err := l.ctx.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: scanning %s: %w", dir, err)
@@ -190,90 +172,4 @@ func (l *Loader) check(path string) (*Package, error) {
 		p.Info = info
 	}
 	return p, nil
-}
-
-// Targets expands command-line package patterns against the loader's root.
-// Supported forms: "./..." (every package under the root), "dir/..."
-// (every package under dir) and plain relative directories. Directories
-// named testdata, hidden directories and _-prefixed directories are pruned,
-// exactly like the go tool.
-func (l *Loader) Targets(patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	add := func(dir string) error {
-		rel, err := filepath.Rel(l.Dir, dir)
-		if err != nil {
-			return err
-		}
-		var path string
-		switch {
-		case rel == ".":
-			path = l.Module
-		case l.Module != "":
-			path = l.Module + "/" + filepath.ToSlash(rel)
-		default:
-			path = filepath.ToSlash(rel)
-		}
-		if path == "" || seen[path] {
-			return nil
-		}
-		seen[path] = true
-		out = append(out, path)
-		return nil
-	}
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "" || pat == "." {
-				pat = "."
-			}
-		}
-		root := filepath.Join(l.Dir, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
-		if !recursive {
-			if hasGoFiles(root) {
-				if err := add(root); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return nil, fmt.Errorf("analysis: no Go files in %s", root)
-		}
-		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(p) {
-				return add(p)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
-			return true
-		}
-	}
-	return false
 }

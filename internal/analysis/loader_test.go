@@ -1,67 +1,40 @@
 package analysis
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-)
-
-// TestLoaderTargets checks pattern expansion against the real module: the
-// repo's packages are discovered, fixture trees under testdata are not.
-func TestLoaderTargets(t *testing.T) {
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLoader("repro", root)
-	targets, err := l.Targets([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, p := range targets {
-		seen[p] = true
-		if strings.Contains(p, "testdata") {
-			t.Errorf("Targets yielded fixture package %s; testdata must be pruned", p)
-		}
-	}
-	for _, want := range []string{"repro/fvl", "repro/internal/core", "repro/cmd/fvlvet"} {
-		if !seen[want] {
-			t.Errorf("Targets missed %s (got %d targets)", want, len(targets))
-		}
-	}
-}
+import "testing"
 
 // TestLoaderSingleWorld checks the property every cross-package analyzer
 // depends on: one import path resolves to exactly one types.Package, no
 // matter how the loader reaches it, so type identity holds across packages.
 func TestLoaderSingleWorld(t *testing.T) {
-	root, err := filepath.Abs("../..")
+	l := NewLoader("closecheck/testdata/src")
+	writer, err := l.Load("repro/internal/writer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoader("repro", root)
-	core, err := l.Load("repro/internal/core")
+	if writer.Info == nil || len(writer.Files) == 0 {
+		t.Fatalf("fixture package loaded without syntax or type info")
+	}
+	again, err := l.Load("repro/internal/writer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.Info == nil || len(core.Files) == 0 {
-		t.Fatalf("target package loaded without syntax or type info")
+	if writer.Types != again.Types {
+		t.Errorf("loading repro/internal/writer twice produced distinct types.Package instances")
 	}
-	again, err := l.Load("repro/internal/core")
+	osPkg, err := l.Import("os")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.Types != again.Types {
-		t.Errorf("loading repro/internal/core twice produced distinct types.Package instances")
-	}
-	boolmat, err := l.Load("repro/internal/boolmat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, imp := range core.Types.Imports() {
-		if imp.Path() == "repro/internal/boolmat" && imp != boolmat.Types {
-			t.Errorf("core's imported boolmat is a different instance than the directly loaded one")
+	found := false
+	for _, imp := range writer.Types.Imports() {
+		if imp.Path() == "os" {
+			found = true
+			if imp != osPkg {
+				t.Errorf("the fixture's imported os is a different instance than Import(\"os\")")
+			}
 		}
+	}
+	if !found {
+		t.Fatalf("fixture repro/internal/writer does not import os")
 	}
 }

@@ -1,6 +1,5 @@
-// Package suite registers the repo's analyzers in one place, so the drivers
-// (cmd/fvlvet in both standalone and go vet -vettool modes, and the
-// self-clean regression test) agree on what "the suite" means.
+// Package suite registers the repo's analyzers in one place: the list
+// cmd/fvlvet runs under go vet -vettool and names in its -flags reply.
 package suite
 
 import (
@@ -23,14 +22,4 @@ func All() []*analysis.Analyzer {
 		pubatomic.Analyzer,
 		syncrename.Analyzer,
 	}
-}
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
