@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -176,11 +177,7 @@ func TestLabelerRefusesRecursionIndexOverflow(t *testing.T) {
 	}
 	for i := range r.Steps {
 		step := &r.Steps[i]
-		continues := false
-		for _, m := range step.Nodes {
-			continues = continues || (scheme.isRecursive(step.LHS) && scheme.isRecursive(m) && scheme.sameCycle(step.LHS, m))
-		}
-		if continues {
+		if slices.Contains(scheme.placements(step.Prod), 0) {
 			last := l.ends[step.Instance+1] - 1
 			e := l.edges[last]
 			l.edges[last] = RecursiveEdge(e.S(), e.T(), MaxEdgeChild)

@@ -75,23 +75,16 @@ func (l *RunLabeler) Prefix() RunLabeler {
 	return RunLabeler{scheme: l.scheme, items: slices.Clip(l.items), edges: slices.Clip(l.edges), ends: slices.Clip(l.ends)}
 }
 
-// Compact drops spare capacity, for a labeler that mostly serves reads. A
-// table that Reserve sized for its steps has none, and is left as it is.
-//
-//fvlvet:label-append
-func (l *RunLabeler) Compact() {
-	l.items, l.edges, l.ends = withCap(l.items, len(l.items)), withCap(l.edges, len(l.edges)), withCap(l.ends, len(l.ends))
-}
-
-// Reserve sizes the table for the steps, which a run.Deriver returned in
+// reserve sizes the table for the steps, which a run.Deriver returned in
 // order after every step labeled so far, so that labeling them grows no
-// slice. The items and instances of a step come from its template, and each
-// new instance's path is its parent's plus the edges pathGrowth counts.
-// Capacity past what the table can hold is not reserved; labeling such steps
-// fails anyway.
+// slice and leaves no spare capacity. The items and instances of a step come
+// from its template, and each new instance's path is its parent's plus the
+// edges its placement case adds (Scheme.placements). Capacity past what the
+// table can hold, or for a step OnStep refuses, is not reserved; labeling
+// such steps fails anyway.
 //
 //fvlvet:label-append
-func (l *RunLabeler) Reserve(steps []run.Step) {
+func (l *RunLabeler) reserve(steps []run.Step) {
 	items, insts := len(l.items), len(l.ends)-1
 	for i := range steps {
 		items += len(steps[i].Edges)
@@ -101,49 +94,58 @@ func (l *RunLabeler) Reserve(steps []run.Step) {
 		return
 	}
 	// lens[id] is the length of instance id's path.
-	lens := make([]int32, insts)
-	for id := range len(l.ends) - 1 {
+	lens := make([]int32, len(l.ends)-1, insts)
+	for id := range lens {
 		lens[id] = l.ends[id+1] - l.ends[id]
 	}
 	edges := int(l.ends[len(l.ends)-1])
 	for i := range steps {
 		st := &steps[i]
-		for ni, module := range st.Nodes {
-			n := lens[st.Instance] + int32(l.scheme.pathGrowth(st.LHS, module))
-			lens[st.FirstInstance+ni] = n
+		growth := l.scheme.placements(st.Prod)
+		if st.Instance < 0 || st.Instance >= len(lens) || len(growth) != len(st.Nodes) {
+			return
+		}
+		for _, g := range growth {
+			n := lens[st.Instance] + int32(g)
+			lens = append(lens, n)
 			edges += int(n)
 		}
 		if edges > math.MaxInt32 {
 			return
 		}
 	}
-	l.items, l.ends, l.edges = withCap(l.items, items), withCap(l.ends, insts+1), withCap(l.edges, edges)
-}
-
-// withCap returns s with a capacity of exactly n, at least len(s), copying
-// it unless it has that capacity already. (slices.Grow would round the
-// capacity up to the allocator's size class.)
-func withCap[E any](s []E, n int) []E {
-	if cap(s) == n {
-		return s
-	}
-	return append(make([]E, 0, n), s...)
+	// An exact capacity: slices.Grow would round it up to a size class.
+	l.items = append(make([]itemRecord, 0, items), l.items...)
+	l.ends = append(make([]int32, 0, insts+1), l.ends...)
+	l.edges = append(make([]EdgeLabel, 0, edges), l.edges...)
 }
 
 // pathGrowth returns how many edges the path of an RHS node of the module
 // adds to its parent's, in a step expanding lhs: one for an ordinary child
 // (case 1 of the dynamic labeling algorithm), none for a child that
 // continues the parent's linear recursion and replaces its last edge (case
-// 2a), and two for a child that starts a new recursion (case 2b).
+// 2a), and two for a child that starts a new recursion (case 2b). A module
+// is placed as recursive exactly when it lies on one of the scheme's cycles;
+// a basic scheme has none.
 func (s *Scheme) pathGrowth(lhs, module string) int {
-	switch {
-	case !s.isRecursive(module):
+	c, _, ok := s.cycleOf(module)
+	if !ok {
 		return 1
-	case s.isRecursive(lhs) && s.sameCycle(lhs, module):
-		return 0
-	default:
-		return 2
 	}
+	if l, _, ok := s.cycleOf(lhs); ok && l == c {
+		return 0
+	}
+	return 2
+}
+
+// placements returns the placement case (pathGrowth) of every RHS node of
+// the 1-based production k, or nil when the specification has no such
+// production.
+func (s *Scheme) placements(k int) []uint8 {
+	if k < 1 || k >= len(s.growthAt) {
+		return nil
+	}
+	return s.growth[s.growthAt[k-1]:s.growthAt[k]]
 }
 
 // OnInit labels the initial inputs and final outputs of a run of the
@@ -216,6 +218,10 @@ func (l *RunLabeler) OnStep(step *run.Step) error {
 	if step.Instance < 0 || step.Instance >= len(l.ends)-1 {
 		return fmt.Errorf("core: instance %d was never placed in the parse tree", step.Instance)
 	}
+	growth := l.scheme.placements(step.Prod)
+	if len(growth) != len(step.Nodes) {
+		return fmt.Errorf("core: step %d does not match production %d of the specification", step.Index, step.Prod)
+	}
 	parentPath := l.path(int32(step.Instance))
 	k := step.Prod
 
@@ -223,7 +229,7 @@ func (l *RunLabeler) OnStep(step *run.Step) error {
 		i := ni + 1 // 1-based position within the production RHS
 		id := step.FirstInstance + ni
 		var err error
-		switch l.scheme.pathGrowth(step.LHS, module) {
+		switch growth[ni] {
 		case 1:
 			// Case 1: ordinary child of the parent's node.
 			err = l.place(id, parentPath, NonRecursiveEdge(k, i))
@@ -277,27 +283,38 @@ func (s *Scheme) LabelRun(r *run.Run) (*RunLabeler, error) {
 	return s.LabelRunContext(context.Background(), r)
 }
 
-// LabelRunContext is LabelRun with cancellation: the context is observed
-// every 256 derivation steps, so canceling it aborts the replay with an
-// error wrapping faults.ErrCanceled. This is the single replay
-// implementation — every caller that replays a derivation goes through it,
-// keeping the "OnInit, then every step in order" discipline in one place.
+// LabelRunContext is LabelRun with cancellation, through LabelSteps.
 func (s *Scheme) LabelRunContext(ctx context.Context, r *run.Run) (*RunLabeler, error) {
 	l := s.NewRunLabeler()
 	if err := l.OnInit(r.Spec); err != nil {
 		return nil, err
 	}
-	for i := range r.Steps {
-		if i&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: run labeling canceled at step %d of %d: %w (%v)", i, len(r.Steps), faults.ErrCanceled, err)
-			}
-		}
-		if err := l.OnStep(&r.Steps[i]); err != nil {
-			return nil, err
-		}
+	if err := l.LabelSteps(ctx, r.Steps); err != nil {
+		return nil, err
 	}
 	return l, nil
+}
+
+// LabelSteps labels a known list of steps, which a run.Deriver returned in
+// order after every step labeled so far (after OnInit, for a new labeler):
+// it sizes the table for all of them once, then labels them in order, so the
+// table ends at its exact size. The context is observed every 256 steps, so
+// canceling it aborts with an error wrapping faults.ErrCanceled. Every
+// labeling of a known step list goes through it: Scheme.LabelRun and a
+// restored live session.
+func (l *RunLabeler) LabelSteps(ctx context.Context, steps []run.Step) error {
+	l.reserve(steps)
+	for i := range steps {
+		if i&0xff == 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("core: run labeling canceled at step %d of %d: %w (%v)", i, len(steps), faults.ErrCanceled, err)
+			}
+		}
+		if err := l.OnStep(&steps[i]); err != nil {
+			return fmt.Errorf("core: labeling step %d: %w", steps[i].Index, err)
+		}
+	}
+	return nil
 }
 
 var _ run.Observer = (*RunLabeler)(nil)

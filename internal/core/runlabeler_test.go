@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,7 +204,9 @@ func TestRunLabelerRejectsForeignRun(t *testing.T) {
 
 // TestRunLabelerRefusesStepsOutOfOrder: the labeler appends instances and
 // items in ID order, so a step it has already seen, or a second OnInit,
-// fails instead of relabeling.
+// fails instead of relabeling; and a step that names an instance never
+// placed or a production the specification lacks fails, in OnStep and in
+// LabelSteps, which sizes the table from the steps before labeling them.
 func TestRunLabelerRefusesStepsOutOfOrder(t *testing.T) {
 	spec := workloads.PaperExample()
 	scheme, err := core.NewScheme(spec)
@@ -226,6 +229,21 @@ func TestRunLabelerRefusesStepsOutOfOrder(t *testing.T) {
 	}
 	if labeler.Count() != len(r.Items) {
 		t.Fatalf("refused calls changed the label count to %d, want %d", labeler.Count(), len(r.Items))
+	}
+	unplaced, foreign := r.Steps[0], r.Steps[0]
+	unplaced.Instance = len(r.Instances)
+	foreign.Prod = len(spec.Grammar.Productions) + 1
+	for _, bad := range []run.Step{unplaced, foreign} {
+		l := scheme.NewRunLabeler()
+		if err := l.OnInit(spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.OnStep(&bad); err == nil {
+			t.Fatalf("OnStep labeled step %+v", bad)
+		}
+		if err := l.LabelSteps(context.Background(), []run.Step{bad}); err == nil {
+			t.Fatalf("LabelSteps labeled step %+v", bad)
+		}
 	}
 }
 

@@ -24,6 +24,12 @@ type Scheme struct {
 	// depth of the run (Theorem 1) instead of logarithmically (Theorem 8).
 	basic bool
 
+	// growth is the placement case of every RHS node of every production,
+	// as the edges it adds to its parent's path (pathGrowth): production k's
+	// nodes are growth[growthAt[k-1]:growthAt[k]], in node order.
+	growth   []uint8
+	growthAt []int
+
 	codec *Codec
 	// templates compiles the specification's productions once for every
 	// derivation the scheme labels (NewDeriver).
@@ -60,6 +66,13 @@ func newScheme(spec *workflow.Specification, basic bool) (*Scheme, error) {
 	}
 	if err := checkWidths(spec, s.Cycles); err != nil {
 		return nil, err
+	}
+	s.growthAt = make([]int, 1, len(spec.Grammar.Productions)+1)
+	for _, p := range spec.Grammar.Productions {
+		for _, module := range p.RHS.Nodes {
+			s.growth = append(s.growth, uint8(s.pathGrowth(p.LHS, module)))
+		}
+		s.growthAt = append(s.growthAt, len(s.growth))
 	}
 	s.codec = NewCodec(s)
 	return s, nil
@@ -112,26 +125,6 @@ func (s *Scheme) cycleOf(module string) (cycle, offset int, ok bool) {
 		return 0, 0, false
 	}
 	return s.Graph.CycleOf(module)
-}
-
-// isRecursive reports whether the module should be placed under a recursive
-// node of the compressed parse tree.
-func (s *Scheme) isRecursive(module string) bool {
-	if s.basic {
-		return false
-	}
-	return s.Graph.IsRecursive(module)
-}
-
-// sameCycle reports whether the two modules lie on the same cycle of the
-// production graph.
-func (s *Scheme) sameCycle(a, b string) bool {
-	if s.basic {
-		return false
-	}
-	sa, _, oka := s.Graph.CycleOf(a)
-	sb, _, okb := s.Graph.CycleOf(b)
-	return oka && okb && sa == sb
 }
 
 // moduleAtCycleOffset returns the module whose outgoing cycle edge is the

@@ -43,6 +43,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -132,15 +133,22 @@ func (e *StepError) Unwrap() error { return e.Err }
 // Restore opens a session at the epoch the steps reach — steps replayed
 // from a journal (Resume) or recovered from a durable directory. A data
 // label is a pure function of the derivation, so the steps are the whole
-// state: they are derived, the label table is sized for them once
-// (core.RunLabeler.Reserve), and they are labeled and published once. The
-// session takes ownership of the steps slice and continues from there.
+// state: they are derived, labeled by core.RunLabeler.LabelSteps into a
+// table sized for them once, and published once. The session takes
+// ownership of the steps slice and continues from there.
 //
 // A step that does not apply fails with a *StepError naming it. Options
 // apply as in NewSession, except that a sink attached here starts at the
 // restored epoch — the restored steps are not re-appended (they are already
 // durable wherever the caller recovered them from).
 func Restore(scheme *core.Scheme, steps []StepRequest, opts ...Option) (*Session, error) {
+	return RestoreContext(context.Background(), scheme, steps, opts...)
+}
+
+// RestoreContext is Restore with cancellation: labeling the steps observes
+// the context every 256 steps, and canceling it fails with an error
+// wrapping faults.ErrCanceled.
+func RestoreContext(ctx context.Context, scheme *core.Scheme, steps []StepRequest, opts ...Option) (*Session, error) {
 	if scheme == nil {
 		return nil, fmt.Errorf("live: nil scheme")
 	}
@@ -159,13 +167,9 @@ func Restore(scheme *core.Scheme, steps []StepRequest, opts ...Option) (*Session
 		}
 		derived[i] = step
 	}
-	s.labeler.Reserve(derived)
-	for i := range derived {
-		if err := s.labeler.OnStep(&derived[i]); err != nil {
-			return nil, fmt.Errorf("live: labeling restored step %d: %w", i+1, err)
-		}
+	if err := s.labeler.LabelSteps(ctx, derived); err != nil {
+		return nil, err
 	}
-	s.labeler.Compact()
 	s.publishLocked()
 	return s, nil
 }

@@ -2,11 +2,14 @@ package live_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/live"
 	"repro/internal/run"
 	"repro/internal/workloads"
@@ -80,6 +83,29 @@ func TestResumedSessionRetainsLabels(t *testing.T) {
 	}
 }
 
+// TestRestoreContextCancels: restoring the probe run's steps under a
+// canceled context fails with ErrCanceled, and under a live one restores
+// every item.
+func TestRestoreContextCancels(t *testing.T) {
+	scheme, r, journal := probe(t)
+	steps, err := live.DecodeJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := live.RestoreContext(canceled, scheme, steps); !errors.Is(err, faults.ErrCanceled) {
+		t.Fatalf("restore under a canceled context: got %v, want ErrCanceled", err)
+	}
+	s, err := live.RestoreContext(context.Background(), scheme, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Items() != r.Size() || s.Frontier() != nil {
+		t.Fatalf("restored %d items with frontier %v; the run has %d items and is complete", s.Items(), s.Frontier(), r.Size())
+	}
+}
+
 // BenchmarkResume prices recovering the probe run per layer: decoding its
 // journal, deriving its steps, deriving and labeling them (Restore), and
 // the whole of Resume.
@@ -87,6 +113,12 @@ func BenchmarkResume(b *testing.B) {
 	scheme, _, journal := probe(b)
 	steps, err := live.DecodeJournal(journal)
 	if err != nil {
+		b.Fatal(err)
+	}
+	// The scheme compiles a production on its first application; compile
+	// them all first, so a single pass (-benchtime=1x) prices the steady
+	// state too.
+	if _, err := live.Restore(scheme, steps); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("decode", func(b *testing.B) {

@@ -2,6 +2,7 @@ package run
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/workflow"
@@ -176,11 +177,12 @@ type Step struct {
 }
 
 // Deriver applies productions to a run, keeping only what the next step
-// needs: a module index and an expanded flag per instance and the next
-// instance, port and item IDs. It checks every step exactly as Run.Apply
+// needs: the unexpanded composite instances, each with its module, and the
+// next instance, port and item IDs. It checks every step exactly as Run.Apply
 // does — Run is a Deriver plus the recorded history — but a caller that
 // consumes each Step as it is returned, as a labeler does, never holds the
-// run's instances, ports and items.
+// run's instances, ports and items, and a completed derivation holds no
+// per-instance state at all.
 //
 // A derivation starts from the unexpanded start module, instance 0. Its
 // input ports are port instances 0..In-1 and its output ports In..In+Out-1;
@@ -188,18 +190,16 @@ type Step struct {
 // input port x) and items In+1..In+Out its final outputs (item In+x+1 is
 // produced by output port x).
 type Deriver struct {
-	t     *Templates
-	inst  []derived
-	ports int // port instances created so far: the next port ID
-	items int // data items created so far: the last item ID
-	steps int
-	open  int // unexpanded composite instances
-}
-
-// derived is what a Deriver keeps per instance.
-type derived struct {
-	module   int32
-	expanded bool
+	t *Templates
+	// open and openMod are the unexpanded composite instances and their
+	// modules, in increasing ID order: IDs are allocated in increasing
+	// order, so appending keeps them sorted.
+	open    []int
+	openMod []int32
+	insts   int // instances created so far: the next instance ID
+	ports   int // port instances created so far: the next port ID
+	items   int // data items created so far: the last item ID
+	steps   int
 }
 
 // NewDeriver starts a derivation at the unexpanded start module.
@@ -213,29 +213,27 @@ func (t *Templates) NewDeriver() *Deriver {
 }
 
 func (d *Deriver) add(m int32) {
-	d.inst = append(d.inst, derived{module: m})
 	if d.t.modules[m].composite {
-		d.open++
+		d.open, d.openMod = append(d.open, d.insts), append(d.openMod, m)
 	}
+	d.insts++
 }
 
-// Apply expands the given composite instance with the production of the
-// given 1-based index and returns the step. It fails, changing nothing, when
-// the instance is unknown or already expanded, or the production does not
-// exist, expands another module or is malformed.
+// Apply expands the given unexpanded composite instance with the production
+// of the given 1-based index and returns the step. It fails, changing
+// nothing, when the instance is unknown, atomic or already expanded, or the
+// production does not exist, expands another module or is malformed.
 func (d *Deriver) Apply(instanceID, prodIndex int) (Step, error) {
-	if instanceID < 0 || instanceID >= len(d.inst) {
-		return Step{}, fmt.Errorf("run: no instance %d", instanceID)
+	at, ok := slices.BinarySearch(d.open, instanceID)
+	if !ok {
+		return Step{}, fmt.Errorf("run: instance %d is not an unexpanded composite instance", instanceID)
 	}
-	inst := d.inst[instanceID]
-	if inst.expanded {
-		return Step{}, fmt.Errorf("run: instance %d (%s) is already expanded", instanceID, d.t.modules[inst.module].name)
-	}
+	m := d.openMod[at]
 	if prodIndex < 1 || prodIndex > len(d.t.prods) {
 		return Step{}, fmt.Errorf("run: no production %d", prodIndex)
 	}
-	if lhs := d.t.lhs[prodIndex-1]; lhs != inst.module {
-		return Step{}, fmt.Errorf("run: production %d expands %q, not %q", prodIndex, d.t.modules[lhs].name, d.t.modules[inst.module].name)
+	if lhs := d.t.lhs[prodIndex-1]; lhs != m {
+		return Step{}, fmt.Errorf("run: production %d expands %q, not %q", prodIndex, d.t.modules[lhs].name, d.t.modules[m].name)
 	}
 	tp := d.t.template(prodIndex)
 	if tp.err != nil {
@@ -244,11 +242,10 @@ func (d *Deriver) Apply(instanceID, prodIndex int) (Step, error) {
 	d.steps++
 	s := Step{
 		Index: d.steps, Instance: instanceID, Prod: prodIndex,
-		FirstInstance: len(d.inst), FirstItem: d.items + 1, FirstPort: d.ports,
+		FirstInstance: d.insts, FirstItem: d.items + 1, FirstPort: d.ports,
 		Template: tp,
 	}
-	d.inst[instanceID].expanded = true
-	d.open--
+	d.open, d.openMod = slices.Delete(d.open, at, at+1), slices.Delete(d.openMod, at, at+1)
 	for _, m := range tp.nodes {
 		d.add(m)
 	}
@@ -258,28 +255,23 @@ func (d *Deriver) Apply(instanceID, prodIndex int) (Step, error) {
 }
 
 // Frontier returns the IDs of the unexpanded composite instances, in
-// increasing order.
+// increasing order, or nil when there are none.
 func (d *Deriver) Frontier() []int {
-	if d.open == 0 {
+	if len(d.open) == 0 {
 		return nil
 	}
-	out := make([]int, 0, d.open)
-	for id, inst := range d.inst {
-		if !inst.expanded && d.t.modules[inst.module].composite {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.Clone(d.open)
 }
 
 // IsComplete reports whether every composite instance has been expanded.
-func (d *Deriver) IsComplete() bool { return d.open == 0 }
+func (d *Deriver) IsComplete() bool { return len(d.open) == 0 }
 
 // Expandable returns the 1-based indices of the productions that can expand
 // the instance, or nil when it is unknown, already expanded or atomic.
 func (d *Deriver) Expandable(instanceID int) []int {
-	if instanceID < 0 || instanceID >= len(d.inst) || d.inst[instanceID].expanded {
+	at, ok := slices.BinarySearch(d.open, instanceID)
+	if !ok {
 		return nil
 	}
-	return d.t.spec.Grammar.ProductionsFor(d.t.modules[d.inst[instanceID].module].name)
+	return d.t.spec.Grammar.ProductionsFor(d.t.modules[d.openMod[at]].name)
 }

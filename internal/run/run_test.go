@@ -1,8 +1,10 @@
 package run_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -136,6 +138,85 @@ func TestApplyErrors(t *testing.T) {
 	}
 	if _, err := r.Apply(0, 1); err == nil {
 		t.Fatalf("double expansion accepted")
+	}
+
+	// A bare deriver refuses an atomic and an expanded instance, and each
+	// refusal changes nothing: the next accepted step is numbered on from
+	// the last accepted one.
+	d := run.NewTemplates(spec).NewDeriver()
+	last, err := d.Apply(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atomic := -1
+	for i, name := range last.Nodes {
+		if len(spec.Grammar.ProductionsFor(name)) == 0 {
+			atomic = last.FirstInstance + i
+			break
+		}
+	}
+	if atomic < 0 {
+		t.Fatal("the first step created no atomic instance")
+	}
+	refuse := func(what string, id int) {
+		t.Helper()
+		if _, err := d.Apply(id, 1); err == nil {
+			t.Fatalf("apply to %s instance %d accepted", what, id)
+		}
+		if got := d.Expandable(id); got != nil {
+			t.Fatalf("%s instance %d is expandable by %v", what, id, got)
+		}
+		id = d.Frontier()[0]
+		next, err := d.Apply(id, d.Expandable(id)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Index != last.Index+1 || next.FirstInstance != last.FirstInstance+len(last.Nodes) ||
+			next.FirstItem != last.FirstItem+len(last.Edges) || next.FirstPort != last.FirstPort+2*len(last.Edges) {
+			t.Fatalf("after refusing %s instance %d, step %+v follows step %+v", what, id, next, last)
+		}
+		last = next
+	}
+	refuse("an atomic", atomic)
+	refuse("an expanded", last.Instance)
+}
+
+// TestDeriverKeepsOnlyItsFrontier: deriving the 20,049-item probe run
+// (BioAID, seed 1000) allocates a bounded few hundred bytes, not a record
+// per instance, and leaves no frontier.
+func TestDeriverKeepsOnlyItsFrontier(t *testing.T) {
+	spec := workloads.BioAID()
+	r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: 20000, Rand: rand.New(rand.NewSource(1000))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	templates := run.NewTemplates(spec)
+	derive := func() *run.Deriver {
+		d := templates.NewDeriver()
+		for _, st := range r.Steps {
+			if _, err := d.Apply(st.Instance, st.Prod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	derive() // compiles every production the run applies
+	// The least of three derivations, in case another goroutine allocates.
+	least := uint64(math.MaxUint64)
+	var d *run.Deriver
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d = derive()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("deriving %d items over %d instances in %d steps allocates %d bytes", r.Size(), len(r.Instances), len(r.Steps), least)
+	if least > 1024 {
+		t.Errorf("deriving the probe run allocates %d bytes, want at most 1024", least)
+	}
+	if f := d.Frontier(); f != nil || !d.IsComplete() {
+		t.Errorf("a complete derivation has frontier %v", f)
 	}
 }
 
