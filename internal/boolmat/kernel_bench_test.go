@@ -53,6 +53,32 @@ func BenchmarkMulInto(b *testing.B) {
 	}
 }
 
+// BenchmarkMulVec prices one matrix-vector product against the matrix
+// product it replaces in a set scan: the full product of two square matrices
+// when only one column of it is read.
+//
+//	go test -run '^$' -bench 'BenchmarkMulVec' -benchmem ./internal/boolmat
+func BenchmarkMulVec(b *testing.B) {
+	for _, size := range []int{8, 64, 256} {
+		m, o := benchPair(size)
+		v := ColInto(nil, o, 0)
+		b.Run(fmt.Sprintf("vec/%dx%d", size, size), func(b *testing.B) {
+			var dst *Matrix
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = MulVecInto(dst, m, v)
+			}
+		})
+		b.Run(fmt.Sprintf("matrix/%dx%d", size, size), func(b *testing.B) {
+			var dst *Matrix
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = MulInto(dst, m, o)
+			}
+		})
+	}
+}
+
 func BenchmarkOrPacked(b *testing.B) {
 	a, c := benchPair(256)
 	var dst *Matrix

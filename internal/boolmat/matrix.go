@@ -325,6 +325,49 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
+// ColInto copies column j of m into dst as a 1 x m.Rows() row vector,
+// reusing dst's storage when possible (a nil dst allocates), and returns the
+// destination. It panics when j is out of range or dst is m.
+func ColInto(dst, m *Matrix, j int) *Matrix {
+	if j < 0 || j >= m.cols {
+		panic(fmt.Sprintf("boolmat: column %d out of range for %dx%d matrix", j, m.rows, m.cols))
+	}
+	if dst == m {
+		panic("boolmat: ColInto destination aliases the operand")
+	}
+	dst = Zero(dst, 1, m.rows)
+	w, shift := j/wordBits, uint(j)%wordBits
+	for i := 0; i < m.rows; i++ {
+		dst.bits[i/wordBits] |= (m.bits[i*m.stride+w] >> shift & 1) << (uint(i) % wordBits)
+	}
+	return dst
+}
+
+// MulVecInto computes the matrix-vector product m·v into dst, reusing dst's
+// storage when possible (a nil dst allocates), and returns the destination.
+// The vector v is held as a 1 x m.Cols() row and so is the result, 1 x
+// m.Rows(): bit i is set when row i of m meets v. A row vector times a matrix
+// needs no kernel of its own: it is MulInto with a 1-row operand. It panics
+// when v is not 1 x m.Cols() or dst aliases an operand.
+func MulVecInto(dst, m, v *Matrix) *Matrix {
+	if v.rows != 1 || v.cols != m.cols {
+		panic(fmt.Sprintf("boolmat: cannot multiply %dx%d by a %dx%d vector", m.rows, m.cols, v.rows, v.cols))
+	}
+	if dst == m || dst == v {
+		panic("boolmat: MulVecInto destination aliases an operand")
+	}
+	dst = Zero(dst, 1, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for x, vw := range v.bits {
+			if m.bits[i*m.stride+x]&vw != 0 {
+				dst.bits[i/wordBits] |= 1 << (uint(i) % wordBits)
+				break
+			}
+		}
+	}
+	return dst
+}
+
 // Or returns the element-wise disjunction of m and o.
 // It panics when dimensions differ.
 func (m *Matrix) Or(o *Matrix) *Matrix {

@@ -134,3 +134,25 @@ func findPeriodQuadratic(x *Matrix) *PowerPeriod {
 		cur = cur.Mul(x)
 	}
 }
+
+// col returns column j as a 1 x rows reference row.
+func (n *naiveMatrix) col(j int) *naiveMatrix {
+	c := naiveNew(1, n.rows)
+	for i := 0; i < n.rows; i++ {
+		c.data[i] = n.data[i*n.cols+j]
+	}
+	return c
+}
+
+// mulVec returns n·v for a 1 x cols reference row v, as a 1 x rows row.
+func (n *naiveMatrix) mulVec(v *naiveMatrix) *naiveMatrix {
+	p := naiveNew(1, n.rows)
+	for i := 0; i < n.rows; i++ {
+		for k := 0; k < n.cols; k++ {
+			if n.data[i*n.cols+k] && v.data[k] {
+				p.data[i] = true
+			}
+		}
+	}
+	return p
+}

@@ -51,24 +51,6 @@ func (vl *ViewLabel) mulInto(dst, a, b *boolmat.Matrix) *boolmat.Matrix {
 	return boolmat.MulInto(dst, a, b)
 }
 
-// mulChain multiplies the factors left to right, each product into a fresh
-// scratch slot of the query context, so earlier intermediate results of the
-// same query are never clobbered. Data labels are untrusted: factors whose
-// dimensions do not conform — a path whose edges do not follow one another
-// in the grammar — are an error, not a panic.
-func (vl *ViewLabel) mulChain(qc *queryCtx, factors ...*boolmat.Matrix) (*boolmat.Matrix, error) {
-	result := factors[0]
-	for _, m := range factors[1:] {
-		if err := conform(result, m); err != nil {
-			return nil, err
-		}
-		i := qc.take()
-		qc.scratch[i] = vl.mulInto(qc.scratch[i], result, m)
-		result = qc.scratch[i]
-	}
-	return result, nil
-}
-
 // conform checks that a x b is defined.
 func conform(a, b *boolmat.Matrix) error {
 	if a.Cols() != b.Rows() {
@@ -241,59 +223,124 @@ func (vl *ViewLabel) safeGet(m *boolmat.Matrix, x, y int) (bool, error) {
 // (nil, nil) return means the case is definitely false for every port pair
 // (coinciding/ancestor nodes, or flow against production order).
 //
-// The point decoders read a single entry of the result; the set scans read a
-// whole row or column, which is what makes one matrix chain answer a whole
-// group of items at once. With idx, the paths' suffix products are cached
-// per owner instance, srcNode and dstNode (suffixProduct).
+// It is mainChain's factor chain multiplied out, which is what the point
+// decoders read a single entry of, so Algorithm 2 keeps its matrix form. The
+// set scans read a whole row or column of the same chain through rowVec
+// instead, never multiplying it out. With idx, the paths' suffix products
+// are cached per owner instance, srcNode and dstNode (suffixProduct).
 func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, idx *ItemIndex, srcNode int32, l1 []EdgeLabel, dstNode int32, l2 []EdgeLabel) (*boolmat.Matrix, error) {
-	outProd := func(from int) (*boolmat.Matrix, error) { return vl.suffixProduct(qc, idx, srcNode, l1, from, true) }
-	inProd := func(from int) (*boolmat.Matrix, error) { return vl.suffixProduct(qc, idx, dstNode, l2, from, false) }
+	var ch decodeChain
+	if err := vl.mainChain(&ch, srcNode, l1, dstNode, l2); err != nil || ch.n == 0 {
+		return nil, err
+	}
+	return vl.product(qc, idx, &ch)
+}
 
+// factorKind tells where a chain factor's matrix comes from.
+type factorKind uint8
+
+const (
+	suffixFactor factorKind = iota // suffixProduct from a: l1's with outputs, else l2's
+	zFactor                        // edgeZ(a, b, c)
+	recFactor                      // recursionChain(a, b, c, outputs)
+)
+
+// factor names one matrix of a decode chain without fetching it, so each
+// evaluator fetches only the factors it multiplies.
+type factor struct {
+	kind       factorKind
+	transposed bool // the chain multiplies the matrix's transpose
+	outputs    bool
+	a, b, c    int32
+}
+
+// decodeChain is the factor chain of case 2a or 2b between the tree nodes of
+// a producing path l1 and a consuming path l2: op(f[0])·…·op(f[n-1]), where
+// op transposes the factors flagged so. f[0] is l1's O-suffix product and
+// f[n-1] l2's I-suffix product; between them sit a Z matrix and, in case 2b,
+// a recursion chain. n is 0 when the case is false for every port pair. A
+// flipped chain stands for the transposed product: the same factors in
+// reverse order with their flags negated, so column c of the product is row
+// c of the flipped chain's.
+type decodeChain struct {
+	f       [4]factor
+	n       int
+	flipped bool
+
+	// The paths and owner instances the suffix factors read: index 0 is l1's
+	// side, 1 is l2's.
+	path [2][]EdgeLabel
+	node [2]int32
+
+	// shared is the depth of the paths' least common ancestor, and recursive
+	// marks case 2b. The factors between the two suffix products depend on
+	// the paths only through shared, the edges at shared and, in case 2b,
+	// the edges at shared+1 (see tailKey).
+	shared    int
+	recursive bool
+}
+
+func (ch *decodeChain) push(kind factorKind, transposed, outputs bool, a, b, c int) {
+	ch.f[ch.n] = factor{kind: kind, transposed: transposed, outputs: outputs, a: int32(a), b: int32(b), c: int32(c)}
+	ch.n++
+}
+
+// at returns the i-th factor of the chain as it multiplies, and whether it
+// multiplies transposed.
+func (ch *decodeChain) at(i int) (*factor, bool) {
+	if ch.flipped {
+		f := &ch.f[ch.n-1-i]
+		return f, !f.transposed
+	}
+	return &ch.f[i], ch.f[i].transposed
+}
+
+// mainChain is the case analysis of cases 1, 2a and 2b. It checks the two
+// paths against each other and the grammar's cycles and writes the factor
+// chain of the decoding matrix into ch, every structural check included, but
+// fetches no matrix: that is left to the evaluators, product for the full
+// matrix and rowVec for one row or column of it.
+func (vl *ViewLabel) mainChain(ch *decodeChain, srcNode int32, l1 []EdgeLabel, dstNode int32, l2 []EdgeLabel) error {
+	ch.n, ch.flipped, ch.recursive = 0, false, false
+	ch.path[0], ch.path[1], ch.node[0], ch.node[1] = l1, l2, srcNode, dstNode
 	shared := commonPrefixLen(l1, l2)
+	ch.shared = shared
 
 	// Case 1: the two tree nodes coincide or one is an ancestor of the other;
 	// the consuming port cannot be reached from the producing port.
 	if shared == len(l1) || shared == len(l2) {
-		return nil, nil
+		return nil
 	}
 
 	el, er := l1[shared], l2[shared]
 	if el.Recursive() != er.Recursive() {
-		return nil, fmt.Errorf("core: inconsistent data labels: paths diverge at %v vs %v", el, er)
+		return fmt.Errorf("core: inconsistent data labels: paths diverge at %v vs %v", el, er)
 	}
 
 	if !el.Recursive() {
 		// Case 2a: the least common ancestor is an ordinary node; both edges
 		// come from the same production.
 		if el.K() != er.K() {
-			return nil, fmt.Errorf("core: inconsistent data labels: sibling edges %v and %v use different productions", el, er)
+			return fmt.Errorf("core: inconsistent data labels: sibling edges %v and %v use different productions", el, er)
 		}
 		i, j := el.I(), er.I()
 		if i > j {
-			return nil, nil
+			return nil
 		}
-		z, err := vl.edgeZ(qc, el.K(), i, j)
-		if err != nil {
-			return nil, err
-		}
-		o, err := outProd(shared + 1)
-		if err != nil {
-			return nil, err
-		}
-		in, err := inProd(shared + 1)
-		if err != nil {
-			return nil, err
-		}
-		return vl.mulChain(qc, qc.transpose(o), z, in)
+		ch.push(suffixFactor, true, true, shared+1, 0, 0)
+		ch.push(zFactor, false, false, el.K(), i, j)
+		ch.push(suffixFactor, false, false, shared+1, 0, 0)
+		return nil
 	}
 
 	// Case 2b: the least common ancestor is a recursive node.
+	ch.recursive = true
 	if el.S() != er.S() || el.T() != er.T() {
-		return nil, fmt.Errorf("core: inconsistent data labels: sibling recursive edges %v and %v disagree on the cycle", el, er)
+		return fmt.Errorf("core: inconsistent data labels: sibling recursive edges %v and %v disagree on the cycle", el, er)
 	}
 	c, err := vl.scheme.Cycle(el.S())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	i, j := el.I(), er.I()
 	switch {
@@ -303,37 +350,25 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, idx *ItemIndex, srcNode int3
 		if shared+1 == len(l1) {
 			// o1 is a port of the i-th unfolded composite module itself; the
 			// j-th module is derived from it, so nothing flows forward.
-			return nil, nil
+			return nil
 		}
 		next := l1[shared+1]
 		if next.Recursive() {
-			return nil, fmt.Errorf("core: inconsistent data labels: expected a production edge after %v, got %v", el, next)
+			return fmt.Errorf("core: inconsistent data labels: expected a production edge after %v, got %v", el, next)
 		}
 		ce := c.EdgeAt(el.T() + i - 1) // the cycle edge leaving the i-th module
 		if next.K() != ce.K {
-			return nil, fmt.Errorf("core: inconsistent data labels: edge %v does not use the cycle production %d", next, ce.K)
+			return fmt.Errorf("core: inconsistent data labels: edge %v does not use the cycle production %d", next, ce.K)
 		}
 		iPrime, jPrime := next.I(), ce.I
 		if iPrime > jPrime {
-			return nil, nil
+			return nil
 		}
-		o, err := outProd(shared + 2)
-		if err != nil {
-			return nil, err
-		}
-		z, err := vl.edgeZ(qc, ce.K, iPrime, jPrime)
-		if err != nil {
-			return nil, err
-		}
-		iChain, err := vl.recursionChain(qc, el.S(), el.T()+i, j-i, false)
-		if err != nil {
-			return nil, err
-		}
-		in, err := inProd(shared + 1)
-		if err != nil {
-			return nil, err
-		}
-		return vl.mulChain(qc, qc.transpose(o), z, iChain, in)
+		ch.push(suffixFactor, true, true, shared+2, 0, 0)
+		ch.push(zFactor, false, false, ce.K, iPrime, jPrime)
+		ch.push(recFactor, false, false, el.S(), el.T()+i, j-i)
+		ch.push(suffixFactor, false, false, shared+1, 0, 0)
+		return nil
 
 	case i > j:
 		// The producing port lives in a later (more deeply nested) unfolding
@@ -342,39 +377,114 @@ func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, idx *ItemIndex, srcNode int3
 		if shared+1 == len(l2) {
 			// i2 is a port of the j-th unfolded composite module itself; a
 			// descendant's output cannot reach its ancestor's input.
-			return nil, nil
+			return nil
 		}
 		next := l2[shared+1]
 		if next.Recursive() {
-			return nil, fmt.Errorf("core: inconsistent data labels: expected a production edge after %v, got %v", er, next)
+			return fmt.Errorf("core: inconsistent data labels: expected a production edge after %v, got %v", er, next)
 		}
 		ce := c.EdgeAt(el.T() + j - 1) // the cycle edge leaving the j-th module
 		if next.K() != ce.K {
-			return nil, fmt.Errorf("core: inconsistent data labels: edge %v does not use the cycle production %d", next, ce.K)
+			return fmt.Errorf("core: inconsistent data labels: edge %v does not use the cycle production %d", next, ce.K)
 		}
 		rPrime, jPrime := ce.I, next.I()
 		if rPrime > jPrime {
-			return nil, nil
+			return nil
 		}
-		o, err := outProd(shared + 1)
-		if err != nil {
-			return nil, err
-		}
-		oChain, err := vl.recursionChain(qc, el.S(), el.T()+j, i-j, true)
-		if err != nil {
-			return nil, err
-		}
-		z, err := vl.edgeZ(qc, ce.K, rPrime, jPrime)
-		if err != nil {
-			return nil, err
-		}
-		in, err := inProd(shared + 2)
-		if err != nil {
-			return nil, err
-		}
-		return vl.mulChain(qc, qc.transpose(o), qc.transpose(oChain), z, in)
+		ch.push(suffixFactor, true, true, shared+1, 0, 0)
+		ch.push(recFactor, true, true, el.S(), el.T()+j, i-j)
+		ch.push(zFactor, false, false, ce.K, rPrime, jPrime)
+		ch.push(suffixFactor, false, false, shared+2, 0, 0)
+		return nil
 
 	default:
-		return nil, fmt.Errorf("core: inconsistent data labels: identical recursive edges %v treated as divergent", el)
+		return fmt.Errorf("core: inconsistent data labels: identical recursive edges %v treated as divergent", el)
 	}
+}
+
+// fetch returns the matrix a factor of ch names.
+func (vl *ViewLabel) fetch(qc *queryCtx, idx *ItemIndex, ch *decodeChain, f *factor) (*boolmat.Matrix, error) {
+	switch f.kind {
+	case zFactor:
+		return vl.edgeZ(qc, int(f.a), int(f.b), int(f.c))
+	case recFactor:
+		return vl.recursionChain(qc, int(f.a), int(f.b), int(f.c), f.outputs)
+	default:
+		side := 1
+		if f.outputs {
+			side = 0
+		}
+		return vl.suffixProduct(qc, idx, ch.node[side], ch.path[side], int(f.a), f.outputs)
+	}
+}
+
+// product multiplies the chain out left to right, transposing flagged
+// factors and writing each product into a fresh scratch slot of the query
+// context, so earlier intermediate results of the same query are never
+// clobbered. Data labels are untrusted: factors whose dimensions do not
+// conform — a path whose edges do not follow one another in the grammar —
+// are an error, not a panic.
+func (vl *ViewLabel) product(qc *queryCtx, idx *ItemIndex, ch *decodeChain) (*boolmat.Matrix, error) {
+	var result *boolmat.Matrix
+	for i := 0; i < ch.n; i++ {
+		f, t := ch.at(i)
+		m, err := vl.fetch(qc, idx, ch, f)
+		if err != nil {
+			return nil, err
+		}
+		if t {
+			m = qc.transpose(m)
+		}
+		if result == nil {
+			result = m
+			continue
+		}
+		if err := conform(result, m); err != nil {
+			return nil, err
+		}
+		s := qc.take()
+		qc.scratch[s] = vl.mulInto(qc.scratch[s], result, m)
+		result = qc.scratch[s]
+	}
+	return result, nil
+}
+
+// rowVec returns row r of the chain's product as a 1-row vector without
+// multiplying the product out: row r of op(f[0]) is a row or column of f[0],
+// and every further factor costs one vector product. Column c of the
+// product is rowVec of the flipped chain. It fails where product does,
+// and also when r is not a row of the product.
+func (vl *ViewLabel) rowVec(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r int) (*boolmat.Matrix, error) {
+	w, err := vl.rowTail(qc, idx, ch, r)
+	if err != nil {
+		return nil, err
+	}
+	return vl.rowHead(qc, idx, ch, w, r)
+}
+
+// rowTail is rowVec without the last factor: row r of op(f[0])·…·op(f[n-2]),
+// or nil for a one-factor chain, whose row rowHead picks directly.
+func (vl *ViewLabel) rowTail(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r int) (*boolmat.Matrix, error) {
+	var w *boolmat.Matrix
+	for i := 0; i < ch.n-1; i++ {
+		f, t := ch.at(i)
+		m, err := vl.fetch(qc, idx, ch, f)
+		if err != nil {
+			return nil, err
+		}
+		if w, err = qc.vecMul(w, r, m, t); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
+}
+
+// rowHead finishes rowVec from its tail w: w·op(f[n-1]).
+func (vl *ViewLabel) rowHead(qc *queryCtx, idx *ItemIndex, ch *decodeChain, w *boolmat.Matrix, r int) (*boolmat.Matrix, error) {
+	f, t := ch.at(ch.n - 1)
+	m, err := vl.fetch(qc, idx, ch, f)
+	if err != nil {
+		return nil, err
+	}
+	return qc.vecMul(w, r, m, t)
 }

@@ -217,5 +217,14 @@ func (idx *ItemIndex) resolve(itemID int) (DataLabel, bool) {
 	return d, ok && indexable(d)
 }
 
+// side returns the scan groups of the producing side (outputs) or the
+// consuming side.
+func (idx *ItemIndex) side(outputs bool) *groupTable {
+	if outputs {
+		return &idx.src
+	}
+	return &idx.dst
+}
+
 // path returns the path of an instance the index's items name.
 func (idx *ItemIndex) path(node int32) []EdgeLabel { return idx.paths[node] }

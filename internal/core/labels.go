@@ -8,7 +8,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -143,4 +145,14 @@ func commonPrefixLen(a, b []EdgeLabel) int {
 		n++
 	}
 	return n
+}
+
+// comparePaths orders paths lexicographically, edge by edge, with a prefix
+// before its extensions. The order of two edges is that of their packed
+// fields, which is arbitrary but total; all the scans need is that the paths
+// through one tree node form a contiguous run.
+func comparePaths(a, b []EdgeLabel) int {
+	return slices.CompareFunc(a, b, func(x, y EdgeLabel) int {
+		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.ks, y.ks), cmp.Compare(x.i, y.i))
+	})
 }

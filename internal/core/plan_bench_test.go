@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/boolmat"
 	"repro/internal/view"
 	"repro/internal/workloads"
 )
@@ -99,6 +100,16 @@ func BenchmarkPlanPointIndexed(b *testing.B) {
 // session with a plan attached for the run's item index, as the set-query
 // executor runs it.
 func BenchmarkPlanDepsRowSpaceEfficient(b *testing.B) {
+	benchPlanRow(b, (*QuerySession).DepsRow)
+}
+
+// BenchmarkPlanRevDepsRowSpaceEfficient is the RevDeps scan beside it.
+func BenchmarkPlanRevDepsRowSpaceEfficient(b *testing.B) {
+	benchPlanRow(b, (*QuerySession).RevDepsRow)
+}
+
+// benchPlanRow runs one set scan per iteration over 64 fixed targets.
+func benchPlanRow(b *testing.B, scan func(*QuerySession, *ViewLabel, *ItemIndex, int) (*boolmat.Matrix, error)) {
 	vl, _, idx := planBenchFixture(b)
 	rng := rand.New(rand.NewSource(5))
 	targets := make([]int, 64)
@@ -111,7 +122,7 @@ func BenchmarkPlanDepsRowSpaceEfficient(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.DepsRow(vl, idx, targets[i%len(targets)]); err != nil {
+		if _, err := scan(s, vl, idx, targets[i%len(targets)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,6 +56,11 @@ type planLabel struct {
 	// visRow is the 1×(items+1) bitset row of item IDs visible in the
 	// label's view.
 	visRow *boolmat.Matrix
+
+	// groups lists, per side, the positions of the index's scan groups whose
+	// owners are visible in the label's view, sorted by the owners' paths
+	// (scanOrder); side 1 is the producing (src) side.
+	groups [2][]int32
 }
 
 // planNode is a plan's cached state for one owner instance's tree node.

@@ -10,6 +10,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/boolmat"
 	"repro/internal/view"
@@ -18,17 +19,19 @@ import (
 
 // planEntry locates one object a plan caches: an edge matrix (kind "I" or
 // "O" at production k, node i; kind "Z" at production k, nodes i < j), a
-// recursion chain (cycle s, offset t, side) or a chain product (node, side,
-// from) of one label.
+// recursion chain (cycle s, offset t, side), a chain product (node, side,
+// from) or the scan order of one side's visible groups (kind "groups" at
+// side) of one label.
 type planEntry struct {
 	vl      *ViewLabel
 	kind    string
 	a, b, c int
 }
 
-// planEntries snapshots every edge matrix, recursion chain and chain product
-// a plan holds, each mapped to the cached object, so probes can check both
-// that nothing new was cached and that nothing cached was recomputed.
+// planEntries snapshots every edge matrix, recursion chain, chain product
+// and group order a plan holds, each mapped to the cached object (a group
+// order to its backing array), so probes can check both that nothing new was
+// cached and that nothing cached was recomputed.
 func planEntries(pc *PlanCache) map[planEntry]any {
 	out := map[planEntry]any{}
 	for vl, pl := range pc.labels {
@@ -51,6 +54,11 @@ func planEntries(pc *PlanCache) map[planEntry]any {
 						out[planEntry{vl, "chain", s + 1, t + 1, side}] = rc
 					}
 				}
+			}
+		}
+		for side, order := range pl.groups {
+			if order != nil {
+				out[planEntry{vl, "groups", side, 0, 0}] = unsafe.SliceData(order)
 			}
 		}
 		for node, pn := range pl.nodes {
@@ -167,50 +175,70 @@ func TestPlanAttachedPointQueriesAllocateLessThanHonestOnes(t *testing.T) {
 	}
 }
 
-// TestPlanAttachedDepsRowAllocatesOnlyTheAnswer checks the set scan's steady
-// state: once every target has been scanned, a DepsRow call allocates its
-// answer row and nothing else, however many source groups the index has.
+// TestPlanAttachedDepsRowAllocatesOnlyTheAnswer checks the set scans' steady
+// state: once every target has been scanned, a DepsRow or RevDepsRow call
+// allocates its answer row and nothing else, however many groups the index
+// has, on the default view and on a grey-box view that hides most of them.
 func TestPlanAttachedDepsRowAllocatesOnlyTheAnswer(t *testing.T) {
 	spec := workloads.BioAID()
 	scheme, err := NewScheme(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vl, err := scheme.LabelView(view.Default(spec), VariantSpaceEfficient)
+	grey, err := workloads.RandomView(spec, workloads.ViewOptions{
+		Name: "grey", Composites: 8, Mode: workloads.GreyBox, Rand: rand.New(rand.NewSource(10)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{60, 600} {
-		r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: size, Rand: rand.New(rand.NewSource(9))})
+	scans := map[string]func(*QuerySession, *ViewLabel, *ItemIndex, int) (*boolmat.Matrix, error){
+		"deps": (*QuerySession).DepsRow, "revdeps": (*QuerySession).RevDepsRow,
+	}
+	for _, v := range []*view.View{view.Default(spec), grey} {
+		vl, err := scheme.LabelView(v, VariantSpaceEfficient)
 		if err != nil {
 			t.Fatal(err)
 		}
-		labeler, err := scheme.LabelRun(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := BuildItemIndex(0, labeler.Count(), labeler.Label)
-		answer := testing.AllocsPerRun(20, func() { boolmat.New(1, idx.Items()+1) })
-		s := NewQuerySession()
-		s.EnsurePlan(idx)
-		for x := 1; x <= idx.Items(); x++ {
-			if _, err := s.DepsRow(vl, idx, x); err != nil {
-				t.Fatalf("depsRow(%d): %v", x, err)
+		for _, size := range []int{60, 600} {
+			r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: size, Rand: rand.New(rand.NewSource(9))})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for x := 1; x <= idx.Items(); x++ {
-			got := testing.AllocsPerRun(5, func() {
-				if _, err := s.DepsRow(vl, idx, x); err != nil {
-					t.Fatal(err)
+			labeler, err := scheme.LabelRun(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := BuildItemIndex(0, labeler.Count(), labeler.Label)
+			answer := testing.AllocsPerRun(20, func() { boolmat.New(1, idx.Items()+1) })
+			var targets []int
+			for x := 1; x <= idx.Items(); x++ {
+				if lx, _ := labeler.Label(x); vl.Visible(lx) {
+					targets = append(targets, x)
 				}
-			})
-			if got != answer {
-				t.Fatalf("%d items, %d source groups: warmed depsRow(%d) allocates %.0f/op, want %.0f (the answer row)",
-					idx.Items(), len(idx.src.groups), x, got, answer)
+			}
+			for name, scan := range scans {
+				s := NewQuerySession()
+				s.EnsurePlan(idx)
+				for _, x := range targets {
+					if _, err := scan(s, vl, idx, x); err != nil {
+						t.Fatalf("%s %s(%d): %v", v.Name, name, x, err)
+					}
+				}
+				for _, x := range targets {
+					got := testing.AllocsPerRun(5, func() {
+						if _, err := scan(s, vl, idx, x); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if got != answer {
+						t.Fatalf("%s, %d items, %d/%d groups: warmed %s(%d) allocates %.0f/op, want %.0f (the answer row)",
+							v.Name, idx.Items(), len(idx.src.groups), len(idx.dst.groups), name, x, got, answer)
+					}
+				}
+				t.Logf("%s, %d items, %d visible targets: warmed %s allocates %.0f/op", v.Name, idx.Items(), len(targets), name, answer)
+				s.Close()
 			}
 		}
-		t.Logf("%d items, %d source groups: warmed depsRow allocates %.0f/op", idx.Items(), len(idx.src.groups), answer)
-		s.Close()
 	}
 }
 
@@ -266,6 +294,9 @@ func TestSetScansCacheChainProductsAcrossQueries(t *testing.T) {
 	prods := countEntries(first, "prod")
 	if prods == 0 {
 		t.Fatal("scanning every item cached no chain products")
+	}
+	if countEntries(first, "groups") == 0 {
+		t.Fatal("scanning every item cached no group order")
 	}
 	for x := 1; x <= idx.Items(); x++ {
 		if _, err := s.DepsRow(vl, idx, x); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/boolmat"
@@ -58,11 +59,12 @@ func (qc *queryCtx) begin() {
 	clear(qc.closures)
 }
 
-// rewind resets only the bump allocator. The set-query scans use it between
-// per-group decodes: everything a group's result depends on across rewinds
-// lives in the plan cache (cloned) or in the label itself, never in scratch.
-func (qc *queryCtx) rewind() {
-	qc.used = 0
+// rewind resets only the bump allocator, to mark slots. The set-query scans
+// use it between groups: everything a group's result depends on across
+// rewinds lives in the plan cache (cloned), in the label itself or in the
+// scan's memo below mark, never in the slots rewound.
+func (qc *queryCtx) rewind(mark int) {
+	qc.used = mark
 }
 
 // take returns the index of a fresh scratch slot.
@@ -94,6 +96,38 @@ func (qc *queryCtx) transpose(m *boolmat.Matrix) *boolmat.Matrix {
 	i := qc.take()
 	qc.scratch[i] = boolmat.TransposeInto(qc.scratch[i], m)
 	return qc.scratch[i]
+}
+
+// vecMul returns w·op(m) in a scratch slot, where op transposes m when t is
+// set. A nil w stands for the unit row of r, so the result is row r of
+// op(m). Data labels are untrusted: a port index outside op(m) or a vector
+// that does not conform is an error, not a panic.
+func (qc *queryCtx) vecMul(w *boolmat.Matrix, r int, m *boolmat.Matrix, t bool) (*boolmat.Matrix, error) {
+	rows := m.Rows()
+	if t {
+		rows = m.Cols()
+	}
+	switch {
+	case w == nil && (r < 0 || r >= rows):
+		return nil, fmt.Errorf("core: port index %d out of range for a reachability matrix side of %d ports", r, rows)
+	case w != nil && w.Cols() != rows:
+		return nil, fmt.Errorf("core: inconsistent data labels: cannot chain a %d-port vector with a %d-port reachability matrix side", w.Cols(), rows)
+	}
+	i := qc.take()
+	switch {
+	case w == nil && t:
+		qc.scratch[i] = boolmat.ColInto(qc.scratch[i], m, r)
+	case w == nil:
+		u := qc.take()
+		qc.scratch[u] = boolmat.Zero(qc.scratch[u], 1, rows)
+		qc.scratch[u].Set(0, r, true)
+		qc.scratch[i] = boolmat.MulInto(qc.scratch[i], qc.scratch[u], m)
+	case t:
+		qc.scratch[i] = boolmat.MulVecInto(qc.scratch[i], m, w)
+	default:
+		qc.scratch[i] = boolmat.MulInto(qc.scratch[i], w, m)
+	}
+	return qc.scratch[i], nil
 }
 
 // queryCtxPool recycles contexts across queries and goroutines. DependsOn

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/boolmat"
 	"repro/internal/faults"
@@ -13,8 +15,18 @@ import (
 // candidate item. The key observation is the one Algorithm 2 is built on: the
 // decoding matrix depends only on the two labels' tree-node paths, never on
 // the ports. Grouping candidates by the instance owning their ports
-// (ItemIndex) therefore reduces a set query to one matrix chain per group
-// plus a row or column extraction per member.
+// (ItemIndex) reduces a set query to one vector per group: the row or column
+// of the group's decoding matrix at the target's port, scattered onto the
+// members' ports.
+//
+// A scan reads that vector off mainChain's factor chain through rowVec, one
+// vector product per factor, and never multiplies the matrix out. It visits
+// only the groups visible in the view, in path order (scanOrder), so the
+// groups below one subtree of the target's path come one after another. They
+// share the LCA depth and the edges there, and with them every factor but
+// their own suffix product: a one-entry memo (tailMemo) keeps the target's
+// side of the chain as one vector, and each further group of the run costs
+// one vector × suffix product.
 //
 // Set semantics versus point semantics: a point query against an invisible or
 // unknown *target* errors, and so do the scans (ErrHiddenItem /
@@ -89,105 +101,120 @@ func (vl *ViewLabel) visibleRow(qc *queryCtx, idx *ItemIndex) *boolmat.Matrix {
 	return row
 }
 
-// scatter transfers one group's decode-matrix bits into the answer row: for
-// every visible member whose matrix bit at (port, target) — or (target, port)
-// when memberRows is false — is set, the member's item bit is set. Out-of-
-// range ports exclude exactly the members whose point queries would have
-// errored on safeGet.
-func (vl *ViewLabel) scatter(qc *queryCtx, idx *ItemIndex, row, m *boolmat.Matrix, members []member, target int, memberRows bool) {
-	if target < 0 {
-		return
-	}
-	if memberRows {
-		if target >= m.Cols() {
-			return
+// scanOrder returns the positions of the groups of one side of idx (the
+// producing side with outputs) whose owners are visible in vl's view, sorted
+// by the owners' paths, so the groups below one tree node form a contiguous
+// run. With a plan for idx attached, the list is built once, at its exact
+// size, and kept in the plan.
+func (vl *ViewLabel) scanOrder(qc *queryCtx, idx *ItemIndex, outputs bool) []int32 {
+	var pl *planLabel
+	if pc := qc.plan; pc != nil && pc.idx == idx {
+		pl = pc.label(vl)
+		if order := pl.groups[sideOf(outputs)]; order != nil {
+			return order
 		}
-		for _, mb := range members {
-			p := int(mb.port)
-			if p >= 0 && p < m.Rows() && vl.nodeVisible(qc, idx, mb.visNode) && m.Get(p, target) {
-				row.Set(0, int(mb.item), true)
-			}
+	}
+	t := idx.side(outputs)
+	n := 0
+	for _, g := range t.groups {
+		if vl.nodeVisible(qc, idx, g.node) {
+			n++
 		}
-		return
 	}
-	if target >= m.Rows() {
-		return
+	order := make([]int32, 0, n)
+	for i, g := range t.groups {
+		if vl.nodeVisible(qc, idx, g.node) {
+			order = append(order, int32(i))
+		}
 	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(comparePaths(idx.path(t.groups[a].node), idx.path(t.groups[b].node)), cmp.Compare(a, b))
+	})
+	if pl != nil {
+		pl.groups[sideOf(outputs)] = order
+	}
+	return order
+}
+
+// scatter sets the answer bit of every member whose port is set in vec, the
+// group's row or column of its decoding matrix as a 1-row vector indexed by
+// port, and whose other port's owner is visible. Out-of-range ports exclude
+// exactly the members whose point queries would have errored on safeGet.
+func (vl *ViewLabel) scatter(qc *queryCtx, idx *ItemIndex, row, vec *boolmat.Matrix, members []member) {
 	for _, mb := range members {
 		p := int(mb.port)
-		if p >= 0 && p < m.Cols() && vl.nodeVisible(qc, idx, mb.visNode) && m.Get(target, p) {
+		if p >= 0 && p < vec.Cols() && vec.Get(0, p) && vl.nodeVisible(qc, idx, mb.visNode) {
 			row.Set(0, int(mb.item), true)
 		}
 	}
 }
 
+// tailKey is what a group's chain tail depends on besides the scan's
+// target: the LCA depth and the group path's edges that mainChain reads for
+// the factors between the two suffix products — the one at the LCA and, in
+// case 2b only, the next one. The group's own suffix product, the chain's
+// last factor, is not part of the tail.
+type tailKey struct {
+	shared    int
+	div, next EdgeLabel
+}
+
+// tailKeyOf returns the tail key of a group's chain ch; group is the group's
+// path.
+func tailKeyOf(ch *decodeChain, group []EdgeLabel) tailKey {
+	key := tailKey{shared: ch.shared, div: group[ch.shared]}
+	if ch.recursive && ch.shared+1 < len(group) {
+		key.next = group[ch.shared+1]
+	}
+	return key
+}
+
+// tailMemo is a scan leaf's one-entry memo of rowTail: the target's side of
+// the last group's chain as one vector, or the error building it. Both are
+// determined by the key, so a group with the same key only multiplies the
+// vector by its own suffix product. The vector and whatever it was built
+// from live in the scratch slots below mark; a scan rewinds to mark after
+// each group.
+type tailMemo struct {
+	mark int
+	ok   bool
+	key  tailKey
+	w    *boolmat.Matrix
+	err  error
+}
+
+// groupRow is rowVec of a group's chain through the leaf's memo. ch's last
+// factor is the suffix product of the group, whose path is group.
+func (vl *ViewLabel) groupRow(qc *queryCtx, idx *ItemIndex, memo *tailMemo, ch *decodeChain, group []EdgeLabel, r int) (*boolmat.Matrix, error) {
+	key := tailKeyOf(ch, group)
+	if !memo.ok || memo.key != key {
+		qc.rewind(0)
+		memo.w, memo.err = vl.rowTail(qc, idx, ch, r)
+		memo.ok, memo.key, memo.mark = true, key, qc.used
+	}
+	if memo.err != nil {
+		return nil, memo.err
+	}
+	return vl.rowHead(qc, idx, ch, memo.w, r)
+}
+
 // depsRow answers Deps(itemID) = {y : DependsOn(y, itemID) = (true, nil)} as
 // a bitset row: the target is d2 of every point query, candidates are d1.
 func (vl *ViewLabel) depsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat.Matrix, error) {
-	qc.begin()
-	x, ok := idx.resolve(itemID)
-	if !ok {
-		return nil, fmt.Errorf("core: item %d has no label in the index: %w", itemID, faults.ErrUnknownItem)
-	}
-	if !vl.nodeVisible(qc, idx, x.Out.Owner()) || !vl.nodeVisible(qc, idx, x.In.Owner()) {
-		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", itemID, vl.view.Name, faults.ErrHiddenItem)
-	}
-	row := boolmat.New(1, idx.n+1)
-	if !x.Out.Present() {
-		// Case I: nothing flows into an initial input.
-		return row, nil
-	}
-
-	// Initial-input candidates: Case II (target is a final output, λ*(S)
-	// answers directly) or Case III (one I-chain along the target's consuming
-	// path answers every initial at once).
-	if len(idx.initials) > 0 {
-		var m *boolmat.Matrix
-		var err error
-		var target int
-		if !x.In.Present() {
-			m, target = vl.start, int(x.Out.Port)
-		} else {
-			m, err = vl.suffixProduct(qc, idx, x.In.Owner(), x.In.Path, 0, false)
-			target = int(x.In.Port)
-		}
-		if err == nil {
-			vl.scatter(qc, idx, row, m, idx.initials, target, true)
-		}
-		qc.rewind()
-	}
-
-	// Final-output candidates never appear: Case I (d1 has no In port).
-
-	// Intermediate candidates, one decode per producing-port group: Case IV
-	// when the target is a final output, the main cases otherwise.
-	for i := range idx.src.groups {
-		node, members := idx.src.group(i)
-		if !vl.nodeVisible(qc, idx, node) {
-			continue
-		}
-		var m *boolmat.Matrix
-		var err error
-		var target int
-		memberRows := true
-		if !x.In.Present() {
-			m, err = vl.suffixProduct(qc, idx, node, idx.path(node), 0, true)
-			target, memberRows = int(x.Out.Port), false
-		} else {
-			m, err = vl.decodeMainMatrix(qc, idx, node, idx.path(node), x.In.Owner(), x.In.Path)
-			target = int(x.In.Port)
-		}
-		if err == nil && m != nil {
-			vl.scatter(qc, idx, row, m, members, target, memberRows)
-		}
-		qc.rewind()
-	}
-	return row, nil
+	return vl.scanRow(qc, idx, itemID, true)
 }
 
 // revDepsRow answers RevDeps(itemID) = {y : DependsOn(itemID, y) = (true,
 // nil)} as a bitset row: the target is d1 of every point query.
 func (vl *ViewLabel) revDepsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*boolmat.Matrix, error) {
+	return vl.scanRow(qc, idx, itemID, false)
+}
+
+// scanRow is depsRow (deps) and revDepsRow, which mirror each other. A Deps
+// scan groups its candidates by producing port and meets the target at its
+// consuming port (near), a RevDeps scan the other way round; far is the
+// target's other port.
+func (vl *ViewLabel) scanRow(qc *queryCtx, idx *ItemIndex, itemID int, deps bool) (*boolmat.Matrix, error) {
 	qc.begin()
 	x, ok := idx.resolve(itemID)
 	if !ok {
@@ -196,54 +223,70 @@ func (vl *ViewLabel) revDepsRow(qc *queryCtx, idx *ItemIndex, itemID int) (*bool
 	if !vl.nodeVisible(qc, idx, x.Out.Owner()) || !vl.nodeVisible(qc, idx, x.In.Owner()) {
 		return nil, fmt.Errorf("core: item %d is not visible in view %q: %w", itemID, vl.view.Name, faults.ErrHiddenItem)
 	}
+	near, far, ends := x.In, x.Out, idx.initials
+	if !deps {
+		near, far, ends = x.Out, x.In, idx.finals
+	}
 	row := boolmat.New(1, idx.n+1)
-	if !x.In.Present() {
-		// Case I: a final output has no dependents.
+	if !far.Present() {
+		// Case I: nothing flows into an initial input, and a final output
+		// has no dependents.
 		return row, nil
 	}
 
-	// Final-output candidates: Case II (source is an initial input) or Case
-	// IV (one O-chain along the source's producing path).
-	if len(idx.finals) > 0 {
-		var m *boolmat.Matrix
+	// Boundary candidates (initial inputs of a Deps scan, final outputs of a
+	// RevDeps one; the other boundary never appears, by Case I): Case II
+	// when the target is on the other boundary, where λ*(S) answers
+	// directly, and otherwise Case III or IV, where the suffix product along
+	// the target's near path answers every candidate at once.
+	if len(ends) > 0 {
+		m, port, t := vl.start, far, deps
 		var err error
-		var target int
-		memberRows := false
-		if !x.Out.Present() {
-			m, target = vl.start, int(x.In.Port)
-		} else {
-			m, err = vl.suffixProduct(qc, idx, x.Out.Owner(), x.Out.Path, 0, true)
-			target, memberRows = int(x.Out.Port), true
+		if near.Present() {
+			m, err = vl.suffixProduct(qc, idx, near.Owner(), near.Path, 0, !deps)
+			port, t = near, true
+		}
+		var vec *boolmat.Matrix
+		if err == nil {
+			vec, err = qc.vecMul(nil, int(port.Port), m, t)
 		}
 		if err == nil {
-			vl.scatter(qc, idx, row, m, idx.finals, target, memberRows)
+			vl.scatter(qc, idx, row, vec, ends)
 		}
-		qc.rewind()
+		qc.rewind(0)
 	}
 
-	// Initial-input candidates never appear: Case I (d2 has no Out port).
-
-	// Intermediate candidates, one decode per consuming-port group: Case III
-	// when the source is an initial input, the main cases otherwise.
-	for i := range idx.dst.groups {
-		node, members := idx.dst.group(i)
-		if !vl.nodeVisible(qc, idx, node) {
-			continue
-		}
-		var m *boolmat.Matrix
+	// Intermediate candidates, one vector per visible group: Case IV (Deps)
+	// or III (RevDeps) when the target is on the boundary, from the group's
+	// own suffix product, and the main cases otherwise.
+	groups := idx.side(deps)
+	var memo tailMemo
+	var ch decodeChain
+	for _, g := range vl.scanOrder(qc, idx, deps) {
+		node, members := groups.group(int(g))
+		path := idx.path(node)
+		var vec *boolmat.Matrix
 		var err error
-		var target int
-		if !x.Out.Present() {
-			m, err = vl.suffixProduct(qc, idx, node, idx.path(node), 0, false)
-			target = int(x.In.Port)
-		} else {
-			m, err = vl.decodeMainMatrix(qc, idx, x.Out.Owner(), x.Out.Path, node, idx.path(node))
-			target = int(x.Out.Port)
+		switch {
+		case !near.Present():
+			var m *boolmat.Matrix
+			if m, err = vl.suffixProduct(qc, idx, node, path, 0, deps); err == nil {
+				vec, err = qc.vecMul(nil, int(far.Port), m, false)
+			}
+		case deps:
+			if err = vl.mainChain(&ch, node, path, near.Owner(), near.Path); err == nil && ch.n > 0 {
+				ch.flipped = true
+				vec, err = vl.groupRow(qc, idx, &memo, &ch, path, int(near.Port))
+			}
+		default:
+			if err = vl.mainChain(&ch, near.Owner(), near.Path, node, path); err == nil && ch.n > 0 {
+				vec, err = vl.groupRow(qc, idx, &memo, &ch, path, int(near.Port))
+			}
 		}
-		if err == nil && m != nil {
-			vl.scatter(qc, idx, row, m, members, target, false)
+		if err == nil && vec != nil {
+			vl.scatter(qc, idx, row, vec, members)
 		}
-		qc.rewind()
+		qc.rewind(memo.mark)
 	}
 	return row, nil
 }

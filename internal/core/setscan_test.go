@@ -12,7 +12,7 @@ import (
 
 // TestDepsRowOutrunsPointLoop checks the shape of the set-query planner on
 // the workload it was built for: a wide-fanout synthetic workflow (degree 8)
-// where one DepsRow scan shares a matrix chain per trie-path group, while
+// where one DepsRow scan reads one vector per owner-instance group, while
 // the point loop pays a full DependsOn per candidate. Both must give the
 // same answer for every target, and the scan must be at least 3x faster
 // than the loop (best of 3 timings each); at this scale it is 10x or more.
