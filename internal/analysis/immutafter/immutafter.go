@@ -2,14 +2,17 @@
 // query serving sound: a core.ViewLabel is strictly read-only after
 // construction. All per-query mutable state lives in a queryCtx, so one view
 // label can answer any number of concurrent queries; a single stray write —
-// to a label field, or through one of its reachable maps, slices or cached
-// recursion chains — would reintroduce the data race the queryCtx refactor
-// removed.
+// to a label field, or through one of its reachable maps, slices, edge
+// matrix tables or cached recursion chains — would reintroduce the data race
+// the queryCtx refactor removed.
 //
 // The analyzer flags every syntactic write that lands on core.ViewLabel
-// state (including its recChain caches) outside a function whose doc comment
-// carries the //fvlvet:viewlabel-ctor directive — the explicit, reviewable
-// marker of the construction/labeling path. Writing a field of a local
+// state (including its prodEdges tables and recChain caches, however they
+// were reached) outside a function whose doc comment carries the
+// //fvlvet:viewlabel-ctor directive — the explicit, reviewable marker of the
+// construction/labeling path. A query plan holds the same two types, so the
+// helpers it shares with construction build them in locals and return a new
+// value rather than writing through one. Writing a field of a local
 // by-value copy is allowed (the copy is private), but writes through the
 // copy's maps and slices are still flagged: shallow copies share them with
 // the original, which is exactly how WithMatrixFree clones stay safe.
@@ -57,7 +60,7 @@ func run(pass *analysis.Pass) error {
 			return false
 		}
 		switch obj.Name() {
-		case "ViewLabel", "recChain", "DataLabel", "PortLabel", "RunLabeler", "itemRecord":
+		case "ViewLabel", "prodEdges", "recChain", "DataLabel", "PortLabel", "RunLabeler", "itemRecord":
 			return true
 		}
 		return false

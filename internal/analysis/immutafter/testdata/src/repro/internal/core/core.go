@@ -8,34 +8,72 @@ type recChain struct {
 	prefixes []int
 }
 
-// ViewLabel mirrors the real label's state shape: scalar fields, maps, and
-// pointer-reachable recursion caches.
+type prodEdges struct {
+	in, out []int
+}
+
+// ViewLabel mirrors the real label's state shape: scalar fields, a map, and
+// dense tables of pointer-reachable edge matrices and recursion caches.
 type ViewLabel struct {
-	start    int
-	included map[int]bool
-	inRec    map[int]*recChain
-	rows     []int
+	start  int
+	full   map[string]int
+	edges  []*prodEdges
+	chains [2][][]*recChain
+	rows   []int
 }
 
 // NewViewLabel is the construction path; its writes are the point.
 //
 //fvlvet:viewlabel-ctor
 func NewViewLabel() *ViewLabel {
-	vl := &ViewLabel{included: map[int]bool{}, inRec: map[int]*recChain{}}
+	vl := &ViewLabel{full: map[string]int{}, edges: make([]*prodEdges, 2)}
 	vl.start = 7
-	vl.included[1] = true
-	vl.inRec[1] = &recChain{prefixes: []int{1}}
+	vl.full["A"] = 1
+	vl.edges[1] = newProdEdges(2)
+	vl.chains[0] = [][]*recChain{{{prefixes: []int{1}}}}
 	return vl
 }
 
-func (vl *ViewLabel) Reset() {
-	vl.start = 0           // want `write to core\.ViewLabel state outside the construction path`
-	vl.included[2] = true  // want `write to core\.ViewLabel state outside the construction path`
-	delete(vl.included, 1) // want `write to core\.ViewLabel state outside the construction path`
+// newProdEdges fills locals and returns a new value, so its callers outside
+// the construction path write no label state: no diagnostic.
+func newProdEdges(n int) *prodEdges {
+	in, out := make([]int, n), make([]int, n)
+	for i := range in {
+		in[i], out[i] = i, i
+	}
+	return &prodEdges{in: in, out: out}
 }
 
+// planLabel mirrors a query plan's tables, which are not label state.
+type planLabel struct {
+	edges []*prodEdges
+}
+
+// fill stores a new prodEdges into a plan slot: no diagnostic.
+func (pl *planLabel) fill(k int) {
+	slot := &pl.edges[k]
+	if *slot == nil {
+		*slot = newProdEdges(k)
+	}
+}
+
+func (vl *ViewLabel) Reset() {
+	vl.start = 0         // want `write to core\.ViewLabel state outside the construction path`
+	vl.full["B"] = 2     // want `write to core\.ViewLabel state outside the construction path`
+	delete(vl.full, "A") // want `write to core\.ViewLabel state outside the construction path`
+	vl.edges[1] = nil    // want `write to core\.ViewLabel state outside the construction path`
+	vl.chains[1] = nil   // want `write to core\.ViewLabel state outside the construction path`
+}
+
+// Shrink writes through the tables' entries, which the label shares with
+// every shallow copy.
 func (vl *ViewLabel) Shrink() {
-	vl.inRec[1].prefixes = nil // want `write to core\.recChain state outside the construction path`
+	vl.edges[1].out = nil // want `write to core\.prodEdges state outside the construction path`
+	vl.edges[1].in[0] = 2 // want `write to core\.prodEdges state outside the construction path`
+	pe := vl.edges[1]
+	pe.in[1] = 3                       // want `write to core\.prodEdges state outside the construction path`
+	vl.chains[0][0][0].prefixes = nil  // want `write to core\.recChain state outside the construction path`
+	vl.chains[0][0][0].prefixes[0] = 2 // want `write to core\.recChain state outside the construction path`
 }
 
 // Overwrite replaces the whole label through its pointer and copies over its
@@ -51,7 +89,7 @@ func (vl *ViewLabel) Overwrite(rows []int) {
 func (vl *ViewLabel) WithStart(s int) *ViewLabel {
 	c := *vl
 	c.start = s
-	c.included[3] = true   // want `write to core\.ViewLabel state outside the construction path`
+	c.full["C"] = 3        // want `write to core\.ViewLabel state outside the construction path`
 	copy(c.rows, []int{s}) // want `write to core\.ViewLabel state outside the construction path`
 	return &c
 }

@@ -388,12 +388,6 @@ func OrInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// And returns the element-wise conjunction of m and o.
-// It panics when dimensions differ.
-func (m *Matrix) And(o *Matrix) *Matrix {
-	return AndInto(nil, m, o)
-}
-
 // AndInto computes the element-wise conjunction of a and b into dst, reusing
 // dst's storage when possible (a nil dst allocates), and returns the
 // destination. dst may alias a or b. It panics when dimensions differ.

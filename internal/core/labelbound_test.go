@@ -105,11 +105,12 @@ func TestLabelBytesBoundCoversLabeling(t *testing.T) {
 				t.Fatal(err)
 			}
 			powers := 0
-			for _, rc := range vl.inRec {
-				powers += rc.period.Bytes()
-			}
-			for _, rc := range vl.outRec {
-				powers += rc.period.Bytes()
+			for _, table := range vl.chains {
+				for _, row := range table {
+					for _, rc := range row {
+						powers += rc.period.Bytes()
+					}
+				}
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; float64(grew) > bound+float64(powers) {
 				t.Errorf("%s/%v: labeling allocated %d bytes, bound %.0f plus %d of power tables", name, variant, grew, bound, powers)

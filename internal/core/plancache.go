@@ -40,13 +40,15 @@ type PlanCache struct {
 // planLabel is a plan's cached state for one view label.
 type planLabel struct {
 	// edges amortizes the graph-search path of VariantSpaceEfficient: every
-	// I, O and Z matrix of a production, materialized on its first use and
-	// indexed by 1-based production number.
+	// I, O and Z matrix of a production, materialized on its first use. It
+	// has the layout of the materialized variants' ViewLabel.edges, indexed
+	// by 1-based production number.
 	edges []*prodEdges
 
-	// chains holds the recursion chains of labels that carry no static ones
-	// (every variant but VariantQueryEfficient), built on first use and
-	// indexed [side][cycle-1][offset-1]; side 1 is the O (outputs) side.
+	// chains holds the recursion chains of labels that carry no table of
+	// their own (every variant but VariantQueryEfficient), built on first
+	// use. It has ViewLabel.chains' layout: [side][cycle-1][offset-1], side
+	// 1 the O (outputs) side.
 	chains [2][][]*recChain
 
 	// nodes is indexed by the owner instances of the plan's ItemIndex and

@@ -43,7 +43,7 @@ func planEntries(pc *PlanCache) map[planEntry]any {
 				out[planEntry{vl, "I", k, i, 0}] = pe.in[i-1]
 				out[planEntry{vl, "O", k, i, 0}] = pe.out[i-1]
 				for j := i + 1; j <= pe.n; j++ {
-					out[planEntry{vl, "Z", k, i, j}] = pe.z(i, j)
+					out[planEntry{vl, "Z", k, i, j}] = pe.at(kindZ, i, j)
 				}
 			}
 		}

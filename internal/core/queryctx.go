@@ -33,9 +33,10 @@ import (
 type queryCtx struct {
 	// closures caches on-the-fly port closures within one query so a single
 	// query does not recompute the same production twice. It is only ever
-	// populated on the plan-free graph-search path (closureFor), i.e. when
-	// the materialized matrices are absent — in practice
-	// VariantSpaceEfficient — and no plan is attached.
+	// populated on the plan-free graph-search path, the edge resolver's last
+	// source (ViewLabel.edge), i.e. when the label has no table of
+	// materialized matrices — VariantSpaceEfficient — and no plan is
+	// attached.
 	closures map[int]*safety.Closure
 
 	// plan, when non-nil, is the plan-scoped cache the I, O and Z matrices

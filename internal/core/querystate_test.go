@@ -17,8 +17,8 @@ import (
 )
 
 // spaceEfficientQuery returns a space-efficient view label together with a
-// label pair whose query is answered via closureFor (i.e. it populates the
-// context's closure cache).
+// label pair whose query is answered via the closure memo (i.e. it populates
+// the context's closure cache).
 func spaceEfficientQuery(t *testing.T) (*ViewLabel, DataLabel, DataLabel) {
 	t.Helper()
 	spec := workloads.PaperExample()
@@ -198,10 +198,10 @@ func TestPlanFreeRecursiveQueriesRebuildChainsEveryTime(t *testing.T) {
 	if first != second {
 		t.Fatalf("a bare recursive-edge query allocated %.0f, then %.0f: state survived between queries", first, second)
 	}
-	if bare.qc.plan != nil || vl.inRec != nil || vl.outRec != nil {
+	if bare.qc.plan != nil || vl.chains[0] != nil || vl.chains[1] != nil {
 		t.Fatal("a bare query left a recursion chain behind")
 	}
-	if vl.iMat != nil || vl.oMat != nil || vl.zMat != nil {
+	if vl.edges != nil {
 		t.Fatal("a bare query left an edge matrix in the view label")
 	}
 

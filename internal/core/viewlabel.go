@@ -94,18 +94,21 @@ type ViewLabel struct {
 	start    *boolmat.Matrix // λ*(S)
 	included []bool          // included[k]: production k (1-based) is in G_∆′
 
-	// Materialized functions (VariantDefault and VariantQueryEfficient).
-	iMat map[[2]int]*boolmat.Matrix
-	oMat map[[2]int]*boolmat.Matrix
-	zMat map[[3]int]*boolmat.Matrix
-
 	// Full dependency assignment λ*′ (always kept; it is the entire payload of
 	// VariantSpaceEfficient and the fallback for on-the-fly computation).
 	full workflow.DependencyAssignment
 
-	// Per-(cycle, offset) recursion caches (VariantQueryEfficient only).
-	inRec  map[[2]int]*recChain
-	outRec map[[2]int]*recChain
+	// edges holds the materialized I, O and Z matrices (VariantDefault and
+	// VariantQueryEfficient), one prodEdges per production indexed by 1-based
+	// production number: nil for a production the view excludes or cannot
+	// derive, and nil as a whole for VariantSpaceEfficient. The plan's
+	// planLabel.edges has the same layout.
+	edges []*prodEdges
+
+	// chains holds the recursion caches (VariantQueryEfficient only), in
+	// planLabel.chains' layout: [side][cycle-1][offset-1], side 1 the O
+	// (outputs) side, a nil row for a cycle the view does not include.
+	chains [2][][]*recChain
 
 	// matrixFree enables the short-circuited decoding of Section 6.4
 	// (Matrix-Free FVL), which avoids multiplying complete or empty matrices.
@@ -181,26 +184,12 @@ func (s *Scheme) LabelViewWithin(v *view.View, variant Variant, budget *int) (*V
 	if err != nil {
 		return nil, err
 	}
-	vl.iMat = map[[2]int]*boolmat.Matrix{}
-	vl.oMat = map[[2]int]*boolmat.Matrix{}
-	vl.zMat = map[[3]int]*boolmat.Matrix{}
+	vl.edges = make([]*prodEdges, len(vl.included))
 	for k, inc := range vl.included {
-		if !inc {
-			continue
-		}
-		cl, ok := closures[k]
-		if !ok {
-			// The production is included but not derivable in the view; its
-			// matrices are never needed by visible data labels.
-			continue
-		}
-		pe := vl.newProdEdges(k, cl)
-		for i := 1; i <= pe.n; i++ {
-			vl.iMat[[2]int{k, i}] = pe.in[i-1]
-			vl.oMat[[2]int{k, i}] = pe.out[i-1]
-			for j := i + 1; j <= pe.n; j++ {
-				vl.zMat[[3]int{k, i, j}] = pe.z(i, j)
-			}
+		// A production that is included but not derivable in the view has
+		// no closure; its matrices are never needed by visible data labels.
+		if cl, ok := closures[k]; inc && ok {
+			vl.edges[k] = vl.newProdEdges(k, cl)
 		}
 	}
 	if variant == VariantQueryEfficient {
@@ -212,35 +201,47 @@ func (s *Scheme) LabelViewWithin(v *view.View, variant Variant, budget *int) (*V
 }
 
 // prodEdges holds the I, O and Z matrices of one production's right-hand side
-// (Section 4.3): in[i-1] is I(k, i), out[i-1] is O(k, i) and z(i, j) is
-// Z(k, i, j) for i < j.
+// (Section 4.3): in[i-1] is I(k, i), out[i-1] is O(k, i) and between holds
+// Z(k, i, j) for i < j (at reads them all).
 type prodEdges struct {
 	n       int               // right-hand-side nodes
 	in, out []*boolmat.Matrix // by 0-based node
 	between []*boolmat.Matrix // Z(k, i, j) at (i-1)*n + j-1, nil for i >= j
 }
 
-// z returns Z(k, i, j) for 1 <= i < j <= n.
-func (pe *prodEdges) z(i, j int) *boolmat.Matrix { return pe.between[(i-1)*pe.n+j-1] }
+// The matrices of a production, as selected in the edge resolver. kindI and
+// kindO are sideOf(false) and sideOf(true).
+const (
+	kindI = iota // I(k, i)
+	kindO        // O(k, i)
+	kindZ        // Z(k, i, j)
+)
+
+// at returns I(k, i), O(k, i) or, for i < j, Z(k, i, j) by kind.
+func (pe *prodEdges) at(kind, i, j int) *boolmat.Matrix {
+	switch kind {
+	case kindI:
+		return pe.in[i-1]
+	case kindO:
+		return pe.out[i-1]
+	}
+	return pe.between[(i-1)*pe.n+j-1]
+}
 
 // newProdEdges reads every I, O and Z matrix of production k off cl, the
-// port closure of k's right-hand side under λ*′.
+// port closure of k's right-hand side under λ*′. It fills locals and returns
+// a new value, so the plan path that calls it writes no label state.
 func (vl *ViewLabel) newProdEdges(k int, cl *safety.Closure) *prodEdges {
 	n := len(vl.scheme.Spec.Grammar.Productions[k-1].RHS.Nodes)
-	pe := &prodEdges{
-		n:       n,
-		in:      make([]*boolmat.Matrix, n),
-		out:     make([]*boolmat.Matrix, n),
-		between: make([]*boolmat.Matrix, n*n),
-	}
+	in, out, between := make([]*boolmat.Matrix, n), make([]*boolmat.Matrix, n), make([]*boolmat.Matrix, n*n)
 	for i := 0; i < n; i++ {
-		pe.in[i] = cl.InputsTo(i)
-		pe.out[i] = cl.OutputsTo(i)
+		in[i] = cl.InputsTo(i)
+		out[i] = cl.OutputsTo(i)
 		for j := i + 1; j < n; j++ {
-			pe.between[i*n+j] = cl.Between(i, j)
+			between[i*n+j] = cl.Between(i, j)
 		}
 	}
-	return pe
+	return &prodEdges{n: n, in: in, out: out, between: between}
 }
 
 // buildRecursionCaches materializes, for every cycle of the production graph
@@ -250,27 +251,27 @@ func (vl *ViewLabel) newProdEdges(k int, cl *safety.Closure) *prodEdges {
 //
 //fvlvet:viewlabel-ctor
 func (vl *ViewLabel) buildRecursionCaches(budget *int) error {
-	vl.inRec = map[[2]int]*recChain{}
-	vl.outRec = map[[2]int]*recChain{}
 	// Construction runs with its own throwaway context; the query-efficient
 	// variant has its matrices materialized, so the context stays empty.
 	qc := new(queryCtx)
+	for side := range vl.chains {
+		vl.chains[side] = make([][]*recChain, len(vl.scheme.Cycles))
+	}
 	for _, c := range vl.scheme.Cycles {
 		if !vl.cycleIncluded(c) {
 			continue
 		}
+		rows := [2][]*recChain{make([]*recChain, c.Len()), make([]*recChain, c.Len())}
 		for t := 1; t <= c.Len(); t++ {
-			in, err := vl.buildChain(qc, c, t, false, budget)
-			if err != nil {
-				return err
+			for side := range rows {
+				rc, err := vl.buildChain(qc, c, t, side == 1, budget)
+				if err != nil {
+					return err
+				}
+				rows[side][t-1] = rc
 			}
-			out, err := vl.buildChain(qc, c, t, true, budget)
-			if err != nil {
-				return err
-			}
-			vl.inRec[[2]int{c.Index, t}] = in
-			vl.outRec[[2]int{c.Index, t}] = out
 		}
+		vl.chains[0][c.Index-1], vl.chains[1][c.Index-1] = rows[0], rows[1]
 	}
 	return nil
 }
@@ -345,160 +346,90 @@ func (vl *ViewLabel) Variant() Variant { return vl.variant }
 // under the view.
 func (vl *ViewLabel) StartDeps() *boolmat.Matrix { return vl.start.Clone() }
 
-// checkNode validates a 1-based node index of production k against the
-// production's right-hand side. Data labels are untrusted input to the
-// decoder, so indices must be checked before they reach a closure, a plan's
-// edge-matrix slots or the grammar's node list (a map lookup in the
-// materialized matrices catches them for free, but the graph-search path
-// would index out of range).
-// checkNode must only be called with an included (hence valid) k.
-func (vl *ViewLabel) checkNode(k, i int) error {
-	if n := len(vl.scheme.Spec.Grammar.Productions[k-1].RHS.Nodes); i < 1 || i > n {
-		return fmt.Errorf("core: node index %d out of range for production %d (%d nodes) in view %q", i, k, n, vl.view.Name)
+// edge is the one resolver of the I, O and Z matrices (Section 4.3): it
+// returns I(k, i), O(k, i) or Z(k, i, j) by kind; j is read for kindZ only.
+// Data labels are untrusted input to the decoder and every source below is
+// indexed by the (k, i, j) they supply, so k and the node indices are
+// checked first. Z(k, i, j) for i >= j is empty. Any other matrix comes from
+// the first source that holds it:
+//
+//  1. the label's own table, for the materialized variants;
+//  2. the attached plan's slot for k, which is filled with every I, O and Z
+//     matrix of k on k's first use — the graph-search path amortized over
+//     the plan's lifetime, dropping the closure once the matrices are read;
+//  3. the per-query closure memo — the graph-search path of a plan-free
+//     VariantSpaceEfficient query, which rebuilds every matrix it touches.
+//     The materialized variants never reach it, so their queries write
+//     nothing at all.
+func (vl *ViewLabel) edge(qc *queryCtx, kind, k, i, j int) (*boolmat.Matrix, error) {
+	if !vl.includes(k) {
+		return nil, fmt.Errorf("core: production %d is not part of view %q", k, vl.view.Name)
 	}
-	return nil
+	nodes := vl.scheme.Spec.Grammar.Productions[k-1].RHS.Nodes
+	for _, x := range [2]int{i, j} {
+		if x < 1 || x > len(nodes) {
+			return nil, fmt.Errorf("core: node index %d out of range for production %d (%d nodes) in view %q", x, k, len(nodes), vl.view.Name)
+		}
+		if kind != kindZ {
+			break
+		}
+	}
+	if kind == kindZ && i >= j {
+		g := vl.scheme.Spec.Grammar
+		return qc.zero(g.Modules[nodes[i-1]].Out, g.Modules[nodes[j-1]].In), nil
+	}
+	var pe *prodEdges
+	switch {
+	case vl.edges != nil:
+		if pe = vl.edges[k]; pe == nil {
+			return nil, fmt.Errorf("core: production %d is not derivable in view %q, so its matrices are undefined", k, vl.view.Name)
+		}
+	case qc.plan != nil:
+		slot := qc.plan.label(vl).edgesSlot(vl, k)
+		if *slot == nil {
+			cl, err := vl.newClosure(k)
+			if err != nil {
+				return nil, err
+			}
+			*slot = vl.newProdEdges(k, cl)
+		}
+		pe = *slot
+	default:
+		cl, ok := qc.closures[k]
+		if !ok {
+			var err error
+			if cl, err = vl.newClosure(k); err != nil {
+				return nil, err
+			}
+			if qc.closures == nil {
+				qc.closures = map[int]*safety.Closure{}
+			}
+			qc.closures[k] = cl
+		}
+		switch kind {
+		case kindI:
+			return cl.InputsTo(i - 1), nil
+		case kindO:
+			return cl.OutputsTo(i - 1), nil
+		}
+		return cl.Between(i-1, j-1), nil
+	}
+	return pe.at(kind, i, j), nil
 }
 
-// edgeI returns I(k, i): the reachability matrix from the inputs of the
+// edgeIO returns I(k, i), the reachability matrix from the inputs of the
 // left-hand side of production k to the inputs of its i-th right-hand-side
-// node, under the view's full dependency assignment.
-func (vl *ViewLabel) edgeI(qc *queryCtx, k, i int) (*boolmat.Matrix, error) {
-	if !vl.includes(k) {
-		return nil, fmt.Errorf("core: production %d is not part of view %q", k, vl.view.Name)
-	}
-	if err := vl.checkNode(k, i); err != nil {
-		return nil, err
-	}
-	if vl.iMat != nil {
-		if m, ok := vl.iMat[[2]int{k, i}]; ok {
-			return m, nil
-		}
-		return nil, fmt.Errorf("core: I(%d,%d) is undefined in view %q", k, i, vl.view.Name)
-	}
-	if qc.plan != nil {
-		pe, err := vl.planEdges(qc, k)
-		if err != nil {
-			return nil, err
-		}
-		return pe.in[i-1], nil
-	}
-	cl, err := vl.closureFor(qc, k)
-	if err != nil {
-		return nil, err
-	}
-	return cl.InputsTo(i - 1), nil
-}
-
-// edgeO returns O(k, i): the reversed reachability matrix from the outputs of
-// the left-hand side of production k to the outputs of its i-th node.
-func (vl *ViewLabel) edgeO(qc *queryCtx, k, i int) (*boolmat.Matrix, error) {
-	if !vl.includes(k) {
-		return nil, fmt.Errorf("core: production %d is not part of view %q", k, vl.view.Name)
-	}
-	if err := vl.checkNode(k, i); err != nil {
-		return nil, err
-	}
-	if vl.oMat != nil {
-		if m, ok := vl.oMat[[2]int{k, i}]; ok {
-			return m, nil
-		}
-		return nil, fmt.Errorf("core: O(%d,%d) is undefined in view %q", k, i, vl.view.Name)
-	}
-	if qc.plan != nil {
-		pe, err := vl.planEdges(qc, k)
-		if err != nil {
-			return nil, err
-		}
-		return pe.out[i-1], nil
-	}
-	cl, err := vl.closureFor(qc, k)
-	if err != nil {
-		return nil, err
-	}
-	return cl.OutputsTo(i - 1), nil
-}
-
-// edgeIO dispatches to edgeO or edgeI.
+// node, or with outputs O(k, i), the reversed reachability matrix from the
+// left-hand side's outputs to the node's outputs.
 func (vl *ViewLabel) edgeIO(qc *queryCtx, k, i int, outputs bool) (*boolmat.Matrix, error) {
-	if outputs {
-		return vl.edgeO(qc, k, i)
-	}
-	return vl.edgeI(qc, k, i)
+	return vl.edge(qc, sideOf(outputs), k, i, 0)
 }
 
 // edgeZ returns Z(k, i, j): the reachability matrix from the outputs of the
 // i-th node of production k to the inputs of its j-th node. For i >= j the
 // matrix is empty.
 func (vl *ViewLabel) edgeZ(qc *queryCtx, k, i, j int) (*boolmat.Matrix, error) {
-	if !vl.includes(k) {
-		return nil, fmt.Errorf("core: production %d is not part of view %q", k, vl.view.Name)
-	}
-	if err := vl.checkNode(k, i); err != nil {
-		return nil, err
-	}
-	if err := vl.checkNode(k, j); err != nil {
-		return nil, err
-	}
-	if i >= j {
-		g := vl.scheme.Spec.Grammar
-		p := g.Productions[k-1]
-		return qc.zero(g.Modules[p.RHS.Nodes[i-1]].Out, g.Modules[p.RHS.Nodes[j-1]].In), nil
-	}
-	if vl.zMat != nil {
-		if m, ok := vl.zMat[[3]int{k, i, j}]; ok {
-			return m, nil
-		}
-		return nil, fmt.Errorf("core: Z(%d,%d,%d) is undefined in view %q", k, i, j, vl.view.Name)
-	}
-	if qc.plan != nil {
-		pe, err := vl.planEdges(qc, k)
-		if err != nil {
-			return nil, err
-		}
-		return pe.z(i, j), nil
-	}
-	cl, err := vl.closureFor(qc, k)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Between(i-1, j-1), nil
-}
-
-// planEdges returns production k's I, O and Z matrices from the plan attached
-// to qc, materializing all of them on the production's first use. This is the
-// graph-search path of VariantSpaceEfficient with the search amortized over
-// the plan's lifetime; the closure it reads the matrices off is dropped once
-// they are built. k must be included in the view.
-func (vl *ViewLabel) planEdges(qc *queryCtx, k int) (*prodEdges, error) {
-	slot := qc.plan.label(vl).edgesSlot(vl, k)
-	if *slot == nil {
-		cl, err := vl.newClosure(k)
-		if err != nil {
-			return nil, err
-		}
-		*slot = vl.newProdEdges(k, cl)
-	}
-	return *slot, nil
-}
-
-// closureFor computes, and caches for the duration of one query, the port
-// closure of a production's right-hand side under λ*′. This is the
-// graph-search path of a plan-free VariantSpaceEfficient query, which
-// rebuilds every I, O and Z matrix it touches; the materialized variants
-// never reach it, so their queries write nothing at all.
-func (vl *ViewLabel) closureFor(qc *queryCtx, k int) (*safety.Closure, error) {
-	if cl, ok := qc.closures[k]; ok {
-		return cl, nil
-	}
-	cl, err := vl.newClosure(k)
-	if err != nil {
-		return nil, err
-	}
-	if qc.closures == nil {
-		qc.closures = map[int]*safety.Closure{}
-	}
-	qc.closures[k] = cl
-	return cl, nil
+	return vl.edge(qc, kindZ, k, i, j)
 }
 
 // newClosure computes the port closure of production k's right-hand side
@@ -532,37 +463,14 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, s, offset, i int, outputs bool
 	if n < 0 || offset < 1 {
 		return nil, fmt.Errorf("core: recursive edge (%d,%d,%d) has child position or offset < 1", s, offset, i)
 	}
-	cache := vl.inRec
-	if outputs {
-		cache = vl.outRec
-	}
-
 	// Constant-time path: the cached prefix products and periodic powers.
-	// Offsets wrap around the cycle (EdgeAt's convention), but the caches
-	// are keyed by offsets in [1, Len] only — normalize before looking up,
+	// Offsets wrap around the cycle (EdgeAt's convention), but the tables
+	// are indexed by offsets in [1, Len] only — normalize before looking up,
 	// or the chains decodeMainMatrix's recursive cases ask for (offset
 	// el.T+i, possibly past one full turn) would silently fall to the slow
 	// product/power path below.
-	t := (offset-1)%c.Len() + 1
-	if cache != nil {
-		if rc, ok := cache[[2]int{s, t}]; ok {
-			return rc.product(qc, n), nil
-		}
-	} else if qc.plan != nil && vl.cycleIncluded(c) {
-		// A label without static chains builds the same chain into an
-		// attached plan, once per (cycle, offset, side). A chain that cannot
-		// be built (a cycle edge undefined in the view) leaves the slot
-		// empty and the query to the product/power path below.
-		slot := qc.plan.label(vl).chainSlot(vl, s, t, outputs)
-		if *slot == nil {
-			unbounded := math.MaxInt
-			if rc, err := vl.buildChain(qc, c, t, outputs, &unbounded); err == nil {
-				*slot = rc
-			}
-		}
-		if rc := *slot; rc != nil {
-			return rc.product(qc, n), nil
-		}
+	if rc := vl.chain(qc, c, (offset-1)%c.Len()+1, outputs); rc != nil {
+		return rc.product(qc, n), nil
 	}
 
 	mod, err := vl.scheme.moduleAtCycleOffset(s, offset)
@@ -604,6 +512,35 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, s, offset, i int, outputs bool
 		result, spare = spare, result
 	}
 	return result, nil
+}
+
+// chain is the one resolver of the recursion chains (Section 4.4.3): it
+// returns the chain of cycle c at normalized offset t in [1, c.Len()] from
+// the label's own table when the label has one (VariantQueryEfficient), and
+// otherwise from the attached plan's slot, built on first use, once per
+// (cycle, offset, side). It returns nil, leaving the query to the
+// product/power path, when there is neither table nor plan, when the view
+// does not include the whole cycle, or when the chain cannot be built (a
+// cycle edge undefined in the view, which leaves the plan's slot empty).
+func (vl *ViewLabel) chain(qc *queryCtx, c prodgraph.Cycle, t int, outputs bool) *recChain {
+	side := sideOf(outputs)
+	if table := vl.chains[side]; table != nil {
+		if row := table[c.Index-1]; row != nil {
+			return row[t-1]
+		}
+		return nil
+	}
+	if qc.plan == nil || !vl.cycleIncluded(c) {
+		return nil
+	}
+	slot := qc.plan.label(vl).chainSlot(vl, c.Index, t, outputs)
+	if *slot == nil {
+		unbounded := math.MaxInt
+		if rc, err := vl.buildChain(qc, c, t, outputs, &unbounded); err == nil {
+			*slot = rc
+		}
+	}
+	return *slot
 }
 
 // Visible reports whether a data item with the given label is visible in the
@@ -667,28 +604,28 @@ func (vl *ViewLabel) SizeBits() int {
 		}
 	case VariantDefault, VariantQueryEfficient:
 		total += vl.start.Rows() * vl.start.Cols()
-		for _, m := range vl.iMat {
-			total += m.Rows() * m.Cols()
-		}
-		for _, m := range vl.oMat {
-			total += m.Rows() * m.Cols()
-		}
-		for _, m := range vl.zMat {
-			total += m.Rows() * m.Cols()
-		}
-		if vl.variant == VariantQueryEfficient {
-			for _, rc := range vl.inRec {
-				for _, m := range rc.prefixes {
-					total += m.Rows() * m.Cols()
-				}
-				total += rc.period.SizeBits()
+		for _, pe := range vl.edges {
+			if pe != nil {
+				total += matBits(pe.in) + matBits(pe.out) + matBits(pe.between)
 			}
-			for _, rc := range vl.outRec {
-				for _, m := range rc.prefixes {
-					total += m.Rows() * m.Cols()
+		}
+		for _, table := range vl.chains {
+			for _, row := range table {
+				for _, rc := range row {
+					total += matBits(rc.prefixes) + rc.period.SizeBits()
 				}
-				total += rc.period.SizeBits()
 			}
+		}
+	}
+	return total
+}
+
+// matBits counts one bit per entry of every non-nil matrix of ms.
+func matBits(ms []*boolmat.Matrix) int {
+	total := 0
+	for _, m := range ms {
+		if m != nil {
+			total += m.Rows() * m.Cols()
 		}
 	}
 	return total

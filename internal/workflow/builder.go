@@ -171,12 +171,6 @@ func (wb *WorkflowBuilder) Edge(from string, fromPort int, to string, toPort int
 	return wb
 }
 
-// EdgeIdx adds a data edge between occurrences identified by node index.
-func (wb *WorkflowBuilder) EdgeIdx(fromNode, fromPort, toNode, toPort int) *WorkflowBuilder {
-	wb.wf.Edges = append(wb.wf.Edges, DataEdge{FromNode: fromNode, FromPort: fromPort, ToNode: toNode, ToPort: toPort})
-	return wb
-}
-
 // Workflow returns the assembled simple workflow.
 func (wb *WorkflowBuilder) Workflow() *SimpleWorkflow {
 	return wb.wf.Clone()
