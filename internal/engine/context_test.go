@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/query"
+	"repro/internal/workloads"
 )
 
 // countingCtx is a context whose Err starts returning context.Canceled after
@@ -29,103 +32,300 @@ func (c *countingCtx) Err() error {
 	return nil
 }
 
-// trueQueries builds a batch that repeats one query whose answer is known to
-// be true, so drained results are distinguishable from untouched zero
-// Results.
-func trueQueries(tb testing.TB, count int) (*core.ViewLabel, []Query) {
+// entryPoint is one of the five worker-pool entry points of the package —
+// ForEach and the label, item, index and set-query batches — driven over n
+// units of work whose answers are all known to be true, so an answered unit
+// is distinguishable from an untouched one. grain is the claim-block size
+// of a run over blocks*grain units on one or two workers, blocks >= 2.
+type entryPoint struct {
+	name  string
+	grain int
+	// results: the entry point returns a result slice, which is nil when
+	// the context is canceled before the start.
+	results bool
+	run     func(ctx context.Context, workers, n int) (answered []bool, err error)
+}
+
+// entryPoints builds the five entry points over one labeled BioAID run and
+// one item pair of it with a true answer.
+func entryPoints(tb testing.TB) []entryPoint {
 	tb.Helper()
-	vl, pool := fixture(tb, core.VariantQueryEfficient, 512)
-	for _, q := range pool {
-		ok, err := vl.DependsOn(q.D1, q.D2)
-		if err == nil && ok {
-			queries := make([]Query, count)
+	vl, labeler, _ := itemsFixture(tb, workloads.BioAID(), 0, core.VariantQueryEfficient)
+	from, to := truePair(tb, vl, labeler)
+	d1, _ := labeler.Label(from)
+	d2, _ := labeler.Label(to)
+	idx := core.BuildItemIndex(0, labeler.Count(), labeler.Label)
+	cat, err := NewServer(schemeOf(tb, vl), []*core.ViewLabel{vl}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	points := func(results []Result, err error) ([]bool, error) {
+		if results == nil {
+			return nil, err
+		}
+		answered := make([]bool, len(results))
+		for i, r := range results {
+			answered[i] = r.Err == nil && r.DependsOn
+		}
+		return answered, err
+	}
+	items := func(n int) []ItemQuery {
+		queries := make([]ItemQuery, n)
+		for i := range queries {
+			queries[i] = ItemQuery{From: from, To: to}
+		}
+		return queries
+	}
+	return []entryPoint{
+		{name: "ForEach", grain: 1, run: func(ctx context.Context, workers, n int) ([]bool, error) {
+			ran := make([]bool, n)
+			err := ForEach(ctx, workers, n, func(i int) error {
+				ran[i] = true
+				return nil
+			})
+			return ran, err
+		}},
+		{name: "label", grain: maxGrain, results: true, run: func(ctx context.Context, workers, n int) ([]bool, error) {
+			queries := make([]Query, n)
 			for i := range queries {
-				queries[i] = q
+				queries[i] = Query{D1: d1, D2: d2}
 			}
-			return vl, queries
+			return points(New(workers).DependsOnBatchContext(ctx, vl, queries))
+		}},
+		{name: "items", grain: maxGrain, results: true, run: func(ctx context.Context, workers, n int) ([]bool, error) {
+			return points(New(workers).DependsOnItemsBatchContext(ctx, vl, labeler, items(n)))
+		}},
+		{name: "index", grain: maxGrain, results: true, run: func(ctx context.Context, workers, n int) ([]bool, error) {
+			return points(New(workers).DependsOnIndexBatchContext(ctx, vl, idx, items(n)))
+		}},
+		{name: "set", grain: maxGrain, results: true, run: func(ctx context.Context, workers, n int) ([]bool, error) {
+			exprs := make([]*query.Expr, n)
+			for i := range exprs {
+				exprs[i] = query.Deps(to)
+			}
+			results, err := New(workers).SetQueryBatchContext(ctx, cat, vl.View().Name, idx, exprs)
+			if results == nil {
+				return nil, err
+			}
+			answered := make([]bool, n)
+			for i, r := range results {
+				answered[i] = r.Err == nil && r.Value != nil
+			}
+			return answered, err
+		}},
+	}
+}
+
+// truePair finds two items of the run such that the second depends on the
+// first in the view.
+func truePair(tb testing.TB, vl *core.ViewLabel, labeler *core.RunLabeler) (from, to int) {
+	tb.Helper()
+	n := labeler.Count()
+	for from := 1; from <= n; from++ {
+		for to := from + 1; to <= min(from+64, n); to++ {
+			d1, _ := labeler.Label(from)
+			d2, _ := labeler.Label(to)
+			if ok, err := vl.DependsOn(d1, d2); err == nil && ok {
+				return from, to
+			}
 		}
 	}
-	tb.Fatal("fixture produced no query with a true answer")
-	return nil, nil
+	tb.Fatal("fixture produced no item pair with a true answer")
+	return 0, 0
 }
 
 func TestBatchPreCanceledContextRunsNothing(t *testing.T) {
-	vl, queries := trueQueries(t, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := New(4).DependsOnBatchContext(ctx, vl, queries)
-	if !errors.Is(err, faults.ErrCanceled) {
-		t.Fatalf("pre-canceled context: got err %v, want ErrCanceled", err)
-	}
-	if results != nil {
-		t.Fatalf("pre-canceled context must not drain any claim block, got %d results", len(results))
+	for _, ep := range entryPoints(t) {
+		t.Run(ep.name, func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				answered, err := ep.run(ctx, workers, 64)
+				if !errors.Is(err, faults.ErrCanceled) {
+					t.Fatalf("%d workers: got err %v, want ErrCanceled", workers, err)
+				}
+				if ep.results && answered != nil {
+					t.Fatalf("%d workers: got %d results, want nil", workers, len(answered))
+				}
+				for i, ok := range answered {
+					if ok {
+						t.Fatalf("%d workers: unit %d ran under a context canceled before the start", workers, i)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestBatchCancellationIsClaimBlockGranular pins the core contract of the
-// context-aware batch: a cancellation observed mid-batch stops workers from
-// claiming further blocks, while already-claimed blocks finish. The counting
-// context admits the entry check plus exactly two claim checks, so exactly
-// the first two 64-query blocks are drained and the rest of the batch is
-// untouched.
+// TestBatchCancellationIsClaimBlockGranular pins the core contract of every
+// entry point: a cancellation observed mid-run stops workers from claiming
+// further blocks, while already-claimed blocks finish. The counting context
+// admits the entry check plus exactly two claim checks, so exactly two
+// blocks are answered in full and the other two are untouched.
 func TestBatchCancellationIsClaimBlockGranular(t *testing.T) {
 	const blocks = 4
-	vl, queries := trueQueries(t, blocks*maxGrain) // 2 workers -> grain 64
-	ctx := &countingCtx{Context: context.Background(), allow: 3}
-	results, err := New(2).DependsOnBatchContext(ctx, vl, queries)
-	if !errors.Is(err, faults.ErrCanceled) {
-		t.Fatalf("got err %v, want ErrCanceled", err)
-	}
-	if len(results) != len(queries) {
-		t.Fatalf("got %d results for %d queries", len(results), len(queries))
-	}
-	drained := 2 * maxGrain
-	for i := 0; i < drained; i++ {
-		if results[i].Err != nil || !results[i].DependsOn {
-			t.Fatalf("query %d belongs to a claimed block and must be answered, got (%v, %v)",
-				i, results[i].DependsOn, results[i].Err)
-		}
-	}
-	for i := drained; i < len(results); i++ {
-		if results[i].Err != nil || results[i].DependsOn {
-			t.Fatalf("query %d was claimed after cancellation: got (%v, %v), want the zero Result",
-				i, results[i].DependsOn, results[i].Err)
-		}
+	for _, ep := range entryPoints(t) {
+		t.Run(ep.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				ctx := &countingCtx{Context: context.Background(), allow: 3}
+				answered, err := ep.run(ctx, workers, blocks*ep.grain)
+				if !errors.Is(err, faults.ErrCanceled) {
+					t.Fatalf("%d workers: got err %v, want ErrCanceled", workers, err)
+				}
+				if len(answered) != blocks*ep.grain {
+					t.Fatalf("%d workers: got %d results for %d units", workers, len(answered), blocks*ep.grain)
+				}
+				drained := 0
+				for b := 0; b < blocks; b++ {
+					block := answered[b*ep.grain : (b+1)*ep.grain]
+					for _, ok := range block {
+						if ok != block[0] {
+							t.Fatalf("%d workers: block %d was answered in part", workers, b)
+						}
+					}
+					if block[0] {
+						drained++
+					}
+				}
+				if drained != 2 {
+					t.Fatalf("%d workers: %d blocks answered, want the 2 claimed before the cancellation", workers, drained)
+				}
+			}
+		})
 	}
 }
 
 // TestCancellationRacingCompletionIsNotAnError pins the claim-before-check
-// ordering: a cancellation that lands after every task (or claim block) has
-// been claimed must not flag the finished work as canceled. The counting
-// contexts admit exactly the entry check plus one check per executed unit —
-// any post-completion check would observe cancellation and spuriously fail.
+// ordering: a cancellation that lands after every claim block has been
+// claimed must not flag the finished work as canceled. The counting context
+// admits exactly the entry check plus one check per block — any
+// post-completion check would observe cancellation and spuriously fail.
 func TestCancellationRacingCompletionIsNotAnError(t *testing.T) {
-	const tasks = 4
+	const blocks = 2
+	for _, ep := range entryPoints(t) {
+		t.Run(ep.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				ctx := &countingCtx{Context: context.Background(), allow: 1 + blocks}
+				answered, err := ep.run(ctx, workers, blocks*ep.grain)
+				if err != nil {
+					t.Fatalf("%d workers: every block was claimed but the run reported: %v", workers, err)
+				}
+				for i, ok := range answered {
+					if !ok {
+						t.Fatalf("%d workers: unit %d not answered", workers, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestForEachStopsAtFirstError: once a task fails, no worker claims another
+// task, and ForEach returns that task's error.
+func TestForEachStopsAtFirstError(t *testing.T) {
+	boom := errors.New("task failed")
 	var ran atomic.Int64
-	ctx := &countingCtx{Context: context.Background(), allow: 1 + tasks}
-	err := ForEach(ctx, 2, tasks, func(i int) error {
+	err := ForEach(context.Background(), 1, 8, func(i int) error {
 		ran.Add(1)
+		if i == 2 {
+			return boom
+		}
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("ForEach completed all tasks but reported: %v", err)
+	if !errors.Is(err, boom) {
+		t.Fatalf("got err %v, want the failed task's error", err)
 	}
-	if ran.Load() != tasks {
-		t.Fatalf("ran %d of %d tasks", ran.Load(), tasks)
+	if ran.Load() != 3 {
+		t.Fatalf("ran %d tasks, want the 3 up to the failure", ran.Load())
 	}
+}
 
-	const blocks = 2
-	vl, queries := trueQueries(t, blocks*maxGrain)
-	bctx := &countingCtx{Context: context.Background(), allow: 1 + blocks}
-	results, err := New(2).DependsOnBatchContext(bctx, vl, queries)
-	if err != nil {
-		t.Fatalf("batch drained every block but reported: %v", err)
-	}
-	for i, res := range results {
-		if res.Err != nil || !res.DependsOn {
-			t.Fatalf("query %d not drained: (%v, %v)", i, res.DependsOn, res.Err)
+// TestBatchContainsPanics: a panic while answering one slot fails only that
+// slot, with a "panicked" error, for point and set-query results alike.
+func TestBatchContainsPanics(t *testing.T) {
+	const n, bad = 300, 137
+	for _, workers := range []int{1, 4} {
+		e := New(workers)
+		points, err := batch(context.Background(), e, "test batch", nil, n, nil, nil, func(_ *core.QuerySession, r *Result, i int) {
+			r.DependsOn = true
+			if i == bad {
+				panic("malformed label")
+			}
+		})
+		if err != nil {
+			t.Fatalf("%d workers: point batch: %v", workers, err)
+		}
+		sets, err := batch(context.Background(), e, "test batch", nil, n, nil, nil, func(_ *core.QuerySession, r *SetResult, i int) {
+			r.Value = new(query.Value)
+			if i == bad {
+				panic("malformed expression")
+			}
+		})
+		if err != nil {
+			t.Fatalf("%d workers: set batch: %v", workers, err)
+		}
+		for i := 0; i < n; i++ {
+			p, s := points[i], sets[i]
+			if i != bad {
+				if p.Err != nil || !p.DependsOn || s.Err != nil || s.Value == nil {
+					t.Fatalf("%d workers: slot %d: got %+v and %+v, want answered", workers, i, p, s)
+				}
+				continue
+			}
+			for _, err := range []error{p.Err, s.Err} {
+				if err == nil || !strings.Contains(err.Error(), "panicked") {
+					t.Fatalf("%d workers: panicking slot: got err %v, want a panicked error", workers, err)
+				}
+			}
+			if p.DependsOn || s.Value != nil {
+				t.Fatalf("%d workers: panicking slot kept its partial answer: %+v, %+v", workers, p, s)
+			}
 		}
 	}
+}
+
+// TestBatchNilArgumentFailsEverySlot: a batch missing its label source,
+// item index or catalog fails the call and every slot with the same error,
+// so callers that drop the batch error still see it per query.
+func TestBatchNilArgumentFailsEverySlot(t *testing.T) {
+	e := New(2)
+	ctx := context.Background()
+	queries := make([]ItemQuery, 5)
+	check := func(path string, errs []error, err error) {
+		t.Helper()
+		if err == nil || len(errs) != len(queries) {
+			t.Fatalf("%s: want a batch error and %d per-query errors, got %v, %d results", path, len(queries), err, len(errs))
+		}
+		for i, got := range errs {
+			if got != err {
+				t.Fatalf("%s: query %d: got %v, want the batch error %v", path, i, got, err)
+			}
+		}
+	}
+	pointErrs := func(results []Result) []error {
+		errs := make([]error, len(results))
+		for i, r := range results {
+			errs[i] = r.Err
+		}
+		return errs
+	}
+	setErrs := func(results []SetResult) []error {
+		errs := make([]error, len(results))
+		for i, r := range results {
+			errs[i] = r.Err
+		}
+		return errs
+	}
+	results, err := e.DependsOnItemsBatchContext(ctx, nil, nil, queries)
+	check("items batch, nil label source", pointErrs(results), err)
+	results, err = e.DependsOnIndexBatchContext(ctx, nil, nil, queries)
+	check("index batch, nil item index", pointErrs(results), err)
+	exprs := make([]*query.Expr, len(queries))
+	idx := core.BuildItemIndex(0, 0, func(int) (core.DataLabel, bool) { return core.DataLabel{}, false })
+	sets, err := e.SetQueryBatchContext(ctx, nil, "v", idx, exprs)
+	check("set batch, nil catalog", setErrs(sets), err)
+	sets, err = e.SetQueryBatchContext(ctx, &Server{}, "v", nil, exprs)
+	check("set batch, nil item index", setErrs(sets), err)
 }
 
 func TestBatchUncanceledContextMatchesPlainBatch(t *testing.T) {

@@ -66,11 +66,10 @@ func EffectiveWorkers(workers int) int {
 }
 
 // ForEach runs fn(i) for every index in [0, n) over a pool of workers
-// (normalized by EffectiveWorkers), claiming indices one at a time. It is
-// the single claim-loop implementation shared by every "independent tasks
-// over a worker pool" path of the system — parallel multi-view labeling in
-// drl and the fvl façade both delegate here — so the cancellation and
-// error-selection semantics cannot diverge between them:
+// (normalized by EffectiveWorkers), claiming indices one at a time through
+// claim, the claim loop every batch of the engine also runs on. Parallel
+// multi-view labeling in drl and the fvl façade both delegate here, so the
+// cancellation and error-selection semantics cannot diverge between them:
 //
 //   - the context is checked between tasks (and once at entry);
 //     cancellation stops workers from starting further tasks — in-flight
@@ -79,61 +78,82 @@ func EffectiveWorkers(workers int) int {
 //   - if any fn returns an error, workers stop claiming and the
 //     lowest-indexed error recorded is returned.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if err := ctx.Err(); err != nil {
+	if err := context.Cause(ctx); err != nil {
 		return fmt.Errorf("engine: work not started: %w (%v)", faults.ErrCanceled, err)
 	}
-	workers = EffectiveWorkers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("engine: canceled after %d of %d tasks: %w (%v)", i, n, faults.ErrCanceled, err)
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, n)
-	var cursor atomic.Int64
-	var failed, canceled atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				// Claim before checking the context: once the work is
-				// exhausted the worker exits plainly, so a cancellation
-				// racing with completion cannot produce a spurious
-				// ErrCanceled for a fully finished task set.
-				i := int(cursor.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				if errs[i] = fn(i); errs[i] != nil {
-					// Don't burn workers on tasks whose results this
-					// error is about to discard.
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	cause := claim(ctx, workers, n, 1, nil, nil, func(_ struct{}, i int) bool {
+		errs[i] = fn(i)
+		return errs[i] != nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	if canceled.Load() {
-		return fmt.Errorf("engine: canceled with tasks unclaimed: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
+	if cause != nil {
+		return fmt.Errorf("engine: canceled with tasks unclaimed: %w (%v)", faults.ErrCanceled, cause)
+	}
+	return nil
+}
+
+// claim is the one claim loop of the package: it runs do(w, i) for every
+// index in [0, n) over a pool of workers (normalized by EffectiveWorkers and
+// capped at n); a single worker runs inline. Each worker opens its own
+// state w (when open is not nil), claims grain-sized blocks from a shared
+// cursor and hands w to release (when not nil) once it stops. A do that
+// reports stop keeps every worker from claiming further blocks.
+//
+// A worker claims a block, then checks the context, then drains the block.
+// A worker that finds the work exhausted exits without checking, so a
+// cancellation racing with completion cannot flag finished work as
+// canceled; and no check sits inside a block, so do runs on every index of
+// a claimed block or on none. claim returns the cancellation cause it
+// observed when blocks went unclaimed, else nil.
+func claim[W any](ctx context.Context, workers, n, grain int, open func() W, release func(W), do func(w W, i int) (stop bool)) error {
+	workers = min(EffectiveWorkers(workers), n)
+	var cursor atomic.Int64
+	var stopped atomic.Bool
+	work := func() error {
+		var w W
+		if open != nil {
+			w = open()
+		}
+		if release != nil {
+			defer release(w)
+		}
+		for {
+			lo := int(cursor.Add(int64(grain))) - grain
+			if lo >= n || stopped.Load() {
+				return nil
+			}
+			if err := context.Cause(ctx); err != nil {
+				return err
+			}
+			for i, hi := lo, min(lo+grain, n); i < hi; i++ {
+				if do(w, i) {
+					stopped.Store(true)
+				}
+			}
+		}
+	}
+	if workers <= 1 {
+		return work()
+	}
+	causes := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			causes[w] = work()
+		}()
+	}
+	wg.Wait()
+	for _, err := range causes {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -179,12 +199,12 @@ func WorkerSweep(max int) []int {
 
 // DependsOnBatch answers all queries against one shared view label, fanning
 // them out over the worker pool. results[i] corresponds to queries[i]. Each
-// worker holds one pooled query context with a plan-scoped cache attached
-// (core.QuerySession.EnsurePlan), so the matrix scratch storage is reused
-// across the worker's queries and the space-efficient variant's on-the-fly
-// edge matrices are computed once per worker rather than once per query — the
-// batch path deliberately opts out of the per-query honesty that bare
-// core.DependsOn calls keep for the Figure 20 experiment.
+// worker holds one pooled query context with a plan-scoped cache drawn from
+// the engine's share (core.QuerySession.AttachPlan), so the matrix scratch
+// storage is reused across the worker's queries and the space-efficient
+// variant's on-the-fly edge matrices are computed once per worker rather than
+// once per query — the batch path deliberately opts out of the per-query
+// honesty that bare core.DependsOn calls keep for the Figure 20 experiment.
 func (e *Engine) DependsOnBatch(vl *core.ViewLabel, queries []Query) []Result {
 	results, _ := e.DependsOnBatchContext(context.Background(), vl, queries)
 	return results
@@ -199,16 +219,9 @@ func (e *Engine) DependsOnBatch(vl *core.ViewLabel, queries []Query) []Result {
 // returned together with an error wrapping faults.ErrCanceled; results for
 // undrained queries are the zero Result.
 func (e *Engine) DependsOnBatchContext(ctx context.Context, vl *core.ViewLabel, queries []Query) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: batch not started: %w (%v)", faults.ErrCanceled, err)
-	}
-	results := make([]Result, len(queries))
-	if e.fanOut(ctx, nil, len(queries), func(s *core.QuerySession, i int) {
-		results[i] = contained(func() (bool, error) { return s.DependsOn(vl, queries[i].D1, queries[i].D2) })
-	}) {
-		return results, fmt.Errorf("engine: batch canceled with claim blocks undrained: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
-	}
-	return results, nil
+	return batch(ctx, e, "batch", nil, len(queries), nil, nil, func(s *core.QuerySession, r *Result, i int) {
+		r.DependsOn, r.Err = s.DependsOn(vl, queries[i].D1, queries[i].D2)
+	})
 }
 
 // ItemQuery is one reachability question posed by data item ID instead of by
@@ -235,24 +248,13 @@ type LabelSource interface {
 // DependsOnBatchContext: claim-block granularity, partial results returned
 // with an error wrapping faults.ErrCanceled.
 func (e *Engine) DependsOnItemsBatchContext(ctx context.Context, vl *core.ViewLabel, src LabelSource, queries []ItemQuery) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: items batch not started: %w (%v)", faults.ErrCanceled, err)
-	}
+	var argErr error
 	if src == nil {
-		results := make([]Result, len(queries))
-		err := fmt.Errorf("engine: nil label source")
-		for i := range results {
-			results[i].Err = err
-		}
-		return results, err
+		argErr = fmt.Errorf("engine: nil label source")
 	}
-	results := make([]Result, len(queries))
-	if e.fanOut(ctx, nil, len(queries), func(s *core.QuerySession, i int) {
-		results[i] = contained(func() (bool, error) { return serveItem(s, vl, src, queries[i]) })
-	}) {
-		return results, fmt.Errorf("engine: items batch canceled with claim blocks undrained: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
-	}
-	return results, nil
+	return batch(ctx, e, "items batch", nil, len(queries), argErr, nil, func(s *core.QuerySession, r *Result, i int) {
+		r.DependsOn, r.Err = serveItem(s, vl, src, queries[i])
+	})
 }
 
 // DependsOnIndexBatchContext answers item-ID queries against one view label
@@ -265,98 +267,79 @@ func (e *Engine) DependsOnItemsBatchContext(ctx context.Context, vl *core.ViewLa
 // holds no label for fail only their own Result with faults.ErrUnknownItem.
 // Cancellation behaves like DependsOnBatchContext.
 func (e *Engine) DependsOnIndexBatchContext(ctx context.Context, vl *core.ViewLabel, idx *core.ItemIndex, queries []ItemQuery) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: index batch not started: %w (%v)", faults.ErrCanceled, err)
-	}
-	results := make([]Result, len(queries))
+	var argErr error
 	if idx == nil {
-		err := fmt.Errorf("engine: nil item index")
-		for i := range results {
-			results[i].Err = err
-		}
-		return results, err
+		argErr = fmt.Errorf("engine: nil item index")
 	}
-	if e.fanOut(ctx, idx, len(queries), func(s *core.QuerySession, i int) {
-		results[i] = contained(func() (bool, error) { return s.DependsOnIndexed(vl, idx, queries[i].From, queries[i].To) })
-	}) {
-		return results, fmt.Errorf("engine: index batch canceled with claim blocks undrained: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
+	return batch(ctx, e, "index batch", idx, len(queries), argErr, nil, func(s *core.QuerySession, r *Result, i int) {
+		r.DependsOn, r.Err = s.DependsOnIndexed(vl, idx, queries[i].From, queries[i].To)
+	})
+}
+
+// slot constrains a batch's result type R (Result or SetResult) through its
+// pointer P, which records a failure in the slot.
+type slot[R any] interface {
+	*R
+	fail(err error)
+}
+
+func (r *Result) fail(err error) { *r = Result{Err: err} }
+
+// batch is the one body of every batch entry point; the entry points differ
+// only in answer, which fills one slot of the results on a worker's query
+// session. A context canceled before the start yields nil results, and a
+// nil argument (argErr) fails every slot with argErr. Otherwise start, when
+// not nil, prepares the results single-threaded and reports whether any
+// slot is left to answer, and claim answers the slots over the worker pool
+// in batchGrain blocks. Each worker holds one pooled query session with a
+// plan-scoped cache drawn from the engine's share under idx (nil for label
+// and item batches): edge matrices (and, for set-query batches, chain
+// products and visibility rows) amortize across the worker's share of the
+// batch, and via the share across every batch served at the same pinned
+// index. A panic in answer — e.g. from a malformed label the decoder did
+// not anticipate — fails only its own slot. On cancellation the partial
+// results are returned with an error wrapping faults.ErrCanceled.
+func batch[R any, P slot[R]](ctx context.Context, e *Engine, kind string, idx *core.ItemIndex, n int, argErr error, start func([]R) bool, answer func(s *core.QuerySession, r P, i int)) ([]R, error) {
+	if err := context.Cause(ctx); err != nil {
+		return nil, fmt.Errorf("engine: %s not started: %w (%v)", kind, faults.ErrCanceled, err)
+	}
+	results := make([]R, n)
+	if argErr != nil {
+		for i := range results {
+			P(&results[i]).fail(argErr)
+		}
+		return results, argErr
+	}
+	if start != nil && !start(results) {
+		return results, nil
+	}
+	workers := e.Workers()
+	open := func() *core.QuerySession {
+		s := core.NewQuerySession()
+		s.AttachPlan(e.share.Acquire(idx))
+		return s
+	}
+	release := func(s *core.QuerySession) {
+		// DetachPlan returns whatever cache the worker ends with (EnsurePlan
+		// may have replaced the attached one mid-batch), so the warmed
+		// cache is what the next batch inherits.
+		e.share.Release(s.DetachPlan())
+		s.Close()
+	}
+	cause := claim(ctx, workers, n, batchGrain(n, workers), open, release, func(s *core.QuerySession, i int) bool {
+		r := P(&results[i])
+		defer func() {
+			if x := recover(); x != nil {
+				r.fail(fmt.Errorf("engine: query panicked: %v", x))
+			}
+		}()
+		answer(s, r, i)
+		return false
+	})
+	if cause != nil {
+		return results, fmt.Errorf("engine: %s canceled with claim blocks undrained: %w (%v)", kind, faults.ErrCanceled, cause)
 	}
 	return results, nil
-}
-
-// fanOut is the shared claim loop of every batch path: it runs answer(s, i)
-// for every index in [0, n) over the worker pool, each worker holding one
-// pooled query context, claiming grain-sized blocks from a shared cursor.
-// idx is the pinned item index of a set-query or index-resolved point batch
-// (nil for label batches); it keys the plan caches the workers draw from the
-// engine's share. fanOut reports whether cancellation left claim blocks
-// undrained.
-func (e *Engine) fanOut(ctx context.Context, idx *core.ItemIndex, n int, answer func(s *core.QuerySession, i int)) bool {
-	workers := EffectiveWorkers(e.workers)
-	if workers > n {
-		workers = n
-	}
-	var canceled atomic.Bool
-	if workers <= 1 {
-		// The single worker still drains in maxGrain-sized claim blocks so
-		// the documented cancellation granularity holds regardless of the
-		// pool size; one uncontended atomic add per block is noise.
-		e.serveClaims(ctx, idx, n, new(atomic.Int64), batchGrain(n, 1), &canceled, answer)
-	} else {
-		grain := batchGrain(n, workers)
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				e.serveClaims(ctx, idx, n, &cursor, grain, &canceled, answer)
-			}()
-		}
-		wg.Wait()
-	}
-	return canceled.Load()
-}
-
-// serveClaims drains grain-sized blocks of the batch until the cursor passes
-// the end or the context is canceled.
-func (e *Engine) serveClaims(ctx context.Context, idx *core.ItemIndex, n int, cursor *atomic.Int64, grain int, canceled *atomic.Bool, answer func(s *core.QuerySession, i int)) {
-	if grain < 1 {
-		return
-	}
-	s := core.NewQuerySession()
-	defer s.Close()
-	// One plan-scoped cache per worker, drawn from the engine's epoch-keyed
-	// share: edge matrices (and, for set-query batches, chain products and
-	// visibility rows) amortize across the worker's whole share of the batch
-	// — and, via the share, across every batch served at the same pinned
-	// index. DetachPlan returns whatever cache the worker ends
-	// with (EnsurePlan may have replaced the attached one mid-batch), so the
-	// warmed cache is what the next session inherits.
-	s.AttachPlan(e.share.Acquire(idx))
-	defer func() { e.share.Release(s.DetachPlan()) }()
-	for {
-		// Claim, then check the context, then drain: a worker that finds the
-		// batch exhausted exits plainly (so a cancellation racing with
-		// completion cannot flag a fully drained batch as canceled), and the
-		// cancellation check never sits inside the inner loop, so results[i]
-		// is either fully computed or untouched, never half-done.
-		lo := int(cursor.Add(int64(grain))) - grain
-		if lo >= n {
-			return
-		}
-		if ctx.Err() != nil {
-			canceled.Store(true)
-			return
-		}
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			answer(s, i)
-		}
-	}
 }
 
 // serveItem resolves one item-ID query through the label source and answers
@@ -371,17 +354,4 @@ func serveItem(s *core.QuerySession, vl *core.ViewLabel, src LabelSource, q Item
 		return false, fmt.Errorf("engine: item %d: %w", q.To, faults.ErrUnknownItem)
 	}
 	return s.DependsOn(vl, d1, d2)
-}
-
-// contained answers a single query, converting a panic — e.g. from a
-// malformed label the decoder did not anticipate — into that query's error,
-// so one bad query cannot take down the whole batch.
-func contained(answer func() (bool, error)) (res Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Err: fmt.Errorf("engine: query panicked: %v", r)}
-		}
-	}()
-	ok, err := answer()
-	return Result{DependsOn: ok, Err: err}
 }

@@ -198,30 +198,3 @@ func TestItemsBatchUnknownItemFailsOnlyItsQuery(t *testing.T) {
 		t.Fatalf("query 0 should not have been poisoned: %+v", results[0])
 	}
 }
-
-func TestItemsBatchCancellation(t *testing.T) {
-	vl, labeler, queries := itemsFixture(t, workloads.BioAID(), 300, core.VariantQueryEfficient)
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := New(2).DependsOnItemsBatchContext(pre, vl, labeler, queries); !errors.Is(err, faults.ErrCanceled) {
-		t.Fatalf("pre-canceled context: got %v", err)
-	}
-	results, err := New(2).DependsOnItemsBatchContext(context.Background(), vl, nil, queries)
-	if err == nil {
-		t.Fatal("nil label source accepted")
-	}
-	// The convenience wrapper drops the batch error, so every Result must
-	// carry it instead of handing back a bare nil slice.
-	if len(results) != len(queries) || results[0].Err == nil {
-		t.Fatalf("nil label source: want per-query errors, got %d results, first %+v", len(results), results[0])
-	}
-
-	// The index batch shares both checks.
-	if _, err := New(2).DependsOnIndexBatchContext(pre, vl, core.BuildItemIndex(0, labeler.Count(), labeler.Label), queries); !errors.Is(err, faults.ErrCanceled) {
-		t.Fatalf("index batch, pre-canceled context: got %v", err)
-	}
-	results, err = New(2).DependsOnIndexBatchContext(context.Background(), vl, nil, queries)
-	if err == nil || len(results) != len(queries) || results[0].Err == nil {
-		t.Fatalf("nil item index: want a batch error and per-query errors, got %v, %d results", err, len(results))
-	}
-}

@@ -78,15 +78,25 @@ func (s *Server) Label(viewName string) (*core.ViewLabel, bool) {
 	return vl, ok
 }
 
+// view returns the label serving the named view; every batch wrapper of the
+// server resolves its view here, so an unknown name fails each of them with
+// the same error wrapping faults.ErrUnknownView.
+func (s *Server) view(viewName string) (*core.ViewLabel, error) {
+	if vl, ok := s.labels[viewName]; ok {
+		return vl, nil
+	}
+	return nil, fmt.Errorf("engine: no label for view %q (serving %v): %w", viewName, s.Views(), faults.ErrUnknownView)
+}
+
 // DependsOnBatchContext answers a batch of queries against the named view.
 // Per-query problems surface in the corresponding Result; a canceled context
 // aborts the batch at claim-block granularity with an error wrapping
 // faults.ErrCanceled (see Engine.DependsOnBatchContext), and an unknown view
 // name fails with an error wrapping faults.ErrUnknownView.
 func (s *Server) DependsOnBatchContext(ctx context.Context, viewName string, queries []Query) ([]Result, error) {
-	vl, ok := s.labels[viewName]
-	if !ok {
-		return nil, fmt.Errorf("engine: no label for view %q (serving %v): %w", viewName, s.Views(), faults.ErrUnknownView)
+	vl, err := s.view(viewName)
+	if err != nil {
+		return nil, err
 	}
 	return s.engine.DependsOnBatchContext(ctx, vl, queries)
 }
@@ -99,9 +109,9 @@ func (s *Server) DependsOnBatchContext(ctx context.Context, viewName string, que
 // only their own Result (faults.ErrUnknownItem); cancellation matches
 // Engine.DependsOnItemsBatchContext.
 func (s *Server) DependsOnItemsBatchContext(ctx context.Context, viewName string, src LabelSource, queries []ItemQuery) ([]Result, error) {
-	vl, ok := s.labels[viewName]
-	if !ok {
-		return nil, fmt.Errorf("engine: no label for view %q (serving %v): %w", viewName, s.Views(), faults.ErrUnknownView)
+	vl, err := s.view(viewName)
+	if err != nil {
+		return nil, err
 	}
 	return s.engine.DependsOnItemsBatchContext(ctx, vl, src, queries)
 }
@@ -111,9 +121,9 @@ func (s *Server) DependsOnItemsBatchContext(ctx context.Context, viewName string
 // Engine.DependsOnIndexBatchContext). Unknown views fail with
 // faults.ErrUnknownView.
 func (s *Server) DependsOnIndexBatchContext(ctx context.Context, viewName string, idx *core.ItemIndex, queries []ItemQuery) ([]Result, error) {
-	vl, ok := s.labels[viewName]
-	if !ok {
-		return nil, fmt.Errorf("engine: no label for view %q (serving %v): %w", viewName, s.Views(), faults.ErrUnknownView)
+	vl, err := s.view(viewName)
+	if err != nil {
+		return nil, err
 	}
 	return s.engine.DependsOnIndexBatchContext(ctx, vl, idx, queries)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/query"
 )
 
@@ -19,59 +18,36 @@ type SetResult struct {
 	Err   error
 }
 
+func (r *SetResult) fail(err error) { r.Value, r.Err = nil, err }
+
 // SetQueryBatchContext compiles every expression against the catalog (single
 // threaded — compilation is cheap and its errors are per-expression), then
-// executes the compiled plans over the worker pool via the same claim-block
-// loop the point-query batches use: one pooled query session per worker, each
+// executes the compiled plans over the worker pool through the same batch
+// body the point-query batches use: one pooled query session per worker, each
 // with a plan-scoped cache keyed to idx, so edge matrices, chain products and
 // visibility rows amortize across the worker's whole share of the batch.
 // Cancellation matches DependsOnBatchContext: claim-block granularity,
 // partial results returned with an error wrapping faults.ErrCanceled.
 func (e *Engine) SetQueryBatchContext(ctx context.Context, cat query.Catalog, primaryView string, idx *core.ItemIndex, exprs []*query.Expr) ([]SetResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("engine: set-query batch not started: %w (%v)", faults.ErrCanceled, err)
+	var argErr error
+	switch {
+	case cat == nil:
+		argErr = fmt.Errorf("engine: nil catalog")
+	case idx == nil:
+		argErr = fmt.Errorf("engine: nil item index")
 	}
-	results := make([]SetResult, len(exprs))
-	if cat == nil || idx == nil {
-		err := fmt.Errorf("engine: nil %s", map[bool]string{true: "catalog", false: "item index"}[cat == nil])
-		for i := range results {
-			results[i].Err = err
+	compile := func(results []SetResult) (runnable bool) {
+		for i, ex := range exprs {
+			results[i].Plan, results[i].Err = query.Compile(cat, primaryView, ex)
+			runnable = runnable || results[i].Err == nil
 		}
-		return results, err
+		return runnable
 	}
-	runnable := 0
-	for i, ex := range exprs {
-		plan, err := query.Compile(cat, primaryView, ex)
-		if err != nil {
-			results[i].Err = err
-			continue
+	return batch(ctx, e, "set-query batch", idx, len(exprs), argErr, compile, func(s *core.QuerySession, r *SetResult, i int) {
+		if r.Plan != nil {
+			r.Value, r.Err = r.Plan.Execute(s, idx)
 		}
-		results[i].Plan = plan
-		runnable++
-	}
-	if runnable == 0 {
-		return results, nil
-	}
-	if e.fanOut(ctx, idx, len(exprs), func(s *core.QuerySession, i int) {
-		if results[i].Plan == nil {
-			return
-		}
-		results[i].Value, results[i].Err = executeOne(results[i].Plan, s, idx)
-	}) {
-		return results, fmt.Errorf("engine: set-query batch canceled with claim blocks undrained: %w (%v)", faults.ErrCanceled, context.Cause(ctx))
-	}
-	return results, nil
-}
-
-// executeOne runs one plan with the same panic containment as contained: a
-// malformed expression or label cannot take down the whole batch.
-func executeOne(p *query.Plan, s *core.QuerySession, idx *core.ItemIndex) (v *query.Value, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			v, err = nil, fmt.Errorf("engine: set query panicked: %v", r)
-		}
-	}()
-	return p.Execute(s, idx)
+	})
 }
 
 // SetQueryBatchContext answers set-query expressions against the served
@@ -81,8 +57,8 @@ func executeOne(p *query.Plan, s *core.QuerySession, idx *core.ItemIndex) (v *qu
 // Expressions referencing unserved views in between(...) fail only their own
 // SetResult.
 func (s *Server) SetQueryBatchContext(ctx context.Context, primaryView string, idx *core.ItemIndex, exprs []*query.Expr) ([]SetResult, error) {
-	if _, ok := s.labels[primaryView]; !ok {
-		return nil, fmt.Errorf("engine: no label for view %q (serving %v): %w", primaryView, s.Views(), faults.ErrUnknownView)
+	if _, err := s.view(primaryView); err != nil {
+		return nil, err
 	}
 	return s.engine.SetQueryBatchContext(ctx, s, primaryView, idx, exprs)
 }

@@ -145,13 +145,3 @@ func TestServerSetQueryBatchUnknownPrimaryView(t *testing.T) {
 		t.Fatalf("got %v, want ErrUnknownView", err)
 	}
 }
-
-// TestSetQueryBatchCanceledBeforeStart checks the pre-canceled fast path.
-func TestSetQueryBatchCanceledBeforeStart(t *testing.T) {
-	srv, idx, _ := setQueryFixture(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := srv.SetQueryBatchContext(ctx, "security", idx, []*query.Expr{query.Deps(1)}); !errors.Is(err, faults.ErrCanceled) {
-		t.Fatalf("got %v, want ErrCanceled", err)
-	}
-}

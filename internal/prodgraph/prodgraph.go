@@ -169,16 +169,6 @@ func (pg *Graph) IsRecursive(module string) bool {
 	return false
 }
 
-// IsRecursiveGrammar reports whether the production graph has any cycle.
-func (pg *Graph) IsRecursiveGrammar() bool {
-	for _, m := range pg.modules {
-		if pg.IsRecursive(m) {
-			return true
-		}
-	}
-	return false
-}
-
 // IsLinearRecursive reports whether the grammar is linear-recursive
 // (Definition 14), using the characterization of Lemma 3: for every
 // production M -> W, at most one module occurrence of W can reach M.
@@ -234,16 +224,6 @@ func (pg *Graph) CycleOf(module string) (s, t int, ok bool) {
 		return 0, 0, false
 	}
 	return pos.s, pos.t, true
-}
-
-// CycleEdge returns, for a recursive module, the unique production-graph
-// cycle edge that leaves it.
-func (pg *Graph) CycleEdge(module string) (Edge, bool) {
-	s, t, ok := pg.CycleOf(module)
-	if !ok {
-		return Edge{}, false
-	}
-	return pg.cycles[s-1].EdgeAt(t), true
 }
 
 func (pg *Graph) buildCycles() {

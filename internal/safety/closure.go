@@ -172,12 +172,6 @@ func (c *Closure) reachBit(u, v int) bool {
 	return c.reach[u*c.stride+v/64]>>(uint(v)%64)&1 != 0
 }
 
-// InitialInputCount returns the number of initial input ports of W.
-func (c *Closure) InitialInputCount() int { return len(c.initIn) }
-
-// FinalOutputCount returns the number of final output ports of W.
-func (c *Closure) FinalOutputCount() int { return len(c.finalOut) }
-
 func (c *Closure) portVertex(p workflow.PortRef) int {
 	if p.Kind == workflow.InPort {
 		return c.inBase[p.Node] + p.Port

@@ -47,9 +47,6 @@ func TestClosureChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.InitialInputCount() != 2 || cl.FinalOutputCount() != 2 {
-		t.Fatalf("boundary counts wrong: %d, %d", cl.InitialInputCount(), cl.FinalOutputCount())
-	}
 	// Composition of diagonal then anti-diagonal is anti-diagonal.
 	if !cl.LHSMatrix().Equal(anti()) {
 		t.Fatalf("LHSMatrix = %v, want anti-diagonal", cl.LHSMatrix())

@@ -286,6 +286,3 @@ func (g *Grammar) CheckProper() error {
 	}
 	return nil
 }
-
-// IsProper reports whether the grammar is proper (Definition 5).
-func (g *Grammar) IsProper() bool { return g.CheckProper() == nil }

@@ -96,15 +96,3 @@ func hasSingleSourceAndSink(w *SimpleWorkflow) bool {
 	}
 	return sources == 1 && sinks == 1
 }
-
-// BlackBoxAssignment returns a dependency assignment giving every listed
-// module complete (black-box) dependencies.
-func BlackBoxAssignment(g *Grammar, modules []string) DependencyAssignment {
-	d := DependencyAssignment{}
-	for _, name := range modules {
-		if m, ok := g.Modules[name]; ok {
-			d[name] = CompleteDeps(m)
-		}
-	}
-	return d
-}
