@@ -66,37 +66,35 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	labeler, err := fvl.NewLabeler(spec, fvl.WithVariant(variant))
+	v, err := selectView(spec, *viewSpec, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// One service serves the selected view for everything below: run
+	// labels, point and set queries, -snapshot, -session and -remote.
+	svc, err := fvl.Open(ctx, spec, []*fvl.View{v}, fvl.WithVariant(variant))
+	if err != nil {
+		log.Fatal(err)
+	}
+	vl, _ := svc.ViewLabel(v.Name())
 
 	r, err := fvl.RandomRun(spec, fvl.RunOptions{TargetSize: *size, Seed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	labels, err := labeler.Label(ctx, r)
+	labels, err := svc.NewLabeler().Label(ctx, r)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("derived and labeled a run with %d data items (%d module instances, %d derivation steps)\n",
 		r.Size(), len(r.Instances()), r.Steps())
-
-	v, err := selectView(spec, *viewSpec, *seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	vl, err := labeler.LabelView(v)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("view %q: expandable composites %v, label %d bytes (%s variant)\n",
 		v.Name(), v.ExpandableModules(), (vl.SizeBits()+7)/8, vl.Variant())
 
 	if *snapshot != "" {
 		// Atomic write: a crash mid-snapshot must not leave a truncated file
 		// where a good snapshot may already sit.
-		if err := labeler.SnapshotFile(*snapshot); err != nil {
+		if err := svc.SnapshotFile(*snapshot); err != nil {
 			log.Fatalf("writing snapshot: %v", err)
 		}
 		fmt.Printf("wrote label snapshot for view %q (%s variant) to %s\n", v.Name(), vl.Variant(), *snapshot)
@@ -109,10 +107,6 @@ func main() {
 	// the script agree.
 	var sess *fvl.DurableSession
 	if *session != "" {
-		svc, err := fvl.Open(ctx, spec, []*fvl.View{v}, fvl.WithVariant(variant))
-		if err != nil {
-			log.Fatal(err)
-		}
 		sess, err = svc.ResumeDurable(*session)
 		if errors.Is(err, os.ErrNotExist) {
 			sess, err = svc.OpenDurable(*session)
@@ -177,7 +171,7 @@ func main() {
 	// journal wire format — and answers -query against the remote session at
 	// a pinned epoch.
 	if *remote != "" {
-		runRemote(ctx, *remote, *tenant, *workload, spec, v, variant, r, *query, *seed)
+		runRemote(ctx, *remote, *tenant, *workload, svc, v, variant, r, *query, *seed)
 		return
 	}
 
@@ -198,10 +192,6 @@ func main() {
 			}
 			fmt.Printf("\nset query %s under view %q at epoch %d:\n", q, v.Name(), epoch)
 		} else {
-			svc, err := fvl.Open(ctx, spec, []*fvl.View{v}, fvl.WithVariant(variant))
-			if err != nil {
-				log.Fatal(err)
-			}
 			a, err = svc.Query(ctx, v.Name(), labels, q)
 			if err != nil {
 				log.Fatalf("set query failed: %v", err)
@@ -259,20 +249,16 @@ func main() {
 }
 
 // runRemote drives the derivation through an fvld server: the scheme is
-// registered once per (workload, view, variant) from a locally computed
+// registered once per (workload, view, variant) from the local service's
 // snapshot, the run's step log streams through the session's journal-format
 // ingestion, and the query is answered by the server at a pinned epoch.
-func runRemote(ctx context.Context, baseURL, tenant, workload string, spec *fvl.Spec, v *fvl.View, variant fvl.Variant, r *fvl.Run, query string, seed int64) {
+func runRemote(ctx context.Context, baseURL, tenant, workload string, svc *fvl.Service, v *fvl.View, variant fvl.Variant, r *fvl.Run, query string, seed int64) {
 	c := client.New(baseURL)
 	if err := c.CreateTenant(ctx, tenant); err != nil {
 		log.Fatalf("remote tenant %q: %v", tenant, err)
 	}
 	schemeName := fmt.Sprintf("%s-%s-%s", workload, v.Name(), variant)
 	if _, err := c.Scheme(ctx, tenant, schemeName); err != nil {
-		svc, err := fvl.Open(ctx, spec, []*fvl.View{v}, fvl.WithVariant(variant))
-		if err != nil {
-			log.Fatal(err)
-		}
 		if _, err := c.RegisterService(ctx, tenant, schemeName, svc); err != nil {
 			log.Fatalf("registering scheme %q: %v", schemeName, err)
 		}

@@ -37,13 +37,14 @@
 //
 // # Labeling and querying
 //
-// NewLabeler builds the labeling scheme once per specification; functional
-// options select the view-label variant (WithVariant), the worker pool
-// (WithWorkers), snapshot persistence (WithSnapshot) and the Theorem-1
-// fallback (WithBasicScheme). Open labels a set of views and returns a
-// Service whose DependsOn / DependsOnBatch answer queries concurrently;
-// OpenSnapshot loads a persisted artifact, relabels the views it defines
-// and serves them.
+// NewLabeler builds the labeling scheme once per specification: the compact
+// scheme when the grammar is strictly linear-recursive, the Theorem-1 basic
+// scheme otherwise (IsBasic reports which). Functional options select the
+// view-label variant (WithVariant), the worker pool (WithWorkers) and
+// snapshot persistence on Open (WithSnapshot). Open labels a set of views
+// and returns a Service whose DependsOn / DependsOnBatch answer queries
+// concurrently; Service.Snapshot persists its labels, and OpenSnapshot
+// loads such an artifact, relabels the views it defines and serves them.
 //
 // Every potentially long operation takes a context.Context and honors
 // cancellation at a documented granularity: batch queries stop between

@@ -39,8 +39,10 @@ var (
 	ErrUnsafeView = faults.ErrUnsafeView
 
 	// ErrNotLinearRecursive: the grammar is not strictly linear-recursive,
-	// so the compact labeling scheme does not apply (Theorem 6). The basic
-	// Theorem-1 scheme remains available via WithBasicScheme.
+	// so the compact labeling scheme does not apply (Theorem 6). NewLabeler
+	// and Open answer it by building the basic Theorem-1 scheme instead
+	// (see Labeler.IsBasic), so it reaches callers only from layers that
+	// insist on the compact scheme.
 	ErrNotLinearRecursive = faults.ErrNotLinearRecursive
 
 	// ErrHiddenItem: a query involved a data item the view hides.

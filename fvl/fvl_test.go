@@ -203,13 +203,10 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Fatalf("garbage snapshot: got %v, want ErrCorruptSnapshot", err)
 	}
 
-	// ErrNotLinearRecursive: Figure 10's grammar defeats the compact scheme
-	// but not the basic one.
-	if _, err := fvl.NewLabeler(fvl.Figure10()); !errors.Is(err, fvl.ErrNotLinearRecursive) {
-		t.Fatalf("Figure 10 compact scheme: got %v, want ErrNotLinearRecursive", err)
-	}
-	if _, err := fvl.NewLabeler(fvl.Figure10(), fvl.WithBasicScheme()); err != nil {
-		t.Fatalf("Figure 10 basic scheme should work, got %v", err)
+	// ErrNotLinearRecursive: Figure 10's grammar defeats the compact scheme,
+	// so NewLabeler builds the basic one instead of failing.
+	if f10, err := fvl.NewLabeler(fvl.Figure10()); err != nil || !f10.IsBasic() {
+		t.Fatalf("Figure 10: got a labeler (basic %v) and error %v, want the basic scheme", f10 != nil && f10.IsBasic(), err)
 	}
 
 	// ErrHiddenItem: querying an item the view hides.
@@ -367,36 +364,36 @@ func TestSnapshotRoundTripThroughService(t *testing.T) {
 }
 
 func TestSnapshotDedupesRelabeledViews(t *testing.T) {
-	// Labeling the same view twice (a retry, or repeated use of one labeler)
-	// must not produce a snapshot the loader rejects as storing a view twice.
+	// Serving the same view twice (a retry, or repeated use of one view
+	// value) must not produce a snapshot the loader rejects as storing a
+	// view twice.
 	ctx := context.Background()
 	spec := fvl.PaperExample()
-	labeler, err := fvl.NewLabeler(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	def := spec.DefaultView()
 	// Twice through the same *View, and once through a fresh-but-equal value
 	// (constructors build a new value per call; repeated use is not an error).
-	for _, v := range []*fvl.View{def, def, spec.DefaultView()} {
-		if _, err := labeler.LabelView(v); err != nil {
-			t.Fatal(err)
-		}
+	svc, err := fvl.Open(ctx, spec, []*fvl.View{def, def, spec.DefaultView()})
+	if err != nil {
+		t.Fatalf("Open with a repeated view: %v", err)
+	}
+	if got := svc.Views(); len(got) != 1 {
+		t.Fatalf("repeated view served %v, want one entry", got)
 	}
 	var buf bytes.Buffer
-	if err := labeler.Snapshot(&buf); err != nil {
+	if err := svc.Snapshot(&buf); err != nil {
 		t.Fatalf("snapshot after relabeling: %v", err)
 	}
-	svc, err := fvl.OpenSnapshot(bytes.NewReader(buf.Bytes()))
+	restored, err := fvl.OpenSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("snapshot written after relabeling does not load: %v", err)
 	}
-	if got := svc.Views(); len(got) != 1 || got[0] != "default" {
+	if got := restored.Views(); len(got) != 1 || got[0] != "default" {
 		t.Fatalf("restored views = %v, want [default]", got)
 	}
 
 	// Two *different* views sharing a name stay an error — silently dropping
-	// one would be ambiguous.
+	// one would be ambiguous — and Open writes nothing to its snapshot
+	// writer.
 	v1, err := fvl.RandomView(spec, fvl.ViewOptions{Name: "twin", Composites: 1, Mode: fvl.BlackBox, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -405,25 +402,12 @@ func TestSnapshotDedupesRelabeledViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := labeler.LabelView(v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := labeler.LabelView(v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := labeler.Snapshot(&bytes.Buffer{}); err == nil {
-		t.Fatal("two distinct views named \"twin\" must fail Snapshot")
-	}
-	if _, err := fvl.Open(ctx, spec, []*fvl.View{v1, v2}); err == nil {
+	var twin bytes.Buffer
+	if _, err := fvl.Open(ctx, spec, []*fvl.View{v1, v2}, fvl.WithSnapshot(&twin)); err == nil {
 		t.Fatal("two distinct views named \"twin\" must fail Open")
 	}
-	// The same view passed twice to Open is served once, not rejected.
-	svc2, err := fvl.Open(ctx, spec, []*fvl.View{def, def})
-	if err != nil {
-		t.Fatalf("Open with a repeated view: %v", err)
-	}
-	if got := svc2.Views(); len(got) != 1 {
-		t.Fatalf("repeated view served %v, want one entry", got)
+	if twin.Len() != 0 {
+		t.Fatalf("a failed Open wrote %d snapshot bytes", twin.Len())
 	}
 }
 
@@ -541,6 +525,94 @@ func TestAttachLabelsOnline(t *testing.T) {
 		decoded, err := online.Decode(buf, nbits)
 		if err != nil || decoded.String() != a.String() {
 			t.Fatalf("item %d: decode round-trip %v (%v), want %v", item.ID, decoded, err, a)
+		}
+	}
+}
+
+func TestSchemeKindFollowsGrammar(t *testing.T) {
+	// The scheme kind is the grammar's, not the caller's: compact wherever
+	// the grammar is strictly linear-recursive, basic for Figure 10.
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		spec  *fvl.Spec
+		basic bool
+	}{
+		{"paper", fvl.PaperExample(), false},
+		{"bioaid", fvl.BioAID(), false},
+		{"synthetic", fvl.Synthetic(fvl.DefaultSyntheticParams()), false},
+		{"figure10", fvl.Figure10(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			labeler, err := fvl.NewLabeler(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if labeler.IsBasic() != tc.basic {
+				t.Fatalf("NewLabeler built basic=%v, want %v", labeler.IsBasic(), tc.basic)
+			}
+			svc, err := fvl.Open(ctx, tc.spec, []*fvl.View{tc.spec.DefaultView()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if svc.IsBasic() != tc.basic {
+				t.Fatalf("Open built basic=%v, want %v", svc.IsBasic(), tc.basic)
+			}
+		})
+	}
+
+	// Figure 10's basic-scheme answers agree with a graph search over the
+	// run, on every pair of items.
+	spec := fvl.Figure10()
+	svc, err := fvl.Open(ctx, spec, []*fvl.View{spec.DefaultView()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fvl.RandomRun(spec, fvl.RunOptions{TargetSize: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := svc.NewLabeler().Label(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, err := r.Project(spec.DefaultView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := map[bool]int{}
+	for _, d1 := range proj.VisibleItems() {
+		for _, d2 := range proj.VisibleItems() {
+			want, err := proj.DependsOn(d1, d2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l1, _ := labels.Label(d1)
+			l2, _ := labels.Label(d2)
+			got, err := svc.DependsOn(ctx, "default", l1, l2)
+			if err != nil {
+				t.Fatalf("items (%d,%d): %v", d1, d2, err)
+			}
+			if got != want {
+				t.Fatalf("items (%d,%d): label says %v, graph search %v", d1, d2, got, want)
+			}
+			answers[got]++
+		}
+	}
+	if answers[true] == 0 || answers[false] == 0 {
+		t.Fatalf("Figure 10 run of %d items gave one-sided answers %v", r.Size(), answers)
+	}
+}
+
+func TestRandomViewRejectsUnknownMode(t *testing.T) {
+	spec := fvl.BioAID()
+	if _, err := fvl.RandomView(spec, fvl.ViewOptions{Name: "bad", Composites: 3, Mode: fvl.DependencyMode(7), Seed: 1}); err == nil {
+		t.Fatal("RandomView accepted dependency mode 7")
+	}
+	for _, mode := range []fvl.DependencyMode{fvl.WhiteBox, fvl.BlackBox, fvl.GreyBox} {
+		parsed, err := fvl.ParseDependencyMode(mode.String())
+		if err != nil || parsed != mode {
+			t.Fatalf("ParseDependencyMode(%q) = %v, %v", mode.String(), parsed, err)
 		}
 	}
 }

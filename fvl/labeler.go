@@ -2,14 +2,12 @@ package fvl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/labelstore"
 	"repro/internal/view"
 )
 
@@ -89,7 +87,6 @@ type options struct {
 	variant  Variant
 	workers  int
 	snapshot io.Writer
-	basic    bool
 }
 
 func newOptions(opts []Option) options {
@@ -112,39 +109,32 @@ func WithVariant(v Variant) Option { return func(o *options) { o.variant = v } }
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithSnapshot registers a writer that receives a validated binary snapshot
-// of the scheme and its view labels: Open writes it after labeling the
-// views; a Labeler writes it on Snapshot(nil). Load the artifact back with
+// of the scheme and its view labels: Open writes it, through
+// Service.Snapshot, once the service is built. Load the artifact back with
 // OpenSnapshot.
 func WithSnapshot(w io.Writer) Option { return func(o *options) { o.snapshot = w } }
-
-// WithBasicScheme selects the Theorem-1 fallback scheme: runs are labeled
-// with basic (uncompressed) parse trees, which works for every safe
-// specification — including grammars that are not strictly linear-recursive
-// — at the price of labels that grow with the nesting depth of the run.
-func WithBasicScheme() Option { return func(o *options) { o.basic = true } }
 
 // Labeler is the labeling half of the system: it computes data labels for
 // runs (φr) and static labels for views (φv) of one specification. It
 // replaces the scattered constructors of the internal packages — scheme
-// construction, run labeling, view labeling and snapshot persistence sit
-// behind one type configured with functional options.
+// construction, run labeling and view labeling sit behind one type
+// configured with functional options. Persisting labels is the Service's
+// job (Service.Snapshot).
 //
-// A Labeler is safe for concurrent use; the view labels it computes are
-// remembered so Snapshot can persist them all.
+// A Labeler holds no mutable state and is safe for concurrent use.
 type Labeler struct {
 	spec   *Spec
 	scheme *core.Scheme
 	opt    options
-
-	mu       sync.Mutex
-	computed []*core.ViewLabel
 }
 
 // NewLabeler builds the labeling scheme for a specification: the static
 // preprocessing of the production graph and its recursions (Section 4.1).
-// It fails with ErrNotLinearRecursive when the grammar is not strictly
-// linear-recursive — pass WithBasicScheme to fall back to the Theorem-1
-// scheme instead.
+// The scheme is compact when the grammar is strictly linear-recursive
+// (Theorem 6); otherwise — exactly when the compact scheme fails with
+// ErrNotLinearRecursive — it is the Theorem-1 basic scheme, which labels
+// every safe specification with labels that grow with the nesting depth of
+// the run. IsBasic reports which one was built.
 func NewLabeler(spec *Spec, opts ...Option) (*Labeler, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("fvl: nil specification")
@@ -153,12 +143,9 @@ func NewLabeler(spec *Spec, opts ...Option) (*Labeler, error) {
 	if _, err := o.variant.core(); err != nil {
 		return nil, err
 	}
-	var scheme *core.Scheme
-	var err error
-	if o.basic {
+	scheme, err := core.NewScheme(spec.spec)
+	if errors.Is(err, ErrNotLinearRecursive) {
 		scheme, err = core.NewSchemeBasic(spec.spec)
-	} else {
-		scheme, err = core.NewScheme(spec.spec)
 	}
 	if err != nil {
 		return nil, err
@@ -169,7 +156,8 @@ func NewLabeler(spec *Spec, opts ...Option) (*Labeler, error) {
 // Variant returns the view-label variant the labeler was configured with.
 func (l *Labeler) Variant() Variant { return l.opt.variant }
 
-// IsBasic reports whether the labeler uses the Theorem-1 fallback scheme.
+// IsBasic reports whether the labeler uses the Theorem-1 basic scheme: the
+// specification's grammar is not strictly linear-recursive.
 func (l *Labeler) IsBasic() bool { return l.scheme.IsBasic() }
 
 // Attach registers an online labeler on the run: every data item produced
@@ -207,9 +195,6 @@ func (l *Labeler) LabelView(v *View) (*ViewLabel, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	l.computed = append(l.computed, vl)
-	l.mu.Unlock()
 	return &ViewLabel{vl: vl, view: v}, nil
 }
 
@@ -231,56 +216,23 @@ func (l *Labeler) LabelViews(ctx context.Context, views ...*View) ([]*ViewLabel,
 	return labels, nil
 }
 
-// Snapshot persists the scheme together with every view label the labeler
-// has computed so far as a validated binary snapshot. The writer configured
-// with WithSnapshot is used when w is nil. Relabeling the same view only
-// stores one label (the snapshot format — like a Service — keys labels by
-// view name), but two distinct views sharing a name are an error: the write
-// path never produces an artifact OpenSnapshot would reject as ambiguous.
-func (l *Labeler) Snapshot(w io.Writer) error {
-	if w == nil {
-		w = l.opt.snapshot
-	}
-	if w == nil {
-		return fmt.Errorf("fvl: no snapshot writer (pass one, or configure the labeler with WithSnapshot)")
-	}
-	l.mu.Lock()
-	computed := append([]*core.ViewLabel(nil), l.computed...)
-	l.mu.Unlock()
-	labels, err := dedupeByView(computed)
-	if err != nil {
-		return err
-	}
-	return labelstore.Save(w, l.scheme, labels)
-}
-
-// SnapshotFile persists the labeler's snapshot to a file, atomically: the
-// snapshot is written to a temp file in the target directory, fsynced, and
-// renamed into place, so a crash mid-write never leaves a truncated snapshot
-// at path.
-func (l *Labeler) SnapshotFile(path string) error {
-	return labelstore.WriteFileAtomic(path, func(f *os.File) error {
-		return l.Snapshot(f)
-	})
-}
-
 // dedupeByView keeps one label per view (first occurrence wins; relabelings
 // of an equal view are deterministic duplicates) and rejects two genuinely
 // different views that share a name. Equality is semantic — same
 // specification, same ∆′, same λ′ — because constructors like DefaultView
 // build a fresh value per call and repeated use must not be an error.
-func dedupeByView(computed []*core.ViewLabel) ([]*core.ViewLabel, error) {
-	byName := map[string]*core.ViewLabel{}
-	var labels []*core.ViewLabel
+func dedupeByView(computed []*ViewLabel) ([]*ViewLabel, error) {
+	byName := map[string]*ViewLabel{}
+	var labels []*ViewLabel
 	for _, vl := range computed {
-		name := vl.View().Name
+		name := vl.View().Name()
 		prev, ok := byName[name]
 		if !ok {
 			byName[name] = vl
 			labels = append(labels, vl)
 			continue
 		}
-		if !sameView(prev.View(), vl.View()) {
+		if !sameView(prev.vl.View(), vl.vl.View()) {
 			return nil, fmt.Errorf("fvl: two different views named %q were labeled; rename one before snapshotting or serving", name)
 		}
 	}

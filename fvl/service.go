@@ -42,12 +42,12 @@ type Service struct {
 	labels map[string]*ViewLabel
 }
 
-// Open builds the labeling scheme for the specification, labels every view
-// (concurrently, over the WithWorkers pool; the variant comes from
-// WithVariant), and returns a Service answering reachability queries over
-// them. With WithSnapshot the computed labels are also persisted to the
-// writer before Open returns. The context cancels the view labeling between
-// views (ErrCanceled).
+// Open builds the labeling scheme for the specification (compact or basic,
+// as NewLabeler chooses), labels every view (concurrently, over the
+// WithWorkers pool; the variant comes from WithVariant), and returns a
+// Service answering reachability queries over them. With WithSnapshot the
+// service's Snapshot is also written to the writer before Open returns. The
+// context cancels the view labeling between views (ErrCanceled).
 func Open(ctx context.Context, spec *Spec, views []*View, opts ...Option) (*Service, error) {
 	o := newOptions(opts)
 	labeler, err := NewLabeler(spec, opts...)
@@ -58,37 +58,37 @@ func Open(ctx context.Context, spec *Spec, views []*View, opts ...Option) (*Serv
 	if err != nil {
 		return nil, err
 	}
-	// Dedupe before serving or persisting: passing the same view twice is
-	// harmless (one label serves it), but two distinct views sharing a name
-	// would be ambiguous for both the server and the snapshot.
+	// Dedupe before serving: passing the same view twice is harmless (one
+	// label serves it), but two distinct views sharing a name would be
+	// ambiguous for both the server and the snapshot.
+	labels, err = dedupeByView(labels)
+	if err != nil {
+		return nil, err
+	}
 	coreLabels := make([]*core.ViewLabel, len(labels))
 	for i, vl := range labels {
 		coreLabels[i] = vl.vl
-	}
-	coreLabels, err = dedupeByView(coreLabels)
-	if err != nil {
-		return nil, err
 	}
 	server, err := engine.NewServer(labeler.scheme, coreLabels, o.workers)
 	if err != nil {
 		return nil, err
 	}
-	// The snapshot is written only once the service is fully constructed, so
-	// a failed Open never leaves a partial artifact on the writer.
-	if o.snapshot != nil {
-		if err := labeler.Snapshot(o.snapshot); err != nil {
-			return nil, fmt.Errorf("fvl: writing snapshot: %w", err)
-		}
-	}
 	s := &Service{spec: spec, scheme: labeler.scheme, server: server, labels: map[string]*ViewLabel{}}
 	for _, vl := range labels {
 		s.labels[vl.View().Name()] = vl
 	}
+	// The snapshot is written only once the service is fully constructed, so
+	// a failed Open never leaves a partial artifact on the writer.
+	if o.snapshot != nil {
+		if err := s.Snapshot(o.snapshot); err != nil {
+			return nil, fmt.Errorf("fvl: writing snapshot: %w", err)
+		}
+	}
 	return s, nil
 }
 
-// OpenSnapshot loads a label snapshot (written by WithSnapshot,
-// Labeler.Snapshot or Service.Snapshot) and serves it. A snapshot stores the
+// OpenSnapshot loads a label snapshot (written by Service.Snapshot, or by
+// Open through WithSnapshot) and serves it. A snapshot stores the
 // specification and each view's definition and variant, and loading
 // relabels every view under an allocation budget funded by the snapshot's
 // size. The input is untrusted: any problem — structural damage, an unsafe
@@ -148,7 +148,8 @@ func (s *Service) NewLabeler(opts ...Option) *Labeler {
 }
 
 // IsBasic reports whether the service's labels were computed with the
-// Theorem-1 fallback scheme (see WithBasicScheme).
+// Theorem-1 basic scheme, which NewLabeler and Open choose exactly when the
+// grammar is not strictly linear-recursive.
 func (s *Service) IsBasic() bool { return s.scheme.IsBasic() }
 
 // Views returns the served view names in sorted order.
@@ -195,7 +196,11 @@ func (s *Service) DependsOnBatch(ctx context.Context, viewName string, queries [
 }
 
 // Snapshot persists the service's scheme and every served view label as a
-// validated binary snapshot, loadable with OpenSnapshot.
+// validated binary snapshot, loadable with OpenSnapshot. It is the one
+// snapshot writer of the package. View labels are static — they never
+// depend on a run — so a snapshot taken while a live session runs serves
+// the same answers as one taken at completion; pair it with
+// Session.WriteJournal to restore the session on a freshly opened service.
 func (s *Service) Snapshot(w io.Writer) error {
 	labels := make([]*core.ViewLabel, 0, len(s.labels))
 	for _, name := range s.Views() {

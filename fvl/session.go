@@ -168,17 +168,9 @@ func (s *Session) DependsOnBatch(ctx context.Context, viewName string, queries [
 
 // WriteJournal exports the session's current step prefix in the journal
 // format: replaying it with ResumeLive rebuilds the session at exactly the
-// exported epoch. Together with Snapshot this is the mid-run persistence
-// story — the journal restores the run, the snapshot rebuilds the serving
-// labels — and neither export stops the producers.
+// exported epoch. Together with Service.Snapshot this is the mid-run
+// persistence story — the journal restores the run, the snapshot rebuilds
+// the serving labels — and neither export stops the producers.
 func (s *Session) WriteJournal(w io.Writer) error {
 	return s.ls.Current().WriteJournal(w)
 }
-
-// Snapshot persists the service's scheme and view labels (labelstore
-// format, loadable with OpenSnapshot) while the run is still executing.
-// View labels are static — they never depend on the run — and data labels
-// are final on assignment, so a snapshot taken mid-run serves the same
-// answers as one taken at completion; pair it with WriteJournal to restore
-// a live session on a freshly opened service.
-func (s *Session) Snapshot(w io.Writer) error { return s.svc.Snapshot(w) }

@@ -253,7 +253,7 @@ func TestJournalAndResume(t *testing.T) {
 	// is open restores a service that serves the same answers for the same
 	// session labels.
 	var snap bytes.Buffer
-	if err := sess.Snapshot(&snap); err != nil {
+	if err := sess.Service().Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := fvl.OpenSnapshot(bytes.NewReader(snap.Bytes()))

@@ -82,8 +82,7 @@ func ReadSpecFile(path string) (*Spec, error) {
 // together by Build, so construction sites stay free of error plumbing and
 // nothing ever panics.
 type SpecBuilder struct {
-	b    *workflow.Builder
-	errs []error
+	b *workflow.Builder
 }
 
 // NewSpec returns an empty specification builder.
@@ -120,22 +119,13 @@ func (sb *SpecBuilder) BlackBox(modules ...string) *SpecBuilder {
 // Production adds a production lhs -> flow. Errors the flow accumulated are
 // adopted by the builder.
 func (sb *SpecBuilder) Production(lhs string, f *Flow) *SpecBuilder {
-	if len(f.errs) > 0 {
-		for _, err := range f.errs {
-			sb.errs = append(sb.errs, fmt.Errorf("production %q: %w", lhs, err))
-		}
-		return sb
-	}
-	sb.b.Production(lhs, f.workflow())
+	sb.b.Production(lhs, f.wb)
 	return sb
 }
 
 // Build validates everything declared so far and returns the specification,
 // or the first accumulated error.
 func (sb *SpecBuilder) Build() (*Spec, error) {
-	if len(sb.errs) > 0 {
-		return nil, fmt.Errorf("fvl: %w", sb.errs[0])
-	}
 	spec, err := sb.b.Build()
 	if err != nil {
 		return nil, err
@@ -145,19 +135,15 @@ func (sb *SpecBuilder) Build() (*Spec, error) {
 
 // Flow assembles the right-hand side of a production: a simple workflow of
 // module occurrences connected by data edges. Like SpecBuilder, it
-// accumulates errors instead of panicking; they surface when the flow is
-// passed to SpecBuilder.Production.
+// accumulates errors instead of panicking; they surface when the
+// specification is built.
 type Flow struct {
-	nodes []string
-	names map[string]int
-	dup   map[string]bool
-	edges []workflow.DataEdge
-	errs  []error
+	wb *workflow.WorkflowBuilder
 }
 
 // NewFlow returns an empty flow.
 func NewFlow() *Flow {
-	return &Flow{names: map[string]int{}, dup: map[string]bool{}}
+	return &Flow{wb: workflow.NewWorkflow()}
 }
 
 // Node adds an occurrence of the named module. The optional label names the
@@ -166,16 +152,7 @@ func NewFlow() *Flow {
 // twice) makes the label ambiguous: referencing it in Edge is then an error,
 // so an edge can never silently attach to the wrong occurrence.
 func (f *Flow) Node(module string, label ...string) *Flow {
-	idx := len(f.nodes)
-	f.nodes = append(f.nodes, module)
-	key := module
-	if len(label) > 0 {
-		key = label[0]
-	}
-	if _, exists := f.names[key]; exists {
-		f.dup[key] = true
-	}
-	f.names[key] = idx
+	f.wb.Node(module, label...)
 	return f
 }
 
@@ -183,34 +160,6 @@ func (f *Flow) Node(module string, label ...string) *Flow {
 // port toPort of the occurrence labeled to. Unknown and ambiguous occurrence
 // labels are recorded as errors, not panics.
 func (f *Flow) Edge(from string, fromPort int, to string, toPort int) *Flow {
-	fi, ok := f.occurrence(from)
-	if !ok {
-		return f
-	}
-	ti, ok := f.occurrence(to)
-	if !ok {
-		return f
-	}
-	f.edges = append(f.edges, workflow.DataEdge{FromNode: fi, FromPort: fromPort, ToNode: ti, ToPort: toPort})
+	f.wb.Edge(from, fromPort, to, toPort)
 	return f
-}
-
-func (f *Flow) occurrence(label string) (int, bool) {
-	if f.dup[label] {
-		f.errs = append(f.errs, fmt.Errorf("ambiguous occurrence %q (declared more than once; give each occurrence a distinct label)", label))
-		return 0, false
-	}
-	i, ok := f.names[label]
-	if !ok {
-		f.errs = append(f.errs, fmt.Errorf("unknown occurrence %q", label))
-		return 0, false
-	}
-	return i, true
-}
-
-func (f *Flow) workflow() *workflow.SimpleWorkflow {
-	return &workflow.SimpleWorkflow{
-		Nodes: append([]string(nil), f.nodes...),
-		Edges: append([]workflow.DataEdge(nil), f.edges...),
-	}
 }

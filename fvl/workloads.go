@@ -23,34 +23,15 @@ func BioAID() *Spec { return &Spec{spec: workloads.BioAID()} }
 // strictly linear-recursive, so only the basic scheme labels it.
 func Figure10() *Spec { return &Spec{spec: workloads.Figure10Example()} }
 
-// SyntheticParams controls the synthetic workflow generator of Section 6.5.
-type SyntheticParams struct {
-	WorkflowSize    int
-	ModuleDegree    int
-	NestingDepth    int
-	RecursionLength int
-}
+// SyntheticParams controls the synthetic workflow generator of Section 6.5:
+// WorkflowSize, ModuleDegree, NestingDepth and RecursionLength.
+type SyntheticParams = workloads.SyntheticParams
 
 // DefaultSyntheticParams returns the paper's default synthetic parameters.
-func DefaultSyntheticParams() SyntheticParams {
-	p := workloads.DefaultSyntheticParams()
-	return SyntheticParams{
-		WorkflowSize:    p.WorkflowSize,
-		ModuleDegree:    p.ModuleDegree,
-		NestingDepth:    p.NestingDepth,
-		RecursionLength: p.RecursionLength,
-	}
-}
+func DefaultSyntheticParams() SyntheticParams { return workloads.DefaultSyntheticParams() }
 
 // Synthetic generates the synthetic workflow family of Section 6.5.
-func Synthetic(p SyntheticParams) *Spec {
-	return &Spec{spec: workloads.Synthetic(workloads.SyntheticParams{
-		WorkflowSize:    p.WorkflowSize,
-		ModuleDegree:    p.ModuleDegree,
-		NestingDepth:    p.NestingDepth,
-		RecursionLength: p.RecursionLength,
-	})}
-}
+func Synthetic(p SyntheticParams) *Spec { return &Spec{spec: workloads.Synthetic(p)} }
 
 // SecurityView returns the grey-box security view of the paper's Examples 7
 // and 8 over the running example: C's internals are hidden behind complete
@@ -102,33 +83,19 @@ func RandomRun(s *Spec, opts RunOptions) (*Run, error) {
 }
 
 // DependencyMode selects how the perceived dependencies of a random view
-// are generated.
-type DependencyMode int
+// are generated; its String form is the name ParseDependencyMode reads.
+type DependencyMode = workloads.DependencyMode
 
 const (
 	// WhiteBox uses the true induced dependencies (abstraction views).
-	WhiteBox DependencyMode = iota
+	WhiteBox = workloads.WhiteBox
 	// BlackBox uses complete dependencies (the coarse-grained model of the
 	// DRL baseline).
-	BlackBox
+	BlackBox = workloads.BlackBox
 	// GreyBox adds random false dependencies on top of the true ones
 	// (security views).
-	GreyBox
+	GreyBox = workloads.GreyBox
 )
-
-// String names the mode.
-func (m DependencyMode) String() string {
-	switch m {
-	case WhiteBox:
-		return "white-box"
-	case BlackBox:
-		return "black-box"
-	case GreyBox:
-		return "grey-box"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
 
 // ParseDependencyMode maps a mode name back to the mode.
 func ParseDependencyMode(s string) (DependencyMode, error) {
@@ -141,19 +108,6 @@ func ParseDependencyMode(s string) (DependencyMode, error) {
 		return GreyBox, nil
 	default:
 		return 0, fmt.Errorf("fvl: unknown dependency mode %q (want white-box, grey-box or black-box)", s)
-	}
-}
-
-func (m DependencyMode) internal() (workloads.DependencyMode, error) {
-	switch m {
-	case WhiteBox:
-		return workloads.WhiteBox, nil
-	case BlackBox:
-		return workloads.BlackBox, nil
-	case GreyBox:
-		return workloads.GreyBox, nil
-	default:
-		return 0, fmt.Errorf("fvl: unknown dependency mode %d", int(m))
 	}
 }
 
@@ -174,16 +128,13 @@ type ViewOptions struct {
 
 // RandomView builds a random safe view over the specification: the
 // expandable set is grown from the start module so the view is always
-// proper, and the dependencies are chosen by Mode.
+// proper, and the dependencies are chosen by Mode. A Mode outside WhiteBox,
+// BlackBox and GreyBox is an error.
 func RandomView(s *Spec, opts ViewOptions) (*View, error) {
-	mode, err := opts.Mode.internal()
-	if err != nil {
-		return nil, err
-	}
 	v, err := workloads.RandomView(s.spec, workloads.ViewOptions{
 		Name:        opts.Name,
 		Composites:  opts.Composites,
-		Mode:        mode,
+		Mode:        opts.Mode,
 		Rand:        rand.New(rand.NewSource(opts.Seed)),
 		MaxAttempts: opts.MaxAttempts,
 	})

@@ -57,8 +57,8 @@ var (
 	// trailing record — the signature of a crash mid-append. Errors carrying
 	// this sentinel also wrap ErrCorruptJournal, so existing corruption
 	// classification keeps working; durable recovery additionally uses it to
-	// decide whether the tail may be truncated (default) or must be refused
-	// (strict mode).
+	// decide what to do with the tail: a torn tail of the last journal
+	// segment is truncated, one anywhere else is refused.
 	ErrTornJournal = errors.New("step journal ends in a torn trailing record")
 
 	// ErrCorruptManifest reports that a durable session directory's MANIFEST

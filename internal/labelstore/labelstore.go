@@ -111,14 +111,6 @@ func Save(w io.Writer, scheme *core.Scheme, labels []*core.ViewLabel) error {
 	return err
 }
 
-// SaveFile writes a snapshot to a file, atomically: the snapshot lands under
-// path complete or not at all (see WriteFileAtomic).
-func SaveFile(path string, scheme *core.Scheme, labels []*core.ViewLabel) error {
-	return WriteFileAtomic(path, func(f *os.File) error {
-		return Save(f, scheme, labels)
-	})
-}
-
 func encodePayload(scheme *core.Scheme, labels []*core.ViewLabel) ([]byte, error) {
 	var buf []byte
 	if scheme.IsBasic() {

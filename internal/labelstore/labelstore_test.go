@@ -25,8 +25,11 @@ var allVariants = []core.Variant{core.VariantSpaceEfficient, core.VariantDefault
 func saveLoad(t *testing.T, scheme *core.Scheme, labels []*core.ViewLabel) *labelstore.Snapshot {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "labels.fvl")
-	if err := labelstore.SaveFile(path, scheme, labels); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	err := labelstore.WriteFileAtomic(path, func(f *os.File) error {
+		return labelstore.Save(f, scheme, labels)
+	})
+	if err != nil {
+		t.Fatalf("saving %s: %v", path, err)
 	}
 	snap, err := labelstore.LoadFile(path)
 	if err != nil {

@@ -20,19 +20,19 @@ func figure10Grammar(t *testing.T) *workflow.Grammar {
 		Module("c", 1, 1).
 		Start("S")
 
-	recursive := func(atom string) *workflow.SimpleWorkflow {
+	recursive := func(atom string) *workflow.WorkflowBuilder {
 		wb := workflow.NewWorkflow()
 		wb.Node(atom)
 		wb.Node("S")
 		wb.Edge(atom, 0, "S", 0)
-		return wb.Workflow()
+		return wb
 	}
 	base := workflow.NewWorkflow()
 	base.Node("c")
 
 	b.Production("S", recursive("a"))
 	b.Production("S", recursive("b"))
-	b.Production("S", base.Workflow())
+	b.Production("S", base)
 	g, err := b.Grammar()
 	if err != nil {
 		t.Fatalf("figure10Grammar: %v", err)
@@ -58,17 +58,17 @@ func abLoopGrammar(t *testing.T) *workflow.Grammar {
 		Module("c", 1, 1).
 		Start("S")
 
-	chain := func(first, second string) *workflow.SimpleWorkflow {
+	chain := func(first, second string) *workflow.WorkflowBuilder {
 		wb := workflow.NewWorkflow()
 		wb.Node(first)
 		wb.Node(second)
 		wb.Edge(first, 0, second, 0)
-		return wb.Workflow()
+		return wb
 	}
-	single := func(m string) *workflow.SimpleWorkflow {
+	single := func(m string) *workflow.WorkflowBuilder {
 		wb := workflow.NewWorkflow()
 		wb.Node(m)
-		return wb.Workflow()
+		return wb
 	}
 	sRHS := workflow.NewWorkflow()
 	sRHS.Node("a")
@@ -82,12 +82,12 @@ func abLoopGrammar(t *testing.T) *workflow.Grammar {
 	dRec.Node("D")
 	dRec.Edge("c", 0, "D", 0)
 
-	b.Production("S", sRHS.Workflow()) // p1: S -> a, A, C
+	b.Production("S", sRHS) // p1: S -> a, A, C
 	b.Production("A", chain("b", "B")) // p2: A -> b, B
 	b.Production("A", single("b"))     // p3: A -> b
 	b.Production("B", chain("b", "A")) // p4: B -> b, A
 	b.Production("C", single("D"))     // p5: C -> D  (unit production, no cycle)
-	b.Production("D", dRec.Workflow()) // p6: D -> c, D
+	b.Production("D", dRec) // p6: D -> c, D
 	b.Production("D", single("c"))     // p7: D -> c
 	g, err := b.Grammar()
 	if err != nil {
@@ -235,15 +235,15 @@ func TestForkOverRecursionStillLinear(t *testing.T) {
 	rhs := workflow.NewWorkflow()
 	rhs.Node("A", "A1")
 	rhs.Node("A", "A2")
-	b.Production("S", rhs.Workflow())
+	b.Production("S", rhs)
 	aRec := workflow.NewWorkflow()
 	aRec.Node("a")
 	aRec.Node("A")
 	aRec.Edge("a", 0, "A", 0)
-	b.Production("A", aRec.Workflow())
+	b.Production("A", aRec)
 	aBase := workflow.NewWorkflow()
 	aBase.Node("a")
-	b.Production("A", aBase.Workflow())
+	b.Production("A", aBase)
 	g, err := b.Grammar()
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestNonLinearGrammarDetected(t *testing.T) {
 		Start("S")
 	sRHS := workflow.NewWorkflow()
 	sRHS.Node("A")
-	b.Production("S", sRHS.Workflow())
+	b.Production("S", sRHS)
 	aRec := workflow.NewWorkflow()
 	aRec.Node("split")
 	aRec.Node("A", "A1")
@@ -282,10 +282,10 @@ func TestNonLinearGrammarDetected(t *testing.T) {
 	aRec.Edge("split", 3, "A2", 1)
 	aRec.Edge("A1", 0, "join", 0)
 	aRec.Edge("A2", 0, "join", 1)
-	b.Production("A", aRec.Workflow())
+	b.Production("A", aRec)
 	aBase := workflow.NewWorkflow()
 	aBase.Node("leaf")
-	b.Production("A", aBase.Workflow())
+	b.Production("A", aBase)
 	g, err := b.Grammar()
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestNonRecursiveGrammarHasNoCycles(t *testing.T) {
 		Start("S")
 	rhs := workflow.NewWorkflow()
 	rhs.Node("a")
-	b.Production("S", rhs.Workflow())
+	b.Production("S", rhs)
 	g, err := b.Grammar()
 	if err != nil {
 		t.Fatal(err)

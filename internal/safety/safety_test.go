@@ -23,7 +23,7 @@ func chainSpec(t *testing.T, xDeps, yDeps *boolmat.Matrix) *workflow.Specificati
 		Module("x", 2, 2).
 		Module("y", 2, 2).
 		Start("S").
-		Production("S", wb.Workflow()).
+		Production("S", wb).
 		DepsMatrix("x", xDeps).
 		DepsMatrix("y", yDeps).
 		Build()
@@ -119,10 +119,10 @@ func TestFullAssignmentSimple(t *testing.T) {
 func TestUnsafeDetection(t *testing.T) {
 	// S has two productions inducing different dependencies: S -> (x) with x
 	// diagonal and S -> (y) with y anti-diagonal.
-	single := func(m string) *workflow.SimpleWorkflow {
+	single := func(m string) *workflow.WorkflowBuilder {
 		wb := workflow.NewWorkflow()
 		wb.Node(m)
-		return wb.Workflow()
+		return wb
 	}
 	spec, err := workflow.NewBuilder().
 		Module("S", 2, 2).
@@ -156,18 +156,18 @@ func TestUnsafeDetection(t *testing.T) {
 func TestBlackBoxAlwaysSafe(t *testing.T) {
 	// Lemma 2: any coarse-grained workflow is safe. Two alternative
 	// productions with completely different structure but black-box deps.
-	single := func(m string) *workflow.SimpleWorkflow {
+	single := func(m string) *workflow.WorkflowBuilder {
 		wb := workflow.NewWorkflow()
 		wb.Node(m)
-		return wb.Workflow()
+		return wb
 	}
-	chain := func(m1, m2 string) *workflow.SimpleWorkflow {
+	chain := func(m1, m2 string) *workflow.WorkflowBuilder {
 		wb := workflow.NewWorkflow()
 		wb.Node(m1)
 		wb.Node(m2)
 		wb.Edge(m1, 0, m2, 0)
 		wb.Edge(m1, 1, m2, 1)
-		return wb.Workflow()
+		return wb
 	}
 	spec, err := workflow.NewBuilder().
 		Module("S", 2, 2).

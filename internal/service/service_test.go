@@ -72,9 +72,12 @@ func figure10Fixture(t *testing.T, seed int64, size int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := fvl.Open(context.Background(), spec, views, fvl.WithBasicScheme())
+	svc, err := fvl.Open(context.Background(), spec, views)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !svc.IsBasic() {
+		t.Fatal("Figure 10 must be served by the basic scheme")
 	}
 	return &fixture{spec: spec, views: views, view: spec.DefaultView().Name(), run: run, svc: svc}
 }

@@ -8,6 +8,7 @@ package view
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/boolmat"
 	"repro/internal/safety"
@@ -27,10 +28,12 @@ type View struct {
 	// under the view (true atomic modules and excluded composite modules).
 	Deps workflow.DependencyAssignment
 
+	// The safety analysis runs once, on first use, and may be first used
+	// by several goroutines labeling the same view at once.
+	analysis sync.Once
 	full     workflow.DependencyAssignment
 	closures map[int]*safety.Closure
 	safeErr  error
-	analyzed bool
 }
 
 // Default returns the default view (∆, λ) over the specification: every
@@ -160,17 +163,15 @@ func (v *View) validateDeps() error {
 
 // analyze runs the safety analysis for the view once and caches the outcome.
 func (v *View) analyze() {
-	if v.analyzed {
-		return
-	}
-	v.analyzed = true
-	res, err := safety.FullAssignment(v.Spec.Grammar, v.Deps, safety.Options{Include: v.IncludesProduction})
-	if err != nil {
-		v.safeErr = err
-		return
-	}
-	v.full = res.Full
-	v.closures = res.Closures
+	v.analysis.Do(func() {
+		res, err := safety.FullAssignment(v.Spec.Grammar, v.Deps, safety.Options{Include: v.IncludesProduction})
+		if err != nil {
+			v.safeErr = err
+			return
+		}
+		v.full = res.Full
+		v.closures = res.Closures
+	})
 }
 
 // IsSafe reports whether the view is safe (Definition 13 applied to the view

@@ -2,6 +2,7 @@ package view_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -25,6 +26,32 @@ func TestDefaultViewIncludesEveryComposite(t *testing.T) {
 	}
 	if def.IncludesProduction(0) || def.IncludesProduction(len(spec.Grammar.Productions)+1) {
 		t.Fatalf("out-of-range production indices must not be included")
+	}
+}
+
+func TestFirstAnalysisIsSafeForConcurrentUse(t *testing.T) {
+	// Labeling one view value from several goroutines at once (a service
+	// handed the same view twice) must not let one goroutine read the
+	// safety analysis while another is still computing it.
+	spec := workloads.PaperExample()
+	for round := 0; round < 50; round++ {
+		v := view.Default(spec)
+		var wg sync.WaitGroup
+		full := make([]workflow.DependencyAssignment, 4)
+		errs := make([]error, len(full))
+		for g := range full {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				full[g], errs[g] = v.FullAssignment()
+			}()
+		}
+		wg.Wait()
+		for g := range full {
+			if errs[g] != nil || full[g][spec.Grammar.Start] == nil {
+				t.Fatalf("round %d, goroutine %d: no assignment for the start module (err %v)", round, g, errs[g])
+			}
+		}
 	}
 }
 

@@ -81,14 +81,21 @@ func (b *Builder) DepsMatrix(module string, mat *boolmat.Matrix) *Builder {
 	return b
 }
 
-// Production adds a production LHS -> RHS. The right-hand side is normalized
-// into topological order.
-func (b *Builder) Production(lhs string, rhs *SimpleWorkflow) *Builder {
+// Production adds a production LHS -> RHS. The right-hand side's own
+// construction errors (see WorkflowBuilder.Edge) are adopted by the builder;
+// otherwise the right-hand side is normalized into topological order.
+func (b *Builder) Production(lhs string, rhs *WorkflowBuilder) *Builder {
 	if _, ok := b.grammar.Modules[lhs]; !ok {
 		b.errs = append(b.errs, fmt.Errorf("production for undeclared module %q", lhs))
 		return b
 	}
-	norm, err := rhs.Normalize()
+	if len(rhs.errs) > 0 {
+		for _, err := range rhs.errs {
+			b.errs = append(b.errs, fmt.Errorf("production %q: %w", lhs, err))
+		}
+		return b
+	}
+	norm, err := rhs.wf.Normalize()
 	if err != nil {
 		b.errs = append(b.errs, fmt.Errorf("production %q: %w", lhs, err))
 		return b
@@ -128,10 +135,13 @@ func (b *Builder) MustBuild() *Specification {
 	return s
 }
 
-// WorkflowBuilder assembles a SimpleWorkflow node by node.
+// WorkflowBuilder assembles a SimpleWorkflow node by node. Like Builder, it
+// accumulates errors instead of panicking; Builder.Production adopts them,
+// so they surface at Build.
 type WorkflowBuilder struct {
 	wf    SimpleWorkflow
-	names map[string]int // occurrence label -> node index
+	names map[string]int // occurrence label -> node index, -1 when ambiguous
+	errs  []error
 }
 
 // NewWorkflow returns an empty workflow builder.
@@ -139,39 +149,48 @@ func NewWorkflow() *WorkflowBuilder {
 	return &WorkflowBuilder{names: map[string]int{}}
 }
 
-// Node adds an occurrence of the named module and returns its node index.
-// The optional label can be used to reference the occurrence in Edge calls;
-// if omitted, the module name is used as the label (convenient when a module
-// occurs only once).
-func (wb *WorkflowBuilder) Node(module string, label ...string) int {
-	idx := len(wb.wf.Nodes)
-	wb.wf.Nodes = append(wb.wf.Nodes, module)
+// Node adds an occurrence of the named module. The optional label names the
+// occurrence for Edge calls; without it the module name is used (convenient
+// when a module occurs once). Reusing a label (or adding an unlabeled module
+// twice) makes the label ambiguous: referencing it in Edge is then an error,
+// so an edge can never silently attach to the wrong occurrence.
+func (wb *WorkflowBuilder) Node(module string, label ...string) *WorkflowBuilder {
 	key := module
 	if len(label) > 0 {
 		key = label[0]
 	}
-	wb.names[key] = idx
-	return idx
+	if _, exists := wb.names[key]; exists {
+		wb.names[key] = -1
+	} else {
+		wb.names[key] = len(wb.wf.Nodes)
+	}
+	wb.wf.Nodes = append(wb.wf.Nodes, module)
+	return wb
 }
 
 // Edge adds a data edge from output port fromPort of the occurrence labelled
-// from to input port toPort of the occurrence labelled to. Unknown labels
-// panic: the builder is a literal-construction DSL, so a bad label is a
-// programming error at the call site, not runtime input.
+// from to input port toPort of the occurrence labelled to. Unknown and
+// ambiguous occurrence labels are recorded as errors.
 func (wb *WorkflowBuilder) Edge(from string, fromPort int, to string, toPort int) *WorkflowBuilder {
-	fi, ok := wb.names[from]
+	fi, ok := wb.occurrence(from)
 	if !ok {
-		panic(fmt.Sprintf("workflow builder: unknown occurrence %q", from))
+		return wb
 	}
-	ti, ok := wb.names[to]
+	ti, ok := wb.occurrence(to)
 	if !ok {
-		panic(fmt.Sprintf("workflow builder: unknown occurrence %q", to))
+		return wb
 	}
 	wb.wf.Edges = append(wb.wf.Edges, DataEdge{FromNode: fi, FromPort: fromPort, ToNode: ti, ToPort: toPort})
 	return wb
 }
 
-// Workflow returns the assembled simple workflow.
-func (wb *WorkflowBuilder) Workflow() *SimpleWorkflow {
-	return wb.wf.Clone()
+func (wb *WorkflowBuilder) occurrence(label string) (int, bool) {
+	i, ok := wb.names[label]
+	switch {
+	case !ok:
+		wb.errs = append(wb.errs, fmt.Errorf("unknown occurrence %q", label))
+	case i < 0:
+		wb.errs = append(wb.errs, fmt.Errorf("ambiguous occurrence %q (declared more than once; give each occurrence a distinct label)", label))
+	}
+	return i, ok && i >= 0
 }

@@ -22,7 +22,7 @@ func tinySpec(t *testing.T) *Specification {
 		Module("a", 1, 1).
 		Module("b", 1, 1).
 		Start("S").
-		Production("S", wb.Workflow()).
+		Production("S", wb).
 		BlackBox("a", "b").
 		Build()
 	if err != nil {
@@ -99,7 +99,7 @@ func TestValidateRejectsArityMismatch(t *testing.T) {
 		Module("S", 2, 1). // S has 2 inputs but the RHS exposes only 1 initial input
 		Module("a", 1, 1).
 		Start("S").
-		Production("S", wb.Workflow()).
+		Production("S", wb).
 		BlackBox("a").
 		Build()
 	if err == nil || !strings.Contains(err.Error(), "initial inputs") {
@@ -122,7 +122,7 @@ func TestValidateRejectsAdjacentDataEdges(t *testing.T) {
 			"b": {Name: "b", In: 1, Out: 1},
 		},
 		Start:       "S",
-		Productions: []Production{{LHS: "S", RHS: wb.Workflow()}},
+		Productions: []Production{{LHS: "S", RHS: &wb.wf}},
 	}
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "more than one data edge") {
 		t.Fatalf("expected non-adjacency violation, got %v", err)
@@ -148,7 +148,7 @@ func TestValidateRejectsUnknownModule(t *testing.T) {
 	g := &Grammar{
 		Modules:     map[string]Module{"S": {Name: "S", In: 0, Out: 0}},
 		Start:       "S",
-		Productions: []Production{{LHS: "S", RHS: wb.Workflow()}},
+		Productions: []Production{{LHS: "S", RHS: &wb.wf}},
 	}
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "unknown module") {
 		t.Fatalf("expected unknown module error, got %v", err)
@@ -193,8 +193,8 @@ func TestProperDetectsUnderivable(t *testing.T) {
 		},
 		Start: "S",
 		Productions: []Production{
-			{LHS: "S", RHS: wbS.Workflow()},
-			{LHS: "T", RHS: wbT.Workflow()},
+			{LHS: "S", RHS: &wbS.wf},
+			{LHS: "T", RHS: &wbT.wf},
 		},
 	}
 	err := g.CheckProper()
@@ -217,8 +217,8 @@ func TestProperDetectsUnproductive(t *testing.T) {
 		},
 		Start: "S",
 		Productions: []Production{
-			{LHS: "S", RHS: wbS.Workflow()},
-			{LHS: "A", RHS: wbA.Workflow()},
+			{LHS: "S", RHS: &wbS.wf},
+			{LHS: "A", RHS: &wbA.wf},
 		},
 	}
 	err := g.CheckProper()
@@ -248,10 +248,10 @@ func TestProperDetectsUnitCycle(t *testing.T) {
 		},
 		Start: "S",
 		Productions: []Production{
-			{LHS: "S", RHS: wbSA.Workflow()},
-			{LHS: "A", RHS: wbAB.Workflow()},
-			{LHS: "B", RHS: wbBA.Workflow()},
-			{LHS: "A", RHS: wbAa.Workflow()},
+			{LHS: "S", RHS: &wbSA.wf},
+			{LHS: "A", RHS: &wbAB.wf},
+			{LHS: "B", RHS: &wbBA.wf},
+			{LHS: "A", RHS: &wbAa.wf},
 		},
 	}
 	err := g.CheckProper()
@@ -335,12 +335,12 @@ func TestIsCoarseGrainedRejectsFineDeps(t *testing.T) {
 		Module("a", 2, 1).
 		Module("b", 1, 1).
 		Start("S").
-		Production("S", func() *SimpleWorkflow {
+		Production("S", func() *WorkflowBuilder {
 			w := NewWorkflow()
 			w.Node("a")
 			w.Node("b")
 			w.Edge("a", 0, "b", 0)
-			return w.Workflow()
+			return w
 		}()).
 		Deps("a", [2]int{0, 0}, [2]int{1, 0}).
 		BlackBox("b").
@@ -359,10 +359,10 @@ func TestIsCoarseGrainedRejectsFineDeps(t *testing.T) {
 		Module("S", 1, 2).
 		Module("a", 1, 2).
 		Start("S").
-		Production("S", func() *SimpleWorkflow {
+		Production("S", func() *WorkflowBuilder {
 			w := NewWorkflow()
 			w.Node("a")
-			return w.Workflow()
+			return w
 		}()).
 		Deps("a", [2]int{0, 0}, [2]int{0, 1}).
 		Build()
@@ -383,7 +383,7 @@ func TestIsCoarseGrainedRejectsMultiSourceRHS(t *testing.T) {
 		Module("S", 2, 2).
 		Module("a", 1, 1).
 		Start("S").
-		Production("S", wb.Workflow()).
+		Production("S", wb).
 		BlackBox("a").
 		Build()
 	if err != nil {
@@ -409,15 +409,40 @@ func TestBuilderErrorPaths(t *testing.T) {
 	}
 }
 
-func TestWorkflowBuilderPanicsOnUnknownOccurrence(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic for unknown occurrence label")
-		}
-	}()
-	wb := NewWorkflow()
-	wb.Node("a")
-	wb.Edge("a", 0, "missing", 0)
+func TestWorkflowBuilderReportsBadOccurrenceLabels(t *testing.T) {
+	// An unknown label, or a label declared twice, fails the build with an
+	// error naming it — no panic, and no edge silently bound to the last
+	// occurrence.
+	build := func(wb *WorkflowBuilder) error {
+		_, err := NewBuilder().
+			Module("S", 1, 1).
+			Module("a", 1, 1).
+			Start("S").
+			Production("S", wb).
+			BlackBox("a").
+			Build()
+		return err
+	}
+	cases := []struct {
+		name, want string
+		wb         *WorkflowBuilder
+	}{
+		{"unknown", `unknown occurrence "missing"`, NewWorkflow().Node("a").Edge("a", 0, "missing", 0)},
+		{"reused label", `ambiguous occurrence "x"`, NewWorkflow().Node("a", "x").Node("a", "x").Edge("x", 0, "x", 0)},
+		{"reused module", `ambiguous occurrence "a"`, NewWorkflow().Node("a").Node("a").Edge("a", 0, "a", 0)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := build(tc.wb)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), `production "S"`) {
+				t.Fatalf("got %v, want an error naming production \"S\" and %s", err, tc.want)
+			}
+		})
+	}
+	// Distinct labels for repeated modules keep working.
+	if err := build(NewWorkflow().Node("a", "first").Node("a", "second").Edge("first", 0, "second", 0)); err != nil {
+		t.Fatalf("distinct labels: %v", err)
+	}
 }
 
 func TestGrammarCloneIsDeep(t *testing.T) {

@@ -51,7 +51,7 @@ func addChainProduction(b *workflow.Builder, c chainSpec) {
 	for p := 0; p < c.lanes; p++ {
 		wb.Edge(prev, p, "snk", p)
 	}
-	b.Production(c.lhs, wb.Workflow())
+	b.Production(c.lhs, wb)
 }
 
 // fineDeps builds a deterministic fine-grained (generally incomplete)

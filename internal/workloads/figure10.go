@@ -21,17 +21,17 @@ func Figure10Example() *workflow.Specification {
 	wa.Node("a")
 	wa.Node("S")
 	wa.Edge("a", 0, "S", 0)
-	b.Production("S", wa.Workflow())
+	b.Production("S", wa)
 
 	wb := workflow.NewWorkflow()
 	wb.Node("b")
 	wb.Node("S")
 	wb.Edge("b", 0, "S", 0)
-	b.Production("S", wb.Workflow())
+	b.Production("S", wb)
 
 	wc := workflow.NewWorkflow()
 	wc.Node("c")
-	b.Production("S", wc.Workflow())
+	b.Production("S", wc)
 
 	b.BlackBox("a", "b", "c")
 	return b.MustBuild()

@@ -55,7 +55,7 @@ func PaperExample() *workflow.Specification {
 	w1.Edge("C", 0, "c", 1)
 	w1.Edge("C", 1, "d", 0)
 	w1.Edge("c", 0, "d", 1)
-	b.Production("S", w1.Workflow())
+	b.Production("S", w1)
 
 	// p2: A -> W2 = (d, B, C)
 	w2 := workflow.NewWorkflow()
@@ -66,7 +66,7 @@ func PaperExample() *workflow.Specification {
 	w2.Edge("d", 1, "B", 1)
 	w2.Edge("B", 0, "C", 0)
 	w2.Edge("B", 1, "C", 1)
-	b.Production("A", w2.Workflow())
+	b.Production("A", w2)
 
 	// p3: A -> W3 = (e, C)
 	w3 := workflow.NewWorkflow()
@@ -74,7 +74,7 @@ func PaperExample() *workflow.Specification {
 	w3.Node("C")
 	w3.Edge("e", 0, "C", 0)
 	w3.Edge("e", 1, "C", 1)
-	b.Production("A", w3.Workflow())
+	b.Production("A", w3)
 
 	// p4: B -> W4 = (e, A)
 	w4 := workflow.NewWorkflow()
@@ -82,7 +82,7 @@ func PaperExample() *workflow.Specification {
 	w4.Node("A")
 	w4.Edge("e", 0, "A", 0)
 	w4.Edge("e", 1, "A", 1)
-	b.Production("B", w4.Workflow())
+	b.Production("B", w4)
 
 	// p5: C -> W5 = (b, D, E, c)
 	w5 := workflow.NewWorkflow()
@@ -95,7 +95,7 @@ func PaperExample() *workflow.Specification {
 	w5.Edge("D", 0, "E", 1)
 	w5.Edge("D", 1, "c", 0)
 	w5.Edge("E", 0, "c", 1)
-	b.Production("C", w5.Workflow())
+	b.Production("C", w5)
 
 	// p6: D -> W6 = (f, D)
 	w6 := workflow.NewWorkflow()
@@ -103,19 +103,19 @@ func PaperExample() *workflow.Specification {
 	w6.Node("D")
 	w6.Edge("f", 0, "D", 0)
 	w6.Edge("f", 1, "D", 1)
-	b.Production("D", w6.Workflow())
+	b.Production("D", w6)
 
 	// p7: D -> W7 = (f)
 	w7 := workflow.NewWorkflow()
 	w7.Node("f")
-	b.Production("D", w7.Workflow())
+	b.Production("D", w7)
 
 	// p8: E -> W8 = (a, f)
 	w8 := workflow.NewWorkflow()
 	w8.Node("a")
 	w8.Node("f")
 	w8.Edge("a", 0, "f", 1)
-	b.Production("E", w8.Workflow())
+	b.Production("E", w8)
 
 	// Fine-grained dependency assignment for the atomic modules.
 	b.Deps("a", [2]int{0, 0})
@@ -175,10 +175,10 @@ func UnsafeExample() (*workflow.Grammar, workflow.DependencyAssignment, error) {
 		Start("S")
 	wa := workflow.NewWorkflow()
 	wa.Node("a")
-	b.Production("S", wa.Workflow())
+	b.Production("S", wa)
 	wb := workflow.NewWorkflow()
 	wb.Node("b")
-	b.Production("S", wb.Workflow())
+	b.Production("S", wb)
 	b.BlackBox("a")
 	b.Deps("b", [2]int{0, 0}, [2]int{1, 1})
 	g, err := b.Grammar()
