@@ -49,7 +49,7 @@ func checkTail(t *testing.T, label string, m *Matrix) {
 // scratch persists across calls, so successive trials exercise the
 // shape-changing storage reuse of Zero/reshape (stride shrink then grow with
 // stale words in the backing array), the same pattern Product, Pow and the
-// core decode chains rely on.
+// core decode chains and row vectors rely on.
 func checkAgainstNaive(t *testing.T, r *rand.Rand, rows, inner, cols int, density float64, scratch **Matrix) {
 	t.Helper()
 	a := randomDense(r, rows, inner, density)
@@ -83,6 +83,29 @@ func checkAgainstNaive(t *testing.T, r *rand.Rand, rows, inner, cols int, densit
 	checkTail(t, "Transpose", tr)
 	if !tr.Equal(na.transpose().toPacked()) {
 		t.Fatalf("Transpose mismatch on %dx%d", rows, inner)
+	}
+
+	// The vector kernels of the row decoder, each written into the stale
+	// scratch: every row and column of a, and a times a random vector.
+	for i := 0; i < rows; i++ {
+		*scratch = RowInto(*scratch, a, i)
+		checkTail(t, "RowInto", *scratch)
+		if want := na.row(i).toPacked(); !(*scratch).Equal(want) {
+			t.Fatalf("RowInto(%dx%d, %d) = %v, want %v", rows, inner, i, *scratch, want)
+		}
+	}
+	for j := 0; j < inner; j++ {
+		*scratch = ColInto(*scratch, a, j)
+		checkTail(t, "ColInto", *scratch)
+		if want := na.col(j).toPacked(); !(*scratch).Equal(want) {
+			t.Fatalf("ColInto(%dx%d, %d) = %v, want %v", rows, inner, j, *scratch, want)
+		}
+	}
+	v := randomDense(r, 1, inner, density)
+	*scratch = MulVecInto(*scratch, a, v)
+	checkTail(t, "MulVecInto", *scratch)
+	if want := na.mulVec(naiveFrom(v)).toPacked(); !(*scratch).Equal(want) {
+		t.Fatalf("MulVecInto(%dx%d) = %v, want %v", rows, inner, *scratch, want)
 	}
 
 	if got, want := a.Equal(c), na.equal(nc); got != want {

@@ -325,6 +325,21 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
+// RowInto copies row i of m into dst as a 1 x m.Cols() row vector, reusing
+// dst's storage when possible (a nil dst allocates), and returns the
+// destination. It panics when i is out of range or dst is m.
+func RowInto(dst, m *Matrix, i int) *Matrix {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("boolmat: row %d out of range for %dx%d matrix", i, m.rows, m.cols))
+	}
+	if dst == m {
+		panic("boolmat: RowInto destination aliases the operand")
+	}
+	dst = reshape(dst, 1, m.cols)
+	copy(dst.bits, m.row(i))
+	return dst
+}
+
 // ColInto copies column j of m into dst as a 1 x m.Rows() row vector,
 // reusing dst's storage when possible (a nil dst allocates), and returns the
 // destination. It panics when j is out of range or dst is m.

@@ -135,6 +135,13 @@ func findPeriodQuadratic(x *Matrix) *PowerPeriod {
 	}
 }
 
+// row returns row i as a 1 x cols reference row.
+func (n *naiveMatrix) row(i int) *naiveMatrix {
+	r := naiveNew(1, n.cols)
+	copy(r.data, n.data[i*n.cols:(i+1)*n.cols])
+	return r
+}
+
 // col returns column j as a 1 x rows reference row.
 func (n *naiveMatrix) col(j int) *naiveMatrix {
 	c := naiveNew(1, n.rows)

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestVectorKernelsMatchNaive checks ColInto, MulVecInto and the row vector
-// times matrix product (MulInto with a 1-row operand) against the naive
-// reference at the word boundaries, on both sides of the matrix. dst persists
-// across shapes, so the reshaping reuse of Zero is exercised too.
+// TestVectorKernelsMatchNaive checks RowInto, ColInto, MulVecInto and the
+// row vector times matrix product (MulInto with a 1-row operand) against the
+// naive reference at the word boundaries, on both sides of the matrix. dst
+// persists across shapes, so the reshaping reuse of Zero is exercised too.
 func TestVectorKernelsMatchNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(64))
 	var dst *Matrix
@@ -17,6 +17,13 @@ func TestVectorKernelsMatchNaive(t *testing.T) {
 			for _, density := range []float64{0.05, 0.5, 1} {
 				m := randomDense(r, rows, cols, density)
 				nm := naiveFrom(m)
+				for i := 0; i < rows; i++ {
+					dst = RowInto(dst, m, i)
+					checkTail(t, "RowInto", dst)
+					if !dst.Equal(nm.row(i).toPacked()) {
+						t.Fatalf("RowInto(%dx%d, %d) = %v, want %v", rows, cols, i, dst, nm.row(i).toPacked())
+					}
+				}
 				for j := 0; j < cols; j++ {
 					dst = ColInto(dst, m, j)
 					checkTail(t, "ColInto", dst)
@@ -44,10 +51,13 @@ func TestVectorKernelsMatchNaive(t *testing.T) {
 }
 
 // TestVectorKernelsPanicAsDocumented checks the guards the doc comments of
-// ColInto and MulVecInto promise.
+// RowInto, ColInto and MulVecInto promise.
 func TestVectorKernelsPanicAsDocumented(t *testing.T) {
 	m := Identity(3)
 	for name, f := range map[string]func(){
+		"RowInto row -1":          func() { RowInto(nil, m, -1) },
+		"RowInto row 3":           func() { RowInto(nil, m, 3) },
+		"RowInto aliased":         func() { RowInto(m, m, 0) },
 		"ColInto column -1":       func() { ColInto(nil, m, -1) },
 		"ColInto column 3":        func() { ColInto(nil, m, 3) },
 		"ColInto aliased":         func() { ColInto(m, m, 0) },

@@ -1,10 +1,11 @@
 package core
 
-// Differential tests for the vector form of the decoder: rowVec reads one
+// Differential tests for the decoder's one evaluator: candidateRow reads one
 // row (or, on the flipped chain, one column) of mainChain's factor chain
-// without multiplying it out, and the set scans read every group that way,
-// through a one-entry memo of the target's side of the chain. The full
-// product, decodeMainMatrix, is the reference both are held to.
+// without multiplying it out, for the point queries and for every group of
+// the set scans, the latter through a one-entry memo of the target's side of
+// the chain. The chain multiplied out (product, below) is the reference the
+// row form is held to, and a point loop the reference the scans are.
 
 import (
 	"cmp"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/boolmat"
 	"repro/internal/view"
 	"repro/internal/workflow"
 	"repro/internal/workloads"
@@ -84,11 +86,47 @@ func paperChainFixture(tb testing.TB, size int, seed int64) chainFixture {
 	return newChainFixture(tb, "paper", spec, false, size, seed, security)
 }
 
-// TestChainEvaluatorsMatchMatrix holds the vector evaluators to the full
+// product is the reference evaluator: the chain multiplied out left to
+// right, transposing flagged factors, with no short-circuit. Factors whose
+// dimensions do not conform are an error, as they are for the row form.
+func (vl *ViewLabel) product(qc *queryCtx, idx *ItemIndex, ch *decodeChain) (*boolmat.Matrix, error) {
+	var result *boolmat.Matrix
+	for i := 0; i < ch.n; i++ {
+		f, t := ch.at(i)
+		m, err := vl.fetch(qc, idx, ch, f)
+		if err != nil {
+			return nil, err
+		}
+		if t {
+			m = m.Transpose()
+		}
+		if result == nil {
+			result = m
+			continue
+		}
+		if err := conform(result, m); err != nil {
+			return nil, err
+		}
+		result = result.Mul(m)
+	}
+	return result, nil
+}
+
+// rowVec is row r of the chain's product as the decoder reads it: rowTail,
+// then rowHead, with no memo in between.
+func (vl *ViewLabel) rowVec(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r int) (*boolmat.Matrix, error) {
+	w, err := vl.rowTail(qc, idx, ch, r)
+	if err != nil {
+		return nil, err
+	}
+	return vl.rowHead(qc, idx, ch, w, r)
+}
+
+// TestChainEvaluatorsMatchMatrix holds the vector evaluator to the full
 // product on every (source, target) owner pair of small index-built runs,
-// visible or not: every row of decodeMainMatrix's matrix must be rowVec of
-// the chain, every column rowVec of the flipped chain, and where the product
-// fails the evaluators must fail in the same errors.Is class. The paper
+// visible or not: every row of the product must be rowVec of the chain,
+// every column rowVec of the flipped chain, and where the product fails the
+// row form must fail in the same errors.Is class. The paper
 // example is the only specification whose items use different out-port and
 // in-port indices, so it is the one that catches a row/column swap.
 func TestChainEvaluatorsMatchMatrix(t *testing.T) {
@@ -114,7 +152,7 @@ func TestChainEvaluatorsMatchMatrix(t *testing.T) {
 					if err := vl.mainChain(&ch, src.node, l1, dst.node, l2); err != nil || ch.n == 0 {
 						continue
 					}
-					m, merr := vl.decodeMainMatrix(qc, idx, src.node, l1, dst.node, l2)
+					m, merr := vl.product(qc, idx, &ch)
 					flipped := ch
 					flipped.flipped = true
 					mark := qc.used

@@ -51,6 +51,41 @@ func (vl *ViewLabel) mulInto(dst, a, b *boolmat.Matrix) *boolmat.Matrix {
 	return boolmat.MulInto(dst, a, b)
 }
 
+// vecMul returns w·op(m) in a scratch slot, where op transposes m when t is
+// set. A nil w stands for the unit row of r, so the result is row r of
+// op(m). Data labels are untrusted: a port index outside op(m) or a vector
+// that does not conform is an error, not a panic. In matrix-free mode it
+// short-circuits as mulInto does: an empty vector or factor gives an empty
+// row, and a non-empty vector times a full factor a full row.
+func (vl *ViewLabel) vecMul(qc *queryCtx, w *boolmat.Matrix, r int, m *boolmat.Matrix, t bool) (*boolmat.Matrix, error) {
+	rows, cols := m.Rows(), m.Cols()
+	if t {
+		rows, cols = cols, rows
+	}
+	switch {
+	case w == nil && (r < 0 || r >= rows):
+		return nil, fmt.Errorf("core: port index %d out of range for a reachability matrix side of %d ports", r, rows)
+	case w != nil && w.Cols() != rows:
+		return nil, fmt.Errorf("core: inconsistent data labels: cannot chain a %d-port vector with a %d-port reachability matrix side", w.Cols(), rows)
+	}
+	i := qc.take()
+	switch {
+	case vl.matrixFree && (w != nil && w.IsEmpty() || m.IsEmpty()):
+		qc.scratch[i] = boolmat.Zero(qc.scratch[i], 1, cols)
+	case vl.matrixFree && m.IsFull():
+		qc.scratch[i] = boolmat.Ones(qc.scratch[i], 1, cols)
+	case w == nil && t:
+		qc.scratch[i] = boolmat.ColInto(qc.scratch[i], m, r)
+	case w == nil:
+		qc.scratch[i] = boolmat.RowInto(qc.scratch[i], m, r)
+	case t:
+		qc.scratch[i] = boolmat.MulVecInto(qc.scratch[i], m, w)
+	default:
+		qc.scratch[i] = boolmat.MulInto(qc.scratch[i], w, m)
+	}
+	return qc.scratch[i], nil
+}
+
 // conform checks that a x b is defined.
 func conform(a, b *boolmat.Matrix) error {
 	if a.Cols() != b.Rows() {
@@ -175,65 +210,84 @@ func (vl *ViewLabel) decide(qc *queryCtx, idx *ItemIndex, a, b DataLabel) (bool,
 		return false, nil
 	}
 
-	// Case II: initial input to final output — both are ports of the start
-	// module, so λ*(S) answers directly.
-	if !a.Out.Present() && !b.In.Present() {
-		return vl.safeGet(vl.start, int(a.In.Port), int(b.Out.Port))
-	}
-
-	// Case III: initial input to intermediate item — chain the I matrices
-	// along the consuming port's path.
-	if !a.Out.Present() {
-		prod, err := vl.suffixProduct(qc, idx, b.In.Owner(), b.In.Path, 0, false)
-		if err != nil {
-			return false, err
-		}
-		return vl.safeGet(prod, int(a.In.Port), int(b.In.Port))
-	}
-
-	// Case IV: intermediate item to final output — chain the O matrices along
-	// the producing port's path.
-	if !b.In.Present() {
-		prod, err := vl.suffixProduct(qc, idx, a.Out.Owner(), a.Out.Path, 0, true)
-		if err != nil {
-			return false, err
-		}
-		return vl.safeGet(prod, int(b.Out.Port), int(a.Out.Port))
-	}
-
-	// Main cases 1, 2a and 2b: both items are intermediate.
-	res, err := vl.decodeMainMatrix(qc, idx, a.Out.Owner(), a.Out.Path, b.In.Owner(), b.In.Path)
-	if err != nil || res == nil {
+	// Cases II, III, IV and the main cases: the row of a's port in the
+	// case's chain, read at b's port. It is the vector a RevDeps scan of a
+	// builds for b.
+	var memo tailMemo
+	vec, err := vl.candidateRow(qc, idx, &memo, &a.Out, &a.In, &b.In, false)
+	if err != nil || vec == nil {
 		return false, err
 	}
-	return vl.safeGet(res, int(a.Out.Port), int(b.In.Port))
-}
-
-func (vl *ViewLabel) safeGet(m *boolmat.Matrix, x, y int) (bool, error) {
-	if x < 0 || x >= m.Rows() || y < 0 || y >= m.Cols() {
-		return false, fmt.Errorf("core: port index (%d,%d) out of range for %dx%d reachability matrix", x, y, m.Rows(), m.Cols())
+	p := int(b.In.Port)
+	if !b.In.Present() {
+		p = int(b.Out.Port)
 	}
-	return m.Get(x, y), nil
+	if p < 0 || p >= vec.Cols() {
+		return false, fmt.Errorf("core: port index %d out of range for a reachability matrix side of %d ports", p, vec.Cols())
+	}
+	return vec.Get(0, p), nil
 }
 
-// decodeMainMatrix is the matrix-valued core of cases 1, 2a and 2b: given the
-// producing side's path l1 and the consuming side's path l2 (both of
-// intermediate items), it returns the full decoding matrix — rows indexed by
-// out-ports of the node at l1, columns by in-ports of the node at l2. A
-// (nil, nil) return means the case is definitely false for every port pair
-// (coinciding/ancestor nodes, or flow against production order).
-//
-// It is mainChain's factor chain multiplied out, which is what the point
-// decoders read a single entry of, so Algorithm 2 keeps its matrix form. The
-// set scans read a whole row or column of the same chain through rowVec
-// instead, never multiplying it out. With idx, the paths' suffix products
-// are cached per owner instance, srcNode and dstNode (suffixProduct).
-func (vl *ViewLabel) decodeMainMatrix(qc *queryCtx, idx *ItemIndex, srcNode int32, l1 []EdgeLabel, dstNode int32, l2 []EdgeLabel) (*boolmat.Matrix, error) {
-	var ch decodeChain
-	if err := vl.mainChain(&ch, srcNode, l1, dstNode, l2); err != nil || ch.n == 0 {
+// candidateRow is Algorithm 2's body for one candidate against a target: the
+// one evaluator of the point queries (decide) and the set scans (scanRow).
+// With deps the candidate is the query's d1 and the target its d2, else the
+// other way round. near is the target's port on the candidate's side (its
+// consuming port with deps) and far its other port, which must be present:
+// Case I is the caller's. cand is the candidate's port on the target's side,
+// which names the owner and path the candidate's chain reads; it is absent
+// for a candidate on the run's boundary. The result is the target's row of
+// the case's decoding matrix (its column with deps) as a vector indexed by
+// the candidate's port: cand's, or the candidate's other port on the
+// boundary. A nil vector with no error means the case is false for every
+// port. memo keeps the main cases' target side of the chain from one call to
+// the next.
+func (vl *ViewLabel) candidateRow(qc *queryCtx, idx *ItemIndex, memo *tailMemo, near, far, cand *PortLabel, deps bool) (*boolmat.Matrix, error) {
+	switch {
+	case !cand.Present() && !near.Present():
+		// Case II: initial input to final output — both are ports of the
+		// start module, so λ*(S) answers directly.
+		return vl.vecMul(qc, nil, int(far.Port), vl.start, deps)
+	case !cand.Present():
+		// Case III (deps) or IV: the I (O) matrices chained along the
+		// target's path.
+		m, err := vl.suffixProduct(qc, idx, near.Owner(), near.Path, 0, !deps)
+		if err != nil {
+			return nil, err
+		}
+		return vl.vecMul(qc, nil, int(near.Port), m, true)
+	case !near.Present():
+		// Case IV (deps) or III: the O (I) matrices chained along the
+		// candidate's path.
+		m, err := vl.suffixProduct(qc, idx, cand.Owner(), cand.Path, 0, deps)
+		if err != nil {
+			return nil, err
+		}
+		return vl.vecMul(qc, nil, int(far.Port), m, false)
+	}
+
+	// Main cases 1, 2a and 2b: both items are intermediate. A Deps target's
+	// column is the row of the flipped chain.
+	ch := &qc.chain
+	var err error
+	if deps {
+		err = vl.mainChain(ch, cand.Owner(), cand.Path, near.Owner(), near.Path)
+		ch.flipped = true
+	} else {
+		err = vl.mainChain(ch, near.Owner(), near.Path, cand.Owner(), cand.Path)
+	}
+	if err != nil || ch.n == 0 {
 		return nil, err
 	}
-	return vl.product(qc, idx, &ch)
+	r, key := int(near.Port), tailKeyOf(ch, cand.Path)
+	if !memo.ok || memo.key != key {
+		qc.rewind(0)
+		memo.w, memo.err = vl.rowTail(qc, idx, ch, r)
+		memo.ok, memo.key, memo.mark = true, key, qc.used
+	}
+	if memo.err != nil {
+		return nil, memo.err
+	}
+	return vl.rowHead(qc, idx, ch, memo.w, r)
 }
 
 // factorKind tells where a chain factor's matrix comes from.
@@ -245,8 +299,8 @@ const (
 	recFactor                      // recursionChain(a, b, c, outputs)
 )
 
-// factor names one matrix of a decode chain without fetching it, so each
-// evaluator fetches only the factors it multiplies.
+// factor names one matrix of a decode chain without fetching it, so the row
+// evaluator fetches each factor only when it multiplies it.
 type factor struct {
 	kind       factorKind
 	transposed bool // the chain multiplies the matrix's transpose
@@ -298,8 +352,8 @@ func (ch *decodeChain) at(i int) (*factor, bool) {
 // mainChain is the case analysis of cases 1, 2a and 2b. It checks the two
 // paths against each other and the grammar's cycles and writes the factor
 // chain of the decoding matrix into ch, every structural check included, but
-// fetches no matrix: that is left to the evaluators, product for the full
-// matrix and rowVec for one row or column of it.
+// fetches no matrix: that is left to rowTail and rowHead, which read one row
+// of it.
 func (vl *ViewLabel) mainChain(ch *decodeChain, srcNode int32, l1 []EdgeLabel, dstNode int32, l2 []EdgeLabel) error {
 	ch.n, ch.flipped, ch.recursive = 0, false, false
 	ch.path[0], ch.path[1], ch.node[0], ch.node[1] = l1, l2, srcNode, dstNode
@@ -418,52 +472,13 @@ func (vl *ViewLabel) fetch(qc *queryCtx, idx *ItemIndex, ch *decodeChain, f *fac
 	}
 }
 
-// product multiplies the chain out left to right, transposing flagged
-// factors and writing each product into a fresh scratch slot of the query
-// context, so earlier intermediate results of the same query are never
-// clobbered. Data labels are untrusted: factors whose dimensions do not
-// conform — a path whose edges do not follow one another in the grammar —
-// are an error, not a panic.
-func (vl *ViewLabel) product(qc *queryCtx, idx *ItemIndex, ch *decodeChain) (*boolmat.Matrix, error) {
-	var result *boolmat.Matrix
-	for i := 0; i < ch.n; i++ {
-		f, t := ch.at(i)
-		m, err := vl.fetch(qc, idx, ch, f)
-		if err != nil {
-			return nil, err
-		}
-		if t {
-			m = qc.transpose(m)
-		}
-		if result == nil {
-			result = m
-			continue
-		}
-		if err := conform(result, m); err != nil {
-			return nil, err
-		}
-		s := qc.take()
-		qc.scratch[s] = vl.mulInto(qc.scratch[s], result, m)
-		result = qc.scratch[s]
-	}
-	return result, nil
-}
-
-// rowVec returns row r of the chain's product as a 1-row vector without
-// multiplying the product out: row r of op(f[0]) is a row or column of f[0],
-// and every further factor costs one vector product. Column c of the
-// product is rowVec of the flipped chain. It fails where product does,
-// and also when r is not a row of the product.
-func (vl *ViewLabel) rowVec(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r int) (*boolmat.Matrix, error) {
-	w, err := vl.rowTail(qc, idx, ch, r)
-	if err != nil {
-		return nil, err
-	}
-	return vl.rowHead(qc, idx, ch, w, r)
-}
-
-// rowTail is rowVec without the last factor: row r of op(f[0])·…·op(f[n-2]),
-// or nil for a one-factor chain, whose row rowHead picks directly.
+// rowTail is row r of the chain's product without its last factor, row r of
+// op(f[0])·…·op(f[n-2]) as a 1-row vector, or nil for a one-factor chain,
+// whose row rowHead picks directly. The product is never multiplied out:
+// row r of op(f[0]) is a row or column of f[0], and every further factor
+// costs one vector product. Column c of the product is row c of the flipped
+// chain. Data labels are untrusted: it fails on the errors of fetch, and
+// when r is not a row of the product or the factors do not conform.
 func (vl *ViewLabel) rowTail(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r int) (*boolmat.Matrix, error) {
 	var w *boolmat.Matrix
 	for i := 0; i < ch.n-1; i++ {
@@ -472,19 +487,20 @@ func (vl *ViewLabel) rowTail(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r in
 		if err != nil {
 			return nil, err
 		}
-		if w, err = qc.vecMul(w, r, m, t); err != nil {
+		if w, err = vl.vecMul(qc, w, r, m, t); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
 }
 
-// rowHead finishes rowVec from its tail w: w·op(f[n-1]).
+// rowHead finishes row r of the chain's product from its tail w:
+// w·op(f[n-1]).
 func (vl *ViewLabel) rowHead(qc *queryCtx, idx *ItemIndex, ch *decodeChain, w *boolmat.Matrix, r int) (*boolmat.Matrix, error) {
 	f, t := ch.at(ch.n - 1)
 	m, err := vl.fetch(qc, idx, ch, f)
 	if err != nil {
 		return nil, err
 	}
-	return qc.vecMul(w, r, m, t)
+	return vl.vecMul(qc, w, r, m, t)
 }

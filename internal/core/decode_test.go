@@ -526,3 +526,95 @@ func TestDependsOnRejectsMalformedNodeIndices(t *testing.T) {
 		}
 	}
 }
+
+// TestDependsOnRejectsOutOfRangePorts: a port index outside its reachability
+// matrix is an error on every point query, never a panic or a silent false.
+// Each case of Algorithm 2 is probed with either item's port out of range:
+// the first item's selects the row of the case's chain, the second's the
+// entry read from it. The label and the index-resolved queries must fail;
+// the set scans over the same index simply exclude the pair.
+func TestDependsOnRejectsOutOfRangePorts(t *testing.T) {
+	spec := workloads.PaperExample()
+	scheme, err := core.NewScheme(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, labeler := labeledRun(t, scheme, 62, 120)
+	probe, err := scheme.LabelView(view.Default(spec), core.VariantDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var initial, final, src, dst core.DataLabel
+	var found bool
+	for _, x := range r.Items {
+		d, _ := labeler.Label(x.ID)
+		switch {
+		case !d.Out.Present():
+			initial = d
+		case !d.In.Present():
+			final = d
+		}
+		for _, y := range r.Items {
+			e, _ := labeler.Label(y.ID)
+			if !found && d.Out.Present() && d.In.Present() && e.Out.Present() && e.In.Present() {
+				found, _ = probe.DependsOn(d, e)
+				src, dst = d, e
+			}
+		}
+	}
+	if !initial.In.Present() || !final.Out.Present() || !found {
+		t.Fatal("run lacks an initial input, a final output or a dependent pair of intermediate items")
+	}
+	// Each case's pair, and a copy of the first or the second item with its
+	// port on that case's side set to port.
+	type pair struct {
+		name   string
+		d1, d2 core.DataLabel
+	}
+	var pairs []pair
+	for _, port := range []int32{-1, 99} {
+		for _, c := range []pair{{"II", initial, final}, {"III", initial, dst}, {"IV", src, final}, {"main", src, dst}} {
+			d1, d2 := cloneLabel(c.d1), cloneLabel(c.d2)
+			if d1.Out.Present() {
+				d1.Out.Port = port
+			} else {
+				d1.In.Port = port
+			}
+			pairs = append(pairs, pair{fmt.Sprintf("case %s, first port %d", c.name, port), d1, c.d2})
+			if d2.In.Present() {
+				d2.In.Port = port
+			} else {
+				d2.Out.Port = port
+			}
+			pairs = append(pairs, pair{fmt.Sprintf("case %s, second port %d", c.name, port), c.d1, d2})
+		}
+	}
+
+	for _, variant := range allVariants {
+		vl, err := scheme.LabelView(view.Default(spec), variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, label := range []*core.ViewLabel{vl, vl.WithMatrixFree()} {
+			for _, p := range pairs {
+				if _, err := label.DependsOn(p.d1, p.d2); err == nil {
+					t.Errorf("variant %v: %s: DependsOn accepted (%v, %v)", variant, p.name, p.d1, p.d2)
+				}
+				idx := core.BuildItemIndex(0, 2, func(id int) (core.DataLabel, bool) {
+					return [...]core.DataLabel{p.d1, p.d2}[id-1], true
+				})
+				s := core.NewQuerySession()
+				s.EnsurePlan(idx)
+				if _, err := s.DependsOnIndexed(label, idx, 1, 2); err == nil {
+					t.Errorf("variant %v: %s: DependsOnIndexed accepted (%v, %v)", variant, p.name, p.d1, p.d2)
+				}
+				deps, derr := s.DepsRow(label, idx, 2)
+				revDeps, rerr := s.RevDepsRow(label, idx, 1)
+				if derr != nil || rerr != nil || deps.Get(0, 1) || revDeps.Get(0, 2) {
+					t.Errorf("variant %v: %s: scans answer Deps(2) (%v, %v), RevDeps(1) (%v, %v)", variant, p.name, deps, derr, revDeps, rerr)
+				}
+				s.Close()
+			}
+		}
+	}
+}

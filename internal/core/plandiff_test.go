@@ -86,7 +86,7 @@ func (c planDiffCase) recursionTurns(path []EdgeLabel) int {
 
 // recursiveSplitTurns reports, for a main-case pair whose paths diverge at a
 // recursive node (case 2b of Algorithm 2), how many full cycle turns the
-// chain decodeMainMatrix synthesizes between the two unfoldings spans; -1
+// chain mainChain synthesizes between the two unfoldings spans; -1
 // for every other pair.
 func (c planDiffCase) recursiveSplitTurns(d1, d2 DataLabel) int {
 	if !d1.Out.Present() || !d2.In.Present() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/boolmat"
@@ -10,8 +9,8 @@ import (
 
 // queryCtx carries every piece of mutable state one DependsOn query needs:
 // the per-query closure cache of the graph-search path and a bump-allocated
-// pool of scratch matrices for the product chains and transpose temporaries
-// of Algorithm 2. Threading it explicitly through the decode path keeps
+// pool of scratch matrices for the suffix products and row vectors of
+// Algorithm 2. Threading it explicitly through the decode path keeps
 // ViewLabel strictly read-only after construction, so any number of
 // goroutines can query one label (or shallow copies of it, see
 // WithMatrixFree) concurrently, each with its own context.
@@ -51,6 +50,10 @@ type queryCtx struct {
 	// via the reshaping In kernels of boolmat.
 	scratch []*boolmat.Matrix
 	used    int
+
+	// chain is the factor chain of the main case candidateRow evaluates,
+	// kept here so the scans do not clear one per group.
+	chain decodeChain
 }
 
 // begin readies the context for a new query: the scratch arena rewinds and
@@ -90,45 +93,6 @@ func (qc *queryCtx) zero(r, c int) *boolmat.Matrix {
 	i := qc.take()
 	qc.scratch[i] = boolmat.Zero(qc.scratch[i], r, c)
 	return qc.scratch[i]
-}
-
-// transpose returns the transpose of m backed by a scratch slot.
-func (qc *queryCtx) transpose(m *boolmat.Matrix) *boolmat.Matrix {
-	i := qc.take()
-	qc.scratch[i] = boolmat.TransposeInto(qc.scratch[i], m)
-	return qc.scratch[i]
-}
-
-// vecMul returns w·op(m) in a scratch slot, where op transposes m when t is
-// set. A nil w stands for the unit row of r, so the result is row r of
-// op(m). Data labels are untrusted: a port index outside op(m) or a vector
-// that does not conform is an error, not a panic.
-func (qc *queryCtx) vecMul(w *boolmat.Matrix, r int, m *boolmat.Matrix, t bool) (*boolmat.Matrix, error) {
-	rows := m.Rows()
-	if t {
-		rows = m.Cols()
-	}
-	switch {
-	case w == nil && (r < 0 || r >= rows):
-		return nil, fmt.Errorf("core: port index %d out of range for a reachability matrix side of %d ports", r, rows)
-	case w != nil && w.Cols() != rows:
-		return nil, fmt.Errorf("core: inconsistent data labels: cannot chain a %d-port vector with a %d-port reachability matrix side", w.Cols(), rows)
-	}
-	i := qc.take()
-	switch {
-	case w == nil && t:
-		qc.scratch[i] = boolmat.ColInto(qc.scratch[i], m, r)
-	case w == nil:
-		u := qc.take()
-		qc.scratch[u] = boolmat.Zero(qc.scratch[u], 1, rows)
-		qc.scratch[u].Set(0, r, true)
-		qc.scratch[i] = boolmat.MulInto(qc.scratch[i], qc.scratch[u], m)
-	case t:
-		qc.scratch[i] = boolmat.MulVecInto(qc.scratch[i], m, w)
-	default:
-		qc.scratch[i] = boolmat.MulInto(qc.scratch[i], w, m)
-	}
-	return qc.scratch[i], nil
 }
 
 // queryCtxPool recycles contexts across queries and goroutines. DependsOn

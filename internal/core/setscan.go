@@ -19,14 +19,15 @@ import (
 // of the group's decoding matrix at the target's port, scattered onto the
 // members' ports.
 //
-// A scan reads that vector off mainChain's factor chain through rowVec, one
-// vector product per factor, and never multiplies the matrix out. It visits
-// only the groups visible in the view, in path order (scanOrder), so the
-// groups below one subtree of the target's path come one after another. They
-// share the LCA depth and the edges there, and with them every factor but
-// their own suffix product: a one-entry memo (tailMemo) keeps the target's
-// side of the chain as one vector, and each further group of the run costs
-// one vector × suffix product.
+// That vector is what a point query reads one bit of: scans and point
+// queries share one per-candidate body, candidateRow, which reads it off the
+// case's chain one vector product per factor and never multiplies the matrix
+// out. A scan visits only the groups visible in the view, in path order
+// (scanOrder), so the groups below one subtree of the target's path come one
+// after another. They share the LCA depth and the edges there, and with them
+// every factor but their own suffix product: a one-entry memo (tailMemo)
+// keeps the target's side of the chain as one vector, and each further group
+// of the run costs one vector × suffix product.
 //
 // Set semantics versus point semantics: a point query against an invisible or
 // unknown *target* errors, and so do the scans (ErrHiddenItem /
@@ -139,7 +140,7 @@ func (vl *ViewLabel) scanOrder(qc *queryCtx, idx *ItemIndex, outputs bool) []int
 // scatter sets the answer bit of every member whose port is set in vec, the
 // group's row or column of its decoding matrix as a 1-row vector indexed by
 // port, and whose other port's owner is visible. Out-of-range ports exclude
-// exactly the members whose point queries would have errored on safeGet.
+// exactly the members whose point queries fail on the same vector.
 func (vl *ViewLabel) scatter(qc *queryCtx, idx *ItemIndex, row, vec *boolmat.Matrix, members []member) {
 	for _, mb := range members {
 		p := int(mb.port)
@@ -169,33 +170,18 @@ func tailKeyOf(ch *decodeChain, group []EdgeLabel) tailKey {
 	return key
 }
 
-// tailMemo is a scan leaf's one-entry memo of rowTail: the target's side of
-// the last group's chain as one vector, or the error building it. Both are
+// tailMemo is a one-entry memo of rowTail: the target's side of the last
+// candidate's chain as one vector, or the error building it. Both are
 // determined by the key, so a group with the same key only multiplies the
 // vector by its own suffix product. The vector and whatever it was built
 // from live in the scratch slots below mark; a scan rewinds to mark after
-// each group.
+// each group. A point query starts from an empty memo.
 type tailMemo struct {
 	mark int
 	ok   bool
 	key  tailKey
 	w    *boolmat.Matrix
 	err  error
-}
-
-// groupRow is rowVec of a group's chain through the leaf's memo. ch's last
-// factor is the suffix product of the group, whose path is group.
-func (vl *ViewLabel) groupRow(qc *queryCtx, idx *ItemIndex, memo *tailMemo, ch *decodeChain, group []EdgeLabel, r int) (*boolmat.Matrix, error) {
-	key := tailKeyOf(ch, group)
-	if !memo.ok || memo.key != key {
-		qc.rewind(0)
-		memo.w, memo.err = vl.rowTail(qc, idx, ch, r)
-		memo.ok, memo.key, memo.mark = true, key, qc.used
-	}
-	if memo.err != nil {
-		return nil, memo.err
-	}
-	return vl.rowHead(qc, idx, ch, memo.w, r)
 }
 
 // depsRow answers Deps(itemID) = {y : DependsOn(y, itemID) = (true, nil)} as
@@ -235,55 +221,20 @@ func (vl *ViewLabel) scanRow(qc *queryCtx, idx *ItemIndex, itemID int, deps bool
 	}
 
 	// Boundary candidates (initial inputs of a Deps scan, final outputs of a
-	// RevDeps one; the other boundary never appears, by Case I): Case II
-	// when the target is on the other boundary, where λ*(S) answers
-	// directly, and otherwise Case III or IV, where the suffix product along
-	// the target's near path answers every candidate at once.
+	// RevDeps one; the other boundary never appears, by Case I) share one
+	// vector. Intermediate candidates get one per visible group.
+	var memo tailMemo
 	if len(ends) > 0 {
-		m, port, t := vl.start, far, deps
-		var err error
-		if near.Present() {
-			m, err = vl.suffixProduct(qc, idx, near.Owner(), near.Path, 0, !deps)
-			port, t = near, true
-		}
-		var vec *boolmat.Matrix
-		if err == nil {
-			vec, err = qc.vecMul(nil, int(port.Port), m, t)
-		}
-		if err == nil {
+		if vec, err := vl.candidateRow(qc, idx, &memo, &near, &far, &PortLabel{}, deps); err == nil {
 			vl.scatter(qc, idx, row, vec, ends)
 		}
 		qc.rewind(0)
 	}
-
-	// Intermediate candidates, one vector per visible group: Case IV (Deps)
-	// or III (RevDeps) when the target is on the boundary, from the group's
-	// own suffix product, and the main cases otherwise.
 	groups := idx.side(deps)
-	var memo tailMemo
-	var ch decodeChain
 	for _, g := range vl.scanOrder(qc, idx, deps) {
 		node, members := groups.group(int(g))
-		path := idx.path(node)
-		var vec *boolmat.Matrix
-		var err error
-		switch {
-		case !near.Present():
-			var m *boolmat.Matrix
-			if m, err = vl.suffixProduct(qc, idx, node, path, 0, deps); err == nil {
-				vec, err = qc.vecMul(nil, int(far.Port), m, false)
-			}
-		case deps:
-			if err = vl.mainChain(&ch, node, path, near.Owner(), near.Path); err == nil && ch.n > 0 {
-				ch.flipped = true
-				vec, err = vl.groupRow(qc, idx, &memo, &ch, path, int(near.Port))
-			}
-		default:
-			if err = vl.mainChain(&ch, near.Owner(), near.Path, node, path); err == nil && ch.n > 0 {
-				vec, err = vl.groupRow(qc, idx, &memo, &ch, path, int(near.Port))
-			}
-		}
-		if err == nil && vec != nil {
+		cand := PortLabel{Path: idx.path(node), owner: node + 1}
+		if vec, err := vl.candidateRow(qc, idx, &memo, &near, &far, &cand, deps); err == nil && vec != nil {
 			vl.scatter(qc, idx, row, vec, members)
 		}
 		qc.rewind(memo.mark)

@@ -466,9 +466,9 @@ func (vl *ViewLabel) recursionChain(qc *queryCtx, s, offset, i int, outputs bool
 	// Constant-time path: the cached prefix products and periodic powers.
 	// Offsets wrap around the cycle (EdgeAt's convention), but the tables
 	// are indexed by offsets in [1, Len] only — normalize before looking up,
-	// or the chains decodeMainMatrix's recursive cases ask for (offset
-	// el.T+i, possibly past one full turn) would silently fall to the slow
-	// product/power path below.
+	// or the chains mainChain's case 2b asks for (offset el.T+i, possibly
+	// past one full turn) would silently fall to the slow product/power path
+	// below.
 	if rc := vl.chain(qc, c, (offset-1)%c.Len()+1, outputs); rc != nil {
 		return rc.product(qc, n), nil
 	}
