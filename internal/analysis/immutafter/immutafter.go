@@ -32,6 +32,15 @@
 // an element of a port label's Path. A copy into label state and a
 // whole-value store through a pointer (*p = PortLabel{}) count as writes
 // for every label type.
+//
+// Item indexes are immutable once published. An index lineage shares its
+// tables — instance paths, scan groups and members, boundary items and the
+// groups' path order — with every index it published, and a published index
+// reads them within the lengths they had then. So core.ItemIndex and its
+// lineage tables (core.indexBuilder, core.indexTables, core.groupTable,
+// core.groupStart, core.member) are written only by the functions whose doc
+// comment carries the //fvlvet:index-extend directive, which append past
+// those lengths or publish fresh slices.
 package immutafter
 
 import (
@@ -48,7 +57,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "immutafter",
 	Doc: "flags writes to core.ViewLabel state outside //fvlvet:viewlabel-ctor construction functions " +
 		"(view labels are read-only after construction so they can serve concurrent queries), " +
-		"writes to the run labeler's table outside //fvlvet:label-append functions " +
+		"writes to the run labeler's table outside //fvlvet:label-append functions, " +
+		"writes to core.ItemIndex lineage tables outside //fvlvet:index-extend functions " +
 		"and writes to shared core.DataLabel or core.PortLabel state (labels are never modified after assignment)",
 	Run: run,
 }
@@ -60,7 +70,8 @@ func run(pass *analysis.Pass) error {
 			return false
 		}
 		switch obj.Name() {
-		case "ViewLabel", "prodEdges", "recChain", "DataLabel", "PortLabel", "RunLabeler", "itemRecord":
+		case "ViewLabel", "prodEdges", "recChain", "DataLabel", "PortLabel", "RunLabeler", "itemRecord",
+			"ItemIndex", "indexBuilder", "indexTables", "groupTable", "groupStart", "member":
 			return true
 		}
 		return false
@@ -75,6 +86,7 @@ func run(pass *analysis.Pass) error {
 			}
 			ctor := analysis.HasDirective(fd.Doc, "fvlvet:viewlabel-ctor")
 			appendPath := analysis.HasDirective(fd.Doc, "fvlvet:label-append")
+			extend := analysis.HasDirective(fd.Doc, "fvlvet:index-extend")
 			analysis.EachWrite(pass.TypesInfo, fd.Body, func(w analysis.Write) {
 				t, ok := analysis.MatchWrite(pass.TypesInfo, w, match)
 				if !ok {
@@ -99,6 +111,12 @@ func run(pass *analysis.Pass) error {
 					if !appendPath {
 						pass.Reportf(w.Pos, "write to core.%s state outside the labeler's append path: labels are never modified "+
 							"after assignment and published prefixes share the table; move the write into a //fvlvet:label-append function", name)
+					}
+					return
+				case "ItemIndex", "indexBuilder", "indexTables", "groupTable", "groupStart", "member":
+					if !extend {
+						pass.Reportf(w.Pos, "write to core.%s state outside the index's extend path: published item indexes "+
+							"share their lineage's tables; move the write into a //fvlvet:index-extend function", name)
 					}
 					return
 				}

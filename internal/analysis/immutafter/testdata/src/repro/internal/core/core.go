@@ -214,3 +214,64 @@ func LocalCopy(p PortLabel) PortLabel {
 	c.Path[0].K = 5 // want `write to core\.PortLabel state`
 	return c
 }
+
+type member struct {
+	item, port int32
+}
+
+type groupStart struct {
+	node, start int32
+}
+
+type groupTable struct {
+	members []member
+	groups  []groupStart
+	order   []int32
+}
+
+type indexTables struct {
+	paths    [][]EdgeLabel
+	src, dst groupTable
+}
+
+type indexBuilder struct {
+	tip *ItemIndex
+	indexTables
+}
+
+// ItemIndex mirrors the real index: tables shared with its lineage's
+// builder, which extends them for the next index.
+type ItemIndex struct {
+	n int
+	indexTables
+	b *indexBuilder
+}
+
+// add is the extend path: it appends past the published lengths and
+// merges into a fresh order; its writes are the point.
+//
+//fvlvet:index-extend
+func (t *groupTable) add(node int32, mb member) {
+	t.groups = append(t.groups, groupStart{node: node, start: int32(len(t.members))})
+	t.members = append(t.members, mb)
+	order := make([]int32, 0, len(t.order)+1)
+	t.order = append(append(order, t.order...), int32(len(t.groups)-1))
+}
+
+// Extend publishes the next index of the lineage: allowed.
+//
+//fvlvet:index-extend
+func (idx *ItemIndex) Extend(n int) *ItemIndex {
+	idx.b.src.add(int32(n), member{item: int32(n)})
+	next := &ItemIndex{n: n, indexTables: idx.b.indexTables, b: idx.b}
+	idx.b.tip = next
+	return next
+}
+
+// Reorder rewrites a published index's order in place, which the
+// lineage's other indexes share.
+func (idx *ItemIndex) Reorder() {
+	idx.src.order[0] = 1 // want `write to core\.groupTable state outside the index's extend path`
+	local := idx.src     // a private copy of the table header: allowed
+	local.order = nil
+}

@@ -193,6 +193,22 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
+// AppendWords appends m's packed rows, ceil(cols/64) words per row, to buf
+// and returns the extended buffer: the layout Over reads back.
+func (m *Matrix) AppendWords(buf []uint64) []uint64 { return append(buf, m.bits...) }
+
+// Over points dst at the rows x cols matrix AppendWords stored at the start
+// of words, and returns dst. dst then aliases words: it may be read, but
+// never passed as the destination of an In kernel, which would write into
+// words. rows and cols must not be negative; a words too short panics.
+func Over(dst *Matrix, rows, cols int, words []uint64) *Matrix {
+	stride := (cols + wordBits - 1) / wordBits
+	n := rows * stride
+	dst.rows, dst.cols, dst.stride = rows, cols, stride
+	dst.bits = words[:n:n]
+	return dst
+}
+
 // Equal reports whether m and o have identical dimensions and entries.
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.rows != o.rows || m.cols != o.cols {

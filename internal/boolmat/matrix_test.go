@@ -359,3 +359,30 @@ func TestFindPeriodCapsPowerTable(t *testing.T) {
 		t.Fatalf("period (%d,%d) in %d bytes, want (1,2310) in %d", pp.Preperiod, pp.Period, pp.Bytes(), 2310*powerBytes(p))
 	}
 }
+
+// TestAppendWordsOverRoundTrip stores matrices of every shape at the word
+// boundaries back to back in one word buffer and reads each back through
+// one reused header.
+func TestAppendWordsOverRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(65))
+	var words []uint64
+	var ms []*Matrix
+	var at []int
+	for _, rows := range []int{0, 1, 63, 64, 65} {
+		for _, cols := range []int{0, 1, 63, 64, 65} {
+			m := randomDense(r, rows, cols, 0.5)
+			at = append(at, len(words))
+			words = m.AppendWords(words)
+			ms = append(ms, m)
+		}
+	}
+	var h Matrix
+	for i, m := range ms {
+		if got := Over(&h, m.Rows(), m.Cols(), words[at[i]:]); got != &h || !got.Equal(m) {
+			t.Fatalf("matrix %d (%dx%d) read back as %v, want %v", i, m.Rows(), m.Cols(), got, m)
+		}
+		if cap(h.bits) != len(h.bits) {
+			t.Fatalf("matrix %d: the header reaches past its words", i)
+		}
+	}
+}

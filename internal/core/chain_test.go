@@ -217,9 +217,9 @@ func TestChainEvaluatorsMatchMatrix(t *testing.T) {
 // brute-force DependsOn loop over every item, for sampled targets, under
 // every variant of the default and a grey-box view. The runs are large
 // enough that groups in a row share a tail key, so the scans answer from
-// their memo; the test counts such repeats and fails if a run has none, or
-// if no run has one of case 2b, whose key also holds the group's next edge
-// (at these sizes only the paper example has them). Half the targets are
+// their memo; the test counts the memo's hits (queryCtx.tailHits) and fails
+// if a run has none, or if no run has one of case 2b, whose key also holds
+// the group's next edge (at these sizes only the paper example has them). Half the targets are
 // the run's most deeply recursive items, whose scans meet the most case-2b
 // groups.
 func TestScanRowsMatchPointLoop(t *testing.T) {
@@ -236,6 +236,7 @@ func TestScanRowsMatchPointLoop(t *testing.T) {
 			points, scans := NewQuerySession(), NewQuerySession()
 			points.EnsurePlan(nil)
 			scans.EnsurePlan(idx)
+			scans.qc.tailHits = [2]int{} // a pooled context keeps its count
 			var visible []int
 			for x := 1; x <= n; x++ {
 				if lx, _ := fx.lab.Label(x); vl.Visible(lx) && lx.Out.Present() && lx.In.Present() {
@@ -256,10 +257,11 @@ func TestScanRowsMatchPointLoop(t *testing.T) {
 			for _, x := range sampled {
 				lx, _ := fx.lab.Label(x)
 				for _, deps := range []bool{true, false} {
-					row, err := scans.RevDepsRow(vl, idx, x)
+					scan := scans.RevDepsRow
 					if deps {
-						row, err = scans.DepsRow(vl, idx, x)
+						scan = scans.DepsRow
 					}
+					row, err := scan(vl, idx, x)
 					if err != nil {
 						t.Fatalf("%s %s/%s: scan of %d: %v", fx.name, vl.view.Name, vl.variant, x, err)
 					}
@@ -275,53 +277,22 @@ func TestScanRowsMatchPointLoop(t *testing.T) {
 								fx.name, vl.view.Name, vl.variant, deps, x, y, row.Get(0, y), ok, err)
 						}
 					}
-					r, h := memoRepeats(vl, scans.qc, idx, lx, deps)
-					repeats, repeats2b = repeats+r, repeats2b+h
 				}
 			}
+			repeats += scans.qc.tailHits[0]
+			repeats2b += scans.qc.tailHits[1]
 			points.Close()
 			scans.Close()
 		}
 		t.Logf("%s: %d groups reused the previous group's tail, %d of them in case 2b", fx.name, repeats, repeats2b)
 		if repeats == 0 {
-			t.Fatalf("%s: no two groups in a row share a tail key, so the memo is not exercised", fx.name)
+			t.Fatalf("%s: the scans' memo answered no group, so it is not exercised", fx.name)
 		}
 		all2b += repeats2b
 	}
 	if all2b == 0 {
-		t.Fatal("no two groups in a row share a case-2b tail key, so the memo's next edge is not exercised")
+		t.Fatal("the scans' memo answered no case-2b group, so its next edge is not exercised")
 	}
-}
-
-// memoRepeats counts the groups of a scan of target x whose chain has the
-// tail key of the previous group's chain: the groups the scan's memo
-// answers, all of them and those of case 2b.
-func memoRepeats(vl *ViewLabel, qc *queryCtx, idx *ItemIndex, x DataLabel, deps bool) (all, recursive int) {
-	t := idx.side(deps)
-	var prev tailKey
-	seen := false
-	for _, g := range vl.scanOrder(qc, idx, deps) {
-		node := t.groups[g].node
-		var ch decodeChain
-		var err error
-		if deps {
-			err = vl.mainChain(&ch, node, idx.path(node), x.In.Owner(), x.In.Path)
-		} else {
-			err = vl.mainChain(&ch, x.Out.Owner(), x.Out.Path, node, idx.path(node))
-		}
-		if err != nil || ch.n == 0 {
-			continue
-		}
-		key := tailKeyOf(&ch, idx.path(node))
-		if seen && key == prev {
-			all++
-			if ch.recursive {
-				recursive++
-			}
-		}
-		prev, seen = key, true
-	}
-	return all, recursive
 }
 
 // recursionDepth sums the child positions of the recursive edges on an

@@ -9,17 +9,18 @@ import (
 )
 
 // moduleAt returns the module denoted by the compressed-parse-tree node at
-// the end of the given edge-label path, starting from the start module.
+// the end of the given edge-label path, starting from the start module. It
+// checks every edge, but only the last one names the module.
 func (s *Scheme) moduleAt(path []EdgeLabel) (workflow.Module, error) {
 	g := s.Spec.Grammar
-	cur := g.Modules[g.Start]
+	name := g.Start
 	for _, e := range path {
 		if e.Recursive() {
-			m, err := s.moduleAtCycleOffset(e.S(), e.T()+e.I()-1)
+			n, err := s.cycleModule(e.S(), e.T()+e.I()-1)
 			if err != nil {
 				return workflow.Module{}, err
 			}
-			cur = m
+			name = n
 			continue
 		}
 		if e.K() < 1 || e.K() > len(g.Productions) {
@@ -29,9 +30,9 @@ func (s *Scheme) moduleAt(path []EdgeLabel) (workflow.Module, error) {
 		if e.I() < 1 || e.I() > len(p.RHS.Nodes) {
 			return workflow.Module{}, fmt.Errorf("core: edge label %v references unknown node of production %d", e, e.K())
 		}
-		cur = g.Modules[p.RHS.Nodes[e.I()-1]]
+		name = p.RHS.Nodes[e.I()-1]
 	}
-	return cur, nil
+	return g.Modules[name], nil
 }
 
 // mulInto multiplies two reachability matrices into dst (which must not
@@ -122,24 +123,6 @@ func (vl *ViewLabel) chainProduct(qc *queryCtx, path []EdgeLabel, from int, outp
 		cur ^= 1
 	}
 	return result, nil
-}
-
-// plainProduct returns the product of the I matrices over path[from:] (the
-// O matrices with outputs): the reachability matrix from the inputs of the
-// module at path[:from] to the inputs of the module at the end of the path
-// (reversed, from outputs to outputs). An empty segment yields the identity.
-func (vl *ViewLabel) plainProduct(qc *queryCtx, path []EdgeLabel, from int, outputs bool) (*boolmat.Matrix, error) {
-	if from < len(path) {
-		return vl.chainProduct(qc, path, from, outputs)
-	}
-	mod, err := vl.scheme.moduleAt(path)
-	if err != nil {
-		return nil, err
-	}
-	if outputs {
-		return qc.identity(mod.Out), nil
-	}
-	return qc.identity(mod.In), nil
 }
 
 // DependsOn is the decoding predicate π of the view-adaptive labeling scheme
@@ -279,7 +262,12 @@ func (vl *ViewLabel) candidateRow(qc *queryCtx, idx *ItemIndex, memo *tailMemo, 
 		return nil, err
 	}
 	r, key := int(near.Port), tailKeyOf(ch, cand.Path)
-	if !memo.ok || memo.key != key {
+	if memo.ok && memo.key == key {
+		qc.tailHits[0]++
+		if ch.recursive {
+			qc.tailHits[1]++
+		}
+	} else {
 		qc.rewind(0)
 		memo.w, memo.err = vl.rowTail(qc, idx, ch, r)
 		memo.ok, memo.key, memo.mark = true, key, qc.used
@@ -332,6 +320,15 @@ type decodeChain struct {
 	// the edges at shared+1 (see tailKey).
 	shared    int
 	recursive bool
+}
+
+// side returns the index into decodeChain.path and node of the path a
+// suffix factor reads: l1's (0) for the O side, else l2's (1).
+func (f *factor) side() int {
+	if f.outputs {
+		return 0
+	}
+	return 1
 }
 
 func (ch *decodeChain) push(kind factorKind, transposed, outputs bool, a, b, c int) {
@@ -464,10 +461,7 @@ func (vl *ViewLabel) fetch(qc *queryCtx, idx *ItemIndex, ch *decodeChain, f *fac
 	case recFactor:
 		return vl.recursionChain(qc, int(f.a), int(f.b), int(f.c), f.outputs)
 	default:
-		side := 1
-		if f.outputs {
-			side = 0
-		}
+		side := f.side()
 		return vl.suffixProduct(qc, idx, ch.node[side], ch.path[side], int(f.a), f.outputs)
 	}
 }
@@ -482,12 +476,8 @@ func (vl *ViewLabel) fetch(qc *queryCtx, idx *ItemIndex, ch *decodeChain, f *fac
 func (vl *ViewLabel) rowTail(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r int) (*boolmat.Matrix, error) {
 	var w *boolmat.Matrix
 	for i := 0; i < ch.n-1; i++ {
-		f, t := ch.at(i)
-		m, err := vl.fetch(qc, idx, ch, f)
-		if err != nil {
-			return nil, err
-		}
-		if w, err = vl.vecMul(qc, w, r, m, t); err != nil {
+		var err error
+		if w, err = vl.mulFactor(qc, idx, ch, i, w, r); err != nil {
 			return nil, err
 		}
 	}
@@ -497,7 +487,25 @@ func (vl *ViewLabel) rowTail(qc *queryCtx, idx *ItemIndex, ch *decodeChain, r in
 // rowHead finishes row r of the chain's product from its tail w:
 // w·op(f[n-1]).
 func (vl *ViewLabel) rowHead(qc *queryCtx, idx *ItemIndex, ch *decodeChain, w *boolmat.Matrix, r int) (*boolmat.Matrix, error) {
-	f, t := ch.at(ch.n - 1)
+	return vl.mulFactor(qc, idx, ch, ch.n-1, w, r)
+}
+
+// mulFactor is vecMul of w (the unit row r when nil) and the i-th factor of
+// ch as it multiplies. A suffix factor over an empty suffix is an identity,
+// which only checks that w conforms and passes it through, so the identity
+// is never built.
+func (vl *ViewLabel) mulFactor(qc *queryCtx, idx *ItemIndex, ch *decodeChain, i int, w *boolmat.Matrix, r int) (*boolmat.Matrix, error) {
+	f, t := ch.at(i)
+	if side := f.side(); f.kind == suffixFactor && w != nil && int(f.a) >= len(ch.path[side]) {
+		n, err := vl.identitySize(ch.path[side], f.outputs)
+		if err != nil {
+			return nil, err
+		}
+		if w.Cols() != n {
+			return nil, fmt.Errorf("core: inconsistent data labels: cannot chain a %d-port vector with a %d-port reachability matrix side", w.Cols(), n)
+		}
+		return w, nil
+	}
 	m, err := vl.fetch(qc, idx, ch, f)
 	if err != nil {
 		return nil, err

@@ -30,6 +30,12 @@ import (
 // them, and an instance's path entry is written once, before any item naming
 // it is published. An owner whose items span two extensions gets two groups;
 // scans answer the same either way.
+//
+// Each side also keeps its groups in path order (groupTable.order), which
+// is what the scans walk, for the whole lineage: an extension sorts only
+// its new groups and merges them into a fresh slice, so the indexes already
+// published keep theirs. The order depends on no view and no epoch — a
+// scan skips the groups its view hides.
 type ItemIndex struct {
 	epoch uint64
 	n     int
@@ -56,7 +62,9 @@ type indexTables struct {
 
 // indexBuilder is the single writer of one index lineage and holds its
 // uncapped tables. Callers serialize Extend per lineage (fvl's sessionIndex
-// does so under its mutex).
+// does so under its mutex). Only the functions marked
+// //fvlvet:index-extend write an index's tables; the immutafter check of
+// cmd/fvlvet enforces it.
 type indexBuilder struct {
 	tip *ItemIndex // the last published index, the only one Extend grows
 	indexTables
@@ -72,10 +80,14 @@ type member struct {
 }
 
 // groupTable holds one side's scan groups: group i is owner groups[i].node
-// and the members from groups[i].start to the next group's start.
+// and the members from groups[i].start to the next group's start. order
+// lists every group's position sorted by its owner's path, ties (an owner
+// split over two extensions) by position, so the groups below one tree node
+// form a contiguous run.
 type groupTable struct {
 	members []member
 	groups  []groupStart
+	order   []int32
 }
 
 type groupStart struct {
@@ -97,17 +109,40 @@ type grouped struct {
 	mb   member
 }
 
-// add appends one extension's members as groups, one per owner.
-func (t *groupTable) add(batch []grouped) {
+// add appends one extension's members as groups, one per owner, and merges
+// the new groups into the path order; paths resolves the owners. The merge
+// writes a fresh order, since the published indexes still read the old one.
+//
+//fvlvet:index-extend
+func (t *groupTable) add(batch []grouped, paths [][]EdgeLabel) {
+	if len(batch) == 0 {
+		return
+	}
 	slices.SortFunc(batch, func(a, b grouped) int {
 		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.mb.item, b.mb.item))
 	})
+	first := int32(len(t.groups))
 	for i, g := range batch {
 		if i == 0 || g.node != batch[i-1].node {
 			t.groups = append(t.groups, groupStart{node: g.node, start: int32(len(t.members))})
 		}
 		t.members = append(t.members, g.mb)
 	}
+	byPath := func(a, b int32) int {
+		return cmp.Or(comparePaths(paths[t.groups[a].node], paths[t.groups[b].node]), cmp.Compare(a, b))
+	}
+	fresh := make([]int32, 0, len(t.groups)-int(first))
+	for g := first; g < int32(len(t.groups)); g++ {
+		fresh = append(fresh, g)
+	}
+	slices.SortFunc(fresh, byPath)
+	order, rest := make([]int32, 0, len(t.order)+len(fresh)), t.order
+	for _, g := range fresh {
+		i, _ := slices.BinarySearchFunc(rest, g, byPath)
+		order = append(append(order, rest[:i]...), g)
+		rest = rest[i:]
+	}
+	t.order = append(order, rest...)
 }
 
 // BuildItemIndex indexes the labels of items 1..n, resolved through label,
@@ -131,6 +166,8 @@ func BuildItemIndex(epoch uint64, n int, label func(itemID int) (DataLabel, bool
 //
 // idx itself stays valid and unchanged, so readers may keep querying it
 // while Extend runs; calls that extend the same lineage must not overlap.
+//
+//fvlvet:index-extend
 func (idx *ItemIndex) Extend(epoch uint64, n int, label func(itemID int) (DataLabel, bool)) *ItemIndex {
 	n = max(n, 0)
 	b, from := &indexBuilder{}, 1
@@ -154,8 +191,8 @@ func (idx *ItemIndex) Extend(epoch uint64, n int, label func(itemID int) (DataLa
 			dst = append(dst, grouped{in, member{item: int32(id), port: d.In.Port, visNode: out}})
 		}
 	}
-	b.src.add(src)
-	b.dst.add(dst)
+	b.src.add(src, b.paths)
+	b.dst.add(dst, b.paths)
 	next := &ItemIndex{epoch: epoch, n: n, label: label, indexTables: b.indexTables, b: b}
 	next.initialsRow = boolmat.New(1, n+1)
 	for _, mb := range next.initials {
@@ -172,6 +209,8 @@ func indexable(d DataLabel) bool {
 
 // see records the path of a port's owner on first sight and returns the
 // owner, or -1 for an absent port.
+//
+//fvlvet:index-extend
 func (b *indexBuilder) see(p PortLabel) int32 {
 	o := p.Owner()
 	if o < 0 {

@@ -102,10 +102,52 @@ func groupsByNode(t groupTable) map[int32][]member {
 	return m
 }
 
+// pathOrder sorts the positions of t's groups from scratch by their owners'
+// paths, ties by position: the order an index's lineage must keep.
+func pathOrder(t groupTable, paths [][]EdgeLabel) []int32 {
+	order := make([]int32, len(t.groups))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return comparePaths(paths[t.groups[a].node], paths[t.groups[b].node])
+	})
+	return order
+}
+
+// samePathOrder fails unless each side of idx keeps its groups in path
+// order.
+func samePathOrder(tb testing.TB, idx *ItemIndex) {
+	tb.Helper()
+	for side, t := range [2]groupTable{idx.src, idx.dst} {
+		if want := pathOrder(t, idx.paths); !slices.Equal(t.order, want) {
+			tb.Fatalf("n=%d: side %d keeps its %d groups in the order %v, want %v", idx.n, side, len(t.groups), t.order, want)
+		}
+	}
+}
+
+// splitOwners counts the owners with more than one group on either side of
+// idx: those whose order the position tie-break decides.
+func splitOwners(idx *ItemIndex) int {
+	n := 0
+	for _, t := range [2]groupTable{idx.src, idx.dst} {
+		seen := map[int32]int{}
+		for _, g := range t.groups {
+			if seen[g.node]++; seen[g.node] == 2 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // sameStructure fails unless got and want hold the same items and instance
-// paths, with the same members per group owner.
+// paths, with the same members per group owner, and both keep their groups
+// in path order.
 func sameStructure(tb testing.TB, got, want *ItemIndex) {
 	tb.Helper()
+	samePathOrder(tb, got)
+	samePathOrder(tb, want)
 	if got.Epoch() != want.Epoch() || got.Items() != want.Items() {
 		tb.Fatalf("index at epoch %d of %d items, want epoch %d of %d", got.Epoch(), got.Items(), want.Epoch(), want.Items())
 	}
@@ -187,9 +229,12 @@ func sameAnswers(tb testing.TB, what string, got, want indexAnswers) {
 }
 
 // TestItemIndexExtendMatchesBuild cuts each fixture run into random epoch
-// prefixes and grows one lineage through all of them: at every cut the
+// prefixes and grows one lineage through all of them, except that one cut
+// halfway shrinks the prefix and so starts a new lineage: at every cut the
 // extended index must hold the same structure as a from-scratch build at the
-// same n and give the same answers for every item under every variant.
+// same n, keep each side's groups in path order, and give the same answers
+// for every item under every variant. The single-item epochs split owners
+// over two extensions, so the order's position tie-break is exercised too.
 func TestItemIndexExtendMatchesBuild(t *testing.T) {
 	for _, f := range indexFixtures(t) {
 		t.Run(f.name, func(t *testing.T) {
@@ -198,21 +243,28 @@ func TestItemIndexExtendMatchesBuild(t *testing.T) {
 			if len(cuts) < 8 {
 				t.Fatalf("only %d cuts over %d items", len(cuts), n)
 			}
+			half := len(cuts) / 2
+			cuts = slices.Insert(cuts, half, cuts[half-1]/2)
 			var ext *ItemIndex
+			split := 0
 			for e, cut := range cuts {
 				epoch := uint64(e + 1)
 				prev := ext
 				ext = ext.Extend(epoch, cut, f.lab.Label)
-				if prev != nil && ext.b != prev.b {
-					t.Fatalf("epoch %d: extending the tip started a new lineage", epoch)
+				if prev != nil && (ext.b != prev.b) != (cut < prev.Items()) {
+					t.Fatalf("epoch %d: extending %d items to %d joined the lineage %v, want %v", epoch, prev.Items(), cut, ext.b == prev.b, cut >= prev.Items())
 				}
 				scratch := BuildItemIndex(epoch, cut, f.lab.Label)
 				sameStructure(t, ext, scratch)
 				for _, vl := range f.vls {
 					sameAnswers(t, vl.Variant().String(), answersOf(vl, ext), answersOf(vl, scratch))
 				}
+				split = max(split, splitOwners(ext))
 			}
-			t.Logf("%d cuts over %d items, %d visible at the last", len(cuts), n, answersOf(f.vls[0], ext).visible.CountTrue())
+			if split == 0 {
+				t.Fatal("no owner spans two extensions, so the order's tie-break is not exercised")
+			}
+			t.Logf("%d cuts over %d items, %d visible at the last, up to %d owners split", len(cuts), n, answersOf(f.vls[0], ext).visible.CountTrue(), split)
 		})
 	}
 }
@@ -298,6 +350,9 @@ func TestItemIndexLineage(t *testing.T) {
 // build, structurally and in the scans of the items at the cut boundary,
 // and its point answers among those items (plus IDs 0 and cut+1, which it
 // holds no label for) must equal the label decoder's for every variant.
+// Each side must keep its groups in path order; the seed of one-item epochs
+// splits owners over two extensions, whose equal paths the position
+// tie-break orders.
 func FuzzItemIndexExtend(f *testing.F) {
 	fixtures := []indexFixture{
 		newIndexFixture(f, "bioaid", workloads.BioAID(), 160, 21),
@@ -307,6 +362,7 @@ func FuzzItemIndexExtend(f *testing.F) {
 	f.Add([]byte{0, 200, 0xF3, 7, 1})
 	f.Add([]byte{})
 	f.Add([]byte{1, 3, 1, 1, 23, 0xF8, 9, 2, 17})
+	f.Add([]byte{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 
 	f.Fuzz(func(t *testing.T, cuts []byte) {
 		fx := fixtures[0]

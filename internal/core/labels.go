@@ -10,7 +10,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -152,7 +151,11 @@ func commonPrefixLen(a, b []EdgeLabel) int {
 // fields, which is arbitrary but total; all the scans need is that the paths
 // through one tree node form a contiguous run.
 func comparePaths(a, b []EdgeLabel) int {
-	return slices.CompareFunc(a, b, func(x, y EdgeLabel) int {
-		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.ks, y.ks), cmp.Compare(x.i, y.i))
-	})
+	if n := commonPrefixLen(a, b); n < len(a) && n < len(b) {
+		return cmp.Compare(a[n].packed(), b[n].packed())
+	}
+	return cmp.Compare(len(a), len(b))
 }
+
+// packed is the edge's fields as one word, ordered t, ks, i.
+func (e EdgeLabel) packed() uint64 { return uint64(e.t)<<48 | uint64(e.ks)<<32 | uint64(e.i) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"slices"
@@ -191,4 +192,37 @@ func TestLabelerRefusesRecursionIndexOverflow(t *testing.T) {
 		}
 	}
 	t.Fatal("the run continues no recursion")
+}
+
+// TestComparePathsIsLexicographic checks comparePaths against an edge by
+// edge comparison of the fields t, ks and i, on random paths over a few
+// edges, so that equal prefixes are common, both recursive and not.
+func TestComparePathsIsLexicographic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	edges := []EdgeLabel{
+		NonRecursiveEdge(1, 1), NonRecursiveEdge(1, 2), NonRecursiveEdge(2, 1), NonRecursiveEdge(MaxEdgeIndex, MaxEdgeChild),
+		RecursiveEdge(1, 1, 1), RecursiveEdge(1, 2, 1), RecursiveEdge(2, 1, 3), RecursiveEdge(1, MaxEdgeOffset, 2),
+	}
+	path := func() []EdgeLabel {
+		p := make([]EdgeLabel, rng.Intn(4))
+		for i := range p {
+			p[i] = edges[rng.Intn(len(edges))]
+		}
+		return p
+	}
+	byFields := func(x, y EdgeLabel) int {
+		switch {
+		case x.t != y.t:
+			return cmp.Compare(x.t, y.t)
+		case x.ks != y.ks:
+			return cmp.Compare(x.ks, y.ks)
+		}
+		return cmp.Compare(x.i, y.i)
+	}
+	for range 20000 {
+		a, b := path(), path()
+		if got, want := comparePaths(a, b), slices.CompareFunc(a, b, byFields); got != want {
+			t.Fatalf("comparePaths(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/boolmat"
 	"repro/internal/view"
+	"repro/internal/workflow"
 	"repro/internal/workloads"
 )
 
@@ -125,5 +126,87 @@ func benchPlanRow(b *testing.B, scan func(*QuerySession, *ViewLabel, *ItemIndex,
 		if _, err := scan(s, vl, idx, targets[i%len(targets)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// coldBatchFixture is a set batch in process: a run of the given size, a
+// query-efficient label of a grey-box view with 8 expandable composites,
+// and 4 Deps and 4 RevDeps targets among the view's visible intermediate
+// items. Over a ~10k-item Synthetic run with the default parameters it is
+// one mixed-fvld set batch.
+type coldBatchFixture struct {
+	vl      *ViewLabel
+	idx     *ItemIndex
+	targets []int
+}
+
+func newColdBatchFixture(tb testing.TB, spec *workflow.Specification, size int) coldBatchFixture {
+	tb.Helper()
+	scheme, err := NewScheme(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := workloads.RandomRun(spec, workloads.RunOptions{TargetSize: size, Rand: rand.New(rand.NewSource(1))})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	labeler, err := scheme.LabelRun(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, err := workloads.RandomView(spec, workloads.ViewOptions{
+		Name: "grey", Composites: 8, Mode: workloads.GreyBox, Rand: rand.New(rand.NewSource(2)),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	vl, err := scheme.LabelView(v, VariantQueryEfficient)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := coldBatchFixture{vl: vl, idx: BuildItemIndex(1, labeler.Count(), labeler.Label)}
+	var visible []int
+	for x := 1; x <= labeler.Count(); x++ {
+		if lx, _ := labeler.Label(x); vl.Visible(lx) && lx.Out.Present() && lx.In.Present() {
+			visible = append(visible, x)
+		}
+	}
+	if len(visible) == 0 {
+		tb.Fatal("the grey view shows no intermediate item")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for range 8 {
+		f.targets = append(f.targets, visible[rng.Intn(len(visible))])
+	}
+	return f
+}
+
+// batch runs the fixture's scans on a fresh plan attached to s: the first
+// four targets as Deps scans, the rest as RevDeps scans.
+func (f coldBatchFixture) batch(tb testing.TB, s *QuerySession) {
+	s.AttachPlan(nil)
+	s.EnsurePlan(f.idx)
+	for i, x := range f.targets {
+		scan := s.RevDepsRow
+		if i < len(f.targets)/2 {
+			scan = s.DepsRow
+		}
+		if _, err := scan(f.vl, f.idx, x); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanColdBatch measures one set batch on a new epoch: every
+// iteration starts a fresh plan, so it pays for every visibility check and
+// suffix product its 8 scans read.
+func BenchmarkPlanColdBatch(b *testing.B) {
+	f := newColdBatchFixture(b, workloads.Synthetic(workloads.DefaultSyntheticParams()), 10000)
+	s := NewQuerySession()
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.batch(b, s)
 	}
 }

@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/boolmat"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/boolmat"
+)
 
 // PlanCache is the plan-scoped counterpart of the per-query closure memo: one
 // cache shared by every query a plan (or a worker's whole batch) executes, so
@@ -8,7 +13,8 @@ import "repro/internal/boolmat"
 // product, or a path-visibility check it has already paid for. It is keyed to
 // one ItemIndex — i.e. one pinned step prefix (epoch) of one run — because
 // its cached products and visibility bits are keyed by the instances and
-// item rows of that index.
+// item rows of that index. The path order the scans walk is not the plan's:
+// the index lineage keeps it (groupTable.order).
 //
 // Attaching a PlanCache is strictly opt-in (QuerySession.EnsurePlan). A bare
 // queryCtx keeps the query-state-honesty invariant of the Figure 20
@@ -37,7 +43,10 @@ type PlanCache struct {
 	last   *planLabel
 }
 
-// planLabel is a plan's cached state for one view label.
+// planLabel is a plan's cached state for one view label. Everything it holds
+// for an index's owner instances is pointer-free: a visibility byte each,
+// and the suffix products as words (prodStore). The order in which the
+// scans visit the instances is the index's, not the plan's.
 type planLabel struct {
 	// edges amortizes the graph-search path of VariantSpaceEfficient: every
 	// I, O and Z matrix of a production, materialized on its first use. It
@@ -51,30 +60,78 @@ type planLabel struct {
 	// 1 the O (outputs) side.
 	chains [2][][]*recChain
 
-	// nodes is indexed by the owner instances of the plan's ItemIndex and
-	// stays nil for index-free plans.
-	nodes []planNode
+	// vis caches pathVisible of each owner instance's path, indexed by the
+	// instances of the plan's ItemIndex: visUnknown until first computed.
+	// It stays nil for index-free plans.
+	vis []int8
+
+	// prods caches the chain products along the owner instances' path
+	// suffixes that cost a multiplication.
+	prods prodStore
 
 	// visRow is the 1×(items+1) bitset row of item IDs visible in the
 	// label's view.
 	visRow *boolmat.Matrix
-
-	// groups lists, per side, the positions of the index's scan groups whose
-	// owners are visible in the label's view, sorted by the owners' paths
-	// (scanOrder); side 1 is the producing (src) side.
-	groups [2][]int32
 }
 
-// planNode is a plan's cached state for one owner instance's tree node.
-type planNode struct {
-	// visible caches pathVisible of the node's path: visUnknown until first
-	// computed.
-	visible int8
+// prodStore holds one plan label's suffix products (suffixProduct) in
+// pointer-free tables, so no product is a heap object of its own and the
+// garbage collector never scans them. A product is read back through the
+// query context's matrix header over its words (boolmat.Over).
+type prodStore struct {
+	// runs is indexed by owner instance: 1 + the start of the instance's run
+	// in slots, 0 until its first product. A run has one slot per side and
+	// path suffix, [side][from] with from in 0..len(path).
+	runs []int32
 
-	// prods caches chain products of edge matrices along the node's path
-	// suffixes, indexed [side][from], cloned out of the query context's
-	// scratch arena so they survive arena rewinds.
-	prods [2][]*boolmat.Matrix
+	// slots holds the runs: 1 + the offset of a product's header in words,
+	// 0 until it is cached.
+	slots []int32
+
+	// words holds each product as a header word, rows<<32 | cols, followed
+	// by its packed rows.
+	words []uint64
+}
+
+// slot returns the position in slots of the product of the owner instance
+// node over path[from:] on one side, where path is the instance's path in
+// idx, allocating the instance's run on first use; -1 when from is past
+// the path.
+func (ps *prodStore) slot(idx *ItemIndex, node int32, side, from int) int {
+	n := len(idx.path(node)) + 1
+	if from >= n {
+		return -1
+	}
+	if ps.runs == nil {
+		ps.runs = make([]int32, len(idx.paths))
+	}
+	if ps.runs[node] == 0 {
+		at := len(ps.slots)
+		ps.runs[node] = int32(at) + 1
+		ps.slots = slices.Grow(ps.slots, 2*n)[:at+2*n]
+		clear(ps.slots[at:])
+	}
+	return int(ps.runs[node]) - 1 + side*n + from
+}
+
+// get reads the product cached in slot i into the header h, or returns nil
+// when the slot holds none.
+func (ps *prodStore) get(i int, h *boolmat.Matrix) *boolmat.Matrix {
+	at := ps.slots[i]
+	if at == 0 {
+		return nil
+	}
+	hdr := ps.words[at-1]
+	return boolmat.Over(h, int(hdr>>32), int(uint32(hdr)), ps.words[at:])
+}
+
+// put caches m in slot i, unless the words would outgrow an int32 offset.
+func (ps *prodStore) put(i int, m *boolmat.Matrix) {
+	if len(ps.words) >= math.MaxInt32-1-m.Rows()*(m.Cols()+63)/64 {
+		return
+	}
+	ps.slots[i] = int32(len(ps.words)) + 1
+	ps.words = m.AppendWords(append(ps.words, uint64(m.Rows())<<32|uint64(m.Cols())))
 }
 
 const (
@@ -140,11 +197,11 @@ func (pl *planLabel) chainSlot(vl *ViewLabel, s, t int, outputs bool) **recChain
 	return &row[t-1]
 }
 
-// node returns the cached state of an owner instance of idx, which must be
-// the plan's index.
-func (pl *planLabel) node(idx *ItemIndex, node int32) *planNode {
-	if pl.nodes == nil {
-		pl.nodes = make([]planNode, len(idx.paths))
+// visTable returns the visibility cache, indexed by the owner instances of
+// idx, which must be the plan's index.
+func (pl *planLabel) visTable(idx *ItemIndex) []int8 {
+	if pl.vis == nil {
+		pl.vis = make([]int8, len(idx.paths))
 	}
-	return &pl.nodes[node]
+	return pl.vis
 }

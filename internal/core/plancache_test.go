@@ -10,28 +10,27 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"unsafe"
 
 	"repro/internal/boolmat"
 	"repro/internal/view"
+	"repro/internal/workflow"
 	"repro/internal/workloads"
 )
 
 // planEntry locates one object a plan caches: an edge matrix (kind "I" or
 // "O" at production k, node i; kind "Z" at production k, nodes i < j), a
-// recursion chain (cycle s, offset t, side), a chain product (node, side,
-// from) or the scan order of one side's visible groups (kind "groups" at
-// side) of one label.
+// recursion chain (cycle s, offset t, side) or a chain product (node, side,
+// from) of one label.
 type planEntry struct {
 	vl      *ViewLabel
 	kind    string
 	a, b, c int
 }
 
-// planEntries snapshots every edge matrix, recursion chain, chain product
-// and group order a plan holds, each mapped to the cached object (a group
-// order to its backing array), so probes can check both that nothing new was
-// cached and that nothing cached was recomputed.
+// planEntries snapshots every edge matrix, recursion chain and chain product
+// a plan holds, each mapped to the cached object (a chain product to its
+// offset in the label's words), so probes can check both that nothing new
+// was cached and that nothing cached was recomputed.
 func planEntries(pc *PlanCache) map[planEntry]any {
 	out := map[planEntry]any{}
 	for vl, pl := range pc.labels {
@@ -56,16 +55,16 @@ func planEntries(pc *PlanCache) map[planEntry]any {
 				}
 			}
 		}
-		for side, order := range pl.groups {
-			if order != nil {
-				out[planEntry{vl, "groups", side, 0, 0}] = unsafe.SliceData(order)
+		ps := &pl.prods
+		for node, run := range ps.runs {
+			if run == 0 {
+				continue
 			}
-		}
-		for node, pn := range pl.nodes {
-			for side, slots := range pn.prods {
-				for from, m := range slots {
-					if m != nil {
-						out[planEntry{vl, "prod", node, side, from}] = m
+			n := len(pc.idx.path(int32(node))) + 1
+			for side := range 2 {
+				for from := range n {
+					if at := ps.slots[int(run)-1+side*n+from]; at != 0 {
+						out[planEntry{vl, "prod", node, side, from}] = at
 					}
 				}
 			}
@@ -99,8 +98,8 @@ func assertEdgeMatricesCached(t *testing.T, entries map[planEntry]any) {
 func visibilityBits(pc *PlanCache) int {
 	n := 0
 	for _, pl := range pc.labels {
-		for _, pn := range pl.nodes {
-			if pn.visible != visUnknown {
+		for _, v := range pl.vis {
+			if v != visUnknown {
 				n++
 			}
 		}
@@ -295,9 +294,6 @@ func TestSetScansCacheChainProductsAcrossQueries(t *testing.T) {
 	if prods == 0 {
 		t.Fatal("scanning every item cached no chain products")
 	}
-	if countEntries(first, "groups") == 0 {
-		t.Fatal("scanning every item cached no group order")
-	}
 	for x := 1; x <= idx.Items(); x++ {
 		if _, err := s.DepsRow(vl, idx, x); err != nil {
 			t.Fatalf("second depsRow(%d): %v", x, err)
@@ -312,5 +308,39 @@ func TestSetScansCacheChainProductsAcrossQueries(t *testing.T) {
 	row := s.VisibleRow(vl, idx)
 	if s.VisibleRow(vl, idx) != row {
 		t.Fatal("visibleRow must return the cached row on the second call")
+	}
+}
+
+// TestPlanColdBatchAllocatesPerBatchNotPerProduct runs a set batch of 4
+// Deps and 4 RevDeps scans on a fresh plan per run: its allocation count
+// must not grow with the suffix products the plan caches, which live as
+// words in one arena per label rather than as matrices of their own. The
+// paper example's deep recursion makes its batch cache thousands of
+// products; the mixed-fvld batch of BenchmarkPlanColdBatch reads thousands
+// too, but nearly all are identities and single edge matrices, which the
+// plan does not copy.
+func TestPlanColdBatchAllocatesPerBatchNotPerProduct(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spec  *workflow.Specification
+		items int
+		prods int // the fewest products the batch must cache
+	}{
+		{"paper", workloads.PaperExample(), 4000, 1000},
+		{"synthetic", workloads.Synthetic(workloads.DefaultSyntheticParams()), 10000, 0},
+	} {
+		f := newColdBatchFixture(t, c.spec, c.items)
+		s := NewQuerySession()
+		f.batch(t, s)
+		prods := countEntries(planEntries(s.qc.plan), "prod")
+		allocs := testing.AllocsPerRun(5, func() { f.batch(t, s) })
+		s.Close()
+		t.Logf("%s, %d items: a cold batch caches %d products in %.0f allocations", c.name, f.idx.Items(), prods, allocs)
+		if prods < c.prods {
+			t.Fatalf("%s: a cold batch caches only %d products: the fixture no longer exercises the cache", c.name, prods)
+		}
+		if allocs > max(float64(prods)/10, 64) {
+			t.Fatalf("%s: a cold batch allocates %.0f times for %d cached products", c.name, allocs, prods)
+		}
 	}
 }

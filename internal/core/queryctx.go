@@ -54,6 +54,16 @@ type queryCtx struct {
 	// chain is the factor chain of the main case candidateRow evaluates,
 	// kept here so the scans do not clear one per group.
 	chain decodeChain
+
+	// prod is the header through which suffixProduct hands out a product
+	// cached in the plan's words. It aliases those words, so it never enters
+	// the scratch arena, whose slots the In kernels overwrite.
+	prod boolmat.Matrix
+
+	// tailHits counts the main-case candidates whose target side a tail
+	// memo answered, all of them at 0 and those of case 2b at 1. Tests read
+	// it to check that the scans' memo hits.
+	tailHits [2]int
 }
 
 // begin readies the context for a new query: the scratch arena rewinds and
@@ -65,7 +75,7 @@ func (qc *queryCtx) begin() {
 
 // rewind resets only the bump allocator, to mark slots. The set-query scans
 // use it between groups: everything a group's result depends on across
-// rewinds lives in the plan cache (cloned), in the label itself or in the
+// rewinds lives in the plan cache's words, in the label itself or in the
 // scan's memo below mark, never in the slots rewound.
 func (qc *queryCtx) rewind(mark int) {
 	qc.used = mark
@@ -126,7 +136,7 @@ func (s *QuerySession) DependsOn(vl *ViewLabel, d1, d2 DataLabel) (bool, error) 
 // idx was built from; an ID idx holds no label for fails with
 // faults.ErrUnknownItem. With a plan for idx attached (EnsurePlan, or one
 // drawn from a PlanShare), visibility and the path-suffix chain products come
-// from the plan's per-node caches that the set scans over idx fill, so a
+// from the plan's per-instance tables that the set scans over idx fill, so a
 // warm plan answers without recomputing any chain.
 func (s *QuerySession) DependsOnIndexed(vl *ViewLabel, idx *ItemIndex, from, to int) (bool, error) {
 	return vl.dependsOnIndexed(s.qc, idx, from, to)
@@ -196,10 +206,11 @@ func (s *QuerySession) VisibleRow(vl *ViewLabel, idx *ItemIndex) *boolmat.Matrix
 
 // Close returns the session's context to the pool. The session must not be
 // used afterwards. The plan cache (if any) is dropped so pooled contexts
-// never leak amortized state into the next session.
+// never leak amortized state into the next session, and so is the product
+// header into its words.
 func (s *QuerySession) Close() {
 	if s.qc != nil {
-		s.qc.plan = nil
+		s.qc.plan, s.qc.prod = nil, boolmat.Matrix{}
 		queryCtxPool.Put(s.qc)
 		s.qc = nil
 	}

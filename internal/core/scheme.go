@@ -130,10 +130,18 @@ func (s *Scheme) cycleOf(module string) (cycle, offset int, ok bool) {
 // moduleAtCycleOffset returns the module whose outgoing cycle edge is the
 // offset-th edge (1-based, with wraparound) of cycle s.
 func (s *Scheme) moduleAtCycleOffset(cycle, offset int) (workflow.Module, error) {
-	c, err := s.Cycle(cycle)
+	name, err := s.cycleModule(cycle, offset)
 	if err != nil {
 		return workflow.Module{}, err
 	}
-	name := c.Modules[(offset-1)%c.Len()]
 	return s.Spec.Grammar.Modules[name], nil
+}
+
+// cycleModule is moduleAtCycleOffset's module name.
+func (s *Scheme) cycleModule(cycle, offset int) (string, error) {
+	c, err := s.Cycle(cycle)
+	if err != nil {
+		return "", err
+	}
+	return c.Modules[(offset-1)%c.Len()], nil
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/boolmat"
 	"repro/internal/faults"
@@ -22,12 +20,17 @@ import (
 // That vector is what a point query reads one bit of: scans and point
 // queries share one per-candidate body, candidateRow, which reads it off the
 // case's chain one vector product per factor and never multiplies the matrix
-// out. A scan visits only the groups visible in the view, in path order
-// (scanOrder), so the groups below one subtree of the target's path come one
-// after another. They share the LCA depth and the edges there, and with them
-// every factor but their own suffix product: a one-entry memo (tailMemo)
-// keeps the target's side of the chain as one vector, and each further group
-// of the run costs one vector × suffix product.
+// out. A scan walks its side's groups in the path order the index lineage
+// keeps (groupTable.order), skipping those whose owners the view hides, so
+// the groups below one subtree of the target's path come one after another.
+// They share the LCA depth and the edges there, and with them every factor
+// but their own suffix product: a one-entry memo (tailMemo) keeps the
+// target's side of the chain as one vector, and each further group of the
+// run costs one vector × suffix product.
+//
+// What a scan caches lives in the plan attached for its index: one
+// visibility byte per owner instance, and the suffix products that cost a
+// multiplication as words in one pointer-free arena per label (prodStore).
 //
 // Set semantics versus point semantics: a point query against an invisible or
 // unknown *target* errors, and so do the scans (ErrHiddenItem /
@@ -36,28 +39,61 @@ import (
 // the only coherent reading of "the set of items y for which DependsOn
 // answers (true, nil)". The differential oracle test in fvl pins this down.
 
-// suffixProduct returns the I- or O-matrix chain product over path[from:],
-// served from the plan cache when the context has one attached for idx. Cache
-// hits return a matrix that is NOT in the scratch arena (it survives rewind);
-// misses compute into scratch and clone into the cache.
+// suffixProduct returns the product of the I matrices over path[from:] (the
+// O matrices with outputs): the reachability matrix from the inputs of the
+// module at path[:from] to the inputs of the module at the end of the path
+// (reversed, from outputs to outputs). An empty segment yields the identity.
+//
+// With a plan attached for idx, node's products are cached in it, but only
+// those that cost a multiplication or a recursion chain: an identity is
+// built, and a single production edge's matrix looked up, as cheaply as a
+// cache hit. Misses compute into the scratch arena and copy the words into
+// the plan; hits return the context's product header over the plan's words,
+// which survives rewinds but only until the next hit, so a caller must be
+// done with one product before it fetches the next.
 func (vl *ViewLabel) suffixProduct(qc *queryCtx, idx *ItemIndex, node int32, path []EdgeLabel, from int, outputs bool) (*boolmat.Matrix, error) {
+	switch {
+	case from >= len(path):
+		n, err := vl.identitySize(path, outputs)
+		if err != nil {
+			return nil, err
+		}
+		return qc.identity(n), nil
+	case from == len(path)-1 && !path[from].Recursive():
+		return vl.edgeIO(qc, path[from].K(), path[from].I(), outputs)
+	}
 	pc := qc.plan
 	if pc == nil || idx == nil || pc.idx != idx || node < 0 {
-		return vl.plainProduct(qc, path, from, outputs)
+		return vl.chainProduct(qc, path, from, outputs)
 	}
-	pn, side := pc.label(vl).node(idx, node), sideOf(outputs)
-	if pn.prods[side] == nil {
-		pn.prods[side] = make([]*boolmat.Matrix, len(path)+1)
+	ps := &pc.label(vl).prods
+	i := ps.slot(idx, node, sideOf(outputs), from)
+	if i < 0 {
+		return vl.chainProduct(qc, path, from, outputs)
 	}
-	if m := pn.prods[side][from]; m != nil {
+	if m := ps.get(i, &qc.prod); m != nil {
 		return m, nil
 	}
-	m, err := vl.plainProduct(qc, path, from, outputs)
+	m, err := vl.chainProduct(qc, path, from, outputs)
 	if err != nil {
 		return nil, err
 	}
-	pn.prods[side][from] = m.Clone()
-	return pn.prods[side][from], nil
+	ps.put(i, m)
+	return m, nil
+}
+
+// identitySize returns the size of the identity that suffixProduct is over
+// an empty suffix of path: the input (with outputs, output) count of the
+// module at its end.
+func (vl *ViewLabel) identitySize(path []EdgeLabel, outputs bool) (int, error) {
+	mod, err := vl.scheme.moduleAt(path)
+	if err != nil {
+		return 0, err
+	}
+	if outputs {
+		return mod.Out, nil
+	}
+	return mod.In, nil
 }
 
 // nodeVisible is pathVisible over an owner instance's path, cached per plan.
@@ -70,14 +106,24 @@ func (vl *ViewLabel) nodeVisible(qc *queryCtx, idx *ItemIndex, node int32) bool 
 	if pc == nil || pc.idx != idx {
 		return vl.pathVisible(idx.path(node))
 	}
-	pn := pc.label(vl).node(idx, node)
-	if pn.visible == visUnknown {
-		pn.visible = visNo
+	v := &pc.label(vl).visTable(idx)[node]
+	if *v == visUnknown {
+		*v = visNo
 		if vl.pathVisible(idx.path(node)) {
-			pn.visible = visYes
+			*v = visYes
 		}
 	}
-	return pn.visible == visYes
+	return *v == visYes
+}
+
+// visBits returns the visibility bits of the plan attached for idx, nil
+// without one. The scans' loops read a bit known visible there and call
+// nodeVisible only for the others.
+func (vl *ViewLabel) visBits(qc *queryCtx, idx *ItemIndex) []int8 {
+	if pc := qc.plan; pc != nil && pc.idx == idx {
+		return pc.label(vl).visTable(idx)
+	}
+	return nil
 }
 
 // visibleRow returns the 1×(idx.Items()+1) bitset row of the item IDs visible
@@ -102,49 +148,14 @@ func (vl *ViewLabel) visibleRow(qc *queryCtx, idx *ItemIndex) *boolmat.Matrix {
 	return row
 }
 
-// scanOrder returns the positions of the groups of one side of idx (the
-// producing side with outputs) whose owners are visible in vl's view, sorted
-// by the owners' paths, so the groups below one tree node form a contiguous
-// run. With a plan for idx attached, the list is built once, at its exact
-// size, and kept in the plan.
-func (vl *ViewLabel) scanOrder(qc *queryCtx, idx *ItemIndex, outputs bool) []int32 {
-	var pl *planLabel
-	if pc := qc.plan; pc != nil && pc.idx == idx {
-		pl = pc.label(vl)
-		if order := pl.groups[sideOf(outputs)]; order != nil {
-			return order
-		}
-	}
-	t := idx.side(outputs)
-	n := 0
-	for _, g := range t.groups {
-		if vl.nodeVisible(qc, idx, g.node) {
-			n++
-		}
-	}
-	order := make([]int32, 0, n)
-	for i, g := range t.groups {
-		if vl.nodeVisible(qc, idx, g.node) {
-			order = append(order, int32(i))
-		}
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(comparePaths(idx.path(t.groups[a].node), idx.path(t.groups[b].node)), cmp.Compare(a, b))
-	})
-	if pl != nil {
-		pl.groups[sideOf(outputs)] = order
-	}
-	return order
-}
-
 // scatter sets the answer bit of every member whose port is set in vec, the
 // group's row or column of its decoding matrix as a 1-row vector indexed by
 // port, and whose other port's owner is visible. Out-of-range ports exclude
 // exactly the members whose point queries fail on the same vector.
-func (vl *ViewLabel) scatter(qc *queryCtx, idx *ItemIndex, row, vec *boolmat.Matrix, members []member) {
+func (vl *ViewLabel) scatter(qc *queryCtx, idx *ItemIndex, vis []int8, row, vec *boolmat.Matrix, members []member) {
 	for _, mb := range members {
 		p := int(mb.port)
-		if p >= 0 && p < vec.Cols() && vec.Get(0, p) && vl.nodeVisible(qc, idx, mb.visNode) {
+		if p >= 0 && p < vec.Cols() && vec.Get(0, p) && (mb.visNode >= 0 && vis != nil && vis[mb.visNode] == visYes || vl.nodeVisible(qc, idx, mb.visNode)) {
 			row.Set(0, int(mb.item), true)
 		}
 	}
@@ -224,18 +235,22 @@ func (vl *ViewLabel) scanRow(qc *queryCtx, idx *ItemIndex, itemID int, deps bool
 	// RevDeps one; the other boundary never appears, by Case I) share one
 	// vector. Intermediate candidates get one per visible group.
 	var memo tailMemo
+	vis := vl.visBits(qc, idx)
 	if len(ends) > 0 {
 		if vec, err := vl.candidateRow(qc, idx, &memo, &near, &far, &PortLabel{}, deps); err == nil {
-			vl.scatter(qc, idx, row, vec, ends)
+			vl.scatter(qc, idx, vis, row, vec, ends)
 		}
 		qc.rewind(0)
 	}
 	groups := idx.side(deps)
-	for _, g := range vl.scanOrder(qc, idx, deps) {
+	for _, g := range groups.order {
 		node, members := groups.group(int(g))
+		if (vis == nil || vis[node] != visYes) && !vl.nodeVisible(qc, idx, node) {
+			continue
+		}
 		cand := PortLabel{Path: idx.path(node), owner: node + 1}
 		if vec, err := vl.candidateRow(qc, idx, &memo, &near, &far, &cand, deps); err == nil && vec != nil {
-			vl.scatter(qc, idx, row, vec, members)
+			vl.scatter(qc, idx, vis, row, vec, members)
 		}
 		qc.rewind(memo.mark)
 	}

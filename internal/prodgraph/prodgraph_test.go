@@ -82,12 +82,12 @@ func abLoopGrammar(t *testing.T) *workflow.Grammar {
 	dRec.Node("D")
 	dRec.Edge("c", 0, "D", 0)
 
-	b.Production("S", sRHS) // p1: S -> a, A, C
+	b.Production("S", sRHS)            // p1: S -> a, A, C
 	b.Production("A", chain("b", "B")) // p2: A -> b, B
 	b.Production("A", single("b"))     // p3: A -> b
 	b.Production("B", chain("b", "A")) // p4: B -> b, A
 	b.Production("C", single("D"))     // p5: C -> D  (unit production, no cycle)
-	b.Production("D", dRec) // p6: D -> c, D
+	b.Production("D", dRec)            // p6: D -> c, D
 	b.Production("D", single("c"))     // p7: D -> c
 	g, err := b.Grammar()
 	if err != nil {
